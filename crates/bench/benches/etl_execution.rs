@@ -91,7 +91,7 @@ fn thread_scaling_series() -> Vec<(usize, Duration)> {
         let best = best_of_3(|| {
             let mut engine = Engine::new(catalog.clone());
             let t0 = Instant::now();
-            engine.run_parallel(&unified).expect("runs");
+            engine.run(&unified).expect("runs");
             t0.elapsed()
         });
         let baseline = *base.get_or_insert(best);
@@ -103,7 +103,7 @@ fn thread_scaling_series() -> Vec<(usize, Duration)> {
 }
 
 fn row_vs_columnar_series() -> Vec<EngineComparison> {
-    println!("\n# E13: columnar engine vs retired row-at-a-time baseline, high overlap, serial");
+    println!("\n# E13: columnar engine vs retired row-at-a-time baseline, high overlap");
     println!("{:>6} {:>4} {:>12} {:>12} {:>8}", "sf", "N", "columnar-ms", "row-ms", "speedup");
     let mut points = Vec::new();
     for (sf, n) in [(0.005, 4), (0.005, 8), (0.01, 4), (0.01, 8)] {
@@ -115,7 +115,7 @@ fn row_vs_columnar_series() -> Vec<EngineComparison> {
 }
 
 fn join_heavy_series() -> Vec<JoinHeavyPoint> {
-    println!("\n# E13: join-heavy selectivity sweep — late materialization + radix join, sf=0.01, serial");
+    println!("\n# E13: join-heavy selectivity sweep — late materialization + radix join, sf=0.01");
     println!("{:>6} {:>6} {:>12} {:>10}", "sf", "sel%", "columnar-ms", "rows-kept");
     let mut points = Vec::new();
     for pct in [1u32, 10, 90] {
@@ -249,21 +249,18 @@ fn bench(c: &mut Criterion) {
         b.iter(|| black_box(run_flows(&catalog, &[&design.etl])));
     });
 
-    // Parallel vs sequential execution of the consolidated flow.
+    // The consolidated flow pinned to one thread vs the machine's width.
     let mut group = c.benchmark_group("engine_parallelism_n4");
     group.sample_size(10);
-    group.bench_function("sequential", |b| {
-        b.iter(|| {
-            let mut engine = Engine::new(catalog.clone());
-            black_box(engine.run(&unified).expect("runs"))
+    for (label, threads) in [("1-thread", 1), ("all-threads", 0)] {
+        quarry_engine::pool::set_threads(threads);
+        group.bench_function(label, |b| {
+            b.iter(|| {
+                let mut engine = Engine::new(catalog.clone());
+                black_box(engine.run(&unified).expect("runs"))
+            });
         });
-    });
-    group.bench_function("parallel", |b| {
-        b.iter(|| {
-            let mut engine = Engine::new(catalog.clone());
-            black_box(engine.run_parallel(&unified).expect("runs"))
-        });
-    });
+    }
     group.finish();
 
     // Columnar vs the retired row-at-a-time engine (E13's bench-smoke leg).

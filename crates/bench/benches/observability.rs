@@ -32,7 +32,7 @@ fn median_of(mut measure: impl FnMut() -> Duration) -> Duration {
 
 fn lifecycle_run(q: &Quarry, catalog: &quarry_engine::Catalog) -> Duration {
     let t0 = Instant::now();
-    let (engine, report) = q.run_etl_parallel(catalog.clone()).expect("flow executes");
+    let (engine, report) = q.run_etl(catalog.clone()).expect("flow executes");
     black_box((engine, report));
     t0.elapsed()
 }
@@ -59,7 +59,7 @@ struct ObsOverhead {
 /// The E12 series and its ≤2% gate. Runs even under `--test` so the CI bench
 /// smoke exercises the gate on every build, not only on measurement runs.
 fn overhead_series() -> ObsOverhead {
-    println!("\n# E12: observability overhead — parallel unified flow, high overlap, N=8, sf=0.01");
+    println!("\n# E12: observability overhead — unified flow, high overlap, N=8, sf=0.01");
     let catalog = tpch::generate(0.01, 42);
     let mut q = Quarry::tpch();
     for r in quarry_bench::high_overlap_family(8) {
@@ -141,7 +141,7 @@ fn overhead_to_json(o: &ObsOverhead) -> Json {
     let ms = |d: Duration| Json::Number(d.as_secs_f64() * 1e3);
     let mut doc = Json::object();
     doc.set("experiment", Json::String("E12 observability overhead".into()));
-    doc.set("workload", Json::String("run_etl_parallel, high_overlap_family(8), tpch sf=0.01, median of 7".into()));
+    doc.set("workload", Json::String("run_etl, high_overlap_family(8), tpch sf=0.01, median of 7".into()));
     let mut flow = Json::object();
     flow.set("disabled_ms", ms(o.disabled));
     flow.set("enabled_ms", ms(o.enabled));

@@ -14,7 +14,7 @@
 //! 3. **Memory is bounded**: resident cached bytes stay within
 //!    `cache.budget_bytes` at all times.
 //! 4. **It is invisible in the data**: cached warehouses are bit-identical
-//!    to uncached ones — serially and in parallel at 1, 4, and 8 threads.
+//!    to uncached ones at 1, 4, and 8 threads.
 //!
 //! Measured points are persisted to `BENCH_cache.json` for the
 //! EXPERIMENTS.md E18 table.
@@ -76,7 +76,7 @@ fn main() {
     let data = tpch::generate(SF, 42);
 
     // --- Cold overhead: cache-disabled vs first cache-enabled run, both
-    // best-of-REPS serial (the enabled instance's cache is cleared before
+    // best-of-REPS (the enabled instance's cache is cleared before
     // every rep, so each rep is a true cold run).
     let q_off = quarry_with_cache(false);
     let mut disabled_ms = f64::INFINITY;
@@ -96,7 +96,7 @@ fn main() {
     }
     let overhead = cold_ms / disabled_ms.max(1e-6) - 1.0;
     println!(
-        "cache gate: E7 N={N} serial best of {REPS}: cache-off {disabled_ms:.3} ms, \
+        "cache gate: E7 N={N} best of {REPS}: cache-off {disabled_ms:.3} ms, \
          cold cache-on {cold_ms:.3} ms (overhead {:.1}%, limit {:.0}% + {OVERHEAD_EPS_MS} ms)",
         overhead * 100.0,
         MAX_COLD_OVERHEAD * 100.0,
@@ -130,25 +130,24 @@ fn main() {
         after.entries, after.bytes, after.budget_bytes, after.inserts, after.rejects, after.evictions
     );
 
-    // --- Bit-identity: the cached warehouse must equal the uncached one per
-    // scheduler (serial vs parallel only agree as bags of rows).
-    let (serial_ref, _) = q_off.run_etl(data.clone()).expect("cache-off serial run");
-    let (serial_warm, _) = q_on.run_etl(data.clone()).expect("warm serial run");
-    assert_identical(&serial_ref, &serial_warm, "serial");
-    let (parallel_ref, _) = q_off.run_etl_parallel_with_threads(data.clone(), 1).expect("cache-off 1-thread run");
+    // --- Bit-identity: the cache-off 1-thread warehouse is the one
+    // reference; warm cached runs must reproduce it at every thread width.
+    quarry_engine::pool::set_threads(1);
+    let (reference, _) = q_off.run_etl(data.clone()).expect("cache-off 1-thread run");
     for threads in [1usize, 4, 8] {
-        let (par, _) = q_on.run_etl_parallel_with_threads(data.clone(), threads).expect("warm parallel run");
-        assert_identical(&parallel_ref, &par, &format!("{threads} threads"));
+        quarry_engine::pool::set_threads(threads);
+        let (warm, _) = q_on.run_etl(data.clone()).expect("warm cached run");
+        assert_identical(&reference, &warm, &format!("{threads} threads"));
     }
     quarry_engine::pool::set_threads(0); // restore auto-detection
     println!(
-        "cache gate: warehouses bit-identical (serial + 1/4/8 threads, {} tables)",
-        sorted_table_names(&serial_ref.catalog).len()
+        "cache gate: warehouses bit-identical (1/4/8 threads, {} tables)",
+        sorted_table_names(&reference.catalog).len()
     );
 
     let mut doc = Json::object();
     doc.set("experiment", Json::String("E18 cross-run subflow result cache".to_string()));
-    doc.set("workload", Json::String(format!("E7 high-overlap family, N={N}, sf={SF}, serial best of {REPS}")));
+    doc.set("workload", Json::String(format!("E7 high-overlap family, N={N}, sf={SF}, best of {REPS}")));
     doc.set("disabled_run_ms", Json::Number(disabled_ms));
     doc.set("cold_run_ms", Json::Number(cold_ms));
     doc.set("warm_run_ms", Json::Number(warm_ms));

@@ -8,9 +8,9 @@
 //!    the greedy-integrated design it replaced, and the optimization itself
 //!    must finish inside its `optimizer.budget_ms` wall-clock envelope.
 //! 2. **It is invisible in the data**: the optimized flow's warehouse must be
-//!    bit-identical to the greedy flow's — serially and in parallel at 1, 4,
-//!    and 8 threads — and its measured serial wall clock may not regress
-//!    against the greedy flow beyond runner noise.
+//!    bit-identical to the greedy flow's at 1, 4, and 8 threads, and its
+//!    measured wall clock may not regress against the greedy flow beyond
+//!    runner noise.
 //!
 //! Measured points are persisted to `BENCH_optimizer.json` for the
 //! EXPERIMENTS.md table.
@@ -43,8 +43,8 @@ fn fail(msg: &str) -> ! {
     std::process::exit(1);
 }
 
-/// Best-of-`REPS` serial wall clock of `flow` from a fresh engine each rep.
-fn best_serial_ms(catalog: &quarry_engine::Catalog, flow: &quarry_etl::Flow) -> f64 {
+/// Best-of-`REPS` wall clock of `flow` from a fresh engine each rep.
+fn best_run_ms(catalog: &quarry_engine::Catalog, flow: &quarry_etl::Flow) -> f64 {
     let mut best = f64::INFINITY;
     for _ in 0..REPS {
         let mut engine = Engine::new(catalog.clone());
@@ -94,51 +94,40 @@ fn main() {
         ));
     }
 
-    // Bit-identity: each scheduler's greedy warehouse is the reference for
-    // that scheduler, since `run` and `run_parallel` only agree as bags of
-    // rows. The optimized flow must reproduce the greedy warehouse exactly —
-    // serially, and in parallel at every thread width.
+    // Bit-identity: the greedy flow's 1-thread warehouse is the one
+    // reference; the optimized flow must reproduce it exactly at every
+    // thread width.
     let catalog = tpch::generate(SF, 42);
-    let mut serial_ref = Engine::new(catalog.clone());
-    serial_ref.run(&greedy).expect("greedy serial run");
-    let mut tables: Vec<String> = serial_ref.catalog.table_names().map(str::to_string).collect();
-    tables.sort();
-
-    let mut serial = Engine::new(catalog.clone());
-    serial.run(&optimized).expect("optimized serial run");
-    for t in &tables {
-        if serial.catalog.get(t) != serial_ref.catalog.get(t) {
-            fail(&format!("table `{t}` differs between greedy and optimized flows (serial)"));
-        }
-    }
     quarry_engine::pool::set_threads(1);
-    let mut parallel_ref = Engine::new(catalog.clone());
-    parallel_ref.run_parallel(&greedy).expect("greedy 1-thread run");
+    let mut reference = Engine::new(catalog.clone());
+    reference.run(&greedy).expect("greedy 1-thread run");
+    let mut tables: Vec<String> = reference.catalog.table_names().map(str::to_string).collect();
+    tables.sort();
     for threads in [1usize, 4, 8] {
         quarry_engine::pool::set_threads(threads);
-        let mut par = Engine::new(catalog.clone());
-        par.run_parallel(&optimized).expect("optimized parallel run");
+        let mut engine = Engine::new(catalog.clone());
+        engine.run(&optimized).expect("optimized run");
         for t in &tables {
-            if par.catalog.get(t) != parallel_ref.catalog.get(t) {
+            if engine.catalog.get(t) != reference.catalog.get(t) {
                 fail(&format!("table `{t}` differs between greedy and optimized flows at {threads} threads"));
             }
         }
     }
     quarry_engine::pool::set_threads(0); // restore auto-detection
-    println!("optimizer gate: warehouses bit-identical (serial + 1/4/8 threads, {} tables)", tables.len());
+    println!("optimizer gate: warehouses bit-identical (1/4/8 threads, {} tables)", tables.len());
 
     // Measured wall clock: the modeled win must at least not cost real time.
-    let greedy_ms = best_serial_ms(&catalog, &greedy);
-    let optimized_ms = best_serial_ms(&catalog, &optimized);
+    let greedy_ms = best_run_ms(&catalog, &greedy);
+    let optimized_ms = best_run_ms(&catalog, &optimized);
     let ratio = optimized_ms / greedy_ms.max(MIN_BASE_MS);
     println!(
-        "optimizer gate: E7 serial wall clock greedy {greedy_ms:.3} ms, optimized {optimized_ms:.3} ms, \
+        "optimizer gate: E7 wall clock greedy {greedy_ms:.3} ms, optimized {optimized_ms:.3} ms, \
          ratio {ratio:.2}x (limit {MAX_RUNTIME_RATIO}x; PR 7 headline {E7_HEADLINE_MS} ms)"
     );
 
     let mut doc = Json::object();
     doc.set("experiment", Json::String("E16 cost-based flow optimizer".to_string()));
-    doc.set("workload", Json::String(format!("E7 high-overlap family, N={N}, sf={SF}, serial best of {REPS}")));
+    doc.set("workload", Json::String(format!("E7 high-overlap family, N={N}, sf={SF}, best of {REPS}")));
     doc.set("modeled_cost_before", Json::Number(report.before_cost));
     doc.set("modeled_cost_after", Json::Number(report.after_cost));
     doc.set("improvement", Json::Number(report.improvement()));

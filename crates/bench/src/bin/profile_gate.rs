@@ -49,7 +49,7 @@ fn median_of(mut measure: impl FnMut() -> Duration) -> Duration {
 
 fn lifecycle_run(q: &Quarry, catalog: &quarry_engine::Catalog) -> Duration {
     let t0 = Instant::now();
-    let (engine, report) = q.run_etl_parallel(catalog.clone()).expect("flow executes");
+    let (engine, report) = q.run_etl(catalog.clone()).expect("flow executes");
     black_box((engine, report));
     t0.elapsed()
 }
@@ -74,7 +74,7 @@ fn main() {
 
     let overhead = enabled.as_secs_f64() / disabled.as_secs_f64() - 1.0;
     println!(
-        "profile gate: E7b N={N} sf={SF} parallel run — recorder off {disabled:?}, on {enabled:?} \
+        "profile gate: E7b N={N} sf={SF} run — recorder off {disabled:?}, on {enabled:?} \
          ({:+.2}% overhead, 2% + jitter envelope)",
         overhead * 100.0
     );
@@ -86,13 +86,13 @@ fn main() {
     // Per-run profile capture + JSON encode, measured on a real report. The
     // runs above already paid this inside the lifecycle; timing it directly
     // puts its absolute cost on record and bounds it against the run.
-    let (_, report) = q.run_etl_parallel(catalog.clone()).expect("flow executes");
+    let (_, report) = q.run_etl(catalog.clone()).expect("flow executes");
     let kernels = KernelDelta::snapshot();
     let flow = q.unified().1.clone();
     let stats = q.config().stats.clone();
     let capture = median_of(|| {
         let t0 = Instant::now();
-        let profile = ExecutionProfile::capture(&flow, &report, &stats, true, KernelDelta::default(), kernels);
+        let profile = ExecutionProfile::capture(&flow, &report, &stats, KernelDelta::default(), kernels);
         black_box(profile.to_json().to_pretty_string());
         t0.elapsed()
     });
@@ -136,10 +136,7 @@ fn main() {
     let ms = |d: Duration| Json::Number(d.as_secs_f64() * 1e3);
     let mut gate = Json::object();
     gate.set("experiment", Json::String("E17 flight recorder + profile capture overhead".into()));
-    gate.set(
-        "workload",
-        Json::String(format!("run_etl_parallel, high_overlap_family({N}), tpch sf={SF}, median of {SAMPLES}")),
-    );
+    gate.set("workload", Json::String(format!("run_etl, high_overlap_family({N}), tpch sf={SF}, median of {SAMPLES}")));
     gate.set("recorder_disabled_ms", ms(disabled));
     gate.set("recorder_enabled_ms", ms(enabled));
     gate.set("overhead_pct", Json::Number(overhead * 100.0));

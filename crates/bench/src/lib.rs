@@ -179,7 +179,7 @@ impl EngineComparison {
 }
 
 /// Experiment E13: the unified `high_overlap_family(n)` flow at scale factor
-/// `sf`, executed serially by both the columnar [`quarry_engine::Engine`] and
+/// `sf`, executed by both the columnar [`quarry_engine::Engine`] and
 /// the retired [`quarry_engine::RowEngine`], best-of-`reps` each. Catalog
 /// cloning and row-major materialization happen outside the timed regions;
 /// both engines produce bit-identical warehouses (the equivalence suite
@@ -213,7 +213,7 @@ pub struct JoinHeavyPoint {
     pub sf: f64,
     /// Approximate selectivity of the post-join filter, percent of join rows.
     pub selectivity_pct: u32,
-    /// Best wall time of the columnar engine, ms, serial.
+    /// Best wall time of the columnar engine, ms.
     pub columnar_ms: f64,
     /// Rows surviving the post-join filter (sanity that the selectivity knob
     /// actually selects).
@@ -305,7 +305,7 @@ pub fn join_heavy_flow(selectivity_pct: u32) -> Flow {
 }
 
 /// Experiment E13 (join-heavy leg): the [`join_heavy_flow`] at scale factor
-/// `sf` and the given post-join filter selectivity, executed serially by the
+/// `sf` and the given post-join filter selectivity, executed by the
 /// columnar engine, best-of-`reps`. Catalog cloning happens outside the
 /// timed region.
 pub fn join_heavy(sf: f64, selectivity_pct: u32, reps: usize) -> JoinHeavyPoint {

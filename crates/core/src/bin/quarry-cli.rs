@@ -501,7 +501,7 @@ mod tests {
         quarry.set_observability(true);
         run(&mut quarry, &mut json, "run 0.001");
         let tree = run(&mut quarry, &mut json, "trace");
-        assert!(tree.contains("execute (mode=serial"), "{tree}");
+        assert!(tree.contains("execute (ops="), "{tree}");
         assert!(tree.contains("LOADER_fact_table_netprofit"), "{tree}");
         // An add while observability is on surfaces the consolidation
         // counters and per-stage integrate timings.

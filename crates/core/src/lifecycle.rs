@@ -629,18 +629,25 @@ impl Quarry {
         // flow itself on error), keeping the whole step transactional.
         let md_result = {
             let phase = self.obs.span("md_integrate");
-            let before = self.config.md_cost.cost(&self.unified_md);
+            // Costing the whole design a second time only feeds span
+            // attributes, so it is skipped when nothing records them.
+            let before = self.obs.is_enabled().then(|| self.config.md_cost.cost(&self.unified_md));
             let started = Instant::now();
             let result = self.consolidation.md_step(&self.unified_md, &partial.md, self.config.md_cost.as_ref())?;
             self.metrics.md_integrate_seconds.observe(started.elapsed().as_secs_f64());
-            phase.attr("cost_before", before);
             phase.attr("cost_after", result.report.cost);
-            phase.attr("cost_delta", result.report.cost - before);
+            if let Some(before) = before {
+                phase.attr("cost_before", before);
+                phase.attr("cost_delta", result.report.cost - before);
+            }
             result
         };
         let etl_report = {
             let phase = self.obs.span("etl_integrate");
-            let before = self.config.etl_cost.cost(&self.unified_etl, &self.config.stats).unwrap_or_default();
+            let before = self
+                .obs
+                .is_enabled()
+                .then(|| self.config.etl_cost.cost(&self.unified_etl, &self.config.stats).unwrap_or_default());
             let started = Instant::now();
             let report = self.consolidation.etl_step(
                 &mut self.unified_etl,
@@ -650,9 +657,11 @@ impl Quarry {
                 self.config.etl_options,
             )?;
             self.metrics.etl_integrate_seconds.observe(started.elapsed().as_secs_f64());
-            phase.attr("cost_before", before);
             phase.attr("cost_after", report.cost);
-            phase.attr("cost_delta", report.cost - before);
+            if let Some(before) = before {
+                phase.attr("cost_before", before);
+                phase.attr("cost_delta", report.cost - before);
+            }
             phase.attr("reused_ops", report.reused_ops);
             report
         };
@@ -1117,25 +1126,15 @@ impl Quarry {
 
     /// Runs the unified ETL flow on the embedded engine over `catalog`,
     /// returning the populated engine and the run report. This is the
-    /// "native" execution platform.
+    /// "native" execution platform. Thread width comes from the engine's
+    /// pool (`quarry_engine::pool::set_threads` / `QUARRY_THREADS`); the
+    /// loaded warehouse does not depend on it.
     pub fn run_etl(&self, catalog: Catalog) -> Result<(Engine, RunReport), QuarryError> {
-        self.run_etl_impl(catalog, false)
-    }
-
-    /// Like [`Quarry::run_etl`] but with inter-operator parallelism layered
-    /// on the engine's morsel parallelism: operations whose inputs are ready
-    /// execute concurrently on the shared worker pool. Results are identical.
-    pub fn run_etl_parallel(&self, catalog: Catalog) -> Result<(Engine, RunReport), QuarryError> {
-        self.run_etl_impl(catalog, true)
-    }
-
-    fn run_etl_impl(&self, catalog: Catalog, parallel: bool) -> Result<(Engine, RunReport), QuarryError> {
         let step = self.obs.span("execute");
-        step.attr("mode", if parallel { "parallel" } else { "serial" });
         let mut engine = crate::native::deploy(&self.unified_md, catalog);
         self.install_result_cache(&mut engine);
         let kernels_before = KernelDelta::snapshot();
-        let run = if parallel { engine.run_parallel(&self.unified_etl) } else { engine.run(&self.unified_etl) };
+        let run = engine.run(&self.unified_etl);
         let kernels_after = KernelDelta::snapshot();
         let result = match run {
             Ok(report) => {
@@ -1145,7 +1144,6 @@ impl Quarry {
                     &self.unified_etl,
                     &report,
                     &self.config.stats,
-                    parallel,
                     kernels_before,
                     kernels_after,
                 );
@@ -1196,18 +1194,6 @@ impl Quarry {
         self.metrics.engine_runs.inc();
         self.metrics.engine_ops.add(report.timings.len() as u64);
         self.metrics.engine_rows.add(report.rows_processed as u64);
-    }
-
-    /// [`Quarry::run_etl_parallel`] pinned to a specific worker count
-    /// (process-wide, persists for later runs). `threads = 1` executes the
-    /// whole flow inline; benchmark scaling series sweep this knob.
-    pub fn run_etl_parallel_with_threads(
-        &self,
-        catalog: Catalog,
-        threads: usize,
-    ) -> Result<(Engine, RunReport), QuarryError> {
-        quarry_engine::pool::set_threads(threads);
-        self.run_etl_parallel(catalog)
     }
 
     // ---- result cache ---------------------------------------------------------
@@ -1296,8 +1282,11 @@ impl Quarry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use quarry_etl::cost::{OpCostPart, SourceStats};
+    use quarry_etl::FlowError;
     use quarry_formats::xrq::figure4_requirement;
     use quarry_formats::MeasureSpec;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn netprofit_requirement() -> Requirement {
         let mut req = Requirement::new("IR2");
@@ -1789,6 +1778,60 @@ mod tests {
         q.run_etl(quarry_engine::tpch::generate(0.002, 42)).unwrap();
     }
 
+    /// The default cost models, counting whole-design costings.
+    struct CountedMd(quarry_md::StructuralComplexity, Arc<AtomicUsize>);
+
+    impl quarry_md::CostModel for CountedMd {
+        fn name(&self) -> &str {
+            self.0.name()
+        }
+        fn cost(&self, schema: &MdSchema) -> f64 {
+            self.1.fetch_add(1, Ordering::Relaxed);
+            self.0.cost(schema)
+        }
+        fn decompose(&self) -> Option<&dyn quarry_md::AdditiveCostModel> {
+            self.0.decompose()
+        }
+    }
+
+    struct CountedEtl(EstimatedTime, Arc<AtomicUsize>);
+
+    impl quarry_etl::cost::EtlCostModel for CountedEtl {
+        fn name(&self) -> &str {
+            self.0.name()
+        }
+        fn cost(&self, flow: &Flow, stats: &SourceStats) -> Result<f64, FlowError> {
+            self.1.fetch_add(1, Ordering::Relaxed);
+            self.0.cost(flow, stats)
+        }
+        fn decompose(&self, flow: &Flow, stats: &SourceStats) -> Result<Option<Vec<OpCostPart>>, FlowError> {
+            self.0.decompose(flow, stats)
+        }
+    }
+
+    #[test]
+    fn before_costs_are_computed_only_while_observability_records_them() {
+        let costings_of_two_adds = |observed: bool| {
+            let (md, etl) = (Arc::new(AtomicUsize::new(0)), Arc::new(AtomicUsize::new(0)));
+            let domain = quarry_ontology::tpch::domain();
+            let mut cfg = QuarryConfig::tpch(0.01);
+            cfg.md_cost = Box::new(CountedMd(quarry_md::StructuralComplexity::new(), Arc::clone(&md)));
+            cfg.etl_cost = Box::new(CountedEtl(EstimatedTime::new(), Arc::clone(&etl)));
+            let mut q = Quarry::with_config(domain.ontology, domain.sources, cfg);
+            q.set_observability(observed);
+            q.add_requirement(figure4_requirement()).unwrap();
+            q.add_requirement(netprofit_requirement()).unwrap();
+            (md.load(Ordering::Relaxed), etl.load(Ordering::Relaxed))
+        };
+        let (md_off, etl_off) = costings_of_two_adds(false);
+        let (md_on, etl_on) = costings_of_two_adds(true);
+        // The "before" cost of the whole unified design feeds only the
+        // `cost_before`/`cost_delta` span attributes: one extra costing per
+        // model per add, and only when a recorder is listening.
+        assert_eq!(md_on - md_off, 2, "md costings: {md_off} off, {md_on} on");
+        assert_eq!(etl_on - etl_off, 2, "etl costings: {etl_off} off, {etl_on} on");
+    }
+
     #[test]
     fn execution_profiles_version_in_the_repository_and_round_trip() {
         let mut q = Quarry::tpch();
@@ -1796,13 +1839,12 @@ mod tests {
         q.run_etl(quarry_engine::tpch::generate(0.002, 42)).unwrap();
         let first = q.repository().latest(ArtifactKind::Profile, "unified").unwrap();
         assert_eq!(first.version, 1);
-        q.run_etl_parallel(quarry_engine::tpch::generate(0.002, 42)).unwrap();
+        q.run_etl(quarry_engine::tpch::generate(0.002, 42)).unwrap();
         let second = q.repository().latest(ArtifactKind::Profile, "unified").unwrap();
         assert_eq!(second.version, 2, "every execution versions a new profile");
         // The stored document parses back and re-serializes bit-identically.
         let json = quarry_repository::Json::parse(&second.content).unwrap();
         let profile = ExecutionProfile::from_json(&json).expect("stored profile parses");
-        assert!(profile.parallel, "second run was parallel");
         assert_eq!(profile.to_json().to_pretty_string(), second.content, "round-trip is bit-identical");
         // Estimated and actual cardinalities both survive, and the render
         // annotates the plan tree with them.

@@ -64,8 +64,6 @@ impl ProfileOp {
 pub struct ExecutionProfile {
     /// The executed flow's name.
     pub flow: String,
-    /// Whether the run used the inter-operator parallel executor.
-    pub parallel: bool,
     /// Total wall time of the run, microseconds.
     pub total_us: u64,
     /// Total rows emitted across all operations.
@@ -113,7 +111,6 @@ impl ExecutionProfile {
         flow: &Flow,
         report: &RunReport,
         stats: &SourceStats,
-        parallel: bool,
         kernels_before: KernelDelta,
         kernels_after: KernelDelta,
     ) -> ExecutionProfile {
@@ -132,7 +129,6 @@ impl ExecutionProfile {
         let delta = kernels_after.since(kernels_before);
         ExecutionProfile {
             flow: flow.name.clone(),
-            parallel,
             total_us: report.total.as_micros() as u64,
             rows_processed: report.rows_processed as u64,
             kernel_vectorized: delta.vectorized,
@@ -160,7 +156,6 @@ impl ExecutionProfile {
         let mut doc = Json::object();
         doc.set("version", Json::Number(PROFILE_DOC_VERSION));
         doc.set("flow", Json::String(self.flow.clone()));
-        doc.set("parallel", Json::Bool(self.parallel));
         doc.set("totalUs", Json::Number(self.total_us as f64));
         doc.set("rowsProcessed", Json::Number(self.rows_processed as f64));
         let mut kernels = Json::object();
@@ -192,7 +187,9 @@ impl ExecutionProfile {
     }
 
     /// Rebuilds a profile from its JSON document. Returns `None` on any
-    /// shape mismatch (missing member, wrong type).
+    /// shape mismatch (missing member, wrong type). Members this version
+    /// does not know — the `parallel` flag of profiles stored before the
+    /// engine had a single scheduler — are ignored.
     pub fn from_json(doc: &Json) -> Option<ExecutionProfile> {
         let as_u64 = |v: &Json| v.as_f64().map(|f| f as u64);
         let strings = |v: &Json| -> Option<Vec<String>> {
@@ -214,7 +211,6 @@ impl ExecutionProfile {
         let kernels = doc.get("kernels")?;
         Some(ExecutionProfile {
             flow: doc.get("flow")?.as_str()?.to_string(),
-            parallel: matches!(doc.get("parallel")?, Json::Bool(true)),
             total_us: as_u64(doc.get("totalUs")?)?,
             rows_processed: as_u64(doc.get("rowsProcessed")?)?,
             kernel_vectorized: as_u64(kernels.get("vectorized")?)?,
@@ -234,9 +230,8 @@ impl ExecutionProfile {
     /// operator, with the misestimate factor when they disagree by ≥ 10%.
     pub fn render(&self) -> String {
         let mut out = format!(
-            "{} ({}) — {} ops, {} rows, {:.3} ms; kernels: {} vectorized, {} scalar-fallback\n",
+            "{} — {} ops, {} rows, {:.3} ms; kernels: {} vectorized, {} scalar-fallback\n",
             self.flow,
-            if self.parallel { "parallel" } else { "serial" },
             self.ops.len(),
             self.rows_processed,
             self.total_us as f64 / 1000.0,
@@ -329,8 +324,7 @@ mod tests {
         }
         report.total = std::time::Duration::from_micros(900);
         report.rows_processed = 1074;
-        let profile =
-            ExecutionProfile::capture(&flow, &report, &stats, true, KernelDelta::default(), KernelDelta::default());
+        let profile = ExecutionProfile::capture(&flow, &report, &stats, KernelDelta::default(), KernelDelta::default());
         (flow, profile)
     }
 
@@ -338,7 +332,6 @@ mod tests {
     fn capture_joins_estimates_with_measurements() {
         let (_, p) = sample_profile();
         assert_eq!(p.flow, "demo");
-        assert!(p.parallel);
         assert_eq!(p.ops.len(), 3);
         let src = p.op("DATASTORE_src").unwrap();
         assert_eq!(src.estimated_rows, 1000.0);
@@ -362,6 +355,22 @@ mod tests {
     }
 
     #[test]
+    fn stored_profiles_with_a_parallel_member_still_parse() {
+        // Profiles persisted before the engine had one scheduler carry a
+        // `parallel` flag; it is ignored and dropped on re-serialization.
+        let (_, p) = sample_profile();
+        for flag in [true, false] {
+            let mut doc = p.to_json();
+            doc.set("parallel", Json::Bool(flag));
+            let text = doc.to_pretty_string();
+            assert!(text.contains("\"parallel\""), "{text}");
+            let parsed = ExecutionProfile::from_json(&Json::parse(&text).unwrap()).expect("old profile parses");
+            assert_eq!(parsed, p);
+            assert_eq!(parsed.to_json().to_pretty_string(), p.to_json().to_pretty_string());
+        }
+    }
+
+    #[test]
     fn malformed_documents_parse_to_none() {
         for doc in ["{}", r#"{"flow": 3}"#, r#"{"flow": "f", "ops": "nope"}"#] {
             assert!(ExecutionProfile::from_json(&Json::parse(doc).unwrap()).is_none(), "{doc}");
@@ -372,7 +381,7 @@ mod tests {
     fn render_annotates_estimates_and_misestimates() {
         let (_, p) = sample_profile();
         let tree = p.render();
-        assert!(tree.contains("demo (parallel)"), "{tree}");
+        assert!(tree.starts_with("demo — 3 ops, 1074 rows"), "{tree}");
         assert!(tree.contains("LOADER_t [loader]"), "{tree}");
         assert!(tree.contains("└─ SEL_x [selection]"), "{tree}");
         assert!(tree.contains("est 1000 rows, actual 1000"), "{tree}");
@@ -411,7 +420,6 @@ mod tests {
             &flow,
             &report,
             &SourceStats::default(),
-            false,
             KernelDelta::default(),
             KernelDelta::default(),
         );

@@ -1,7 +1,7 @@
 //! Evaluation of the logical expression language over runtime rows.
 
 use crate::value::Value;
-use quarry_etl::{BinOp, CompiledExpr, Expr, Schema, UnOp};
+use quarry_etl::{BinOp, CompiledExpr, UnOp};
 use std::fmt;
 
 /// Runtime evaluation errors.
@@ -33,57 +33,9 @@ pub fn truthy(v: &Value) -> bool {
     matches!(v, Value::Bool(true))
 }
 
-/// Evaluates an expression against one row.
-pub fn eval(expr: &Expr, schema: &Schema, row: &[Value]) -> Result<Value, EvalError> {
-    match expr {
-        Expr::Column(name) => {
-            let i = schema.index_of(name).ok_or_else(|| EvalError::UnknownColumn(name.clone()))?;
-            Ok(row[i].clone())
-        }
-        Expr::Int(v) => Ok(Value::Int(*v)),
-        Expr::Float(v) => Ok(Value::Float(*v)),
-        Expr::Str(s) => Ok(Value::Str(s.clone())),
-        Expr::Bool(b) => Ok(Value::Bool(*b)),
-        Expr::Null => Ok(Value::Null),
-        Expr::Unary(op, e) => {
-            let v = eval(e, schema, row)?;
-            match (op, v) {
-                (_, Value::Null) => Ok(Value::Null),
-                (UnOp::Not, Value::Bool(b)) => Ok(Value::Bool(!b)),
-                (UnOp::Not, other) => Err(EvalError::Type(format!("NOT of non-boolean `{other}`"))),
-                (UnOp::Neg, Value::Int(v)) => Ok(Value::Int(-v)),
-                (UnOp::Neg, Value::Float(v)) => Ok(Value::Float(-v)),
-                (UnOp::Neg, other) => Err(EvalError::Type(format!("negation of non-numeric `{other}`"))),
-            }
-        }
-        Expr::Binary(op, l, r) => {
-            // Short-circuit with SQL NULL semantics for AND/OR.
-            if matches!(op, BinOp::And | BinOp::Or) {
-                return eval_logical(*op, l, r, schema, row);
-            }
-            let lv = eval(l, schema, row)?;
-            let rv = eval(r, schema, row)?;
-            if lv.is_null() || rv.is_null() {
-                return Ok(Value::Null);
-            }
-            match op {
-                BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div => arith(*op, &lv, &rv),
-                BinOp::Eq => Ok(Value::Bool(compare(&lv, &rv)? == std::cmp::Ordering::Equal)),
-                BinOp::Ne => Ok(Value::Bool(compare(&lv, &rv)? != std::cmp::Ordering::Equal)),
-                BinOp::Lt => Ok(Value::Bool(compare(&lv, &rv)? == std::cmp::Ordering::Less)),
-                BinOp::Le => Ok(Value::Bool(compare(&lv, &rv)? != std::cmp::Ordering::Greater)),
-                BinOp::Gt => Ok(Value::Bool(compare(&lv, &rv)? == std::cmp::Ordering::Greater)),
-                BinOp::Ge => Ok(Value::Bool(compare(&lv, &rv)? != std::cmp::Ordering::Less)),
-                BinOp::And | BinOp::Or => unreachable!("handled above"),
-            }
-        }
-        Expr::Call(name, args) => call(name, args, schema, row),
-    }
-}
-
 /// Evaluates a pre-compiled expression against one row: column references
-/// are positional, so the hot path does no name hashing. Semantics match
-/// [`eval`] exactly (same short-circuiting, NULL handling, and errors).
+/// were bound to positions once per operator, so evaluation does no name
+/// hashing. AND/OR short-circuit with SQL NULL semantics.
 pub fn eval_compiled(expr: &CompiledExpr, row: &[Value]) -> Result<Value, EvalError> {
     match expr {
         CompiledExpr::Col(i) => Ok(row[*i].clone()),
@@ -132,17 +84,6 @@ pub fn eval_compiled(expr: &CompiledExpr, row: &[Value]) -> Result<Value, EvalEr
         }
         CompiledExpr::Call(name, args) => call_compiled(name, args, row),
     }
-}
-
-fn eval_logical(op: BinOp, l: &Expr, r: &Expr, schema: &Schema, row: &[Value]) -> Result<Value, EvalError> {
-    let lv = eval(l, schema, row)?;
-    match (op, &lv) {
-        (BinOp::And, Value::Bool(false)) => return Ok(Value::Bool(false)),
-        (BinOp::Or, Value::Bool(true)) => return Ok(Value::Bool(true)),
-        _ => {}
-    }
-    let rv = eval(r, schema, row)?;
-    combine_logical(op, &lv, &rv)
 }
 
 /// SQL three-valued AND/OR over already-evaluated operands.
@@ -227,18 +168,14 @@ pub(crate) fn compare(l: &Value, r: &Value) -> Result<std::cmp::Ordering, EvalEr
     }
 }
 
-fn call(name: &str, args: &[Expr], schema: &Schema, row: &[Value]) -> Result<Value, EvalError> {
-    let upper = name.to_ascii_uppercase();
-    call_scalar(&upper, args.len(), |i| eval(&args[i], schema, row))
-}
-
-/// [`call`] over compiled arguments; `upper` was upper-cased at bind time.
+/// A scalar function over compiled arguments; `upper` was upper-cased at
+/// bind time.
 fn call_compiled(upper: &str, args: &[CompiledExpr], row: &[Value]) -> Result<Value, EvalError> {
     call_scalar(upper, args.len(), |i| eval_compiled(&args[i], row))
 }
 
-/// The single scalar-function evaluator behind both the interpreted and the
-/// compiled path (and the scalar fallback of the vectorized kernels).
+/// The single scalar-function evaluator behind [`eval_compiled`] and the
+/// scalar fallback of the vectorized kernels.
 /// Arguments arrive lazily through `arg` so CONCAT/COALESCE keep their
 /// left-to-right evaluation order and COALESCE stays lazy past the first
 /// non-NULL hit. `upper` must already be upper-cased.
@@ -303,7 +240,7 @@ pub(crate) fn call_scalar(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use quarry_etl::{parse_expr, ColType, Column};
+    use quarry_etl::{parse_expr, ColType, Column, Schema, UnboundColumn};
 
     fn schema() -> Schema {
         Schema::new(vec![
@@ -319,8 +256,13 @@ mod tests {
         vec![Value::Float(10.5), Value::Int(3), Value::Str("Spain".into()), Value::date(1995, 6, 17), Value::Null]
     }
 
+    fn try_run(src: &str) -> Result<Value, EvalError> {
+        let compiled = CompiledExpr::compile(&parse_expr(src).unwrap(), &schema()).unwrap();
+        eval_compiled(&compiled, &row())
+    }
+
     fn run(src: &str) -> Value {
-        eval(&parse_expr(src).unwrap(), &schema(), &row()).unwrap()
+        try_run(src).unwrap()
     }
 
     #[test]
@@ -329,6 +271,7 @@ mod tests {
         assert_eq!(run("qty + 2"), Value::Int(5));
         assert_eq!(run("qty / 2"), Value::Float(1.5));
         assert_eq!(run("qty - 5"), Value::Int(-2));
+        assert_eq!(run("-qty"), Value::Int(-3));
     }
 
     #[test]
@@ -344,6 +287,7 @@ mod tests {
         assert_eq!(run("name = 'Spain'"), Value::Bool(true));
         assert_eq!(run("name <> 'France'"), Value::Bool(true));
         assert_eq!(run("qty <= 2"), Value::Bool(false));
+        assert_eq!(run("price > 10 AND qty <= 3"), Value::Bool(true));
     }
 
     #[test]
@@ -353,6 +297,7 @@ mod tests {
         assert_eq!(run("YEAR(ship)"), Value::Int(1995));
         assert_eq!(run("MONTH(ship)"), Value::Int(6));
         assert_eq!(run("DAY(ship)"), Value::Int(17));
+        assert_eq!(run("YEAR(ship) - 1900"), Value::Int(95));
     }
 
     #[test]
@@ -373,75 +318,37 @@ mod tests {
     #[test]
     fn short_circuit_skips_rhs_errors() {
         // false AND <error> must not evaluate the rhs.
-        let e = parse_expr("qty < 0 AND MYSTERY(qty) = 1").unwrap();
-        assert_eq!(eval(&e, &schema(), &row()).unwrap(), Value::Bool(false));
+        assert_eq!(run("qty < 0 AND MYSTERY(qty) = 1"), Value::Bool(false));
     }
 
     #[test]
     fn functions() {
         assert_eq!(run("ABS(0 - qty)"), Value::Int(3));
         assert_eq!(run("CONCAT(name, '!')"), Value::Str("Spain!".into()));
+        assert_eq!(run("concat(name, '!')"), Value::Str("Spain!".into()), "names bind case-insensitively");
         assert_eq!(run("COALESCE(maybe, price)"), Value::Float(10.5));
         assert_eq!(run("CONCAT(maybe, name)"), Value::Str("Spain".into()), "NULL contributes nothing");
     }
 
     #[test]
+    fn unknown_columns_are_rejected_at_bind_time() {
+        let e = parse_expr("ghost + 1").unwrap();
+        assert_eq!(CompiledExpr::compile(&e, &schema()).unwrap_err(), UnboundColumn("ghost".into()));
+    }
+
+    #[test]
     fn error_cases() {
-        let s = schema();
-        let r = row();
-        assert!(matches!(eval(&parse_expr("ghost + 1").unwrap(), &s, &r), Err(EvalError::UnknownColumn(_))));
-        assert!(matches!(eval(&parse_expr("name + 1").unwrap(), &s, &r), Err(EvalError::Type(_))));
-        assert!(matches!(eval(&parse_expr("MYSTERY(1)").unwrap(), &s, &r), Err(EvalError::UnknownFunction(_))));
-        assert!(matches!(eval(&parse_expr("YEAR(ship, ship)").unwrap(), &s, &r), Err(EvalError::Arity { .. })));
-        assert!(matches!(eval(&parse_expr("YEAR(qty)").unwrap(), &s, &r), Err(EvalError::Type(_))));
+        assert!(matches!(try_run("name + 1"), Err(EvalError::Type(_))));
+        assert_eq!(try_run("MYSTERY(1)"), Err(EvalError::UnknownFunction("MYSTERY".into())));
+        assert_eq!(
+            try_run("YEAR(ship, ship)"),
+            Err(EvalError::Arity { function: "YEAR".into(), expected: 1, found: 2 })
+        );
+        assert!(matches!(try_run("YEAR(qty)"), Err(EvalError::Type(_))));
     }
 
     #[test]
     fn not_of_boolean() {
         assert_eq!(run("NOT (qty = 3)"), Value::Bool(false));
-    }
-
-    #[test]
-    fn compiled_eval_matches_interpreted() {
-        for src in [
-            "price * qty",
-            "qty + 2",
-            "qty / 0",
-            "price > 10 AND qty <= 3",
-            "maybe > 0 OR price > 0",
-            "maybe > 0 AND price > 0",
-            "NOT (maybe > 0)",
-            "ship >= '1995-01-01'",
-            "YEAR(ship) - 1900",
-            "ABS(0 - qty)",
-            "concat(name, '!')",
-            "COALESCE(maybe, price)",
-            "maybe = maybe",
-            "-qty",
-        ] {
-            let e = parse_expr(src).unwrap();
-            let c = quarry_etl::CompiledExpr::compile(&e, &schema()).unwrap();
-            assert_eq!(
-                eval_compiled(&c, &row()),
-                eval(&e, &schema(), &row()),
-                "compiled and interpreted eval disagree on `{src}`"
-            );
-        }
-    }
-
-    #[test]
-    fn compiled_short_circuit_skips_rhs_errors() {
-        let e = parse_expr("qty < 0 AND MYSTERY(qty) = 1").unwrap();
-        let c = quarry_etl::CompiledExpr::compile(&e, &schema()).unwrap();
-        assert_eq!(eval_compiled(&c, &row()).unwrap(), Value::Bool(false));
-    }
-
-    #[test]
-    fn compiled_runtime_errors_match_interpreted() {
-        for src in ["name + 1", "MYSTERY(1)", "YEAR(ship, ship)", "YEAR(qty)"] {
-            let e = parse_expr(src).unwrap();
-            let c = quarry_etl::CompiledExpr::compile(&e, &schema()).unwrap();
-            assert_eq!(eval_compiled(&c, &row()), eval(&e, &schema(), &row()), "error mismatch on `{src}`");
-        }
     }
 }

@@ -102,6 +102,11 @@ pub enum EngineError {
         table: String,
         detail: String,
     },
+    /// An operator input too long for the `u32` row indices of selection
+    /// vectors.
+    RowCapacity {
+        rows: usize,
+    },
 }
 
 impl fmt::Display for EngineError {
@@ -115,6 +120,9 @@ impl fmt::Display for EngineError {
             }
             EngineError::LoadSchemaMismatch { table, detail } => {
                 write!(f, "loading into `{table}`: {detail}")
+            }
+            EngineError::RowCapacity { rows } => {
+                write!(f, "relation of {rows} rows exceeds the u32 row-index capacity")
             }
         }
     }
@@ -447,26 +455,35 @@ impl Engine {
         Some(pass)
     }
 
-    /// Publishes one cache-served result exactly as if the op had executed:
-    /// into `results`, the report, and the event stream (zero rows in, the
-    /// cached relation out, no measurable elapsed work).
-    fn publish_hit(results: &mut HashMap<OpId, Batch>, report: &mut RunReport, op: &Operation, rel: Arc<Relation>) {
-        report.rows_processed += rel.len();
+    /// Publishes one finished operation: its batch becomes available to its
+    /// consumers, and the report and the event stream record it. A
+    /// cache-served result publishes the same way — zero rows in, the cached
+    /// relation out, no measurable elapsed work.
+    fn publish(
+        results: &mut HashMap<OpId, Batch>,
+        report: &mut RunReport,
+        op: &Operation,
+        rows_in: usize,
+        out: Batch,
+        elapsed: Duration,
+        worker: usize,
+    ) {
+        report.rows_processed += out.len();
         crate::events::emit(crate::events::EngineEvent::OpFinish {
             op: &op.name,
-            rows_in: 0,
-            rows_out: rel.len() as u64,
-            lane: 0,
+            rows_in: rows_in as u64,
+            rows_out: out.len() as u64,
+            lane: worker as u32,
         });
         report.timings.push(OpTiming {
             op: op.name.clone(),
             kind: op.kind.type_name(),
-            rows_in: 0,
-            rows_out: rel.len(),
-            elapsed: Duration::ZERO,
-            worker: 0,
+            rows_in,
+            rows_out: out.len(),
+            elapsed,
+            worker,
         });
-        results.insert(op.id, Batch::Rel(rel));
+        results.insert(op.id, out);
     }
 
     /// Offers one freshly computed batch for admission. Materialized batches
@@ -503,75 +520,16 @@ impl Engine {
     /// Executes a flow: sources read from the catalog, loaders append to
     /// (auto-creating) target tables. Returns the run report.
     ///
-    /// Operations run one after another in topological order; each operation
-    /// may still parallelise internally over its morsels. Results are
-    /// identical to [`Engine::run_parallel`] by construction.
+    /// Operations are scheduled by dependency level (`level(op) = 1 +
+    /// max(level(inputs))`): the pure operations of one level run
+    /// concurrently on the shared worker pool, on top of each operation's
+    /// own morsel parallelism — both layers draw threads from one budget, so
+    /// nesting never oversubscribes the machine. Loaders then take exclusive
+    /// catalog access one at a time, in topological order, so the loaded
+    /// tables do not depend on the thread count.
     pub fn run(&mut self, flow: &Flow) -> Result<RunReport, EngineError> {
-        let order = flow.topo_order()?;
         flow.schemas()?; // full static validation before touching data
-        let cache_pass = self.cache_prepass(flow, &order);
-        let start = Instant::now();
-        let mut results: HashMap<OpId, Batch> = HashMap::with_capacity(order.len());
-        let mut report = RunReport::default();
-        for id in order {
-            let op = flow.op(id);
-            if let Some(pass) = &cache_pass {
-                if !pass.needed.contains(&id) {
-                    continue; // feeds only cache-served subflows
-                }
-                if let Some(rel) = pass.hits.get(&id) {
-                    Engine::publish_hit(&mut results, &mut report, op, Arc::clone(rel));
-                    continue;
-                }
-            }
-            let inputs: Vec<Batch> = flow.inputs_of(id).into_iter().map(|i| results[&i].clone()).collect();
-            let rows_in = inputs.iter().map(Batch::len).sum();
-            let t0 = Instant::now();
-            let mut out: Batch = match &op.kind {
-                OpKind::Loader { table, key } => {
-                    let mat = inputs[0].materialize();
-                    self.load(table, key, &mat, &mut report)?;
-                    Batch::Rel(mat)
-                }
-                pure => execute_pure(&self.catalog, &op.name, pure, &inputs)?,
-            };
-            if cache_pass.is_some() {
-                if let Some(cached) = self.cache_offer(flow, id, &out) {
-                    out = cached;
-                }
-            }
-            let elapsed = t0.elapsed();
-            report.rows_processed += out.len();
-            crate::events::emit(crate::events::EngineEvent::OpFinish {
-                op: &op.name,
-                rows_in: rows_in as u64,
-                rows_out: out.len() as u64,
-                lane: 0,
-            });
-            report.timings.push(OpTiming {
-                op: op.name.clone(),
-                kind: op.kind.type_name(),
-                rows_in,
-                rows_out: out.len(),
-                elapsed,
-                worker: 0,
-            });
-            results.insert(id, out);
-        }
-        report.total = start.elapsed();
-        Ok(report)
-    }
-
-    /// Executes a flow with inter-operator parallelism layered on top of the
-    /// per-operator morsel parallelism: operations whose inputs are all
-    /// available run concurrently on the shared worker pool. Both layers
-    /// draw threads from one budget, so nesting never oversubscribes the
-    /// machine. Loaders execute at level boundaries with exclusive catalog
-    /// access, so results are identical to [`Engine::run`].
-    pub fn run_parallel(&mut self, flow: &Flow) -> Result<RunReport, EngineError> {
-        flow.schemas()?;
         let order = flow.topo_order()?;
-        // Level assignment: level(op) = 1 + max(level(inputs)).
         let mut level_of: HashMap<OpId, usize> = HashMap::with_capacity(order.len());
         let mut levels: Vec<Vec<OpId>> = Vec::new();
         for &id in &order {
@@ -592,7 +550,8 @@ impl Engine {
             // schedules only the ops that actually execute.
             for &id in &order {
                 if let Some(rel) = pass.hits.get(&id) {
-                    Engine::publish_hit(&mut results, &mut report, flow.op(id), Arc::clone(rel));
+                    let out = Batch::Rel(Arc::clone(rel));
+                    Engine::publish(&mut results, &mut report, flow.op(id), 0, out, Duration::ZERO, 0);
                 }
             }
         }
@@ -602,80 +561,40 @@ impl Engine {
             }
             let (pure_ops, sinks): (Vec<OpId>, Vec<OpId>) =
                 level.into_iter().partition(|&id| !flow.op(id).kind.is_sink());
-            // Pure operations of one level run concurrently on the pool.
+            let catalog = &self.catalog;
+            let jobs: Vec<(&Operation, Vec<Batch>)> = pure_ops
+                .into_iter()
+                .map(|id| (flow.op(id), flow.inputs_of(id).into_iter().map(|i| results[&i].clone()).collect()))
+                .collect();
+            let rows_in = |inputs: &[Batch]| inputs.iter().map(Batch::len).sum::<usize>();
             // Each job starts its clock when it begins executing, so the
             // recorded elapsed time is the operation's own work, not the
             // time it spent queued or waiting for siblings to finish.
-            let catalog = &self.catalog;
-            let jobs: Vec<(OpId, Vec<Batch>)> = pure_ops
-                .into_iter()
-                .map(|id| (id, flow.inputs_of(id).into_iter().map(|i| results[&i].clone()).collect()))
-                .collect();
-            // Output batch, measured elapsed time, and the pool lane that ran it.
-            type PureOutcome = (Batch, Duration, usize);
-            let outcomes: Vec<Result<PureOutcome, EngineError>> = pool::run_indexed(jobs.len(), |i| {
-                let (id, inputs) = &jobs[i];
-                let op = flow.op(*id);
+            let run_job = |i: usize| -> Result<(Batch, Duration, usize), EngineError> {
+                let (op, inputs) = &jobs[i];
                 let worker = pool::worker_slot();
                 let t0 = Instant::now();
                 let out = execute_pure(catalog, &op.name, &op.kind, inputs)?;
                 Ok((out, t0.elapsed(), worker))
-            });
-            for ((id, inputs), outcome) in jobs.iter().zip(outcomes) {
+            };
+            let outcomes = pool::run_indexed(jobs.len(), run_job);
+            // The first error in job order wins: deterministic at any width.
+            for ((op, inputs), outcome) in jobs.iter().zip(outcomes) {
                 let (mut out, elapsed, worker) = outcome?;
                 if cache_pass.is_some() {
-                    if let Some(cached) = self.cache_offer(flow, *id, &out) {
+                    if let Some(cached) = self.cache_offer(flow, op.id, &out) {
                         out = cached;
                     }
                 }
-                let op = flow.op(*id);
-                report.rows_processed += out.len();
-                crate::events::emit(crate::events::EngineEvent::OpFinish {
-                    op: &op.name,
-                    rows_in: inputs.iter().map(Batch::len).sum::<usize>() as u64,
-                    rows_out: out.len() as u64,
-                    lane: worker as u32,
-                });
-                report.timings.push(OpTiming {
-                    op: op.name.clone(),
-                    kind: op.kind.type_name(),
-                    rows_in: inputs.iter().map(Batch::len).sum(),
-                    rows_out: out.len(),
-                    elapsed,
-                    worker,
-                });
-                results.insert(*id, out);
+                Engine::publish(&mut results, &mut report, op, rows_in(inputs), out, elapsed, worker);
             }
-            // Sinks take exclusive catalog access, in deterministic order.
             for id in sinks {
                 let op = flow.op(id);
-                let inputs: Vec<Batch> = flow.inputs_of(id).into_iter().map(|i| results[&i].clone()).collect();
-                let rows_in = inputs.iter().map(Batch::len).sum();
+                let OpKind::Loader { table, key } = &op.kind else { unreachable!("only loaders are sinks") };
                 let t0 = Instant::now();
-                let out: Batch = match &op.kind {
-                    OpKind::Loader { table, key } => {
-                        let mat = inputs[0].materialize();
-                        self.load(table, key, &mat, &mut report)?;
-                        Batch::Rel(mat)
-                    }
-                    pure => execute_pure(&self.catalog, &op.name, pure, &inputs)?,
-                };
-                report.rows_processed += out.len();
-                crate::events::emit(crate::events::EngineEvent::OpFinish {
-                    op: &op.name,
-                    rows_in: rows_in as u64,
-                    rows_out: out.len() as u64,
-                    lane: 0,
-                });
-                report.timings.push(OpTiming {
-                    op: op.name.clone(),
-                    kind: op.kind.type_name(),
-                    rows_in,
-                    rows_out: out.len(),
-                    elapsed: t0.elapsed(),
-                    worker: 0,
-                });
-                results.insert(id, out);
+                let mat = results[&flow.inputs_of(id)[0]].materialize();
+                self.load(table, key, &mat, &mut report)?;
+                Engine::publish(&mut results, &mut report, op, mat.len(), Batch::Rel(mat), t0.elapsed(), 0);
             }
         }
         report.total = start.elapsed();
@@ -724,6 +643,7 @@ impl Engine {
                 }
             }
         } else {
+            check_row_capacity(self.catalog.get(table).map_or(0, Relation::len).max(input.len()))?;
             upsert(&mut self.catalog, table, input, key)
                 .map_err(|detail| EngineError::LoadSchemaMismatch { table: table.to_string(), detail })?;
         }
@@ -784,10 +704,15 @@ fn gather_all(cols: &[Arc<Col>], indices: &[u32]) -> Vec<Arc<Col>> {
     pool::run_indexed(cols.len(), |i| Arc::new(cols[i].gather(indices)))
 }
 
-/// Row positions are carried as `u32` selection vectors; relations beyond
-/// that are out of scope for an in-memory engine.
-fn check_row_capacity(len: usize) {
-    assert!(len < u32::MAX as usize, "relation exceeds u32 row-index capacity");
+/// Row positions are carried as `u32` selection vectors (with `u32::MAX`
+/// reserved as [`NULL_IDX`]); relations beyond that are out of scope for an
+/// in-memory engine and are refused before any index is narrowed.
+fn check_row_capacity(len: usize) -> Result<(), EngineError> {
+    if len < u32::MAX as usize {
+        Ok(())
+    } else {
+        Err(EngineError::RowCapacity { rows: len })
+    }
 }
 
 /// Executes one catalog-read-only operation (everything but loaders).
@@ -844,7 +769,7 @@ fn execute_pure(catalog: &Catalog, name: &str, kind: &OpKind, inputs: &[Batch]) 
         }
         OpKind::Selection { predicate } => {
             let input = &inputs[0];
-            check_row_capacity(input.len());
+            check_row_capacity(input.len())?;
             let predicate = compile(predicate, input.schema(), name)?;
             // Materialize only the columns the predicate reads; payload
             // columns wait behind the (composed) selection vector.
@@ -920,8 +845,12 @@ fn execute_pure(catalog: &Catalog, name: &str, kind: &OpKind, inputs: &[Batch]) 
             columns.push(LateCol::direct(Arc::new(derived)));
             Ok(Batch::lazy(schema, input.len(), columns))
         }
-        OpKind::Join { kind: jk, left_on, right_on } => Ok(hash_join(&inputs[0], &inputs[1], left_on, right_on, *jk)),
+        OpKind::Join { kind: jk, left_on, right_on } => {
+            check_row_capacity(inputs[0].len().max(inputs[1].len()))?;
+            Ok(hash_join(&inputs[0], &inputs[1], left_on, right_on, *jk))
+        }
         OpKind::Aggregation { group_by, aggregates } => {
+            check_row_capacity(inputs[0].len())?;
             hash_aggregate(&inputs[0], group_by, aggregates, name).map(|r| Batch::Rel(Arc::new(r))).map_err(eval_err)
         }
         OpKind::Union => {
@@ -942,7 +871,7 @@ fn execute_pure(catalog: &Catalog, name: &str, kind: &OpKind, inputs: &[Batch]) 
         OpKind::Distinct => {
             // Row-wise dedup reads every column: materialize up front.
             let input = inputs[0].materialize();
-            check_row_capacity(input.len());
+            check_row_capacity(input.len())?;
             let mut seen = FastSet::with_capacity_and_hasher(input.len(), Default::default());
             let mut kept: Vec<u32> = Vec::new();
             for i in 0..input.len() {
@@ -958,7 +887,7 @@ fn execute_pure(catalog: &Catalog, name: &str, kind: &OpKind, inputs: &[Batch]) 
         OpKind::Sort { columns } => {
             // The output permutes every row anyway; materialize and gather.
             let input = inputs[0].materialize();
-            check_row_capacity(input.len());
+            check_row_capacity(input.len())?;
             let indices: Vec<usize> = columns.iter().map(|c| input.col(c)).collect();
             // Materialize the sort-key columns once; the (stable) sort then
             // permutes 4-byte indices and compares values positionally,
@@ -1043,7 +972,6 @@ fn upsert(catalog: &mut Catalog, table: &str, input: &Relation, key: &[String]) 
         catalog.put(table.to_string(), Relation::new(input.schema.clone()));
     }
     let existing = catalog.get_mut(table).expect("created above");
-    check_row_capacity(existing.len().max(input.len()));
     // Widen the schema to the union; check types of shared columns.
     for c in &input.schema.columns {
         match existing.schema.column(&c.name) {
@@ -1217,7 +1145,6 @@ pub fn surrogate_of<'a>(values: impl Iterator<Item = &'a Value>) -> i64 {
 /// payload columns carry the matched index pairs as deferred selections, so
 /// a downstream filter or projection composes before anything gathers.
 fn hash_join(left: &Batch, right: &Batch, left_on: &[String], right_on: &[String], kind: JoinKind) -> Batch {
-    check_row_capacity(left.len().max(right.len()));
     let l_idx: Vec<usize> = left_on.iter().map(|c| left.col(c)).collect();
     let r_idx: Vec<usize> = right_on.iter().map(|c| right.col(c)).collect();
     // Same-name equi-joined key columns are kept once (left copy), matching
@@ -1805,7 +1732,6 @@ fn hash_aggregate(
     op_name: &str,
 ) -> Result<Relation, EvalError> {
     let len = input.len();
-    check_row_capacity(len);
     let schema = OpKind::Aggregation { group_by: group_by.to_vec(), aggregates: aggregates.to_vec() }
         .output_schema(op_name, std::slice::from_ref(input.schema()))
         .expect("validated before execution");
@@ -1981,8 +1907,21 @@ mod tests {
         assert_eq!(cards[&s], sel_rows as f64, "estimator now uses the observed filter cardinality");
     }
 
+    /// Runs `f` on the engine and on the row-at-a-time reference from the
+    /// same catalog and asserts every loaded table is bit-identical.
+    fn run_against_row_reference(catalog: Catalog, f: &Flow, tables: &[&str]) -> (Engine, RunReport) {
+        let mut reference = crate::RowEngine::from_catalog(&catalog);
+        reference.run(f).unwrap();
+        let mut engine = Engine::new(catalog);
+        let report = engine.run(f).unwrap();
+        for t in tables {
+            assert_eq!(&reference.table(t).unwrap(), engine.catalog.get(t).unwrap(), "table `{t}` differs");
+        }
+        (engine, report)
+    }
+
     #[test]
-    fn parallel_run_matches_sequential() {
+    fn sibling_branches_match_the_row_reference() {
         let mut f = Flow::new("t");
         let d = f.add_op("DS", ds_lineitem()).unwrap();
         let s1 =
@@ -2012,24 +1951,31 @@ mod tests {
         f.append(a1, "L1", OpKind::Loader { table: "out1".into(), key: vec![] }).unwrap();
         f.append(a2, "L2", OpKind::Loader { table: "out2".into(), key: vec![] }).unwrap();
 
-        let mut seq = Engine::new(catalog());
-        seq.run(&f).unwrap();
-        let mut par = Engine::new(catalog());
-        let report = par.run_parallel(&f).unwrap();
-        for t in ["out1", "out2"] {
-            crate::relation::assert_same_rows(seq.catalog.get(t).unwrap(), par.catalog.get(t).unwrap());
-        }
+        let (_, report) = run_against_row_reference(catalog(), &f, &["out1", "out2"]);
         assert_eq!(report.timings.len(), f.op_count());
         assert_eq!(report.loaded.len(), 2);
     }
 
     #[test]
-    fn parallel_run_surfaces_errors() {
+    fn run_surfaces_errors() {
         let mut f = Flow::new("t");
         let d = f.add_op("DS", OpKind::Datastore { datastore: "ghost".into(), schema: li_schema() }).unwrap();
         f.append(d, "LOAD", OpKind::Loader { table: "out".into(), key: vec![] }).unwrap();
         let mut engine = Engine::new(catalog());
-        assert!(matches!(engine.run_parallel(&f), Err(EngineError::UnknownTable(_))));
+        assert!(matches!(engine.run(&f), Err(EngineError::UnknownTable(_))));
+    }
+
+    #[test]
+    fn row_capacity_overflow_is_a_typed_error() {
+        let limit = u32::MAX as usize; // `NULL_IDX` itself is not a row index
+        assert!(check_row_capacity(limit - 1).is_ok());
+        match check_row_capacity(limit) {
+            Err(e @ EngineError::RowCapacity { rows }) => {
+                assert_eq!(rows, limit);
+                assert!(e.to_string().contains("u32 row-index capacity"), "{e}");
+            }
+            other => panic!("expected RowCapacity, got {other:?}"),
+        }
     }
 
     #[test]
@@ -2597,33 +2543,23 @@ mod tests {
     }
 
     #[test]
-    fn multi_morsel_runs_are_bit_identical_to_serial() {
+    fn multi_morsel_runs_are_bit_identical_to_the_row_reference() {
         // An input spanning several morsels (MORSEL_ROWS + change) through
-        // selection, join, and grouped aggregation: serial and parallel
-        // executors must agree *exactly* — same row order, same floats.
+        // selection, join, and grouped aggregation: the morsel-parallel
+        // executor and the row-at-a-time reference must agree *exactly* —
+        // same row order, same floats.
         let rows = MORSEL_ROWS * 2 + 137;
-        let f = multi_morsel_flow();
-        let mut seq = Engine::new(multi_morsel_catalog(rows));
-        seq.run(&f).unwrap();
-        let mut par = Engine::new(multi_morsel_catalog(rows));
-        par.run_parallel(&f).unwrap();
-        let (a, b) = (seq.catalog.get("out").unwrap(), par.catalog.get("out").unwrap());
-        assert_eq!(a, b, "serial and parallel outputs must be bit-identical, in order");
+        let (engine, _) = run_against_row_reference(multi_morsel_catalog(rows), &multi_morsel_flow(), &["out"]);
         // Group keys surface in first-occurrence order: the selection keeps
         // k >= 10 first, so groups start at 10 % 7 = 3 and wrap around.
-        let keys = a.column_values("grp");
+        let keys = engine.catalog.get("out").unwrap().column_values("grp");
         assert_eq!(keys, [3, 4, 5, 6, 0, 1, 2].map(Value::Int).to_vec());
     }
 
     #[test]
     fn empty_input_through_every_operator() {
-        let f = multi_morsel_flow();
-        let mut seq = Engine::new(multi_morsel_catalog(0));
-        seq.run(&f).unwrap();
-        let mut par = Engine::new(multi_morsel_catalog(0));
-        par.run_parallel(&f).unwrap();
-        assert_eq!(seq.catalog.get("out").unwrap(), par.catalog.get("out").unwrap());
-        assert!(seq.catalog.get("out").unwrap().is_empty(), "grouped aggregate of nothing is empty");
+        let (engine, _) = run_against_row_reference(multi_morsel_catalog(0), &multi_morsel_flow(), &["out"]);
+        assert!(engine.catalog.get("out").unwrap().is_empty(), "grouped aggregate of nothing is empty");
     }
 
     #[test]
@@ -2681,7 +2617,7 @@ mod tests {
         f.append(cheap, "L1", OpKind::Loader { table: "o1".into(), key: vec![] }).unwrap();
         f.append(expensive, "L2", OpKind::Loader { table: "o2".into(), key: vec![] }).unwrap();
         let mut engine = Engine::new(c);
-        let report = engine.run_parallel(&f).unwrap();
+        let report = engine.run(&f).unwrap();
         let elapsed = |name: &str| report.timings.iter().find(|t| t.op == name).unwrap().elapsed;
         let (cheap_t, expensive_t) = (elapsed("CHEAP"), elapsed("EXPENSIVE"));
         assert!(
@@ -2720,6 +2656,29 @@ mod tests {
                     assert!(m.contains("bad-early"), "expected earliest morsel's error, got `{m}`")
                 }
                 other => panic!("expected type error, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn sibling_errors_surface_in_job_order() {
+        // Two operators of one level both fail; whichever worker finishes
+        // first, the run reports the one that comes first in the flow.
+        let schema = Schema::new(vec![Column::new("d", ColType::Date)]);
+        let mut data: Vec<Row> = (0..MORSEL_ROWS * 2).map(|_| vec![Value::date(1995, 6, 17)]).collect();
+        data[3] = vec![Value::Str("bad".into())];
+        let mut f = Flow::new("x");
+        let d = f.add_op("DS", OpKind::Datastore { datastore: "t".into(), schema: schema.clone() }).unwrap();
+        for (name, predicate) in [("SEL_a", "YEAR(d) >= 1995"), ("SEL_b", "MONTH(d) >= 1")] {
+            let s = f.append(d, name, OpKind::Selection { predicate: parse_expr(predicate).unwrap() }).unwrap();
+            f.append(s, format!("LOAD_{name}"), OpKind::Loader { table: name.into(), key: vec![] }).unwrap();
+        }
+        for _ in 0..4 {
+            let mut c = Catalog::new();
+            c.put("t", Relation::with_rows(schema.clone(), data.clone()));
+            match Engine::new(c).run(&f) {
+                Err(EngineError::Eval { op, .. }) => assert_eq!(op, "SEL_a"),
+                other => panic!("expected SEL_a's evaluation error, got {other:?}"),
             }
         }
     }

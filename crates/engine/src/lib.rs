@@ -13,15 +13,16 @@
 //! - [`Value`], [`Relation`], [`column`] — the runtime data model: relations
 //!   hold `Arc`-shared typed columns (dictionary-encoded strings, validity
 //!   bitmaps), with a row-view shim for row-oriented consumers;
-//! - [`eval`] — evaluator for the `quarry-etl` expression language, and
-//!   [`eval_compiled`] — its positional counterpart over pre-compiled
-//!   expressions (column names bound once per operator);
+//! - [`eval_compiled`] — the one scalar evaluator for the `quarry-etl`
+//!   expression language, over pre-compiled expressions (column names bound
+//!   to positions once per operator); the vectorized kernels fall back to it;
 //! - [`Engine`], [`Catalog`] — the morsel-parallel columnar flow executor
 //!   (vectorized expression kernels, hash joins and two-phase hash
 //!   aggregation over fixed-width encoded keys, surrogate-key assignment,
-//!   loaders) with per-operation timing in its [`RunReport`];
+//!   loaders) with per-operation timing in its [`RunReport`]; its single
+//!   [`Engine::run`] schedules operators by dependency level;
 //! - [`RowEngine`] — the retired row-at-a-time executor, kept as the
-//!   baseline for the row-vs-columnar equivalence suite and benchmarks;
+//!   reference the equivalence suites and benchmarks compare against;
 //! - [`pool`] — the shared scoped-thread worker pool both parallelism
 //!   layers (inter-operator and intra-operator) draw from;
 //! - [`tpch`] — a deterministic, scale-factor-parameterized generator for
@@ -46,7 +47,7 @@ mod vector;
 
 pub use cache::{table_stamp, CachePlan, CacheStats, ResultCache};
 pub use catalog::Catalog;
-pub use eval::{eval, eval_compiled, truthy, EvalError};
+pub use eval::{eval_compiled, truthy, EvalError};
 pub use exec::{surrogate_of, Engine, EngineError, OpTiming, RunReport, MAX_RADIX_PARTITIONS, MORSEL_ROWS};
 pub use exec_row::RowEngine;
 pub use relation::{assert_same_rows, Relation, RelationBuilder, Row};

@@ -211,6 +211,19 @@ where
 mod tests {
     use super::*;
 
+    /// Polls `settled` for up to ~10 s. The pool's state is process-wide and
+    /// other tests of this binary open regions concurrently, so an instant
+    /// reading can see their workers; a quiet instant always comes.
+    fn eventually(settled: impl Fn() -> bool) -> bool {
+        for _ in 0..10_000 {
+            if settled() {
+                return true;
+            }
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+        false
+    }
+
     #[test]
     fn results_come_back_in_index_order() {
         let out = run_indexed(100, |i| i * i);
@@ -219,13 +232,15 @@ mod tests {
 
     #[test]
     fn stats_count_regions_and_jobs() {
-        let before = stats();
-        run_indexed(10, |i| i);
-        run_indexed(0, |i| i); // empty regions are not counted
-        let after = stats();
-        assert_eq!(after.regions, before.regions + 1);
-        assert_eq!(after.jobs, before.jobs + 10);
-        assert!(after.helpers_spawned >= before.helpers_spawned);
+        // Exact in a window no concurrent test disturbed.
+        assert!(eventually(|| {
+            let before = stats();
+            run_indexed(10, |i| i);
+            run_indexed(0, |i| i); // empty regions are not counted
+            let after = stats();
+            assert!(after.helpers_spawned >= before.helpers_spawned);
+            (after.regions, after.jobs) == (before.regions + 1, before.jobs + 10)
+        }));
     }
 
     #[test]
@@ -242,23 +257,14 @@ mod tests {
         for (i, inner) in out.iter().enumerate() {
             assert_eq!(*inner, (0..8).map(|j| i * 8 + j).collect::<Vec<_>>());
         }
-        assert_eq!(IN_USE.load(Ordering::Relaxed), 0, "all tokens returned");
+        assert!(eventually(|| IN_USE.load(Ordering::Relaxed) == 0), "all tokens returned");
     }
 
     #[test]
     fn gauges_return_to_zero_after_a_region() {
         run_indexed(32, |i| i * 2);
-        // Other tests in this process may have regions open concurrently, so
-        // wait for the gauges to settle rather than asserting an instant zero.
-        let mut last = gauges();
-        for _ in 0..10_000 {
-            last = gauges();
-            if last == (PoolGauges { queue_depth: 0, active_workers: 0, in_flight: 0 }) {
-                return;
-            }
-            std::thread::yield_now();
-        }
-        panic!("gauges did not settle to zero: {last:?}");
+        let zero = PoolGauges { queue_depth: 0, active_workers: 0, in_flight: 0 };
+        assert!(eventually(|| gauges() == zero), "gauges did not settle to zero: {:?}", gauges());
     }
 
     #[test]

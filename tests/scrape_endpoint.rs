@@ -84,7 +84,7 @@ fn scrape_under_engine_load() {
         })
     };
     for _ in 0..3 {
-        quarry.run_etl_parallel(quarry_engine::tpch::generate(0.002, 42)).expect("engine run succeeds");
+        quarry.run_etl(quarry_engine::tpch::generate(0.002, 42)).expect("engine run succeeds");
     }
     stop.store(true, Ordering::Relaxed);
     let scrapes = scraper.join().expect("scraper thread");
