@@ -2,11 +2,13 @@
 //! found, and the equivalence-rule-alignment ablation (§2.3: "aligns the
 //! order of ETL operations by applying generic equivalence rules").
 
-use criterion::{BenchmarkId, Criterion};
+use criterion::{BenchmarkId, Criterion, Throughput};
 use quarry::Quarry;
-use quarry_bench::requirement_family;
-use quarry_etl::cost::{EstimatedTime, SourceStats};
-use quarry_etl::Flow;
+use quarry_bench::{high_overlap_family, requirement_family};
+use quarry_etl::cost::{EstimatedTime, SourceStats, TimeWeights};
+use quarry_etl::rewrite::{Move, RewriteState};
+use quarry_etl::{Flow, OpId};
+use quarry_formats::Requirement;
 use quarry_integrator::etl::{integrate_etl, EtlIntegrationOptions};
 use std::hint::black_box;
 
@@ -140,6 +142,78 @@ fn bench(c: &mut Criterion) {
     });
 }
 
+/// Proposals timed per sample: one apply + undo is a few microseconds, far
+/// too close to the clock's resolution to time alone.
+const STEP_REPS: u64 = 256;
+
+/// The optimizer's per-proposal cost against flow size: for every move kind,
+/// `STEP_REPS` × (`apply` + `undo`) of one legal move on the unified flow of
+/// a requirement family — the paper's demo scenario (high overlap, N = 8, 44
+/// operations) and the low-overlap family at N = 8 (87 operations) and
+/// N = 64 (270). A move costs what it touches, and what it touches is the
+/// rewired operations plus everything downstream whose schema changes, so
+/// each kind is timed on its legal candidate with the *fewest operations
+/// downstream*: that holds the touched region roughly constant across the
+/// three flows and leaves flow size as the variable. A local move (swap /
+/// assoc / hoist / push / prune) should then cost the same at N = 64 as at
+/// N = 8; `merge-duplicates` is one hashing pass over the flow and is timed
+/// on its common outcome, "no duplicates".
+fn bench_optimizer_step(c: &mut Criterion) {
+    /// A move's kind and the operation whose downstream cone it can reach.
+    fn kind_and_anchor(mv: &Move) -> (&'static str, Option<OpId>) {
+        match *mv {
+            Move::PushSelection { sel } => ("push", Some(sel)),
+            Move::HoistSelection { sel } => ("hoist", Some(sel)),
+            Move::SwapJoins { upper } => ("swap", Some(upper)),
+            Move::AssocJoins { upper } => ("assoc", Some(upper)),
+            Move::UnassocJoins { upper } => ("unassoc", Some(upper)),
+            Move::PruneColumns { to, .. } => ("prune", Some(to)),
+            Move::RemoveProjection { proj } => ("remove-projection", Some(proj)),
+            Move::MergeDuplicates => ("merge-duplicates", None),
+        }
+    }
+    let families: [(&str, Vec<Requirement>); 3] = [
+        ("high-overlap/N=8", high_overlap_family(8)),
+        ("low-overlap/N=8", requirement_family(8)),
+        ("low-overlap/N=64", requirement_family(64)),
+    ];
+    let mut group = c.benchmark_group("optimizer_step");
+    group.throughput(Throughput::Elements(STEP_REPS));
+    for (family, requirements) in families {
+        let mut q = Quarry::tpch();
+        for r in requirements {
+            q.add_requirement(r).expect("the family integrates");
+        }
+        let model = EstimatedTime { weights: TimeWeights::columnar() };
+        let mut st = RewriteState::new(q.unified().1.clone(), q.config().stats.clone(), model).expect("valid flow");
+        let ops = st.flow().op_count();
+        // Each kind's move is kept applied after it is timed, which is what
+        // makes its inverse (unassoc after assoc, push after hoist,
+        // remove-projection after prune) legal in turn.
+        // (`merge-duplicates` goes first: the canonical flow has none.)
+        for kind in ["merge-duplicates", "swap", "assoc", "unassoc", "hoist", "push", "prune", "remove-projection"] {
+            let mut of_kind = st.candidate_moves();
+            of_kind.retain(|mv| kind_and_anchor(mv).0 == kind);
+            of_kind.retain(|mv| kind == "merge-duplicates" || st.apply(mv).map(|undo| st.undo(undo)).is_ok());
+            let reach = |mv: &Move| kind_and_anchor(mv).1.map_or(0, |anchor| st.flow().downstream_of(anchor).len());
+            let Some(mv) = of_kind.iter().copied().min_by_key(reach) else { continue };
+            group.bench_function(format!("{kind}/{family}/{ops}-ops/{}-downstream", reach(&mv)), |b| {
+                b.iter(|| {
+                    for _ in 0..STEP_REPS {
+                        if let Ok(undo) = st.apply(black_box(&mv)) {
+                            st.undo(undo);
+                        }
+                    }
+                })
+            });
+            // Keeping the move is best effort: it only widens what the
+            // kinds timed after it can find.
+            let _ = st.apply(&mv);
+        }
+    }
+    group.finish();
+}
+
 fn main() {
     // The printed comparison series are measurement runs; `--test` (the CI
     // bench smoke) only proves the harness still executes.
@@ -148,5 +222,6 @@ fn main() {
     }
     let mut criterion = Criterion::default().configure_from_args();
     bench(&mut criterion);
+    bench_optimizer_step(&mut criterion);
     criterion.final_summary();
 }

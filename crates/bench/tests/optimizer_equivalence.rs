@@ -115,3 +115,118 @@ fn optimize_between_incremental_steps_keeps_the_lifecycle_sound() {
     opt.optimize().expect("optimize after removal");
     assert_optimized_equivalent(&catalog, plain.unified().1, opt.unified().1);
 }
+
+/// What one seeded search did, pinned at the commit before `RewriteState`
+/// stopped cloning and diffing the flow per proposal: the step counts, the
+/// winning chain, the committed cost bit for bit and the committed flow's
+/// xLM bytes. A change to the search's bookkeeping must leave all of it
+/// untouched; a change to the move set, the candidate order, the RNG streams
+/// or a legality check is what moves these numbers.
+struct SearchPin {
+    proposed: u64,
+    accepted: u64,
+    best_chain: usize,
+    after_cost_bits: u64,
+    xlm_fnv: u64,
+}
+
+fn assert_search_pinned(label: &str, family: Vec<Requirement>, pin: SearchPin) {
+    use quarry_etl::cost::{EstimatedTime, TimeWeights};
+    use quarry_integrator::anneal::{anneal, AnnealOptions};
+    use quarry_integrator::optimize::optimize_flow;
+
+    let mut q = Quarry::tpch();
+    for r in family {
+        q.add_requirement(r).expect("integrates");
+    }
+    let mut flow = q.unified().1.clone();
+    let mut stats = q.config().stats.clone();
+    let model = EstimatedTime { weights: TimeWeights::columnar() };
+    // A budget long enough that the step count, not the clock, ends the search.
+    let opts = AnnealOptions { budget_ms: 10_000, ..AnnealOptions::default() };
+    let searched = anneal(&flow, &stats, model, &opts).expect("anneal");
+    let report = optimize_flow(&mut flow, &mut stats, model, &opts).expect("optimize");
+    let xlm = quarry_formats::xlm::to_string(&flow);
+    let fnv = xlm.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3));
+    assert!(report.applied, "{label}: the pinned search commits");
+    assert_eq!(
+        (report.proposed, report.accepted, searched.best_chain),
+        (pin.proposed, pin.accepted, pin.best_chain),
+        "{label}: proposed / accepted / best chain"
+    );
+    assert_eq!(report.after_cost.to_bits(), pin.after_cost_bits, "{label}: committed cost {}", report.after_cost);
+    assert_eq!(fnv, pin.xlm_fnv, "{label}: committed flow bytes");
+}
+
+#[test]
+fn seeded_searches_commit_the_pinned_flows() {
+    let pin = |proposed, accepted, best_chain, after_cost_bits, xlm_fnv| SearchPin {
+        proposed,
+        accepted,
+        best_chain,
+        after_cost_bits,
+        xlm_fnv,
+    };
+    for (n, p) in [
+        (2, pin(1536, 492, 1, 0x40fb_a46c_dd2f_1a9f, 0xcf83_132b_3525_8183)),
+        (4, pin(1536, 517, 1, 0x4101_7a8d_26e9_78d5, 0xf72d_1304_c1d6_058c)),
+        (8, pin(1536, 566, 1, 0x4107_5310_0831_26ec, 0xcb82_1100_ac7d_9af4)),
+    ] {
+        assert_search_pinned(&format!("high_overlap_family({n})"), high_overlap_family(n), p);
+    }
+    for (n, p) in [
+        (6, pin(1536, 500, 0, 0x4134_44f5_6978_d4fd, 0x3612_934e_6643_1908)),
+        (8, pin(1536, 510, 3, 0x4136_6564_be76_c8b4, 0xc440_d86e_56b5_3759)),
+    ] {
+        assert_search_pinned(&format!("requirement_family({n})"), requirement_family(n), p);
+    }
+}
+
+/// The from-scratch rebuild is the oracle, on the flows the benchmark
+/// optimizes: a seeded walk of accepted and undone proposals over the unified
+/// high- and low-overlap designs, audited after every step (the randomized
+/// small flows get the same treatment in `quarry-etl`'s
+/// `cost_consistency.rs`).
+#[test]
+fn walks_over_the_unified_families_match_a_rebuild_after_every_step() {
+    use quarry_etl::cost::{EstimatedTime, TimeWeights};
+    use quarry_etl::rewrite::RewriteState;
+
+    for (label, family) in [("high-overlap", high_overlap_family(8)), ("low-overlap", requirement_family(8))] {
+        let mut q = Quarry::tpch();
+        for r in family {
+            q.add_requirement(r).expect("integrates");
+        }
+        let model = EstimatedTime { weights: TimeWeights::columnar() };
+        let mut st = RewriteState::new(q.unified().1.clone(), q.config().stats.clone(), model).expect("valid flow");
+        let mut rng = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move || {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            rng
+        };
+        let mut kept = 0;
+        for step in 0..240 {
+            let moves = st.candidate_moves();
+            let mv = moves[(next() % moves.len() as u64) as usize];
+            let what = format!("{label} step {step} {}", st.describe(&mv));
+            let before = st.flow().clone();
+            let cost_before = st.cost();
+            let Ok(undo) = st.apply(&mv) else {
+                assert_eq!(st.flow(), &before, "{what}: a rejected move leaves the flow alone");
+                continue;
+            };
+            st.audit().unwrap_or_else(|e| panic!("{what}: after apply: {e}"));
+            if next() % 2 == 0 {
+                st.undo(undo);
+                assert_eq!(st.flow(), &before, "{what}: undo restores op order, edge order and ids");
+                assert_eq!(st.cost().to_bits(), cost_before.to_bits(), "{what}: undo restores the cost");
+                st.audit().unwrap_or_else(|e| panic!("{what}: after undo: {e}"));
+            } else {
+                kept += 1;
+            }
+        }
+        assert!(kept > 20, "{label}: the walk must keep real moves, kept {kept}");
+    }
+}

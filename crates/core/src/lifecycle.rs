@@ -960,9 +960,7 @@ impl Quarry {
                     saved += plan.saved_cost(*id);
                     continue;
                 }
-                for input in flow.inputs_of(*id) {
-                    needed.insert(input);
-                }
+                needed.extend(flow.inputs_of(*id));
             }
             saved
         };

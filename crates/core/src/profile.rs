@@ -124,7 +124,7 @@ impl ExecutionProfile {
             .collect();
         let inputs_by_name: HashMap<&str, Vec<String>> = flow
             .ops()
-            .map(|op| (op.name.as_str(), flow.inputs_of(op.id).into_iter().map(|i| flow.op(i).name.clone()).collect()))
+            .map(|op| (op.name.as_str(), flow.inputs_of(op.id).iter().map(|&i| flow.op(i).name.clone()).collect()))
             .collect();
         let delta = kernels_after.since(kernels_before);
         ExecutionProfile {

@@ -448,9 +448,7 @@ impl Engine {
                     crate::events::emit(crate::events::EngineEvent::CacheMiss { op: &op.name });
                 }
             }
-            for input in flow.inputs_of(id) {
-                pass.needed.insert(input);
-            }
+            pass.needed.extend(flow.inputs_of(id));
         }
         Some(pass)
     }
@@ -564,7 +562,7 @@ impl Engine {
             let catalog = &self.catalog;
             let jobs: Vec<(&Operation, Vec<Batch>)> = pure_ops
                 .into_iter()
-                .map(|id| (flow.op(id), flow.inputs_of(id).into_iter().map(|i| results[&i].clone()).collect()))
+                .map(|id| (flow.op(id), flow.inputs_of(id).iter().map(|i| results[i].clone()).collect()))
                 .collect();
             let rows_in = |inputs: &[Batch]| inputs.iter().map(Batch::len).sum::<usize>();
             // Each job starts its clock when it begins executing, so the

@@ -91,7 +91,7 @@ impl RowEngine {
         let mut report = RunReport::default();
         for id in order {
             let op = flow.op(id);
-            let inputs: Vec<Arc<RowRel>> = flow.inputs_of(id).into_iter().map(|i| Arc::clone(&results[&i])).collect();
+            let inputs: Vec<Arc<RowRel>> = flow.inputs_of(id).iter().map(|i| Arc::clone(&results[i])).collect();
             let rows_in = inputs.iter().map(|r| r.len()).sum();
             let t0 = Instant::now();
             let out: Arc<RowRel> = match &op.kind {

@@ -385,7 +385,7 @@ pub fn subflow_fingerprints(
             source_epoch(datastore).hash(&mut h);
         }
         for input in flow.inputs_of(id) {
-            fps[&input].hash(&mut h);
+            fps[input].hash(&mut h);
         }
         fps.insert(id, h.finish());
     }
@@ -411,7 +411,7 @@ pub fn cardinality_state(flow: &Flow, stats: &SourceStats) -> Result<Arc<HashMap
     let order = flow.topo_order()?;
     let mut state: HashMap<OpId, CardState> = HashMap::with_capacity(order.len());
     for id in order {
-        let inputs: Vec<CardState> = flow.inputs_of(id).into_iter().map(|i| state[&i]).collect();
+        let inputs: Vec<CardState> = flow.inputs_of(id).iter().map(|i| state[i]).collect();
         let op = flow.op(id);
         state.insert(id, op_cardinality(&op.kind, &op.name, &inputs, stats));
     }
@@ -587,7 +587,7 @@ impl EstimatedTime {
             let mut cone: std::collections::HashSet<OpId> = std::collections::HashSet::new();
             cone.insert(id);
             for input in flow.inputs_of(id) {
-                cone.extend(cones[&input].iter().copied());
+                cone.extend(cones[input].iter().copied());
             }
             costs.insert(id, cone.iter().map(|op| parts[op]).sum::<f64>());
             cones.insert(id, cone);

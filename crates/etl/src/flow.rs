@@ -67,20 +67,91 @@ impl fmt::Display for FlowError {
 
 impl std::error::Error for FlowError {}
 
+/// One operation plus its slice of the adjacency index.
+#[derive(Debug, Clone)]
+struct Node {
+    op: Operation,
+    /// Producers feeding this operation, in edge order (left input first).
+    ins: Vec<OpId>,
+    /// Consumers of this operation's output, in edge order.
+    outs: Vec<OpId>,
+}
+
+/// One reversible structural edit, recorded while a journal is open (see
+/// [`Flow::begin_journal`]). Replaying a journal backwards restores the exact
+/// prior flow: operation order, edge order and `next_id`.
+#[derive(Debug, Clone)]
+pub(crate) enum Edit {
+    /// `add_op` appended an operation (ids only grow, so it is the last one).
+    OpAdded {
+        id: OpId,
+    },
+    /// An operation entry left position `pos` of the operation list.
+    OpRemoved {
+        pos: usize,
+        op: Operation,
+    },
+    /// `set_kind` replaced an operation's kind.
+    Kind {
+        id: OpId,
+        old: OpKind,
+    },
+    /// `op_mut_journaled` handed an operation out; `old` is its snapshot.
+    Op {
+        old: Operation,
+    },
+    EdgeInserted {
+        pos: usize,
+        edge: (OpId, OpId),
+    },
+    EdgeRemoved {
+        pos: usize,
+        edge: (OpId, OpId),
+    },
+    EdgeSet {
+        pos: usize,
+        old: (OpId, OpId),
+        new: (OpId, OpId),
+    },
+}
+
 /// A logical ETL process: a named DAG of operations.
-#[derive(Debug, Clone, Default, PartialEq)]
+///
+/// The ordered `edges` list is the source of truth (left/right input order,
+/// xLM bytes, equality); every operation additionally carries its inputs and
+/// consumers, in edge order, so [`inputs_of`](Self::inputs_of) and
+/// [`outputs_of`](Self::outputs_of) are O(degree) borrowed slices. Every
+/// mutator keeps that index exact: an edge edit finds the edge's ordinal among
+/// its endpoints' edges with one scan of the flat edge array.
+#[derive(Debug, Clone, Default)]
 pub struct Flow {
     pub name: String,
-    ops: Vec<Operation>,
+    /// Sorted by id: `add_op` appends strictly increasing ids and removals
+    /// preserve order, so lookups binary-search.
+    ops: Vec<Node>,
     /// Edges in insertion order; for binary operations the first incoming
     /// edge is the left input, the second the right.
     edges: Vec<(OpId, OpId)>,
     next_id: u32,
+    /// Open edit journal, if any.
+    journal: Option<Vec<Edit>>,
+}
+
+/// Equality is over the design itself; the adjacency index is derived from
+/// `edges` and an open journal is bookkeeping.
+impl PartialEq for Flow {
+    fn eq(&self, other: &Self) -> bool {
+        self.name == other.name
+            && self.next_id == other.next_id
+            && self.edges == other.edges
+            && self.ops.len() == other.ops.len()
+            && self.ops.iter().zip(&other.ops).all(|(a, b)| a.op == b.op)
+    }
 }
 
 impl Flow {
     pub fn new(name: impl Into<String>) -> Self {
-        Flow { name: name.into(), ops: Vec::new(), edges: Vec::new(), next_id: 0 }
+        Flow { name: name.into(), ..Flow::default() }
     }
 
     // ---- construction ------------------------------------------------------
@@ -93,21 +164,26 @@ impl Flow {
         }
         let id = OpId(self.next_id);
         self.next_id += 1;
-        self.ops.push(Operation { id, name, kind, satisfies: ReqSet::new() });
+        self.ops.push(Node {
+            op: Operation { id, name, kind, satisfies: ReqSet::new() },
+            ins: Vec::new(),
+            outs: Vec::new(),
+        });
+        self.log(Edit::OpAdded { id });
         Ok(id)
     }
 
     /// Adds a data edge `from → to`.
     pub fn connect(&mut self, from: OpId, to: OpId) -> Result<(), FlowError> {
         for id in [from, to] {
-            if self.op_opt(id).is_none() {
+            if !self.contains(id) {
                 return Err(FlowError::UnknownOp(format!("#{}", id.0)));
             }
         }
-        if self.edges.contains(&(from, to)) {
+        if self.outputs_of(from).contains(&to) {
             return Err(FlowError::DuplicateEdge { from: self.op(from).name.clone(), to: self.op(to).name.clone() });
         }
-        self.edges.push((from, to));
+        self.insert_edge(self.edges.len(), (from, to));
         Ok(())
     }
 
@@ -120,24 +196,38 @@ impl Flow {
 
     // ---- access ------------------------------------------------------------
 
-    fn op_opt(&self, id: OpId) -> Option<&Operation> {
-        // `ops` stays sorted by id: `add_op` appends strictly increasing ids
-        // and removals preserve order, so lookups can binary-search.
-        self.ops.binary_search_by_key(&id, |o| o.id).ok().map(|i| &self.ops[i])
+    fn pos(&self, id: OpId) -> Option<usize> {
+        self.ops.binary_search_by_key(&id, |n| n.op.id).ok()
+    }
+
+    fn node(&self, id: OpId) -> &Node {
+        &self.ops[self.pos(id).expect("operation id belongs to this flow")]
+    }
+
+    fn node_mut(&mut self, id: OpId) -> &mut Node {
+        let i = self.pos(id).expect("operation id belongs to this flow");
+        &mut self.ops[i]
+    }
+
+    /// Whether `id` names an operation of this flow.
+    pub fn contains(&self, id: OpId) -> bool {
+        self.pos(id).is_some()
     }
 
     /// Panics on unknown id (ids are internal; external lookups go by name).
     pub fn op(&self, id: OpId) -> &Operation {
-        self.op_opt(id).expect("operation id belongs to this flow")
+        &self.node(id).op
     }
 
+    /// Not journaled: while a journal is open, only for operations added
+    /// under it (use [`set_kind`](Self::set_kind) or
+    /// [`op_mut_journaled`](Self::op_mut_journaled) for the others).
     pub fn op_mut(&mut self, id: OpId) -> &mut Operation {
-        let i = self.ops.binary_search_by_key(&id, |o| o.id).expect("operation id belongs to this flow");
-        &mut self.ops[i]
+        &mut self.node_mut(id).op
     }
 
     pub fn op_by_name(&self, name: &str) -> Option<&Operation> {
-        self.ops.iter().find(|o| o.name == name)
+        self.ops().find(|o| o.name == name)
     }
 
     pub fn id_by_name(&self, name: &str) -> Option<OpId> {
@@ -145,11 +235,12 @@ impl Flow {
     }
 
     pub fn ops(&self) -> impl Iterator<Item = &Operation> {
-        self.ops.iter()
+        self.ops.iter().map(|n| &n.op)
     }
 
     pub fn ops_mut(&mut self) -> impl Iterator<Item = &mut Operation> {
-        self.ops.iter_mut()
+        debug_assert!(self.journal.is_none(), "bulk mutation is not journaled");
+        self.ops.iter_mut().map(|n| &mut n.op)
     }
 
     pub fn edges(&self) -> &[(OpId, OpId)] {
@@ -165,29 +256,29 @@ impl Flow {
     }
 
     /// Inputs of an operation in edge-insertion order (left input first).
-    pub fn inputs_of(&self, id: OpId) -> Vec<OpId> {
-        self.edges.iter().filter(|(_, t)| *t == id).map(|(f, _)| *f).collect()
+    pub fn inputs_of(&self, id: OpId) -> &[OpId] {
+        &self.node(id).ins
     }
 
-    /// Consumers of an operation's output.
-    pub fn outputs_of(&self, id: OpId) -> Vec<OpId> {
-        self.edges.iter().filter(|(f, _)| *f == id).map(|(_, t)| *t).collect()
+    /// Consumers of an operation's output, in edge-insertion order.
+    pub fn outputs_of(&self, id: OpId) -> &[OpId] {
+        &self.node(id).outs
     }
 
     /// Source operations (no inputs by kind).
     pub fn sources(&self) -> Vec<OpId> {
-        self.ops.iter().filter(|o| o.kind.is_source()).map(|o| o.id).collect()
+        self.ops().filter(|o| o.kind.is_source()).map(|o| o.id).collect()
     }
 
     /// Sink operations (loaders).
     pub fn sinks(&self) -> Vec<OpId> {
-        self.ops.iter().filter(|o| o.kind.is_sink()).map(|o| o.id).collect()
+        self.ops().filter(|o| o.kind.is_sink()).map(|o| o.id).collect()
     }
 
     /// All operations upstream of `id` (excluding `id`).
     pub fn upstream_of(&self, id: OpId) -> BTreeSet<OpId> {
         let mut out = BTreeSet::new();
-        let mut stack = self.inputs_of(id);
+        let mut stack = self.inputs_of(id).to_vec();
         while let Some(cur) = stack.pop() {
             if out.insert(cur) {
                 stack.extend(self.inputs_of(cur));
@@ -199,7 +290,7 @@ impl Flow {
     /// All operations downstream of `id` (excluding `id`).
     pub fn downstream_of(&self, id: OpId) -> BTreeSet<OpId> {
         let mut out = BTreeSet::new();
-        let mut stack = self.outputs_of(id);
+        let mut stack = self.outputs_of(id).to_vec();
         while let Some(cur) = stack.pop() {
             if out.insert(cur) {
                 stack.extend(self.outputs_of(cur));
@@ -210,25 +301,27 @@ impl Flow {
 
     // ---- analysis ------------------------------------------------------------
 
-    /// Kahn topological order; `Err(Cycle)` when the graph is cyclic.
+    /// Kahn topological order in O(V + E) over the adjacency index (plus one
+    /// counter per id ever assigned); `Err(Cycle)` when the graph is cyclic.
     pub fn topo_order(&self) -> Result<Vec<OpId>, FlowError> {
-        let mut in_degree: HashMap<OpId, usize> = self.ops.iter().map(|o| (o.id, 0)).collect();
-        for (_, to) in &self.edges {
-            *in_degree.get_mut(to).expect("edge endpoints exist") += 1;
-        }
+        let mut pending = vec![0usize; self.next_id as usize];
         // Deterministic: seed queue in insertion order.
-        let mut queue: Vec<OpId> = self.ops.iter().filter(|o| in_degree[&o.id] == 0).map(|o| o.id).collect();
         let mut out = Vec::with_capacity(self.ops.len());
+        for n in &self.ops {
+            pending[n.op.id.0 as usize] = n.ins.len();
+            if n.ins.is_empty() {
+                out.push(n.op.id);
+            }
+        }
         let mut head = 0;
-        while head < queue.len() {
-            let cur = queue[head];
+        while head < out.len() {
+            let cur = out[head];
             head += 1;
-            out.push(cur);
-            for next in self.outputs_of(cur) {
-                let d = in_degree.get_mut(&next).expect("edge endpoints exist");
+            for &next in self.outputs_of(cur) {
+                let d = &mut pending[next.0 as usize];
                 *d -= 1;
                 if *d == 0 {
-                    queue.push(next);
+                    out.push(next);
                 }
             }
         }
@@ -246,7 +339,7 @@ impl Flow {
         let mut out: HashMap<OpId, Schema> = HashMap::with_capacity(order.len());
         for id in order {
             let op = self.op(id);
-            let inputs: Vec<Schema> = self.inputs_of(id).into_iter().map(|i| out[&i].clone()).collect();
+            let inputs: Vec<Schema> = self.inputs_of(id).iter().map(|i| out[i].clone()).collect();
             let schema = op.kind.output_schema(&op.name, &inputs)?;
             out.insert(id, schema);
         }
@@ -257,12 +350,16 @@ impl Flow {
     /// consumed.
     pub fn validate(&self) -> Result<(), FlowError> {
         self.schemas()?;
-        for op in &self.ops {
-            if !op.kind.is_sink() && self.outputs_of(op.id).is_empty() {
-                return Err(FlowError::DanglingOutput(op.name.clone()));
-            }
+        self.check_outputs_consumed()
+    }
+
+    /// The structural half of [`validate`](Self::validate), for callers that
+    /// already propagated schemas: every non-loader output is consumed.
+    pub fn check_outputs_consumed(&self) -> Result<(), FlowError> {
+        match self.ops.iter().find(|n| !n.op.kind.is_sink() && n.outs.is_empty()) {
+            Some(n) => Err(FlowError::DanglingOutput(n.op.name.clone())),
+            None => Ok(()),
         }
-        Ok(())
     }
 
     /// The output schema of one operation (convenience over [`Flow::schemas`]).
@@ -275,7 +372,7 @@ impl Flow {
     /// Stamps a requirement onto every operation (a freshly interpreted
     /// partial flow serves exactly one requirement).
     pub fn stamp_requirement(&mut self, req: &str) {
-        for op in &mut self.ops {
+        for op in self.ops_mut() {
             op.satisfies.insert(req.to_string());
         }
     }
@@ -283,7 +380,7 @@ impl Flow {
     /// The union of requirement IDs across operations.
     pub fn satisfied_requirements(&self) -> ReqSet {
         let mut out = ReqSet::new();
-        for op in &self.ops {
+        for op in self.ops() {
             out.extend(op.satisfies.iter().cloned());
         }
         out
@@ -297,16 +394,23 @@ impl Flow {
     /// anything changed.
     pub fn retract_requirement(&mut self, req: &str) -> bool {
         let mut changed = false;
-        for op in &mut self.ops {
+        for op in self.ops_mut() {
             changed |= op.satisfies.remove(req);
         }
-        let dead: Vec<OpId> = self.ops.iter().filter(|o| o.satisfies.is_empty()).map(|o| o.id).collect();
-        for id in &dead {
-            changed = true;
-            self.edges.retain(|(f, t)| f != id && t != id);
+        // Ascending, like `ops`: membership is a binary search, so the edge
+        // list is filtered in one pass however many operations died.
+        let dead: Vec<OpId> = self.ops().filter(|o| o.satisfies.is_empty()).map(|o| o.id).collect();
+        if dead.is_empty() {
+            return changed;
         }
-        self.ops.retain(|o| !o.satisfies.is_empty());
-        changed
+        let is_dead = |id: &OpId| dead.binary_search(id).is_ok();
+        self.edges.retain(|(f, t)| !is_dead(f) && !is_dead(t));
+        self.ops.retain(|n| !n.op.satisfies.is_empty());
+        for n in &mut self.ops {
+            n.ins.retain(|i| !is_dead(i));
+            n.outs.retain(|o| !is_dead(o));
+        }
+        true
     }
 
     /// Removes a unary operation and bridges its input to its consumers
@@ -314,42 +418,182 @@ impl Flow {
     pub fn remove_bridging(&mut self, id: OpId) {
         let inputs = self.inputs_of(id);
         assert!(inputs.len() <= 1, "remove_bridging only handles unary or source ops");
-        match inputs.first() {
-            Some(&input) => {
-                // Rewrite outgoing edges in place so consumers keep their
-                // positional input order (left/right of joins).
-                self.edges.retain(|&(_, t)| t != id);
-                for edge in &mut self.edges {
-                    if edge.0 == id {
-                        edge.0 = input;
-                    }
-                }
-            }
-            None => self.edges.retain(|&(f, t)| f != id && t != id),
-        }
-        self.ops.retain(|o| o.id != id);
-    }
-
-    /// Replaces the edge list wholesale. Crate-internal: the rule engine
-    /// guarantees endpoint validity.
-    pub(crate) fn set_edges(&mut self, edges: Vec<(OpId, OpId)>) {
-        self.edges = edges;
-    }
-
-    /// Removes an operation entry without touching edges. Crate-internal:
-    /// the rule engine rewires edges first.
-    pub(crate) fn remove_op_entry(&mut self, id: OpId) {
-        self.ops.retain(|o| o.id != id);
+        let input = inputs.first().copied();
+        self.detach(id, input);
+        self.remove_op_entry(id);
     }
 
     /// Renames an operation, keeping names unique.
     pub fn rename_op(&mut self, id: OpId, name: impl Into<String>) -> Result<(), FlowError> {
         let name = name.into();
-        if self.ops.iter().any(|o| o.name == name && o.id != id) {
+        if self.ops().any(|o| o.name == name && o.id != id) {
             return Err(FlowError::DuplicateName(name));
         }
+        debug_assert!(self.journal.is_none(), "renames are not journaled");
         self.op_mut(id).name = name;
         Ok(())
+    }
+
+    // ---- journaled edit primitives (the rule and rewrite engines) -------------
+
+    fn log(&mut self, edit: Edit) {
+        if let Some(journal) = &mut self.journal {
+            journal.push(edit);
+        }
+    }
+
+    /// Starts recording every structural edit until
+    /// [`take_journal`](Self::take_journal).
+    pub(crate) fn begin_journal(&mut self) {
+        debug_assert!(self.journal.is_none(), "journals do not nest");
+        self.journal = Some(Vec::new());
+    }
+
+    /// Stops recording and returns the edits since
+    /// [`begin_journal`](Self::begin_journal), oldest first.
+    pub(crate) fn take_journal(&mut self) -> Vec<Edit> {
+        self.journal.take().expect("a journal is open")
+    }
+
+    /// Undoes a journal: replays its inverse edits newest first, leaving the
+    /// flow exactly as it was when the journal was opened.
+    pub(crate) fn revert(&mut self, journal: Vec<Edit>) {
+        debug_assert!(self.journal.is_none(), "reverting is not itself journaled");
+        for edit in journal.into_iter().rev() {
+            match edit {
+                Edit::OpAdded { id } => {
+                    let node = self.ops.pop().expect("the added operation is still there");
+                    debug_assert!(node.op.id == id && node.ins.is_empty() && node.outs.is_empty());
+                    self.next_id = id.0;
+                }
+                Edit::OpRemoved { pos, op } => self.ops.insert(pos, Node { op, ins: Vec::new(), outs: Vec::new() }),
+                Edit::Kind { id, old } => self.op_mut(id).kind = old,
+                Edit::Op { old } => {
+                    let id = old.id;
+                    *self.op_mut(id) = old;
+                }
+                Edit::EdgeInserted { pos, .. } => {
+                    self.remove_edge(pos);
+                }
+                Edit::EdgeRemoved { pos, edge } => self.insert_edge(pos, edge),
+                Edit::EdgeSet { pos, old, .. } => self.set_edge(pos, old),
+            }
+        }
+    }
+
+    /// The ordinal of `edges[pos]` among its source's out-edges and among its
+    /// target's in-edges: how many earlier edges share the endpoint. `others`
+    /// is how many *other* out-edges the source and in-edges the target have;
+    /// the edge list is only scanned when the answer is not plain from that.
+    fn ordinals(&self, pos: usize, others: (usize, usize)) -> (usize, usize) {
+        if pos + 1 == self.edges.len() {
+            // The last edge overall comes after all the others.
+            return others;
+        }
+        if others == (0, 0) {
+            return (0, 0);
+        }
+        let (f, t) = self.edges[pos];
+        self.edges[..pos]
+            .iter()
+            .fold((0, 0), |(out, inp), e| (out + usize::from(e.0 == f), inp + usize::from(e.1 == t)))
+    }
+
+    /// Enters `edges[pos]` into the adjacency index.
+    fn link(&mut self, pos: usize) {
+        let (f, t) = self.edges[pos];
+        let (out, inp) = self.ordinals(pos, (self.outputs_of(f).len(), self.inputs_of(t).len()));
+        self.node_mut(f).outs.insert(out, t);
+        self.node_mut(t).ins.insert(inp, f);
+    }
+
+    /// Takes `edges[pos]` out of the adjacency index.
+    fn unlink(&mut self, pos: usize) {
+        let (f, t) = self.edges[pos];
+        let (out, inp) = self.ordinals(pos, (self.outputs_of(f).len() - 1, self.inputs_of(t).len() - 1));
+        self.node_mut(f).outs.remove(out);
+        self.node_mut(t).ins.remove(inp);
+    }
+
+    /// Inserts `edge` at position `pos` of the edge list.
+    pub(crate) fn insert_edge(&mut self, pos: usize, edge: (OpId, OpId)) {
+        self.edges.insert(pos, edge);
+        self.link(pos);
+        self.log(Edit::EdgeInserted { pos, edge });
+    }
+
+    /// Removes the edge at position `pos` of the edge list.
+    pub(crate) fn remove_edge(&mut self, pos: usize) -> (OpId, OpId) {
+        self.unlink(pos);
+        let edge = self.edges.remove(pos);
+        self.log(Edit::EdgeRemoved { pos, edge });
+        edge
+    }
+
+    /// Rewires the edge at position `pos` in place.
+    pub(crate) fn set_edge(&mut self, pos: usize, new: (OpId, OpId)) {
+        let old = self.edges[pos];
+        if old == new {
+            return;
+        }
+        self.unlink(pos);
+        self.edges[pos] = new;
+        self.link(pos);
+        self.log(Edit::EdgeSet { pos, old, new });
+    }
+
+    /// Takes `id` out of the graph without removing its entry: its input
+    /// edges are dropped, its output edges are re-pointed to `heir` in place
+    /// (so consumers keep their positional input order — left/right of
+    /// joins) or dropped when there is no heir.
+    pub(crate) fn detach(&mut self, id: OpId, heir: Option<OpId>) {
+        let node = self.node(id);
+        let mut left = node.ins.len() + node.outs.len();
+        let mut pos = 0;
+        while left > 0 && pos < self.edges.len() {
+            let (f, t) = self.edges[pos];
+            left -= usize::from(f == id) + usize::from(t == id);
+            match heir {
+                Some(heir) if f == id && t != id => {
+                    self.set_edge(pos, (heir, t));
+                    pos += 1;
+                }
+                _ if f == id || t == id => {
+                    self.remove_edge(pos);
+                }
+                _ => pos += 1,
+            }
+        }
+    }
+
+    /// Position of the first edge `from → to` (parallel copies exist when
+    /// both inputs of a binary operation are the same op).
+    pub(crate) fn edge_pos(&self, from: OpId, to: OpId) -> Option<usize> {
+        self.edges.iter().position(|e| *e == (from, to))
+    }
+
+    /// Replaces an operation's kind.
+    pub(crate) fn set_kind(&mut self, id: OpId, kind: OpKind) {
+        let old = std::mem::replace(&mut self.op_mut(id).kind, kind);
+        self.log(Edit::Kind { id, old });
+    }
+
+    /// [`op_mut`](Self::op_mut) that first snapshots the operation into an
+    /// open journal.
+    pub(crate) fn op_mut_journaled(&mut self, id: OpId) -> &mut Operation {
+        if self.journal.is_some() {
+            let old = self.op(id).clone();
+            self.log(Edit::Op { old });
+        }
+        self.op_mut(id)
+    }
+
+    /// Removes an operation entry; its edges must already be gone or rewired.
+    pub(crate) fn remove_op_entry(&mut self, id: OpId) {
+        let pos = self.pos(id).expect("operation id belongs to this flow");
+        let node = self.ops.remove(pos);
+        debug_assert!(node.ins.is_empty() && node.outs.is_empty(), "edges are rewired before the entry goes");
+        self.log(Edit::OpRemoved { pos, op: node.op });
     }
 }
 
@@ -573,5 +817,99 @@ mod tests {
         assert!(f.rename_op(sel, "DATASTORE_Orders").is_err());
         f.rename_op(sel, "SEL_renamed").unwrap();
         assert!(f.op_by_name("SEL_renamed").is_some());
+    }
+
+    /// The adjacency index against its definition: a scan of the edge list.
+    fn assert_index_exact(f: &Flow) {
+        for op in f.ops() {
+            let ins: Vec<OpId> = f.edges().iter().filter(|(_, t)| *t == op.id).map(|(from, _)| *from).collect();
+            let outs: Vec<OpId> = f.edges().iter().filter(|(from, _)| *from == op.id).map(|(_, t)| *t).collect();
+            assert_eq!(f.inputs_of(op.id), ins, "inputs of {} in edge order", op.name);
+            assert_eq!(f.outputs_of(op.id), outs, "outputs of {} in edge order", op.name);
+        }
+        assert!(f.edges().iter().all(|(from, t)| f.contains(*from) && f.contains(*t)), "no dangling edge");
+    }
+
+    #[test]
+    fn adjacency_index_survives_every_mutator_and_reverts_exactly() {
+        let mut rng = 0x2545_f491_4f6c_dd1du64;
+        let mut pick = move |n: usize| {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            (rng % n as u64) as usize
+        };
+        for round in 0..40 {
+            // A layered random DAG; kinds do not matter to the index.
+            let mut f = Flow::new("idx");
+            let mut ids = Vec::new();
+            for i in 0..12 {
+                let id = f.add_op(format!("OP{i}"), OpKind::Distinct).unwrap();
+                f.op_mut(id).satisfies.insert(format!("IR{}", i % 3));
+                for _ in 0..pick(3).min(ids.len()) {
+                    let _ = f.connect(ids[pick(ids.len())], id);
+                }
+                ids.push(id);
+            }
+            assert_index_exact(&f);
+            for step in 0..60 {
+                let live: Vec<OpId> = f.ops().map(|o| o.id).collect();
+                if live.is_empty() {
+                    break;
+                }
+                let before = f.clone();
+                f.begin_journal();
+                let some_op = live[pick(live.len())];
+                match pick(8) {
+                    0 => {
+                        let id = f.add_op(format!("NEW{round}_{step}"), OpKind::Union).unwrap();
+                        let _ = f.connect(some_op, id);
+                    }
+                    1 if f.inputs_of(some_op).len() <= 1 => f.remove_bridging(some_op),
+                    2 if f.edge_count() > 0 => {
+                        f.remove_edge(pick(f.edge_count()));
+                    }
+                    3 if f.edge_count() > 0 => {
+                        let (from, to) = f.edges()[pick(f.edge_count())];
+                        let id = f.add_op(format!("MID{round}_{step}"), OpKind::Distinct).unwrap();
+                        crate::rules::splice_on_edge(&mut f, id, from, to);
+                    }
+                    // Edges only ever point from a lower to a higher id, so
+                    // the graph stays a DAG; parallel edges are welcome.
+                    4 if f.edge_count() > 0 => {
+                        let pos = pick(f.edge_count());
+                        let to = f.edges()[pos].1;
+                        if some_op < to {
+                            f.set_edge(pos, (some_op, to));
+                        }
+                    }
+                    5 => {
+                        let other = live[pick(live.len())];
+                        if some_op < other {
+                            f.insert_edge(pick(f.edge_count() + 1), (some_op, other));
+                        }
+                    }
+                    6 => {
+                        let heir = live[pick(live.len())];
+                        f.detach(some_op, (heir < some_op).then_some(heir));
+                    }
+                    7 => {
+                        crate::rules::dedupe(&mut f);
+                    }
+                    _ => {}
+                }
+                assert_index_exact(&f);
+                let journal = f.take_journal();
+                if pick(2) == 0 {
+                    f.revert(journal);
+                    assert_index_exact(&f);
+                    assert_eq!(f, before, "revert restores op order, edge order and next_id");
+                    assert_eq!(f.next_id, before.next_id);
+                }
+            }
+            // The one bulk mutator is not journaled.
+            f.retract_requirement(&format!("IR{}", round % 3));
+            assert_index_exact(&f);
+        }
     }
 }

@@ -1,13 +1,13 @@
 //! The optimizer's rewrite-move engine: semantically-equivalent flow
 //! transformations with incremental cost maintenance.
 //!
-//! A [`RewriteState`] owns a flow together with its cardinality, schema and
-//! per-operation cost maps. Applying a [`Move`] mutates the flow, replays the
-//! cardinality/schema transfer functions over exactly the operations the move
-//! touched (propagation stops as soon as values settle), and returns the cost
-//! delta plus an undo record — so a simulated-annealing chain evaluates a
-//! move in O(touched ops) of transfer-function work rather than re-walking
-//! the whole flow, and rejecting a move is a cheap restore.
+//! A [`RewriteState`] owns a flow together with its schema, cardinality,
+//! per-operation cost and live-column maps. Applying a [`Move`] edits the flow
+//! under an edit journal, replays the transfer functions over exactly the
+//! operations the journal says the move touched (propagation stops as soon as
+//! values settle), and returns the cost delta plus an undo record — so a
+//! simulated-annealing chain evaluates a move in O(touched ops) however large
+//! the flow is, and rejecting a move replays the journal backwards.
 //!
 //! Every move preserves *bit-identical execution output*, not just relational
 //! equivalence: the engine's operators are order-deterministic, and
@@ -40,11 +40,11 @@
 //! is rolled back and reported as an error, never committed.
 
 use crate::cost::{cardinality_state, op_cardinality, CardState, EstimatedTime, EtlCostModel, SourceStats};
-use crate::flow::{Flow, FlowError, OpId};
-use crate::ops::OpKind;
+use crate::flow::{Edit, Flow, FlowError, OpId, Operation};
+use crate::ops::{JoinKind, OpKind};
 use crate::rules;
 use crate::schema::Schema;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeSet, BinaryHeap, HashMap, VecDeque};
 use std::fmt;
 
 /// One candidate rewrite of a flow.
@@ -108,25 +108,66 @@ impl From<FlowError> for RewriteError {
 
 type ObsRecord = (Option<f64>, Option<(f64, f64)>);
 
-/// Everything needed to restore the state a successful [`RewriteState::apply`]
-/// mutated. Map entries are recorded per-touched-entry; the flow itself is
-/// snapshotted (a flat clone — the expensive part of a move is the transfer
-/// functions, which stay incremental).
+/// The entries one [`RewriteState::apply`] displaced in a maintained map,
+/// oldest first (`None`: the entry did not exist).
+type Displaced<T> = Vec<(OpId, Option<T>)>;
+
+/// Writes (`Some`) or drops (`None`) one map entry, remembering what it
+/// displaced.
+fn put<T>(map: &mut HashMap<OpId, T>, log: &mut Displaced<T>, id: OpId, value: Option<T>) {
+    let old = match value {
+        Some(v) => map.insert(id, v),
+        None => map.remove(&id),
+    };
+    log.push((id, old));
+}
+
+/// Puts displaced entries back, newest first.
+fn restore<T>(map: &mut HashMap<OpId, T>, log: Displaced<T>) {
+    for (id, old) in log.into_iter().rev() {
+        match old {
+            Some(v) => map.insert(id, v),
+            None => map.remove(&id),
+        };
+    }
+}
+
+/// Everything needed to take back one successful [`RewriteState::apply`]: the
+/// flow's edit journal (edges rewired, kinds replaced, operations inserted
+/// and removed — replayed backwards it restores the exact prior flow, op
+/// order, edge order and ids included), the observations the move dropped or
+/// planted, and per maintained map the entries it displaced. Nothing in it is
+/// proportional to the flow; it is as large as what the move touched.
 pub struct Applied {
     /// Cost change of the move (negative = improvement). Bitwise-consistent
     /// with a full re-cost of the new flow.
     pub delta: f64,
-    flow: Flow,
+    journal: Vec<Edit>,
     cost: f64,
     obs_restore: Vec<(String, ObsRecord)>,
     obs_added: Vec<String>,
-    schemas: Vec<(OpId, Option<Schema>)>,
-    cards: Vec<(OpId, Option<CardState>)>,
-    costs: Vec<(OpId, Option<f64>)>,
+    schemas: Displaced<Schema>,
+    cards: Displaced<CardState>,
+    costs: Displaced<f64>,
+    live: Displaced<BTreeSet<String>>,
+    ranks: Displaced<u64>,
 }
 
-/// A flow under optimization: the flow plus incrementally-maintained
-/// cardinality, schema and per-operation cost maps.
+/// Spacing of the initial topological ranks: room for ~20 rounds of placing
+/// an operation halfway between its neighbours before any rank has to move.
+const RANK_GAP: u64 = 1 << 20;
+
+/// A flow under optimization, with everything a move's legality and cost
+/// depend on maintained beside it: per operation its output schema,
+/// cardinality state, modeled cost, live output columns ([`live_columns`])
+/// and a topological rank (`rank[from] < rank[to]` on every edge), plus the
+/// total cost. [`apply`](Self::apply) repairs each of them for the operations
+/// a move reaches — schemas, cardinalities and ranks downstream of the
+/// rewired edges, liveness upstream — in rank order, stopping where values
+/// settle, so a proposal costs what it touches however large the flow is.
+/// [`RewriteState::new`] on the same flow and statistics rebuilds identical
+/// maps from scratch; that equality is what the maintenance is tested
+/// against.
 #[derive(Clone)]
 pub struct RewriteState {
     flow: Flow,
@@ -135,7 +176,39 @@ pub struct RewriteState {
     schemas: HashMap<OpId, Schema>,
     cards: HashMap<OpId, CardState>,
     op_costs: HashMap<OpId, f64>,
+    live: HashMap<OpId, BTreeSet<String>>,
+    ranks: HashMap<OpId, u64>,
     cost: f64,
+}
+
+/// Visits `seeds` and every operation a change reaches from them, each once
+/// and only after everything it depends on: a downstream sweep pops the
+/// lowest rank first and follows consumers, an upstream sweep the highest and
+/// follows inputs. `visit` reports whether the operation's value changed;
+/// only then are its neighbours in sweep direction visited.
+fn sweep(
+    flow: &Flow,
+    ranks: &HashMap<OpId, u64>,
+    seeds: impl IntoIterator<Item = OpId>,
+    downstream: bool,
+    mut visit: impl FnMut(OpId) -> Result<bool, FlowError>,
+) -> Result<(), FlowError> {
+    let key = |id: OpId| (if downstream { u64::MAX - ranks[&id] } else { ranks[&id] }, id);
+    let mut heap: BinaryHeap<(u64, OpId)> = seeds.into_iter().map(key).collect();
+    let mut last = None;
+    while let Some((_, id)) = heap.pop() {
+        // An operation is queued once per changed neighbour, all of them
+        // before its turn, so its duplicates pop back to back.
+        if last == Some(id) {
+            continue;
+        }
+        last = Some(id);
+        if visit(id)? {
+            let next = if downstream { flow.outputs_of(id) } else { flow.inputs_of(id) };
+            heap.extend(next.iter().map(|&n| key(n)));
+        }
+    }
+    Ok(())
 }
 
 impl RewriteState {
@@ -155,7 +228,9 @@ impl RewriteState {
             op_costs.insert(op.id, c);
             cost += c;
         }
-        Ok(RewriteState { flow, stats, model, schemas, cards, op_costs, cost })
+        let live = live_columns(&flow, &schemas);
+        let ranks = flow.topo_order()?.into_iter().zip((1..).map(|i| i * RANK_GAP)).collect();
+        Ok(RewriteState { flow, stats, model, schemas, cards, op_costs, live, ranks, cost })
     }
 
     pub fn flow(&self) -> &Flow {
@@ -171,6 +246,11 @@ impl RewriteState {
         self.cost
     }
 
+    /// Output schema per operation (maintained incrementally).
+    pub fn schemas(&self) -> &HashMap<OpId, Schema> {
+        &self.schemas
+    }
+
     pub fn into_parts(self) -> (Flow, SourceStats) {
         (self.flow, self.stats)
     }
@@ -181,9 +261,57 @@ impl RewriteState {
         self.model.cost(&self.flow, &self.stats)
     }
 
+    /// Rebuilds the state from scratch ([`RewriteState::new`] on a copy of
+    /// the flow and statistics) and compares everything maintained against
+    /// it: schemas, cardinalities, per-operation costs and live columns
+    /// exactly, the running total within rounding (it is a sum of deltas),
+    /// and the ranks against the edges. `Err` names the first difference —
+    /// the oracle the incremental maintenance is tested against.
+    pub fn audit(&self) -> Result<(), String> {
+        fn same<T: PartialEq + fmt::Debug>(
+            what: &str,
+            op: &str,
+            have: Option<T>,
+            rebuilt: Option<T>,
+        ) -> Result<(), String> {
+            if have == rebuilt {
+                Ok(())
+            } else {
+                Err(format!("{what} of {op}: {have:?}, rebuilt {rebuilt:?}"))
+            }
+        }
+        let fresh = RewriteState::new(self.flow.clone(), self.stats.clone(), self.model).map_err(|e| e.to_string())?;
+        let bits = |c: &CardState| (c.0.to_bits(), c.1.to_bits());
+        for op in self.flow.ops() {
+            let (id, name) = (&op.id, op.name.as_str());
+            same("schema", name, self.schemas.get(id), fresh.schemas.get(id))?;
+            same("cardinality bits", name, self.cards.get(id).map(bits), fresh.cards.get(id).map(bits))?;
+            same(
+                "cost",
+                name,
+                self.op_costs.get(id).map(|c| c.to_bits()),
+                fresh.op_costs.get(id).map(|c| c.to_bits()),
+            )?;
+            same("live columns", name, self.live.get(id), fresh.live.get(id))?;
+        }
+        let entries = [self.schemas.len(), self.cards.len(), self.op_costs.len(), self.live.len(), self.ranks.len()];
+        if entries != [self.flow.op_count(); 5] {
+            return Err(format!("map sizes {entries:?} for {} operations", self.flow.op_count()));
+        }
+        if (self.cost - fresh.cost).abs() > 1e-9 * fresh.cost.abs().max(1.0) {
+            return Err(format!("total cost {}, rebuilt {}", self.cost, fresh.cost));
+        }
+        match self.flow.edges().iter().find(|(f, t)| self.ranks[f] >= self.ranks[t]) {
+            Some((f, t)) => {
+                Err(format!("rank of {} is not below its consumer {}", self.flow.op(*f).name, self.flow.op(*t).name))
+            }
+            None => Ok(()),
+        }
+    }
+
     /// A human-readable label for a move (uses current op names).
     pub fn describe(&self, mv: &Move) -> String {
-        let name = |id: OpId| self.flow.ops().find(|o| o.id == id).map(|o| o.name.as_str()).unwrap_or("?").to_string();
+        let name = |id: OpId| if self.flow.contains(id) { self.flow.op(id).name.as_str() } else { "?" };
         match mv {
             Move::PushSelection { sel } => format!("push-selection({})", name(*sel)),
             Move::HoistSelection { sel } => format!("hoist-selection({})", name(*sel)),
@@ -200,6 +328,7 @@ impl RewriteState {
     /// legality runs at [`apply`](Self::apply) time; an annealing chain
     /// samples from this list and treats `Illegal` as a skipped proposal.
     pub fn candidate_moves(&self) -> Vec<Move> {
+        let is_inner_join = |id: OpId| matches!(self.flow.op(id).kind, OpKind::Join { kind: JoinKind::Inner, .. });
         let mut out = Vec::new();
         for op in self.flow.ops() {
             match &op.kind {
@@ -207,20 +336,13 @@ impl RewriteState {
                     out.push(Move::PushSelection { sel: op.id });
                     out.push(Move::HoistSelection { sel: op.id });
                 }
-                OpKind::Join { kind: crate::ops::JoinKind::Inner, .. } => {
-                    let inputs = self.flow.inputs_of(op.id);
-                    if inputs.len() == 2 {
-                        if matches!(
-                            self.flow.op(inputs[0]).kind,
-                            OpKind::Join { kind: crate::ops::JoinKind::Inner, .. }
-                        ) {
+                OpKind::Join { kind: JoinKind::Inner, .. } => {
+                    if let [left, right] = *self.flow.inputs_of(op.id) {
+                        if is_inner_join(left) {
                             out.push(Move::SwapJoins { upper: op.id });
                             out.push(Move::AssocJoins { upper: op.id });
                         }
-                        if matches!(
-                            self.flow.op(inputs[1]).kind,
-                            OpKind::Join { kind: crate::ops::JoinKind::Inner, .. }
-                        ) {
+                        if is_inner_join(right) {
                             out.push(Move::UnassocJoins { upper: op.id });
                         }
                     }
@@ -231,14 +353,7 @@ impl RewriteState {
         }
         if self.model.weights.per_column != 0.0 {
             for &(f, t) in self.flow.edges() {
-                if matches!(
-                    self.flow.op(t).kind,
-                    OpKind::Join { .. }
-                        | OpKind::Selection { .. }
-                        | OpKind::Sort { .. }
-                        | OpKind::Derivation { .. }
-                        | OpKind::SurrogateKey { .. }
-                ) {
+                if benefits_from_pruning(&self.flow.op(t).kind) {
                     out.push(Move::PruneColumns { from: f, to: t });
                 }
             }
@@ -247,49 +362,94 @@ impl RewriteState {
         out
     }
 
-    fn exists(&self, id: OpId) -> bool {
-        self.flow.ops().any(|o| o.id == id)
-    }
-
     /// Applies a move. On success the maps and cost are updated and an
     /// [`Applied`] record is returned for [`undo`](Self::undo); on failure
     /// the state is left exactly as it was.
+    ///
+    /// Cost per proposal: the structural edit (a handful of edge-list edits,
+    /// each one scan of the flat edge array for the edge's position), then
+    /// one transfer-function call per operation whose inputs, schema or
+    /// cardinality actually changed. Swaps, re-associations, hoists and
+    /// pushes touch the 2–4 operations around the rewired edges and whatever
+    /// their changed schema reaches before a projection or aggregation
+    /// absorbs it; a prune or projection removal the same from one edge;
+    /// [`Move::MergeDuplicates`] is one hashing pass over the flow and, when
+    /// it merges, treats every operation as touched.
     pub fn apply(&mut self, mv: &Move) -> Result<Applied, RewriteError> {
         self.precheck(mv)?;
-        let flow_before = self.flow.clone();
-        let cost_before = self.cost;
-
-        let extra_dirty = match self.apply_structural(mv) {
-            Ok(d) => d,
-            Err(e) => {
-                self.flow = flow_before;
-                return Err(e);
-            }
-        };
-
-        // ---- diff: which operations did the move structurally touch? ----
-        let before_ids: BTreeSet<OpId> = flow_before.ops().map(|o| o.id).collect();
-        let after_ids: BTreeSet<OpId> = self.flow.ops().map(|o| o.id).collect();
-        let removed: Vec<OpId> = before_ids.difference(&after_ids).copied().collect();
-        let in_before = input_map(&flow_before);
-        let in_after = input_map(&self.flow);
-        let mut dirty: BTreeSet<OpId> = extra_dirty.into_iter().filter(|id| after_ids.contains(id)).collect();
-        for &id in &after_ids {
-            if !before_ids.contains(&id) || in_before.get(&id) != in_after.get(&id) {
-                dirty.insert(id);
-            }
+        self.flow.begin_journal();
+        let moved = self.apply_structural(mv);
+        let journal = self.flow.take_journal();
+        if let Err(e) = moved {
+            self.flow.revert(journal);
+            return Err(e);
         }
-
         let mut undo = Applied {
             delta: 0.0,
-            flow: flow_before,
-            cost: cost_before,
+            journal,
+            cost: self.cost,
             obs_restore: Vec::new(),
             obs_added: Vec::new(),
             schemas: Vec::new(),
             cards: Vec::new(),
             costs: Vec::new(),
+            live: Vec::new(),
+            ranks: Vec::new(),
         };
+        match self.repair(mv, &mut undo) {
+            Ok(delta) => {
+                self.cost += delta;
+                undo.delta = delta;
+                Ok(undo)
+            }
+            // The mutated flow failed deep validation: roll everything back.
+            Err(e) => {
+                self.undo(undo);
+                Err(RewriteError::Flow(e))
+            }
+        }
+    }
+
+    /// Brings the maintained maps in line with the flow `undo.journal` just
+    /// edited, logging every displaced entry into `undo`. Returns the cost
+    /// delta; on `Err` the caller undoes whatever was already repaired.
+    fn repair(&mut self, mv: &Move, undo: &mut Applied) -> Result<f64, FlowError> {
+        // ---- the journal names what the move structurally touched: new
+        // operations and operations whose kind or input list changed
+        // (`dirty`), and operations whose consumers changed (`fed`, where
+        // the liveness repair starts) ----
+        let mut dirty: BTreeSet<OpId> = BTreeSet::new();
+        let mut fed: Vec<OpId> = Vec::new();
+        let mut rekinded: Vec<OpId> = Vec::new();
+        let mut added: Vec<OpId> = Vec::new();
+        let mut removed: Vec<OpId> = Vec::new();
+        for edit in &undo.journal {
+            match edit {
+                Edit::OpAdded { id } => added.push(*id),
+                Edit::OpRemoved { op, .. } => removed.push(op.id),
+                Edit::Kind { id, .. } | Edit::Op { old: Operation { id, .. } } => rekinded.push(*id),
+                Edit::EdgeInserted { edge, .. } | Edit::EdgeRemoved { edge, .. } => {
+                    fed.push(edge.0);
+                    dirty.insert(edge.1);
+                }
+                Edit::EdgeSet { old, new, .. } => {
+                    fed.extend([old.0, new.0]);
+                    dirty.extend([old.1, new.1]);
+                }
+            }
+        }
+        // What a consumer needs from its inputs depends on its kind.
+        rekinded.retain(|id| self.flow.contains(*id));
+        fed.extend(rekinded.iter().flat_map(|id| self.flow.inputs_of(*id)));
+        fed.retain(|id| self.flow.contains(*id));
+        dirty.extend(rekinded);
+        dirty.extend(added.iter().copied());
+        if matches!(mv, Move::MergeDuplicates) {
+            // A dedupe pass re-costs the whole flow as touched.
+            dirty.extend(self.flow.ops().map(|o| o.id));
+        }
+        dirty.retain(|id| self.flow.contains(*id));
+        removed.sort_unstable();
 
         // ---- observations: absolutes recorded at the old position no longer
         // describe a structurally-touched op; selections keep their
@@ -306,23 +466,19 @@ impl RewriteState {
         // A selection replicated into union branches inherits the original's
         // observed ratio (per-branch selectivity under independence).
         if let Move::PushSelection { sel } = mv {
-            if !after_ids.contains(sel) {
-                if let Some(orig) = undo.flow.ops().find(|o| o.id == *sel) {
-                    if let (OpKind::Selection { predicate }, Some(ratio)) =
-                        (&orig.kind, self.stats.observed_selectivity(&orig.name))
-                    {
-                        let copies: Vec<String> = self
-                            .flow
-                            .ops()
-                            .filter(|o| {
-                                !before_ids.contains(&o.id)
-                                    && matches!(&o.kind, OpKind::Selection { predicate: p } if p == predicate)
-                            })
-                            .map(|o| o.name.clone())
-                            .collect();
-                        for name in copies {
-                            self.stats.put_observation(&name, (None, Some((1.0, ratio))));
-                            undo.obs_added.push(name);
+            let replaced = undo.journal.iter().find_map(|e| match e {
+                Edit::OpRemoved { op, .. } if op.id == *sel => Some(op),
+                _ => None,
+            });
+            if let Some(orig) = replaced {
+                if let (OpKind::Selection { predicate }, Some(ratio)) =
+                    (&orig.kind, self.stats.observed_selectivity(&orig.name))
+                {
+                    for &id in &added {
+                        let copy = self.flow.op(id);
+                        if matches!(&copy.kind, OpKind::Selection { predicate: p } if p == predicate) {
+                            self.stats.put_observation(&copy.name, (None, Some((1.0, ratio))));
+                            undo.obs_added.push(copy.name.clone());
                         }
                     }
                 }
@@ -332,95 +488,124 @@ impl RewriteState {
         // ---- drop map entries of removed ops ----
         let mut removed_cost = 0.0;
         for &id in &removed {
-            if let Some(s) = self.schemas.remove(&id) {
-                undo.schemas.push((id, Some(s)));
-            }
-            if let Some(c) = self.cards.remove(&id) {
-                undo.cards.push((id, Some(c)));
-            }
-            if let Some(c) = self.op_costs.remove(&id) {
-                undo.costs.push((id, Some(c)));
-                removed_cost += c;
-            }
+            removed_cost += self.op_costs.get(&id).copied().unwrap_or(0.0);
+            put(&mut self.schemas, &mut undo.schemas, id, None);
+            put(&mut self.cards, &mut undo.cards, id, None);
+            put(&mut self.op_costs, &mut undo.costs, id, None);
+            put(&mut self.live, &mut undo.live, id, None);
+            put(&mut self.ranks, &mut undo.ranks, id, None);
         }
 
+        self.repair_ranks(&dirty, &mut undo.ranks)?;
+        let (flow, ranks, stats) = (&self.flow, &self.ranks, &self.stats);
+
         // ---- schema propagation over the touched region (deep validity) ----
-        let order = match self.flow.topo_order() {
-            Ok(o) => o,
-            Err(e) => {
-                self.undo(undo);
-                return Err(RewriteError::Flow(e));
-            }
-        };
         let mut schema_changed: BTreeSet<OpId> = BTreeSet::new();
-        for &id in &order {
-            let inputs = self.flow.inputs_of(id);
-            if !dirty.contains(&id) && !inputs.iter().any(|i| schema_changed.contains(i)) {
-                continue;
+        let schemas = &mut self.schemas;
+        sweep(flow, ranks, dirty.iter().copied(), true, |id| {
+            let in_schemas: Vec<Schema> = flow.inputs_of(id).iter().map(|i| schemas[i].clone()).collect();
+            let op = flow.op(id);
+            let new = op.kind.output_schema(&op.name, &in_schemas)?;
+            if schemas.get(&id) == Some(&new) {
+                return Ok(false);
             }
-            let in_schemas: Vec<Schema> = inputs.iter().map(|i| self.schemas[i].clone()).collect();
-            let op = self.flow.op(id);
-            match op.kind.output_schema(&op.name, &in_schemas) {
-                Ok(new) => {
-                    if self.schemas.get(&id) != Some(&new) {
-                        undo.schemas.push((id, self.schemas.insert(id, new)));
-                        schema_changed.insert(id);
-                    }
-                }
-                Err(e) => {
-                    self.undo(undo);
-                    return Err(RewriteError::Flow(e));
-                }
-            }
-        }
+            put(schemas, &mut undo.schemas, id, Some(new));
+            schema_changed.insert(id);
+            Ok(true)
+        })?;
+        let schemas = &self.schemas;
 
         // ---- cardinality propagation, stopping where values settle ----
         let mut card_changed: BTreeSet<OpId> = BTreeSet::new();
-        for &id in &order {
-            let inputs = self.flow.inputs_of(id);
-            if !dirty.contains(&id) && !inputs.iter().any(|i| card_changed.contains(i)) {
-                continue;
-            }
-            let in_cards: Vec<CardState> = inputs.iter().map(|i| self.cards[i]).collect();
-            let op = self.flow.op(id);
-            let new = op_cardinality(&op.kind, &op.name, &in_cards, &self.stats);
-            let old = self.cards.get(&id).copied();
-            let same = old.is_some_and(|o| o.0.to_bits() == new.0.to_bits() && o.1.to_bits() == new.1.to_bits());
+        let cards = &mut self.cards;
+        sweep(flow, ranks, dirty.iter().copied(), true, |id| {
+            let in_cards: Vec<CardState> = flow.inputs_of(id).iter().map(|i| cards[i]).collect();
+            let op = flow.op(id);
+            let new = op_cardinality(&op.kind, &op.name, &in_cards, stats);
+            let same =
+                cards.get(&id).is_some_and(|o| o.0.to_bits() == new.0.to_bits() && o.1.to_bits() == new.1.to_bits());
             if !same {
-                undo.cards.push((id, self.cards.insert(id, new)));
+                put(cards, &mut undo.cards, id, Some(new));
                 card_changed.insert(id);
             }
-        }
+            Ok(!same)
+        })?;
+        let cards = &self.cards;
+
+        // ---- liveness: an operation's live columns follow from its own
+        // schema and its consumers' kinds and live columns, so the repair
+        // runs upstream from wherever one of those changed ----
+        let live = &mut self.live;
+        let seeds = fed.iter().chain(&schema_changed).copied();
+        sweep(flow, ranks, seeds, false, |id| {
+            let new = live_of(flow, schemas, live, id);
+            let same = live.get(&id) == Some(&new);
+            if !same {
+                put(live, &mut undo.live, id, Some(new));
+            }
+            Ok(!same)
+        })?;
 
         // ---- incremental re-cost: touched ops, plus any op whose inputs'
-        // cardinalities moved ----
+        // cardinalities moved. Ascending id order fixes the rounding of the
+        // float sum. ----
         let mut recost: BTreeSet<OpId> = dirty;
         recost.extend(schema_changed.iter().copied());
         for &id in &card_changed {
             recost.insert(id);
-            recost.extend(self.flow.outputs_of(id));
+            recost.extend(flow.outputs_of(id));
         }
         let use_width = self.model.weights.per_column != 0.0;
         let mut delta = -removed_cost;
         for &id in &recost {
-            let input_rows: Vec<f64> = self.flow.inputs_of(id).iter().map(|i| self.cards[i].0).collect();
-            let out_cols = if use_width { self.schemas[&id].len() } else { 0 };
-            let op = self.flow.op(id);
-            let new_cost = self.model.op_cost(&op.kind, &input_rows, self.cards[&id].0, out_cols);
-            let old = self.op_costs.insert(id, new_cost);
+            let input_rows: Vec<f64> = flow.inputs_of(id).iter().map(|i| cards[i].0).collect();
+            let out_cols = if use_width { schemas[&id].len() } else { 0 };
+            let new_cost = self.model.op_cost(&flow.op(id).kind, &input_rows, cards[&id].0, out_cols);
+            let old = self.op_costs.get(&id).copied();
             delta += new_cost - old.unwrap_or(0.0);
             if old != Some(new_cost) {
-                undo.costs.push((id, old));
+                put(&mut self.op_costs, &mut undo.costs, id, Some(new_cost));
             }
         }
-        self.cost += delta;
-        undo.delta = delta;
-        Ok(undo)
+        Ok(delta)
+    }
+
+    /// Re-establishes `rank[from] < rank[to]` on the in-edges of `dirty`
+    /// (new operations and operations whose inputs were rewired). An
+    /// operation that sits too low moves halfway between its highest input
+    /// and its lowest consumer; only when that gap is used up does it jump a
+    /// whole [`RANK_GAP`] and push its consumers up in turn.
+    fn repair_ranks(&mut self, dirty: &BTreeSet<OpId>, log: &mut Displaced<u64>) -> Result<(), FlowError> {
+        let mut queue: VecDeque<OpId> = dirty.iter().copied().collect();
+        // On a DAG every operation is raised at most once per operation
+        // upstream of it; running out means the move closed a cycle.
+        let mut raises_left = (self.flow.op_count() + 1).pow(2);
+        while let Some(id) = queue.pop_front() {
+            let ranks = &self.ranks;
+            // Inputs not ranked yet are new and still queued; ranking them
+            // re-checks this operation.
+            let floor = self.flow.inputs_of(id).iter().filter_map(|i| ranks.get(i)).max().copied();
+            if ranks.get(&id).is_some_and(|r| floor.is_none_or(|f| *r > f)) {
+                continue;
+            }
+            raises_left = raises_left.checked_sub(1).ok_or(FlowError::Cycle)?;
+            let floor = floor.unwrap_or(0);
+            let ceiling = self.flow.outputs_of(id).iter().filter_map(|o| ranks.get(o)).min().copied();
+            let rank = match ceiling {
+                Some(ceiling) if ceiling > floor + 1 => floor + (ceiling - floor) / 2,
+                _ => floor + RANK_GAP,
+            };
+            put(&mut self.ranks, log, id, Some(rank));
+            if ceiling.is_some_and(|c| c <= rank) {
+                queue.extend(self.flow.outputs_of(id));
+            }
+        }
+        Ok(())
     }
 
     /// Restores the state captured by a successful [`apply`](Self::apply).
     pub fn undo(&mut self, undo: Applied) {
-        self.flow = undo.flow;
+        self.flow.revert(undo.journal);
         self.cost = undo.cost;
         for (name, rec) in undo.obs_restore {
             self.stats.put_observation(&name, rec);
@@ -428,55 +613,34 @@ impl RewriteState {
         for name in undo.obs_added {
             let _ = self.stats.take_observation(&name);
         }
-        for (id, v) in undo.schemas.into_iter().rev() {
-            match v {
-                Some(s) => self.schemas.insert(id, s),
-                None => self.schemas.remove(&id),
-            };
-        }
-        for (id, v) in undo.cards.into_iter().rev() {
-            match v {
-                Some(c) => self.cards.insert(id, c),
-                None => self.cards.remove(&id),
-            };
-        }
-        for (id, v) in undo.costs.into_iter().rev() {
-            match v {
-                Some(c) => self.op_costs.insert(id, c),
-                None => self.op_costs.remove(&id),
-            };
-        }
+        restore(&mut self.schemas, undo.schemas);
+        restore(&mut self.cards, undo.cards);
+        restore(&mut self.op_costs, undo.costs);
+        restore(&mut self.live, undo.live);
+        restore(&mut self.ranks, undo.ranks);
     }
 
-    /// Cheap existence/kind checks that must run before the flow is cloned
+    /// Cheap existence/kind checks that must run before the flow is edited
     /// (stale ids would otherwise panic in `Flow::op`).
     fn precheck(&self, mv: &Move) -> Result<(), RewriteError> {
-        let want = |id: OpId, what: &'static str| {
-            if self.exists(id) {
-                Ok(())
-            } else {
-                Err(RewriteError::Illegal(what))
-            }
-        };
+        let want = |id: OpId| if self.flow.contains(id) { Ok(()) } else { Err(RewriteError::Illegal("unknown op")) };
         match mv {
             Move::PushSelection { sel } | Move::HoistSelection { sel } => {
-                want(*sel, "unknown op")?;
+                want(*sel)?;
                 if !matches!(self.flow.op(*sel).kind, OpKind::Selection { .. }) {
                     return Err(RewriteError::Illegal("not a selection"));
                 }
             }
-            Move::SwapJoins { upper } | Move::AssocJoins { upper } | Move::UnassocJoins { upper } => {
-                want(*upper, "unknown op")?
-            }
+            Move::SwapJoins { upper } | Move::AssocJoins { upper } | Move::UnassocJoins { upper } => want(*upper)?,
             Move::PruneColumns { from, to } => {
-                want(*from, "unknown op")?;
-                want(*to, "unknown op")?;
-                if !self.flow.edges().contains(&(*from, *to)) {
+                want(*from)?;
+                want(*to)?;
+                if !self.flow.inputs_of(*to).contains(from) {
                     return Err(RewriteError::Illegal("edge gone"));
                 }
             }
             Move::RemoveProjection { proj } => {
-                want(*proj, "unknown op")?;
+                want(*proj)?;
                 if !matches!(self.flow.op(*proj).kind, OpKind::Projection { .. }) {
                     return Err(RewriteError::Illegal("not a projection"));
                 }
@@ -486,14 +650,13 @@ impl RewriteState {
         Ok(())
     }
 
-    /// Mutates the flow. Returns the ops whose *kind* changed (structural
-    /// input changes and additions are discovered by diffing). On `Err` the
-    /// caller restores the flow from its snapshot.
-    fn apply_structural(&mut self, mv: &Move) -> Result<Vec<OpId>, RewriteError> {
+    /// Edits the flow (under the journal [`apply`](Self::apply) opened). On
+    /// `Err` the caller reverts the journal.
+    fn apply_structural(&mut self, mv: &Move) -> Result<(), RewriteError> {
         match mv {
             Move::PushSelection { sel } => {
-                if rules::push_selection_once(&mut self.flow, *sel)? {
-                    Ok(Vec::new())
+                if rules::push_selection_with(&mut self.flow, *sel, Some(&self.schemas))? {
+                    Ok(())
                 } else {
                     Err(RewriteError::Illegal("selection cannot move down"))
                 }
@@ -508,19 +671,37 @@ impl RewriteState {
                 if rules::dedupe(&mut self.flow) == 0 {
                     Err(RewriteError::Illegal("no duplicates"))
                 } else {
-                    Ok(self.flow.ops().map(|o| o.id).collect())
+                    Ok(())
                 }
             }
         }
     }
 
-    fn hoist_selection(&mut self, sel: OpId) -> Result<Vec<OpId>, RewriteError> {
-        let consumers = self.flow.outputs_of(sel);
-        let &consumer = match consumers.as_slice() {
-            [c] => c,
-            _ => return Err(RewriteError::Illegal("selection output is shared")),
+    /// Rewires edges in place. Every `(old, new)` pair names a distinct
+    /// existing edge (its first copy); all are located before any is
+    /// rewritten, so one pair's result is never mistaken for another's
+    /// pattern, and each input slot keeps its place in the edge list.
+    fn rewire<const N: usize>(&mut self, pairs: [((OpId, OpId), (OpId, OpId)); N]) {
+        let at = pairs.map(|((from, to), _)| self.flow.edge_pos(from, to).expect("the edge was read off this flow"));
+        for (pos, (_, new)) in at.into_iter().zip(pairs) {
+            self.flow.set_edge(pos, new);
+        }
+    }
+
+    /// The key lists of `id` if it is an inner join.
+    fn inner_join_keys(&self, id: OpId, not_a_join: &'static str) -> Result<(Vec<String>, Vec<String>), RewriteError> {
+        match &self.flow.op(id).kind {
+            OpKind::Join { kind: JoinKind::Inner, left_on, right_on } => Ok((left_on.clone(), right_on.clone())),
+            OpKind::Join { .. } => Err(RewriteError::Illegal("outer joins do not reorder")),
+            _ => Err(RewriteError::Illegal(not_a_join)),
+        }
+    }
+
+    fn hoist_selection(&mut self, sel: OpId) -> Result<(), RewriteError> {
+        let &[consumer] = self.flow.outputs_of(sel) else {
+            return Err(RewriteError::Illegal("selection output is shared"));
         };
-        let ckind = self.flow.op(consumer).kind.clone();
+        let ckind = &self.flow.op(consumer).kind;
         if ckind.arity() != 1 || ckind.is_sink() {
             return Err(RewriteError::Illegal("consumer is not a unary operator"));
         }
@@ -531,55 +712,35 @@ impl RewriteState {
         // Same commute condition as pushing down across `consumer`; whether
         // the predicate's columns still exist above it is left to schema
         // propagation (which rolls back on failure).
-        if !rules::selection_moves_above(&ckind, &pred_cols) {
+        if !rules::selection_moves_above(ckind, &pred_cols) {
             return Err(RewriteError::Illegal("filter does not commute with consumer"));
         }
         let input = self.flow.inputs_of(sel)[0];
-        let mut new_edges = Vec::with_capacity(self.flow.edge_count());
-        for &(f, t) in self.flow.edges() {
-            if (f, t) == (input, sel) {
-                continue;
-            } else if (f, t) == (sel, consumer) {
-                new_edges.push((input, consumer));
-            } else if f == consumer {
-                new_edges.push((sel, t));
-            } else {
-                new_edges.push((f, t));
+        // `input → sel → consumer → …` becomes `input → consumer → sel → …`:
+        // the consumer takes over sel's input slot, sel takes over the
+        // consumer's output slots, and the new `consumer → sel` edge goes
+        // last.
+        let sel_in = self.flow.edge_pos(input, sel).expect("sel's input edge exists");
+        self.flow.remove_edge(sel_in);
+        self.rewire([((sel, consumer), (input, consumer))]);
+        for pos in 0..self.flow.edge_count() {
+            let (f, t) = self.flow.edges()[pos];
+            if f == consumer {
+                self.flow.set_edge(pos, (sel, t));
             }
         }
-        new_edges.push((consumer, sel));
-        self.flow.replace_edges(new_edges);
-        Ok(Vec::new())
+        self.flow.insert_edge(self.flow.edge_count(), (consumer, sel));
+        Ok(())
     }
 
-    fn swap_joins(&mut self, upper: OpId) -> Result<Vec<OpId>, RewriteError> {
-        let (u_kind, u_lo, u_ro) = match &self.flow.op(upper).kind {
-            OpKind::Join { kind, left_on, right_on } => (*kind, left_on.clone(), right_on.clone()),
-            _ => return Err(RewriteError::Illegal("not a join")),
-        };
-        if u_kind != crate::ops::JoinKind::Inner {
-            return Err(RewriteError::Illegal("outer joins do not reorder"));
-        }
-        let upper_inputs = self.flow.inputs_of(upper);
-        let (j1, c) = match upper_inputs.as_slice() {
-            [a, b] => (*a, *b),
-            _ => return Err(RewriteError::Illegal("join arity")),
-        };
-        let (l_kind, l_lo, l_ro) = match &self.flow.op(j1).kind {
-            OpKind::Join { kind, left_on, right_on } => (*kind, left_on.clone(), right_on.clone()),
-            _ => return Err(RewriteError::Illegal("left input is not a join")),
-        };
-        if l_kind != crate::ops::JoinKind::Inner {
-            return Err(RewriteError::Illegal("outer joins do not reorder"));
-        }
+    fn swap_joins(&mut self, upper: OpId) -> Result<(), RewriteError> {
+        let (u_lo, u_ro) = self.inner_join_keys(upper, "not a join")?;
+        let &[j1, c] = self.flow.inputs_of(upper) else { return Err(RewriteError::Illegal("join arity")) };
+        let (l_lo, l_ro) = self.inner_join_keys(j1, "left input is not a join")?;
         if self.flow.outputs_of(j1).len() != 1 {
             return Err(RewriteError::Illegal("lower join output is shared"));
         }
-        let j1_inputs = self.flow.inputs_of(j1);
-        let (a, b) = match j1_inputs.as_slice() {
-            [a, b] => (*a, *b),
-            _ => return Err(RewriteError::Illegal("join arity")),
-        };
+        let &[a, b] = self.flow.inputs_of(j1) else { return Err(RewriteError::Illegal("join arity")) };
         // The upper join's probe keys must come from A — otherwise A ⋈ C has
         // no key to join on.
         let a_schema = &self.schemas[&a];
@@ -601,29 +762,11 @@ impl RewriteState {
         if !schema_order_insensitive(&self.flow, upper) {
             return Err(RewriteError::Illegal("column order reaches an order-sensitive sink"));
         }
-        let mut replaced_b = false;
-        let mut replaced_c = false;
-        let new_edges = self
-            .flow
-            .edges()
-            .iter()
-            .map(|&(f, t)| {
-                if !replaced_b && (f, t) == (b, j1) {
-                    replaced_b = true;
-                    (c, j1)
-                } else if !replaced_c && (f, t) == (c, upper) {
-                    replaced_c = true;
-                    (b, upper)
-                } else {
-                    (f, t)
-                }
-            })
-            .collect();
-        self.flow.replace_edges(new_edges);
+        self.rewire([((b, j1), (c, j1)), ((c, upper), (b, upper))]);
         // The key pairs travel with the build sides.
-        self.flow.op_mut(j1).kind = OpKind::Join { kind: l_kind, left_on: u_lo, right_on: u_ro };
-        self.flow.op_mut(upper).kind = OpKind::Join { kind: u_kind, left_on: l_lo, right_on: l_ro };
-        Ok(vec![j1, upper])
+        self.flow.set_kind(j1, OpKind::Join { kind: JoinKind::Inner, left_on: u_lo, right_on: u_ro });
+        self.flow.set_kind(upper, OpKind::Join { kind: JoinKind::Inner, left_on: l_lo, right_on: l_ro });
+        Ok(())
     }
 
     /// `(A ⋈ B) ⋈ C → A ⋈ (B ⋈ C)`. Requires the upper probe keys to live
@@ -631,32 +774,14 @@ impl RewriteState {
     /// order-exact with no further gate: both shapes emit the nested loop
     /// `for a { for b in B(a) { for c in C(b) } }` in the same order, and the
     /// output column blocks stay `A ++ B ++ C`.
-    fn assoc_joins(&mut self, upper: OpId) -> Result<Vec<OpId>, RewriteError> {
-        let (u_kind, u_lo, u_ro) = match &self.flow.op(upper).kind {
-            OpKind::Join { kind, left_on, right_on } => (*kind, left_on.clone(), right_on.clone()),
-            _ => return Err(RewriteError::Illegal("not a join")),
-        };
-        if u_kind != crate::ops::JoinKind::Inner {
-            return Err(RewriteError::Illegal("outer joins do not reorder"));
-        }
-        let (j1, c) = match self.flow.inputs_of(upper).as_slice() {
-            [a, b] => (*a, *b),
-            _ => return Err(RewriteError::Illegal("join arity")),
-        };
-        let (l_kind, l_lo, l_ro) = match &self.flow.op(j1).kind {
-            OpKind::Join { kind, left_on, right_on } => (*kind, left_on.clone(), right_on.clone()),
-            _ => return Err(RewriteError::Illegal("left input is not a join")),
-        };
-        if l_kind != crate::ops::JoinKind::Inner {
-            return Err(RewriteError::Illegal("outer joins do not reorder"));
-        }
+    fn assoc_joins(&mut self, upper: OpId) -> Result<(), RewriteError> {
+        let (u_lo, u_ro) = self.inner_join_keys(upper, "not a join")?;
+        let &[j1, c] = self.flow.inputs_of(upper) else { return Err(RewriteError::Illegal("join arity")) };
+        let (l_lo, l_ro) = self.inner_join_keys(j1, "left input is not a join")?;
         if self.flow.outputs_of(j1).len() != 1 {
             return Err(RewriteError::Illegal("lower join output is shared"));
         }
-        let (a, b) = match self.flow.inputs_of(j1).as_slice() {
-            [a, b] => (*a, *b),
-            _ => return Err(RewriteError::Illegal("join arity")),
-        };
+        let &[a, b] = self.flow.inputs_of(j1) else { return Err(RewriteError::Illegal("join arity")) };
         if a == b || a == c || b == c {
             return Err(RewriteError::Illegal("join inputs are not distinct"));
         }
@@ -668,65 +793,24 @@ impl RewriteState {
         // In-place positional rewiring: each op's input slots keep their
         // place in the edge list, so assoc → unassoc restores the flow
         // exactly (edge order included).
-        let mut done = [false; 4];
-        let new_edges = self
-            .flow
-            .edges()
-            .iter()
-            .map(|&e| {
-                if !done[0] && e == (a, j1) {
-                    done[0] = true;
-                    (b, j1)
-                } else if !done[1] && e == (b, j1) {
-                    done[1] = true;
-                    (c, j1)
-                } else if !done[2] && e == (j1, upper) {
-                    done[2] = true;
-                    (a, upper)
-                } else if !done[3] && e == (c, upper) {
-                    done[3] = true;
-                    (j1, upper)
-                } else {
-                    e
-                }
-            })
-            .collect();
-        self.flow.replace_edges(new_edges);
+        self.rewire([((a, j1), (b, j1)), ((b, j1), (c, j1)), ((j1, upper), (a, upper)), ((c, upper), (j1, upper))]);
         // j1 becomes B ⋈ C (the bushy build), upper becomes A ⋈ j1.
-        self.flow.op_mut(j1).kind = OpKind::Join { kind: u_kind, left_on: u_lo, right_on: u_ro };
-        self.flow.op_mut(upper).kind = OpKind::Join { kind: l_kind, left_on: l_lo, right_on: l_ro };
-        Ok(vec![j1, upper])
+        self.flow.set_kind(j1, OpKind::Join { kind: JoinKind::Inner, left_on: u_lo, right_on: u_ro });
+        self.flow.set_kind(upper, OpKind::Join { kind: JoinKind::Inner, left_on: l_lo, right_on: l_ro });
+        Ok(())
     }
 
     /// `A ⋈ (B ⋈ C) → (A ⋈ B) ⋈ C` — the exact inverse of
     /// [`Self::assoc_joins`], with the mirrored legality condition: the
     /// outer build keys must live on B.
-    fn unassoc_joins(&mut self, upper: OpId) -> Result<Vec<OpId>, RewriteError> {
-        let (u_kind, u_lo, u_ro) = match &self.flow.op(upper).kind {
-            OpKind::Join { kind, left_on, right_on } => (*kind, left_on.clone(), right_on.clone()),
-            _ => return Err(RewriteError::Illegal("not a join")),
-        };
-        if u_kind != crate::ops::JoinKind::Inner {
-            return Err(RewriteError::Illegal("outer joins do not reorder"));
-        }
-        let (a, mid) = match self.flow.inputs_of(upper).as_slice() {
-            [a, b] => (*a, *b),
-            _ => return Err(RewriteError::Illegal("join arity")),
-        };
-        let (m_kind, m_lo, m_ro) = match &self.flow.op(mid).kind {
-            OpKind::Join { kind, left_on, right_on } => (*kind, left_on.clone(), right_on.clone()),
-            _ => return Err(RewriteError::Illegal("build input is not a join")),
-        };
-        if m_kind != crate::ops::JoinKind::Inner {
-            return Err(RewriteError::Illegal("outer joins do not reorder"));
-        }
+    fn unassoc_joins(&mut self, upper: OpId) -> Result<(), RewriteError> {
+        let (u_lo, u_ro) = self.inner_join_keys(upper, "not a join")?;
+        let &[a, mid] = self.flow.inputs_of(upper) else { return Err(RewriteError::Illegal("join arity")) };
+        let (m_lo, m_ro) = self.inner_join_keys(mid, "build input is not a join")?;
         if self.flow.outputs_of(mid).len() != 1 {
             return Err(RewriteError::Illegal("build join output is shared"));
         }
-        let (b, c) = match self.flow.inputs_of(mid).as_slice() {
-            [a, b] => (*a, *b),
-            _ => return Err(RewriteError::Illegal("join arity")),
-        };
+        let &[b, c] = self.flow.inputs_of(mid) else { return Err(RewriteError::Illegal("join arity")) };
         if a == b || a == c || b == c {
             return Err(RewriteError::Illegal("join inputs are not distinct"));
         }
@@ -736,53 +820,27 @@ impl RewriteState {
             return Err(RewriteError::Illegal("outer build keys are not probe-resident"));
         }
         // Mirror of [`Self::assoc_joins`]'s positional rewiring.
-        let mut done = [false; 4];
-        let new_edges = self
-            .flow
-            .edges()
-            .iter()
-            .map(|&e| {
-                if !done[0] && e == (b, mid) {
-                    done[0] = true;
-                    (a, mid)
-                } else if !done[1] && e == (c, mid) {
-                    done[1] = true;
-                    (b, mid)
-                } else if !done[2] && e == (a, upper) {
-                    done[2] = true;
-                    (mid, upper)
-                } else if !done[3] && e == (mid, upper) {
-                    done[3] = true;
-                    (c, upper)
-                } else {
-                    e
-                }
-            })
-            .collect();
-        self.flow.replace_edges(new_edges);
+        self.rewire([
+            ((b, mid), (a, mid)),
+            ((c, mid), (b, mid)),
+            ((a, upper), (mid, upper)),
+            ((mid, upper), (c, upper)),
+        ]);
         // mid becomes A ⋈ B (the new spine bottom), upper becomes mid ⋈ C.
-        self.flow.op_mut(mid).kind = OpKind::Join { kind: u_kind, left_on: u_lo, right_on: u_ro };
-        self.flow.op_mut(upper).kind = OpKind::Join { kind: m_kind, left_on: m_lo, right_on: m_ro };
-        Ok(vec![mid, upper])
+        self.flow.set_kind(mid, OpKind::Join { kind: JoinKind::Inner, left_on: u_lo, right_on: u_ro });
+        self.flow.set_kind(upper, OpKind::Join { kind: JoinKind::Inner, left_on: m_lo, right_on: m_ro });
+        Ok(())
     }
 
-    fn prune_columns(&mut self, from: OpId, to: OpId) -> Result<Vec<OpId>, RewriteError> {
+    fn prune_columns(&mut self, from: OpId, to: OpId) -> Result<(), RewriteError> {
         if self.model.weights.per_column == 0.0 {
             return Err(RewriteError::Illegal("width is free under this cost model"));
         }
-        if !matches!(
-            self.flow.op(to).kind,
-            OpKind::Join { .. }
-                | OpKind::Selection { .. }
-                | OpKind::Sort { .. }
-                | OpKind::Derivation { .. }
-                | OpKind::SurrogateKey { .. }
-        ) {
+        if !benefits_from_pruning(&self.flow.op(to).kind) {
             return Err(RewriteError::Illegal("consumer does not benefit from pruning"));
         }
-        let live = live_columns(&self.flow, &self.schemas);
         let pos = self.flow.inputs_of(to).iter().position(|&i| i == from).ok_or(RewriteError::Illegal("edge gone"))?;
-        let needed = needed_input(&self.flow, &self.schemas, to, pos, &live[&to]);
+        let needed = needed_input(&self.flow, &self.schemas, to, pos, &self.live[&to]);
         let from_schema = &self.schemas[&from];
         let cols: Vec<String> = from_schema.names().filter(|n| needed.contains(*n)).map(str::to_string).collect();
         if cols.len() >= from_schema.len() {
@@ -793,11 +851,11 @@ impl RewriteState {
         // The pruned columns feed `to` and everything past it; the satisfier
         // set therefore mirrors the consumer's.
         self.flow.op_mut(proj).satisfies = self.flow.op(to).satisfies.clone();
-        rules::splice_on_edge(&mut self.flow, proj, from, to, 0);
-        Ok(Vec::new())
+        rules::splice_on_edge(&mut self.flow, proj, from, to);
+        Ok(())
     }
 
-    fn remove_projection(&mut self, proj: OpId) -> Result<Vec<OpId>, RewriteError> {
+    fn remove_projection(&mut self, proj: OpId) -> Result<(), RewriteError> {
         if self.flow.inputs_of(proj).len() != 1 {
             return Err(RewriteError::Illegal("projection arity"));
         }
@@ -805,16 +863,21 @@ impl RewriteState {
             return Err(RewriteError::Illegal("widened columns reach a width-sensitive sink"));
         }
         self.flow.remove_bridging(proj);
-        Ok(Vec::new())
+        Ok(())
     }
 }
 
-fn input_map(flow: &Flow) -> HashMap<OpId, Vec<OpId>> {
-    let mut out: HashMap<OpId, Vec<OpId>> = flow.ops().map(|o| (o.id, Vec::new())).collect();
-    for &(f, t) in flow.edges() {
-        out.get_mut(&t).expect("edge endpoints exist").push(f);
-    }
-    out
+/// Whether a narrower input makes `consumer` cheaper under a width-aware
+/// cost model (the consumers [`Move::PruneColumns`] targets).
+fn benefits_from_pruning(consumer: &OpKind) -> bool {
+    matches!(
+        consumer,
+        OpKind::Join { .. }
+            | OpKind::Selection { .. }
+            | OpKind::Sort { .. }
+            | OpKind::Derivation { .. }
+            | OpKind::SurrogateKey { .. }
+    )
 }
 
 /// Whether `op`'s output is provably unique on `cols` (at most one row per
@@ -854,11 +917,7 @@ pub fn unique_on(flow: &Flow, schemas: &HashMap<OpId, Schema>, stats: &SourceSta
                 && unary_input().is_some_and(|i| unique_on(flow, schemas, stats, i, natural))
         }
         OpKind::Join { right_on, .. } => {
-            let inputs = flow.inputs_of(op);
-            let (l, r) = match inputs.as_slice() {
-                [l, r] => (*l, *r),
-                _ => return false,
-            };
+            let &[l, r] = flow.inputs_of(op) else { return false };
             // Each left row appears at most once (build unique on its keys),
             // and the left side is unique on the left-resident part of
             // `cols`.
@@ -907,24 +966,40 @@ pub fn absorbs_widening(flow: &Flow, op: OpId) -> bool {
 
 /// For every operation, the set of its output columns that are *live*: they
 /// feed some final output (loader) or some computation on the way. Computed
-/// by a backward pass; loaders, unions and distincts pin their full input
-/// (their semantics depend on every column).
-pub fn live_columns(flow: &Flow, schemas: &HashMap<OpId, Schema>) -> BTreeMap<OpId, BTreeSet<String>> {
+/// by a backward pass of [`live_of`].
+pub fn live_columns(flow: &Flow, schemas: &HashMap<OpId, Schema>) -> HashMap<OpId, BTreeSet<String>> {
     let order = flow.topo_order().expect("state flows are acyclic");
-    let mut live: BTreeMap<OpId, BTreeSet<String>> = flow.ops().map(|o| (o.id, BTreeSet::new())).collect();
+    let mut live = HashMap::with_capacity(order.len());
     for &id in order.iter().rev() {
-        if flow.op(id).kind.is_sink() {
-            let full: BTreeSet<String> = schemas[&id].names().map(str::to_string).collect();
-            live.get_mut(&id).expect("op present").extend(full);
-        }
-        let out_live = live[&id].clone();
-        let inputs = flow.inputs_of(id);
-        for (pos, &input) in inputs.iter().enumerate() {
-            let needed = needed_input(flow, schemas, id, pos, &out_live);
-            live.get_mut(&input).expect("op present").extend(needed);
-        }
+        let columns = live_of(flow, schemas, &live, id);
+        live.insert(id, columns);
     }
     live
+}
+
+/// The live output columns of `id`, given those of its consumers: what each
+/// consumer needs from the input slot `id` fills ([`needed_input`]), and for
+/// a sink its whole schema (loaders, unions and distincts pin their full
+/// input — their semantics depend on every column).
+fn live_of(
+    flow: &Flow,
+    schemas: &HashMap<OpId, Schema>,
+    live: &HashMap<OpId, BTreeSet<String>>,
+    id: OpId,
+) -> BTreeSet<String> {
+    let mut out = BTreeSet::new();
+    if flow.op(id).kind.is_sink() {
+        out.extend(schemas[&id].names().map(str::to_string));
+    }
+    // (A consumer fed twice by `id` is visited twice; the union is idempotent.)
+    for &consumer in flow.outputs_of(id) {
+        for (pos, &input) in flow.inputs_of(consumer).iter().enumerate() {
+            if input == id {
+                out.extend(needed_input(flow, schemas, consumer, pos, &live[&consumer]));
+            }
+        }
+    }
+    out
 }
 
 /// The columns operation `of`'s input at position `pos` must provide, given
@@ -1200,7 +1275,7 @@ mod tests {
         assert_eq!(before + applied.delta, st.cost());
         st.flow().validate().unwrap();
         let j1 = st.flow().id_by_name("JOIN_supp").unwrap();
-        let names = |ids: Vec<OpId>| -> Vec<String> { ids.iter().map(|&i| st.flow().op(i).name.clone()).collect() };
+        let names = |ids: &[OpId]| -> Vec<String> { ids.iter().map(|&i| st.flow().op(i).name.clone()).collect() };
         assert_eq!(names(st.flow().inputs_of(upper)), ["DS_lineitem", "JOIN_supp"]);
         assert_eq!(names(st.flow().inputs_of(j1)), ["DS_supplier", "SEL_nation"]);
         // The key pairs traveled: the bushy build joins supplier to nation,

@@ -23,6 +23,9 @@
 use crate::expr::Expr;
 use crate::flow::{Flow, FlowError, OpId};
 use crate::ops::OpKind;
+use crate::schema::Schema;
+use std::collections::hash_map::Entry;
+use std::collections::HashMap;
 
 /// Flattens nested ANDs and sorts conjuncts by their textual form, producing
 /// a canonical predicate used for operation matching (`a>1 AND b=2` matches
@@ -125,36 +128,56 @@ pub fn widen_into(survivor: &mut OpKind, other: &OpKind) {
 /// (same [`merge_key`], same inputs) onto the earliest one, re-pointing
 /// consumers and unioning satisfier sets. Safe because every logical
 /// operation is deterministic. Returns the number of merges.
+///
+/// Merges happen one at a time, always the earliest operation that has a
+/// duplicate with its earliest duplicate, because the order decides which
+/// entry survives and in which order a widened source lists its columns. Each
+/// scan is one hashing pass over `(merge_key, inputs)`; the keys are formatted
+/// once per call, since widening the survivor never changes its key.
 pub fn dedupe(flow: &mut Flow) -> usize {
+    let mut keys: Vec<(OpId, String)> = flow.ops().map(|o| (o.id, merge_key(&o.kind))).collect();
     let mut merged = 0;
-    loop {
-        let ids: Vec<OpId> = flow.ops().map(|o| o.id).collect();
-        let mut found = None;
-        'outer: for (i, &a) in ids.iter().enumerate() {
-            for &b in &ids[i + 1..] {
-                if merge_key(&flow.op(a).kind) == merge_key(&flow.op(b).kind) && flow.inputs_of(a) == flow.inputs_of(b)
-                {
-                    found = Some((a, b));
-                    break 'outer;
-                }
-            }
-        }
-        let Some((a, b)) = found else { break };
-        let b_kind = flow.op(b).kind.clone();
-        let b_reqs = flow.op(b).satisfies.clone();
-        {
-            let a_op = flow.op_mut(a);
-            widen_into(&mut a_op.kind, &b_kind);
-            a_op.satisfies.extend(b_reqs);
-        }
-        // Re-point b's consumers to a in place, drop b's input edges.
-        let new_edges: Vec<(OpId, OpId)> =
-            flow.edges().iter().filter(|&&(_, t)| t != b).map(|&(f, t)| if f == b { (a, t) } else { (f, t) }).collect();
-        flow.set_edges(new_edges);
-        flow.remove_op_entry(b);
+    while let Some((a, b)) = earliest_duplicate(flow, &keys) {
+        merge_into(flow, keys[a].0, keys.remove(b).0);
         merged += 1;
     }
     merged
+}
+
+/// Merges `b` into its duplicate `a`: `a` is widened to cover `b`'s needs
+/// and serves its requirements, `b`'s consumers are re-pointed to `a` in
+/// place, `b`'s input edges and `b` itself go.
+fn merge_into(flow: &mut Flow, a: OpId, b: OpId) {
+    let b_kind = flow.op(b).kind.clone();
+    let b_reqs = flow.op(b).satisfies.clone();
+    let a_op = flow.op_mut_journaled(a);
+    widen_into(&mut a_op.kind, &b_kind);
+    a_op.satisfies.extend(b_reqs);
+    flow.detach(b, Some(a));
+    flow.remove_op_entry(b);
+}
+
+/// Positions in `keys` (which lists the operations in flow order) of the
+/// earliest operation whose `(merge_key, inputs)` some later operation
+/// repeats, and of the first such repeat.
+fn earliest_duplicate(flow: &Flow, keys: &[(OpId, String)]) -> Option<(usize, usize)> {
+    let mut first: HashMap<(&str, &[OpId]), usize> = HashMap::with_capacity(keys.len());
+    let mut best: Option<(usize, usize)> = None;
+    for (j, (id, key)) in keys.iter().enumerate() {
+        match first.entry((key.as_str(), flow.inputs_of(*id))) {
+            Entry::Vacant(slot) => {
+                slot.insert(j);
+            }
+            // Later repeats of a signature never displace its first repeat.
+            Entry::Occupied(slot) => {
+                let i = *slot.get();
+                if best.is_none_or(|(earliest, _)| i < earliest) {
+                    best = Some((i, j));
+                }
+            }
+        }
+    }
+    best
 }
 
 /// Whether a selection with footprint `pred_cols` may move from *after* the
@@ -189,16 +212,23 @@ pub(crate) fn selection_moves_above(above: &OpKind, pred_cols: &[String]) -> boo
 /// consumer (otherwise the rewrite would change what the other consumers
 /// see).
 pub fn push_selection_once(flow: &mut Flow, sel: OpId) -> Result<bool, FlowError> {
+    push_selection_with(flow, sel, None)
+}
+
+/// [`push_selection_once`] for a caller that already maintains the flow's
+/// output schemas (routing a filter into a join branch needs the branches'
+/// schemas; without `known` they are propagated from scratch).
+pub(crate) fn push_selection_with(
+    flow: &mut Flow,
+    sel: OpId,
+    known: Option<&HashMap<OpId, Schema>>,
+) -> Result<bool, FlowError> {
     let pred = match &flow.op(sel).kind {
         OpKind::Selection { predicate } => predicate.clone(),
         _ => return Ok(false),
     };
     let pred_cols: Vec<String> = pred.columns().into_iter().collect();
-    let inputs = flow.inputs_of(sel);
-    let &input = match inputs.first() {
-        Some(i) => i,
-        None => return Ok(false),
-    };
+    let Some(&input) = flow.inputs_of(sel).first() else { return Ok(false) };
     if flow.outputs_of(input).len() != 1 {
         return Ok(false); // shared intermediate: moving the filter would leak
     }
@@ -210,7 +240,7 @@ pub fn push_selection_once(flow: &mut Flow, sel: OpId) -> Result<bool, FlowError
             // branch unfiltered). Bag union concatenates, and the filter
             // preserves order within each branch, so the rewrite is
             // bit-identical.
-            let branches = flow.inputs_of(input);
+            let branches = flow.inputs_of(input).to_vec();
             debug_assert_eq!(branches.len(), 2);
             let reqs = flow.op(sel).satisfies.clone();
             let base = flow.op(sel).name.clone();
@@ -218,10 +248,9 @@ pub fn push_selection_once(flow: &mut Flow, sel: OpId) -> Result<bool, FlowError
                 let name = unique_op_name(flow, &format!("{base}_u{}", i + 1));
                 let copy = flow.add_op(name, OpKind::Selection { predicate: pred.clone() })?;
                 flow.op_mut(copy).satisfies = reqs.clone();
-                // Parallel edges (a self-union A ∪ A) need the occurrence of
-                // this particular (branch, union) edge, not the branch index.
-                let occurrence = branches[..i].iter().filter(|&&b| b == branch).count();
-                splice_on_edge(flow, copy, branch, input, occurrence);
+                // Each splice consumes the first remaining (branch, union)
+                // edge, so a self-union A ∪ A gets one copy per slot.
+                splice_on_edge(flow, copy, branch, input);
             }
             flow.remove_bridging(sel);
             Ok(true)
@@ -233,23 +262,24 @@ pub fn push_selection_once(flow: &mut Flow, sel: OpId) -> Result<bool, FlowError
             // rows the outer join keeps.
             let branches = flow.inputs_of(input);
             debug_assert_eq!(branches.len(), 2);
-            let legal_branches: &[OpId] =
-                if *kind == crate::ops::JoinKind::Left { &branches[..1] } else { &branches[..] };
-            let schemas = flow.schemas()?;
-            for &branch in legal_branches {
-                if pred_cols.iter().all(|c| schemas[&branch].has(c)) {
-                    move_between(flow, sel, branch, input);
-                    return Ok(true);
+            let legal_branches = if *kind == crate::ops::JoinKind::Left { &branches[..1] } else { branches };
+            let propagated;
+            let schemas = match known {
+                Some(schemas) => schemas,
+                None => {
+                    propagated = flow.schemas()?;
+                    &propagated
                 }
+            };
+            let target = legal_branches.iter().copied().find(|b| pred_cols.iter().all(|c| schemas[b].has(c)));
+            if let Some(branch) = target {
+                move_between(flow, sel, branch, input);
             }
-            Ok(false)
+            Ok(target.is_some())
         }
         unary if selection_moves_above(unary, &pred_cols) => {
             let grand_inputs = flow.inputs_of(input);
-            let &grand = match grand_inputs.first() {
-                Some(g) => g,
-                None => return Ok(false), // `input` is a source
-            };
+            let Some(&grand) = grand_inputs.first() else { return Ok(false) }; // `input` is a source
             debug_assert_eq!(grand_inputs.len(), 1, "unary ops have one input");
             move_between(flow, sel, grand, input);
             Ok(true)
@@ -274,52 +304,22 @@ pub(crate) fn unique_op_name(flow: &Flow, base: &str) -> String {
     }
 }
 
-/// Splices `op` onto the `occurrence`-th copy of the edge `from → to`
-/// (0-based; parallel edges exist when both inputs of a binary operation are
-/// the same op). Edge positions are preserved, so binary input order stays
-/// intact.
-pub(crate) fn splice_on_edge(flow: &mut Flow, op: OpId, from: OpId, to: OpId, occurrence: usize) {
-    let mut seen = 0usize;
-    let mut new_edges = Vec::with_capacity(flow.edge_count() + 1);
-    for &(f, t) in flow.edges() {
-        if (f, t) == (from, to) {
-            if seen == occurrence {
-                new_edges.push((from, op));
-                new_edges.push((op, to));
-                seen += 1;
-                continue;
-            }
-            seen += 1;
-        }
-        new_edges.push((f, t));
-    }
-    flow.replace_edges(new_edges);
+/// Splices `op` onto the (first) edge `from → to`. Edge positions are
+/// preserved, so binary input order stays intact.
+pub(crate) fn splice_on_edge(flow: &mut Flow, op: OpId, from: OpId, to: OpId) {
+    let pos = flow.edge_pos(from, to).expect("the spliced edge exists");
+    flow.set_edge(pos, (from, op));
+    flow.insert_edge(pos + 1, (op, to));
 }
 
 /// Detaches unary `op` from its current position (bridging its input to its
 /// consumers) and re-inserts it on the edge `from → to`.
 fn move_between(flow: &mut Flow, op: OpId, from: OpId, to: OpId) {
-    // Bridge out: connect op's input directly to op's consumers, in place.
     let op_inputs = flow.inputs_of(op);
     debug_assert_eq!(op_inputs.len(), 1);
     let op_input = op_inputs[0];
-    let edges: Vec<(OpId, OpId)> = flow.edges().to_vec();
-    let mut new_edges = Vec::with_capacity(edges.len());
-    for (f, t) in edges {
-        if t == op {
-            continue; // drop input edge of op
-        }
-        if f == op {
-            new_edges.push((op_input, t)); // bridge consumers
-        } else if (f, t) == (from, to) {
-            // Splice op onto this edge.
-            new_edges.push((from, op));
-            new_edges.push((op, to));
-        } else {
-            new_edges.push((f, t));
-        }
-    }
-    flow.replace_edges(new_edges);
+    flow.detach(op, Some(op_input));
+    splice_on_edge(flow, op, from, to);
 }
 
 /// Merges chains `Selection → Selection` into a single selection whose
@@ -330,8 +330,7 @@ pub fn merge_adjacent_selections(flow: &mut Flow) -> usize {
     loop {
         let candidate = flow.ops().find_map(|op| {
             let OpKind::Selection { .. } = op.kind else { return None };
-            let inputs = flow.inputs_of(op.id);
-            let &input = inputs.first()?;
+            let &input = flow.inputs_of(op.id).first()?;
             let upstream = flow.op(input);
             (matches!(upstream.kind, OpKind::Selection { .. }) && flow.outputs_of(input).len() == 1)
                 .then_some((input, op.id))
@@ -366,8 +365,7 @@ pub fn merge_projections(flow: &mut Flow) -> usize {
             if !matches!(op.kind, OpKind::Projection { .. }) {
                 return None;
             }
-            let inputs = flow.inputs_of(op.id);
-            let &input = inputs.first()?;
+            let &input = flow.inputs_of(op.id).first()?;
             let upstream = flow.op(input);
             (matches!(upstream.kind, OpKind::Projection { .. }) && flow.outputs_of(input).len() == 1).then_some(input)
         });
@@ -436,15 +434,6 @@ pub fn canonicalize(flow: &mut Flow, align_with_rules: bool) -> Result<usize, Fl
 pub fn is_canonical(flow: &Flow, align_with_rules: bool) -> bool {
     let mut probe = flow.clone();
     canonicalize(&mut probe, align_with_rules).is_ok() && probe == *flow
-}
-
-impl Flow {
-    /// Replaces the edge list wholesale (rule-engine internal).
-    pub(crate) fn replace_edges(&mut self, edges: Vec<(OpId, OpId)>) {
-        // Callers guarantee endpoints exist; debug-check it.
-        debug_assert!(edges.iter().all(|(f, t)| self.ops().any(|o| o.id == *f) && self.ops().any(|o| o.id == *t)));
-        self.set_edges(edges);
-    }
 }
 
 #[cfg(test)]
@@ -633,7 +622,7 @@ mod tests {
         let u = f.id_by_name("U").unwrap();
         let branch_kinds: Vec<_> = f.inputs_of(u).iter().map(|&i| f.op(i).kind.type_name()).collect();
         assert_eq!(branch_kinds, ["Selection", "Selection"], "both branches filtered");
-        for &i in &f.inputs_of(u) {
+        for &i in f.inputs_of(u) {
             assert!(f.op(i).satisfies.contains("IR1"), "copies keep the satisfier set");
         }
         assert!(f.id_by_name("SEL").is_none(), "original filter removed");
@@ -817,6 +806,64 @@ mod tests {
         assert!(f.op_by_name("S2").is_none());
         // Both loaders now consume the survivor.
         assert_eq!(f.inputs_of(l1), f.inputs_of(f.id_by_name("L2").unwrap()));
+    }
+
+    /// The definition `dedupe`'s hashing pass must agree with: scan all
+    /// pairs in flow order, merge the first duplicate pair, start over.
+    fn dedupe_pairwise(flow: &mut Flow) -> usize {
+        let mut merged = 0;
+        loop {
+            let ids: Vec<OpId> = flow.ops().map(|o| o.id).collect();
+            let duplicate = |a: OpId, b: OpId| {
+                merge_key(&flow.op(a).kind) == merge_key(&flow.op(b).kind) && flow.inputs_of(a) == flow.inputs_of(b)
+            };
+            let pair = ids
+                .iter()
+                .enumerate()
+                .find_map(|(i, &a)| ids[i + 1..].iter().find(|&&b| duplicate(a, b)).map(|&b| (a, b)));
+            let Some((a, b)) = pair else { return merged };
+            merge_into(flow, a, b);
+            merged += 1;
+        }
+    }
+
+    #[test]
+    fn dedupe_picks_the_merges_a_pairwise_scan_picks() {
+        // Three mutually duplicate scans (different widths, so the merge
+        // order shows in the survivor's column order), interleaved with two
+        // duplicate scans of another table whose first copy comes *later*
+        // than the first lineitem scan, each under three mutually duplicate
+        // filters; and a second layer that only becomes duplicate once the
+        // first has merged.
+        for rotate in 0..5 {
+            let mut f = Flow::new("t");
+            let mut scans = vec![
+                ("L1", ds("lineitem", &[("l_orderkey", ColType::Integer), ("l_discount", ColType::Decimal)])),
+                ("O1", ds("orders", &[("o_orderkey", ColType::Integer)])),
+                ("L2", ds("lineitem", &[("l_discount", ColType::Decimal), ("l_extendedprice", ColType::Decimal)])),
+                ("O2", ds("orders", &[("o_totalprice", ColType::Decimal), ("o_orderkey", ColType::Integer)])),
+                ("L3", ds("lineitem", &[("l_discount", ColType::Decimal), ("l_orderkey", ColType::Integer)])),
+            ];
+            scans.rotate_left(rotate);
+            for (i, (name, kind)) in scans.into_iter().enumerate() {
+                let is_lineitem = name.starts_with('L');
+                let scan = f.add_op(name, kind).unwrap();
+                f.op_mut(scan).satisfies.insert(format!("IR{i}"));
+                let pred = if is_lineitem { "l_discount > 0.05" } else { "o_orderkey > 7" };
+                let sel = f
+                    .append(scan, format!("SEL_{name}"), OpKind::Selection { predicate: parse_expr(pred).unwrap() })
+                    .unwrap();
+                let top = f.append(sel, format!("DISTINCT_{name}"), OpKind::Distinct).unwrap();
+                f.append(top, format!("LOAD_{name}"), OpKind::Loader { table: format!("t_{name}"), key: vec![] })
+                    .unwrap();
+            }
+            let mut reference = f.clone();
+            let expected = dedupe_pairwise(&mut reference);
+            assert_eq!(expected, 9, "3 + 3 + 3 merges across the three layers");
+            assert_eq!(dedupe(&mut f), expected);
+            assert_eq!(f, reference, "same survivors, same widened column order, same edge order (rotation {rotate})");
+            f.validate().unwrap();
+        }
     }
 
     #[test]

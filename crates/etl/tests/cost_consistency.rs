@@ -5,6 +5,8 @@
 //! 2. Every rewrite move is cost-delta-consistent: the incrementally
 //!    maintained cost equals a full re-cost of the mutated flow.
 //! 3. `undo` restores the state bit-identically.
+//! 4. Over long accept/undo walks, everything `RewriteState` maintains beside
+//!    the flow equals a from-scratch rebuild after every step.
 
 use proptest::prelude::*;
 use quarry_etl::cost::{EstimatedTime, EtlCostModel, SourceStats, TimeWeights};
@@ -251,35 +253,14 @@ proptest! {
         }
     }
 
-    /// Random walks stay consistent: a chain of accepted moves (no undo)
-    /// still re-costs exactly, and the flow stays valid throughout.
+    /// Random walks stay consistent on arbitrary seeds: a short chain of
+    /// kept and undone moves, audited against a rebuild after every step.
     #[test]
     fn random_move_sequences_stay_consistent(seed in any::<u64>()) {
         let (flow, stats) = random_flow(seed);
         let model = EstimatedTime { weights: TimeWeights::columnar() };
         let mut st = RewriteState::new(flow, stats, model).unwrap();
-        let mut rng = seed ^ 0xabcdef;
-        for _ in 0..12 {
-            let moves = st.candidate_moves();
-            if moves.is_empty() {
-                break;
-            }
-            let mv = moves[pick(&mut rng, moves.len() as u64) as usize];
-            match st.apply(&mv) {
-                Ok(applied) => {
-                    // Keep roughly half, undo the rest — both paths must
-                    // stay consistent.
-                    if chance(&mut rng, 50) {
-                        st.undo(applied);
-                    }
-                }
-                // Late legality rejections roll back; the checks below
-                // verify the state stayed consistent either way.
-                Err(RewriteError::Illegal(_) | RewriteError::Flow(_)) => {}
-            }
-            st.flow().validate().unwrap();
-            assert_close(st.cost(), st.full_recost().unwrap(), "after walk step");
-        }
+        audited_walk(&mut st, seed ^ 0xabcdef, 12);
     }
 
     /// Selectivity composition stays a probability on arbitrary predicates
@@ -297,6 +278,58 @@ proptest! {
         let s = quarry_etl::cost::selectivity(&p);
         prop_assert!((0.0..=1.0).contains(&s), "selectivity {s} out of [0,1]");
     }
+}
+
+/// Walks `proposals` seeded proposals from `st`, accepting roughly half of
+/// the legal ones. After every `apply` and every `undo` the maintained state
+/// must equal a from-scratch rebuild ([`RewriteState::audit`]), and `undo`
+/// must restore the flow exactly — op order, edge order and `next_id` are all
+/// part of `Flow`'s equality. Returns how many proposals applied.
+fn audited_walk(st: &mut RewriteState, seed: u64, proposals: usize) -> usize {
+    let mut rng = seed;
+    let mut applied = 0;
+    for step in 0..proposals {
+        let moves = st.candidate_moves();
+        let mv = moves[pick(&mut rng, moves.len() as u64) as usize];
+        let label = format!("seed {seed} step {step} {}", st.describe(&mv));
+        let before = st.flow().clone();
+        let cost_before = st.cost();
+        match st.apply(&mv) {
+            Ok(undo) => {
+                applied += 1;
+                st.audit().unwrap_or_else(|e| panic!("{label}: after apply: {e}"));
+                st.flow().validate().unwrap_or_else(|e| panic!("{label}: {e}"));
+                if chance(&mut rng, 50) {
+                    st.undo(undo);
+                    assert_eq!(st.flow(), &before, "{label}: undo restores the flow");
+                    assert_eq!(st.cost().to_bits(), cost_before.to_bits(), "{label}: undo restores the cost");
+                    st.audit().unwrap_or_else(|e| panic!("{label}: after undo: {e}"));
+                }
+            }
+            Err(RewriteError::Illegal(_) | RewriteError::Flow(_)) => {
+                assert_eq!(st.flow(), &before, "{label}: a rejected move leaves the flow alone");
+                assert_eq!(st.cost().to_bits(), cost_before.to_bits());
+                st.audit().unwrap_or_else(|e| panic!("{label}: after rejection: {e}"));
+            }
+        }
+    }
+    applied
+}
+
+/// The from-scratch rebuild is the oracle: long seeded walks over the
+/// randomized flows, under both weight presets.
+#[test]
+fn long_walks_match_a_rebuild_after_every_step() {
+    let mut applied = 0;
+    for seed in 0..24u64 {
+        let (flow, stats) = random_flow(seed);
+        for model in models() {
+            let mut st = RewriteState::new(flow.clone(), stats.clone(), model).unwrap();
+            st.audit().unwrap();
+            applied += audited_walk(&mut st, seed ^ 0x5eed, 200);
+        }
+    }
+    assert!(applied > 500, "the walks must exercise real moves, applied only {applied}");
 }
 
 /// A left join must never accept a swap (outer semantics are not

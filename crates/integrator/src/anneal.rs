@@ -158,13 +158,15 @@ fn run_chain(base: &RewriteState, chain: usize, opts: &AnnealOptions, deadline: 
     let flight_label = flight.label("anneal");
     let cost_scale = if start_cost > 0.0 { start_cost } else { 1.0 };
 
+    // The neighborhood depends on the flow alone, and a rejected or illegal
+    // proposal leaves the flow as it was: re-enumerate only after an accept.
+    let mut moves = st.candidate_moves();
     for step in 0..opts.steps {
         // The deadline check is amortized: an `Instant::now()` per step would
         // cost more than many of the incremental move evaluations it guards.
         if step % 16 == 0 && Instant::now() >= deadline {
             break;
         }
-        let moves = st.candidate_moves();
         if moves.is_empty() {
             break;
         }
@@ -191,6 +193,7 @@ fn run_chain(base: &RewriteState, chain: usize, opts: &AnnealOptions, deadline: 
                         best_flow = st.flow().clone();
                         best_stats = st.stats().clone();
                     }
+                    moves = st.candidate_moves();
                 } else {
                     st.undo(applied);
                 }
@@ -220,11 +223,16 @@ pub fn anneal(
     model: EstimatedTime,
     opts: &AnnealOptions,
 ) -> Result<AnnealOutcome, FlowError> {
-    let base = RewriteState::new(flow.clone(), stats.clone(), model)?;
+    Ok(anneal_from(&RewriteState::new(flow.clone(), stats.clone(), model)?, opts))
+}
+
+/// [`anneal`] from an already-built search state (whose full initial pass
+/// the caller may want to read schemas off before the search starts).
+pub fn anneal_from(base: &RewriteState, opts: &AnnealOptions) -> AnnealOutcome {
     let start_cost = base.cost();
     let chains = opts.chains.max(1);
     let deadline = Instant::now() + std::time::Duration::from_millis(opts.budget_ms.max(1));
-    let results = quarry_engine::pool::run_indexed(chains, |i| run_chain(&base, i, opts, deadline));
+    let results = quarry_engine::pool::run_indexed(chains, |i| run_chain(base, i, opts, deadline));
 
     let mut best_chain = 0usize;
     let mut proposed = 0u64;
@@ -243,7 +251,7 @@ pub fn anneal(
         log.extend(r.log.iter().cloned());
     }
     let winner = &results[best_chain];
-    Ok(AnnealOutcome {
+    AnnealOutcome {
         flow: winner.best_flow.clone(),
         stats: winner.best_stats.clone(),
         cost: winner.best_cost,
@@ -253,7 +261,7 @@ pub fn anneal(
         chains,
         best_chain,
         log,
-    })
+    }
 }
 
 #[cfg(test)]
@@ -406,5 +414,21 @@ mod tests {
         let out = anneal(&flow, &stats, model, &opts).unwrap();
         assert!(out.log.len() <= 2 * LOG_CAP_PER_CHAIN, "log stays bounded: {}", out.log.len());
         assert!(out.log.iter().any(|r| r.accepted), "an explain log without accepted moves explains nothing");
+    }
+
+    /// The same pin `optimizer_equivalence.rs` holds for the requirement
+    /// families, on this file's fixture: recorded before the search stopped
+    /// cloning the flow per proposal, and unchanged by it.
+    #[test]
+    fn seeded_search_on_the_spine_is_pinned() {
+        let (flow, stats) = spine();
+        let model = EstimatedTime { weights: TimeWeights::columnar() };
+        let opts = AnnealOptions { budget_ms: 10_000, ..AnnealOptions::default() };
+        let out = anneal(&flow, &stats, model, &opts).unwrap();
+        assert_eq!((out.proposed, out.accepted, out.best_chain), (1536, 283, 0));
+        assert_eq!(out.cost.to_bits(), 0x40d0_1288_3126_e978);
+        let xlm = quarry_formats::xlm::to_string(&out.flow);
+        let fnv = xlm.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3));
+        assert_eq!(fnv, 0x8236_59fe_fa21_b7bd);
     }
 }

@@ -77,7 +77,7 @@ impl EtlIndex {
     pub fn build(flow: &Flow) -> Self {
         let mut by_key = HashMap::with_capacity(flow.op_count());
         for op in flow.ops() {
-            by_key.entry((rules::merge_key(&op.kind), flow.inputs_of(op.id))).or_insert(op.id);
+            by_key.entry((rules::merge_key(&op.kind), flow.inputs_of(op.id).to_vec())).or_insert(op.id);
         }
         EtlIndex { by_key, names: flow.ops().map(|o| o.name.clone()).collect() }
     }
@@ -123,7 +123,7 @@ pub(crate) fn consolidate_into(
 
     for pid in order {
         let pop = part.op(pid).clone();
-        let p_inputs: Vec<OpId> = part.inputs_of(pid);
+        let p_inputs = part.inputs_of(pid);
         let p_images: Option<Vec<OpId>> = p_inputs.iter().map(|i| image.get(i).copied()).collect();
 
         // Loaders merge like any other op (same table, same key, same

@@ -18,11 +18,12 @@
 //! The caller (the lifecycle's `optimize` step) is responsible for the
 //! atomic swap and for invalidating its consolidation index afterwards.
 
-use crate::anneal::{anneal, AnnealOptions, MoveRecord};
+use crate::anneal::{anneal_from, AnnealOptions, MoveRecord};
 use crate::IntegrateError;
 use quarry_etl::cost::{EstimatedTime, EtlCostModel, SourceStats};
-use quarry_etl::{rules, Flow, OpKind, Schema};
-use std::collections::BTreeMap;
+use quarry_etl::rewrite::RewriteState;
+use quarry_etl::{rules, Flow, OpId, OpKind, Schema};
+use std::collections::{BTreeMap, HashMap};
 use std::time::Instant;
 
 /// Canonicalization fixpoint cap. Normalization itself is a fixpoint pass;
@@ -66,9 +67,9 @@ impl OptimizeReport {
 
 /// The loader interface of a flow: target table → input schema, the contract
 /// the optimizer must leave bit-identical. Multiple loaders into one table
-/// collect into a sorted multiset via the count suffix.
-fn sink_interfaces(flow: &Flow) -> Result<BTreeMap<(String, usize), Schema>, IntegrateError> {
-    let schemas = flow.schemas().map_err(|e| IntegrateError::InvalidResult(vec![e.to_string()]))?;
+/// collect into a sorted multiset via the count suffix. `schemas` is the
+/// flow's propagated output schema per operation.
+fn sink_interfaces(flow: &Flow, schemas: &HashMap<OpId, Schema>) -> BTreeMap<(String, usize), Schema> {
     let mut seen: BTreeMap<String, usize> = BTreeMap::new();
     let mut out = BTreeMap::new();
     let mut loaders: Vec<_> = flow
@@ -86,7 +87,7 @@ fn sink_interfaces(flow: &Flow) -> Result<BTreeMap<(String, usize), Schema>, Int
         out.insert((table, *n), schema);
         *n += 1;
     }
-    Ok(out)
+    out
 }
 
 /// Optimizes `flow` in place. On `Ok(report)` the flow is either untouched
@@ -127,9 +128,12 @@ pub fn optimize_flow_with_discount(
     let started = Instant::now();
     let invalid = |e: quarry_etl::FlowError| IntegrateError::InvalidResult(vec![e.to_string()]);
     let before_cost = model.cost(flow, stats).map_err(invalid)?;
-    let sinks_before = sink_interfaces(flow)?;
+    // The search state's initial pass is the one schema propagation of the
+    // input flow; the loader contract is read off it.
+    let base = RewriteState::new(flow.clone(), stats.clone(), model).map_err(invalid)?;
+    let sinks_before = sink_interfaces(flow, base.schemas());
 
-    let outcome = anneal(flow, stats, model, opts).map_err(invalid)?;
+    let outcome = anneal_from(&base, opts);
     let mut report = OptimizeReport {
         before_cost,
         after_cost: before_cost,
@@ -151,11 +155,12 @@ pub fn optimize_flow_with_discount(
             break;
         }
     }
-    candidate.validate().map_err(invalid)?;
-
-    // The loader contract must be bit-identical: same target tables, same
-    // sink schemas, column for column.
-    if sink_interfaces(&candidate)? != sinks_before {
+    // Re-validate (one propagation: schema-correct, acyclic, no dangling
+    // output) and compare the loader contract, which must be bit-identical:
+    // same target tables, same sink schemas, column for column.
+    let candidate_schemas = candidate.schemas().map_err(invalid)?;
+    candidate.check_outputs_consumed().map_err(invalid)?;
+    if sink_interfaces(&candidate, &candidate_schemas) != sinks_before {
         report.wall_ms = started.elapsed().as_secs_f64() * 1e3;
         return Ok(report); // structural guard tripped: keep the input flow
     }
@@ -287,7 +292,10 @@ mod tests {
         assert_eq!(rules::canonicalize(&mut again, true).unwrap(), 0);
         assert_eq!(again, flow);
         // The loader contract is untouched.
-        assert_eq!(sink_interfaces(&flow).unwrap(), sink_interfaces(&original).unwrap());
+        assert_eq!(
+            sink_interfaces(&flow, &flow.schemas().unwrap()),
+            sink_interfaces(&original, &original.schemas().unwrap())
+        );
     }
 
     #[test]
@@ -346,5 +354,21 @@ mod tests {
         // With the default 10% selectivity guess the win is much larger than
         // with the observed 95%.
         assert!(report2.improvement() > report.improvement());
+    }
+
+    /// Recorded before the search stopped cloning the flow per proposal, and
+    /// unchanged by it (see `optimizer_equivalence.rs` for the families).
+    #[test]
+    fn seeded_optimization_of_the_spine_is_pinned() {
+        let (mut flow, mut stats) = spine();
+        let model = EstimatedTime { weights: TimeWeights::columnar() };
+        let opts = AnnealOptions { budget_ms: 10_000, ..AnnealOptions::default() };
+        let report = optimize_flow(&mut flow, &mut stats, model, &opts).unwrap();
+        assert!(report.applied);
+        assert_eq!((report.proposed, report.accepted), (1536, 54));
+        assert_eq!(report.after_cost.to_bits(), 0x40d0_122e_978d_4fdf);
+        let xlm = quarry_formats::xlm::to_string(&flow);
+        let fnv = xlm.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3));
+        assert_eq!(fnv, 0xcd53_7f75_9e7f_c0cd);
     }
 }
