@@ -3,14 +3,17 @@
 //! unified flow vs the N separate partial flows on generated TPC-H data and
 //! reports the wall-clock gap. E7b sweeps the morsel-parallel executor over
 //! pinned thread counts; E13 compares the columnar engine against the retired
-//! row-at-a-time baseline. All three series persist to `BENCH_engine.json`
-//! at the repo root so EXPERIMENTS.md has a machine-readable source.
+//! row-at-a-time baseline, and its `aggregate_cardinality` series prices one
+//! grouped `SUM` per input row as the rows-per-group ratio falls to 1, beside
+//! the second upsert load of a dimension table. All series persist to
+//! `BENCH_engine.json` at the repo root so EXPERIMENTS.md has a
+//! machine-readable source.
 
 use criterion::{BenchmarkId, Criterion};
 use quarry::Quarry;
 use quarry_bench::{join_heavy, requirement_family, row_vs_columnar, EngineComparison, JoinHeavyPoint};
-use quarry_engine::{tpch, Engine};
-use quarry_etl::Flow;
+use quarry_engine::{tpch, Catalog, Engine, Relation, RelationBuilder, Value};
+use quarry_etl::{parse_expr, AggSpec, ColType, Column, Flow, OpKind, Schema};
 use quarry_repository::Json;
 use std::hint::black_box;
 use std::time::{Duration, Instant};
@@ -126,6 +129,117 @@ fn join_heavy_series() -> Vec<JoinHeavyPoint> {
     points
 }
 
+/// One measured row of the `aggregate_cardinality` series.
+struct CardinalityPoint {
+    case: String,
+    rows: usize,
+    rows_out: usize,
+    ns_per_row: f64,
+}
+
+/// `rows` rows in one table, loaded by one flow; `datastore → tail → LOAD`.
+fn single_table_flow(table: &str, schema: &Schema, tail: Option<OpKind>, key: &[&str]) -> Flow {
+    let mut f = Flow::new(table);
+    let mut last =
+        f.add_op("SRC", OpKind::Datastore { datastore: table.into(), schema: schema.clone() }).expect("adds");
+    if let Some(kind) = tail {
+        last = f.append(last, "AGG", kind).expect("appends");
+    }
+    let key = key.iter().map(|k| k.to_string()).collect();
+    f.append(last, "LOAD", OpKind::Loader { table: "out".into(), key }).expect("appends");
+    f.validate().expect("valid");
+    f
+}
+
+/// The fastest `elapsed` of the operator named `op` over `reps` calls of
+/// `run`, in nanoseconds per input row of that operator.
+fn op_ns_per_row(reps: usize, op: &str, mut run: impl FnMut() -> quarry_engine::RunReport) -> (f64, usize) {
+    let timing = |r: &quarry_engine::RunReport| r.timings.iter().find(|t| t.op == op).expect("op ran").clone();
+    let best = (0..reps).map(|_| timing(&run())).min_by_key(|t| t.elapsed).expect("at least one rep");
+    (best.elapsed.as_secs_f64() * 1e9 / best.rows_in as f64, best.rows_out)
+}
+
+/// What one grouped `SUM` costs per input row as groups shrink to a row
+/// each — the fact-grain aggregations of the low-overlap family, which group
+/// by two surrogate keys — and what the second upsert load of a dimension
+/// table costs per row (every key already present, the lifecycle's
+/// `LOADER_dim_orders'`). 300 k and 75 k rows, the sizes those operators see
+/// at sf = 0.05.
+fn aggregate_cardinality_series(reps: usize) -> Vec<CardinalityPoint> {
+    const ROWS: usize = 300_000;
+    const DIM_ROWS: usize = 75_000;
+    println!("\n# aggregate_cardinality: one SUM over a two-column integer key, {ROWS} rows; second-load upsert");
+    println!("{:>28} {:>8} {:>9} {:>8}", "case", "rows", "rows-out", "ns/row");
+    let mut points = Vec::new();
+    let schema = Schema::new(vec![
+        Column::new("k1", ColType::Integer),
+        Column::new("k2", ColType::Integer),
+        Column::new("v", ColType::Decimal),
+    ]);
+    for rows_per_group in [1usize, 30, 600] {
+        let groups = ROWS / rows_per_group;
+        let mut b = RelationBuilder::new(schema.clone());
+        for i in 0..ROWS {
+            // Scatter each group's rows over the table and spread the key
+            // words like content-addressed surrogates.
+            let g = (i * 7919) % groups;
+            let k1 = ((g as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 1) as i64;
+            b.push_row(vec![Value::Int(k1), Value::Int(g as i64), Value::Float(i as f64 * 0.25)]);
+        }
+        let mut catalog = Catalog::new();
+        catalog.put("facts", b.finish());
+        let agg = OpKind::Aggregation {
+            group_by: vec!["k1".into(), "k2".into()],
+            aggregates: vec![AggSpec::new("SUM", parse_expr("v").expect("parses"), "total")],
+        };
+        let flow = single_table_flow("facts", &schema, Some(agg), &[]);
+        let (ns_per_row, rows_out) =
+            op_ns_per_row(reps, "AGG", || Engine::new(catalog.clone()).run(&flow).expect("runs"));
+        points.push(CardinalityPoint {
+            case: format!("sum_{rows_per_group}_rows_per_group"),
+            rows: ROWS,
+            rows_out,
+            ns_per_row,
+        });
+    }
+    let dim_schema = Schema::new(vec![
+        Column::new("k", ColType::Integer),
+        Column::new("price", ColType::Decimal),
+        Column::new("status", ColType::Text),
+        Column::new("clerk", ColType::Text),
+        Column::new("day", ColType::Date),
+    ]);
+    let mut catalog = Catalog::new();
+    catalog.put(
+        "orders",
+        Relation::with_rows(
+            dim_schema.clone(),
+            (0..DIM_ROWS)
+                .map(|i| {
+                    vec![
+                        Value::Int(((i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 1) as i64),
+                        Value::Float(i as f64 * 1.5),
+                        Value::Str(["F", "O", "P"][i % 3].into()),
+                        Value::Str(format!("Clerk#{:05}", i % 1000)),
+                        Value::Date(8000 + (i % 2400) as i32),
+                    ]
+                })
+                .collect(),
+        ),
+    );
+    let flow = single_table_flow("orders", &dim_schema, None, &["k"]);
+    let (ns_per_row, rows_out) = op_ns_per_row(reps, "LOAD", || {
+        let mut engine = Engine::new(catalog.clone());
+        engine.run(&flow).expect("first load");
+        engine.run(&flow).expect("second load")
+    });
+    points.push(CardinalityPoint { case: "upsert_second_load".into(), rows: DIM_ROWS, rows_out, ns_per_row });
+    for p in &points {
+        println!("{:>28} {:>8} {:>9} {:>8.1}", p.case, p.rows, p.rows_out, p.ns_per_row);
+    }
+    points
+}
+
 fn ms(d: Duration) -> Json {
     Json::Number(d.as_secs_f64() * 1e3)
 }
@@ -135,6 +249,7 @@ fn series_to_json(
     e7b: &[(usize, Duration)],
     e13: &[EngineComparison],
     e13j: &[JoinHeavyPoint],
+    cardinality: &[CardinalityPoint],
 ) -> Json {
     let mut doc = Json::object();
     doc.set("experiment", Json::String("E7/E7b/E13 engine execution".into()));
@@ -203,6 +318,22 @@ fn series_to_json(
                 .collect(),
         ),
     );
+    doc.set(
+        "aggregate_cardinality",
+        Json::Array(
+            cardinality
+                .iter()
+                .map(|p| {
+                    let mut row = Json::object();
+                    row.set("case", Json::String(p.case.clone()));
+                    row.set("rows", Json::Number(p.rows as f64));
+                    row.set("rows_out", Json::Number(p.rows_out as f64));
+                    row.set("ns_per_row", Json::Number(p.ns_per_row));
+                    row
+                })
+                .collect(),
+        ),
+    );
     doc
 }
 
@@ -216,8 +347,9 @@ fn print_series() {
     let e7b = thread_scaling_series();
     let e13 = row_vs_columnar_series();
     let e13j = join_heavy_series();
+    let cardinality = aggregate_cardinality_series(5);
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_engine.json");
-    if let Err(e) = std::fs::write(path, series_to_json(&e7, &e7b, &e13, &e13j).to_pretty_string()) {
+    if let Err(e) = std::fs::write(path, series_to_json(&e7, &e7b, &e13, &e13j, &cardinality).to_pretty_string()) {
         eprintln!("could not write {path}: {e}");
     }
 }
@@ -284,7 +416,11 @@ fn bench(c: &mut Criterion) {
 fn main() {
     // The printed comparison series are measurement runs; `--test` (the CI
     // bench smoke) only proves the harness still executes.
-    if !criterion::is_test_mode() {
+    // The cardinality series still runs there, once: it is the only
+    // harness over the high-cardinality aggregation and second-load upsert.
+    if criterion::is_test_mode() {
+        aggregate_cardinality_series(1);
+    } else {
         print_series();
     }
     let mut criterion = Criterion::default().configure_from_args();

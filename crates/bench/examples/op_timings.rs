@@ -1,16 +1,51 @@
-//! Prints the per-operator timing breakdown of the headline E7 workload
-//! (high overlap, sf=0.01, N=8) — the profiling companion to `bench
-//! etl_execution`. Run with `cargo run --release -p quarry-bench --example
-//! op_timings`.
+//! Prints the per-operator timing breakdown of one unified flow — the
+//! profiling companion to `bench etl_execution` and to the lifecycle
+//! benchmark's workloads. Defaults to the E7 headline (high overlap,
+//! sf = 0.01, N = 8); the lifecycle benchmark's `wide-low-overlap` is
+//! `--family low --sf 0.05`.
+//!
+//! ```text
+//! cargo run --release -p quarry-bench --example op_timings -- \
+//!     [--family high|low] [--sf 0.01] [--n 8] [--threads 0]
+//! ```
+//!
+//! `--threads 0` keeps the pool's auto-detected width. The fastest of five
+//! runs is printed: busy time per operator kind, then the 25 slowest
+//! operators.
 
 use quarry::Quarry;
 use quarry_engine::{tpch, Engine};
+use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 
+fn usage(problem: &str) -> ! {
+    eprintln!("{problem}\nusage: op_timings [--family high|low] [--sf <f64>] [--n <usize>] [--threads <usize>]");
+    std::process::exit(2)
+}
+
+fn parsed<T: std::str::FromStr>(flag: &str, value: &str) -> T {
+    value.parse().unwrap_or_else(|_| usage(&format!("bad value `{value}` for {flag}")))
+}
+
 fn main() {
-    let catalog = tpch::generate(0.01, 42);
+    let (mut high, mut sf, mut n, mut threads) = (true, 0.01f64, 8usize, 0usize);
+    let mut args = std::env::args().skip(1);
+    while let Some(flag) = args.next() {
+        let value = args.next().unwrap_or_default();
+        match (flag.as_str(), value.as_str()) {
+            ("--family", "high") => high = true,
+            ("--family", "low") => high = false,
+            ("--sf", v) => sf = parsed(&flag, v),
+            ("--n", v) => n = parsed(&flag, v),
+            ("--threads", v) => threads = parsed(&flag, v),
+            _ => usage(&format!("unknown argument `{flag} {value}`")),
+        }
+    }
+    quarry_engine::pool::set_threads(threads);
+    let catalog = tpch::generate(sf, 42);
     let mut q = Quarry::tpch();
-    for r in quarry_bench::high_overlap_family(8) {
+    let requirements = if high { quarry_bench::high_overlap_family(n) } else { quarry_bench::requirement_family(n) };
+    for r in requirements {
         q.add_requirement(r).expect("integrates");
     }
     let unified = q.unified().1.clone();
@@ -21,15 +56,32 @@ fn main() {
         let t0 = Instant::now();
         let report = engine.run(&unified).expect("runs");
         let total = t0.elapsed();
-        if best.as_ref().map(|(t, _)| total < *t).unwrap_or(true) {
+        if best.as_ref().is_none_or(|(t, _)| total < *t) {
             best = Some((total, report));
         }
     }
-    let (total, report) = best.unwrap();
-    println!("total: {total:?} over {} ops", report.timings.len());
+    let (total, report) = best.expect("five runs");
+    println!(
+        "{} overlap, sf={sf}, N={n}, threads={} (available_parallelism={}): total {total:?} over {} ops",
+        if high { "high" } else { "low" },
+        quarry_engine::pool::threads(),
+        std::thread::available_parallelism().map_or(0, usize::from),
+        report.timings.len()
+    );
+    let mut by_kind: BTreeMap<&str, (Duration, usize, usize)> = BTreeMap::new();
+    for t in &report.timings {
+        let e = by_kind.entry(t.kind).or_default();
+        *e = (e.0 + t.elapsed, e.1 + 1, e.2 + t.rows_out);
+    }
+    let mut kinds: Vec<_> = by_kind.into_iter().collect();
+    kinds.sort_by_key(|(_, (busy, _, _))| std::cmp::Reverse(*busy));
+    for (kind, (busy, ops, rows_out)) in kinds {
+        println!("{busy:>12?}  ops={ops:>3} out={rows_out:>8}  {kind}");
+    }
+    println!();
     let mut ops: Vec<_> = report.timings.iter().collect();
     ops.sort_by_key(|t| std::cmp::Reverse(t.elapsed));
     for t in ops.iter().take(25) {
-        println!("{:>12?}  in={:>7} out={:>7}  {}", t.elapsed, t.rows_in, t.rows_out, t.op);
+        println!("{:>12?}  in={:>7} out={:>7}  {:<12} {}", t.elapsed, t.rows_in, t.rows_out, t.kind, t.op);
     }
 }

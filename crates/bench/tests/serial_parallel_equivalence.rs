@@ -7,12 +7,15 @@
 //! family the `etl_execution` benchmark exercises, the Figure 3/4 fixture
 //! flows, randomized flows over TPC-H and synthetic schemas, empty-input and
 //! single-morsel edge cases, all-NULL columns, dictionary overflow to plain
-//! strings, and a hand-built flow whose loaders make load order visible.
+//! strings, a hand-built flow whose loaders make load order visible, the
+//! aggregation state layouts (fact-grain and recurring groups, NULL group
+//! keys, every function over every input representation, order-sensitive
+//! sums, errors) and second loads into a populated table.
 
 use quarry::Quarry;
 use quarry_bench::{figure3_pair, high_overlap_family, requirement_family};
 use quarry_engine::{tpch, Catalog, Engine, Relation, RowEngine, RunReport, Value, MORSEL_ROWS};
-use quarry_etl::{parse_expr, AggSpec, Flow, JoinKind, OpKind};
+use quarry_etl::{parse_expr, AggSpec, ColType, Column, Flow, JoinKind, OpId, OpKind, Schema};
 use quarry_formats::Requirement;
 
 /// Small enough to keep debug-mode runs quick, large enough that lineitem
@@ -293,7 +296,6 @@ fn randomized_tpch_flows_agree() {
 /// A synthetic two-table catalog whose `s` and `x` columns are entirely
 /// NULL, with NULLs sprinkled into the join/group key as well.
 fn all_null_catalog() -> Catalog {
-    use quarry_etl::{ColType, Column, Schema};
     let mut c = Catalog::new();
     let n = 3 * MORSEL_ROWS + 17; // several morsels plus a ragged tail
     c.put(
@@ -324,7 +326,6 @@ fn all_null_catalog() -> Catalog {
 
 #[test]
 fn all_null_columns_agree() {
-    use quarry_etl::{ColType, Column, Schema};
     let catalog = all_null_catalog();
     let mut f = Flow::new("nulls");
     let facts = f
@@ -378,7 +379,6 @@ fn all_null_columns_agree() {
 
 #[test]
 fn dictionary_overflow_agrees() {
-    use quarry_etl::{ColType, Column, Schema};
     // More distinct strings than the dictionary holds (2^16), forcing the
     // builder to fall back to plain string storage mid-build.
     let n = (1 << 16) + 4096;
@@ -497,7 +497,6 @@ fn empty_probe_side_agrees() {
 /// engage radix partitioning.
 #[test]
 fn dictionary_overflow_join_keys_agree() {
-    use quarry_etl::{ColType, Column, Schema};
     let n = (1 << 16) + 4096;
     let mut c = Catalog::new();
     c.put(
@@ -562,7 +561,6 @@ fn dictionary_overflow_join_keys_agree() {
 /// build-side column with NULL.
 #[test]
 fn all_null_join_key_column_agrees() {
-    use quarry_etl::{ColType, Column, Schema};
     let mut c = Catalog::new();
     let n = 3 * MORSEL_ROWS + 17;
     c.put(
@@ -615,7 +613,6 @@ fn all_null_join_key_column_agrees() {
 /// schedule loads shallow before deep.
 #[test]
 fn loaders_at_different_depths_apply_in_topological_order() {
-    use quarry_etl::{ColType, Column, Schema};
     let schema = Schema::new(vec![Column::new("k", ColType::Integer), Column::new("v", ColType::Decimal)]);
     let n = 2 * MORSEL_ROWS + 37;
     let mut catalog = Catalog::new();
@@ -659,6 +656,430 @@ fn loaders_at_different_depths_apply_in_topological_order() {
     let tags = engine.catalog.get("dim").unwrap().column_values("tag");
     assert!(tags[..50].iter().all(|t| *t == Value::Str("late".into())), "the deeper upsert wins its keys");
     assert!(tags[50..].iter().all(|t| *t == Value::Str("early".into())));
+}
+
+fn schema_of(cols: &[(&str, ColType)]) -> Schema {
+    Schema::new(cols.iter().map(|(name, ty)| Column::new(*name, *ty)).collect())
+}
+
+/// A catalog datastore reading every column of `table`.
+fn scan(f: &mut Flow, name: &str, catalog: &Catalog, table: &str) -> OpId {
+    let schema = catalog.get(table).expect("table exists").schema.clone();
+    f.add_op(name, OpKind::Datastore { datastore: table.into(), schema }).unwrap()
+}
+
+fn agg(group_by: &[&str], aggregates: &[(&str, &str, &str)]) -> OpKind {
+    OpKind::Aggregation {
+        group_by: group_by.iter().map(|g| g.to_string()).collect(),
+        aggregates: aggregates
+            .iter()
+            .map(|(f, input, out)| AggSpec::new(*f, parse_expr(input).unwrap(), *out))
+            .collect(),
+    }
+}
+
+fn load(table: &str, key: &[&str]) -> OpKind {
+    OpKind::Loader { table: table.into(), key: key.iter().map(|k| k.to_string()).collect() }
+}
+
+/// Every row its own group under a two-column key, and groups that come
+/// back in non-adjacent morsels (and land in different radix partitions):
+/// four morsels, so the aggregation partitions four ways.
+#[test]
+fn fact_grain_and_recurring_groups_agree() {
+    let n = 3 * MORSEL_ROWS + 17;
+    let mut catalog = Catalog::new();
+    catalog.put(
+        "facts",
+        Relation::with_rows(
+            schema_of(&[
+                ("a", ColType::Integer),
+                ("b", ColType::Integer),
+                ("g", ColType::Integer),
+                ("h", ColType::Integer),
+                ("v", ColType::Decimal),
+            ]),
+            (0..n as i64)
+                .map(|i| {
+                    // `(g, h)` groups skip the second morsel entirely.
+                    let g = if i as usize / MORSEL_ROWS == 1 { 100_000 + i } else { i % 257 };
+                    vec![
+                        Value::Int(i / 64),
+                        Value::Int(i % 64),
+                        Value::Int(g),
+                        Value::Int(i % 3),
+                        Value::Float(i as f64 / 8.0),
+                    ]
+                })
+                .collect(),
+        ),
+    );
+    let mut f = Flow::new("fact_grain");
+    let src = scan(&mut f, "SRC", &catalog, "facts");
+    let measures = [("SUM", "v", "total"), ("COUNT", "1", "cnt"), ("AVERAGE", "v", "mean")];
+    let unique = f.append(src, "AGG_unique", agg(&["a", "b"], &measures)).unwrap();
+    f.append(unique, "LOAD_unique", load("unique", &[])).unwrap();
+    let recurring = f.append(src, "AGG_recurring", agg(&["g", "h"], &measures)).unwrap();
+    f.append(recurring, "LOAD_recurring", load("recurring", &[])).unwrap();
+    f.validate().expect("valid");
+    assert_equivalent(&catalog, &[&f]);
+
+    let mut engine = Engine::new(catalog);
+    engine.run(&f).expect("runs");
+    assert_eq!(engine.catalog.get("unique").unwrap().len(), n, "one group per row");
+    assert_eq!(engine.catalog.get("recurring").unwrap().len(), 257 * 3 + MORSEL_ROWS);
+}
+
+/// Group keys with and without the null-mask word: a non-null column alone,
+/// a nullable column, an all-NULL column, and their combinations.
+#[test]
+fn null_group_columns_agree() {
+    let n = 2 * MORSEL_ROWS + 301;
+    let mut catalog = Catalog::new();
+    catalog.put(
+        "facts",
+        Relation::with_rows(
+            schema_of(&[
+                ("dense", ColType::Integer),
+                ("holes", ColType::Integer),
+                ("void", ColType::Text),
+                ("v", ColType::Integer),
+            ]),
+            (0..n as i64)
+                .map(|i| {
+                    let holes = if i % 5 == 0 { Value::Null } else { Value::Int(i % 11) };
+                    vec![Value::Int(i % 13), holes, Value::Null, Value::Int(i)]
+                })
+                .collect(),
+        ),
+    );
+    let mut f = Flow::new("null_groups");
+    let src = scan(&mut f, "SRC", &catalog, "facts");
+    let measures = [("SUM", "v", "total"), ("COUNT", "1", "cnt"), ("MIN", "holes", "lo")];
+    for (i, group_by) in
+        [&["dense"][..], &["holes"], &["void"], &["holes", "dense"], &["void", "holes"]].into_iter().enumerate()
+    {
+        let a = f.append(src, format!("AGG{i}"), agg(group_by, &measures)).unwrap();
+        f.append(a, format!("LOAD{i}"), load(&format!("out{i}"), &[])).unwrap();
+    }
+    f.validate().expect("valid");
+    assert_equivalent(&catalog, &[&f]);
+}
+
+/// One aggregation carrying all five functions over every input
+/// representation — Int, Float, nullable, constants, strings, a `Mixed`
+/// column, and an expression whose per-morsel result is typed in one morsel
+/// and `Mixed` in the next — so flat lanes and `Value` lanes meet in one
+/// operator and in one measure. Grouped and global.
+#[test]
+fn every_function_over_every_input_agrees() {
+    let n = 2 * MORSEL_ROWS + 99;
+    let mut catalog = Catalog::new();
+    catalog.put(
+        "facts",
+        Relation::with_rows(
+            schema_of(&[
+                ("k", ColType::Integer),
+                ("i", ColType::Integer),
+                ("x", ColType::Decimal),
+                ("nx", ColType::Decimal),
+                ("s", ColType::Text),
+                ("m", ColType::Integer),
+            ]),
+            (0..n as i64)
+                .map(|i| {
+                    let nx = if i % 7 == 0 { Value::Null } else { Value::Float(i as f64 * 0.5) };
+                    // Integers through the first morsel, then floats mixed in.
+                    let m = if i as usize >= MORSEL_ROWS && i % 3 == 0 {
+                        Value::Float(i as f64 + 0.25)
+                    } else {
+                        Value::Int(i)
+                    };
+                    vec![
+                        Value::Int(i % 37),
+                        Value::Int(i - 5000),
+                        Value::Float(i as f64 / 3.0),
+                        nx,
+                        Value::Str(format!("s{:03}", i % 211)),
+                        m,
+                    ]
+                })
+                .collect(),
+        ),
+    );
+    let measures = [
+        ("SUM", "i", "sum_i"),
+        ("SUM", "x", "sum_x"),
+        ("SUM", "nx", "sum_nx"),
+        ("SUM", "2", "sum_const"),
+        ("SUM", "m", "sum_m"),
+        ("SUM", "m + 0", "sum_m_expr"),
+        ("AVERAGE", "i", "avg_i"),
+        ("AVERAGE", "nx", "avg_nx"),
+        ("AVG", "1.5", "avg_const"),
+        ("AVERAGE", "m", "avg_m"),
+        ("COUNT", "1", "cnt"),
+        ("COUNT", "nx", "cnt_nx"),
+        ("MIN", "i", "min_i"),
+        ("MIN", "nx", "min_nx"),
+        ("MIN", "s", "min_s"),
+        ("MIN", "m", "min_m"),
+        ("MAX", "x", "max_x"),
+        ("MAX", "s", "max_s"),
+        ("MAX", "m + 0", "max_m_expr"),
+    ];
+    let mut f = Flow::new("all_functions");
+    let src = scan(&mut f, "SRC", &catalog, "facts");
+    let grouped = f.append(src, "AGG_grouped", agg(&["k"], &measures)).unwrap();
+    f.append(grouped, "LOAD_grouped", load("grouped", &[])).unwrap();
+    let global = f.append(src, "AGG_global", agg(&[], &measures)).unwrap();
+    f.append(global, "LOAD_global", load("global", &[])).unwrap();
+    f.validate().expect("valid");
+    assert_equivalent(&catalog, &[&f]);
+}
+
+/// Sums whose bits depend on the order of the adds: `1e16, 1.0, -1e16, 1.0`
+/// is `1.0` added left to right inside one morsel, and `0.0` when a morsel
+/// boundary splits it into the partials `1e16` and `-1e16` — so the bits
+/// pin the fold order (row order from `0.0` per morsel, partials in morsel
+/// order). Plus a `-0.0`-only group and a NaN group. `Relation` equality
+/// compares floats by `to_bits`.
+#[test]
+fn order_sensitive_sums_keep_their_bits() {
+    let n = 2 * MORSEL_ROWS + 100;
+    let mut rows: Vec<Vec<Value>> = (0..n).map(|i| vec![Value::Int(0), Value::Float(i as f64 * 0.1)]).collect();
+    let cancelling = [1e16, 1.0, -1e16, 1.0];
+    for (at, key) in [(10, 1), (MORSEL_ROWS - 2, 2)] {
+        for (off, v) in cancelling.iter().enumerate() {
+            rows[at + off] = vec![Value::Int(key), Value::Float(*v)];
+        }
+    }
+    for at in [50, MORSEL_ROWS + 50, 2 * MORSEL_ROWS + 50] {
+        rows[at] = vec![Value::Int(3), Value::Float(-0.0)];
+        rows[at + 1] = vec![Value::Int(4), Value::Float(f64::NAN)];
+        rows[at + 2] = vec![Value::Int(4), Value::Float(at as f64)];
+    }
+    let mut catalog = Catalog::new();
+    catalog.put("facts", Relation::with_rows(schema_of(&[("k", ColType::Integer), ("v", ColType::Decimal)]), rows));
+    let mut f = Flow::new("float_order");
+    let src = scan(&mut f, "SRC", &catalog, "facts");
+    let a = f.append(src, "AGG", agg(&["k"], &[("SUM", "v", "total"), ("AVERAGE", "v", "mean")])).unwrap();
+    f.append(a, "LOAD", load("out", &[])).unwrap();
+    f.validate().expect("valid");
+    assert_equivalent(&catalog, &[&f]);
+
+    let mut engine = Engine::new(catalog);
+    engine.run(&f).expect("runs");
+    let out = engine.catalog.get("out").unwrap();
+    let total_of = |key: i64| {
+        let at = out.column_values("k").iter().position(|k| *k == Value::Int(key)).expect("group exists");
+        match out.column_values("total")[at] {
+            Value::Float(x) => x,
+            ref other => panic!("SUM is a float, got {other:?}"),
+        }
+    };
+    assert_eq!(total_of(1).to_bits(), 1.0f64.to_bits(), "one morsel: added left to right");
+    assert_eq!(total_of(2).to_bits(), 0.0f64.to_bits(), "split across morsels: the partials cancel");
+    assert_eq!(total_of(3).to_bits(), 0.0f64.to_bits(), "a sum starts from +0.0");
+    assert!(total_of(4).is_nan());
+}
+
+/// A global aggregate over zero rows still loads one row of neutral values.
+#[test]
+fn global_aggregate_of_zero_rows_agrees() {
+    let mut catalog = Catalog::new();
+    catalog.put("facts", Relation::new(schema_of(&[("v", ColType::Decimal), ("s", ColType::Text)])));
+    let mut f = Flow::new("empty_global");
+    let src = scan(&mut f, "SRC", &catalog, "facts");
+    let measures = [
+        ("SUM", "v", "total"),
+        ("AVERAGE", "v", "mean"),
+        ("COUNT", "1", "cnt"),
+        ("MIN", "s", "lo"),
+        ("MAX", "v", "hi"),
+    ];
+    let a = f.append(src, "AGG", agg(&[], &measures)).unwrap();
+    f.append(a, "LOAD", load("out", &[])).unwrap();
+    f.validate().expect("valid");
+    assert_equivalent(&catalog, &[&f]);
+
+    let mut engine = Engine::new(catalog);
+    engine.run(&f).expect("runs");
+    let row = engine.catalog.get("out").unwrap().row(0);
+    assert_eq!(row, [Value::Null, Value::Null, Value::Int(0), Value::Null, Value::Null]);
+}
+
+/// A measure that fails to accumulate in the second and in the third morsel
+/// reports the second morsel's failure, at any thread count, and the same
+/// one the row engine reports.
+#[test]
+fn aggregation_errors_surface_in_morsel_order() {
+    let n = 3 * MORSEL_ROWS;
+    let mut catalog = Catalog::new();
+    catalog.put(
+        "facts",
+        Relation::with_rows(
+            schema_of(&[("k", ColType::Integer), ("dirty", ColType::Integer)]),
+            (0..n)
+                .map(|i| {
+                    let dirty = match i {
+                        i if i == MORSEL_ROWS + 7 => Value::Str("second-morsel".into()),
+                        i if i == 2 * MORSEL_ROWS + 3 => Value::Str("third-morsel".into()),
+                        i => Value::Int(i as i64),
+                    };
+                    vec![Value::Int((i % 19) as i64), dirty]
+                })
+                .collect(),
+        ),
+    );
+    let mut f = Flow::new("agg_error");
+    let src = scan(&mut f, "SRC", &catalog, "facts");
+    let a = f.append(src, "AGG", agg(&["k"], &[("COUNT", "1", "cnt"), ("SUM", "dirty", "total")])).unwrap();
+    f.append(a, "LOAD", load("out", &[])).unwrap();
+    f.validate().expect("valid");
+
+    let expected = RowEngine::from_catalog(&catalog).run(&f).expect_err("row engine fails").to_string();
+    assert!(expected.contains("second-morsel"), "{expected}");
+    for threads in [1usize, 2, 8] {
+        quarry_engine::pool::set_threads(threads);
+        let err = Engine::new(catalog.clone()).run(&f).expect_err("columnar engine fails").to_string();
+        assert_eq!(err, expected, "at {threads} threads");
+    }
+    quarry_engine::pool::set_threads(0);
+}
+
+/// Three upsert loaders at different depths into one table: within-batch
+/// duplicate keys and NULL key cells on the first load; overlapping keys,
+/// NULL keys again and a column the table lacks on the second; disjoint
+/// keys and fewer columns than the table has on the third.
+#[test]
+fn upserts_at_different_depths_into_one_table_agree() {
+    let n = 2 * MORSEL_ROWS + 37;
+    let wide = schema_of(&[("k", ColType::Integer), ("v", ColType::Decimal), ("s", ColType::Text)]);
+    let mut catalog = Catalog::new();
+    catalog.put(
+        "src",
+        Relation::with_rows(
+            wide,
+            (0..n as i64)
+                .map(|i| {
+                    let k = if i % 97 == 0 { Value::Null } else { Value::Int(i % 5000) };
+                    vec![k, Value::Float(i as f64), Value::Str(format!("s{}", i % 400))]
+                })
+                .collect(),
+        ),
+    );
+    catalog.put(
+        "late",
+        Relation::with_rows(
+            schema_of(&[("k", ColType::Integer), ("v", ColType::Decimal)]),
+            (0..3000i64).map(|i| vec![Value::Int(4000 + i % 2500), Value::Float(-(i as f64))]).collect(),
+        ),
+    );
+    let sel = |p: &str| OpKind::Selection { predicate: parse_expr(p).unwrap() };
+    let mut f = Flow::new("three_upserts");
+    let src = scan(&mut f, "SRC", &catalog, "src");
+    let late = scan(&mut f, "LATE", &catalog, "late");
+    // Deepest first, so only a level-ordered schedule loads shallow → deep.
+    let deep = f.append(late, "SEL_deep1", sel("k >= 4500")).unwrap();
+    let deep = f.append(deep, "SEL_deep2", sel("v < 0 - 10")).unwrap();
+    f.append(deep, "UPSERT_deep", load("dim", &["k"])).unwrap();
+    let mid = f
+        .append(src, "TAG_mid", OpKind::Derivation { column: "tag".into(), expr: parse_expr("v * 2").unwrap() })
+        .unwrap();
+    f.append(mid, "UPSERT_mid", load("dim", &["k"])).unwrap();
+    f.append(src, "UPSERT_shallow", load("dim", &["k"])).unwrap();
+    f.validate().expect("valid");
+    assert_equivalent(&catalog, &[&f]);
+    // And again into the table those loads left behind.
+    assert_equivalent(&catalog, &[&f, &f]);
+
+    let mut engine = Engine::new(catalog);
+    engine.run(&f).expect("runs");
+    let dim = engine.catalog.get("dim").unwrap();
+    let mut keys: std::collections::BTreeSet<Option<i64>> =
+        (0..n as i64).map(|i| (i % 97 != 0).then_some(i % 5000)).collect();
+    keys.extend((4500..6500).map(Some));
+    assert_eq!(dim.len(), keys.len(), "one row per distinct key, NULL included");
+    assert_eq!(dim.schema.names().collect::<Vec<_>>(), ["k", "v", "s", "tag"]);
+}
+
+/// Second loads into a table the catalog already holds, keyed on strings:
+/// the table's dictionary and the input's differ (each was built on its
+/// own), and in the second round the input's key column has overflowed the
+/// dictionary into plain strings.
+#[test]
+fn string_keyed_second_loads_agree() {
+    let schema = schema_of(&[("name", ColType::Text), ("v", ColType::Integer)]);
+    for distinct in [3000usize, (1 << 16) + 500] {
+        let mut catalog = Catalog::new();
+        catalog.put(
+            "dim",
+            Relation::with_rows(
+                schema.clone(),
+                // Reverse order: the same string gets a different code on each side.
+                (0..2000i64).rev().map(|i| vec![Value::Str(format!("n{:06}", i * 2)), Value::Int(-i)]).collect(),
+            ),
+        );
+        catalog.put(
+            "src",
+            Relation::with_rows(
+                schema.clone(),
+                (0..distinct as i64 + 700)
+                    .map(|i| {
+                        let name =
+                            if i % 501 == 0 { Value::Null } else { Value::Str(format!("n{:06}", i % distinct as i64)) };
+                        vec![name, Value::Int(i)]
+                    })
+                    .collect(),
+            ),
+        );
+        let mut f = Flow::new("string_keys");
+        let src = scan(&mut f, "SRC", &catalog, "src");
+        f.append(src, "UPSERT", load("dim", &["name"])).unwrap();
+        f.validate().expect("valid");
+        assert_equivalent(&catalog, &[&f]);
+    }
+}
+
+/// An `Int`-keyed table receiving `Float` keys: the stacked key column is
+/// `Mixed`, the `Value`-row fallback matches `5.0` to `5`, and `6.5` opens a
+/// new row. The input lacks a column the table has (`label`) and carries
+/// one the table lacks (`w`).
+#[test]
+fn float_keys_into_an_int_keyed_table_agree() {
+    let mut catalog = Catalog::new();
+    catalog.put(
+        "dim",
+        Relation::with_rows(
+            schema_of(&[("k", ColType::Integer), ("label", ColType::Text)]),
+            (0..10i64).map(|i| vec![Value::Int(i), Value::Str(format!("L{i}"))]).collect(),
+        ),
+    );
+    catalog.put(
+        "src",
+        Relation::with_rows(
+            schema_of(&[("k", ColType::Integer), ("w", ColType::Decimal)]),
+            vec![
+                vec![Value::Float(5.0), Value::Float(50.0)],
+                vec![Value::Float(6.5), Value::Float(65.0)],
+                vec![Value::Null, Value::Float(0.0)],
+                vec![Value::Float(5.0), Value::Float(55.0)],
+            ],
+        ),
+    );
+    let mut f = Flow::new("float_keys");
+    let src = scan(&mut f, "SRC", &catalog, "src");
+    f.append(src, "UPSERT", load("dim", &["k"])).unwrap();
+    f.validate().expect("valid");
+    assert_equivalent(&catalog, &[&f]);
+
+    let mut engine = Engine::new(catalog);
+    engine.run(&f).expect("runs");
+    let dim = engine.catalog.get("dim").unwrap();
+    assert_eq!(dim.len(), 12, "ten old rows, 6.5 and the NULL key appended");
+    assert_eq!(dim.row(5), [Value::Float(5.0), Value::Str("L5".into()), Value::Float(55.0)], "last write wins");
+    assert_eq!(dim.row(10), [Value::Float(6.5), Value::Null, Value::Float(65.0)]);
 }
 
 #[test]

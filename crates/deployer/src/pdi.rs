@@ -22,11 +22,12 @@
 //! Each logical operation maps to the PDI step type reported by
 //! [`quarry_formats::xlm::pdi_optype`] with a per-type configuration block.
 
-use quarry_etl::{Flow, OpKind};
+use quarry_etl::{AggFn, AggSpec, Flow, OpKind};
 use quarry_formats::xlm::pdi_optype;
 use quarry_xml::Element;
 
-/// Generates the `.ktr` document for a logical flow.
+/// Generates the `.ktr` document for a logical flow. The flow must validate
+/// ([`Flow::validate`]): the deployer facade checks that before calling.
 pub fn generate_ktr(flow: &Flow, database: &str) -> String {
     let mut root = Element::new("transformation");
 
@@ -119,7 +120,7 @@ fn configure_step(step: &mut Element, kind: &OpKind) {
                     Element::new("field")
                         .with_text_child("aggregate", &a.output)
                         .with_text_child("subject", a.input.to_string())
-                        .with_text_child("type", pdi_agg_type(&a.function)),
+                        .with_text_child("type", pdi_agg_type(a)),
                 );
             }
             step.push_child(fields);
@@ -159,14 +160,15 @@ fn configure_step(step: &mut Element, kind: &OpKind) {
     }
 }
 
-/// PDI GroupBy aggregate type codes.
-fn pdi_agg_type(function: &str) -> &'static str {
-    match function.to_ascii_uppercase().as_str() {
-        "SUM" => "SUM",
-        "AVG" | "AVERAGE" => "AVERAGE",
-        "MIN" => "MIN",
-        "MAX" => "MAX",
-        _ => "COUNT_ALL",
+/// PDI GroupBy aggregate type codes. Generation runs on validated flows, so
+/// the function name always parses.
+fn pdi_agg_type(spec: &AggSpec) -> &'static str {
+    match spec.agg_fn().expect("validated before generation") {
+        AggFn::Sum => "SUM",
+        AggFn::Avg => "AVERAGE",
+        AggFn::Min => "MIN",
+        AggFn::Max => "MAX",
+        AggFn::Count => "COUNT_ALL",
     }
 }
 

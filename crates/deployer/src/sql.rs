@@ -9,7 +9,7 @@
 //! engine's FNV hash is within a run, though the two hash families differ
 //! (documented in DESIGN.md).
 
-use quarry_etl::{AggSpec, Expr, Flow, JoinKind, OpId, OpKind};
+use quarry_etl::{AggFn, Expr, Flow, JoinKind, OpId, OpKind};
 use std::fmt::Write;
 
 /// Quotes an identifier only when necessary (mirrors `postgres::ident`).
@@ -81,16 +81,19 @@ fn op_sql(flow: &Flow, id: OpId) -> String {
         }
         OpKind::Aggregation { group_by, aggregates } => {
             let mut select: Vec<String> = group_by.iter().map(|g| ident(g)).collect();
-            for AggSpec { function, input: in_expr, output } in aggregates {
-                let func = match function.to_ascii_uppercase().as_str() {
-                    "AVERAGE" => "AVG".to_string(),
-                    other => other.to_string(),
+            for spec in aggregates {
+                // Generation runs on validated flows: every name parses.
+                let func = match spec.agg_fn().expect("validated before generation") {
+                    AggFn::Sum => "SUM",
+                    AggFn::Avg => "AVG",
+                    AggFn::Min => "MIN",
+                    AggFn::Max => "MAX",
+                    AggFn::Count => {
+                        select.push(format!("COUNT(*) AS {}", ident(&spec.output)));
+                        continue;
+                    }
                 };
-                if func == "COUNT" {
-                    select.push(format!("COUNT(*) AS {}", ident(output)));
-                } else {
-                    select.push(format!("{func}({}) AS {}", expr_sql(in_expr), ident(output)));
-                }
+                select.push(format!("{func}({}) AS {}", expr_sql(&spec.input), ident(&spec.output)));
             }
             let mut sql = format!("SELECT {} FROM {}", select.join(", "), input(0));
             if !group_by.is_empty() {
@@ -162,7 +165,7 @@ pub fn generate_sql(flow: &Flow) -> Result<String, quarry_etl::FlowError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use quarry_etl::{parse_expr, ColType, Column, Schema};
+    use quarry_etl::{parse_expr, AggSpec, ColType, Column, Schema};
 
     fn sample_flow() -> Flow {
         let mut f = Flow::new("unified");

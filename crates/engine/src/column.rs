@@ -426,9 +426,11 @@ impl Column {
     }
 
     /// Concatenates columns in order. Same-representation parts extend
-    /// directly (dictionary parts sharing one pool extend codes verbatim);
-    /// anything else re-builds through a [`ColumnBuilder`], demoting to
-    /// `Mixed` only when the parts genuinely mix runtime types.
+    /// directly (dictionary parts sharing one pool extend codes verbatim;
+    /// dictionary parts over different pools re-code into one pool, interning
+    /// each distinct string once); anything else re-builds through a
+    /// [`ColumnBuilder`], demoting to `Mixed` only when the parts genuinely
+    /// mix runtime types.
     pub fn concat(parts: &[&Column], ty: ColType) -> Column {
         // Empty parts contribute nothing and would only defeat the
         // same-representation fast path (an empty dictionary never shares
@@ -440,7 +442,7 @@ impl Column {
         if parts.len() == 1 {
             return parts[0].clone();
         }
-        if let Some(c) = Self::concat_fast(&parts) {
+        if let Some(c) = Self::concat_fast(&parts).or_else(|| Self::concat_dicts(&parts)) {
             return c;
         }
         let mut b = ColumnBuilder::new(ty);
@@ -495,6 +497,38 @@ impl Column {
             }
             ColumnData::Str(_) | ColumnData::Mixed(_) => None,
         }
+    }
+
+    /// Concatenates dictionary parts whose pools differ into one pool: the
+    /// strings intern in row order, once per distinct code of each part, so
+    /// the result is the column a [`ColumnBuilder`] fed the same cells would
+    /// build — without cloning a string per cell. `None` when a part is not
+    /// a dictionary or the unified pool would overflow [`DICT_MAX`].
+    fn concat_dicts(parts: &[&Column]) -> Option<Column> {
+        let total = parts.iter().map(|p| p.len()).sum();
+        let mut unified = StringPool::new();
+        let mut codes: Vec<u32> = Vec::with_capacity(total);
+        let mut validity = Bitmap::new();
+        for p in parts {
+            let ColumnData::Dict { codes: part_codes, pool } = &p.data else { return None };
+            const UNSEEN: u32 = u32::MAX;
+            let mut recoded = vec![UNSEEN; pool.len()];
+            for (i, &c) in part_codes.iter().enumerate() {
+                let valid = p.validity.as_ref().is_none_or(|bm| bm.get(i));
+                validity.push(valid);
+                if !valid {
+                    codes.push(0);
+                    continue;
+                }
+                let slot = &mut recoded[c as usize];
+                if *slot == UNSEEN {
+                    *slot = unified.intern(pool.get(c))?;
+                }
+                codes.push(*slot);
+            }
+        }
+        let validity = if validity.all_set() { None } else { Some(validity) };
+        Some(Column::new(ColumnData::Dict { codes, pool: Arc::new(unified) }, validity))
     }
 }
 
@@ -785,11 +819,17 @@ mod tests {
 
     #[test]
     fn concat_unifies_disagreeing_representations() {
-        let a = build(ColType::Text, vec![Value::Str("a".into())]);
-        let b = build(ColType::Text, vec![Value::Str("b".into())]); // different pool
+        let a = build(ColType::Text, vec![Value::Str("a".into()), Value::Null, Value::Str("b".into())]);
+        let b = build(ColType::Text, vec![Value::Str("b".into()), Value::Str("c".into())]); // different pool
         let c = Column::concat(&[&a, &b], ColType::Text);
-        assert_eq!(c.value(0), Value::Str("a".into()));
-        assert_eq!(c.value(1), Value::Str("b".into()));
+        let ColumnData::Dict { codes, pool } = c.data() else { panic!("dictionaries unify into a dictionary") };
+        assert_eq!((pool.len(), codes[2]), (3, codes[3]), "one code per distinct string across the parts");
+        let strs =
+            |v: &[Option<&str>]| v.iter().map(|s| s.map_or(Value::Null, |s| Value::Str(s.into()))).collect::<Vec<_>>();
+        assert_eq!(
+            (0..5).map(|i| c.value(i)).collect::<Vec<_>>(),
+            strs(&[Some("a"), None, Some("b"), Some("b"), Some("c")])
+        );
 
         let d = build(ColType::Integer, vec![Value::Int(1)]);
         let e = build(ColType::Integer, vec![Value::Float(2.5)]);

@@ -42,8 +42,7 @@ use crate::column::Bitmap;
 use crate::column::{contiguous_run, Column as Col, ColumnBuilder, ColumnData, NULL_IDX};
 use crate::eval::{truthy, EvalError};
 use crate::keys::{
-    fold128, fold_words, pack2, pack4, plan_group_keys, plan_join_keys, radix_of, FastMap, FastSet, GroupKeyPlan,
-    JoinKeyPlan, SideKeys,
+    key_group_ids, plan_group_keys, plan_join_keys, with_packed_key, FastMap, GroupKeyPlan, JoinKeyPlan, SideKeys,
 };
 use crate::pool;
 use crate::relation::{Relation, Row};
@@ -51,8 +50,10 @@ use crate::stats;
 use crate::value::Value;
 use crate::vector::{collect_used, eval_vector, RowSel, Vek};
 use quarry_etl::{
-    AggSpec, CompiledExpr, Expr, Flow, FlowError, JoinKind, OpId, OpKind, Operation, Schema, UnboundColumn,
+    AggFn, AggSpec, ColType, CompiledExpr, Expr, Flow, FlowError, JoinKind, OpId, OpKind, Operation, Schema,
+    UnboundColumn,
 };
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::fmt;
 use std::hash::Hash;
@@ -641,7 +642,8 @@ impl Engine {
                 }
             }
         } else {
-            check_row_capacity(self.catalog.get(table).map_or(0, Relation::len).max(input.len()))?;
+            // The merge plan indexes `old ++ input` with `u32` positions.
+            check_row_capacity(self.catalog.get(table).map_or(0, Relation::len) + input.len())?;
             upsert(&mut self.catalog, table, input, key)
                 .map_err(|detail| EngineError::LoadSchemaMismatch { table: table.to_string(), detail })?;
         }
@@ -870,15 +872,17 @@ fn execute_pure(catalog: &Catalog, name: &str, kind: &OpKind, inputs: &[Batch]) 
             // Row-wise dedup reads every column: materialize up front.
             let input = inputs[0].materialize();
             check_row_capacity(input.len())?;
-            let mut seen = FastSet::with_capacity_and_hasher(input.len(), Default::default());
-            let mut kept: Vec<u32> = Vec::new();
-            for i in 0..input.len() {
-                if seen.insert(input.row(i)) {
+            let cols: Vec<&Col> = input.columns().iter().map(Arc::as_ref).collect();
+            let (ids, groups) = key_group_ids(&cols, input.len());
+            if groups == input.len() {
+                return Ok(Batch::Rel(input));
+            }
+            // A row survives when it opens its group: ids count up from zero.
+            let mut kept: Vec<u32> = Vec::with_capacity(groups);
+            for (i, &g) in ids.iter().enumerate() {
+                if g as usize == kept.len() {
                     kept.push(i as u32);
                 }
-            }
-            if kept.len() == input.len() {
-                return Ok(Batch::Rel(input));
             }
             Ok(Batch::Rel(Arc::new(Relation::from_columns(input.schema.clone(), gather_all(input.columns(), &kept)))))
         }
@@ -943,25 +947,17 @@ fn execute_pure(catalog: &Catalog, name: &str, kind: &OpKind, inputs: &[Batch]) 
 
 /// Upsert-merges `input` into the catalog table `table` keyed on `key`:
 /// the target schema takes the union of columns (old rows padded with NULL),
-/// and input rows overwrite/fill the columns they carry for matching keys.
-/// Dedups `0..n` by key, last write wins: returns, per surviving key in
-/// first-seen order, the index of the *last* row carrying that key.
-fn dedup_last_wins<K: Eq + std::hash::Hash>(n: usize, keyf: impl Fn(usize) -> K) -> Vec<u32> {
-    use std::collections::hash_map::Entry;
-    let mut index: FastMap<K, usize> = FastMap::with_capacity_and_hasher(n, Default::default());
-    let mut appended: Vec<u32> = Vec::new();
-    for i in 0..n {
-        match index.entry(keyf(i)) {
-            Entry::Occupied(e) => appended[*e.get()] = i as u32,
-            Entry::Vacant(e) => {
-                e.insert(appended.len());
-                appended.push(i as u32);
-            }
-        }
-    }
-    appended
-}
-
+/// and input rows overwrite/fill the columns they carry for matching keys
+/// (the last old row carrying a key takes the match; within the batch the
+/// last write wins) or append, in first-seen order, when no old row matches.
+///
+/// Keys are grouped once over `old ++ input` ([`key_group_ids`]): encoded
+/// words give the same per-column equality as `Value` rows — NULL equals
+/// NULL, the concatenation unifies the two sides' dictionaries — and only a
+/// `Mixed` key column (an `Int`-keyed table receiving `Float` keys, say)
+/// falls back to `Value`-row keys. The merge plan is a selection vector over
+/// `old ++ input`, so every carried column rebuilds as one typed
+/// concatenation and one gather, never a `Value` per cell.
 fn upsert(catalog: &mut Catalog, table: &str, input: &Relation, key: &[String]) -> Result<(), String> {
     if !catalog.contains(table) {
         // Create empty, then run the merge below: the input itself may
@@ -984,109 +980,65 @@ fn upsert(catalog: &mut Catalog, table: &str, input: &Relation, key: &[String]) 
             }
         }
     }
-    let key_idx_target: Vec<usize> = key
-        .iter()
-        .map(|k| existing.schema.index_of(k).ok_or_else(|| format!("upsert key `{k}` missing from target")))
-        .collect::<Result<_, _>>()?;
-    let key_idx_input: Vec<usize> = key
-        .iter()
-        .map(|k| input.schema.index_of(k).ok_or_else(|| format!("upsert key `{k}` missing from input")))
-        .collect::<Result<_, _>>()?;
-    // Input column → target position.
-    let positions: Vec<usize> =
-        input.schema.columns.iter().map(|c| existing.schema.index_of(&c.name).expect("widened above")).collect();
-    // Merge plan instead of in-place row mutation: for every output slot,
-    // which input row overwrites it (NULL_IDX = none; existing slots keep
-    // their old values, appended slots take the input row's values).
+    // Target position → input column carrying it.
+    let input_of: Vec<Option<usize>> = existing.schema.names().map(|n| input.schema.index_of(n)).collect();
     let old_len = existing.nrows;
-    let mut from_input: Vec<u32> = vec![NULL_IDX; old_len];
-    let appended: Vec<u32> = if old_len == 0 {
-        // Empty target: dedup within the input only. Fixed-width group-key
-        // encoding gives the same per-column equality as `Value` rows
-        // (NULL == NULL via the mask word, dictionary codes for strings)
-        // without a heap-allocated `Row` per row — this is every table's
-        // first load, the hot path of a fresh warehouse run.
-        let g_cols: Vec<&Col> = key_idx_input.iter().map(|&c| input.columns()[c].as_ref()).collect();
-        match plan_group_keys(&g_cols, input.len()) {
-            GroupKeyPlan::Encoded(sk) => match sk.width {
-                1 => dedup_last_wins(input.len(), |i| sk.words[i]),
-                2 => dedup_last_wins(input.len(), |i| pack2(sk.row(i))),
-                3 | 4 => dedup_last_wins(input.len(), |i| pack4(sk.row(i))),
-                _ => dedup_last_wins(input.len(), |i| sk.row(i).to_vec().into_boxed_slice()),
-            },
-            GroupKeyPlan::Values => dedup_last_wins(input.len(), |i| {
-                key_idx_input.iter().map(|&c| input.columns()[c].value(i)).collect::<Row>()
-            }),
+    // One column over `old ++ input`; on a first load, the input column.
+    let stacked = |tp: usize, ic: usize| -> Arc<Col> {
+        if old_len == 0 {
+            return Arc::clone(&input.columns()[ic]);
         }
-    } else {
-        let mut index: FastMap<Row, usize> = (0..existing.nrows)
-            .map(|i| (key_idx_target.iter().map(|&c| existing.columns[c].value(i)).collect::<Row>(), i))
-            .collect();
-        let mut appended: Vec<u32> = Vec::new();
-        for i in 0..input.len() {
-            let k: Row = key_idx_input.iter().map(|&c| input.columns()[c].value(i)).collect();
-            match index.get(&k) {
-                Some(&slot) => {
-                    // Last write wins within the batch.
-                    if slot < old_len {
-                        from_input[slot] = i as u32;
-                    } else {
-                        appended[slot - old_len] = i as u32;
-                    }
-                }
-                None => {
-                    index.insert(k, old_len + appended.len());
-                    appended.push(i as u32);
-                }
-            }
-        }
-        appended
+        let parts = [existing.columns[tp].as_ref(), input.columns()[ic].as_ref()];
+        Arc::new(Col::concat(&parts, existing.schema.columns[tp].ty))
     };
-    // Rebuild each target column from the plan. Columns the input does not
-    // carry keep their values (appended slots pad with NULL); columns it
-    // does carry splice input values over matched slots.
-    let target_of_input: HashMap<usize, usize> = positions.iter().enumerate().map(|(ic, &tp)| (tp, ic)).collect();
-    if old_len == 0 && appended.len() == input.len() && existing.columns.len() == input.columns().len() {
-        // Empty target, unique input keys, no extra target columns: the
-        // merged table IS the input — adopt its columns without a per-row
-        // rebuild (the common first load of a dimension or fact table).
-        existing.columns =
-            (0..existing.columns.len()).map(|tp| Arc::clone(&input.columns()[target_of_input[&tp]])).collect();
-        existing.nrows = input.len();
-        return Ok(());
-    }
-    let columns: Vec<Arc<Col>> = existing
-        .columns
+    let key_cols: Vec<Arc<Col>> = key
         .iter()
-        .enumerate()
-        .map(|(tp, old)| {
-            let ty = existing.schema.columns[tp].ty;
-            match target_of_input.get(&tp) {
-                None if appended.is_empty() => Arc::clone(old),
-                None => {
-                    let pad = Col::nulls(ty, appended.len());
-                    Arc::new(Col::concat(&[old.as_ref(), &pad], ty))
-                }
-                Some(&ic) => {
-                    let inp = input.columns()[ic].as_ref();
-                    let mut b = ColumnBuilder::new(ty);
-                    for (slot, &fi) in from_input.iter().enumerate() {
-                        if fi == NULL_IDX {
-                            b.push(old.value(slot));
-                        } else {
-                            b.push(inp.value(fi as usize));
-                        }
-                    }
-                    for &i in &appended {
-                        b.push(inp.value(i as usize));
-                    }
-                    Arc::new(b.finish())
-                }
+        .map(|k| {
+            let tp = existing.schema.index_of(k).ok_or_else(|| format!("upsert key `{k}` missing from target"))?;
+            let ic = input_of[tp].ok_or_else(|| format!("upsert key `{k}` missing from input"))?;
+            Ok(stacked(tp, ic))
+        })
+        .collect::<Result<_, String>>()?;
+    let total = old_len + input.len();
+    let (ids, groups) = key_group_ids(&key_cols.iter().map(Arc::as_ref).collect::<Vec<_>>(), total);
+    // The merge plan: per output slot, the row of `old ++ input` it takes.
+    // `None` is the identity — every key distinct, so nothing matches and
+    // nothing dedups (the common first load of a dimension or fact table):
+    // the merged columns are the stacked ones, shared rather than copied.
+    let plan: Option<Vec<u32>> = (groups < total).then(|| {
+        // Each key group's slot in the merged table: the last old row
+        // carrying the key, else the appended slot its first input row opens.
+        let mut slot_of: Vec<u32> = vec![NULL_IDX; groups];
+        for (slot, &g) in ids[..old_len].iter().enumerate() {
+            slot_of[g as usize] = slot as u32;
+        }
+        let mut plan: Vec<u32> = (0..old_len as u32).collect();
+        for (i, &g) in ids[old_len..].iter().enumerate() {
+            let slot = &mut slot_of[g as usize];
+            if *slot == NULL_IDX {
+                *slot = plan.len() as u32;
+                plan.push(NULL_IDX);
             }
+            plan[*slot as usize] = (old_len + i) as u32;
+        }
+        plan
+    });
+    let new_len = plan.as_ref().map_or(total, Vec::len);
+    // Columns the input does not carry keep their values (appended slots
+    // pad with NULL); columns it does carry gather through the plan.
+    let columns: Vec<Arc<Col>> = (0..existing.columns.len())
+        .map(|tp| match (input_of[tp], &plan) {
+            (None, _) if new_len == old_len => Arc::clone(&existing.columns[tp]),
+            (None, _) => {
+                let ty = existing.schema.columns[tp].ty;
+                Arc::new(Col::concat(&[existing.columns[tp].as_ref(), &Col::nulls(ty, new_len - old_len)], ty))
+            }
+            (Some(ic), None) => stacked(tp, ic),
+            (Some(ic), Some(plan)) => Arc::new(stacked(tp, ic).gather(plan)),
         })
         .collect();
     existing.columns = columns;
-    existing.nrows = old_len + appended.len();
+    existing.nrows = new_len;
     Ok(())
 }
 
@@ -1190,44 +1142,15 @@ fn hash_join(left: &Batch, right: &Batch, left_on: &[String], right_on: &[String
                 out
             } else {
                 stats::record_join_partitions(npart);
-                match lk.width {
-                    1 => join_core(
-                        left.len(),
-                        right.len(),
-                        kind,
-                        npart,
-                        move |k: &u64| radix_of(*k, npart),
-                        |i| lk.ok[i].then_some(lk.words[i]),
-                        |i| rk.ok[i].then_some(rk.words[i]),
-                    ),
-                    2 => join_core(
-                        left.len(),
-                        right.len(),
-                        kind,
-                        npart,
-                        move |k: &u128| radix_of(fold128(*k), npart),
-                        |i| lk.ok[i].then(|| pack2(lk.row(i))),
-                        |i| rk.ok[i].then(|| pack2(rk.row(i))),
-                    ),
-                    3 | 4 => join_core(
-                        left.len(),
-                        right.len(),
-                        kind,
-                        npart,
-                        move |k: &[u64; 4]| radix_of(fold_words(k), npart),
-                        |i| lk.ok[i].then(|| pack4(lk.row(i))),
-                        |i| rk.ok[i].then(|| pack4(rk.row(i))),
-                    ),
-                    _ => join_core::<Box<[u64]>, _, _, _>(
-                        left.len(),
-                        right.len(),
-                        kind,
-                        npart,
-                        move |k| radix_of(fold_words(k), npart),
-                        |i| lk.ok[i].then(|| lk.row(i).to_vec().into_boxed_slice()),
-                        |i| rk.ok[i].then(|| rk.row(i).to_vec().into_boxed_slice()),
-                    ),
-                }
+                with_packed_key!(lk.width, npart, |pack, part| join_core(
+                    left.len(),
+                    right.len(),
+                    kind,
+                    npart,
+                    part,
+                    |i| lk.ok[i].then(|| pack(lk.row(i))),
+                    |i| rk.ok[i].then(|| pack(rk.row(i))),
+                ))
             }
         }
     };
@@ -1409,10 +1332,9 @@ where
     (l_out, r_out)
 }
 
-/// One morsel's insertion-ordered aggregation table, generic over the key:
-/// `(key, first-seen row, accumulators)` in first-seen order.
-type LocalAggTable<K> = Vec<(K, u32, Vec<AggState>)>;
-
+/// One group's accumulator for one measure, as a value: the row engine's
+/// whole aggregation state, and in the columnar engine only what a
+/// [`Lane::States`] lane holds.
 #[derive(Debug, Clone)]
 pub(crate) enum AggState {
     Sum(f64, bool),
@@ -1422,36 +1344,45 @@ pub(crate) enum AggState {
     Count(u64),
 }
 
-/// A measure whose per-morsel fold runs column-at-a-time: `SUM`/`AVG` over
-/// a numeric vector (or numeric constant) reduce to plain `f64` adds, and
-/// `COUNT` needs no values at all. Anything else — `MIN`/`MAX` (which keep
-/// `Value`s), non-numeric vectors whose accumulation must surface a type
-/// error per row, `Mixed` columns — stays on the [`accumulate`] path.
-enum FastFold<'a> {
-    F64(NumSrc<'a>, Option<&'a Bitmap>),
-    Count,
+impl AggState {
+    /// The accumulator of `f` that has folded nothing.
+    pub(crate) fn fresh(f: AggFn) -> AggState {
+        match f {
+            AggFn::Sum => AggState::Sum(0.0, false),
+            AggFn::Avg => AggState::Avg(0.0, 0),
+            AggFn::Min => AggState::Min(None),
+            AggFn::Max => AggState::Max(None),
+            AggFn::Count => AggState::Count(0),
+        }
+    }
 }
 
-/// The numeric view behind a [`FastFold::F64`] lane.
+/// The functions `aggregates` name. Both engines propagate schemas
+/// (`flow.schemas()`) before running any operator, and that rejects every
+/// name [`AggSpec::agg_fn`] does not know — an unknown name here is a bug in
+/// this program, not an input.
+pub(crate) fn agg_fns(aggregates: &[AggSpec]) -> Vec<AggFn> {
+    aggregates.iter().map(|a| a.agg_fn().expect("schema propagation rejects unknown aggregate names")).collect()
+}
+
+/// The numeric view of a measure vector whose `SUM`/`AVG` fold runs
+/// column-at-a-time as plain `f64` adds.
 enum NumSrc<'a> {
     F(&'a [f64]),
     I(&'a [i64]),
     Const(f64),
 }
 
-fn fast_fold<'a>(fresh: &AggState, vek: &'a Vek) -> Option<FastFold<'a>> {
-    if matches!(fresh, AggState::Count(_)) {
-        return Some(FastFold::Count);
-    }
-    if !matches!(fresh, AggState::Sum(..) | AggState::Avg(..)) {
-        return None;
-    }
+/// The flat view of `vek`, if it has one: a numeric vector (with its
+/// validity) or a numeric constant. Non-numeric vectors, whose accumulation
+/// must surface a type error per row, and `Mixed` columns have none.
+fn numeric_source(vek: &Vek) -> Option<(NumSrc<'_>, Option<&Bitmap>)> {
     match vek {
-        Vek::Const(Value::Int(v)) => Some(FastFold::F64(NumSrc::Const(*v as f64), None)),
-        Vek::Const(Value::Float(v)) => Some(FastFold::F64(NumSrc::Const(*v), None)),
+        Vek::Const(Value::Int(v)) => Some((NumSrc::Const(*v as f64), None)),
+        Vek::Const(Value::Float(v)) => Some((NumSrc::Const(*v), None)),
         Vek::Col(c) => match c.data() {
-            ColumnData::Float(v) => Some(FastFold::F64(NumSrc::F(v), c.validity())),
-            ColumnData::Int(v) => Some(FastFold::F64(NumSrc::I(v), c.validity())),
+            ColumnData::Float(v) => Some((NumSrc::F(v), c.validity())),
+            ColumnData::Int(v) => Some((NumSrc::I(v), c.validity())),
             _ => None,
         },
         _ => None,
@@ -1538,191 +1469,289 @@ pub(crate) fn finalize_state(state: AggState) -> Value {
     }
 }
 
+/// One measure's accumulators for a table of groups, indexed by group id:
+/// the aggregation state is these flat vectors from the hash probe to the
+/// output column, with no object per group. The kind follows the function.
+enum Lane {
+    /// `SUM`/`AVG`: the running sum and the number of non-NULL inputs in it.
+    Num { acc: Vec<f64>, cnt: Vec<u64> },
+    /// `COUNT`.
+    Count(Vec<u64>),
+    /// `MIN`/`MAX`, which keep `Value`s.
+    States(Vec<AggState>),
+}
+
+/// Folds one evaluated measure over a morsel into a lane of `groups`
+/// accumulators, `gids[off]` being the group of the morsel's `off`-th row.
+/// `SUM`/`AVG` over a numeric vector add in row order from `0.0` — the adds
+/// [`accumulate`] makes, in its order, so the sums carry the same bits;
+/// over anything else they go through [`accumulate`] itself.
+fn fold_lane(f: AggFn, vek: &Vek, gids: &[u32], groups: usize) -> Result<Lane, EvalError> {
+    if f == AggFn::Count {
+        let mut n = vec![0u64; groups];
+        gids.iter().for_each(|&g| n[g as usize] += 1);
+        return Ok(Lane::Count(n));
+    }
+    let flat = if matches!(f, AggFn::Sum | AggFn::Avg) { numeric_source(vek) } else { None };
+    let Some((src, validity)) = flat else {
+        let mut states = vec![AggState::fresh(f); groups];
+        for (off, &g) in gids.iter().enumerate() {
+            accumulate(&mut states[g as usize], vek.value(off))?;
+        }
+        let num = |s: &AggState| match *s {
+            AggState::Sum(acc, any) => (acc, u64::from(any)),
+            AggState::Avg(acc, n) => (acc, n),
+            _ => unreachable!("SUM and AVG fold into their own states"),
+        };
+        return Ok(match f {
+            AggFn::Sum | AggFn::Avg => {
+                let (acc, cnt) = states.iter().map(num).unzip();
+                Lane::Num { acc, cnt }
+            }
+            _ => Lane::States(states),
+        });
+    };
+    let (mut acc, mut cnt) = (vec![0.0f64; groups], vec![0u64; groups]);
+    let mut add = |off: usize, x: f64| {
+        if validity.is_none_or(|bm| bm.get(off)) {
+            acc[gids[off] as usize] += x;
+            cnt[gids[off] as usize] += 1;
+        }
+    };
+    match src {
+        NumSrc::F(vs) => vs.iter().enumerate().for_each(|(off, &x)| add(off, x)),
+        NumSrc::I(vs) => vs.iter().enumerate().for_each(|(off, &x)| add(off, x as f64)),
+        NumSrc::Const(c) => (0..gids.len()).for_each(|off| add(off, c)),
+    }
+    Ok(Lane::Num { acc, cnt })
+}
+
+/// Merges `from[ids[j]]` into `into[slots[j]]`. A slot one past the end is a
+/// group seen for the first time: its partial moves in as it is; any other
+/// slot `+=`s it.
+fn absorb_flat<T: Copy + std::ops::AddAssign>(into: &mut Vec<T>, from: &[T], ids: &[u32], slots: &[u32]) {
+    for (&g, &s) in ids.iter().zip(slots) {
+        match into.get_mut(s as usize) {
+            Some(x) => *x += from[g as usize],
+            None => into.push(from[g as usize]),
+        }
+    }
+}
+
+impl Lane {
+    fn empty(f: AggFn) -> Lane {
+        match f {
+            AggFn::Sum | AggFn::Avg => Lane::Num { acc: Vec::new(), cnt: Vec::new() },
+            AggFn::Count => Lane::Count(Vec::new()),
+            AggFn::Min | AggFn::Max => Lane::States(Vec::new()),
+        }
+    }
+
+    /// Merges groups `ids` of a morsel's lane into slots `slots` of this one
+    /// (see [`absorb_flat`]).
+    fn absorb(&mut self, from: &Lane, ids: &[u32], slots: &[u32]) {
+        match (self, from) {
+            (Lane::Num { acc, cnt }, Lane::Num { acc: from_acc, cnt: from_cnt }) => {
+                absorb_flat(acc, from_acc, ids, slots);
+                absorb_flat(cnt, from_cnt, ids, slots);
+            }
+            (Lane::Count(n), Lane::Count(from_n)) => absorb_flat(n, from_n, ids, slots),
+            (Lane::States(states), Lane::States(from_states)) => {
+                for (&g, &s) in ids.iter().zip(slots) {
+                    let from = from_states[g as usize].clone();
+                    match states.get_mut(s as usize) {
+                        Some(into) => merge_state(into, from),
+                        None => states.push(from),
+                    }
+                }
+            }
+            _ => unreachable!("a measure's lane kind follows its function"),
+        }
+    }
+
+    /// Appends another partition's merged lane.
+    fn append(&mut self, other: Lane) {
+        match (self, other) {
+            (Lane::Num { acc, cnt }, Lane::Num { acc: mut a, cnt: mut c }) => {
+                acc.append(&mut a);
+                cnt.append(&mut c);
+            }
+            (Lane::Count(n), Lane::Count(mut m)) => n.append(&mut m),
+            (Lane::States(s), Lane::States(mut t)) => s.append(&mut t),
+            _ => unreachable!("a measure's lane kind follows its function"),
+        }
+    }
+
+    /// The output column: group `perm[k]`'s final value at row `k`. Flat
+    /// lanes build typed data plus a validity bitmap from the counts, in the
+    /// representation a [`ColumnBuilder`] fed the finalized values picks:
+    /// validity dropped when every group has a value, an all-NULL column
+    /// typed after the declared `ty`.
+    fn into_column(self, perm: &[u32], f: AggFn, ty: ColType) -> Col {
+        match self {
+            Lane::Num { acc, cnt } => {
+                let valid = perm.iter().filter(|&&g| cnt[g as usize] > 0).count();
+                if valid == 0 {
+                    return Col::nulls(ty, perm.len());
+                }
+                let value = |&g: &u32| match (f, cnt[g as usize]) {
+                    (AggFn::Avg, n @ 1..) => acc[g as usize] / n as f64,
+                    _ => acc[g as usize],
+                };
+                let validity = (valid < perm.len()).then(|| {
+                    let mut bm = Bitmap::new();
+                    perm.iter().for_each(|&g| bm.push(cnt[g as usize] > 0));
+                    bm
+                });
+                Col::new(ColumnData::Float(perm.iter().map(value).collect()), validity)
+            }
+            Lane::Count(n) => Col::new(ColumnData::Int(perm.iter().map(|&g| n[g as usize] as i64).collect()), None),
+            Lane::States(states) => {
+                let mut b = ColumnBuilder::new(ty);
+                perm.iter().for_each(|&g| b.push(finalize_state(states[g as usize].clone())));
+                b.finish()
+            }
+        }
+    }
+}
+
+/// One morsel's aggregation result, struct-of-arrays over its local group
+/// ids (first-seen order). A group's key is `keyf` of its first-seen row.
+struct LocalAgg {
+    firsts: Vec<u32>,
+    /// Local group ids counting-sorted by radix partition: partition `p`
+    /// owns `by_part[starts[p]..starts[p + 1]]`, ascending.
+    by_part: Vec<u32>,
+    starts: Vec<u32>,
+    lanes: Vec<Lane>,
+}
+
+impl LocalAgg {
+    fn partition(&self, p: usize) -> &[u32] {
+        &self.by_part[self.starts[p] as usize..self.starts[p + 1] as usize]
+    }
+}
+
+/// An aggregation's groups: `firsts` in first-seen (ascending) order, and
+/// for output row `k` the id `perm[k]` its accumulators have in `lanes`.
+struct Grouped {
+    firsts: Vec<u32>,
+    perm: Vec<u32>,
+    lanes: Vec<Lane>,
+}
+
 /// The aggregation skeleton, generic over the group-key type: two-phase
-/// parallel aggregation keeping `(key, first-seen row, accumulators)` per
-/// group. Phase 1 folds each morsel into `npart` local insertion-ordered
-/// tables, segregated by the key's radix partition — measures evaluate
-/// column-at-a-time per morsel before the fold. Phase 2 merges each
-/// partition's locals independently (in parallel), in morsel order within
-/// the partition, keeping the earliest first-seen row. A key lives in
-/// exactly one partition, so the final sort by first-seen row reproduces
-/// global first-occurrence order — the combined accumulators and their
-/// order are a pure function of the morsel structure and the key values,
-/// identical for serial and parallel runs at any thread count. (Within one
-/// morsel, evaluation errors surface measure-major rather than row-major —
-/// still deterministic, since morsel order breaks ties across morsels.)
-#[allow(clippy::too_many_arguments)]
+/// parallel aggregation over flat accumulator lanes ([`Lane`]), allocating
+/// per morsel and per partition, never per group.
+///
+/// Phase 1, per morsel: measures evaluate column-at-a-time, one hash probe
+/// per row resolves it to a local group id, each measure folds into its lane
+/// ([`fold_lane`]), and the local ids counting-sort by the key's radix
+/// partition. Phase 2, per partition, in parallel: a table pre-sized from
+/// the partition's entry count merges the morsels' groups in morsel order
+/// ([`Lane::absorb`]), keeping each key's earliest first-seen row. A key
+/// lives in one partition and a row opens at most one group, so scattering
+/// the merged groups over their first-seen rows and reading the rows back
+/// in order restores global first-occurrence order without comparing groups.
+///
+/// Sums are per-morsel partials folded in row order from `0.0`, combined in
+/// morsel order: a pure function of the morsel structure and the key values,
+/// identical at any thread count and to the row engine's. (Within a morsel,
+/// evaluation errors surface measure-major rather than row-major — still
+/// deterministic, since morsel order breaks ties across morsels.)
 fn agg_core<K, P, F>(
     cols: &[Arc<Col>],
     len: usize,
     measures: &[CompiledExpr],
-    fresh: &[AggState],
+    fns: &[AggFn],
     npart: usize,
     part: P,
     keyf: F,
-) -> Result<LocalAggTable<K>, EvalError>
+) -> Result<Grouped, EvalError>
 where
-    K: Hash + Eq + Clone + Send,
+    K: Hash + Eq,
     P: Fn(&K) -> usize + Sync,
     F: Fn(usize) -> K + Sync,
 {
-    let locals: Vec<Result<Vec<LocalAggTable<K>>, EvalError>> = per_morsel(len, |rg| {
+    let locals: Vec<Result<LocalAgg, EvalError>> = per_morsel(len, |rg| {
         let sel = RowSel::Range(rg.clone());
         let veks: Vec<Vek> = measures.iter().map(|m| eval_vector(m, cols, &sel)).collect::<Result<_, _>>()?;
-        // Pass 1: resolve each row to a group id (first-seen order), one
-        // hash probe per row and nothing else.
-        let mut index: FastMap<K, u32> = FastMap::default();
-        let mut parts: Vec<LocalAggTable<K>> = (0..npart).map(|_| Vec::new()).collect();
-        let mut created: Vec<(u32, u32)> = Vec::new(); // gid → (partition, slot)
-        let mut gids: Vec<u32> = Vec::with_capacity(rg.len());
-        for i in rg.clone() {
-            let key = keyf(i);
-            let gid = match index.get(&key) {
-                Some(&g) => g,
-                None => {
-                    let p = part(&key);
-                    let g = created.len() as u32;
-                    created.push((p as u32, parts[p].len() as u32));
-                    index.insert(key.clone(), g);
-                    parts[p].push((key, i as u32, fresh.to_vec()));
-                    g
+        let mut index: FastMap<K, u32> = FastMap::with_capacity_and_hasher(rg.len(), Default::default());
+        let mut firsts: Vec<u32> = Vec::new();
+        let mut part_of: Vec<u32> = Vec::new();
+        let gids: Vec<u32> = rg
+            .map(|i| match index.entry(keyf(i)) {
+                Entry::Occupied(e) => *e.get(),
+                Entry::Vacant(e) => {
+                    let g = firsts.len() as u32;
+                    firsts.push(i as u32);
+                    part_of.push(part(e.key()) as u32);
+                    *e.insert(g)
                 }
-            };
-            gids.push(gid);
+            })
+            .collect();
+        let mut starts = vec![0u32; npart + 1];
+        for &p in &part_of {
+            starts[p as usize + 1] += 1;
         }
-        // Pass 2: fold each measure column-at-a-time over the resolved
-        // slots. `SUM`/`AVG` over numeric vectors and `COUNT` run through
-        // flat buffers — the same adds in the same row order as the
-        // row-at-a-time fold, so the result bits are identical; everything
-        // else (MIN/MAX, non-numeric, dirty columns) takes the `Value`
-        // path per row.
-        for (m, vek) in veks.iter().enumerate() {
-            match fast_fold(&fresh[m], vek) {
-                Some(FastFold::Count) => {
-                    let mut counts = vec![0u64; created.len()];
-                    for &g in &gids {
-                        counts[g as usize] += 1;
-                    }
-                    for (g, &(p, s)) in created.iter().enumerate() {
-                        parts[p as usize][s as usize].2[m] = AggState::Count(counts[g]);
-                    }
-                }
-                Some(FastFold::F64(src, validity)) => {
-                    let mut acc = vec![0.0f64; created.len()];
-                    let mut cnt = vec![0u64; created.len()];
-                    match (src, validity) {
-                        (NumSrc::F(vs), None) => {
-                            for (off, &g) in gids.iter().enumerate() {
-                                acc[g as usize] += vs[off];
-                                cnt[g as usize] += 1;
-                            }
-                        }
-                        (NumSrc::F(vs), Some(bm)) => {
-                            for (off, &g) in gids.iter().enumerate() {
-                                if bm.get(off) {
-                                    acc[g as usize] += vs[off];
-                                    cnt[g as usize] += 1;
-                                }
-                            }
-                        }
-                        (NumSrc::I(vs), None) => {
-                            for (off, &g) in gids.iter().enumerate() {
-                                acc[g as usize] += vs[off] as f64;
-                                cnt[g as usize] += 1;
-                            }
-                        }
-                        (NumSrc::I(vs), Some(bm)) => {
-                            for (off, &g) in gids.iter().enumerate() {
-                                if bm.get(off) {
-                                    acc[g as usize] += vs[off] as f64;
-                                    cnt[g as usize] += 1;
-                                }
-                            }
-                        }
-                        (NumSrc::Const(c), _) => {
-                            for &g in &gids {
-                                acc[g as usize] += c;
-                                cnt[g as usize] += 1;
-                            }
-                        }
-                    }
-                    for (g, &(p, s)) in created.iter().enumerate() {
-                        parts[p as usize][s as usize].2[m] = match fresh[m] {
-                            AggState::Sum(..) => AggState::Sum(acc[g], cnt[g] > 0),
-                            _ => AggState::Avg(acc[g], cnt[g]),
-                        };
-                    }
-                }
-                None => {
-                    for (off, &g) in gids.iter().enumerate() {
-                        let (p, s) = created[g as usize];
-                        accumulate(&mut parts[p as usize][s as usize].2[m], vek.value(off))?;
-                    }
-                }
-            }
+        for p in 0..npart {
+            starts[p + 1] += starts[p];
         }
-        Ok(parts)
+        let mut cursor = starts.clone();
+        let mut by_part = vec![0u32; firsts.len()];
+        for (g, &p) in part_of.iter().enumerate() {
+            by_part[cursor[p as usize] as usize] = g as u32;
+            cursor[p as usize] += 1;
+        }
+        let lanes =
+            fns.iter().zip(&veks).map(|(&f, vek)| fold_lane(f, vek, &gids, firsts.len())).collect::<Result<_, _>>()?;
+        Ok(LocalAgg { firsts, by_part, starts, lanes })
     });
-    // Surface the first error in morsel order — deterministic under any
+    // The first error in morsel order wins — deterministic under any
     // thread count.
-    let mut per_morsel_parts: Vec<Vec<LocalAggTable<K>>> = Vec::with_capacity(locals.len());
-    for l in locals {
-        per_morsel_parts.push(l?);
-    }
-    // Transpose morsel-major → partition-major (pure moves), then merge
-    // each partition's locals in morsel order, in parallel. The mutexes
-    // only hand ownership to the one merging job — never contended.
-    let mut by_part: Vec<Vec<LocalAggTable<K>>> =
-        (0..npart).map(|_| Vec::with_capacity(per_morsel_parts.len())).collect();
-    for morsel in per_morsel_parts {
-        for (p, t) in morsel.into_iter().enumerate() {
-            by_part[p].push(t);
+    let locals: Vec<LocalAgg> = locals.into_iter().collect::<Result<_, _>>()?;
+    let merged: Vec<(Vec<u32>, Vec<Lane>)> = pool::run_indexed(npart, |p| {
+        let entries = locals.iter().map(|l| l.partition(p).len()).sum();
+        let mut index: FastMap<K, u32> = FastMap::with_capacity_and_hasher(entries, Default::default());
+        let mut firsts: Vec<u32> = Vec::new();
+        let mut lanes: Vec<Lane> = fns.iter().map(|&f| Lane::empty(f)).collect();
+        let mut slots: Vec<u32> = Vec::new();
+        for local in &locals {
+            let ids = local.partition(p);
+            slots.clear();
+            slots.extend(ids.iter().map(|&g| {
+                let first = local.firsts[g as usize];
+                *index.entry(keyf(first as usize)).or_insert_with(|| {
+                    firsts.push(first);
+                    firsts.len() as u32 - 1
+                })
+            }));
+            lanes.iter_mut().zip(&local.lanes).for_each(|(into, from)| into.absorb(from, ids, &slots));
         }
-    }
-    let slots: Vec<Mutex<Vec<LocalAggTable<K>>>> = by_part.into_iter().map(Mutex::new).collect();
-    let merged: Vec<LocalAggTable<K>> = pool::run_indexed(npart, |p| {
-        let tables = std::mem::take(&mut *slots[p].lock().expect("partition mutex never poisons"));
-        let mut index: FastMap<K, usize> = FastMap::default();
-        let mut groups: LocalAggTable<K> = Vec::new();
-        for local in tables {
-            for (key, first, states) in local {
-                match index.get(&key) {
-                    Some(&slot) => {
-                        for (into, from) in groups[slot].2.iter_mut().zip(states) {
-                            merge_state(into, from);
-                        }
-                    }
-                    None => {
-                        index.insert(key.clone(), groups.len());
-                        groups.push((key, first, states));
-                    }
-                }
-            }
-        }
-        groups
+        (firsts, lanes)
     });
-    // First-seen rows are unique across groups (a row belongs to one
-    // group), so sorting by them restores exact serial insertion order.
-    let mut groups: LocalAggTable<K> = merged.into_iter().flatten().collect();
-    groups.sort_by_key(|g| g.1);
-    Ok(groups)
-}
-
-/// Drops the key from a merged aggregation table: the output's group columns
-/// gather at each group's first-seen row instead, which yields exactly the
-/// first-seen key values (word equality coincides with value equality within
-/// every encoded column).
-fn drop_keys<K>(groups: LocalAggTable<K>) -> Vec<(u32, Vec<AggState>)> {
-    groups.into_iter().map(|(_, first, states)| (first, states)).collect()
+    let mut merged = merged.into_iter();
+    let (mut firsts, mut lanes) = merged.next().expect("at least one partition");
+    for (mut more_firsts, more_lanes) in merged {
+        firsts.append(&mut more_firsts);
+        lanes.iter_mut().zip(more_lanes).for_each(|(lane, more)| lane.append(more));
+    }
+    let mut group_at = vec![NULL_IDX; len];
+    for (g, &first) in firsts.iter().enumerate() {
+        group_at[first as usize] = g as u32;
+    }
+    let (firsts, perm) =
+        group_at.iter().enumerate().filter(|(_, &g)| g != NULL_IDX).map(|(row, &g)| (row as u32, g)).unzip();
+    Ok(Grouped { firsts, perm, lanes })
 }
 
 /// Columnar grouped aggregation: group keys are planned once
-/// ([`plan_group_keys`]) into fixed-width words (with a null-mask word)
-/// unless a `Mixed` column forces `Value`-row keys; measures evaluate
-/// vectorized per morsel; the output's group columns gather at each group's
-/// first-seen row and the aggregate columns build from finalized
-/// accumulators. Only the group and measure columns materialize from a late
-/// input; encoded keys aggregate radix-partitioned ([`agg_core`]).
+/// ([`plan_group_keys`]) into fixed-width words unless a `Mixed` column
+/// forces `Value`-row keys, and aggregate radix-partitioned ([`agg_core`]).
+/// The output's group columns gather at each group's first-seen row (word
+/// equality coincides with value equality within every encoded column); the
+/// aggregate columns build straight from the lanes ([`Lane::into_column`]).
+/// Only the group and measure columns materialize from a late input.
 fn hash_aggregate(
     input: &Batch,
     group_by: &[String],
@@ -1741,85 +1770,44 @@ fn hash_aggregate(
             CompiledExpr::compile(&a.input, input.schema()).map_err(|UnboundColumn(c)| EvalError::UnknownColumn(c))
         })
         .collect::<Result<_, _>>()?;
-    let fresh_states: Vec<AggState> = aggregates
-        .iter()
-        .map(|a| match a.function.to_ascii_uppercase().as_str() {
-            "SUM" => AggState::Sum(0.0, false),
-            "AVG" | "AVERAGE" => AggState::Avg(0.0, 0),
-            "MIN" => AggState::Min(None),
-            "MAX" => AggState::Max(None),
-            _ => AggState::Count(0),
-        })
-        .collect();
+    let fns = agg_fns(aggregates);
     let cols = input.cols_for(&used_columns(&measures.iter().collect::<Vec<_>>(), &g_idx));
     let cols = cols.as_slice();
 
-    let mut groups: Vec<(u32, Vec<AggState>)> = if g_idx.is_empty() {
-        drop_keys(agg_core(cols, len, &measures, &fresh_states, 1, |_: &()| 0, |_| ())?)
+    let mut grouped = if g_idx.is_empty() {
+        agg_core(cols, len, &measures, &fns, 1, |_: &()| 0, |_| ())?
     } else {
         let g_cols: Vec<&Col> = g_idx.iter().map(|&c| cols[c].as_ref()).collect();
         match plan_group_keys(&g_cols, len) {
             GroupKeyPlan::Values => {
                 let keyf = |i: usize| -> Row { g_idx.iter().map(|&c| cols[c].value(i)).collect() };
-                drop_keys(agg_core(cols, len, &measures, &fresh_states, 1, |_: &Row| 0, keyf)?)
+                agg_core(cols, len, &measures, &fns, 1, |_: &Row| 0, keyf)?
             }
             GroupKeyPlan::Encoded(sk) => {
                 let npart = radix_partition_count(len);
-                match sk.width {
-                    1 => drop_keys(agg_core(
-                        cols,
-                        len,
-                        &measures,
-                        &fresh_states,
-                        npart,
-                        move |k: &u64| radix_of(*k, npart),
-                        |i| sk.words[i],
-                    )?),
-                    2 => drop_keys(agg_core(
-                        cols,
-                        len,
-                        &measures,
-                        &fresh_states,
-                        npart,
-                        move |k: &u128| radix_of(fold128(*k), npart),
-                        |i| pack2(sk.row(i)),
-                    )?),
-                    3 | 4 => drop_keys(agg_core(
-                        cols,
-                        len,
-                        &measures,
-                        &fresh_states,
-                        npart,
-                        move |k: &[u64; 4]| radix_of(fold_words(k), npart),
-                        |i| pack4(sk.row(i)),
-                    )?),
-                    _ => drop_keys(agg_core::<Box<[u64]>, _, _>(
-                        cols,
-                        len,
-                        &measures,
-                        &fresh_states,
-                        npart,
-                        move |k| radix_of(fold_words(k), npart),
-                        |i| sk.row(i).to_vec().into_boxed_slice(),
-                    )?),
-                }
+                with_packed_key!(sk.width, npart, |pack, part| agg_core(
+                    cols,
+                    len,
+                    &measures,
+                    &fns,
+                    npart,
+                    part,
+                    |i| pack(sk.row(i))
+                ))?
             }
         }
     };
-    // A global aggregation over zero rows still yields one row of neutral
-    // values, matching SQL semantics. (The first-seen index is unused: there
-    // are no group columns to gather.)
-    if groups.is_empty() && group_by.is_empty() {
-        groups.push((0, fresh_states.clone()));
+    if grouped.perm.is_empty() && group_by.is_empty() {
+        // A global aggregation over zero rows still yields one row of
+        // neutral values, matching SQL semantics: one group that folded
+        // nothing. (Its first-seen row is unused: no group columns gather.)
+        let lanes = fns.iter().map(|&f| fold_lane(f, &Vek::Const(Value::Null), &[], 1)).collect::<Result<_, _>>()?;
+        grouped = Grouped { firsts: vec![0], perm: vec![0], lanes };
     }
-    let firsts: Vec<u32> = groups.iter().map(|(first, _)| *first).collect();
+    let Grouped { firsts, perm, lanes } = grouped;
     let mut columns: Vec<Arc<Col>> = g_idx.iter().map(|&c| Arc::new(cols[c].gather(&firsts))).collect();
-    for (j, sc) in schema.columns[group_by.len()..].iter().enumerate() {
-        let mut b = ColumnBuilder::new(sc.ty);
-        for (_, states) in &groups {
-            b.push(finalize_state(states[j].clone()));
-        }
-        columns.push(Arc::new(b.finish()));
+    for ((lane, &f), sc) in lanes.into_iter().zip(&fns).zip(&schema.columns[group_by.len()..]) {
+        columns.push(Arc::new(lane.into_column(&perm, f, sc.ty)));
     }
     Ok(Relation::from_columns(schema, columns))
 }

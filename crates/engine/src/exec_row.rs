@@ -17,7 +17,7 @@
 use crate::catalog::Catalog;
 use crate::eval::{eval_compiled, truthy, EvalError};
 use crate::exec::{
-    accumulate, compile, concat, finalize_state, merge_state, per_morsel, surrogate_of, try_concat, AggState,
+    accumulate, agg_fns, compile, concat, finalize_state, merge_state, per_morsel, surrogate_of, try_concat, AggState,
     EngineError, OpTiming, RunReport,
 };
 use crate::relation::{Relation, Row};
@@ -418,16 +418,7 @@ fn row_hash_aggregate(
         .iter()
         .map(|a| CompiledExpr::compile(&a.input, &input.schema).map_err(|UnboundColumn(c)| EvalError::UnknownColumn(c)))
         .collect::<Result<_, _>>()?;
-    let fresh_states: Vec<AggState> = aggregates
-        .iter()
-        .map(|a| match a.function.to_ascii_uppercase().as_str() {
-            "SUM" => AggState::Sum(0.0, false),
-            "AVG" | "AVERAGE" => AggState::Avg(0.0, 0),
-            "MIN" => AggState::Min(None),
-            "MAX" => AggState::Max(None),
-            _ => AggState::Count(0),
-        })
-        .collect();
+    let fresh_states: Vec<AggState> = agg_fns(aggregates).into_iter().map(AggState::fresh).collect();
 
     let locals: Vec<Result<LocalAggTable, EvalError>> = per_morsel(input.len(), |rg| {
         let mut index: HashMap<Row, usize> = HashMap::new();

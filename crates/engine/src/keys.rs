@@ -274,9 +274,7 @@ fn mask_nulls(c: &Column, ok: &mut [bool]) {
     }
 }
 
-/// Packs a fixed-width word slice into the narrowest hashable key type.
-/// The executor dispatches on width so one- and two-word keys (the common
-/// cases) hash without heap allocation.
+/// Packs a two-word key into one `u128`.
 pub(crate) fn pack2(w: &[u64]) -> u128 {
     (w[0] as u128) << 64 | w[1] as u128
 }
@@ -287,6 +285,68 @@ pub(crate) fn pack4(w: &[u64]) -> [u64; 4] {
     let mut k = [0u64; 4];
     k[..w.len()].copy_from_slice(w);
     k
+}
+
+/// The one dispatch on encoded key width: evaluates `$body` with `$pack`
+/// bound to the function packing a `$width`-word row ([`SideKeys::row`])
+/// into the narrowest hashable key type — `u64`, `u128`, `[u64; 4]`, and
+/// only past four words a heap `Box<[u64]>` — and `$part` to that key
+/// type's radix partition function over `$npart` partitions. The body is
+/// instantiated once per key type, so the hash tables it builds hash
+/// machine words.
+macro_rules! with_packed_key {
+    ($width:expr, $npart:expr, |$pack:ident, $part:ident| $body:expr) => {{
+        use $crate::keys::{fold128, fold_words, pack2, pack4, radix_of};
+        let npart: usize = $npart;
+        match $width {
+            1 => {
+                let $pack = |w: &[u64]| w[0];
+                let $part = move |k: &u64| radix_of(*k, npart);
+                $body
+            }
+            2 => {
+                let $pack = pack2;
+                let $part = move |k: &u128| radix_of(fold128(*k), npart);
+                $body
+            }
+            3 | 4 => {
+                let $pack = pack4;
+                let $part = move |k: &[u64; 4]| radix_of(fold_words(k), npart);
+                $body
+            }
+            _ => {
+                let $pack = |w: &[u64]| -> Box<[u64]> { w.into() };
+                let $part = move |k: &Box<[u64]>| radix_of(fold_words(k), npart);
+                $body
+            }
+        }
+    }};
+}
+pub(crate) use with_packed_key;
+
+/// [`group_ids`] of rows `0..n` keyed on `cols`, with grouping equality
+/// (NULL equals NULL): encoded words when the columns allow, `Value` rows
+/// only when one of them is `Mixed`.
+pub(crate) fn key_group_ids(cols: &[&Column], n: usize) -> (Vec<u32>, usize) {
+    match plan_group_keys(cols, n) {
+        GroupKeyPlan::Encoded(sk) => with_packed_key!(sk.width, 1, |pack, _part| group_ids(n, |i| pack(sk.row(i)))),
+        GroupKeyPlan::Values => group_ids(n, |i| cols.iter().map(|c| c.value(i)).collect::<Vec<_>>()),
+    }
+}
+
+/// Dense group ids of rows `0..n` under `keyf`, numbered in first-seen
+/// order, and the number of groups: row `i` opens a group exactly when
+/// `ids[i]` equals the number of groups opened before it. The first-seen
+/// dedup behind `Distinct` and the loader's key matching.
+fn group_ids<K: Eq + std::hash::Hash>(n: usize, keyf: impl Fn(usize) -> K) -> (Vec<u32>, usize) {
+    let mut index: FastMap<K, u32> = FastMap::with_capacity_and_hasher(n, FastHash);
+    let ids = (0..n)
+        .map(|i| {
+            let next = index.len() as u32;
+            *index.entry(keyf(i)).or_insert(next)
+        })
+        .collect();
+    (ids, index.len())
 }
 
 /// Hasher state for the engine's internal hash tables (join builds, group
@@ -353,8 +413,8 @@ impl std::hash::Hasher for FastHasher {
     }
 }
 
-/// [`std::hash::BuildHasher`] for [`FastHasher`]; plug into
-/// [`FastMap`]/[`FastSet`] via `Default`.
+/// [`std::hash::BuildHasher`] for [`FastHasher`]; plug into [`FastMap`] via
+/// `Default`.
 #[derive(Default, Clone, Copy)]
 pub(crate) struct FastHash;
 
@@ -367,7 +427,6 @@ impl std::hash::BuildHasher for FastHash {
 }
 
 pub(crate) type FastMap<K, V> = HashMap<K, V, FastHash>;
-pub(crate) type FastSet<T> = std::collections::HashSet<T, FastHash>;
 
 /// Fibonacci multiplicative constant (the golden-ratio word) spreading key
 /// entropy into the high bits.
@@ -483,6 +542,22 @@ mod tests {
         assert_eq!(keys.row(1), keys.row(2), "NULL groups with NULL");
         assert_eq!(keys.row(0), keys.row(3));
         assert_ne!(keys.row(0), keys.row(1));
+    }
+
+    #[test]
+    fn key_group_ids_number_groups_in_first_seen_order() {
+        let typed = rel(vec![
+            ("a", ColType::Integer, vec![Value::Int(7), Value::Null, Value::Int(7), Value::Null, Value::Int(8)]),
+            ("b", ColType::Text, ["x", "y", "x", "y", "x"].iter().map(|s| Value::Str((*s).into())).collect()),
+        ]);
+        assert_eq!(key_group_ids(&keycols(&typed), 5), (vec![0, 1, 0, 1, 2], 3));
+        // A `Mixed` column groups by `Value` equality: Int(5) == Float(5.0).
+        let mixed = rel(vec![("k", ColType::Integer, vec![Value::Int(5), Value::Float(6.5), Value::Float(5.0)])]);
+        assert_eq!(key_group_ids(&keycols(&mixed), 3), (vec![0, 1, 0], 2));
+        // Six words take the boxed key class.
+        let wide =
+            rel((0..6).map(|_| ("c", ColType::Integer, vec![Value::Int(1), Value::Int(1), Value::Int(2)])).collect());
+        assert_eq!(key_group_ids(&keycols(&wide), 3), (vec![0, 0, 1], 2));
     }
 
     #[test]

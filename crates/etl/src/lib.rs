@@ -33,5 +33,5 @@ mod schema;
 pub use compiled::{CompiledExpr, UnboundColumn};
 pub use expr::{parse_expr, BinOp, Expr, ExprError, UnOp};
 pub use flow::{Flow, FlowError, OpId, Operation, ReqSet};
-pub use ops::{join_kept_right_indices, AggSpec, JoinKind, OpKind};
+pub use ops::{join_kept_right_indices, AggFn, AggSpec, JoinKind, OpKind};
 pub use schema::{ColType, Column, Schema};

@@ -44,6 +44,32 @@ impl AggSpec {
     pub fn new(function: impl Into<String>, input: Expr, output: impl Into<String>) -> Self {
         AggSpec { function: function.into(), input, output: output.into() }
     }
+
+    /// The aggregate function [`AggSpec::function`] names, case-insensitively
+    /// (`AVG` and `AVERAGE` both mean [`AggFn::Avg`]); `None` for any other
+    /// name. This is the only place the name is parsed: schema propagation
+    /// rejects `None`, so the engines and deployers, which run on validated
+    /// flows, never see it.
+    pub fn agg_fn(&self) -> Option<AggFn> {
+        Some(match self.function.to_ascii_uppercase().as_str() {
+            "SUM" => AggFn::Sum,
+            "AVG" | "AVERAGE" => AggFn::Avg,
+            "MIN" => AggFn::Min,
+            "MAX" => AggFn::Max,
+            "COUNT" => AggFn::Count,
+            _ => return None,
+        })
+    }
+}
+
+/// An aggregate function an [`AggSpec`] can name.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum AggFn {
+    Sum,
+    Avg,
+    Min,
+    Max,
+    Count,
 }
 
 /// The kind (and parameters) of a logical ETL operation.
@@ -188,21 +214,23 @@ impl OpKind {
                     out.push(input.column(g).ok_or_else(|| invalid(format!("group-by column `{g}` missing")))?.clone());
                 }
                 for a in aggregates {
-                    let fn_upper = a.function.to_ascii_uppercase();
-                    let ty = match fn_upper.as_str() {
-                        "COUNT" => ColType::Integer,
-                        "SUM" | "AVG" | "AVERAGE" | "MIN" | "MAX" => {
+                    let ty = match a.agg_fn() {
+                        None => {
+                            let name = a.function.to_ascii_uppercase();
+                            return Err(invalid(format!("unknown aggregation function `{name}`")));
+                        }
+                        Some(AggFn::Count) => ColType::Integer,
+                        Some(f) => {
                             let t = a.input.infer_type(input).map_err(|e| invalid(e.to_string()))?;
-                            if matches!(fn_upper.as_str(), "SUM" | "AVG" | "AVERAGE") && !t.is_numeric() {
+                            if matches!(f, AggFn::Sum | AggFn::Avg) && !t.is_numeric() {
                                 return Err(invalid(format!("{} over non-numeric input", a.function)));
                             }
-                            if matches!(fn_upper.as_str(), "AVG" | "AVERAGE") {
+                            if f == AggFn::Avg {
                                 ColType::Decimal
                             } else {
                                 t
                             }
                         }
-                        other => return Err(invalid(format!("unknown aggregation function `{other}`"))),
                     };
                     out.push(Column::new(a.output.clone(), ty));
                 }
