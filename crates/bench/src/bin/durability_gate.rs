@@ -5,23 +5,25 @@
 //! repository modes — in-memory baseline, WAL with batched fsyncs (the
 //! default), WAL with an fsync per append — best-of-[`REPS`] each, persists the
 //! measured points to `BENCH_repository.json`, and fails with exit code 1 if
-//! the *batched* mode costs more than [`MAX_BATCHED_RATIO`]× the in-memory
-//! baseline. `wal-always` is recorded for the experiment table but not
-//! gated: an fsync per acknowledged mutation is a durability choice whose
-//! price is the disk's, not the implementation's.
+//! the *batched* mode acknowledges fewer than [`MIN_BATCHED_PUTS_PER_SEC`]
+//! versions per second. The bound is absolute, not a ratio to the in-memory
+//! mode: both modes encode each version against its predecessor, and a
+//! shared cost that large would hide any WAL overhead behind it (the
+//! O(versions) scan the ratio gate used to divide by did exactly that).
+//! `wal-always` is recorded for the experiment table but not gated: an
+//! fsync per acknowledged mutation is a durability choice whose price is
+//! the disk's, not the implementation's.
 
 use quarry_bench::{repository_throughput, RepoMode, RepoThroughputPoint};
 use quarry_repository::Json;
 
-/// Ceiling for the default durability policy: batched-fsync WAL appends may
-/// cost at most 25% over the in-memory repository on the same workload.
-const MAX_BATCHED_RATIO: f64 = 1.25;
-/// Floor for the baseline wall clock: below this the workload is too fast
-/// for a ratio to be meaningful on shared CI runners.
-const MIN_BASE_MS: f64 = 0.5;
-/// `put_artifact` calls per timed run. Sized so the in-memory baseline
-/// clears [`MIN_BASE_MS`] comfortably while the whole gate stays in smoke
-/// territory, and so batched mode crosses many fsync batch boundaries.
+/// Floor for the default durability policy: what the batched-fsync WAL
+/// sustained on this workload's predecessor (one repeated 320-byte payload)
+/// when the gate was first recorded. Growing ~18 KB documents must not be
+/// slower per put than that was.
+const MIN_BATCHED_PUTS_PER_SEC: f64 = 15_600.0;
+/// `put_artifact` calls per timed run: long enough that batched mode
+/// crosses many fsync batch boundaries, short enough for a smoke gate.
 const PUTS: usize = 6000;
 const REPS: usize = 5;
 
@@ -56,7 +58,7 @@ fn measure() -> [RepoThroughputPoint; 3] {
 
 fn main() {
     let [memory, batched, always] = measure();
-    let ratio = batched.ms / memory.ms.max(MIN_BASE_MS);
+    let ratio = batched.ms / memory.ms;
 
     for p in [&memory, &batched, &always] {
         println!(
@@ -67,30 +69,31 @@ fn main() {
             p.puts_per_sec
         );
     }
-    println!("durability gate: batched/memory ratio {ratio:.3}x (limit {MAX_BATCHED_RATIO}x)");
+    println!("durability gate: batched/memory ratio {ratio:.3}x (recorded, not gated)");
 
     let mut doc = Json::object();
     doc.set("experiment", Json::String("E15 durable repository".to_string()));
     doc.set(
         "workload",
         Json::String(format!(
-            "{PUTS} versioned put_artifact calls over 16 rotating keys, xMD-sized payloads, best of {REPS}"
+            "{PUTS} versioned put_artifact calls over 16 rotating keys, each a design growing by one fact per version, best of {REPS}"
         )),
     );
     doc.set("points", Json::Array(vec![&memory, &batched, &always].into_iter().map(point_to_json).collect()));
     doc.set("batched_over_memory_ratio", Json::Number(ratio));
-    doc.set("limit", Json::Number(MAX_BATCHED_RATIO));
+    doc.set("min_batched_puts_per_sec", Json::Number(MIN_BATCHED_PUTS_PER_SEC));
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_repository.json");
     if let Err(e) = std::fs::write(path, doc.to_pretty_string()) {
         eprintln!("could not write {path}: {e}");
     }
 
-    if ratio > MAX_BATCHED_RATIO {
+    if batched.puts_per_sec < MIN_BATCHED_PUTS_PER_SEC {
         eprintln!(
-            "FAIL: the batched-fsync WAL ran {ratio:.3}x the in-memory repository on the E15 workload — \
-             the default durability policy exceeds its {MAX_BATCHED_RATIO}x overhead budget"
+            "FAIL: the batched-fsync WAL acknowledged {:.0} puts/s on the E15 workload — \
+             the default durability policy is below its {MIN_BATCHED_PUTS_PER_SEC} puts/s floor",
+            batched.puts_per_sec
         );
         std::process::exit(1);
     }
-    println!("OK: default durability policy holds within {MAX_BATCHED_RATIO}x of the in-memory repository");
+    println!("OK: default durability policy sustains at least {MIN_BATCHED_PUTS_PER_SEC} puts/s");
 }

@@ -357,16 +357,18 @@ pub struct RepoThroughputPoint {
     pub puts_per_sec: f64,
 }
 
-/// Experiment E15: `puts` versioned `put_artifact` calls (xMD-sized payloads
-/// over a rotating key set, the lifecycle's write shape) against one
-/// repository mode, best-of-`reps`. Durable modes run in a fresh scratch
-/// directory per rep — setup, recovery, and cleanup stay outside the timed
-/// region, so the wall clock isolates the log-append + fsync cost the WAL
-/// adds to each acknowledged mutation.
+/// Experiment E15: `puts` versioned `put_artifact` calls against one
+/// repository mode, best-of-`reps`. The payloads have the lifecycle's write
+/// shape: each of 16 rotating keys holds a design that gains one fact per
+/// version, so every put is distinct content a little larger than the
+/// version before it (375 versions and ~35 KB per key by the end of 6000
+/// puts). Durable modes run in a fresh scratch directory per rep — setup,
+/// recovery, and cleanup stay outside the timed region, so the wall clock is
+/// what one acknowledged version costs: encoding it against its
+/// predecessor, the log append and the fsync policy.
 pub fn repository_throughput(mode: RepoMode, puts: usize, reps: usize) -> RepoThroughputPoint {
     use quarry_repository::{ArtifactKind, DurabilityOptions, FsyncPolicy, Repository};
-    let content: String =
-        "<mdschema><fact name=\"fact_table_revenue\"/><dim name=\"dim_part\"/></mdschema>\n".repeat(4);
+    const KEYS: usize = 16;
     let mut best = f64::INFINITY;
     for rep in 0..reps.max(1) {
         let scratch = std::env::temp_dir().join(format!("quarry-e15-{}-{}-{rep}", mode.as_str(), std::process::id()));
@@ -380,9 +382,15 @@ pub fn repository_throughput(mode: RepoMode, puts: usize, reps: usize) -> RepoTh
                     .expect("open scratch repository")
             }
         };
+        let mut designs = vec![String::from("<mdschema>\n"); KEYS];
         let t = Instant::now();
         for i in 0..puts {
-            let key = format!("design-{}", i % 16);
+            let design = &mut designs[i % KEYS];
+            design.push_str(&format!(
+                "  <fact name=\"fact_table_{i}\"><measure name=\"m{i}\"/><dim name=\"dim_part\"/></fact>\n"
+            ));
+            let content = format!("{design}</mdschema>\n");
+            let key = format!("design-{}", i % KEYS);
             black_box(repo.put_artifact(ArtifactKind::MdSchema, &key, &content).expect("put"));
         }
         repo.sync().expect("final sync");

@@ -56,7 +56,8 @@ commands:
                            /trace, /healthz); port 0 picks a free port
   replay <dir>             read-only recovery of a durable repository
                            directory: replay its snapshot + log and report
-                           what a restart would restore
+                           what a restart would restore and, per artifact,
+                           how its versions are stored (whole / delta, bytes)
   json (on|off)            toggle JSON response encoding
   help                     this text
   quit                     exit";
@@ -277,7 +278,10 @@ fn dispatch(
             return Some(out);
         }
         "diff" => {
-            let history = quarry.repository().history(quarry_repository::ArtifactKind::MdSchema, "unified");
+            let history = match quarry.repository().history(quarry_repository::ArtifactKind::MdSchema, "unified") {
+                Ok(history) => history,
+                Err(e) => return Some(format!("diff failed: {e}")),
+            };
             return Some(match history.as_slice() {
                 [] => "no design versions yet".to_string(),
                 [_only] => "only one version so far — everything is new".to_string(),
@@ -322,8 +326,23 @@ fn dispatch(
                         report.records_replayed,
                         report.torn_bytes_truncated,
                     );
+                    let storage = match store.artifact_storage() {
+                        Ok(storage) => storage,
+                        Err(e) => return Some(format!("{out}replay failed: {e}")),
+                    };
                     for name in store.collection_names() {
                         out.push_str(&format!("  {name}: {} document(s)\n", store.count(name)));
+                        for a in storage.iter().filter(|a| name.strip_prefix("artifacts.") == Some(a.kind.as_str())) {
+                            out.push_str(&format!(
+                                "    {}: {} version(s), {} whole + {} delta, {} stored / {} materialized byte(s)\n",
+                                a.key,
+                                a.versions,
+                                a.versions - a.deltas,
+                                a.deltas,
+                                a.stored_bytes,
+                                a.materialized_bytes,
+                            ));
+                        }
                     }
                     if !report.markers.is_empty() {
                         out.push_str(&format!("  markers: {}\n", report.markers.join(", ")));
@@ -583,6 +602,7 @@ mod tests {
         let replay = run(&mut quarry, &mut plain, &format!("replay {}", tmp.display()));
         assert!(replay.contains("record(s) replayed"), "{replay}");
         assert!(replay.contains("artifacts.ontology: 1 document(s)"), "{replay}");
+        assert!(replay.contains("domain: 1 version(s), 1 whole + 0 delta, "), "{replay}");
         assert!(replay.contains("markers: demo-session"), "{replay}");
         let _ = std::fs::remove_dir_all(&tmp);
         assert!(run(&mut quarry, &mut plain, "replay").contains("usage"));

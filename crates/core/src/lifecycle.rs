@@ -22,7 +22,7 @@ use quarry_obs::serve::ObsServer;
 use quarry_obs::{Counter, Histogram, HistogramSnapshot, Metric, Obs, Span, Trace};
 use quarry_ontology::mappings::SourceRegistry;
 use quarry_ontology::Ontology;
-use quarry_repository::{ArtifactKind, DurabilityOptions, Repository, StoreError};
+use quarry_repository::{ArtifactKind, DocId, DocumentStore, DurabilityOptions, Json, Repository, StoreError};
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::sync::{Arc, Mutex};
@@ -31,10 +31,22 @@ use std::time::Instant;
 /// Repository key under which the rolling lifecycle trace is versioned.
 pub(crate) const TRACE_KEY: &str = "session";
 
-/// WAL marker prefix persisting the unified-flow epoch (see
-/// [`Quarry::persist_unified`]): durable recovery fast-forwards the
-/// consolidation epoch from the highest such marker, so a restarted
-/// repository never hands the result cache a pre-commit epoch.
+/// Where the unified-flow epoch is persisted (see
+/// [`Quarry::persist_unified`]): one `{"name": "flow-epoch", "epoch": n}`
+/// document, updated in place. It is store state, so snapshots carry it and
+/// recovery finds it however often the log was compacted; durable recovery
+/// fast-forwards the consolidation epoch to it, so a restarted repository
+/// never hands the result cache a pre-commit epoch.
+const STATE_COLLECTION: &str = "lifecycle";
+const FLOW_EPOCH_DOC: &str = "flow-epoch";
+
+fn flow_epoch_doc(store: &DocumentStore) -> Option<(DocId, &Json)> {
+    store.find_by(STATE_COLLECTION, "name", FLOW_EPOCH_DOC).into_iter().next()
+}
+
+/// WAL marker prefix that carried the epoch before it became a document;
+/// still read, so directories written then recover their epoch (as far as
+/// compaction left the markers in the log).
 const CACHE_EPOCH_MARKER: &str = "cache-epoch:flow:";
 
 /// Lifecycle failures.
@@ -433,13 +445,15 @@ impl Quarry {
         // Durable recovery: fast-forward the flow epoch past every persisted
         // commit so entries admitted before the restart can never hit.
         if let Some(report) = repository.recovery_report() {
-            let recovered = report
+            let stored = repository
+                .with_store(|s| flow_epoch_doc(s).and_then(|(_, doc)| doc.get("epoch")?.as_f64()))
+                .map(|n| n as u64);
+            let marked = report
                 .markers
                 .iter()
                 .filter_map(|m| m.strip_prefix(CACHE_EPOCH_MARKER))
-                .filter_map(|n| n.parse::<u64>().ok())
-                .max();
-            if let Some(epoch) = recovered {
+                .filter_map(|n| n.parse::<u64>().ok());
+            if let Some(epoch) = marked.chain(stored).max() {
                 consolidation.set_flow_epoch(epoch);
             }
         }
@@ -1093,9 +1107,15 @@ impl Quarry {
             &quarry_formats::xlm::to_string(&self.unified_etl),
         )?;
         // Every site that commits a new unified design persists here, so this
-        // one marker keeps the durable log's flow epoch current: recovery
+        // one document keeps the durable flow epoch current: recovery
         // fast-forwards past it and a restart never serves pre-commit hits.
-        self.repository.record_marker(&format!("{CACHE_EPOCH_MARKER}{}", self.consolidation.flow_epoch()))?;
+        let mut doc = Json::object();
+        doc.set("name", Json::String(FLOW_EPOCH_DOC.to_string()));
+        doc.set("epoch", Json::Number(self.consolidation.flow_epoch() as f64));
+        match self.repository.with_store(|s| flow_epoch_doc(s).map(|(id, _)| id)) {
+            Some(id) => self.repository.update_document(STATE_COLLECTION, id, doc)?,
+            None => drop(self.repository.insert_document(STATE_COLLECTION, doc)?),
+        }
         Ok(())
     }
 
@@ -1439,7 +1459,7 @@ mod tests {
         q.add_requirement(netprofit_requirement()).unwrap();
         let repo = q.repository();
         assert_eq!(repo.keys(ArtifactKind::Requirement), ["IR1", "IR2"]);
-        assert_eq!(repo.history(ArtifactKind::MdSchema, "unified").len(), 2, "one version per step");
+        assert_eq!(repo.history(ArtifactKind::MdSchema, "unified").unwrap().len(), 2, "one version per step");
         assert!(repo.latest(ArtifactKind::Ontology, "domain").is_ok());
         assert_eq!(repo.links_for("IR1").len(), 2);
         // The stored unified xMD parses back to the live design.
@@ -1749,6 +1769,36 @@ mod tests {
             assert!(epoch_before >= 2, "each integration step advances the epoch");
         }
         let q = durable_tpch(&tmp.0);
+        assert!(
+            q.consolidation.flow_epoch() >= epoch_before,
+            "recovery must fast-forward past every persisted commit ({} < {epoch_before})",
+            q.consolidation.flow_epoch()
+        );
+    }
+
+    /// The epoch is store state, so it survives a compaction dropping the
+    /// log segments written so far (a WAL marker did not).
+    #[test]
+    fn the_flow_epoch_survives_a_compaction() {
+        let tmp = TempDir::new("cache-epoch-compacted");
+        let epoch_before;
+        {
+            let mut q = durable_tpch(&tmp.0);
+            q.add_requirement(figure4_requirement()).unwrap();
+            q.add_requirement(netprofit_requirement()).unwrap();
+            epoch_before = q.consolidation.flow_epoch();
+            assert!(epoch_before >= 2);
+            // 5 MB of other writes push the log past the compaction threshold.
+            for i in 0..5 {
+                let filler: String =
+                    (0..16_384).map(|line| format!("-- filler {i}/{line} {}\n", "x".repeat(48))).collect();
+                q.repository().put_artifact(ArtifactKind::Deployment, &format!("filler/{i}"), &filler).unwrap();
+            }
+        }
+        let q = durable_tpch(&tmp.0);
+        let report = q.repository().recovery_report().unwrap();
+        assert!(report.snapshot_seq.is_some(), "the filler must have compacted the log: {report:?}");
+        assert!(!report.markers.iter().any(|m| m.contains("IR1")), "the first steps' segment is gone: {report:?}");
         assert!(
             q.consolidation.flow_epoch() >= epoch_before,
             "recovery must fast-forward past every persisted commit ({} < {epoch_before})",

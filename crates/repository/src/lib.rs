@@ -19,6 +19,7 @@
 #![forbid(unsafe_code)]
 
 pub mod convert;
+mod delta;
 mod json;
 pub mod recover;
 pub mod snapshot;
@@ -27,5 +28,5 @@ pub mod wal;
 
 pub use json::{Json, JsonError};
 pub use recover::{recover, RecoveryReport};
-pub use store::{Artifact, ArtifactKind, DocId, DocumentStore, Repository, StoreError};
+pub use store::{Artifact, ArtifactKind, ArtifactStorage, DocId, DocumentStore, Repository, StoreError};
 pub use wal::{set_fsync_event_hook, wal_stats, DurabilityOptions, FsyncPolicy, WalStats};

@@ -13,40 +13,43 @@
 //! snapshot or a complete one — never a half-written file under the real
 //! name. Recovery treats `.tmp` leftovers as garbage and deletes them.
 
-use crate::json::Json;
+use crate::json::{write_json, write_string, Json};
 use crate::store::{DocId, DocumentStore, StoreError};
 use crate::wal::io_err;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
-/// Serializes a store. Deterministic: collection and document order follow
-/// the `BTreeMap`s.
-pub(crate) fn store_to_json(store: &DocumentStore) -> Json {
-    let mut collections = Vec::new();
-    for (name, col) in &store.collections {
-        let mut c = Json::object();
-        c.set("name", Json::String(name.clone()));
-        c.set("next_id", Json::Number(col.next_id as f64));
-        let docs = col
-            .docs
-            .iter()
-            .map(|(id, doc)| {
-                let mut d = Json::object();
-                d.set("id", Json::Number(id.0 as f64));
-                d.set("doc", doc.clone());
-                d
-            })
-            .collect();
-        c.set("docs", Json::Array(docs));
-        collections.push(c);
+/// Serializes a store piece by piece — `emit` sees the snapshot document in
+/// order, one document of the store at a time — so writing a snapshot holds
+/// neither a second copy of the store nor the whole text. Deterministic:
+/// collection and document order follow the `BTreeMap`s.
+fn write_store<E>(store: &DocumentStore, mut emit: impl FnMut(&str) -> Result<(), E>) -> Result<(), E> {
+    let number = |n: u64, out: &mut String| write_json(&Json::Number(n as f64), out, None, 0);
+    let mut piece = String::from("{\"collections\":[");
+    for (c, (name, col)) in store.collections.iter().enumerate() {
+        piece.push_str(if c > 0 { ",{\"name\":" } else { "{\"name\":" });
+        write_string(name, &mut piece);
+        piece.push_str(",\"next_id\":");
+        number(col.next_id, &mut piece);
+        piece.push_str(",\"docs\":[");
+        for (d, (id, doc)) in col.docs.iter().enumerate() {
+            piece.push_str(if d > 0 { ",{\"id\":" } else { "{\"id\":" });
+            number(id.0, &mut piece);
+            piece.push_str(",\"doc\":");
+            write_json(doc, &mut piece, None, 0);
+            piece.push('}');
+            emit(&piece)?;
+            piece.clear();
+        }
+        piece.push_str("]}");
     }
-    let mut root = Json::object();
-    root.set("collections", Json::Array(collections));
-    root
+    piece.push_str("]}");
+    emit(&piece)
 }
 
-/// Inverse of [`store_to_json`]. `None` means the document is not a valid
-/// snapshot (the caller reports the file as corrupt).
+/// Reads a parsed snapshot document back into a store. `None` means the
+/// document is not a valid snapshot (the caller reports the file as
+/// corrupt).
 pub(crate) fn store_from_json(v: &Json) -> Option<DocumentStore> {
     let mut store = DocumentStore::new();
     for c in v.get("collections")?.as_array()? {
@@ -67,7 +70,15 @@ pub(crate) fn store_from_json(v: &Json) -> Option<DocumentStore> {
 /// The canonical snapshot bytes for a store — exposed so tests can assert
 /// bit-identity of two stores by comparing serialized forms.
 pub fn snapshot_bytes(store: &DocumentStore) -> String {
-    store_to_json(store).to_compact_string()
+    let mut out = String::new();
+    let appended = write_store(store, |piece| {
+        out.push_str(piece);
+        Ok::<(), std::convert::Infallible>(())
+    });
+    match appended {
+        Ok(()) => out,
+        Err(never) => match never {},
+    }
 }
 
 pub(crate) fn snapshot_path(dir: &Path, seq: u64) -> PathBuf {
@@ -81,9 +92,12 @@ pub fn write_snapshot(dir: &Path, seq: u64, store: &DocumentStore) -> Result<Pat
     let path = snapshot_path(dir, seq);
     let tmp = dir.join(format!("snapshot-{seq}.json.tmp"));
     {
-        let mut f = std::fs::File::create(&tmp).map_err(|e| io_err("snapshot create", &tmp, e))?;
-        f.write_all(snapshot_bytes(store).as_bytes()).map_err(|e| io_err("snapshot write", &tmp, e))?;
-        f.sync_data().map_err(|e| io_err("snapshot fsync", &tmp, e))?;
+        let file = std::fs::File::create(&tmp).map_err(|e| io_err("snapshot create", &tmp, e))?;
+        let mut f = std::io::BufWriter::with_capacity(256 * 1024, file);
+        write_store(store, |piece| f.write_all(piece.as_bytes()))
+            .and_then(|()| f.flush())
+            .map_err(|e| io_err("snapshot write", &tmp, e))?;
+        f.get_ref().sync_data().map_err(|e| io_err("snapshot fsync", &tmp, e))?;
     }
     std::fs::rename(&tmp, &path).map_err(|e| io_err("snapshot rename", &path, e))?;
     // Make the rename itself durable. Directory fsync is not available on
@@ -124,15 +138,29 @@ mod tests {
     #[test]
     fn snapshot_roundtrips_including_id_counters() {
         let s = sample_store();
-        let restored = store_from_json(&store_to_json(&s)).unwrap();
+        let restored = store_from_json(&Json::parse(&snapshot_bytes(&s)).unwrap()).unwrap();
         assert_eq!(restored, s);
         assert_eq!(restored.peek_next_id("alpha"), s.peek_next_id("alpha"));
         assert_eq!(snapshot_bytes(&restored), snapshot_bytes(&s));
     }
 
     #[test]
-    fn snapshot_bytes_are_deterministic() {
+    fn snapshot_bytes_are_deterministic_and_pinned() {
         assert_eq!(snapshot_bytes(&sample_store()), snapshot_bytes(&sample_store()));
+        // The on-disk format: directories written by earlier builds hold
+        // exactly these bytes for this store.
+        assert_eq!(
+            snapshot_bytes(&sample_store()),
+            concat!(
+                r#"{"collections":[{"name":"alpha","next_id":2,"docs":[{"id":1,"doc":{"k":"y","v":[true,null]}}]},"#,
+                r#"{"name":"beta","next_id":1,"docs":[{"id":0,"doc":{"nested":{"deep":"€😀"}}}]}]}"#
+            )
+        );
+        assert_eq!(snapshot_bytes(&DocumentStore::new()), r#"{"collections":[]}"#);
+        let mut emptied = DocumentStore::new();
+        let id = emptied.insert("c", Json::Null);
+        emptied.delete("c", id);
+        assert_eq!(snapshot_bytes(&emptied), r#"{"collections":[{"name":"c","next_id":1,"docs":[]}]}"#);
     }
 
     #[test]

@@ -9,12 +9,26 @@
 //! mutation discipline is *validate → log → apply*: a record only enters the
 //! log if the in-memory apply that follows cannot fail, which keeps the log
 //! a replayable prefix of exactly the applied mutations.
+//!
+//! ## Artifact versions
+//!
+//! Every version of an artifact is one document in `artifacts.<kind>`:
+//! `{"key", "version", "content"}` holds the text whole,
+//! `{"key", "version", "delta"}` holds a [`crate::delta`] against version
+//! `version - 1` of the same key. [`Repository::put_artifact`] picks per
+//! version, from the data alone: whole when there is no previous version,
+//! when the delta is not under half the size of the content, or when the
+//! deltas stored since the last whole version would add up to more than
+//! that version — so materializing any version reads at most twice its
+//! whole base. A delta is stored only after patching it onto the base gave
+//! back the content byte for byte.
 
+use crate::delta::{self, LineTable};
 use crate::json::Json;
 use crate::recover::{Durable, RecoveryReport};
 use crate::wal::{self, DurabilityOptions};
 use parking_lot::RwLock;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::path::Path;
 
@@ -37,7 +51,9 @@ pub enum StoreError {
         path: String,
         message: String,
     },
-    /// A log or snapshot file is damaged beyond the tolerated torn tail.
+    /// A log or snapshot file (`path`, byte `offset`) is damaged beyond the
+    /// tolerated torn tail, or a stored artifact version (`path` its
+    /// collection, `offset` its document id) cannot be materialized.
     Corrupt {
         path: String,
         offset: u64,
@@ -53,7 +69,7 @@ impl fmt::Display for StoreError {
             StoreError::UnknownArtifact { kind, key } => write!(f, "no {kind} artifact stored for `{key}`"),
             StoreError::Io { op, path, message } => write!(f, "repository {op} failed on `{path}`: {message}"),
             StoreError::Corrupt { path, offset, message } => {
-                write!(f, "repository file `{path}` corrupt at byte {offset}: {message}")
+                write!(f, "repository `{path}` corrupt at {offset}: {message}")
             }
         }
     }
@@ -159,6 +175,57 @@ impl DocumentStore {
     pub fn count(&self, collection: &str) -> usize {
         self.collections.get(collection).map(|c| c.docs.len()).unwrap_or(0)
     }
+
+    /// Distinct string `key` members of a collection's documents, sorted.
+    fn keys_of(&self, collection: &str) -> Vec<&str> {
+        let mut keys: Vec<&str> =
+            self.scan(collection).into_iter().filter_map(|(_, d)| d.get("key").and_then(Json::as_str)).collect();
+        keys.sort_unstable();
+        keys.dedup();
+        keys
+    }
+
+    /// How every artifact's versions are stored, in (collection, key) order:
+    /// where the bytes of a repository directory went.
+    pub fn artifact_storage(&self) -> Result<Vec<ArtifactStorage>, StoreError> {
+        let mut out = Vec::new();
+        for collection in self.collection_names() {
+            let Some(kind) = ArtifactKind::of_collection(collection) else { continue };
+            for key in self.keys_of(collection) {
+                let stored = stored_versions(self, collection, key)?;
+                let stored_bytes = stored
+                    .values()
+                    .filter_map(|(id, _)| self.get(collection, *id))
+                    .map(|doc| doc.to_compact_string().len())
+                    .sum();
+                out.push(ArtifactStorage {
+                    kind,
+                    key: key.to_string(),
+                    versions: stored.len(),
+                    deltas: stored.values().filter(|(_, body)| matches!(body, Body::Delta(_))).count(),
+                    stored_bytes,
+                    materialized_bytes: history_of(kind, key, &stored)?.iter().map(|a| a.content.len()).sum(),
+                });
+            }
+        }
+        Ok(out)
+    }
+}
+
+/// How the versions of one artifact are stored (see
+/// [`DocumentStore::artifact_storage`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ArtifactStorage {
+    pub kind: ArtifactKind,
+    pub key: String,
+    pub versions: usize,
+    /// Versions stored as a delta against their predecessor; the others are
+    /// stored whole.
+    pub deltas: usize,
+    /// Size of the version documents as a log record or snapshot holds them.
+    pub stored_bytes: usize,
+    /// Size of the versions' text once materialized.
+    pub materialized_bytes: usize,
 }
 
 /// Kinds of design artifacts the lifecycle persists.
@@ -208,6 +275,10 @@ impl ArtifactKind {
     fn collection(self) -> String {
         format!("artifacts.{}", self.as_str())
     }
+
+    fn of_collection(collection: &str) -> Option<ArtifactKind> {
+        ArtifactKind::parse(collection.strip_prefix("artifacts.")?)
+    }
 }
 
 /// One stored artifact version.
@@ -222,15 +293,172 @@ pub struct Artifact {
     pub content: String,
 }
 
+/// How one version document stores its text.
+enum Body<'a> {
+    Whole(&'a str),
+    Delta(&'a [Json]),
+}
+
+fn corrupt(collection: &str, id: DocId, message: impl Into<String>) -> StoreError {
+    StoreError::Corrupt { path: collection.to_string(), offset: id.0, message: message.into() }
+}
+
+/// Every stored version of one artifact, by version number. A document
+/// that carries the key but is not a version document — no positive integer
+/// `version`, not exactly one of a string `content` and an array `delta`, a
+/// version number used twice — is an error, not a version to skip.
+fn stored_versions<'a>(
+    store: &'a DocumentStore,
+    collection: &str,
+    key: &str,
+) -> Result<BTreeMap<u64, (DocId, Body<'a>)>, StoreError> {
+    let mut versions = BTreeMap::new();
+    for (id, doc) in store.find_by(collection, "key", key) {
+        let version = doc
+            .get("version")
+            .and_then(Json::as_f64)
+            .filter(|v| *v >= 1.0 && v.fract() == 0.0 && *v < u64::MAX as f64)
+            .ok_or_else(|| corrupt(collection, id, format!("`{key}`: no positive integer `version`")))?
+            as u64;
+        let body = match (doc.get("content"), doc.get("delta")) {
+            (Some(Json::String(text)), None) => Body::Whole(text),
+            (None, Some(Json::Array(ops))) => Body::Delta(ops),
+            (Some(_), Some(_)) => {
+                return Err(corrupt(collection, id, format!("`{key}` v{version}: both `content` and `delta`")))
+            }
+            _ => {
+                return Err(corrupt(
+                    collection,
+                    id,
+                    format!("`{key}` v{version}: neither a string `content` nor an array `delta`"),
+                ))
+            }
+        };
+        if versions.insert(version, (id, body)).is_some() {
+            return Err(corrupt(collection, id, format!("`{key}` v{version} is stored twice")));
+        }
+    }
+    Ok(versions)
+}
+
+/// The text of one stored version; `previous` is the materialized version
+/// before it, if that one exists.
+fn materialize(
+    collection: &str,
+    key: &str,
+    version: u64,
+    (id, body): &(DocId, Body),
+    previous: Option<(u64, &str)>,
+) -> Result<String, StoreError> {
+    match body {
+        Body::Whole(text) => Ok(text.to_string()),
+        Body::Delta(ops) => {
+            let (_, base) = previous.filter(|(v, _)| v + 1 == version).ok_or_else(|| {
+                corrupt(collection, *id, format!("`{key}` v{version} is a delta with no base version"))
+            })?;
+            delta::patch(base, ops).map_err(|e| corrupt(collection, *id, format!("`{key}` v{version}: {e}")))
+        }
+    }
+}
+
+/// Every one of an artifact's stored `versions` materialized, oldest first.
+fn history_of(
+    kind: ArtifactKind,
+    key: &str,
+    versions: &BTreeMap<u64, (DocId, Body)>,
+) -> Result<Vec<Artifact>, StoreError> {
+    let collection = kind.collection();
+    let mut out: Vec<Artifact> = Vec::with_capacity(versions.len());
+    for (&version, stored) in versions {
+        let previous = out.last().map(|a| (a.version, a.content.as_str()));
+        let content = materialize(&collection, key, version, stored, previous)?;
+        out.push(Artifact { kind, key: key.to_string(), version, content });
+    }
+    Ok(out)
+}
+
+/// The newest version of one artifact, materialized: what the next put
+/// numbers itself after and encodes its delta against.
+#[derive(Debug)]
+struct Head {
+    version: u64,
+    content: String,
+    /// Line table of `content`, kept from the put that encoded it against
+    /// its predecessor so the next put splits only its own document. Absent
+    /// on first versions and freshly loaded heads until a put needs it.
+    lines: Option<LineTable>,
+    /// Size of the newest version stored whole, and what the deltas stored
+    /// since are charged ([`delta::cost`]).
+    whole_bytes: usize,
+    chain_bytes: usize,
+}
+
+impl Head {
+    /// Rebuilds the head from the stored versions: back from the newest to
+    /// the nearest one stored whole, then forward again.
+    fn load(store: &DocumentStore, collection: &str, key: &str) -> Result<Option<Head>, StoreError> {
+        let versions = stored_versions(store, collection, key)?;
+        let Some((&newest, _)) = versions.last_key_value() else { return Ok(None) };
+        let mut first = newest;
+        while matches!(versions[&first].1, Body::Delta(_)) && versions.contains_key(&(first - 1)) {
+            first -= 1;
+        }
+        let mut head = Head { version: 0, content: String::new(), lines: None, whole_bytes: 0, chain_bytes: 0 };
+        for (&version, stored) in versions.range(first..) {
+            let previous = (head.version > 0).then_some((head.version, head.content.as_str()));
+            head.content = materialize(collection, key, version, stored, previous)?;
+            head.version = version;
+            match stored.1 {
+                Body::Whole(text) => (head.whole_bytes, head.chain_bytes) = (text.len(), 0),
+                Body::Delta(ops) => head.chain_bytes += delta::cost(ops),
+            }
+        }
+        Ok(Some(head))
+    }
+}
+
 /// The store plus, in durable mode, the open log it writes ahead of it.
 /// One lock guards both so the WAL order always matches the apply order.
 #[derive(Debug)]
 struct RepoInner {
     store: DocumentStore,
     durable: Option<Durable>,
+    /// Materialized newest version per artifact, filled on first use. Always
+    /// derivable from `store`; raw document writes into an artifact
+    /// collection drop that kind's entries.
+    heads: HashMap<ArtifactKind, HashMap<String, Head>>,
 }
 
 impl RepoInner {
+    fn new(store: DocumentStore, durable: Option<Durable>) -> RepoInner {
+        RepoInner { store, durable, heads: HashMap::new() }
+    }
+
+    fn head(&self, kind: ArtifactKind, key: &str) -> Option<&Head> {
+        self.heads.get(&kind)?.get(key)
+    }
+
+    /// The head of an artifact, loading it from the store when this is its
+    /// first use. `None`: no version is stored.
+    fn load_head(&mut self, kind: ArtifactKind, key: &str) -> Result<Option<&mut Head>, StoreError> {
+        let heads = self.heads.entry(kind).or_default();
+        if !heads.contains_key(key) {
+            match Head::load(&self.store, &kind.collection(), key)? {
+                Some(head) => heads.insert(key.to_string(), head),
+                None => return Ok(None),
+            };
+        }
+        Ok(heads.get_mut(key))
+    }
+
+    /// A raw document write into an artifact collection may have changed
+    /// any version of any key of that kind.
+    fn forget_heads(&mut self, collection: &str) {
+        if let Some(kind) = ArtifactKind::of_collection(collection) {
+            self.heads.remove(&kind);
+        }
+    }
+
     /// Validate → log → apply for an insert: the id is peeked and logged
     /// first so replay reproduces it.
     fn log_insert(&mut self, collection: &str, doc: Json) -> Result<DocId, StoreError> {
@@ -305,7 +533,7 @@ impl Default for Repository {
 impl Repository {
     /// An in-memory repository: no log, mutations vanish with the process.
     pub fn new() -> Self {
-        Repository { inner: RwLock::new(RepoInner { store: DocumentStore::new(), durable: None }) }
+        Repository { inner: RwLock::new(RepoInner::new(DocumentStore::new(), None)) }
     }
 
     /// Opens (or creates) a durable repository rooted at `dir`: recovers the
@@ -313,7 +541,7 @@ impl Repository {
     /// appends every future mutation to the log before applying it.
     pub fn open(dir: impl AsRef<Path>, options: DurabilityOptions) -> Result<Repository, StoreError> {
         let (store, durable) = crate::recover::open_for_append(dir.as_ref(), options)?;
-        Ok(Repository { inner: RwLock::new(RepoInner { store, durable: Some(durable) }) })
+        Ok(Repository { inner: RwLock::new(RepoInner::new(store, Some(durable))) })
     }
 
     pub fn is_durable(&self) -> bool {
@@ -334,77 +562,75 @@ impl Repository {
         }
     }
 
-    /// Stores a new version of an artifact and returns it.
+    /// Stores a new version of an artifact and returns it. The version is
+    /// stored as a delta against the previous one when that is clearly
+    /// smaller (see the module docs), whole otherwise.
     pub fn put_artifact(&self, kind: ArtifactKind, key: &str, content: &str) -> Result<Artifact, StoreError> {
         let mut inner = self.inner.write();
-        let collection = kind.collection();
-        let version = inner
-            .store
-            .find_by(&collection, "key", key)
-            .into_iter()
-            .filter_map(|(_, d)| d.path("version").and_then(Json::as_f64))
-            .fold(0u64, |acc, v| acc.max(v as u64))
-            + 1;
+        let mut next =
+            Head { version: 1, content: content.to_string(), lines: None, whole_bytes: content.len(), chain_bytes: 0 };
+        let mut encoded = None;
+        if let Some(head) = inner.load_head(kind, key)? {
+            next.version = head.version + 1;
+            next.lines = LineTable::of(content);
+            if head.lines.is_none() {
+                head.lines = LineTable::of(&head.content);
+            }
+            if let (Some(base_lines), Some(lines)) = (&head.lines, &next.lines) {
+                let chain = |ops: &[Json]| head.chain_bytes + delta::cost(ops);
+                encoded = delta::encode(&head.content, base_lines, content, lines).filter(|ops| {
+                    chain(ops) <= head.whole_bytes
+                        && delta::patch(&head.content, ops).is_ok_and(|patched| patched == content)
+                });
+                if let Some(ops) = &encoded {
+                    (next.whole_bytes, next.chain_bytes) = (head.whole_bytes, chain(ops));
+                }
+            }
+        }
         let mut doc = Json::object();
         doc.set("key", Json::String(key.to_string()));
-        doc.set("version", Json::Number(version as f64));
-        doc.set("content", Json::String(content.to_string()));
-        inner.log_insert(&collection, doc)?;
+        doc.set("version", Json::Number(next.version as f64));
+        match encoded {
+            Some(ops) => doc.set("delta", Json::Array(ops)),
+            None => doc.set("content", Json::String(content.to_string())),
+        }
+        let version = next.version;
+        let logged = inner.log_insert(&kind.collection(), doc);
+        let heads = inner.heads.entry(kind).or_default();
+        match logged {
+            Ok(_) => heads.insert(key.to_string(), next),
+            // The log may hold the version (a failed compaction comes after
+            // the apply) or not: reload the head from the store next time.
+            Err(_) => heads.remove(key),
+        };
+        logged?;
         Ok(Artifact { kind, key: key.to_string(), version, content: content.to_string() })
     }
 
     /// Latest version of an artifact.
     pub fn latest(&self, kind: ArtifactKind, key: &str) -> Result<Artifact, StoreError> {
-        let inner = self.inner.read();
-        let collection = kind.collection();
-        inner
-            .store
-            .find_by(&collection, "key", key)
-            .into_iter()
-            .filter_map(|(_, d)| {
-                Some(Artifact {
-                    kind,
-                    key: key.to_string(),
-                    version: d.path("version")?.as_f64()? as u64,
-                    content: d.path("content")?.as_str()?.to_string(),
-                })
-            })
-            .max_by_key(|a| a.version)
-            .ok_or(StoreError::UnknownArtifact { kind: kind.as_str(), key: key.to_string() })
+        let artifact =
+            |head: &Head| Artifact { kind, key: key.to_string(), version: head.version, content: head.content.clone() };
+        if let Some(head) = self.inner.read().head(kind, key) {
+            return Ok(artifact(head));
+        }
+        match self.inner.write().load_head(kind, key)? {
+            Some(head) => Ok(artifact(head)),
+            None => Err(StoreError::UnknownArtifact { kind: kind.as_str(), key: key.to_string() }),
+        }
     }
 
-    /// Full version history of an artifact, oldest first.
-    pub fn history(&self, kind: ArtifactKind, key: &str) -> Vec<Artifact> {
+    /// Full version history of an artifact, oldest first (empty when no
+    /// version is stored). A stored version that cannot be materialized is
+    /// [`StoreError::Corrupt`], never skipped.
+    pub fn history(&self, kind: ArtifactKind, key: &str) -> Result<Vec<Artifact>, StoreError> {
         let inner = self.inner.read();
-        let mut out: Vec<Artifact> = inner
-            .store
-            .find_by(&kind.collection(), "key", key)
-            .into_iter()
-            .filter_map(|(_, d)| {
-                Some(Artifact {
-                    kind,
-                    key: key.to_string(),
-                    version: d.path("version")?.as_f64()? as u64,
-                    content: d.path("content")?.as_str()?.to_string(),
-                })
-            })
-            .collect();
-        out.sort_by_key(|a| a.version);
-        out
+        history_of(kind, key, &stored_versions(&inner.store, &kind.collection(), key)?)
     }
 
     /// All keys currently stored for a kind.
     pub fn keys(&self, kind: ArtifactKind) -> Vec<String> {
-        let inner = self.inner.read();
-        let mut keys: Vec<String> = inner
-            .store
-            .scan(&kind.collection())
-            .into_iter()
-            .filter_map(|(_, d)| d.path("key").and_then(Json::as_str).map(str::to_string))
-            .collect();
-        keys.sort();
-        keys.dedup();
-        keys
+        self.inner.read().store.keys_of(&kind.collection()).into_iter().map(str::to_string).collect()
     }
 
     /// Records that `requirement` is satisfied by the named design artifact.
@@ -441,17 +667,23 @@ impl Repository {
 
     /// Inserts a raw document into a collection (logged in durable mode).
     pub fn insert_document(&self, collection: &str, doc: Json) -> Result<DocId, StoreError> {
-        self.inner.write().log_insert(collection, doc)
+        let mut inner = self.inner.write();
+        inner.forget_heads(collection);
+        inner.log_insert(collection, doc)
     }
 
     /// Replaces a raw document in place (logged in durable mode).
     pub fn update_document(&self, collection: &str, id: DocId, doc: Json) -> Result<(), StoreError> {
-        self.inner.write().log_update(collection, id, doc)
+        let mut inner = self.inner.write();
+        inner.forget_heads(collection);
+        inner.log_update(collection, id, doc)
     }
 
     /// Deletes a raw document; `Ok(false)` if it did not exist.
     pub fn delete_document(&self, collection: &str, id: DocId) -> Result<bool, StoreError> {
-        self.inner.write().log_delete(collection, id)
+        let mut inner = self.inner.write();
+        inner.forget_heads(collection);
+        inner.log_delete(collection, id)
     }
 
     /// Appends an informational marker record to the log (step boundaries,
@@ -551,7 +783,7 @@ mod tests {
         let a2 = r.put_artifact(ArtifactKind::MdSchema, "unified", "<MDschema v2/>").unwrap();
         assert_eq!((a1.version, a2.version), (1, 2));
         assert_eq!(r.latest(ArtifactKind::MdSchema, "unified").unwrap().content, "<MDschema v2/>");
-        let history = r.history(ArtifactKind::MdSchema, "unified");
+        let history = r.history(ArtifactKind::MdSchema, "unified").unwrap();
         assert_eq!(history.len(), 2);
         assert!(history[0].version < history[1].version);
     }
@@ -616,7 +848,7 @@ mod tests {
         for t in threads {
             t.join().unwrap();
         }
-        assert_eq!(r.history(ArtifactKind::EtlFlow, "shared").len(), 400);
+        assert_eq!(r.history(ArtifactKind::EtlFlow, "shared").unwrap().len(), 400);
         assert_eq!(r.latest(ArtifactKind::EtlFlow, "shared").unwrap().version, 400);
     }
 }

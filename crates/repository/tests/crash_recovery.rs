@@ -11,30 +11,10 @@
 use quarry_repository::{
     recover, snapshot, wal, ArtifactKind, DocumentStore, DurabilityOptions, FsyncPolicy, Json, Repository, StoreError,
 };
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 
-struct TempDir(PathBuf);
-
-impl TempDir {
-    fn new(tag: &str) -> TempDir {
-        static COUNTER: AtomicU64 = AtomicU64::new(0);
-        let n = COUNTER.fetch_add(1, Ordering::SeqCst);
-        let dir = std::env::temp_dir().join(format!("quarry-crash-{tag}-{}-{n}", std::process::id()));
-        std::fs::create_dir_all(&dir).expect("temp dir");
-        TempDir(dir)
-    }
-
-    fn path(&self) -> &Path {
-        &self.0
-    }
-}
-
-impl Drop for TempDir {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
-}
+mod common;
+use common::TempDir;
+use std::path::Path;
 
 /// No explicit fsyncs (the matrix only needs process-visible bytes) and no
 /// compaction (the matrix reads one segment).
@@ -44,6 +24,22 @@ fn matrix_options() -> DurabilityOptions {
 
 fn bits(store: &DocumentStore) -> String {
     snapshot::snapshot_bytes(store)
+}
+
+/// A unified design of `facts` facts, one element per line — the shape
+/// whose successive versions the repository stores as deltas.
+fn design(facts: usize) -> String {
+    let mut out = String::from("<?xml version=\"1.0\"?>\n<MDschema name=\"unified\">\n");
+    for i in 0..facts {
+        out.push_str(&format!("  <fact name=\"fact_{i}\" note=\"é € 😀\">\n    <measure name=\"m{i}\"/>\n  </fact>\n"));
+    }
+    out.push_str("</MDschema>\n");
+    out
+}
+
+/// Whether a stored version document holds a delta.
+fn is_delta(doc: &Json) -> bool {
+    doc.get("delta").is_some()
 }
 
 /// Runs the scripted mutation sequence — every call appends exactly one log
@@ -87,6 +83,16 @@ fn run_script(repo: &Repository) -> Vec<DocumentStore> {
     step(repo);
     repo.put_artifact(ArtifactKind::Trace, "trace-1", r#"{"span":1}"#).unwrap();
     step(repo);
+    // A growing design: the first version is stored whole, the later ones as
+    // deltas against their predecessor, so the matrix cuts delta records at
+    // every byte too.
+    for facts in [6, 7, 9, 8] {
+        repo.put_artifact(ArtifactKind::EtlFlow, "growing", &design(facts)).unwrap();
+        step(repo);
+    }
+    let stored: Vec<bool> = repo
+        .with_store(|s| s.find_by("artifacts.etl-flow", "key", "growing").iter().map(|(_, d)| is_delta(d)).collect());
+    assert_eq!(stored, [false, true, true, true], "the script must log delta records");
 
     mirror
 }
@@ -116,6 +122,7 @@ fn kill_at_every_offset_recovers_the_exact_prefix() {
         assert!(n <= records, "cut {cut} replayed {n} > {records}");
         assert_eq!(store, mirror[n], "cut {cut}: store differs from the {n}-record prefix");
         assert_eq!(bits(&store), bits(&mirror[n]), "cut {cut}: serialized state differs");
+        store.artifact_storage().expect("every recovered prefix materializes");
 
         // Cross-check the torn accounting against the frame decoder.
         let (decoded, clean) = wal::decode_records(&bytes[..cut]);
@@ -142,6 +149,11 @@ fn full_log_replays_every_record_and_marker() {
     assert_eq!(report.torn_bytes_truncated, 0);
     assert_eq!(report.snapshot_seq, None);
     assert_eq!(report.markers, ["step:add_requirement:IR1", "rollback:IR2"]);
+    // The delta records materialize to exactly what was put.
+    let repo = Repository::open(dir.path(), matrix_options()).unwrap();
+    let growing: Vec<String> =
+        repo.history(ArtifactKind::EtlFlow, "growing").unwrap().into_iter().map(|a| a.content).collect();
+    assert_eq!(growing, [design(6), design(7), design(9), design(8)]);
 }
 
 #[test]
@@ -287,8 +299,47 @@ fn durable_repository_round_trips_across_restarts() {
     let repo = Repository::open(dir.path(), options).unwrap();
     assert!(repo.is_durable());
     assert_eq!(repo.latest(ArtifactKind::MdSchema, "unified").unwrap().version, 2);
-    assert_eq!(repo.history(ArtifactKind::MdSchema, "unified").len(), 2);
+    assert_eq!(repo.history(ArtifactKind::MdSchema, "unified").unwrap().len(), 2);
     assert_eq!(repo.links_for("IR1"), [("md-schema".to_string(), "unified".to_string())]);
     // Version numbering continues where the pre-restart run stopped.
     assert_eq!(repo.put_artifact(ArtifactKind::MdSchema, "unified", "<MDschema v3/>").unwrap().version, 3);
+}
+
+/// A directory written by the build before versions could be deltas
+/// (`tests/fixtures/parent-format`: a snapshot of eight mutations plus a
+/// two-record log, every version `{"key","version","content"}`): it opens,
+/// reads back byte for byte, re-serializes to the same snapshot bytes, and
+/// takes new versions — deltas against the old whole ones.
+#[test]
+fn a_directory_in_the_parent_format_opens_reads_and_keeps_growing() {
+    let fixture = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/parent-format");
+    let dir = TempDir::new("parent-format");
+    for name in ["snapshot-2.json", "wal-2.log"] {
+        std::fs::copy(fixture.join(name), dir.path().join(name)).unwrap();
+    }
+    let snapshot_file = std::fs::read_to_string(fixture.join("snapshot-2.json")).unwrap();
+    let snapshot_only = TempDir::new("parent-format-snapshot");
+    std::fs::write(snapshot_only.path().join("snapshot-2.json"), &snapshot_file).unwrap();
+    assert_eq!(bits(&recover(snapshot_only.path()).unwrap().0), snapshot_file, "snapshot bytes are unchanged");
+
+    let repo = Repository::open(dir.path(), matrix_options()).unwrap();
+    let report = repo.recovery_report().unwrap();
+    assert_eq!((report.snapshot_seq, report.records_replayed), (Some(2), 2));
+    let history = repo.history(ArtifactKind::MdSchema, "unified").unwrap();
+    assert_eq!(history.len(), 6);
+    for (i, version) in history.iter().enumerate() {
+        assert_eq!((version.version, &version.content), (i as u64 + 1, &design(i + 1)));
+    }
+    assert_eq!(repo.latest(ArtifactKind::Requirement, "IR1").unwrap().content, "<xrq id='IR1' note='é € 😀'/>");
+    assert_eq!(repo.latest(ArtifactKind::EtlFlow, "unified").unwrap().content, "<xlm v1/>\n");
+    assert_eq!(repo.links_for("IR1"), [("md-schema".to_string(), "unified".to_string())]);
+
+    assert_eq!(repo.put_artifact(ArtifactKind::MdSchema, "unified", &design(7)).unwrap().version, 7);
+    repo.sync().unwrap();
+    drop(repo);
+    let repo = Repository::open(dir.path(), matrix_options()).unwrap();
+    assert_eq!(repo.latest(ArtifactKind::MdSchema, "unified").unwrap().content, design(7));
+    let stored = repo.with_store(|s| s.artifact_storage()).unwrap();
+    let unified = stored.iter().find(|a| a.kind == ArtifactKind::MdSchema).unwrap();
+    assert_eq!((unified.versions, unified.deltas), (7, 1), "the new version is a delta against a parent-format one");
 }

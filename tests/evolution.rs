@@ -138,7 +138,7 @@ fn repository_versions_grow_with_every_step() {
         quarry.add_requirement(r).expect("integrates");
     }
     quarry.remove_requirement("IR1").expect("exists");
-    let history = quarry.repository().history(quarry_repository::ArtifactKind::MdSchema, "unified");
+    let history = quarry.repository().history(quarry_repository::ArtifactKind::MdSchema, "unified").unwrap();
     assert_eq!(history.len(), 5, "four additions + one removal");
     // The last version no longer carries IR1's measure (the merged fact's
     // *name* is sticky — it was named after the first head measure — but

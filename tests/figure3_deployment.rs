@@ -79,7 +79,7 @@ fn deployment_is_recorded_in_the_metadata_repository() {
     assert!(stored.content.contains("fact_table_revenue"));
     // Deploying twice versions the artifacts.
     quarry.deploy("postgres-pdi").expect("deploys again");
-    assert_eq!(repo.history(quarry_repository::ArtifactKind::Deployment, "postgres-pdi/schema.sql").len(), 2);
+    assert_eq!(repo.history(quarry_repository::ArtifactKind::Deployment, "postgres-pdi/schema.sql").unwrap().len(), 2);
 }
 
 #[test]

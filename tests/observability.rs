@@ -98,7 +98,7 @@ fn trace_is_retrievable_via_service_and_versioned_in_the_repository() {
     assert!(metrics.path("pool.regions").and_then(Json::as_f64).is_some());
 
     // Each lifecycle step versioned a trace document in the repository.
-    let history = q.repository().history(ArtifactKind::Trace, "session");
+    let history = q.repository().history(ArtifactKind::Trace, "session").unwrap();
     assert!(history.len() >= 3, "one trace version per step, got {}", history.len());
     let latest = Json::parse(&history.last().unwrap().content).unwrap();
     assert_eq!(latest.path("spans.0.name").and_then(Json::as_str), Some("add_requirement"));
@@ -116,7 +116,10 @@ fn observability_is_off_by_default_and_clearable() {
     q.add_requirement(figure4_requirement()).unwrap();
     assert!(q.trace().is_empty(), "disabled by default");
     assert!(q.observability().metrics().is_empty());
-    assert!(q.repository().history(ArtifactKind::Trace, "session").is_empty(), "nothing persisted while disabled");
+    assert!(
+        q.repository().history(ArtifactKind::Trace, "session").unwrap().is_empty(),
+        "nothing persisted while disabled"
+    );
 
     q.set_observability(true);
     q.deploy("native").unwrap();
