@@ -16,7 +16,7 @@ fn print_series() {
         let sql = postgres::generate_ddl(md, "demo");
         let t_sql = t0.elapsed();
         let t1 = std::time::Instant::now();
-        let ktr = pdi::generate_ktr(etl, "demo");
+        let ktr = pdi::generate_ktr(etl, "demo").expect("the unified flow validates");
         let t_ktr = t1.elapsed();
         println!("{:>4} {:>10} {:>10} {:>12?} {:>12?}", n, sql.len(), ktr.len(), t_sql, t_ktr);
     }
@@ -38,7 +38,7 @@ fn bench(c: &mut Criterion) {
         let q = quarry_with(n);
         let etl = q.unified().1.clone();
         ktr.bench_with_input(BenchmarkId::from_parameter(n), &etl, |b, etl| {
-            b.iter(|| black_box(pdi::generate_ktr(etl, "demo")));
+            b.iter(|| black_box(pdi::generate_ktr(etl, "demo").expect("the unified flow validates")));
         });
     }
     ktr.finish();

@@ -3,24 +3,42 @@
 
 use criterion::{BenchmarkId, Criterion, Throughput};
 use quarry_bench::quarry_with;
+use quarry_etl::Flow;
 use quarry_formats::{xlm, xmd};
+use quarry_md::MdSchema;
 use quarry_repository::convert;
 use std::hint::black_box;
 
-fn documents(n: usize) -> (String, String) {
+fn designs(n: usize) -> (MdSchema, Flow) {
     let q = quarry_with(n);
-    let (md, etl) = q.unified();
-    (xmd::to_string(md), xlm::to_string(etl))
+    (q.unified().0.clone(), q.unified().1.clone())
+}
+
+fn documents(n: usize) -> (String, String) {
+    let (md, etl) = designs(n);
+    (xmd::to_string(&md), xlm::to_string(&etl))
+}
+
+/// MB/s of the fastest of 20 renderings.
+fn emit_rate(mut render: impl FnMut() -> String) -> f64 {
+    (0..20)
+        .map(|_| {
+            let t = std::time::Instant::now();
+            let bytes = black_box(render()).len();
+            bytes as f64 / t.elapsed().as_secs_f64() / 1e6
+        })
+        .fold(0.0, f64::max)
 }
 
 fn print_series() {
     println!("\n# E9: format layer throughput");
     println!(
-        "{:>4} {:>10} {:>10} {:>12} {:>12} {:>14}",
-        "N", "xmd-bytes", "xlm-bytes", "xmd-parse", "xlm-parse", "xml-json-xml"
+        "{:>4} {:>10} {:>10} {:>12} {:>12} {:>14} {:>14} {:>14}",
+        "N", "xmd-bytes", "xlm-bytes", "xmd-parse", "xlm-parse", "xml-json-xml", "xmd-emit MB/s", "xlm-emit MB/s"
     );
-    for n in [1usize, 8, 32] {
-        let (xmd_doc, xlm_doc) = documents(n);
+    for n in [1usize, 8, 64] {
+        let (md, etl) = designs(n);
+        let (xmd_doc, xlm_doc) = (xmd::to_string(&md), xlm::to_string(&etl));
         let t0 = std::time::Instant::now();
         let parsed_md = xmd::parse(&xmd_doc).expect("roundtrip");
         let t_md = t0.elapsed();
@@ -31,7 +49,17 @@ fn print_series() {
         let json = convert::xml_string_to_json(&xlm_doc).expect("converts");
         let back = convert::json_to_xml_string(&json).expect("converts back");
         let t_conv = t2.elapsed();
-        println!("{:>4} {:>10} {:>10} {:>12?} {:>12?} {:>14?}", n, xmd_doc.len(), xlm_doc.len(), t_md, t_etl, t_conv);
+        println!(
+            "{:>4} {:>10} {:>10} {:>12?} {:>12?} {:>14?} {:>14.0} {:>14.0}",
+            n,
+            xmd_doc.len(),
+            xlm_doc.len(),
+            t_md,
+            t_etl,
+            t_conv,
+            emit_rate(|| xmd::to_string(&md)),
+            emit_rate(|| xlm::to_string(&etl)),
+        );
         black_box((parsed_md, parsed_etl, back));
     }
 }
@@ -58,11 +86,17 @@ fn bench(c: &mut Criterion) {
         group.finish();
     }
 
-    // Emission side.
-    let q = quarry_with(16);
-    let (md, etl) = (q.unified().0.clone(), q.unified().1.clone());
-    c.bench_function("xmd_emit_n16", |b| b.iter(|| black_box(xmd::to_string(&md))));
-    c.bench_function("xlm_emit_n16", |b| b.iter(|| black_box(xlm::to_string(&etl))));
+    // Emission side: the documents a design step renders, at the lifecycle
+    // benchmark's two design sizes.
+    for n in [8usize, 64] {
+        let (md, etl) = designs(n);
+        let mut group = c.benchmark_group(format!("formats_emit_n{n}"));
+        group.throughput(Throughput::Bytes(xmd::to_string(&md).len() as u64));
+        group.bench_function("xmd_emit", |b| b.iter(|| black_box(xmd::to_string(&md))));
+        group.throughput(Throughput::Bytes(xlm::to_string(&etl).len() as u64));
+        group.bench_function("xlm_emit", |b| b.iter(|| black_box(xlm::to_string(&etl))));
+        group.finish();
+    }
 }
 
 fn main() {

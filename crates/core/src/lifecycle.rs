@@ -799,12 +799,20 @@ impl Quarry {
     /// step is transactional: if the pruned design fails validation, the
     /// previous unified design (including traceability links) is restored.
     pub fn remove_requirement(&mut self, id: &str) -> Result<DesignUpdate, QuarryError> {
+        self.remove_requirement_step(id, true)
+    }
+
+    /// [`remove_requirement`](Self::remove_requirement); with
+    /// `own_rollback` off a rejected removal returns its error without
+    /// restoring anything, for a caller that holds the snapshot of a larger
+    /// step and restores through it.
+    fn remove_requirement_step(&mut self, id: &str, own_rollback: bool) -> Result<DesignUpdate, QuarryError> {
         if !self.requirements.contains_key(id) {
             return Err(QuarryError::UnknownRequirement(id.to_string()));
         }
         let step = self.obs.span("remove_requirement");
         step.attr("requirement", id);
-        let result = self.remove_requirement_phases(id);
+        let result = self.remove_requirement_phases(id, own_rollback);
         if result.is_err() {
             step.attr("rolled_back", 1i64);
         }
@@ -812,9 +820,9 @@ impl Quarry {
         result
     }
 
-    fn remove_requirement_phases(&mut self, id: &str) -> Result<DesignUpdate, QuarryError> {
+    fn remove_requirement_phases(&mut self, id: &str, own_rollback: bool) -> Result<DesignUpdate, QuarryError> {
         self.repository.record_marker(&format!("step:remove_requirement:{id}"))?;
-        let snapshot = self.snapshot(id);
+        let snapshot = own_rollback.then(|| self.snapshot(id));
         self.requirements.remove(id);
         {
             let _phase = self.obs.span("retract");
@@ -830,17 +838,16 @@ impl Quarry {
         let violations = self.unified_md.validate();
         phase.attr("warnings", violations.len());
         drop(phase);
-        if violations.iter().any(|v| v.kind.is_error()) {
-            self.restore(snapshot, id)?;
-            return Err(QuarryError::Integrate(IntegrateError::InvalidResult(
-                violations.iter().map(ToString::to_string).collect(),
-            )));
+        let mut rejected =
+            violations.iter().any(|v| v.kind.is_error()).then(|| violations.iter().map(ToString::to_string).collect());
+        if rejected.is_none() && self.unified_etl.op_count() > 0 {
+            rejected = self.unified_etl.validate().err().map(|e| vec![e.to_string()]);
         }
-        if self.unified_etl.op_count() > 0 {
-            if let Err(e) = self.unified_etl.validate() {
+        if let Some(reasons) = rejected {
+            if let Some(snapshot) = snapshot {
                 self.restore(snapshot, id)?;
-                return Err(QuarryError::Integrate(IntegrateError::InvalidResult(vec![e.to_string()])));
             }
+            return Err(QuarryError::Integrate(IntegrateError::InvalidResult(reasons)));
         }
         self.persist_unified()?;
         Ok(DesignUpdate {
@@ -864,8 +871,10 @@ impl Quarry {
         let id = req.id.clone();
         let step = self.obs.span("change_requirement");
         step.attr("requirement", id.as_str());
+        // The one snapshot of the change: the removal inside rolls back
+        // through it too.
         let snapshot = self.snapshot(&id);
-        let mut result = self.remove_requirement(&id).and_then(|_| self.add_requirement(req));
+        let mut result = self.remove_requirement_step(&id, false).and_then(|_| self.add_requirement(req));
         if let Err(e) = result {
             step.attr("rolled_back", 1i64);
             // A rollback that itself fails (durable-log I/O) outranks the

@@ -97,7 +97,7 @@ impl ExecutionPlatform for PostgresPdi {
         Ok(DeploymentArtifacts {
             files: vec![
                 ("schema.sql".to_string(), postgres::generate_ddl(md, &self.database)),
-                (format!("{}.ktr", etl.name), pdi::generate_ktr(etl, &self.database)),
+                (format!("{}.ktr", etl.name), pdi::generate_ktr(etl, &self.database)?),
             ],
         })
     }

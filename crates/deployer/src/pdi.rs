@@ -22,154 +22,156 @@
 //! Each logical operation maps to the PDI step type reported by
 //! [`quarry_formats::xlm::pdi_optype`] with a per-type configuration block.
 
-use quarry_etl::{AggFn, AggSpec, Flow, OpKind};
+use crate::DeployError;
+use quarry_etl::{AggFn, AggSpec, Flow, JoinKind, OpKind};
 use quarry_formats::xlm::pdi_optype;
-use quarry_xml::Element;
+use quarry_xml::XmlWriter;
 
-/// Generates the `.ktr` document for a logical flow. The flow must validate
-/// ([`Flow::validate`]): the deployer facade checks that before calling.
-pub fn generate_ktr(flow: &Flow, database: &str) -> String {
-    let mut root = Element::new("transformation");
+/// Generates the `.ktr` document for a logical flow. Only what the document
+/// itself depends on is checked here (aggregate function names); the
+/// deployer facade runs the full [`Flow::validate`] first.
+pub fn generate_ktr(flow: &Flow, database: &str) -> Result<String, DeployError> {
+    let mut w = XmlWriter::pretty();
+    w.open("transformation");
 
-    let info = Element::new("info")
-        .with_text_child("name", &flow.name)
-        .with_text_child("trans_version", "1.0")
-        .with_text_child("trans_type", "Normal");
-    root.push_child(info);
+    w.open("info");
+    w.leaf("name", &flow.name);
+    w.leaf("trans_version", "1.0");
+    w.leaf("trans_type", "Normal");
+    w.close();
 
-    let connection = Element::new("connection")
-        .with_text_child("name", "quarry")
-        .with_text_child("server", "localhost")
-        .with_text_child("type", "POSTGRESQL")
-        .with_text_child("database", database)
-        .with_text_child("port", "5432")
-        .with_text_child("username", "quarry");
-    root.push_child(connection);
+    w.open("connection");
+    w.leaf("name", "quarry");
+    w.leaf("server", "localhost");
+    w.leaf("type", "POSTGRESQL");
+    w.leaf("database", database);
+    w.leaf("port", "5432");
+    w.leaf("username", "quarry");
+    w.close();
 
-    let mut order = Element::new("order");
+    w.open("order");
     for (from, to) in flow.edges() {
-        order.push_child(
-            Element::new("hop")
-                .with_text_child("from", &flow.op(*from).name)
-                .with_text_child("to", &flow.op(*to).name)
-                .with_text_child("enabled", "Y"),
-        );
+        w.open("hop");
+        w.leaf("from", &flow.op(*from).name);
+        w.leaf("to", &flow.op(*to).name);
+        w.leaf("enabled", "Y");
+        w.close();
     }
-    root.push_child(order);
+    w.close();
 
     for op in flow.ops() {
-        let mut step =
-            Element::new("step").with_text_child("name", &op.name).with_text_child("type", pdi_optype(&op.kind));
-        configure_step(&mut step, &op.kind);
-        root.push_child(step);
+        w.open("step");
+        w.leaf("name", &op.name);
+        w.leaf("type", pdi_optype(&op.kind));
+        configure_step(&mut w, &op.name, &op.kind)?;
+        w.close();
     }
 
-    root.to_pretty_string()
+    w.close();
+    Ok(w.finish())
+}
+
+/// `<tag><item><name>value</name></item>…</tag>`: PDI's field-list shape.
+fn write_fields(w: &mut XmlWriter<'_>, tag: &'static str, item: &'static str, name: &'static str, values: &[String]) {
+    w.open(tag);
+    for v in values {
+        w.open(item);
+        w.leaf(name, v);
+        w.close();
+    }
+    w.close();
 }
 
 /// Per-step-type configuration, following PDI's element vocabulary.
-fn configure_step(step: &mut Element, kind: &OpKind) {
+fn configure_step(w: &mut XmlWriter<'_>, op: &str, kind: &OpKind) -> Result<(), DeployError> {
     match kind {
         OpKind::Datastore { datastore, schema } => {
+            w.leaf("connection", "quarry");
             let cols: Vec<&str> = schema.names().collect();
-            step.push_child(Element::new("connection").with_text("quarry"));
-            step.push_child(Element::new("sql").with_text(format!("SELECT {} FROM {datastore}", cols.join(", "))));
+            w.leaf("sql", format_args!("SELECT {} FROM {datastore}", cols.join(", ")));
         }
         OpKind::Extraction { columns } | OpKind::Projection { columns } => {
-            let mut fields = Element::new("fields");
-            for c in columns {
-                fields.push_child(Element::new("field").with_text_child("name", c));
-            }
-            step.push_child(fields);
+            write_fields(w, "fields", "field", "name", columns);
         }
-        OpKind::Selection { predicate } => {
-            step.push_child(Element::new("condition").with_text(predicate.to_string()));
-        }
+        OpKind::Selection { predicate } => w.leaf("condition", format_args!("{predicate}")),
         OpKind::Derivation { column, expr } => {
-            step.push_child(
-                Element::new("calculation")
-                    .with_text_child("field_name", column)
-                    .with_text_child("formula", expr.to_string()),
-            );
+            w.open("calculation");
+            w.leaf("field_name", column);
+            w.leaf("formula", format_args!("{expr}"));
+            w.close();
         }
         OpKind::Join { kind, left_on, right_on } => {
-            step.push_child(Element::new("join_type").with_text(match kind {
-                quarry_etl::JoinKind::Inner => "INNER",
-                quarry_etl::JoinKind::Left => "LEFT OUTER",
-            }));
-            let mut keys1 = Element::new("keys_1");
-            for k in left_on {
-                keys1.push_child(Element::new("key").with_text(k));
+            w.leaf(
+                "join_type",
+                match kind {
+                    JoinKind::Inner => "INNER",
+                    JoinKind::Left => "LEFT OUTER",
+                },
+            );
+            for (tag, keys) in [("keys_1", left_on), ("keys_2", right_on)] {
+                w.open(tag);
+                for k in keys {
+                    w.leaf("key", k);
+                }
+                w.close();
             }
-            step.push_child(keys1);
-            let mut keys2 = Element::new("keys_2");
-            for k in right_on {
-                keys2.push_child(Element::new("key").with_text(k));
-            }
-            step.push_child(keys2);
         }
         OpKind::Aggregation { group_by, aggregates } => {
-            let mut group = Element::new("group");
-            for g in group_by {
-                group.push_child(Element::new("field").with_text_child("aggregate", g));
-            }
-            step.push_child(group);
-            let mut fields = Element::new("fields");
+            write_fields(w, "group", "field", "aggregate", group_by);
+            w.open("fields");
             for a in aggregates {
-                fields.push_child(
-                    Element::new("field")
-                        .with_text_child("aggregate", &a.output)
-                        .with_text_child("subject", a.input.to_string())
-                        .with_text_child("type", pdi_agg_type(a)),
-                );
+                w.open("field");
+                w.leaf("aggregate", &a.output);
+                w.leaf("subject", format_args!("{}", a.input));
+                w.leaf("type", pdi_agg_type(op, a)?);
+                w.close();
             }
-            step.push_child(fields);
+            w.close();
         }
         OpKind::Union => {}
-        OpKind::Distinct => {
-            step.push_child(Element::new("count_rows").with_text("N"));
-        }
+        OpKind::Distinct => w.leaf("count_rows", "N"),
         OpKind::Sort { columns } => {
-            let mut fields = Element::new("fields");
+            w.open("fields");
             for c in columns {
-                fields.push_child(Element::new("field").with_text_child("name", c).with_text_child("ascending", "Y"));
+                w.open("field");
+                w.leaf("name", c);
+                w.leaf("ascending", "Y");
+                w.close();
             }
-            step.push_child(fields);
+            w.close();
         }
         OpKind::SurrogateKey { natural, output } => {
-            step.push_child(Element::new("valuename").with_text(output));
-            let mut fields = Element::new("fields");
-            for n in natural {
-                fields.push_child(Element::new("field").with_text_child("name", n));
-            }
-            step.push_child(fields);
+            w.leaf("valuename", output);
+            write_fields(w, "fields", "field", "name", natural);
         }
         OpKind::Loader { table, key } => {
-            step.push_child(Element::new("connection").with_text("quarry"));
-            step.push_child(Element::new("table").with_text(table));
-            step.push_child(Element::new("commit").with_text("1000"));
+            w.leaf("connection", "quarry");
+            w.leaf("table", table);
+            w.leaf("commit", "1000");
             if !key.is_empty() {
                 // Upsert loaders map to PDI's InsertUpdate lookup keys.
-                let mut lookup = Element::new("lookup");
-                for k in key {
-                    lookup.push_child(Element::new("key").with_text_child("name", k));
-                }
-                step.push_child(lookup);
+                write_fields(w, "lookup", "key", "name", key);
             }
         }
     }
+    Ok(())
 }
 
-/// PDI GroupBy aggregate type codes. Generation runs on validated flows, so
-/// the function name always parses.
-fn pdi_agg_type(spec: &AggSpec) -> &'static str {
-    match spec.agg_fn().expect("validated before generation") {
-        AggFn::Sum => "SUM",
-        AggFn::Avg => "AVERAGE",
-        AggFn::Min => "MIN",
-        AggFn::Max => "MAX",
-        AggFn::Count => "COUNT_ALL",
-    }
+/// PDI GroupBy aggregate type codes.
+fn pdi_agg_type(op: &str, spec: &AggSpec) -> Result<&'static str, DeployError> {
+    Ok(match spec.agg_fn() {
+        Some(AggFn::Sum) => "SUM",
+        Some(AggFn::Avg) => "AVERAGE",
+        Some(AggFn::Min) => "MIN",
+        Some(AggFn::Max) => "MAX",
+        Some(AggFn::Count) => "COUNT_ALL",
+        None => {
+            return Err(DeployError::InvalidDesign(format!(
+                "operation `{op}` uses unknown aggregation function `{}`",
+                spec.function
+            )))
+        }
+    })
 }
 
 #[cfg(test)]
@@ -217,7 +219,7 @@ mod tests {
 
     #[test]
     fn ktr_matches_the_paper_snippet_shape() {
-        let ktr = generate_ktr(&flow(), "demo");
+        let ktr = generate_ktr(&flow(), "demo").unwrap();
         for needle in [
             "<transformation>",
             "<database>demo</database>",
@@ -235,7 +237,7 @@ mod tests {
 
     #[test]
     fn step_types_follow_the_pdi_vocabulary() {
-        let ktr = generate_ktr(&flow(), "demo");
+        let ktr = generate_ktr(&flow(), "demo").unwrap();
         for ty in ["TableInput", "SelectValues", "FilterRows", "GroupBy", "TableOutput"] {
             assert!(ktr.contains(&format!("<type>{ty}</type>")), "missing step type {ty}\n{ktr}");
         }
@@ -243,29 +245,62 @@ mod tests {
 
     #[test]
     fn table_input_embeds_extraction_sql() {
-        let ktr = generate_ktr(&flow(), "demo");
+        let ktr = generate_ktr(&flow(), "demo").unwrap();
         assert!(ktr.contains("SELECT ps_partkey, ps_supplycost FROM partsupp"), "{ktr}");
     }
 
     #[test]
     fn group_by_carries_aggregate_configuration() {
-        let ktr = generate_ktr(&flow(), "demo");
+        let ktr = generate_ktr(&flow(), "demo").unwrap();
         assert!(ktr.contains("<type>AVERAGE</type>"), "{ktr}");
         assert!(ktr.contains("<subject>ps_supplycost</subject>"), "{ktr}");
     }
 
     #[test]
     fn generated_ktr_is_well_formed_xml() {
-        let ktr = generate_ktr(&flow(), "demo");
+        let ktr = generate_ktr(&flow(), "demo").unwrap();
         let doc = quarry_xml::parse(&ktr).unwrap();
         assert_eq!(doc.name, "transformation");
         assert_eq!(doc.children_named("step").count(), 5);
         assert_eq!(doc.child("order").unwrap().children_named("hop").count(), 4);
     }
 
+    /// `flow()` with the aggregate renamed to a function nobody knows and a
+    /// join that has only one input: what `Flow::validate` would refuse.
+    fn unvalidated_flow() -> Flow {
+        let mut f = flow();
+        let agg = f.id_by_name("AGG").unwrap();
+        let OpKind::Aggregation { aggregates, .. } = &mut f.op_mut(agg).kind else { panic!("AGG aggregates") };
+        aggregates[0].function = "MEDIAN".into();
+        let sel = f.id_by_name("SELECTION_cost").unwrap();
+        let join = OpKind::Join {
+            kind: quarry_etl::JoinKind::Inner,
+            left_on: vec!["ps_partkey".into()],
+            right_on: vec!["ps_partkey".into()],
+        };
+        let j = f.append(sel, "JOIN_half", join).unwrap();
+        f.append(j, "LOADER_half", OpKind::Loader { table: "half".into(), key: vec![] }).unwrap();
+        f
+    }
+
+    #[test]
+    fn unvalidated_flows_are_refused_not_panicked_on() {
+        let mut f = unvalidated_flow();
+        assert!(f.validate().is_err());
+        let err = generate_ktr(&f, "demo").unwrap_err();
+        assert!(matches!(&err, DeployError::InvalidDesign(d) if d.contains("MEDIAN") && d.contains("AGG")), "{err}");
+        // The join is short of an input; the KTR only lists its keys, so it
+        // renders once the aggregate is known again.
+        let agg = f.id_by_name("AGG").unwrap();
+        let OpKind::Aggregation { aggregates, .. } = &mut f.op_mut(agg).kind else { panic!("AGG aggregates") };
+        aggregates[0].function = "SUM".into();
+        assert!(f.validate().is_err());
+        assert!(generate_ktr(&f, "demo").unwrap().contains("<name>JOIN_half</name>"));
+    }
+
     #[test]
     fn loader_step_targets_its_table() {
-        let ktr = generate_ktr(&flow(), "demo");
+        let ktr = generate_ktr(&flow(), "demo").unwrap();
         assert!(ktr.contains("<table>fact_table_netprofit</table>"));
     }
 }

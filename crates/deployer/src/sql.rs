@@ -9,7 +9,8 @@
 //! engine's FNV hash is within a run, though the two hash families differ
 //! (documented in DESIGN.md).
 
-use quarry_etl::{AggFn, Expr, Flow, JoinKind, OpId, OpKind};
+use quarry_etl::{AggFn, Expr, Flow, FlowError, JoinKind, OpId, OpKind, Schema};
+use std::collections::HashMap;
 use std::fmt::Write;
 
 /// Quotes an identifier only when necessary (mirrors `postgres::ident`).
@@ -44,12 +45,15 @@ fn surrogate_sql(natural: &[String]) -> String {
     format!("abs(hashtext(concat_ws(E'\\x1f', {})))::bigint", args.join(", "))
 }
 
-/// Renders one operation as the body of its CTE.
-fn op_sql(flow: &Flow, id: OpId) -> String {
+/// Renders one operation as the body of its CTE. `schemas` is the flow's
+/// own [`Flow::schemas`], so every operation has its inputs; what that
+/// propagation does not rule out is reported, not assumed away.
+fn op_sql(flow: &Flow, schemas: &HashMap<OpId, Schema>, id: OpId) -> Result<String, FlowError> {
     let op = flow.op(id);
     let inputs = flow.inputs_of(id);
+    let invalid = |detail: String| FlowError::InvalidOp { op: op.name.clone(), detail };
     let input = |i: usize| cte_name(flow, inputs[i]);
-    match &op.kind {
+    Ok(match &op.kind {
         OpKind::Datastore { datastore, schema } => {
             let cols: Vec<String> = schema.names().map(ident).collect();
             format!("SELECT {} FROM {}", cols.join(", "), ident(datastore))
@@ -73,8 +77,9 @@ fn op_sql(flow: &Flow, id: OpId) -> String {
                 left_on.iter().zip(right_on).map(|(l, r)| format!("l.{} = r.{}", ident(l), ident(r))).collect();
             // Same-name equi-joined keys survive once (left copy), so the
             // right side's surviving columns are listed explicitly.
-            let right_schema = flow.schema_of(inputs[1]).expect("validated before generation");
-            let kept = quarry_etl::join_kept_right_indices(&right_schema, left_on, right_on);
+            let right_schema =
+                schemas.get(&inputs[1]).ok_or_else(|| invalid("right input has no propagated schema".into()))?;
+            let kept = quarry_etl::join_kept_right_indices(right_schema, left_on, right_on);
             let mut select = vec!["l.*".to_string()];
             select.extend(kept.iter().map(|&i| format!("r.{}", ident(&right_schema.columns[i].name))));
             format!("SELECT {} FROM {} l {join_kw} {} r ON {}", select.join(", "), input(0), input(1), on.join(" AND "))
@@ -82,16 +87,16 @@ fn op_sql(flow: &Flow, id: OpId) -> String {
         OpKind::Aggregation { group_by, aggregates } => {
             let mut select: Vec<String> = group_by.iter().map(|g| ident(g)).collect();
             for spec in aggregates {
-                // Generation runs on validated flows: every name parses.
-                let func = match spec.agg_fn().expect("validated before generation") {
-                    AggFn::Sum => "SUM",
-                    AggFn::Avg => "AVG",
-                    AggFn::Min => "MIN",
-                    AggFn::Max => "MAX",
-                    AggFn::Count => {
+                let func = match spec.agg_fn() {
+                    Some(AggFn::Sum) => "SUM",
+                    Some(AggFn::Avg) => "AVG",
+                    Some(AggFn::Min) => "MIN",
+                    Some(AggFn::Max) => "MAX",
+                    Some(AggFn::Count) => {
                         select.push(format!("COUNT(*) AS {}", ident(&spec.output)));
                         continue;
                     }
+                    None => return Err(invalid(format!("unknown aggregation function `{}`", spec.function))),
                 };
                 select.push(format!("{func}({}) AS {}", expr_sql(&spec.input), ident(&spec.output)));
             }
@@ -111,17 +116,16 @@ fn op_sql(flow: &Flow, id: OpId) -> String {
         OpKind::SurrogateKey { natural, output } => {
             format!("SELECT *, {} AS {} FROM {}", surrogate_sql(natural), ident(output), input(0))
         }
-        OpKind::Loader { .. } => unreachable!("loaders render as INSERT statements"),
-    }
+        OpKind::Loader { .. } => return Err(invalid("a loader feeds another operation".into())),
+    })
 }
 
 /// Renders a whole flow as a SQL script: one INSERT per loader, each with
 /// its upstream operations as a `WITH` chain. Fails (returns the flow error)
 /// when the flow does not validate.
 pub fn generate_sql(flow: &Flow) -> Result<String, quarry_etl::FlowError> {
-    flow.schemas()?; // column names in the emitted SQL are validated
     let order = flow.topo_order()?;
-    let schemas = flow.schemas()?;
+    let schemas = flow.schemas()?; // column names in the emitted SQL are validated
     let mut out = String::new();
     let _ = writeln!(out, "-- generated by quarry from flow `{}`", flow.name);
     for &sink in order.iter().filter(|&&id| flow.op(id).kind.is_sink()) {
@@ -136,7 +140,7 @@ pub fn generate_sql(flow: &Flow) -> Result<String, quarry_etl::FlowError> {
             if i > 0 {
                 let _ = write!(out, ",\n     ");
             }
-            let _ = write!(out, "{} AS (\n  {}\n)", cte_name(flow, *id), op_sql(flow, *id));
+            let _ = write!(out, "{} AS (\n  {}\n)", cte_name(flow, *id), op_sql(flow, &schemas, *id)?);
         }
         let source = cte_name(flow, *ctes.last().expect("loaders have upstream operations"));
         let columns: Vec<String> = schemas[&sink].names().map(ident).collect();
@@ -322,6 +326,34 @@ mod tests {
         let s = f.append(d, "S", OpKind::Selection { predicate: parse_expr("ghost > 1").unwrap() }).unwrap();
         f.append(s, "L", OpKind::Loader { table: "o".into(), key: vec![] }).unwrap();
         assert!(generate_sql(&f).is_err());
+    }
+
+    #[test]
+    fn unknown_aggregates_and_short_joins_are_flow_errors() {
+        let mut unknown = sample_flow();
+        let agg = unknown.id_by_name("AGG").unwrap();
+        let OpKind::Aggregation { aggregates, .. } = &mut unknown.op_mut(agg).kind else { panic!("AGG aggregates") };
+        aggregates[0].function = "MEDIAN".into();
+        assert!(matches!(generate_sql(&unknown), Err(FlowError::InvalidOp { .. })));
+
+        let mut short = sample_flow();
+        let sk = short.id_by_name("SK").unwrap();
+        let join =
+            OpKind::Join { kind: JoinKind::Inner, left_on: vec!["OrderID".into()], right_on: vec!["OrderID".into()] };
+        let j = short.append(sk, "JOIN_half", join).unwrap();
+        short.append(j, "LOADER_half", OpKind::Loader { table: "half".into(), key: vec![] }).unwrap();
+        assert!(matches!(generate_sql(&short), Err(FlowError::Arity { .. })));
+        // The renderer itself refuses an aggregate it cannot name.
+        let schemas = sample_flow().schemas().unwrap();
+        assert!(matches!(op_sql(&unknown, &schemas, agg), Err(FlowError::InvalidOp { .. })));
+
+        // A loader behind a loader validates (a loader passes its input on)
+        // but has no CTE form: an error, where `unreachable!` used to be.
+        let mut chained = sample_flow();
+        let loader = chained.id_by_name("LOADER_fact").unwrap();
+        chained.append(loader, "LOADER_again", OpKind::Loader { table: "again".into(), key: vec![] }).unwrap();
+        chained.validate().unwrap();
+        assert!(matches!(generate_sql(&chained), Err(FlowError::InvalidOp { .. })));
     }
 
     #[test]

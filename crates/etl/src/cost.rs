@@ -99,9 +99,11 @@ pub struct SourceStats {
     pub group_fraction: f64,
     /// Rows assumed for a datastore missing from `rows`.
     pub default_rows: f64,
-    /// Bumped on every mutation; cache entries from older generations are
-    /// dropped wholesale (the cache is cleared on mutation, so the counter
-    /// mostly serves tests and debugging).
+    /// Renewed on every mutation from a process-wide counter, so two
+    /// statistics objects with the same generation hold the same tables,
+    /// observations and keys (a clone keeps its original's until either
+    /// mutates). Whoever caches facts derived from the statistics compares
+    /// it ([`SourceStats::generation`]).
     generation: u64,
     /// Memoized [`cardinality_state`] results keyed by flow fingerprint,
     /// LRU-bounded at [`CARD_CACHE_CAP`] shapes.
@@ -129,12 +131,15 @@ impl SourceStats {
     }
 
     fn touch(&mut self) {
-        self.generation = self.generation.wrapping_add(1);
+        static NEXT_GENERATION: AtomicU64 = AtomicU64::new(1);
+        self.generation = NEXT_GENERATION.fetch_add(1, Relaxed);
         self.cache.get_mut().unwrap_or_else(|e| e.into_inner()).map.clear();
     }
 
-    /// The mutation counter; bumped whenever table rows, observations or key
-    /// declarations change (and the cardinality cache is invalidated).
+    /// Identifies the current tables, observations and key declarations: it
+    /// grows whenever one of them changes (and the cardinality cache is
+    /// invalidated) and is never shared by two objects that differ in them.
+    /// The public `group_fraction` and `default_rows` are not covered.
     pub fn generation(&self) -> u64 {
         self.generation
     }
@@ -452,6 +457,16 @@ pub trait EtlCostModel {
     fn decompose(&self, _flow: &Flow, _stats: &SourceStats) -> Result<Option<Vec<OpCostPart>>, FlowError> {
         Ok(None)
     }
+
+    /// The cost [`decompose`](Self::decompose) gives one operation, when it
+    /// follows from the operation alone: its kind, the rows each input
+    /// delivers, and the rows and columns it puts out. `Some` lets a caller
+    /// that keeps those facts current re-cost only the operations an edit
+    /// reached ([`crate::facts::FlowFacts`]); `None` means a part needs more
+    /// of the flow than that.
+    fn op_part(&self, _kind: &OpKind, _input_rows: &[f64], _out_rows: f64, _out_cols: usize) -> Option<f64> {
+        None
+    }
 }
 
 /// Per-row weights of operation classes for the time model, loosely shaped
@@ -608,6 +623,12 @@ impl EtlCostModel for EstimatedTime {
     fn decompose(&self, flow: &Flow, stats: &SourceStats) -> Result<Option<Vec<OpCostPart>>, FlowError> {
         Ok(Some(self.parts(flow, stats)?))
     }
+
+    fn op_part(&self, kind: &OpKind, input_rows: &[f64], out_rows: f64, out_cols: usize) -> Option<f64> {
+        // `parts` passes width 0 when width is free; the factor is exactly
+        // 1.0 either way.
+        Some(self.op_cost(kind, input_rows, out_rows, out_cols))
+    }
 }
 
 /// Trivial model: the number of operations. Useful as an ablation and for
@@ -637,6 +658,10 @@ impl EtlCostModel for OpCount {
                 })
                 .collect(),
         ))
+    }
+
+    fn op_part(&self, _kind: &OpKind, _input_rows: &[f64], _out_rows: f64, _out_cols: usize) -> Option<f64> {
+        Some(1.0)
     }
 }
 

@@ -115,6 +115,12 @@ pub(crate) enum Edit {
     },
 }
 
+/// The edits recorded between [`Flow::begin_journal`] and
+/// [`Flow::take_journal`], oldest first. [`Flow::revert`] on the flow that
+/// recorded it, before any further edit, takes them back.
+#[derive(Debug, Clone, Default)]
+pub struct Journal(pub(crate) Vec<Edit>);
+
 /// A logical ETL process: a named DAG of operations.
 ///
 /// The ordered `edges` list is the source of truth (left/right input order,
@@ -339,7 +345,8 @@ impl Flow {
         let mut out: HashMap<OpId, Schema> = HashMap::with_capacity(order.len());
         for id in order {
             let op = self.op(id);
-            let inputs: Vec<Schema> = self.inputs_of(id).iter().map(|i| out[i].clone()).collect();
+            // Kahn order: every input was propagated before its consumer.
+            let inputs: Vec<&Schema> = self.inputs_of(id).iter().map(|i| &out[i]).collect();
             let schema = op.kind.output_schema(&op.name, &inputs)?;
             out.insert(id, schema);
         }
@@ -360,11 +367,6 @@ impl Flow {
             Some(n) => Err(FlowError::DanglingOutput(n.op.name.clone())),
             None => Ok(()),
         }
-    }
-
-    /// The output schema of one operation (convenience over [`Flow::schemas`]).
-    pub fn schema_of(&self, id: OpId) -> Result<Schema, FlowError> {
-        Ok(self.schemas()?.remove(&id).expect("id belongs to this flow"))
     }
 
     // ---- requirement traceability ---------------------------------------------
@@ -443,23 +445,26 @@ impl Flow {
     }
 
     /// Starts recording every structural edit until
-    /// [`take_journal`](Self::take_journal).
-    pub(crate) fn begin_journal(&mut self) {
+    /// [`take_journal`](Self::take_journal). Edits that are not structural
+    /// (the flow's name, [`op_mut`](Self::op_mut) on an operation that
+    /// existed before, [`ops_mut`](Self::ops_mut), renames, requirement
+    /// retraction) are not recorded and must not happen meanwhile.
+    pub fn begin_journal(&mut self) {
         debug_assert!(self.journal.is_none(), "journals do not nest");
         self.journal = Some(Vec::new());
     }
 
     /// Stops recording and returns the edits since
-    /// [`begin_journal`](Self::begin_journal), oldest first.
-    pub(crate) fn take_journal(&mut self) -> Vec<Edit> {
-        self.journal.take().expect("a journal is open")
+    /// [`begin_journal`](Self::begin_journal) (none if no journal was open).
+    pub fn take_journal(&mut self) -> Journal {
+        Journal(self.journal.take().unwrap_or_default())
     }
 
     /// Undoes a journal: replays its inverse edits newest first, leaving the
     /// flow exactly as it was when the journal was opened.
-    pub(crate) fn revert(&mut self, journal: Vec<Edit>) {
+    pub fn revert(&mut self, journal: Journal) {
         debug_assert!(self.journal.is_none(), "reverting is not itself journaled");
-        for edit in journal.into_iter().rev() {
+        for edit in journal.0.into_iter().rev() {
             match edit {
                 Edit::OpAdded { id } => {
                     let node = self.ops.pop().expect("the added operation is still there");
@@ -580,7 +585,7 @@ impl Flow {
 
     /// [`op_mut`](Self::op_mut) that first snapshots the operation into an
     /// open journal.
-    pub(crate) fn op_mut_journaled(&mut self, id: OpId) -> &mut Operation {
+    pub fn op_mut_journaled(&mut self, id: OpId) -> &mut Operation {
         if self.journal.is_some() {
             let old = self.op(id).clone();
             self.log(Edit::Op { old });

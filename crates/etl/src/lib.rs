@@ -24,6 +24,7 @@
 mod compiled;
 pub mod cost;
 mod expr;
+pub mod facts;
 mod flow;
 mod ops;
 pub mod rewrite;
@@ -32,6 +33,6 @@ mod schema;
 
 pub use compiled::{CompiledExpr, UnboundColumn};
 pub use expr::{parse_expr, BinOp, Expr, ExprError, UnOp};
-pub use flow::{Flow, FlowError, OpId, Operation, ReqSet};
+pub use flow::{Flow, FlowError, Journal, OpId, Operation, ReqSet};
 pub use ops::{join_kept_right_indices, AggFn, AggSpec, JoinKind, OpKind};
 pub use schema::{ColType, Column, Schema};

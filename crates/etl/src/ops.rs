@@ -3,6 +3,7 @@
 use crate::expr::Expr;
 use crate::flow::FlowError;
 use crate::schema::{ColType, Column, Schema};
+use std::borrow::Borrow;
 use std::fmt;
 
 /// Join kinds supported by the logical layer.
@@ -147,37 +148,39 @@ impl OpKind {
         }
     }
 
-    /// Computes the output schema from the input schemas, validating every
-    /// column reference and type constraint on the way. `name` is the
-    /// operation name used in error reports.
-    pub fn output_schema(&self, name: &str, inputs: &[Schema]) -> Result<Schema, FlowError> {
+    /// Computes the output schema from the input schemas (owned or borrowed),
+    /// validating every column reference and type constraint on the way.
+    /// `name` is the operation name used in error reports.
+    pub fn output_schema<S: Borrow<Schema>>(&self, name: &str, inputs: &[S]) -> Result<Schema, FlowError> {
         let expect_arity = self.arity();
         if inputs.len() != expect_arity {
             return Err(FlowError::Arity { op: name.to_string(), expected: expect_arity, found: inputs.len() });
         }
         let invalid = |detail: String| FlowError::InvalidOp { op: name.to_string(), detail };
+        // In range for every index below the arity just checked.
+        let at = |i: usize| -> &Schema { inputs[i].borrow() };
         match self {
             OpKind::Datastore { schema, .. } => Ok(schema.clone()),
             OpKind::Extraction { columns } => {
-                let input = &inputs[0];
+                let input = at(0);
                 input.project(columns).ok_or_else(|| invalid(format!("extracts a column missing from {input}")))
             }
             OpKind::Selection { predicate } => {
-                let t = predicate.infer_type(&inputs[0]).map_err(|e| invalid(e.to_string()))?;
+                let t = predicate.infer_type(at(0)).map_err(|e| invalid(e.to_string()))?;
                 if t != ColType::Boolean {
                     return Err(invalid(format!("selection predicate has type {t}, expected boolean")));
                 }
-                Ok(inputs[0].clone())
+                Ok(at(0).clone())
             }
-            OpKind::Projection { columns } => inputs[0]
-                .project(columns)
-                .ok_or_else(|| invalid(format!("projects a column missing from {}", inputs[0]))),
+            OpKind::Projection { columns } => {
+                at(0).project(columns).ok_or_else(|| invalid(format!("projects a column missing from {}", at(0))))
+            }
             OpKind::Derivation { column, expr } => {
-                if inputs[0].has(column) {
+                if at(0).has(column) {
                     return Err(invalid(format!("derived column `{column}` already exists")));
                 }
-                let ty = expr.infer_type(&inputs[0]).map_err(|e| invalid(e.to_string()))?;
-                let mut out = inputs[0].clone();
+                let ty = expr.infer_type(at(0)).map_err(|e| invalid(e.to_string()))?;
+                let mut out = at(0).clone();
                 out.columns.push(Column::new(column.clone(), ty));
                 Ok(out)
             }
@@ -186,8 +189,8 @@ impl OpKind {
                     return Err(invalid("join key lists must be non-empty and of equal length".into()));
                 }
                 for (l, r) in left_on.iter().zip(right_on) {
-                    let lc = inputs[0].column(l).ok_or_else(|| invalid(format!("left join key `{l}` missing")))?;
-                    let rc = inputs[1].column(r).ok_or_else(|| invalid(format!("right join key `{r}` missing")))?;
+                    let lc = at(0).column(l).ok_or_else(|| invalid(format!("left join key `{l}` missing")))?;
+                    let rc = at(1).column(r).ok_or_else(|| invalid(format!("right join key `{r}` missing")))?;
                     if lc.ty != rc.ty {
                         return Err(invalid(format!("join key type mismatch: {l}:{} vs {r}:{}", lc.ty, rc.ty)));
                     }
@@ -195,12 +198,12 @@ impl OpKind {
                 // Same-name equi-joined key pairs (the FK = PK case) are kept
                 // once: the left copy. Their values coincide on matches, and
                 // on left-join misses the left side holds the data.
-                let kept: Vec<&Column> = inputs[1]
+                let kept: Vec<&Column> = at(1)
                     .columns
                     .iter()
                     .filter(|c| !right_on.iter().zip(left_on).any(|(r, l)| *r == c.name && l == r))
                     .collect();
-                let mut out = inputs[0].clone();
+                let mut out = at(0).clone();
                 out.columns.extend(kept.into_iter().cloned());
                 if let Some(dup) = out.duplicate_name() {
                     return Err(invalid(format!("join output would duplicate column `{dup}`")));
@@ -208,7 +211,7 @@ impl OpKind {
                 Ok(out)
             }
             OpKind::Aggregation { group_by, aggregates } => {
-                let input = &inputs[0];
+                let input = at(0);
                 let mut out = Vec::with_capacity(group_by.len() + aggregates.len());
                 for g in group_by {
                     out.push(input.column(g).ok_or_else(|| invalid(format!("group-by column `{g}` missing")))?.clone());
@@ -241,41 +244,41 @@ impl OpKind {
                 Ok(schema)
             }
             OpKind::Union => {
-                let (l, r) = (&inputs[0], &inputs[1]);
+                let (l, r) = (at(0), at(1));
                 if l != r {
                     return Err(invalid(format!("union inputs differ: {l} vs {r}")));
                 }
                 Ok(l.clone())
             }
-            OpKind::Distinct => Ok(inputs[0].clone()),
+            OpKind::Distinct => Ok(at(0).clone()),
             OpKind::Sort { columns } => {
                 for c in columns {
-                    if !inputs[0].has(c) {
+                    if !at(0).has(c) {
                         return Err(invalid(format!("sort column `{c}` missing")));
                     }
                 }
-                Ok(inputs[0].clone())
+                Ok(at(0).clone())
             }
             OpKind::SurrogateKey { natural, output } => {
                 for c in natural {
-                    if !inputs[0].has(c) {
+                    if !at(0).has(c) {
                         return Err(invalid(format!("surrogate-key input column `{c}` missing")));
                     }
                 }
-                if inputs[0].has(output) {
+                if at(0).has(output) {
                     return Err(invalid(format!("surrogate-key output `{output}` already exists")));
                 }
-                let mut out = inputs[0].clone();
+                let mut out = at(0).clone();
                 out.columns.push(Column::new(output.clone(), ColType::Integer));
                 Ok(out)
             }
             OpKind::Loader { key, .. } => {
                 for k in key {
-                    if !inputs[0].has(k) {
+                    if !at(0).has(k) {
                         return Err(invalid(format!("upsert key column `{k}` missing")));
                     }
                 }
-                Ok(inputs[0].clone())
+                Ok(at(0).clone())
             }
         }
     }
@@ -388,7 +391,7 @@ mod tests {
     #[test]
     fn datastore_emits_its_schema() {
         let op = OpKind::Datastore { datastore: "lineitem".into(), schema: lineitem_schema() };
-        assert_eq!(op.output_schema("d", &[]).unwrap(), lineitem_schema());
+        assert_eq!(op.output_schema::<Schema>("d", &[]).unwrap(), lineitem_schema());
         assert!(op.output_schema("d", &[lineitem_schema()]).is_err(), "sources take no inputs");
     }
 

@@ -40,7 +40,7 @@
 //! is rolled back and reported as an error, never committed.
 
 use crate::cost::{cardinality_state, op_cardinality, CardState, EstimatedTime, EtlCostModel, SourceStats};
-use crate::flow::{Edit, Flow, FlowError, OpId, Operation};
+use crate::flow::{Edit, Flow, FlowError, Journal, OpId, Operation};
 use crate::ops::{JoinKind, OpKind};
 use crate::rules;
 use crate::schema::Schema;
@@ -142,7 +142,7 @@ pub struct Applied {
     /// Cost change of the move (negative = improvement). Bitwise-consistent
     /// with a full re-cost of the new flow.
     pub delta: f64,
-    journal: Vec<Edit>,
+    journal: Journal,
     cost: f64,
     obs_restore: Vec<(String, ObsRecord)>,
     obs_added: Vec<String>,
@@ -186,7 +186,7 @@ pub struct RewriteState {
 /// lowest rank first and follows consumers, an upstream sweep the highest and
 /// follows inputs. `visit` reports whether the operation's value changed;
 /// only then are its neighbours in sweep direction visited.
-fn sweep(
+pub(crate) fn sweep(
     flow: &Flow,
     ranks: &HashMap<OpId, u64>,
     seeds: impl IntoIterator<Item = OpId>,
@@ -423,7 +423,7 @@ impl RewriteState {
         let mut rekinded: Vec<OpId> = Vec::new();
         let mut added: Vec<OpId> = Vec::new();
         let mut removed: Vec<OpId> = Vec::new();
-        for edit in &undo.journal {
+        for edit in &undo.journal.0 {
             match edit {
                 Edit::OpAdded { id } => added.push(*id),
                 Edit::OpRemoved { op, .. } => removed.push(op.id),
@@ -466,7 +466,7 @@ impl RewriteState {
         // A selection replicated into union branches inherits the original's
         // observed ratio (per-branch selectivity under independence).
         if let Move::PushSelection { sel } = mv {
-            let replaced = undo.journal.iter().find_map(|e| match e {
+            let replaced = undo.journal.0.iter().find_map(|e| match e {
                 Edit::OpRemoved { op, .. } if op.id == *sel => Some(op),
                 _ => None,
             });
@@ -503,7 +503,7 @@ impl RewriteState {
         let mut schema_changed: BTreeSet<OpId> = BTreeSet::new();
         let schemas = &mut self.schemas;
         sweep(flow, ranks, dirty.iter().copied(), true, |id| {
-            let in_schemas: Vec<Schema> = flow.inputs_of(id).iter().map(|i| schemas[i].clone()).collect();
+            let in_schemas: Vec<&Schema> = flow.inputs_of(id).iter().map(|i| &schemas[i]).collect();
             let op = flow.op(id);
             let new = op.kind.output_schema(&op.name, &in_schemas)?;
             if schemas.get(&id) == Some(&new) {

@@ -103,13 +103,15 @@ pub fn merge_key(kind: &OpKind) -> String {
 
 /// Widens `survivor` to additionally cover `other`'s needs: datastore
 /// schemas and extraction column lists take the union. No-op for other
-/// operation kinds.
-pub fn widen_into(survivor: &mut OpKind, other: &OpKind) {
+/// operation kinds. Returns whether `survivor` changed.
+pub fn widen_into(survivor: &mut OpKind, other: &OpKind) -> bool {
+    let mut widened = false;
     match (survivor, other) {
         (OpKind::Datastore { schema, .. }, OpKind::Datastore { schema: oschema, .. }) => {
             for c in &oschema.columns {
                 if !schema.has(&c.name) {
                     schema.columns.push(c.clone());
+                    widened = true;
                 }
             }
         }
@@ -117,11 +119,13 @@ pub fn widen_into(survivor: &mut OpKind, other: &OpKind) {
             for c in ocols {
                 if !columns.contains(c) {
                     columns.push(c.clone());
+                    widened = true;
                 }
             }
         }
         _ => {}
     }
+    widened
 }
 
 /// Common-subflow elimination: merges operations that compute the same data
@@ -902,7 +906,7 @@ mod tests {
     fn widen_into_unions_columns() {
         let mut a = ds("lineitem", &[("x", ColType::Integer)]);
         let b = ds("lineitem", &[("y", ColType::Decimal), ("x", ColType::Integer)]);
-        widen_into(&mut a, &b);
+        assert!(widen_into(&mut a, &b));
         match a {
             OpKind::Datastore { schema, .. } => {
                 assert_eq!(schema.names().collect::<Vec<_>>(), ["x", "y"]);
@@ -918,7 +922,7 @@ mod tests {
         // Non-source kinds are untouched.
         let mut sel = OpKind::Selection { predicate: parse_expr("x > 1").unwrap() };
         let before = sel.clone();
-        widen_into(&mut sel, &OpKind::Distinct);
+        assert!(!widen_into(&mut sel, &OpKind::Distinct));
         assert_eq!(sel, before);
     }
 

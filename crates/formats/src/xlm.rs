@@ -29,7 +29,7 @@
 
 use crate::error::FormatError;
 use quarry_etl::{parse_expr, AggSpec, ColType, Column, Flow, JoinKind, OpKind, ReqSet, Schema};
-use quarry_xml::Element;
+use quarry_xml::{Element, XmlWriter};
 
 /// The PDI-flavoured `<optype>` for a logical operation (used verbatim by
 /// the deployer's KTR generator).
@@ -50,12 +50,12 @@ pub fn pdi_optype(kind: &OpKind) -> &'static str {
     }
 }
 
-fn columns_to_xml(tag: &str, columns: &[String]) -> Element {
-    let mut e = Element::new(tag);
+fn write_columns(w: &mut XmlWriter<'_>, tag: &'static str, columns: &[String]) {
+    w.open(tag);
     for c in columns {
-        e.push_child(Element::new("column").with_text(c));
+        w.leaf("column", c);
     }
-    e
+    w.close();
 }
 
 fn columns_from_xml(parent: &Element, tag: &str) -> Vec<String> {
@@ -63,14 +63,6 @@ fn columns_from_xml(parent: &Element, tag: &str) -> Vec<String> {
         .child(tag)
         .map(|e| e.children_named("column").filter_map(Element::text).map(str::to_string).collect())
         .unwrap_or_default()
-}
-
-fn schema_to_xml(schema: &Schema) -> Element {
-    let mut e = Element::new("schema");
-    for c in &schema.columns {
-        e.push_child(Element::new("column").with_attr("name", &c.name).with_attr("type", c.ty.as_str()));
-    }
-    e
 }
 
 fn schema_from_xml(parent: &Element) -> Result<Schema, FormatError> {
@@ -87,47 +79,53 @@ fn schema_from_xml(parent: &Element) -> Result<Schema, FormatError> {
     Ok(Schema::new(columns))
 }
 
-fn kind_to_xml(kind: &OpKind, node: &mut Element) {
+fn write_kind(w: &mut XmlWriter<'_>, kind: &OpKind) {
     match kind {
         OpKind::Datastore { datastore, schema } => {
-            node.push_child(Element::new("datastore").with_text(datastore));
-            node.push_child(schema_to_xml(schema));
+            w.leaf("datastore", datastore);
+            w.open("schema");
+            for c in &schema.columns {
+                w.open("column");
+                w.attr("name", &c.name);
+                w.attr("type", c.ty.as_str());
+                w.close();
+            }
+            w.close();
         }
-        OpKind::Extraction { columns } => node.push_child(columns_to_xml("columns", columns)),
-        OpKind::Selection { predicate } => node.push_child(Element::new("predicate").with_text(predicate.to_string())),
-        OpKind::Projection { columns } => node.push_child(columns_to_xml("columns", columns)),
+        OpKind::Extraction { columns } | OpKind::Projection { columns } | OpKind::Sort { columns } => {
+            write_columns(w, "columns", columns);
+        }
+        OpKind::Selection { predicate } => w.leaf("predicate", format_args!("{predicate}")),
         OpKind::Derivation { column, expr } => {
-            node.push_child(Element::new("column").with_text(column));
-            node.push_child(Element::new("expression").with_text(expr.to_string()));
+            w.leaf("column", column);
+            w.leaf("expression", format_args!("{expr}"));
         }
         OpKind::Join { kind, left_on, right_on } => {
-            node.push_child(Element::new("joinKind").with_text(kind.as_str()));
-            node.push_child(columns_to_xml("leftOn", left_on));
-            node.push_child(columns_to_xml("rightOn", right_on));
+            w.leaf("joinKind", kind.as_str());
+            write_columns(w, "leftOn", left_on);
+            write_columns(w, "rightOn", right_on);
         }
         OpKind::Aggregation { group_by, aggregates } => {
-            node.push_child(columns_to_xml("groupBy", group_by));
-            let mut aggs = Element::new("aggregates");
+            write_columns(w, "groupBy", group_by);
+            w.open("aggregates");
             for a in aggregates {
-                aggs.push_child(
-                    Element::new("aggregate")
-                        .with_text_child("function", &a.function)
-                        .with_text_child("input", a.input.to_string())
-                        .with_text_child("output", &a.output),
-                );
+                w.open("aggregate");
+                w.leaf("function", &a.function);
+                w.leaf("input", format_args!("{}", a.input));
+                w.leaf("output", &a.output);
+                w.close();
             }
-            node.push_child(aggs);
+            w.close();
         }
         OpKind::Union | OpKind::Distinct => {}
-        OpKind::Sort { columns } => node.push_child(columns_to_xml("columns", columns)),
         OpKind::SurrogateKey { natural, output } => {
-            node.push_child(columns_to_xml("natural", natural));
-            node.push_child(Element::new("output").with_text(output));
+            write_columns(w, "natural", natural);
+            w.leaf("output", output);
         }
         OpKind::Loader { table, key } => {
-            node.push_child(Element::new("table").with_text(table));
+            w.leaf("table", table);
             if !key.is_empty() {
-                node.push_child(columns_to_xml("upsertKey", key));
+                write_columns(w, "upsertKey", key);
             }
         }
     }
@@ -178,43 +176,41 @@ fn kind_from_xml(type_name: &str, node: &Element) -> Result<OpKind, FormatError>
     })
 }
 
-/// Serializes a flow to the xLM DOM.
-pub fn to_xml(flow: &Flow) -> Element {
-    let mut root = Element::new("design");
-    root.push_child(Element::new("metadata").with_text_child("name", &flow.name));
-    let mut edges = Element::new("edges");
-    for (from, to) in flow.edges() {
-        edges.push_child(
-            Element::new("edge")
-                .with_text_child("from", &flow.op(*from).name)
-                .with_text_child("to", &flow.op(*to).name)
-                .with_text_child("enabled", "Y"),
-        );
-    }
-    root.push_child(edges);
-    let mut nodes = Element::new("nodes");
-    for op in flow.ops() {
-        let mut node = Element::new("node")
-            .with_text_child("name", &op.name)
-            .with_text_child("type", op.kind.type_name())
-            .with_text_child("optype", pdi_optype(&op.kind));
-        kind_to_xml(&op.kind, &mut node);
-        if !op.satisfies.is_empty() {
-            let mut s = Element::new("satisfies");
-            for r in &op.satisfies {
-                s.push_child(Element::new("req").with_text(r));
-            }
-            node.push_child(s);
-        }
-        nodes.push_child(node);
-    }
-    root.push_child(nodes);
-    root
-}
-
 /// Serializes a flow to an xLM document string.
 pub fn to_string(flow: &Flow) -> String {
-    to_xml(flow).to_pretty_string()
+    let mut w = XmlWriter::pretty();
+    w.open("design");
+    w.open("metadata");
+    w.leaf("name", &flow.name);
+    w.close();
+    w.open("edges");
+    for (from, to) in flow.edges() {
+        w.open("edge");
+        w.leaf("from", &flow.op(*from).name);
+        w.leaf("to", &flow.op(*to).name);
+        w.leaf("enabled", "Y");
+        w.close();
+    }
+    w.close();
+    w.open("nodes");
+    for op in flow.ops() {
+        w.open("node");
+        w.leaf("name", &op.name);
+        w.leaf("type", op.kind.type_name());
+        w.leaf("optype", pdi_optype(&op.kind));
+        write_kind(&mut w, &op.kind);
+        if !op.satisfies.is_empty() {
+            w.open("satisfies");
+            for r in &op.satisfies {
+                w.leaf("req", r);
+            }
+            w.close();
+        }
+        w.close();
+    }
+    w.close();
+    w.close();
+    w.finish()
 }
 
 /// Parses a flow from the xLM DOM.

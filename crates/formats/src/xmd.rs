@@ -9,17 +9,17 @@ use crate::error::FormatError;
 use quarry_md::{
     Additivity, AggFn, Attribute, DimLink, Dimension, Fact, Level, MdDataType, MdSchema, Measure, ReqSet, Rollup,
 };
-use quarry_xml::Element;
+use quarry_xml::{Element, XmlWriter};
 
-fn satisfies_to_xml(reqs: &ReqSet) -> Option<Element> {
+fn write_satisfies(w: &mut XmlWriter<'_>, reqs: &ReqSet) {
     if reqs.is_empty() {
-        return None;
+        return;
     }
-    let mut e = Element::new("satisfies");
+    w.open("satisfies");
     for r in reqs {
-        e.push_child(Element::new("req").with_text(r));
+        w.leaf("req", r);
     }
-    Some(e)
+    w.close();
 }
 
 fn satisfies_from_xml(parent: &Element) -> ReqSet {
@@ -40,101 +40,88 @@ fn req_text(e: &Element, name: &str) -> Result<String, FormatError> {
         .ok_or_else(|| FormatError::structure(format!("<{}> missing <{name}>", e.name)))
 }
 
-/// Serializes an MD schema to the xMD DOM.
-pub fn to_xml(schema: &MdSchema) -> Element {
-    let mut root = Element::new("MDschema").with_attr("name", &schema.name);
-    let mut facts = Element::new("facts");
-    for f in &schema.facts {
-        let mut fe = Element::new("fact").with_text_child("name", &f.name);
-        if let Some(c) = &f.concept {
-            fe.push_child(Element::new("concept").with_text(c));
-        }
-        let mut measures = Element::new("measures");
-        for m in &f.measures {
-            let mut me = Element::new("measure")
-                .with_text_child("name", &m.name)
-                .with_text_child("expression", &m.expression)
-                .with_text_child("datatype", m.datatype.as_str())
-                .with_text_child("additivity", m.additivity.as_str())
-                .with_text_child("aggregation", m.default_agg.as_str());
-            if let Some(s) = satisfies_to_xml(&m.satisfies) {
-                me.push_child(s);
-            }
-            measures.push_child(me);
-        }
-        fe.push_child(measures);
-        let mut links = Element::new("dimensionRefs");
-        for d in &f.dimensions {
-            let mut de = Element::new("dimensionRef")
-                .with_text_child("dimension", &d.dimension)
-                .with_text_child("level", &d.level);
-            if let Some(s) = satisfies_to_xml(&d.satisfies) {
-                de.push_child(s);
-            }
-            links.push_child(de);
-        }
-        fe.push_child(links);
-        if let Some(s) = satisfies_to_xml(&f.satisfies) {
-            fe.push_child(s);
-        }
-        facts.push_child(fe);
-    }
-    root.push_child(facts);
-    let mut dims = Element::new("dimensions");
-    for d in &schema.dimensions {
-        let mut de = Element::new("dimension")
-            .with_text_child("name", &d.name)
-            .with_text_child("atomic", &d.atomic)
-            .with_text_child("temporal", if d.temporal { "true" } else { "false" });
-        let mut levels = Element::new("levels");
-        for l in &d.levels {
-            let mut le = Element::new("level")
-                .with_text_child("name", &l.name)
-                .with_text_child("key", &l.key)
-                .with_text_child("keyType", l.key_type.as_str());
-            if let Some(c) = &l.concept {
-                le.push_child(Element::new("concept").with_text(c));
-            }
-            let mut attrs = Element::new("attributes");
-            for a in &l.attributes {
-                let mut ae = Element::new("attribute")
-                    .with_text_child("name", &a.name)
-                    .with_text_child("datatype", a.datatype.as_str());
-                if let Some(s) = satisfies_to_xml(&a.satisfies) {
-                    ae.push_child(s);
-                }
-                attrs.push_child(ae);
-            }
-            le.push_child(attrs);
-            if let Some(s) = satisfies_to_xml(&l.satisfies) {
-                le.push_child(s);
-            }
-            levels.push_child(le);
-        }
-        de.push_child(levels);
-        let mut rollups = Element::new("rollups");
-        for r in &d.rollups {
-            rollups.push_child(
-                Element::new("rollup")
-                    .with_text_child("child", &r.child)
-                    .with_text_child("parent", &r.parent)
-                    .with_text_child("strict", if r.strict { "true" } else { "false" })
-                    .with_text_child("total", if r.total { "true" } else { "false" }),
-            );
-        }
-        de.push_child(rollups);
-        if let Some(s) = satisfies_to_xml(&d.satisfies) {
-            de.push_child(s);
-        }
-        dims.push_child(de);
-    }
-    root.push_child(dims);
-    root
-}
-
 /// Serializes an MD schema to an xMD document string.
 pub fn to_string(schema: &MdSchema) -> String {
-    to_xml(schema).to_pretty_string()
+    let bool_text = |b: bool| if b { "true" } else { "false" };
+    let mut w = XmlWriter::pretty();
+    w.open("MDschema");
+    w.attr("name", &schema.name);
+    w.open("facts");
+    for f in &schema.facts {
+        w.open("fact");
+        w.leaf("name", &f.name);
+        if let Some(c) = &f.concept {
+            w.leaf("concept", c);
+        }
+        w.open("measures");
+        for m in &f.measures {
+            w.open("measure");
+            w.leaf("name", &m.name);
+            w.leaf("expression", &m.expression);
+            w.leaf("datatype", m.datatype.as_str());
+            w.leaf("additivity", m.additivity.as_str());
+            w.leaf("aggregation", m.default_agg.as_str());
+            write_satisfies(&mut w, &m.satisfies);
+            w.close();
+        }
+        w.close();
+        w.open("dimensionRefs");
+        for d in &f.dimensions {
+            w.open("dimensionRef");
+            w.leaf("dimension", &d.dimension);
+            w.leaf("level", &d.level);
+            write_satisfies(&mut w, &d.satisfies);
+            w.close();
+        }
+        w.close();
+        write_satisfies(&mut w, &f.satisfies);
+        w.close();
+    }
+    w.close();
+    w.open("dimensions");
+    for d in &schema.dimensions {
+        w.open("dimension");
+        w.leaf("name", &d.name);
+        w.leaf("atomic", &d.atomic);
+        w.leaf("temporal", bool_text(d.temporal));
+        w.open("levels");
+        for l in &d.levels {
+            w.open("level");
+            w.leaf("name", &l.name);
+            w.leaf("key", &l.key);
+            w.leaf("keyType", l.key_type.as_str());
+            if let Some(c) = &l.concept {
+                w.leaf("concept", c);
+            }
+            w.open("attributes");
+            for a in &l.attributes {
+                w.open("attribute");
+                w.leaf("name", &a.name);
+                w.leaf("datatype", a.datatype.as_str());
+                write_satisfies(&mut w, &a.satisfies);
+                w.close();
+            }
+            w.close();
+            write_satisfies(&mut w, &l.satisfies);
+            w.close();
+        }
+        w.close();
+        w.open("rollups");
+        for r in &d.rollups {
+            w.open("rollup");
+            w.leaf("child", &r.child);
+            w.leaf("parent", &r.parent);
+            w.leaf("strict", bool_text(r.strict));
+            w.leaf("total", bool_text(r.total));
+            w.close();
+        }
+        w.close();
+        write_satisfies(&mut w, &d.satisfies);
+        w.close();
+    }
+    w.close();
+    w.close();
+    w.finish()
 }
 
 /// Parses an MD schema from the xMD DOM.

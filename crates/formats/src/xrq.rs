@@ -31,7 +31,7 @@
 //! ```
 
 use crate::error::FormatError;
-use quarry_xml::Element;
+use quarry_xml::{Element, XmlWriter};
 
 /// A measure requested by a requirement: a name plus a derivation function
 /// over ontology property references.
@@ -94,53 +94,56 @@ impl Requirement {
         self.aggregations.iter().find(|a| a.measure == measure).map(|a| a.function.as_str())
     }
 
-    /// Serializes to the xRQ DOM.
-    pub fn to_xml(&self) -> Element {
-        let mut cube = Element::new("cube").with_attr("id", &self.id);
-        if !self.description.is_empty() {
-            cube.push_child(Element::new("description").with_text(&self.description));
-        }
-        let mut dims = Element::new("dimensions");
-        for d in &self.dimensions {
-            dims.push_child(Element::new("concept").with_attr("id", d));
-        }
-        cube.push_child(dims);
-        let mut measures = Element::new("measures");
-        for m in &self.measures {
-            measures.push_child(
-                Element::new("concept")
-                    .with_attr("id", &m.id)
-                    .with_child(Element::new("function").with_text(&m.function)),
-            );
-        }
-        cube.push_child(measures);
-        let mut slicers = Element::new("slicers");
-        for s in &self.slicers {
-            slicers.push_child(
-                Element::new("comparison")
-                    .with_child(Element::new("concept").with_attr("id", &s.concept))
-                    .with_text_child("operator", &s.operator)
-                    .with_text_child("value", &s.value),
-            );
-        }
-        cube.push_child(slicers);
-        let mut aggs = Element::new("aggregations");
-        for a in &self.aggregations {
-            aggs.push_child(
-                Element::new("aggregation")
-                    .with_attr("order", a.order.to_string())
-                    .with_child(Element::new("dimension").with_attr("refID", &a.dimension))
-                    .with_child(Element::new("measure").with_attr("refID", &a.measure))
-                    .with_text_child("function", &a.function),
-            );
-        }
-        cube.push_child(aggs);
-        cube
-    }
-
     /// Serializes to an xRQ document string.
     pub fn to_string_pretty(&self) -> String {
-        self.to_xml().to_pretty_string()
+        let mut w = XmlWriter::pretty();
+        w.open("cube");
+        w.attr("id", &self.id);
+        if !self.description.is_empty() {
+            w.leaf("description", &self.description);
+        }
+        w.open("dimensions");
+        for d in &self.dimensions {
+            w.open("concept");
+            w.attr("id", d);
+            w.close();
+        }
+        w.close();
+        w.open("measures");
+        for m in &self.measures {
+            w.open("concept");
+            w.attr("id", &m.id);
+            w.leaf("function", &m.function);
+            w.close();
+        }
+        w.close();
+        w.open("slicers");
+        for s in &self.slicers {
+            w.open("comparison");
+            w.open("concept");
+            w.attr("id", &s.concept);
+            w.close();
+            w.leaf("operator", &s.operator);
+            w.leaf("value", &s.value);
+            w.close();
+        }
+        w.close();
+        w.open("aggregations");
+        for a in &self.aggregations {
+            w.open("aggregation");
+            w.attr("order", format_args!("{}", a.order));
+            w.open("dimension");
+            w.attr("refID", &a.dimension);
+            w.close();
+            w.open("measure");
+            w.attr("refID", &a.measure);
+            w.close();
+            w.leaf("function", &a.function);
+            w.close();
+        }
+        w.close();
+        w.close();
+        w.finish()
     }
 
     /// Parses from the xRQ DOM.

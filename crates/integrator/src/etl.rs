@@ -13,8 +13,9 @@
 use crate::IntegrateError;
 use quarry_engine::pool;
 use quarry_etl::cost::{EstimatedTime, EtlCostModel, SourceStats};
+use quarry_etl::facts::FlowFacts;
 use quarry_etl::rules;
-use quarry_etl::{Flow, FlowError, OpId, OpKind};
+use quarry_etl::{Flow, FlowError, OpId};
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::Mutex;
 
@@ -64,10 +65,16 @@ pub struct EtlIntegration {
 /// their key (widening never changes it; see [`rules::merge_key`]) and
 /// copied ops are inserted as they land, so the index stays in sync with an
 /// incrementally grown flow.
+///
+/// Beside it sit the flow's per-operation schemas and cost parts
+/// ([`FlowFacts`]), which a step refreshes for the operations it copied or
+/// widened and whatever those reach, instead of validating and costing the
+/// whole flow.
 #[derive(Debug, Clone, Default)]
 pub struct EtlIndex {
     by_key: HashMap<(String, Vec<OpId>), OpId>,
     names: HashSet<String>,
+    facts: FlowFacts,
 }
 
 impl EtlIndex {
@@ -79,7 +86,13 @@ impl EtlIndex {
         for op in flow.ops() {
             by_key.entry((rules::merge_key(&op.kind), flow.inputs_of(op.id).to_vec())).or_insert(op.id);
         }
-        EtlIndex { by_key, names: flow.ops().map(|o| o.name.clone()).collect() }
+        EtlIndex { by_key, names: flow.ops().map(|o| o.name.clone()).collect(), facts: FlowFacts::default() }
+    }
+
+    /// The schemas and cost parts kept beside the index (nothing before the
+    /// first step under it).
+    pub fn facts(&self) -> &FlowFacts {
+        &self.facts
     }
 
     pub fn len(&self) -> usize {
@@ -121,8 +134,12 @@ pub(crate) fn consolidate_into(
     let mut matched_pairs: Vec<(String, OpId)> = Vec::new();
     let mut added = 0usize;
 
+    // What the step invalidates in `index.facts`: the operations it widens
+    // or copies, producers before consumers like the order it walks in.
+    let mut touched: Vec<OpId> = Vec::new();
+
     for pid in order {
-        let pop = part.op(pid).clone();
+        let pop = part.op(pid);
         let p_inputs = part.inputs_of(pid);
         let p_images: Option<Vec<OpId>> = p_inputs.iter().map(|i| image.get(i).copied()).collect();
 
@@ -142,13 +159,14 @@ pub(crate) fn consolidate_into(
                 image.insert(pid, uid);
                 matched_pairs.push((pop.name.clone(), uid));
                 outcome.hits += 1;
-                // Union satisfier sets and widen extractions/datastores.
-                // Widening never changes the merge key, so the index entry
-                // stays valid.
-                let reqs = pop.satisfies.clone();
-                let uop = out.op_mut(uid);
-                uop.satisfies.extend(reqs);
-                widen(out, uid, &pop.kind);
+                // Union satisfier sets and widen extractions/datastores
+                // ([`rules::widen_into`]). Widening never changes the merge
+                // key, so the index entry stays valid.
+                let uop = out.op_mut_journaled(uid);
+                uop.satisfies.extend(pop.satisfies.iter().cloned());
+                if rules::widen_into(&mut uop.kind, &pop.kind) {
+                    touched.push(uid);
+                }
             }
             None => {
                 // Copy the op, keeping names unique.
@@ -170,14 +188,20 @@ pub(crate) fn consolidate_into(
                 index.by_key.insert((rules::merge_key(&pop.kind), p_images.unwrap_or_default()), new_id);
                 index.names.insert(out.op(new_id).name.clone());
                 image.insert(pid, new_id);
+                touched.push(new_id);
                 added += 1;
                 outcome.misses += 1;
             }
         }
     }
 
-    out.validate().map_err(|e| IntegrateError::InvalidResult(vec![e.to_string()]))?;
-    let total_cost = cost.cost(out, stats).map_err(|e| IntegrateError::InvalidResult(vec![e.to_string()]))?;
+    // Validation and costing, for what the step reached (everything, under
+    // a fresh index): schemas first, then dangling outputs, like
+    // `Flow::validate`.
+    let invalid = |e: FlowError| IntegrateError::InvalidResult(vec![e.to_string()]);
+    index.facts.refresh(out, &touched, cost, stats).map_err(invalid)?;
+    out.check_outputs_consumed().map_err(invalid)?;
+    let total_cost = index.facts.cost(out, cost, stats).map_err(invalid)?;
     Ok(EtlIntegrationReport {
         reused_ops: matched_pairs.len(),
         added_ops: added,
@@ -224,13 +248,6 @@ pub fn integrate_etl(
     Ok(EtlIntegration { flow: out, report })
 }
 
-/// Widens a matched unified operation to additionally cover the partial
-/// op's needs (see [`rules::widen_into`]).
-fn widen(out: &mut Flow, uid: OpId, partial_kind: &OpKind) {
-    let uop = out.op_mut(uid);
-    rules::widen_into(&mut uop.kind, partial_kind);
-}
-
 /// Convenience: integrate with the paper's default ETL quality factor
 /// (estimated overall execution time).
 pub fn integrate_etl_default(
@@ -244,7 +261,7 @@ pub fn integrate_etl_default(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use quarry_etl::{parse_expr, AggSpec, ColType, Column, JoinKind, Schema};
+    use quarry_etl::{parse_expr, AggSpec, ColType, Column, JoinKind, OpKind, Schema};
 
     fn li_schema(cols: &[(&str, ColType)]) -> Schema {
         Schema::new(cols.iter().map(|(n, t)| Column::new(*n, *t)).collect())

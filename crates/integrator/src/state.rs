@@ -11,6 +11,11 @@
 //! updated in place as ops are matched/added/widened and is fully rebuilt
 //! only after out-of-band mutation of the unified design (requirement
 //! removal/rollback), which callers signal via [`ConsolidationState::invalidate`].
+//! The flow's per-operation schemas and cost parts live and die with the
+//! index ([`quarry_etl::facts::FlowFacts`]): a step under a maintained index
+//! validates and costs what it added or widened and what that reaches, and
+//! rolls back through the flow's edit journal, so nothing in it is
+//! proportional to the design.
 //!
 //! Why the invariant survives insertion without re-normalizing: a matched op
 //! gains a consumer, so every sole-consumer-gated rewrite (selection
@@ -29,6 +34,7 @@ use crate::etl::{
 use crate::md::{integrate_md, MdIntegration};
 use crate::IntegrateError;
 use quarry_etl::cost::{EtlCostModel, SourceStats};
+use quarry_etl::facts::FlowFacts;
 use quarry_etl::rules;
 use quarry_etl::Flow;
 use quarry_md::{CostModel, MdSchema};
@@ -128,6 +134,12 @@ impl ConsolidationState {
         self.etl.is_some()
     }
 
+    /// The per-operation schemas and cost parts kept beside the ETL index
+    /// (`None` before the first step and after invalidation).
+    pub fn etl_facts(&self) -> Option<&FlowFacts> {
+        self.etl.as_ref().map(|s| s.index.facts())
+    }
+
     /// Drops the maintained ETL index. Call after any mutation of the
     /// unified flow that did not go through [`ConsolidationState::etl_step`]
     /// (requirement retraction, snapshot rollback); the next step rebuilds
@@ -156,6 +168,13 @@ impl ConsolidationState {
     /// `unified` *in place*. Behaviorally identical to
     /// [`crate::etl::integrate_etl`] — on error the flow is restored
     /// bit-identical and the state invalidated.
+    ///
+    /// Under a reusable index the step costs what it touches: it only adds
+    /// operations and widens matched ones, which the flow's edit journal
+    /// records and takes back on error, and it validates and costs through
+    /// the facts kept beside the index. Pass the same cost model on every
+    /// step (or [`invalidate`](Self::invalidate) when swapping it); changed
+    /// source statistics are noticed.
     pub fn etl_step(
         &mut self,
         unified: &mut Flow,
@@ -164,13 +183,25 @@ impl ConsolidationState {
         stats: &SourceStats,
         options: EtlIntegrationOptions,
     ) -> Result<EtlIntegrationReport, IntegrateError> {
-        let backup = unified.clone();
-        let result = self.etl_step_inner(unified, partial, cost, stats, options);
-        if result.is_err() {
-            *unified = backup;
-            self.invalidate();
-        } else {
+        let fingerprint = (unified.op_count(), unified.edge_count());
+        let reusable =
+            self.etl.as_ref().is_some_and(|s| s.aligned == options.align_with_rules && s.fingerprint == fingerprint);
+        // Rebuilding the index canonicalizes the flow, which the journal does
+        // not record; that (rare) step keeps a copy to fall back to.
+        let backup = (!reusable).then(|| unified.clone());
+        if reusable {
+            unified.begin_journal();
+        }
+        let result = self.etl_step_inner(unified, partial, cost, stats, options, reusable);
+        let journal = unified.take_journal();
+        if result.is_ok() {
             self.flow_epoch += 1;
+        } else {
+            match backup {
+                Some(backup) => *unified = backup,
+                None => unified.revert(journal),
+            }
+            self.invalidate();
         }
         result
     }
@@ -182,14 +213,8 @@ impl ConsolidationState {
         cost: &dyn EtlCostModel,
         stats: &SourceStats,
         options: EtlIntegrationOptions,
+        reusable: bool,
     ) -> Result<EtlIntegrationReport, IntegrateError> {
-        if unified.name.is_empty() {
-            unified.name = "unified".to_string();
-        }
-        let fingerprint = (unified.op_count(), unified.edge_count());
-        let reusable =
-            self.etl.as_ref().is_some_and(|s| s.aligned == options.align_with_rules && s.fingerprint == fingerprint);
-
         let mut part = partial.clone();
         if reusable {
             // Unified is already canonical under this alignment flavor; only
@@ -197,6 +222,9 @@ impl ConsolidationState {
             rules::canonicalize(&mut part, options.align_with_rules)
                 .map_err(|e| IntegrateError::MalformedPartial(e.to_string()))?;
         } else {
+            if unified.name.is_empty() {
+                unified.name = "unified".to_string();
+            }
             canonicalize_pair(unified, &mut part, options.align_with_rules)?;
             self.etl = Some(EtlState {
                 index: EtlIndex::build(unified),

@@ -8,17 +8,25 @@
 //! (compared structurally *and* on the serialized xMD/xLM text) and identical
 //! integration reports.
 //!
+//! The incremental ETL path also keeps per-operation schemas and cost parts
+//! beside its index and re-derives them only where a step reaches; after
+//! every step they must equal a from-scratch derivation bit for bit —
+//! through widened sources feeding joins, failing steps that roll back
+//! through the flow's edit journal, and changed source statistics.
+//!
 //! A second check pits the delta scorer against whole-schema costing: every
 //! MD step is replayed under an opaque wrapper of the same cost model (no
 //! additive decomposition, so the integrator falls back to full scoring) and
 //! must choose the same schema for the same cost.
 
-use quarry_etl::cost::{EstimatedTime, SourceStats};
-use quarry_etl::{parse_expr, AggSpec, ColType, Column, Flow, OpKind, Schema};
+use quarry_etl::cost::{EstimatedTime, EtlCostModel, SourceStats};
+use quarry_etl::facts::FlowFacts;
+use quarry_etl::{parse_expr, AggSpec, ColType, Column, Flow, JoinKind, OpKind, Schema};
 use quarry_formats::{xlm, xmd};
 use quarry_integrator::etl::{integrate_etl, EtlIntegrationOptions};
 use quarry_integrator::md::integrate_md;
 use quarry_integrator::state::ConsolidationState;
+use quarry_integrator::IntegrateError;
 use quarry_md::{CostModel, DimLink, Dimension, Fact, Level, MdDataType, MdSchema, Measure, StructuralComplexity};
 
 // ---- deterministic randomness ---------------------------------------------
@@ -114,6 +122,46 @@ fn gen_etl(rng: &mut Rng, req: &str) -> Flow {
     f
 }
 
+/// alpha ⋈ beta on their ids, each side reading a random subset of its
+/// table's columns: later requirements widen the datastores and extractions
+/// earlier ones put in front of the shared join, and everything downstream
+/// of them sees wider rows.
+fn gen_join_etl(rng: &mut Rng, req: &str) -> Flow {
+    let mut f = Flow::new(format!("partial_{req}"));
+    let mut sides = Vec::new();
+    for t in ["alpha", "beta"] {
+        let mut columns = vec![Column::new(format!("{t}_id"), ColType::Integer)];
+        for (extra, ty) in [("val", ColType::Decimal), ("cat", ColType::Text)] {
+            if rng.chance(50) {
+                columns.push(Column::new(format!("{t}_{extra}"), ty));
+            }
+        }
+        let names = columns.iter().map(|c| c.name.clone()).collect();
+        let ds = f
+            .add_op(format!("DS_{t}"), OpKind::Datastore { datastore: t.into(), schema: Schema::new(columns) })
+            .unwrap();
+        sides.push(f.append(ds, format!("EX_{t}"), OpKind::Extraction { columns: names }).unwrap());
+    }
+    let join =
+        OpKind::Join { kind: JoinKind::Inner, left_on: vec!["alpha_id".into()], right_on: vec!["beta_id".into()] };
+    let j = f.add_op("JOIN_ab", join).unwrap();
+    f.connect(sides[0], j).unwrap();
+    f.connect(sides[1], j).unwrap();
+    let k = rng.below(3);
+    f.append(j, format!("LOAD_ab_{k}"), OpKind::Loader { table: format!("t_ab_{k}"), key: vec![] }).unwrap();
+    f.stamp_requirement(req);
+    f
+}
+
+/// Either shape, so single-table pipelines and the join share sources.
+fn gen_mixed_etl(rng: &mut Rng, req: &str) -> Flow {
+    if rng.chance(50) {
+        gen_join_etl(rng, req)
+    } else {
+        gen_etl(rng, req)
+    }
+}
+
 fn gen_md(rng: &mut Rng, req: &str) -> MdSchema {
     let mut s = MdSchema::new(format!("partial_{req}"));
     let concept = CONCEPTS[rng.below(CONCEPTS.len())];
@@ -166,9 +214,33 @@ fn stats() -> SourceStats {
     SourceStats::new().with_table("alpha", 50_000.0).with_table("beta", 8_000.0).with_table("gamma", 1_000.0)
 }
 
+/// The schemas and cost parts the state keeps beside its index equal what
+/// validating and costing `flow` from scratch derives, bit for bit.
+fn assert_facts_exact(state: &ConsolidationState, flow: &Flow, model: &EstimatedTime, stats: &SourceStats, at: &str) {
+    let kept = state.etl_facts().expect("a step just ran under the index");
+    let mut fresh = FlowFacts::default();
+    fresh.refresh(flow, &[], model, stats).expect("the unified flow validates");
+    assert_eq!(kept.schemas(), fresh.schemas(), "{at}: kept schemas diverged from a rebuild");
+    assert_eq!(kept.schemas(), &flow.schemas().unwrap(), "{at}: kept schemas diverged from propagation");
+    let bits = |facts: &FlowFacts| {
+        let mut parts: Vec<_> = facts.cost_parts().iter().map(|(id, c)| (*id, c.to_bits())).collect();
+        parts.sort_unstable();
+        parts
+    };
+    assert_eq!(bits(kept), bits(&fresh), "{at}: kept cost parts diverged from a rebuild");
+    // A clone starts without the memo `cost` would otherwise answer from.
+    let parts = model.decompose(flow, &stats.clone()).unwrap().expect("the model is additive");
+    let decomposed: Vec<_> = parts.iter().map(|p| (p.id, p.cost.to_bits())).collect();
+    assert_eq!(bits(kept), decomposed, "{at}: kept cost parts diverged from decompose");
+}
+
 /// Drives one randomized requirement lifecycle down both paths, asserting
 /// bit-identical state after every operation.
 fn run_equivalence(seed: u64, ops: usize, options: EtlIntegrationOptions) {
+    run_equivalence_over(gen_etl, seed, ops, options);
+}
+
+fn run_equivalence_over(gen: fn(&mut Rng, &str) -> Flow, seed: u64, ops: usize, options: EtlIntegrationOptions) {
     let mut rng = Rng::new(seed);
     let cost = StructuralComplexity::new();
     let etl_cost = EstimatedTime::new();
@@ -194,6 +266,7 @@ fn run_equivalence(seed: u64, ops: usize, options: EtlIntegrationOptions) {
             next_id += 1;
             add_both(
                 &mut rng,
+                gen,
                 &id,
                 &cost,
                 &etl_cost,
@@ -225,6 +298,7 @@ fn run_equivalence(seed: u64, ops: usize, options: EtlIntegrationOptions) {
             state.invalidate();
             add_both(
                 &mut rng,
+                gen,
                 &id,
                 &cost,
                 &etl_cost,
@@ -267,6 +341,7 @@ fn run_equivalence(seed: u64, ops: usize, options: EtlIntegrationOptions) {
 #[allow(clippy::too_many_arguments)]
 fn add_both(
     rng: &mut Rng,
+    gen: fn(&mut Rng, &str) -> Flow,
     id: &str,
     cost: &StructuralComplexity,
     etl_cost: &EstimatedTime,
@@ -279,7 +354,7 @@ fn add_both(
     state: &mut ConsolidationState,
 ) {
     let p_md = gen_md(rng, id);
-    let p_etl = gen_etl(rng, id);
+    let p_etl = gen(rng, id);
 
     let one_md = integrate_md(seed_md, &p_md, cost).expect("seed MD integration");
     let one_etl = integrate_etl(seed_etl, &p_etl, etl_cost, stats, options).expect("seed ETL integration");
@@ -296,6 +371,8 @@ fn add_both(
 
     assert_eq!(one_md.report, inc.report, "req {id}: MD reports diverged");
     assert_eq!(one_etl.report, inc_report, "req {id}: ETL reports diverged");
+    assert_eq!(one_etl.report.cost.to_bits(), inc_report.cost.to_bits(), "req {id}: ETL cost bits diverged");
+    assert_facts_exact(state, inc_etl, etl_cost, stats, &format!("req {id}"));
 }
 
 // ---- the suite -------------------------------------------------------------
@@ -311,6 +388,155 @@ fn randomized_lifecycles_are_bit_identical_across_paths() {
 fn equivalence_holds_without_rule_alignment() {
     // The E8 ablation flavor: canonical form is dedupe-only.
     run_equivalence(42, 30, EtlIntegrationOptions { align_with_rules: false });
+}
+
+#[test]
+fn widened_sources_feeding_joins_stay_bit_identical() {
+    for seed in [5, 11, 2024] {
+        run_equivalence_over(gen_mixed_etl, seed, 30, EtlIntegrationOptions::default());
+    }
+    run_equivalence_over(gen_mixed_etl, 17, 30, EtlIntegrationOptions { align_with_rules: false });
+}
+
+#[test]
+fn a_steady_state_step_rederives_only_what_it_reaches() {
+    let mut rng = Rng::new(23);
+    let (etl_cost, stats, options) = (EstimatedTime::new(), stats(), EtlIntegrationOptions::default());
+    let mut etl = Flow::new("unified");
+    let mut state = ConsolidationState::new();
+    let mut steady = 0;
+    for i in 0..40 {
+        let partial = gen_mixed_etl(&mut rng, &format!("R{i}"));
+        let before: Vec<_> = etl.ops().map(|o| (o.id, o.kind.clone())).collect();
+        let ready = state.etl_index_ready();
+        state.etl_step(&mut etl, &partial, &etl_cost, &stats, options).unwrap();
+        let recomputed = state.etl_facts().unwrap().recomputed();
+        if !ready {
+            assert_eq!(recomputed, etl.op_count(), "the first step derives everything");
+            continue;
+        }
+        // What the step may reach: the operations it added or widened and
+        // everything downstream of them.
+        let mut reach = std::collections::BTreeSet::new();
+        for op in etl.ops() {
+            if before.iter().all(|(id, kind)| *id != op.id || *kind != op.kind) {
+                reach.insert(op.id);
+                reach.extend(etl.downstream_of(op.id));
+            }
+        }
+        assert!(recomputed <= reach.len(), "step {i}: {recomputed} re-derived, {} reachable", reach.len());
+        steady += usize::from(recomputed < etl.op_count());
+    }
+    assert_eq!(state.stats().etl_index_rebuilds, 1);
+    assert!(steady >= 30, "most steps must cost less than the flow ({steady} of 39 did)");
+}
+
+#[test]
+fn failing_steps_roll_back_through_the_journal_and_statistics_changes_are_noticed() {
+    let mut rng = Rng::new(77);
+    let etl_cost = EstimatedTime::new();
+    let mut stats = stats();
+    for options in [EtlIntegrationOptions::default(), EtlIntegrationOptions { align_with_rules: false }] {
+        let mut seed_etl = Flow::new("unified");
+        let mut etl = Flow::new("unified");
+        let mut state = ConsolidationState::new();
+        let mut next = 0;
+        let mut add = |rng: &mut Rng,
+                       stats: &SourceStats,
+                       seed_etl: &mut Flow,
+                       etl: &mut Flow,
+                       state: &mut ConsolidationState| {
+            let id = format!("R{next}");
+            next += 1;
+            let partial = gen_mixed_etl(rng, &id);
+            let one = integrate_etl(seed_etl, &partial, &etl_cost, stats, options).unwrap();
+            let report = state.etl_step(etl, &partial, &etl_cost, stats, options).unwrap();
+            *seed_etl = one.flow;
+            assert_eq!(*seed_etl, *etl, "req {id}: flows diverged");
+            assert_eq!(one.report, report, "req {id}: reports diverged");
+            assert_eq!(one.report.cost.to_bits(), report.cost.to_bits(), "req {id}: cost bits diverged");
+            assert_facts_exact(state, etl, &etl_cost, stats, &format!("req {id}"));
+        };
+        for _ in 0..6 {
+            add(&mut rng, &stats, &mut seed_etl, &mut etl, &mut state);
+        }
+
+        // Arity: a join short of an input, behind sources the step widens
+        // first. The journal takes the widening back with the copies.
+        let mut short = Flow::new("partial_bad");
+        let ds = short
+            .add_op(
+                "DS_gamma",
+                OpKind::Datastore {
+                    datastore: "gamma".into(),
+                    schema: Schema::new(vec![
+                        Column::new("gamma_id", ColType::Integer),
+                        Column::new("gamma_extra", ColType::Integer),
+                    ]),
+                },
+            )
+            .unwrap();
+        let ex = short
+            .append(ds, "EX_gamma", OpKind::Extraction { columns: vec!["gamma_id".into(), "gamma_extra".into()] })
+            .unwrap();
+        let join =
+            OpKind::Join { kind: JoinKind::Inner, left_on: vec!["gamma_id".into()], right_on: vec!["gamma_id".into()] };
+        let j = short.append(ex, "JOIN_half", join).unwrap();
+        short.append(j, "LOAD_half", OpKind::Loader { table: "half".into(), key: vec![] }).unwrap();
+        short.stamp_requirement("BAD");
+        // Make sure gamma's sources are there to be matched and widened.
+        while etl.op_by_name("EX_gamma").is_none() {
+            add(&mut rng, &stats, &mut seed_etl, &mut etl, &mut state);
+        }
+        assert!(state.etl_index_ready(), "the failing step runs under a maintained index");
+        let (before, before_text, epoch) = (etl.clone(), xlm::to_string(&etl), state.flow_epoch());
+        let one_shot = integrate_etl(&seed_etl, &short, &etl_cost, &stats, options).unwrap_err();
+        let stepped = state.etl_step(&mut etl, &short, &etl_cost, &stats, options).unwrap_err();
+        assert!(matches!(&stepped, IntegrateError::InvalidResult(r) if r[0].contains("JOIN_half")), "{stepped}");
+        assert_eq!(one_shot, stepped, "both paths refuse the partial alike");
+        assert_eq!(etl, before, "a failed step leaves the flow bit-identical");
+        assert_eq!(xlm::to_string(&etl), before_text);
+        assert!(!state.etl_index_ready() && state.etl_facts().is_none(), "index and facts go with a failed step");
+        assert_eq!(state.flow_epoch(), epoch + 1);
+        add(&mut rng, &stats, &mut seed_etl, &mut etl, &mut state);
+
+        // Name clash: an operation renamed behind the state's back to the
+        // name the next copy will take. Counts are unchanged, so the stale
+        // index is used, the copy collides, and the step is rolled back.
+        let clash = gen_etl(&mut Rng::new(1), "CLASH");
+        let loader = clash.ops().find(|o| o.kind.is_sink()).unwrap().name.clone();
+        let mut renamed = clash.clone();
+        let sink = renamed.id_by_name(&loader).unwrap();
+        let OpKind::Loader { table, .. } = &mut renamed.op_mut(sink).kind else { panic!("sinks are loaders") };
+        *table = "t_clash".into();
+        let victim = etl.ops().find(|o| o.kind.is_sink()).unwrap().id;
+        let (victim_name, mut free) = (etl.op(victim).name.clone(), loader.clone());
+        while etl.op_by_name(&free).is_some() {
+            free.push('\'');
+        }
+        etl.rename_op(victim, free.clone()).unwrap();
+        renamed.rename_op(sink, free).unwrap();
+        let before = etl.clone();
+        let stepped = state.etl_step(&mut etl, &renamed, &etl_cost, &stats, options).unwrap_err();
+        assert!(matches!(&stepped, IntegrateError::MalformedPartial(m) if m.contains("duplicate")), "{stepped}");
+        assert_eq!(etl, before, "a failed step leaves the flow bit-identical");
+        assert!(!state.etl_index_ready());
+        etl.rename_op(victim, victim_name).unwrap();
+        add(&mut rng, &stats, &mut seed_etl, &mut etl, &mut state);
+
+        // Statistics that change between steps re-derive every cardinality
+        // and cost part; the index survives.
+        let rebuilds = state.stats().etl_index_rebuilds;
+        stats.set_table("alpha", 75_000.0);
+        add(&mut rng, &stats, &mut seed_etl, &mut etl, &mut state);
+        assert_eq!(state.etl_facts().unwrap().recomputed(), etl.op_count());
+        stats.observe_op("EX_alpha", 123.0);
+        add(&mut rng, &stats, &mut seed_etl, &mut etl, &mut state);
+        assert_eq!(state.etl_facts().unwrap().recomputed(), etl.op_count());
+        add(&mut rng, &stats, &mut seed_etl, &mut etl, &mut state);
+        assert!(state.etl_facts().unwrap().recomputed() < etl.op_count(), "unchanged statistics, touched ops only");
+        assert_eq!(state.stats().etl_index_rebuilds, rebuilds, "statistics do not invalidate the index");
+    }
 }
 
 #[test]

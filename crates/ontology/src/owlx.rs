@@ -21,7 +21,7 @@
 //! ```
 
 use crate::model::{DataType, Multiplicity, Ontology};
-use quarry_xml::Element;
+use quarry_xml::{Element, XmlWriter};
 use std::fmt;
 
 /// Errors raised while loading an ontology document.
@@ -53,54 +53,51 @@ fn structure(msg: impl Into<String>) -> OwlxError {
 }
 
 /// Serializes an ontology to the OWL-subset XML dialect.
-pub fn to_xml(onto: &Ontology) -> Element {
-    let mut root = Element::new("Ontology");
+pub fn to_string(onto: &Ontology) -> String {
+    let mut w = XmlWriter::pretty();
+    w.open("Ontology");
     for cid in onto.concept_ids() {
         let c = onto.concept(cid);
-        let mut class = Element::new("Class").with_attr("name", &c.name);
+        w.open("Class");
+        w.attr("name", &c.name);
         for &pid in &c.properties {
             let p = onto.property_def(pid);
-            let mut prop =
-                Element::new("DatatypeProperty").with_attr("name", &p.name).with_attr("type", p.datatype.as_str());
+            w.open("DatatypeProperty");
+            w.attr("name", &p.name);
+            w.attr("type", p.datatype.as_str());
             if p.identifier {
-                prop.set_attr("identifier", "true");
+                w.attr("identifier", "true");
             }
             for alias in &p.aliases {
-                prop.push_child(Element::new("Label").with_text(alias));
+                w.leaf("Label", alias);
             }
-            class.push_child(prop);
+            w.close();
         }
         for alias in &c.aliases {
-            class.push_child(Element::new("Label").with_text(alias));
+            w.leaf("Label", alias);
         }
-        root.push_child(class);
+        w.close();
     }
     for cid in onto.concept_ids() {
         if let Some(parent) = onto.concept(cid).parent {
-            root.push_child(
-                Element::new("SubClassOf")
-                    .with_attr("sub", &onto.concept(cid).name)
-                    .with_attr("sup", &onto.concept(parent).name),
-            );
+            w.open("SubClassOf");
+            w.attr("sub", &onto.concept(cid).name);
+            w.attr("sup", &onto.concept(parent).name);
+            w.close();
         }
     }
     for aid in onto.association_ids() {
         let a = onto.association(aid);
-        root.push_child(
-            Element::new("ObjectProperty")
-                .with_attr("name", &a.name)
-                .with_attr("from", &onto.concept(a.from).name)
-                .with_attr("to", &onto.concept(a.to).name)
-                .with_attr("fromCard", a.from_mult.as_str())
-                .with_attr("toCard", a.to_mult.as_str()),
-        );
+        w.open("ObjectProperty");
+        w.attr("name", &a.name);
+        w.attr("from", &onto.concept(a.from).name);
+        w.attr("to", &onto.concept(a.to).name);
+        w.attr("fromCard", a.from_mult.as_str());
+        w.attr("toCard", a.to_mult.as_str());
+        w.close();
     }
-    root
-}
-
-/// Serializes an ontology to an XML string.
-pub fn to_string(onto: &Ontology) -> String {
-    to_xml(onto).to_pretty_string()
+    w.close();
+    w.finish()
 }
 
 /// Loads an ontology from a parsed OWL-subset document.

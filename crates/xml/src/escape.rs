@@ -15,29 +15,61 @@ pub fn escape_attr(s: &str) -> Cow<'_, str> {
     escape(s, true)
 }
 
-fn needs_escape(c: char, attr: bool) -> bool {
-    matches!(c, '&' | '<' | '>' | '\r') || (attr && matches!(c, '"' | '\n' | '\t'))
+const IN_TEXT: u8 = 1;
+const IN_ATTR: u8 = 2;
+
+/// The reference a byte is written as, and where: in element text and
+/// attribute values, or in attribute values only. Every such byte is ASCII,
+/// so scanning bytes never splits a character.
+const fn reference(b: u8) -> Option<(&'static str, u8)> {
+    Some(match b {
+        b'&' => ("&amp;", IN_TEXT | IN_ATTR),
+        b'<' => ("&lt;", IN_TEXT | IN_ATTR),
+        b'>' => ("&gt;", IN_TEXT | IN_ATTR),
+        // Bare CR in element text is normalized to LF by conforming
+        // parsers (XML 1.0 §2.11); the character reference survives.
+        b'\r' => ("&#13;", IN_TEXT | IN_ATTR),
+        b'"' => ("&quot;", IN_ATTR),
+        b'\n' => ("&#10;", IN_ATTR),
+        b'\t' => ("&#9;", IN_ATTR),
+        _ => return None,
+    })
+}
+
+/// [`reference`]'s contexts per byte, for the scan.
+static ESCAPED_IN: [u8; 256] = {
+    let mut table = [0; 256];
+    let mut b = 0;
+    while b < table.len() {
+        if let Some((_, contexts)) = reference(b as u8) {
+            table[b] = contexts;
+        }
+        b += 1;
+    }
+    table
+};
+
+/// Appends `s` to `out`, escaped for element text or for an attribute value.
+pub(crate) fn escape_into(out: &mut String, s: &str, attr: bool) {
+    let context = if attr { IN_ATTR } else { IN_TEXT };
+    let mut rest = s;
+    while let Some(i) = rest.bytes().position(|b| ESCAPED_IN[usize::from(b)] & context != 0) {
+        out.push_str(&rest[..i]);
+        if let Some((reference, _)) = reference(rest.as_bytes()[i]) {
+            out.push_str(reference);
+        }
+        rest = &rest[i + 1..];
+    }
+    out.push_str(rest);
 }
 
 fn escape(s: &str, attr: bool) -> Cow<'_, str> {
-    if !s.chars().any(|c| needs_escape(c, attr)) {
+    let context = if attr { IN_ATTR } else { IN_TEXT };
+    if !s.bytes().any(|b| ESCAPED_IN[usize::from(b)] & context != 0) {
         return Cow::Borrowed(s);
     }
     let mut out = String::with_capacity(s.len() + 8);
-    for c in s.chars() {
-        match c {
-            '&' => out.push_str("&amp;"),
-            '<' => out.push_str("&lt;"),
-            '>' => out.push_str("&gt;"),
-            '"' if attr => out.push_str("&quot;"),
-            '\n' if attr => out.push_str("&#10;"),
-            '\t' if attr => out.push_str("&#9;"),
-            // Bare CR in element text is normalized to LF by conforming
-            // parsers (XML 1.0 §2.11); the character reference survives.
-            '\r' => out.push_str("&#13;"),
-            other => out.push(other),
-        }
-    }
+    escape_into(&mut out, s, attr);
     Cow::Owned(out)
 }
 

@@ -5,8 +5,8 @@
 //! the Communication & Metadata layer all speak XML. The original system used
 //! Apache Velocity templates for generation and the Java SAX parser for
 //! reading; this crate provides the equivalent substrate: a small DOM
-//! ([`Element`], [`Node`]), a forgiving, positioned parser ([`parse`]), and a
-//! pretty/compact writer.
+//! ([`Element`], [`Node`]), a forgiving, positioned parser ([`parse`]), and one
+//! push-style writer ([`XmlWriter`]); serializing a DOM is a walk over it.
 //!
 //! The dialect supported is exactly what the Quarry formats need:
 //! declarations, elements, attributes, text, CDATA, comments, and the five
@@ -36,7 +36,7 @@ pub use dom::{Element, Node};
 pub use error::{ParseError, Pos};
 pub use escape::{escape_attr, escape_text, unescape};
 pub use parser::parse;
-pub use writer::{write_compact, write_pretty};
+pub use writer::{write_compact, write_pretty, XmlText, XmlWriter};
 
 /// Result alias for XML parsing.
 pub type Result<T> = std::result::Result<T, ParseError>;
