@@ -6,20 +6,26 @@
 //!
 //! ```text
 //! cargo run --release -p quarry-bench --example op_timings -- \
-//!     [--family high|low] [--sf 0.01] [--n 8] [--threads 0]
+//!     [--family high|low] [--flow greedy|optimized] [--sf 0.01] [--n 8] [--threads 0]
 //! ```
 //!
-//! `--threads 0` keeps the pool's auto-detected width. The fastest of five
-//! runs is printed: busy time per operator kind, then the 25 slowest
-//! operators.
+//! `--flow greedy` (the default) runs the unified flow as integration left
+//! it; `--flow optimized` runs `Quarry::optimize` over it first, which is the
+//! flow the lifecycle benchmark executes. `--threads 0` keeps the pool's
+//! auto-detected width. The fastest of five runs is printed: busy time per
+//! operator kind, the time the loaders ran serially (the pool idles behind
+//! them), then the 25 slowest operators.
 
-use quarry::Quarry;
+use quarry::{Quarry, QuarryConfig};
 use quarry_engine::{tpch, Engine};
 use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 
 fn usage(problem: &str) -> ! {
-    eprintln!("{problem}\nusage: op_timings [--family high|low] [--sf <f64>] [--n <usize>] [--threads <usize>]");
+    eprintln!(
+        "{problem}\nusage: op_timings [--family high|low] [--flow greedy|optimized] [--sf <f64>] [--n <usize>] \
+         [--threads <usize>]"
+    );
     std::process::exit(2)
 }
 
@@ -28,13 +34,15 @@ fn parsed<T: std::str::FromStr>(flag: &str, value: &str) -> T {
 }
 
 fn main() {
-    let (mut high, mut sf, mut n, mut threads) = (true, 0.01f64, 8usize, 0usize);
+    let (mut high, mut optimized, mut sf, mut n, mut threads) = (true, false, 0.01f64, 8usize, 0usize);
     let mut args = std::env::args().skip(1);
     while let Some(flag) = args.next() {
         let value = args.next().unwrap_or_default();
         match (flag.as_str(), value.as_str()) {
             ("--family", "high") => high = true,
             ("--family", "low") => high = false,
+            ("--flow", "greedy") => optimized = false,
+            ("--flow", "optimized") => optimized = true,
             ("--sf", v) => sf = parsed(&flag, v),
             ("--n", v) => n = parsed(&flag, v),
             ("--threads", v) => threads = parsed(&flag, v),
@@ -43,10 +51,14 @@ fn main() {
     }
     quarry_engine::pool::set_threads(threads);
     let catalog = tpch::generate(sf, 42);
-    let mut q = Quarry::tpch();
+    let domain = quarry_ontology::tpch::domain();
+    let mut q = Quarry::with_config(domain.ontology, domain.sources, QuarryConfig::tpch(sf));
     let requirements = if high { quarry_bench::high_overlap_family(n) } else { quarry_bench::requirement_family(n) };
     for r in requirements {
         q.add_requirement(r).expect("integrates");
+    }
+    if optimized {
+        q.optimize().expect("optimizes");
     }
     let unified = q.unified().1.clone();
 
@@ -62,8 +74,9 @@ fn main() {
     }
     let (total, report) = best.expect("five runs");
     println!(
-        "{} overlap, sf={sf}, N={n}, threads={} (available_parallelism={}): total {total:?} over {} ops",
+        "{} overlap, {} flow, sf={sf}, N={n}, threads={} (available_parallelism={}): total {total:?} over {} ops",
         if high { "high" } else { "low" },
+        if optimized { "optimized" } else { "greedy" },
         quarry_engine::pool::threads(),
         std::thread::available_parallelism().map_or(0, usize::from),
         report.timings.len()
@@ -78,6 +91,8 @@ fn main() {
     for (kind, (busy, ops, rows_out)) in kinds {
         println!("{busy:>12?}  ops={ops:>3} out={rows_out:>8}  {kind}");
     }
+    let serial_load: Duration = report.timings.iter().filter(|t| t.kind == "Loader").map(|t| t.elapsed).sum();
+    println!("serial load: {serial_load:?} (Σ Loader elapsed; loaders run one at a time on the calling thread)");
     println!();
     let mut ops: Vec<_> = report.timings.iter().collect();
     ops.sort_by_key(|t| std::cmp::Reverse(t.elapsed));

@@ -10,7 +10,8 @@
 //! strings, a hand-built flow whose loaders make load order visible, the
 //! aggregation state layouts (fact-grain and recurring groups, NULL group
 //! keys, every function over every input representation, order-sensitive
-//! sums, errors) and second loads into a populated table.
+//! sums, errors, every shape of partition run), second loads into a
+//! populated table and keyed loads of aggregation outputs.
 
 use quarry::Quarry;
 use quarry_bench::{figure3_pair, high_overlap_family, requirement_family};
@@ -54,6 +55,11 @@ fn op_counts(report: &RunReport) -> Vec<(String, usize, usize)> {
 /// warehouse equals the reference exactly: same table set, `==` relations,
 /// same loaded records in load order, same per-operation row counts.
 fn assert_equivalent(catalog: &Catalog, flows: &[&Flow]) {
+    assert_equivalent_at(catalog, flows, &[1, 2, 8]);
+}
+
+/// [`assert_equivalent`] at the given thread counts.
+fn assert_equivalent_at(catalog: &Catalog, flows: &[&Flow], widths: &[usize]) {
     let mut row = RowEngine::from_catalog(catalog);
     let mut row_loaded = Vec::new();
     let mut row_counts = Vec::new();
@@ -63,7 +69,7 @@ fn assert_equivalent(catalog: &Catalog, flows: &[&Flow]) {
         row_loaded.extend(r.loaded);
     }
     let names: Vec<String> = row.table_names().map(str::to_string).collect();
-    for threads in [1usize, 2, 8] {
+    for &threads in widths {
         quarry_engine::pool::set_threads(threads);
         let mut col = Engine::new(catalog.clone());
         let mut col_loaded = Vec::new();
@@ -728,6 +734,87 @@ fn fact_grain_and_recurring_groups_agree() {
     engine.run(&f).expect("runs");
     assert_eq!(engine.catalog.get("unique").unwrap().len(), n, "one group per row");
     assert_eq!(engine.catalog.get("recurring").unwrap().len(), 257 * 3 + MORSEL_ROWS);
+}
+
+/// Every shape a morsel's partition runs take, merged and loaded at 1, 4 and
+/// 8 threads: one row per group under two `Int` keys (every run a run of new
+/// groups), 10 000 groups scattered so that no morsel reduces them, a group
+/// that skips the middle morsel, `-0.0` / `0.0` / NULL float keys, and a
+/// single group (every partition but one empty). The measures cover all three
+/// lane kinds, over floats whose sum depends on the order of the adds. Most
+/// loads are keyed on what the aggregation grouped by — the load the plan
+/// proves distinct — one on fewer columns (it must still dedupe) and one on
+/// more; running the flow twice loads into the populated tables.
+#[test]
+fn partition_runs_and_keyed_loads_of_their_output_agree() {
+    let n = 3 * MORSEL_ROWS + 29;
+    let mut catalog = Catalog::new();
+    catalog.put(
+        "facts",
+        Relation::with_rows(
+            schema_of(&[
+                ("a", ColType::Integer),
+                ("b", ColType::Integer),
+                ("scattered", ColType::Integer),
+                ("skipping", ColType::Integer),
+                ("zero", ColType::Decimal),
+                ("one", ColType::Integer),
+                ("v", ColType::Decimal),
+            ]),
+            (0..n as i64)
+                .map(|i| {
+                    let skipping = if i as usize / MORSEL_ROWS == 1 { 1000 + i % 5 } else { i % 3 };
+                    let zero = [Value::Float(-0.0), Value::Float(0.0), Value::Null, Value::Float(1.5)];
+                    let v = [1e16, 1.0, -1e16, 0.5][i as usize % 4] * (i % 7 + 1) as f64;
+                    vec![
+                        Value::Int(i / 64),
+                        Value::Int(i % 64),
+                        Value::Int(i * 7919 % 10_000),
+                        Value::Int(skipping),
+                        zero[i as usize % 4].clone(),
+                        Value::Int(7),
+                        Value::Float(v),
+                    ]
+                })
+                .collect(),
+        ),
+    );
+    let measures = [
+        ("SUM", "v", "total"),
+        ("AVERAGE", "v", "mean"),
+        ("COUNT", "1", "cnt"),
+        ("MIN", "v", "lo"),
+        ("MAX", "b", "hi"),
+    ];
+    let mut f = Flow::new("partition_runs");
+    let src = scan(&mut f, "SRC", &catalog, "facts");
+    let cases: [(&str, &[&str], &[&str]); 8] = [
+        ("unique", &["a", "b"], &["a", "b"]),
+        ("unique_narrow", &["a", "b"], &["a"]),
+        ("scattered", &["scattered"], &["scattered"]),
+        ("scattered_wide", &["scattered"], &["cnt", "scattered"]),
+        ("skipping", &["skipping"], &["skipping"]),
+        ("zero", &["zero"], &["zero"]),
+        ("zero_a", &["zero", "a"], &[]),
+        ("one", &["one"], &["one"]),
+    ];
+    for (name, group_by, key) in cases {
+        let a = f.append(src, format!("AGG_{name}"), agg(group_by, &measures)).unwrap();
+        f.append(a, format!("LOAD_{name}"), load(name, key)).unwrap();
+    }
+    f.validate().expect("valid");
+    assert_equivalent_at(&catalog, &[&f], &[1, 4, 8]);
+    assert_equivalent_at(&catalog, &[&f, &f], &[1, 4, 8]);
+
+    let mut engine = Engine::new(catalog);
+    engine.run(&f).expect("runs");
+    let rows = |t: &str| engine.catalog.get(t).unwrap().len();
+    assert_eq!(rows("unique"), n, "one group per row");
+    assert_eq!(rows("unique_narrow"), n.div_ceil(64), "deduped on `a` alone");
+    assert_eq!(rows("scattered"), 10_000);
+    assert_eq!(rows("skipping"), 3 + 5);
+    assert_eq!(rows("zero"), 4, "-0.0, 0.0, NULL and 1.5 are four groups");
+    assert_eq!(rows("one"), 1);
 }
 
 /// Group keys with and without the null-mask word: a non-null column alone,

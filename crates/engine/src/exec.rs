@@ -29,9 +29,9 @@
 //! loader). Each `LateCol` memoizes its gather, so a column consumed twice
 //! still gathers once.
 //!
-//! Joins and grouped aggregations radix-partition their keys on a Fibonacci
-//! hash ([`crate::keys::radix_of`]): every morsel scatters its rows into
-//! [`radix_partition_count`] buckets, and the per-partition tables build and
+//! Joins and grouped aggregations radix-partition their keys on a
+//! multiplicative hash ([`crate::keys::radix_of`]): every morsel scatters its
+//! rows into [`radix_partition_count`] buckets, and the per-partition tables build and
 //! merge in parallel with no synchronization, since a key lives in exactly
 //! one partition. The partition count is a pure function of the build-side
 //! length — never the thread count — so output order stays bit-identical to
@@ -592,7 +592,7 @@ impl Engine {
                 let OpKind::Loader { table, key } = &op.kind else { unreachable!("only loaders are sinks") };
                 let t0 = Instant::now();
                 let mat = results[&flow.inputs_of(id)[0]].materialize();
-                self.load(table, key, &mat, &mut report)?;
+                self.load(table, key, &mat, input_distinct_on(flow, id, key), &mut report)?;
                 Engine::publish(&mut results, &mut report, op, mat.len(), Batch::Rel(mat), t0.elapsed(), 0);
             }
         }
@@ -601,11 +601,14 @@ impl Engine {
     }
 
     /// Loader execution: append (empty key, strict schema) or upsert.
+    /// `distinct` is the plan's proof that no two input rows share a key
+    /// ([`input_distinct_on`]).
     fn load(
         &mut self,
         table: &str,
         key: &[String],
         input: &Arc<Relation>,
+        distinct: bool,
         report: &mut RunReport,
     ) -> Result<(), EngineError> {
         if key.is_empty() {
@@ -644,11 +647,33 @@ impl Engine {
         } else {
             // The merge plan indexes `old ++ input` with `u32` positions.
             check_row_capacity(self.catalog.get(table).map_or(0, Relation::len) + input.len())?;
-            upsert(&mut self.catalog, table, input, key)
+            upsert(&mut self.catalog, table, input, key, distinct)
                 .map_err(|detail| EngineError::LoadSchemaMismatch { table: table.to_string(), detail })?;
         }
         report.loaded.push((table.to_string(), input.len()));
         Ok(())
+    }
+}
+
+/// Whether the plan proves the rows reaching `loader` pairwise distinct on
+/// `key`: its input is an `Aggregation` grouping by a non-empty subset of
+/// `key` — one row per group, so no two rows agree on every key column —
+/// reached directly or through steps that only drop or reorder rows and
+/// columns or append new ones. A group column re-created under its old name
+/// on the way (`added`) proves nothing.
+fn input_distinct_on(flow: &Flow, loader: OpId, key: &[String]) -> bool {
+    let mut added: Vec<&String> = Vec::new();
+    let mut at = flow.inputs_of(loader)[0];
+    loop {
+        match &flow.op(at).kind {
+            OpKind::Aggregation { group_by, .. } => {
+                return !group_by.is_empty() && group_by.iter().all(|g| key.contains(g) && !added.contains(&g));
+            }
+            OpKind::Derivation { column, .. } | OpKind::SurrogateKey { output: column, .. } => added.push(column),
+            OpKind::Extraction { .. } | OpKind::Projection { .. } | OpKind::Selection { .. } | OpKind::Sort { .. } => {}
+            _ => return false,
+        }
+        at = flow.inputs_of(at)[0];
     }
 }
 
@@ -851,7 +876,8 @@ fn execute_pure(catalog: &Catalog, name: &str, kind: &OpKind, inputs: &[Batch]) 
         }
         OpKind::Aggregation { group_by, aggregates } => {
             check_row_capacity(inputs[0].len())?;
-            hash_aggregate(&inputs[0], group_by, aggregates, name).map(|r| Batch::Rel(Arc::new(r))).map_err(eval_err)
+            let schema = kind.output_schema(name, std::slice::from_ref(inputs[0].schema()))?;
+            hash_aggregate(&inputs[0], group_by, aggregates, schema).map(|r| Batch::Rel(Arc::new(r))).map_err(eval_err)
         }
         OpKind::Union => {
             let (l, r) = (&inputs[0].materialize(), &inputs[1].materialize());
@@ -945,6 +971,12 @@ fn execute_pure(catalog: &Catalog, name: &str, kind: &OpKind, inputs: &[Batch]) 
     }
 }
 
+#[cfg(test)]
+thread_local! {
+    /// How many upserts on this thread grouped their keys (the general path).
+    static KEY_GROUPINGS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
 /// Upsert-merges `input` into the catalog table `table` keyed on `key`:
 /// the target schema takes the union of columns (old rows padded with NULL),
 /// and input rows overwrite/fill the columns they carry for matching keys
@@ -958,7 +990,11 @@ fn execute_pure(catalog: &Catalog, name: &str, kind: &OpKind, inputs: &[Batch]) 
 /// falls back to `Value`-row keys. The merge plan is a selection vector over
 /// `old ++ input`, so every carried column rebuilds as one typed
 /// concatenation and one gather, never a `Value` per cell.
-fn upsert(catalog: &mut Catalog, table: &str, input: &Relation, key: &[String]) -> Result<(), String> {
+///
+/// `distinct` — the plan proved the input's keys pairwise distinct
+/// ([`input_distinct_on`]) — lets a load into an empty table take the
+/// identity plan the grouping would have arrived at without hashing a row.
+fn upsert(catalog: &mut Catalog, table: &str, input: &Relation, key: &[String], distinct: bool) -> Result<(), String> {
     if !catalog.contains(table) {
         // Create empty, then run the merge below: the input itself may
         // carry several rows per key (e.g. a fact-grain recomputation), and
@@ -1000,7 +1036,13 @@ fn upsert(catalog: &mut Catalog, table: &str, input: &Relation, key: &[String]) 
         })
         .collect::<Result<_, String>>()?;
     let total = old_len + input.len();
-    let (ids, groups) = key_group_ids(&key_cols.iter().map(Arc::as_ref).collect::<Vec<_>>(), total);
+    let (ids, groups) = if distinct && old_len == 0 {
+        (Vec::new(), total)
+    } else {
+        #[cfg(test)]
+        KEY_GROUPINGS.with(|n| n.set(n.get() + 1));
+        key_group_ids(&key_cols.iter().map(Arc::as_ref).collect::<Vec<_>>(), total)
+    };
     // The merge plan: per output slot, the row of `old ++ input` it takes.
     // `None` is the identity — every key distinct, so nothing matches and
     // nothing dedups (the common first load of a dimension or fact table):
@@ -1526,39 +1568,39 @@ fn fold_lane(f: AggFn, vek: &Vek, gids: &[u32], groups: usize) -> Result<Lane, E
     Ok(Lane::Num { acc, cnt })
 }
 
-/// Merges `from[ids[j]]` into `into[slots[j]]`. A slot one past the end is a
-/// group seen for the first time: its partial moves in as it is; any other
-/// slot `+=`s it.
-fn absorb_flat<T: Copy + std::ops::AddAssign>(into: &mut Vec<T>, from: &[T], ids: &[u32], slots: &[u32]) {
-    for (&g, &s) in ids.iter().zip(slots) {
+/// Merges `from[j]` into `into[slots[j]]`. A slot one past the end is a group
+/// seen for the first time: its partial moves in as it is; any other slot
+/// `+=`s it.
+fn absorb_flat<T: Copy + std::ops::AddAssign>(into: &mut Vec<T>, from: &[T], slots: &[u32]) {
+    for (&x, &s) in from.iter().zip(slots) {
         match into.get_mut(s as usize) {
-            Some(x) => *x += from[g as usize],
-            None => into.push(from[g as usize]),
+            Some(y) => *y += x,
+            None => into.push(x),
         }
     }
 }
 
 impl Lane {
-    fn empty(f: AggFn) -> Lane {
+    /// An empty lane of `f`'s kind with room for `n` groups.
+    fn with_capacity(f: AggFn, n: usize) -> Lane {
         match f {
-            AggFn::Sum | AggFn::Avg => Lane::Num { acc: Vec::new(), cnt: Vec::new() },
-            AggFn::Count => Lane::Count(Vec::new()),
-            AggFn::Min | AggFn::Max => Lane::States(Vec::new()),
+            AggFn::Sum | AggFn::Avg => Lane::Num { acc: Vec::with_capacity(n), cnt: Vec::with_capacity(n) },
+            AggFn::Count => Lane::Count(Vec::with_capacity(n)),
+            AggFn::Min | AggFn::Max => Lane::States(Vec::with_capacity(n)),
         }
     }
 
-    /// Merges groups `ids` of a morsel's lane into slots `slots` of this one
-    /// (see [`absorb_flat`]).
-    fn absorb(&mut self, from: &Lane, ids: &[u32], slots: &[u32]) {
+    /// Merges the groups at `run` of a morsel's lane into slots `slots` of
+    /// this one (see [`absorb_flat`]).
+    fn absorb(&mut self, from: &Lane, run: Range<usize>, slots: &[u32]) {
         match (self, from) {
             (Lane::Num { acc, cnt }, Lane::Num { acc: from_acc, cnt: from_cnt }) => {
-                absorb_flat(acc, from_acc, ids, slots);
-                absorb_flat(cnt, from_cnt, ids, slots);
+                absorb_flat(acc, &from_acc[run.clone()], slots);
+                absorb_flat(cnt, &from_cnt[run], slots);
             }
-            (Lane::Count(n), Lane::Count(from_n)) => absorb_flat(n, from_n, ids, slots),
+            (Lane::Count(n), Lane::Count(from_n)) => absorb_flat(n, &from_n[run], slots),
             (Lane::States(states), Lane::States(from_states)) => {
-                for (&g, &s) in ids.iter().zip(slots) {
-                    let from = from_states[g as usize].clone();
+                for (from, &s) in from_states[run].iter().cloned().zip(slots) {
                     match states.get_mut(s as usize) {
                         Some(into) => merge_state(into, from),
                         None => states.push(from),
@@ -1615,20 +1657,20 @@ impl Lane {
     }
 }
 
-/// One morsel's aggregation result, struct-of-arrays over its local group
-/// ids (first-seen order). A group's key is `keyf` of its first-seen row.
-struct LocalAgg {
+/// One morsel's aggregation result, struct-of-arrays over its local groups
+/// laid out as partition-contiguous runs: radix partition `p` owns positions
+/// `starts[p]..starts[p + 1]` of `keys`, `firsts` (each group's first-seen
+/// row) and every lane, in first-seen order within the run.
+struct LocalAgg<K> {
+    keys: Vec<K>,
     firsts: Vec<u32>,
-    /// Local group ids counting-sorted by radix partition: partition `p`
-    /// owns `by_part[starts[p]..starts[p + 1]]`, ascending.
-    by_part: Vec<u32>,
     starts: Vec<u32>,
     lanes: Vec<Lane>,
 }
 
-impl LocalAgg {
-    fn partition(&self, p: usize) -> &[u32] {
-        &self.by_part[self.starts[p] as usize..self.starts[p + 1] as usize]
+impl<K> LocalAgg<K> {
+    fn run(&self, p: usize) -> Range<usize> {
+        self.starts[p] as usize..self.starts[p + 1] as usize
     }
 }
 
@@ -1644,15 +1686,19 @@ struct Grouped {
 /// parallel aggregation over flat accumulator lanes ([`Lane`]), allocating
 /// per morsel and per partition, never per group.
 ///
-/// Phase 1, per morsel: measures evaluate column-at-a-time, one hash probe
-/// per row resolves it to a local group id, each measure folds into its lane
-/// ([`fold_lane`]), and the local ids counting-sort by the key's radix
-/// partition. Phase 2, per partition, in parallel: a table pre-sized from
-/// the partition's entry count merges the morsels' groups in morsel order
-/// ([`Lane::absorb`]), keeping each key's earliest first-seen row. A key
-/// lives in one partition and a row opens at most one group, so scattering
-/// the merged groups over their first-seen rows and reading the rows back
-/// in order restores global first-occurrence order without comparing groups.
+/// Phase 1, per morsel: measures evaluate column-at-a-time and one hash probe
+/// per row resolves it to a local group; the local groups are then ranked by
+/// the key's radix partition (a stable counting sort) and the rows' group
+/// ids re-ranked with them *before* the measures fold ([`fold_lane`]), so
+/// keys, first-seen rows and every lane come out as partition-contiguous
+/// runs ([`LocalAgg`]). Phase 2, per partition, in parallel: a table
+/// pre-sized from the partition's entry count streams each morsel's run in
+/// morsel order ([`Lane::absorb`]) — slices in, no gather — keeping each
+/// key's earliest first-seen row, and the merged partitions land in exactly
+/// sized arrays. A key lives in one partition and a row opens at most one
+/// group, so scattering the merged groups over their first-seen rows and
+/// reading the rows back in order restores global first-occurrence order
+/// without comparing groups.
 ///
 /// Sums are per-morsel partials folded in row order from `0.0`, combined in
 /// morsel order: a pure function of the morsel structure and the key values,
@@ -1669,69 +1715,73 @@ fn agg_core<K, P, F>(
     keyf: F,
 ) -> Result<Grouped, EvalError>
 where
-    K: Hash + Eq,
+    K: Hash + Eq + Clone + Send + Sync,
     P: Fn(&K) -> usize + Sync,
     F: Fn(usize) -> K + Sync,
 {
-    let locals: Vec<Result<LocalAgg, EvalError>> = per_morsel(len, |rg| {
+    let locals: Vec<Result<LocalAgg<K>, EvalError>> = per_morsel(len, |rg| {
         let sel = RowSel::Range(rg.clone());
         let veks: Vec<Vek> = measures.iter().map(|m| eval_vector(m, cols, &sel)).collect::<Result<_, _>>()?;
         let mut index: FastMap<K, u32> = FastMap::with_capacity_and_hasher(rg.len(), Default::default());
-        let mut firsts: Vec<u32> = Vec::new();
-        let mut part_of: Vec<u32> = Vec::new();
-        let gids: Vec<u32> = rg
+        // Per local group in first-seen order: its first row and partition.
+        let mut seen: Vec<(u32, u32)> = Vec::new();
+        let mut gids: Vec<u32> = rg
             .map(|i| match index.entry(keyf(i)) {
                 Entry::Occupied(e) => *e.get(),
                 Entry::Vacant(e) => {
-                    let g = firsts.len() as u32;
-                    firsts.push(i as u32);
-                    part_of.push(part(e.key()) as u32);
-                    *e.insert(g)
+                    seen.push((i as u32, part(e.key()) as u32));
+                    *e.insert(seen.len() as u32 - 1)
                 }
             })
             .collect();
         let mut starts = vec![0u32; npart + 1];
-        for &p in &part_of {
+        for &(_, p) in &seen {
             starts[p as usize + 1] += 1;
         }
         for p in 0..npart {
             starts[p + 1] += starts[p];
         }
         let mut cursor = starts.clone();
-        let mut by_part = vec![0u32; firsts.len()];
-        for (g, &p) in part_of.iter().enumerate() {
-            by_part[cursor[p as usize] as usize] = g as u32;
+        let mut rank = vec![0u32; seen.len()];
+        let mut firsts = vec![0u32; seen.len()];
+        for (g, &(first, p)) in seen.iter().enumerate() {
+            rank[g] = cursor[p as usize];
+            firsts[rank[g] as usize] = first;
             cursor[p as usize] += 1;
         }
+        gids.iter_mut().for_each(|g| *g = rank[*g as usize]);
+        let keys = firsts.iter().map(|&first| keyf(first as usize)).collect();
         let lanes =
             fns.iter().zip(&veks).map(|(&f, vek)| fold_lane(f, vek, &gids, firsts.len())).collect::<Result<_, _>>()?;
-        Ok(LocalAgg { firsts, by_part, starts, lanes })
+        Ok(LocalAgg { keys, firsts, starts, lanes })
     });
     // The first error in morsel order wins — deterministic under any
     // thread count.
-    let locals: Vec<LocalAgg> = locals.into_iter().collect::<Result<_, _>>()?;
+    let locals: Vec<LocalAgg<K>> = locals.into_iter().collect::<Result<_, _>>()?;
     let merged: Vec<(Vec<u32>, Vec<Lane>)> = pool::run_indexed(npart, |p| {
-        let entries = locals.iter().map(|l| l.partition(p).len()).sum();
+        let entries = locals.iter().map(|l| l.run(p).len()).sum();
         let mut index: FastMap<K, u32> = FastMap::with_capacity_and_hasher(entries, Default::default());
-        let mut firsts: Vec<u32> = Vec::new();
-        let mut lanes: Vec<Lane> = fns.iter().map(|&f| Lane::empty(f)).collect();
+        let mut firsts: Vec<u32> = Vec::with_capacity(entries);
+        let mut lanes: Vec<Lane> = fns.iter().map(|&f| Lane::with_capacity(f, entries)).collect();
         let mut slots: Vec<u32> = Vec::new();
         for local in &locals {
-            let ids = local.partition(p);
+            let run = local.run(p);
             slots.clear();
-            slots.extend(ids.iter().map(|&g| {
-                let first = local.firsts[g as usize];
-                *index.entry(keyf(first as usize)).or_insert_with(|| {
+            slots.extend(local.keys[run.clone()].iter().zip(&local.firsts[run.clone()]).map(|(k, &first)| {
+                *index.entry(k.clone()).or_insert_with(|| {
                     firsts.push(first);
                     firsts.len() as u32 - 1
                 })
             }));
-            lanes.iter_mut().zip(&local.lanes).for_each(|(into, from)| into.absorb(from, ids, &slots));
+            lanes.iter_mut().zip(&local.lanes).for_each(|(into, from)| into.absorb(from, run.clone(), &slots));
         }
         (firsts, lanes)
     });
-    let mut merged = merged.into_iter();
-    let (mut firsts, mut lanes) = merged.next().expect("at least one partition");
+    // The morsels' arrays are the memory the exact-size ones below reuse.
+    drop(locals);
+    let groups = merged.iter().map(|(firsts, _)| firsts.len()).sum();
+    let mut firsts: Vec<u32> = Vec::with_capacity(groups);
+    let mut lanes: Vec<Lane> = fns.iter().map(|&f| Lane::with_capacity(f, groups)).collect();
     for (mut more_firsts, more_lanes) in merged {
         firsts.append(&mut more_firsts);
         lanes.iter_mut().zip(more_lanes).for_each(|(lane, more)| lane.append(more));
@@ -1756,12 +1806,9 @@ fn hash_aggregate(
     input: &Batch,
     group_by: &[String],
     aggregates: &[AggSpec],
-    op_name: &str,
+    schema: Schema,
 ) -> Result<Relation, EvalError> {
     let len = input.len();
-    let schema = OpKind::Aggregation { group_by: group_by.to_vec(), aggregates: aggregates.to_vec() }
-        .output_schema(op_name, std::slice::from_ref(input.schema()))
-        .expect("validated before execution");
     let g_idx: Vec<usize> = group_by.iter().map(|c| input.col(c)).collect();
     // Bind measure expressions and aggregate functions once, up front.
     let measures: Vec<CompiledExpr> = aggregates
@@ -2366,6 +2413,128 @@ mod tests {
         // Last write wins within the batch.
         let k1 = out.iter_rows().find(|r| r[0] == Value::Int(1)).unwrap();
         assert_eq!(k1[1], Value::Float(2.0));
+    }
+
+    /// `facts(a, b, v)`: `n` rows, `(a, b)` unique per row, `a` recurring.
+    fn fact_rows(n: i64) -> Catalog {
+        let schema = Schema::new(vec![
+            Column::new("a", ColType::Integer),
+            Column::new("b", ColType::Integer),
+            Column::new("v", ColType::Decimal),
+        ]);
+        let rows = (0..n).map(|i| vec![Value::Int(i % 7), Value::Int(i / 7), Value::Float(i as f64)]).collect();
+        let mut c = Catalog::new();
+        c.put("facts", Relation::with_rows(schema, rows));
+        c
+    }
+
+    /// `facts → SUM(v) BY group_by → steps… → upsert into out ON key`.
+    fn grouped_upsert(c: &Catalog, group_by: &[&str], steps: Vec<OpKind>, key: &[&str]) -> Flow {
+        let names = |cols: &[&str]| cols.iter().map(|c| c.to_string()).collect::<Vec<_>>();
+        let mut f = Flow::new("grouped_upsert");
+        let schema = c.get("facts").unwrap().schema.clone();
+        let mut at = f.add_op("DS", OpKind::Datastore { datastore: "facts".into(), schema }).unwrap();
+        let aggregates = vec![AggSpec::new("SUM", parse_expr("v").unwrap(), "total")];
+        at = f.append(at, "AGG", OpKind::Aggregation { group_by: names(group_by), aggregates }).unwrap();
+        for (i, step) in steps.into_iter().enumerate() {
+            at = f.append(at, format!("STEP{i}"), step).unwrap();
+        }
+        f.append(at, "LOAD", OpKind::Loader { table: "out".into(), key: names(key) }).unwrap();
+        f.validate().expect("valid");
+        f
+    }
+
+    /// Runs `f` on `engine` and returns how many upserts grouped their keys;
+    /// `out` must equal the row engine's, run from the same catalog.
+    fn key_groupings(engine: &mut Engine, f: &Flow) -> usize {
+        let mut reference = crate::RowEngine::from_catalog(&engine.catalog);
+        reference.run(f).unwrap();
+        let before = KEY_GROUPINGS.with(|n| n.get());
+        engine.run(f).unwrap();
+        assert_eq!(&reference.table("out").unwrap(), engine.catalog.get("out").unwrap());
+        KEY_GROUPINGS.with(|n| n.get()) - before
+    }
+
+    #[test]
+    fn plan_proven_distinct_first_loads_skip_the_key_grouping() {
+        let c = fact_rows(3 * MORSEL_ROWS as i64 + 5);
+        let f = grouped_upsert(&c, &["a", "b"], vec![], &["a", "b"]);
+        let mut fresh = Engine::new(c.clone());
+        assert_eq!(key_groupings(&mut fresh, &f), 0, "absent target: the identity plan, no hashing");
+        let loaded = fresh.catalog.get("out").unwrap().clone();
+        assert_eq!(loaded.len(), 3 * MORSEL_ROWS + 5);
+
+        // Same flow, target pre-created empty (fast) vs holding one row (the
+        // first group's key, so it merges in place): identical tables.
+        let mut empty = Engine::new(c.clone());
+        empty.catalog.put("out", Relation::new(loaded.schema.clone()));
+        assert_eq!(key_groupings(&mut empty, &f), 0);
+        assert_eq!(empty.catalog.get("out").unwrap(), &loaded);
+        let mut held = Engine::new(c.clone());
+        let stale = vec![Value::Int(0), Value::Int(0), Value::Float(-1.0)];
+        held.catalog.put("out", Relation::with_rows(loaded.schema.clone(), vec![stale]));
+        assert_eq!(key_groupings(&mut held, &f), 1, "a non-empty target takes the general path");
+        assert_eq!(held.catalog.get("out").unwrap(), &loaded);
+
+        // A second load finds the table populated.
+        assert_eq!(key_groupings(&mut fresh, &f), 1);
+        assert_eq!(fresh.catalog.get("out").unwrap(), &loaded);
+    }
+
+    #[test]
+    fn only_a_key_covering_the_group_columns_proves_distinctness() {
+        let c = fact_rows(2 * MORSEL_ROWS as i64 + 11);
+        // key ⊊ group_by: rows repeat `a`, the load must still dedupe.
+        let narrow = grouped_upsert(&c, &["a", "b"], vec![], &["a"]);
+        let mut engine = Engine::new(c.clone());
+        assert_eq!(key_groupings(&mut engine, &narrow), 1);
+        assert_eq!(engine.catalog.get("out").unwrap().len(), 7);
+        // key ⊋ group_by, and a global aggregation (nothing to cover).
+        let wide = grouped_upsert(&c, &["a"], vec![], &["total", "a"]);
+        assert_eq!(key_groupings(&mut Engine::new(c.clone()), &wide), 0);
+        let global = grouped_upsert(&c, &[], vec![], &["total"]);
+        assert_eq!(key_groupings(&mut Engine::new(c.clone()), &global), 1);
+    }
+
+    #[test]
+    fn distinctness_survives_only_steps_that_keep_the_group_columns() {
+        let c = fact_rows(2 * MORSEL_ROWS as i64 + 11);
+        let cols = |cols: &[&str]| OpKind::Projection { columns: cols.iter().map(|c| c.to_string()).collect() };
+        let derive =
+            |column: &str, expr: &str| OpKind::Derivation { column: column.into(), expr: parse_expr(expr).unwrap() };
+        let kept = vec![
+            OpKind::Selection { predicate: parse_expr("b > 3").unwrap() },
+            derive("twice", "total * 2"),
+            cols(&["b", "twice", "a"]),
+            OpKind::Sort { columns: vec!["twice".into()] },
+        ];
+        let f = grouped_upsert(&c, &["a", "b"], kept, &["a", "b"]);
+        assert_eq!(key_groupings(&mut Engine::new(c.clone()), &f), 0);
+        // `b` dropped and re-derived under its name: rows now repeat `(a, b)`.
+        let remade = vec![cols(&["a", "total"]), derive("b", "a * 0")];
+        let f = grouped_upsert(&c, &["a", "b"], remade, &["a", "b"]);
+        let mut engine = Engine::new(c.clone());
+        assert_eq!(key_groupings(&mut engine, &f), 1);
+        assert_eq!(engine.catalog.get("out").unwrap().len(), 7);
+        // A step the walk does not follow proves nothing either.
+        let f = grouped_upsert(&c, &["a", "b"], vec![OpKind::Distinct], &["a", "b"]);
+        assert_eq!(key_groupings(&mut Engine::new(c), &f), 1);
+    }
+
+    #[test]
+    fn a_cache_served_aggregation_still_proves_distinctness() {
+        let c = fact_rows(2 * MORSEL_ROWS as i64 + 11);
+        let f = grouped_upsert(&c, &["a", "b"], vec![], &["a", "b"]);
+        let cache = Arc::new(crate::cache::ResultCache::new(true, 1 << 26));
+        let mut loaded = Vec::new();
+        for served in [false, true] {
+            let mut engine = Engine::new(c.clone());
+            engine.set_result_cache(Arc::clone(&cache), crate::cache::CachePlan::for_catalog(&f, &c, 1).unwrap());
+            assert_eq!(key_groupings(&mut engine, &f), 0);
+            assert_eq!(cache.stats().hits > 0, served, "the second run's aggregation comes from the cache");
+            loaded.push(engine.catalog.get("out").unwrap().clone());
+        }
+        assert_eq!(loaded[0], loaded[1]);
     }
 
     #[test]

@@ -88,10 +88,21 @@ impl RowEngine {
         flow.schemas()?;
         let start = Instant::now();
         let mut results: HashMap<OpId, Arc<RowRel>> = HashMap::with_capacity(order.len());
+        // Edges out of each result not yet followed: a result is dropped
+        // after its last consumer ran, and one nothing consumes is not kept.
+        let mut unread: HashMap<OpId, usize> = order.iter().map(|&id| (id, flow.outputs_of(id).len())).collect();
         let mut report = RunReport::default();
         for id in order {
             let op = flow.op(id);
             let inputs: Vec<Arc<RowRel>> = flow.inputs_of(id).iter().map(|i| Arc::clone(&results[i])).collect();
+            for i in flow.inputs_of(id) {
+                if let Some(left) = unread.get_mut(i) {
+                    *left -= 1;
+                    if *left == 0 {
+                        results.remove(i);
+                    }
+                }
+            }
             let rows_in = inputs.iter().map(|r| r.len()).sum();
             let t0 = Instant::now();
             let out: Arc<RowRel> = match &op.kind {
@@ -111,7 +122,9 @@ impl RowEngine {
                 elapsed,
                 worker: 0,
             });
-            results.insert(id, out);
+            if !flow.outputs_of(id).is_empty() {
+                results.insert(id, out);
+            }
         }
         report.total = start.elapsed();
         Ok(report)

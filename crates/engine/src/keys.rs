@@ -432,19 +432,25 @@ pub(crate) type FastMap<K, V> = HashMap<K, V, FastHash>;
 /// entropy into the high bits.
 const FIB: u64 = 0x9E37_79B9_7F4A_7C15;
 
+/// Multiplier of [`radix_of`]: odd, and unrelated to [`FIB`].
+const RADIX_MIX: u64 = 0xD6E8_FEB8_6659_FD93;
+
 /// The radix partition of a hashed key word: the top `log2(npart)` bits
-/// after a Fibonacci multiply. Hashing before taking bits matters — the raw
-/// low bits of common keys are degenerate (the `f64` bit pattern of an
-/// integral float has an all-zero low mantissa; dictionary codes are dense
-/// from zero), and the multiply redistributes them. `npart` must be a power
-/// of two; a single partition short-circuits (and keeps the shift in
-/// range).
+/// after a multiply. Hashing before taking bits matters — the raw low bits
+/// of common keys are degenerate (the `f64` bit pattern of an integral float
+/// has an all-zero low mantissa; dictionary codes are dense from zero), and
+/// the multiply redistributes them. The multiplier is not [`FIB`]: a
+/// one-word key's table hash is `k × FIB`, whose top bits are hashbrown's
+/// control byte, and partitioning on those same bits would leave every key
+/// of a partition with the same control bits, each probe degenerating into
+/// key compares. `npart` must be a power of two; a single partition
+/// short-circuits (and keeps the shift in range).
 pub(crate) fn radix_of(h: u64, npart: usize) -> usize {
     debug_assert!(npart.is_power_of_two());
     if npart == 1 {
         return 0;
     }
-    (h.wrapping_mul(FIB) >> (64 - npart.trailing_zeros())) as usize
+    (h.wrapping_mul(RADIX_MIX) >> (64 - npart.trailing_zeros())) as usize
 }
 
 /// Folds a packed two-word key into one word for partitioning.
@@ -573,6 +579,20 @@ mod tests {
         assert_ne!(h(&|s| ("ab", "c").hash(s)), h(&|s| ("a", "bc").hash(s)));
         assert_ne!(h(&|s| pack4(&[1, 2, 3]).hash(s)), h(&|s| pack4(&[1, 2, 4]).hash(s)));
         assert_eq!(h(&|s| pack4(&[1, 2, 3]).hash(s)), h(&|s| pack4(&[1, 2, 3, 0]).hash(s)));
+    }
+
+    /// hashbrown's control byte is the top seven bits of the table hash. A
+    /// partition whose keys shared most of them would probe by key compare.
+    #[test]
+    fn radix_partitions_keep_their_control_bytes_spread() {
+        use std::hash::BuildHasher;
+        let mut control: Vec<std::collections::HashSet<u64>> = vec![Default::default(); 64];
+        for k in 1..=100_000u64 {
+            control[radix_of(k, 64)].insert(FastHash.hash_one(k) >> 57);
+        }
+        for (p, bytes) in control.iter().enumerate() {
+            assert!(bytes.len() >= 64, "partition {p}: {} distinct control bytes", bytes.len());
+        }
     }
 
     #[test]

@@ -180,11 +180,15 @@ impl RelationBuilder {
         RelationBuilder { schema, builders, nrows: 0 }
     }
 
-    pub fn push_row(&mut self, row: Row) {
-        debug_assert_eq!(row.len(), self.builders.len());
+    /// Appends one row: a `Vec`, an array, or any other sequence of exactly
+    /// one value per column.
+    pub fn push_row(&mut self, row: impl IntoIterator<Item = Value>) {
+        let mut width = 0;
         for (b, v) in self.builders.iter_mut().zip(row) {
             b.push(v);
+            width += 1;
         }
+        debug_assert_eq!(width, self.builders.len());
         self.nrows += 1;
     }
 

@@ -11,7 +11,7 @@
 //! `Nation.n_name = 'Spain'`, which official TPC-H data could never match).
 
 use crate::catalog::Catalog;
-use crate::relation::Relation;
+use crate::relation::RelationBuilder;
 use crate::value::Value;
 use quarry_etl::{ColType, Column, Schema};
 use rand::rngs::StdRng;
@@ -156,85 +156,75 @@ const MODES: [&str; 7] = ["AIR", "FOB", "MAIL", "RAIL", "REG AIR", "SHIP", "TRUC
 const CONTAINERS: [&str; 8] = ["BAG", "BOX", "CAN", "CASE", "DRUM", "JAR", "PACK", "PKG"];
 const TYPES: [&str; 6] = ["ANODIZED", "BRUSHED", "BURNISHED", "PLATED", "POLISHED", "ECONOMY"];
 
+/// A row-at-a-time builder over `table`'s physical schema: generated rows go
+/// straight into typed columns, never staged as `Vec<Value>` rows.
+fn builder(table: &str) -> RelationBuilder {
+    RelationBuilder::new(table_schema(table).expect("known table"))
+}
+
 /// Generates all eight tables at a scale factor. Deterministic for a given
 /// `(sf, seed)` pair.
 pub fn generate(sf: f64, seed: u64) -> Catalog {
     let mut rng = StdRng::seed_from_u64(seed);
-    let (n_supplier, n_part, n_partsupp, n_customer, n_orders) = row_counts(sf);
+    let (n_supplier, n_part, _, n_customer, n_orders) = row_counts(sf);
     let mut catalog = Catalog::new();
 
-    // region
-    let region_rows = REGIONS
-        .iter()
-        .enumerate()
-        .map(|(i, name)| vec![Value::Int(i as i64), Value::Str((*name).into()), Value::Str(format!("region {name}"))])
-        .collect();
-    catalog.put("region", Relation::with_rows(table_schema("region").expect("known table"), region_rows));
+    let mut region = builder("region");
+    for (i, name) in REGIONS.iter().enumerate() {
+        region.push_row([Value::Int(i as i64), Value::Str((*name).into()), Value::Str(format!("region {name}"))]);
+    }
+    catalog.put("region", region.finish());
 
-    // nation
-    let nation_rows = NATIONS
-        .iter()
-        .enumerate()
-        .map(|(i, (name, region))| {
-            vec![
-                Value::Int(i as i64),
-                Value::Str((*name).into()),
-                Value::Int(*region as i64),
-                Value::Str(format!("nation {name}")),
-            ]
-        })
-        .collect();
-    catalog.put("nation", Relation::with_rows(table_schema("nation").expect("known table"), nation_rows));
+    let mut nation = builder("nation");
+    for (i, (name, region)) in NATIONS.iter().enumerate() {
+        nation.push_row([
+            Value::Int(i as i64),
+            Value::Str((*name).into()),
+            Value::Int(*region as i64),
+            Value::Str(format!("nation {name}")),
+        ]);
+    }
+    catalog.put("nation", nation.finish());
 
-    // supplier
-    let supplier_rows = (0..n_supplier)
-        .map(|i| {
-            let nation = rng.gen_range(0..NATIONS.len()) as i64;
-            vec![
-                Value::Int(i as i64 + 1),
-                Value::Str(format!("Supplier#{:09}", i + 1)),
-                Value::Str(format!("addr s{}", i + 1)),
-                Value::Int(nation),
-                Value::Str(format!(
-                    "{:02}-{:03}-{:03}-{:04}",
-                    10 + nation,
-                    i % 1000,
-                    (i * 7) % 1000,
-                    (i * 13) % 10_000
-                )),
-                Value::Float((rng.gen_range(-99_999..999_999) as f64) / 100.0),
-                Value::Str("supplier comment".into()),
-            ]
-        })
-        .collect();
-    catalog.put("supplier", Relation::with_rows(table_schema("supplier").expect("known table"), supplier_rows));
+    let mut supplier = builder("supplier");
+    for i in 0..n_supplier {
+        let nation = rng.gen_range(0..NATIONS.len()) as i64;
+        supplier.push_row([
+            Value::Int(i as i64 + 1),
+            Value::Str(format!("Supplier#{:09}", i + 1)),
+            Value::Str(format!("addr s{}", i + 1)),
+            Value::Int(nation),
+            Value::Str(format!("{:02}-{:03}-{:03}-{:04}", 10 + nation, i % 1000, (i * 7) % 1000, (i * 13) % 10_000)),
+            Value::Float((rng.gen_range(-99_999..999_999) as f64) / 100.0),
+            Value::Str("supplier comment".into()),
+        ]);
+    }
+    catalog.put("supplier", supplier.finish());
 
-    // part
-    let part_rows = (0..n_part)
-        .map(|i| {
-            let mfgr = rng.gen_range(1..=5);
-            let brand = mfgr * 10 + rng.gen_range(1..=5);
-            vec![
-                Value::Int(i as i64 + 1),
-                Value::Str(format!("Part#{:09}", i + 1)),
-                Value::Str(format!("Manufacturer#{mfgr}")),
-                Value::Str(format!("Brand#{brand}")),
-                Value::Str(TYPES[rng.gen_range(0..TYPES.len())].into()),
-                Value::Int(rng.gen_range(1..=50)),
-                Value::Str(CONTAINERS[rng.gen_range(0..CONTAINERS.len())].into()),
-                Value::Float(900.0 + ((i % 1000) as f64) / 10.0 + (i / 1000) as f64),
-                Value::Str("part comment".into()),
-            ]
-        })
-        .collect();
-    catalog.put("part", Relation::with_rows(table_schema("part").expect("known table"), part_rows));
+    let mut part = builder("part");
+    for i in 0..n_part {
+        let mfgr = rng.gen_range(1..=5);
+        let brand = mfgr * 10 + rng.gen_range(1..=5);
+        part.push_row([
+            Value::Int(i as i64 + 1),
+            Value::Str(format!("Part#{:09}", i + 1)),
+            Value::Str(format!("Manufacturer#{mfgr}")),
+            Value::Str(format!("Brand#{brand}")),
+            Value::Str(TYPES[rng.gen_range(0..TYPES.len())].into()),
+            Value::Int(rng.gen_range(1..=50)),
+            Value::Str(CONTAINERS[rng.gen_range(0..CONTAINERS.len())].into()),
+            Value::Float(900.0 + ((i % 1000) as f64) / 10.0 + (i / 1000) as f64),
+            Value::Str("part comment".into()),
+        ]);
+    }
+    catalog.put("part", part.finish());
 
     // partsupp: 4 suppliers per part, TPC-H's modular spread.
-    let mut partsupp_rows = Vec::with_capacity(n_partsupp);
+    let mut partsupp = builder("partsupp");
     for p in 0..n_part {
         for s in 0..4usize {
             let suppkey = ((p + s * (n_supplier / 4 + 1)) % n_supplier) as i64 + 1;
-            partsupp_rows.push(vec![
+            partsupp.push_row([
                 Value::Int(p as i64 + 1),
                 Value::Int(suppkey),
                 Value::Int(rng.gen_range(1..10_000)),
@@ -243,37 +233,29 @@ pub fn generate(sf: f64, seed: u64) -> Catalog {
             ]);
         }
     }
-    catalog.put("partsupp", Relation::with_rows(table_schema("partsupp").expect("known table"), partsupp_rows));
+    catalog.put("partsupp", partsupp.finish());
 
-    // customer
-    let customer_rows = (0..n_customer)
-        .map(|i| {
-            let nation = rng.gen_range(0..NATIONS.len()) as i64;
-            vec![
-                Value::Int(i as i64 + 1),
-                Value::Str(format!("Customer#{:09}", i + 1)),
-                Value::Str(format!("addr c{}", i + 1)),
-                Value::Int(nation),
-                Value::Str(format!(
-                    "{:02}-{:03}-{:03}-{:04}",
-                    10 + nation,
-                    i % 1000,
-                    (i * 3) % 1000,
-                    (i * 11) % 10_000
-                )),
-                Value::Float((rng.gen_range(-99_999..999_999) as f64) / 100.0),
-                Value::Str(SEGMENTS[rng.gen_range(0..SEGMENTS.len())].into()),
-                Value::Str("customer comment".into()),
-            ]
-        })
-        .collect();
-    catalog.put("customer", Relation::with_rows(table_schema("customer").expect("known table"), customer_rows));
+    let mut customer = builder("customer");
+    for i in 0..n_customer {
+        let nation = rng.gen_range(0..NATIONS.len()) as i64;
+        customer.push_row([
+            Value::Int(i as i64 + 1),
+            Value::Str(format!("Customer#{:09}", i + 1)),
+            Value::Str(format!("addr c{}", i + 1)),
+            Value::Int(nation),
+            Value::Str(format!("{:02}-{:03}-{:03}-{:04}", 10 + nation, i % 1000, (i * 3) % 1000, (i * 11) % 10_000)),
+            Value::Float((rng.gen_range(-99_999..999_999) as f64) / 100.0),
+            Value::Str(SEGMENTS[rng.gen_range(0..SEGMENTS.len())].into()),
+            Value::Str("customer comment".into()),
+        ]);
+    }
+    catalog.put("customer", customer.finish());
 
     // orders + lineitem
     let epoch_lo = date_days(1992, 1, 1);
     let epoch_hi = date_days(1998, 8, 2);
-    let mut orders_rows = Vec::with_capacity(n_orders);
-    let mut lineitem_rows = Vec::new();
+    let mut orders = builder("orders");
+    let mut lineitem = builder("lineitem");
     for o in 0..n_orders {
         let orderkey = o as i64 + 1;
         let custkey = rng.gen_range(0..n_customer) as i64 + 1;
@@ -293,7 +275,7 @@ pub fn generate(sf: f64, seed: u64) -> Catalog {
             let tax = (rng.gen_range(0..=8) as f64) / 100.0;
             let shipdate = orderdate + rng.gen_range(1..=121);
             total += extended * (1.0 - discount) * (1.0 + tax);
-            lineitem_rows.push(vec![
+            lineitem.push_row([
                 Value::Int(orderkey),
                 Value::Int(partkey),
                 Value::Int(suppkey),
@@ -312,7 +294,7 @@ pub fn generate(sf: f64, seed: u64) -> Catalog {
                 Value::Str("lineitem comment".into()),
             ]);
         }
-        orders_rows.push(vec![
+        orders.push_row([
             Value::Int(orderkey),
             Value::Int(custkey),
             Value::Str(if orderdate < epoch_hi - 200 { "F" } else { "O" }.into()),
@@ -324,8 +306,8 @@ pub fn generate(sf: f64, seed: u64) -> Catalog {
             Value::Str("order comment".into()),
         ]);
     }
-    catalog.put("orders", Relation::with_rows(table_schema("orders").expect("known table"), orders_rows));
-    catalog.put("lineitem", Relation::with_rows(table_schema("lineitem").expect("known table"), lineitem_rows));
+    catalog.put("orders", orders.finish());
+    catalog.put("lineitem", lineitem.finish());
 
     catalog
 }
