@@ -13,12 +13,15 @@
 //! it; `--flow optimized` runs `Quarry::optimize` over it first, which is the
 //! flow the lifecycle benchmark executes. `--threads 0` keeps the pool's
 //! auto-detected width. The fastest of five runs is printed: busy time per
-//! operator kind, the time the loaders ran serially (the pool idles behind
-//! them), then the 25 slowest operators.
+//! operator kind; what the scheduler made of it — achieved parallelism
+//! (Σ elapsed ÷ wall), idle time per lane, the chain of operators that ended
+//! last (each link the input that finished last: its work and the time its
+//! links sat finished-but-not-started), the longest chain of dependent work,
+//! the time loaders waited for their turn; then the 25 slowest operators.
 
 use quarry::{Quarry, QuarryConfig};
-use quarry_engine::{tpch, Engine};
-use std::collections::BTreeMap;
+use quarry_engine::{tpch, Engine, OpTiming};
+use std::collections::{BTreeMap, HashMap};
 use std::time::{Duration, Instant};
 
 fn usage(problem: &str) -> ! {
@@ -91,8 +94,43 @@ fn main() {
     for (kind, (busy, ops, rows_out)) in kinds {
         println!("{busy:>12?}  ops={ops:>3} out={rows_out:>8}  {kind}");
     }
-    let serial_load: Duration = report.timings.iter().filter(|t| t.kind == "Loader").map(|t| t.elapsed).sum();
-    println!("serial load: {serial_load:?} (Σ Loader elapsed; loaders run one at a time on the calling thread)");
+    let busy: Duration = report.timings.iter().map(|t| t.elapsed).sum();
+    println!(
+        "parallelism: {:.2} (Σ elapsed {busy:?} ÷ wall {:?})",
+        busy.as_secs_f64() / report.total.as_secs_f64(),
+        report.total
+    );
+    for (lane, busy) in report.lane_busy().iter().enumerate() {
+        println!("lane {lane}: busy {busy:?}, idle {:?}", report.total.saturating_sub(*busy));
+    }
+    // Walk back from the operator that ended last along the input that ended
+    // last: with no idle lane this chain is what the wall time is made of.
+    let timing: HashMap<&str, &OpTiming> = report.timings.iter().map(|t| (t.op.as_str(), t)).collect();
+    let inputs_of = |t: &OpTiming| {
+        let inputs = unified.inputs_of(unified.id_by_name(&t.op).expect("timed ops are in the flow"));
+        inputs.iter().map(|i| unified.op(*i).name.as_str())
+    };
+    let end = |t: &OpTiming| t.started + t.elapsed;
+    let last_input = |t: &OpTiming| inputs_of(t).filter_map(|i| timing.get(i).copied()).max_by_key(|i| end(i));
+    let mut link = report.timings.iter().max_by_key(|t| end(t)).expect("a flow has operations");
+    let (mut links, mut work, mut waited) = (1, link.elapsed, Duration::ZERO);
+    while let Some(input) = last_input(link) {
+        waited += link.started.saturating_sub(end(input));
+        (links, work, link) = (links + 1, work + input.elapsed, input);
+    }
+    println!("critical path: the {links} ops that ended last did {work:?} of work and waited {waited:?} to start");
+    // The longest chain of dependent work bounds the wall time at any width
+    // (`timings` is in position order: inputs come before their consumers).
+    let mut chain: HashMap<&str, Duration> = HashMap::new();
+    for t in &report.timings {
+        let before = inputs_of(t).filter_map(|i| chain.get(i)).max().copied();
+        chain.insert(&t.op, t.elapsed + before.unwrap_or_default());
+    }
+    println!("longest dependent chain: {:?} of work", chain.values().max().expect("a flow has operations"));
+    let loader_wait: Duration = (report.timings.iter().filter(|t| t.kind == "Loader"))
+        .map(|t| t.started.saturating_sub(last_input(t).map_or(Duration::ZERO, end)))
+        .sum();
+    println!("loaders waited {loader_wait:?} for their turn (input finished, loader not started)");
     println!();
     let mut ops: Vec<_> = report.timings.iter().collect();
     ops.sort_by_key(|t| std::cmp::Reverse(t.elapsed));

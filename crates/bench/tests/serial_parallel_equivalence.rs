@@ -11,13 +11,22 @@
 //! aggregation state layouts (fact-grain and recurring groups, NULL group
 //! keys, every function over every input representation, order-sensitive
 //! sums, errors, every shape of partition run), second loads into a
-//! populated table and keyed loads of aggregation outputs.
+//! populated table and keyed loads of aggregation outputs, and the shapes a
+//! dependency-driven scheduler could get wrong (`scheduler_*`: deep chains
+//! beside wide fan-outs, diamonds, self-unions, loaders of every kind into
+//! shared tables at different depths, seeded random DAGs, cache-served flows,
+//! failures, and a stress run under a watchdog).
 
 use quarry::Quarry;
 use quarry_bench::{figure3_pair, high_overlap_family, requirement_family};
-use quarry_engine::{tpch, Catalog, Engine, Relation, RowEngine, RunReport, Value, MORSEL_ROWS};
+use quarry_engine::{
+    pool, tpch, CachePlan, Catalog, Engine, EngineError, Relation, ResultCache, RowEngine, RunReport, Value,
+    MORSEL_ROWS,
+};
 use quarry_etl::{parse_expr, AggSpec, ColType, Column, Flow, JoinKind, OpId, OpKind, Schema};
 use quarry_formats::Requirement;
+use std::sync::{Arc, Mutex};
+use std::time::Duration;
 
 /// Small enough to keep debug-mode runs quick, large enough that lineitem
 /// spans several morsels.
@@ -50,6 +59,18 @@ fn op_counts(report: &RunReport) -> Vec<(String, usize, usize)> {
     counts
 }
 
+/// Runs `f` with the pool pinned to `threads`. The width is process-wide and
+/// the tests of this binary run concurrently, so every test that sets it
+/// goes through here, one at a time.
+fn at_width<R>(threads: usize, f: impl FnOnce() -> R) -> R {
+    static WIDTH: Mutex<()> = Mutex::new(());
+    let _pinned = WIDTH.lock().unwrap_or_else(|e| e.into_inner());
+    pool::set_threads(threads);
+    let out = f();
+    pool::set_threads(0); // restore auto-detection
+    out
+}
+
 /// Runs `flows` on the row-at-a-time reference and on [`Engine::run`] at 1,
 /// 2, and 8 threads from the same starting catalog, and asserts every
 /// warehouse equals the reference exactly: same table set, `==` relations,
@@ -58,7 +79,9 @@ fn assert_equivalent(catalog: &Catalog, flows: &[&Flow]) {
     assert_equivalent_at(catalog, flows, &[1, 2, 8]);
 }
 
-/// [`assert_equivalent`] at the given thread counts.
+/// [`assert_equivalent`] at the given thread counts. The order of
+/// `report.timings` is the columnar engine's own (the row engine records in
+/// another, equally valid one), so it is compared across the widths.
 fn assert_equivalent_at(catalog: &Catalog, flows: &[&Flow], widths: &[usize]) {
     let mut row = RowEngine::from_catalog(catalog);
     let mut row_loaded = Vec::new();
@@ -69,18 +92,21 @@ fn assert_equivalent_at(catalog: &Catalog, flows: &[&Flow], widths: &[usize]) {
         row_loaded.extend(r.loaded);
     }
     let names: Vec<String> = row.table_names().map(str::to_string).collect();
+    let mut timing_order: Option<Vec<String>> = None;
     for &threads in widths {
-        quarry_engine::pool::set_threads(threads);
         let mut col = Engine::new(catalog.clone());
-        let mut col_loaded = Vec::new();
-        let mut col_counts = Vec::new();
-        for f in flows {
-            let r = col.run(f).expect("columnar run");
-            col_counts.extend(op_counts(&r));
-            col_loaded.extend(r.loaded);
-        }
+        let reports: Vec<RunReport> =
+            at_width(threads, || flows.iter().map(|f| col.run(f).expect("columnar run")).collect());
+        let col_counts: Vec<_> = reports.iter().flat_map(op_counts).collect();
+        let col_loaded: Vec<_> = reports.iter().flat_map(|r| r.loaded.clone()).collect();
+        let order: Vec<String> = reports.iter().flat_map(|r| r.timings.iter().map(|t| t.op.clone())).collect();
         assert_eq!(row_counts, col_counts, "per-operation row counts differ at {threads} threads");
         assert_eq!(row_loaded, col_loaded, "loaded (table, rows) records differ at {threads} threads");
+        assert_eq!(
+            timing_order.get_or_insert_with(|| order.clone()),
+            &order,
+            "timings order moved at {threads} threads"
+        );
         assert_eq!(names, sorted_table_names(&col.catalog), "table sets differ at {threads} threads");
         for t in &names {
             assert_eq!(
@@ -90,7 +116,6 @@ fn assert_equivalent_at(catalog: &Catalog, flows: &[&Flow], widths: &[usize]) {
             );
         }
     }
-    quarry_engine::pool::set_threads(0); // restore auto-detection
 }
 
 /// The same tables, all emptied: every operator sees zero rows.
@@ -629,7 +654,6 @@ fn loaders_at_different_depths_apply_in_topological_order() {
             (0..n).map(|i| vec![Value::Int(i as i64), Value::Float(i as f64)]).collect(),
         ),
     );
-    let sel = |p: &str| OpKind::Selection { predicate: parse_expr(p).unwrap() };
     let tag = |t: &str| OpKind::Derivation { column: "tag".into(), expr: parse_expr(&format!("'{t}'")).unwrap() };
     let append = || OpKind::Loader { table: "log".into(), key: vec![] };
     let upsert = || OpKind::Loader { table: "dim".into(), key: vec!["k".into()] };
@@ -1028,11 +1052,9 @@ fn aggregation_errors_surface_in_morsel_order() {
     let expected = RowEngine::from_catalog(&catalog).run(&f).expect_err("row engine fails").to_string();
     assert!(expected.contains("second-morsel"), "{expected}");
     for threads in [1usize, 2, 8] {
-        quarry_engine::pool::set_threads(threads);
-        let err = Engine::new(catalog.clone()).run(&f).expect_err("columnar engine fails").to_string();
-        assert_eq!(err, expected, "at {threads} threads");
+        let err = at_width(threads, || Engine::new(catalog.clone()).run(&f)).expect_err("columnar engine fails");
+        assert_eq!(err.to_string(), expected, "at {threads} threads");
     }
-    quarry_engine::pool::set_threads(0);
 }
 
 /// Three upsert loaders at different depths into one table: within-batch
@@ -1063,7 +1085,6 @@ fn upserts_at_different_depths_into_one_table_agree() {
             (0..3000i64).map(|i| vec![Value::Int(4000 + i % 2500), Value::Float(-(i as f64))]).collect(),
         ),
     );
-    let sel = |p: &str| OpKind::Selection { predicate: parse_expr(p).unwrap() };
     let mut f = Flow::new("three_upserts");
     let src = scan(&mut f, "SRC", &catalog, "src");
     let late = scan(&mut f, "LATE", &catalog, "late");
@@ -1173,13 +1194,431 @@ fn float_keys_into_an_int_keyed_table_agree() {
 fn lifecycle_facade_is_thread_width_independent() {
     let catalog = tpch::generate(0.001, 42);
     let q = quarry_bench::quarry_with(4);
-    quarry_engine::pool::set_threads(1);
-    let (one_engine, one_report) = q.run_etl(catalog.clone()).expect("1-thread run");
-    quarry_engine::pool::set_threads(4);
-    let (wide_engine, wide_report) = q.run_etl(catalog).expect("4-thread run");
-    quarry_engine::pool::set_threads(0); // restore auto-detection
+    let (one_engine, one_report) = at_width(1, || q.run_etl(catalog.clone())).expect("1-thread run");
+    let (wide_engine, wide_report) = at_width(4, || q.run_etl(catalog)).expect("4-thread run");
     assert_eq!(one_report.loaded, wide_report.loaded);
     for t in sorted_table_names(&one_engine.catalog) {
         assert_eq!(one_engine.catalog.get(&t).unwrap(), wide_engine.catalog.get(&t).unwrap(), "table `{t}` differs");
     }
+}
+
+// ---- scheduler shapes ---------------------------------------------------------
+
+/// `src(k, g, v)`: `k` unique, `g` in 13 groups, `v` a float per row.
+fn dag_catalog(rows: usize) -> Catalog {
+    let mut catalog = Catalog::new();
+    catalog.put(
+        "src",
+        Relation::with_rows(
+            schema_of(&[("k", ColType::Integer), ("g", ColType::Integer), ("v", ColType::Decimal)]),
+            (0..rows as i64).map(|i| vec![Value::Int(i), Value::Int(i % 13), Value::Float(i as f64 / 4.0)]).collect(),
+        ),
+    );
+    catalog
+}
+
+fn sel(predicate: &str) -> OpKind {
+    OpKind::Selection { predicate: parse_expr(predicate).unwrap() }
+}
+
+fn derive(column: &str, expr: &str) -> OpKind {
+    OpKind::Derivation { column: column.into(), expr: parse_expr(expr).unwrap() }
+}
+
+fn project(columns: &[&str]) -> OpKind {
+    OpKind::Projection { columns: columns.iter().map(|c| c.to_string()).collect() }
+}
+
+/// A two-input operation over `a` and `b` — which may be the same operation:
+/// a consumer then waits on two edges from one producer.
+fn binary(f: &mut Flow, name: String, kind: OpKind, a: OpId, b: OpId) -> OpId {
+    let id = f.add_op(name.clone(), kind).unwrap();
+    f.connect(a, id).unwrap();
+    if a == b {
+        // `connect` refuses a second edge between two operations; the
+        // rewrite rules get one by bridging a step away, and so does this.
+        let step = f.append(b, format!("{name}_step"), OpKind::Distinct).unwrap();
+        f.connect(step, id).unwrap();
+        f.remove_bridging(step);
+    } else {
+        f.connect(b, id).unwrap();
+    }
+    id
+}
+
+const SUMS: [(&str, &str, &str); 2] = [("SUM", "v", "total"), ("COUNT", "1", "cnt")];
+
+/// A seeded random DAG over `src`: `steps` operations, each on a stream
+/// picked at random among all built so far (so depths and fan-outs vary
+/// freely), every stream keeping the `(k, g, v)` layout — selections, sorts,
+/// distincts, unions (of a stream with itself too) and joins against a
+/// filtered, re-derived copy of the source. Every stream nothing reads, and
+/// one in four of the others, ends in a loader: appends into one `log`,
+/// upserts into one `dim`, grouped sums appended to or upserted into shared
+/// tables — all order-sensitive across depths.
+fn random_dag(seed: u64, steps: usize) -> Flow {
+    let mut rng = Lcg(seed.wrapping_mul(0x2545_f491_4f6c_dd1d).wrapping_add(7));
+    let mut f = Flow::new(format!("dag{seed}"));
+    let src = f
+        .add_op(
+            "SRC",
+            OpKind::Datastore {
+                datastore: "src".into(),
+                schema: schema_of(&[("k", ColType::Integer), ("g", ColType::Integer), ("v", ColType::Decimal)]),
+            },
+        )
+        .unwrap();
+    let predicates = ["k >= 100", "g < 9", "v * 2 > k / 4", "NOT (g = 3)", "k < 6000 OR g = 1"];
+    let mut streams = vec![src];
+    let mut unions = 0;
+    for step in 0..steps {
+        let a = streams[rng.pick(streams.len())];
+        let next = match rng.pick(7) {
+            0 if unions < 3 => {
+                unions += 1;
+                let b = streams[rng.pick(streams.len())];
+                binary(&mut f, format!("UNION{step}"), OpKind::Union, a, b)
+            }
+            1 => f.append(a, format!("SORT{step}"), OpKind::Sort { columns: vec!["g".into(), "k".into()] }).unwrap(),
+            2 => f.append(a, format!("DISTINCT{step}"), OpKind::Distinct).unwrap(),
+            3 => {
+                let side = f.append(src, format!("SIDE{step}"), sel(predicates[rng.pick(predicates.len())])).unwrap();
+                let side = f.append(side, format!("SIDE_W{step}"), derive("w", "v * 2")).unwrap();
+                let side = f.append(side, format!("SIDE_P{step}"), project(&["k", "w"])).unwrap();
+                let kind = if rng.pick(2) == 0 { JoinKind::Inner } else { JoinKind::Left };
+                let join = OpKind::Join { kind, left_on: vec!["k".into()], right_on: vec!["k".into()] };
+                let joined = binary(&mut f, format!("JOIN{step}"), join, a, side);
+                f.append(joined, format!("JOIN_P{step}"), project(&["k", "g", "v"])).unwrap()
+            }
+            _ => f.append(a, format!("SEL{step}"), sel(predicates[rng.pick(predicates.len())])).unwrap(),
+        };
+        streams.push(next);
+    }
+    for (i, &stream) in streams.iter().enumerate() {
+        if !f.outputs_of(stream).is_empty() && rng.pick(4) != 0 {
+            continue;
+        }
+        match rng.pick(4) {
+            0 => f.append(stream, format!("APPEND{i}"), load("log", &[])).unwrap(),
+            1 => f.append(stream, format!("UPSERT{i}"), load("dim", &["k"])).unwrap(),
+            shared => {
+                let sums = f.append(stream, format!("AGG{i}"), agg(&["g"], &SUMS)).unwrap();
+                let key: &[&str] = if shared == 2 { &[] } else { &["g"] };
+                f.append(sums, format!("LOAD_AGG{i}"), load(if shared == 2 { "sums_log" } else { "sums" }, key))
+                    .unwrap()
+            }
+        };
+    }
+    f.validate().expect("random DAG is valid");
+    f
+}
+
+const WIDTHS: [usize; 4] = [1, 2, 4, 8];
+
+#[test]
+fn scheduler_random_dags_agree() {
+    let catalog = dag_catalog(2 * MORSEL_ROWS + 37);
+    for seed in 0..10u64 {
+        assert_equivalent_at(&catalog, &[&random_dag(seed, 12 + seed as usize)], &WIDTHS);
+    }
+    // Sub-morsel inputs: operators finish faster than threads wake up.
+    let tiny = dag_catalog(90);
+    for seed in 10..16u64 {
+        assert_equivalent_at(&tiny, &[&random_dag(seed, 24)], &WIDTHS);
+    }
+}
+
+/// A 12-deep chain whose every link is positioned behind a whole level of an
+/// 8-wide fan-out: the chain is the critical path, the fan-out the filler,
+/// and nine appends into one table make any reordering of loaders visible.
+#[test]
+fn scheduler_deep_chain_beside_a_wide_fan_out_agrees() {
+    let catalog = dag_catalog(2 * MORSEL_ROWS + 37);
+    let mut f = Flow::new("chain_and_fan");
+    let src = scan(&mut f, "SRC", &catalog, "src");
+    let mut tip = src;
+    for depth in 0..12 {
+        tip = if depth % 2 == 0 {
+            f.append(tip, format!("CHAIN_SEL{depth}"), sel(&format!("k >= {}", depth * 10))).unwrap()
+        } else {
+            f.append(tip, format!("CHAIN_SORT{depth}"), OpKind::Sort { columns: vec!["g".into(), "k".into()] }).unwrap()
+        };
+    }
+    f.append(tip, "APPEND_chain", load("log", &[])).unwrap();
+    for branch in 0..8 {
+        let b = f.append(src, format!("FAN_SEL{branch}"), sel(&format!("g = {branch}"))).unwrap();
+        let b = f.append(b, format!("FAN_SORT{branch}"), OpKind::Sort { columns: vec!["v".into()] }).unwrap();
+        f.append(b, format!("APPEND_fan{branch}"), load("log", &[])).unwrap();
+    }
+    f.validate().expect("valid");
+    assert_equivalent_at(&catalog, &[&f], &WIDTHS);
+}
+
+/// Diamonds (one producer, two paths, one consumer — through a union and
+/// through a join), a self-union (two edges from one producer: the consumer
+/// must count edges, not producers) and a union of a stream with its own
+/// descendant.
+#[test]
+fn scheduler_diamonds_and_self_unions_agree() {
+    let catalog = dag_catalog(2 * MORSEL_ROWS + 37);
+    let mut f = Flow::new("diamonds");
+    let src = scan(&mut f, "SRC", &catalog, "src");
+    let low = f.append(src, "SEL_low", sel("k < 3000")).unwrap();
+    let high = f.append(src, "SEL_high", sel("k >= 2500")).unwrap();
+    let both = binary(&mut f, "UNION_diamond".into(), OpKind::Union, low, high);
+    let twice = binary(&mut f, "UNION_self".into(), OpKind::Union, both, both);
+    let own_child = f.append(twice, "SEL_child", sel("g < 4")).unwrap();
+    let with_child = binary(&mut f, "UNION_child".into(), OpKind::Union, twice, own_child);
+    let sums = f.append(with_child, "AGG", agg(&["g"], &SUMS)).unwrap();
+    f.append(sums, "UPSERT_sums", load("sums", &["g"])).unwrap();
+    f.append(with_child, "APPEND_all", load("log", &[])).unwrap();
+    let side = f.append(high, "SIDE_W", derive("w", "v + 1")).unwrap();
+    let side = f.append(side, "SIDE_P", project(&["k", "w"])).unwrap();
+    let join = OpKind::Join { kind: JoinKind::Left, left_on: vec!["k".into()], right_on: vec!["k".into()] };
+    let joined = binary(&mut f, "JOIN_diamond".into(), join, src, side);
+    f.append(joined, "UPSERT_joined", load("joined", &["k"])).unwrap();
+    f.validate().expect("valid");
+    assert_equivalent_at(&catalog, &[&f], &WIDTHS);
+    assert_equivalent_at(&catalog, &[&f, &f], &WIDTHS);
+}
+
+/// Appends and upserts into *one* table from four depths, deepest branches
+/// first in the flow: rows an append adds are rows a deeper upsert matches.
+#[test]
+fn scheduler_appends_and_upserts_into_one_table_agree() {
+    let catalog = dag_catalog(2 * MORSEL_ROWS + 37);
+    let mut f = Flow::new("one_table");
+    let src = scan(&mut f, "SRC", &catalog, "src");
+    let deep = f.append(src, "SEL_deep1", sel("k < 500")).unwrap();
+    let deep = f.append(deep, "SEL_deep2", sel("g < 6")).unwrap();
+    let deep = f.append(deep, "SORT_deep", OpKind::Sort { columns: vec!["v".into()] }).unwrap();
+    f.append(deep, "UPSERT_deep", load("t", &["k"])).unwrap();
+    let mid = f.append(src, "SEL_mid1", sel("k >= 300")).unwrap();
+    let mid = f.append(mid, "SEL_mid2", sel("k < 900")).unwrap();
+    f.append(mid, "APPEND_mid", load("t", &[])).unwrap();
+    let shallow = f.append(src, "SEL_shallow", sel("k < 400")).unwrap();
+    f.append(shallow, "UPSERT_shallow", load("t", &["k"])).unwrap();
+    f.append(src, "APPEND_first", load("t", &[])).unwrap();
+    f.validate().expect("valid");
+    assert_equivalent_at(&catalog, &[&f], &WIDTHS);
+    assert_equivalent_at(&catalog, &[&f, &f], &WIDTHS);
+}
+
+fn cached_engine(catalog: &Catalog, flow: &Flow, cache: &Arc<ResultCache>) -> Engine {
+    let mut engine = Engine::new(catalog.clone());
+    let plan = CachePlan::for_catalog(flow, &engine.catalog, 0).expect("plan");
+    engine.set_result_cache(Arc::clone(cache), plan);
+    engine
+}
+
+/// A run the cache answers except for one branch: the executing operators
+/// start from cache-served inputs, and the loaders of both kinds interleave.
+#[test]
+fn scheduler_all_cache_hits_but_one_branch_agrees() {
+    let catalog = dag_catalog(2 * MORSEL_ROWS + 37);
+    let base = random_dag(4, 18);
+    let mut extended = base.clone();
+    let src = extended.id_by_name("SRC").unwrap();
+    let fresh = extended.append(src, "FRESH_SEL", sel("v > 1000")).unwrap();
+    let fresh = extended.append(fresh, "FRESH_AGG", agg(&["g"], &SUMS)).unwrap();
+    extended.append(fresh, "FRESH_LOAD", load("fresh", &[])).unwrap();
+    extended.validate().expect("valid");
+
+    let mut row = RowEngine::from_catalog(&catalog);
+    let row_loaded = row.run(&extended).expect("row run").loaded;
+    let mut timing_order: Option<Vec<String>> = None;
+    for threads in WIDTHS {
+        let cache = Arc::new(ResultCache::new(true, 256 << 20));
+        let (engine, report) = at_width(threads, || {
+            // Three passes: late results are admitted from the second miss on.
+            for _ in 0..3 {
+                cached_engine(&catalog, &base, &cache).run(&base).expect("warming run");
+            }
+            let mut engine = cached_engine(&catalog, &extended, &cache);
+            let report = engine.run(&extended).expect("mostly cache-served run");
+            (engine, report)
+        });
+        let served = report.timings.iter().filter(|t| t.rows_in == 0 && t.kind != "Datastore").count();
+        assert!(served > 0, "the warmed cache serves the base flow's results at {threads} threads");
+        assert!(report.timings.iter().any(|t| t.op == "FRESH_AGG" && t.rows_in > 0), "the new branch executes");
+        assert_eq!(row_loaded, report.loaded, "loaded records differ at {threads} threads");
+        let order: Vec<String> = report.timings.iter().map(|t| t.op.clone()).collect();
+        assert_eq!(
+            timing_order.get_or_insert_with(|| order.clone()),
+            &order,
+            "timings order moved at {threads} threads"
+        );
+        for t in row.table_names() {
+            assert_eq!(&row.table(t).unwrap(), engine.catalog.get(t).unwrap(), "table `{t}` at {threads} threads");
+        }
+    }
+}
+
+/// Cache admission is a function of the flow: under a budget several times
+/// below the working set — every admission decided by what was admitted and
+/// evicted before it — the counters after a cold and after a second run are
+/// the same at every width.
+#[test]
+fn scheduler_cache_admission_is_width_independent() {
+    let catalog = tpch::generate(0.01, 42);
+    let unified = unified_of(requirement_family(8));
+    let mut per_width = Vec::new();
+    for threads in [1usize, 2, 8] {
+        let cache = Arc::new(ResultCache::new(true, 1 << 20));
+        let after_each_run: Vec<_> = at_width(threads, || {
+            (0..2)
+                .map(|_| {
+                    cached_engine(&catalog, &unified, &cache).run(&unified).expect("runs");
+                    let s = cache.stats();
+                    (s.inserts, s.rejects, s.evictions, s.entries, s.bytes, s.hits, s.misses)
+                })
+                .collect()
+        });
+        per_width.push((threads, after_each_run));
+    }
+    let (_, reference) = &per_width[0];
+    assert!(reference[1].2 > 0, "the budget must force evictions for this to test anything: {reference:?}");
+    for (threads, stats) in &per_width {
+        assert_eq!(
+            stats, reference,
+            "(inserts, rejects, evictions, entries, bytes, hits, misses) at {threads} threads"
+        );
+    }
+}
+
+/// The error of a run is the failing operator with the smallest position,
+/// not the one that failed first — `SLOW` (level 2) scans three morsels
+/// before its last row fails, `FAST` (level 3) fails on its only row — and
+/// the catalog is left with exactly the loads positioned before the error:
+/// `LOAD_step` (level 2, so behind `SLOW`) has its input long before `SLOW`
+/// fails and nothing but `SLOW` before it, yet its turn never comes.
+#[test]
+fn scheduler_reports_the_error_with_the_smallest_position() {
+    let rows = 3 * MORSEL_ROWS;
+    let mut catalog = Catalog::new();
+    let mut big: Vec<Vec<Value>> = (0..rows).map(|i| vec![Value::date(1995, 6, 17), Value::Int(i as i64)]).collect();
+    big[rows - 1][0] = Value::Str("slow".into());
+    catalog.put("big", Relation::with_rows(schema_of(&[("d", ColType::Date), ("k", ColType::Integer)]), big));
+    catalog.put("tiny", Relation::with_rows(schema_of(&[("d", ColType::Date)]), vec![vec![Value::Str("fast".into())]]));
+    let mut f = Flow::new("two_errors");
+    let big = scan(&mut f, "BIG", &catalog, "big");
+    let tiny = scan(&mut f, "TINY", &catalog, "tiny");
+    let pass = f.append(big, "PASS", sel("k >= 0")).unwrap();
+    f.append(big, "LOAD_early", load("early", &[])).unwrap();
+    let step = f.append(tiny, "STEP", OpKind::Distinct).unwrap();
+    let slow = f.append(pass, "SLOW", sel("YEAR(d) >= 1995 AND MONTH(d) >= 1 AND YEAR(d) + MONTH(d) > 0")).unwrap();
+    let again = f.append(step, "STEP_again", OpKind::Distinct).unwrap();
+    let fast = f.append(again, "FAST", sel("YEAR(d) >= 1995")).unwrap();
+    f.append(step, "LOAD_step", load("step", &[])).unwrap();
+    f.append(slow, "LOAD_slow", load("slow", &[])).unwrap();
+    f.append(fast, "LOAD_fast", load("fast", &[])).unwrap();
+    f.validate().expect("valid");
+    for threads in [1usize, 2, 8] {
+        for _ in 0..8 {
+            let mut engine = Engine::new(catalog.clone());
+            match at_width(threads, || engine.run(&f)) {
+                Err(EngineError::Eval { op, .. }) => assert_eq!(op, "SLOW", "at {threads} threads"),
+                other => panic!("expected SLOW's evaluation error at {threads} threads, got {other:?}"),
+            }
+            assert_eq!(engine.catalog.get("early").map(Relation::len), Some(rows), "at {threads} threads");
+            for absent in ["step", "slow", "fast"] {
+                assert!(engine.catalog.get(absent).is_none(), "`{absent}` loaded at {threads} threads");
+            }
+        }
+    }
+}
+
+/// A loader that fails stops the loaders behind it and none before it: the
+/// second of three appends hits a table of another layout while a slow
+/// operator positioned before all of them is still running.
+#[test]
+fn scheduler_failed_load_keeps_earlier_loads_and_stops_later_ones() {
+    let mut catalog = dag_catalog(3 * MORSEL_ROWS);
+    catalog.put("second", Relation::new(schema_of(&[("other", ColType::Integer)])));
+    let mut f = Flow::new("failed_load");
+    let src = scan(&mut f, "SRC", &catalog, "src");
+    let slow = f.append(src, "SLOW_SORT", OpKind::Sort { columns: vec!["v".into(), "g".into()] }).unwrap();
+    f.append(src, "LOAD_first", load("first", &[])).unwrap();
+    let two = f.append(src, "SEL_second", sel("k < 10")).unwrap();
+    f.append(two, "LOAD_second", load("second", &[])).unwrap();
+    let three = f.append(two, "SEL_third", sel("k < 5")).unwrap();
+    f.append(three, "LOAD_third", load("third", &[])).unwrap();
+    let slow = f.append(slow, "SLOW_SEL", sel("k >= 0")).unwrap();
+    let slow = f.append(slow, "SLOW_DISTINCT", OpKind::Distinct).unwrap();
+    f.append(slow, "LOAD_slow", load("slow", &[])).unwrap();
+    f.validate().expect("valid");
+    for threads in [1usize, 2, 8] {
+        let mut engine = Engine::new(catalog.clone());
+        match at_width(threads, || engine.run(&f)) {
+            Err(EngineError::LoadSchemaMismatch { table, .. }) => assert_eq!(table, "second"),
+            other => panic!("expected the second load to fail at {threads} threads, got {other:?}"),
+        }
+        assert_eq!(engine.catalog.get("first").map(Relation::len), Some(3 * MORSEL_ROWS), "at {threads} threads");
+        assert!(engine.catalog.get("second").unwrap().is_empty(), "the failed load left its target alone");
+        for absent in ["third", "slow"] {
+            assert!(engine.catalog.get(absent).is_none(), "`{absent}` loaded after the failure at {threads} threads");
+        }
+    }
+}
+
+/// A helper that finds nothing ready returns its token: three single-morsel
+/// siblings get the run its helper, then every operator runs alone, and the
+/// aggregation's morsel regions — the only ones in the flow with more than
+/// one job — find the token free and spawn helpers of their own.
+#[test]
+fn scheduler_helper_returns_its_token_to_a_lone_operator() {
+    let mut catalog = dag_catalog(4 * MORSEL_ROWS);
+    catalog.put("small", dag_catalog(90).get("src").unwrap().clone());
+    let mut f = Flow::new("lone_tail");
+    let small = scan(&mut f, "SMALL", &catalog, "small");
+    let big = scan(&mut f, "BIG", &catalog, "src");
+    let a = f.append(small, "SEL_a", sel("k >= 0")).unwrap();
+    let b = f.append(small, "SEL_b", sel("k >= 1")).unwrap();
+    let c = f.append(small, "SEL_c", sel("k >= 2")).unwrap();
+    let ab = binary(&mut f, "UNION_ab".into(), OpKind::Union, a, b);
+    let abc = binary(&mut f, "UNION_abc".into(), OpKind::Union, ab, c);
+    let all = binary(&mut f, "UNION_all".into(), OpKind::Union, big, abc);
+    let sums = f.append(all, "AGG", agg(&["k"], &SUMS)).unwrap();
+    f.append(sums, "LOAD", load("sums", &[])).unwrap();
+    f.validate().expect("valid");
+    // Engines of concurrently running tests draw on the same budget; an
+    // undisturbed run comes soon enough.
+    let spawned = (0..200).map(|_| {
+        at_width(2, || {
+            let before = pool::stats().helpers_spawned;
+            Engine::new(catalog.clone()).run(&f).expect("runs");
+            pool::stats().helpers_spawned - before
+        })
+    });
+    assert!(
+        spawned.into_iter().any(|helpers| helpers >= 2),
+        "one run-level helper and no morsel helper: the aggregation never found the token free"
+    );
+}
+
+/// 240 runs of a 30-operator flow whose operators finish in microseconds, at
+/// eight threads on however few cores: every hand-over between threads
+/// happens thousands of times. A lost wake-up would hang, so the runs sit
+/// under a watchdog that fails instead.
+#[test]
+fn scheduler_stress_never_loses_a_wake_up() {
+    let catalog = dag_catalog(90);
+    let flow = random_dag(21, 20);
+    assert!(flow.op_count() >= 30, "{} operations", flow.op_count());
+    let mut reference = RowEngine::from_catalog(&catalog);
+    reference.run(&flow).expect("row run");
+    let (finished, watchdog) = std::sync::mpsc::channel();
+    at_width(8, || {
+        std::thread::spawn(move || {
+            for _ in 0..240 {
+                let mut engine = Engine::new(catalog.clone());
+                engine.run(&flow).expect("runs");
+                for t in reference.table_names() {
+                    assert_eq!(&reference.table(t).unwrap(), engine.catalog.get(t).unwrap(), "table `{t}`");
+                }
+            }
+            finished.send(()).expect("the test is still waiting");
+        });
+        watchdog.recv_timeout(Duration::from_secs(120)).expect("240 tiny runs neither hang nor fail");
+    });
 }

@@ -318,6 +318,7 @@ mod tests {
                 kind,
                 rows_in,
                 rows_out,
+                started: std::time::Duration::ZERO,
                 elapsed: std::time::Duration::from_micros(250),
                 worker: 1,
             });
@@ -412,6 +413,7 @@ mod tests {
                 kind: "x",
                 rows_in: 1,
                 rows_out: 1,
+                started: std::time::Duration::ZERO,
                 elapsed: std::time::Duration::from_micros(1),
                 worker: 0,
             });

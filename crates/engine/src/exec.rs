@@ -49,17 +49,13 @@ use crate::relation::{Relation, Row};
 use crate::stats;
 use crate::value::Value;
 use crate::vector::{collect_used, eval_vector, RowSel, Vek};
-use quarry_etl::{
-    AggFn, AggSpec, ColType, CompiledExpr, Expr, Flow, FlowError, JoinKind, OpId, OpKind, Operation, Schema,
-    UnboundColumn,
-};
+use quarry_etl::{AggFn, AggSpec, ColType, CompiledExpr, Expr, FlowError, JoinKind, OpKind, Schema, UnboundColumn};
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::fmt;
 use std::hash::Hash;
 use std::ops::Range;
 use std::sync::{Arc, Mutex, OnceLock};
-use std::time::{Duration, Instant};
 
 /// Rows per morsel. Fixed (not derived from the thread count) so that the
 /// same input always decomposes identically and results are reproducible
@@ -137,60 +133,6 @@ impl From<FlowError> for EngineError {
     }
 }
 
-/// Wall-clock timing and row counts of one executed operation.
-///
-/// `elapsed` is measured inside the operation's job, from the instant it
-/// starts executing on a worker — it covers the operation's own work only,
-/// never time spent queued behind other operations or waiting at a level
-/// barrier.
-#[derive(Debug, Clone)]
-pub struct OpTiming {
-    pub op: String,
-    pub kind: &'static str,
-    /// Total rows across the operation's inputs (0 for datastores).
-    pub rows_in: usize,
-    pub rows_out: usize,
-    pub elapsed: Duration,
-    /// Pool lane the operation ran on (see [`pool::worker_slot`]): 0 for the
-    /// calling/serial thread, `h` for helper lane `h`.
-    pub worker: usize,
-}
-
-/// The result of executing a flow.
-#[derive(Debug, Clone, Default)]
-pub struct RunReport {
-    /// Rows loaded per target table, in load order.
-    pub loaded: Vec<(String, usize)>,
-    /// Per-operation timings in execution order.
-    pub timings: Vec<OpTiming>,
-    /// Total wall-clock time of the run.
-    pub total: Duration,
-    /// Total rows emitted across all operations (work proxy).
-    pub rows_processed: usize,
-}
-
-impl RunReport {
-    pub fn rows_loaded(&self, table: &str) -> usize {
-        self.loaded.iter().filter(|(t, _)| t == table).map(|(_, n)| n).sum()
-    }
-
-    /// Feeds the run's per-operation output cardinalities back into a cost
-    /// model's [`SourceStats`](quarry_etl::cost::SourceStats): future
-    /// integration decisions then estimate with what this run actually
-    /// measured instead of static selectivity guesses.
-    pub fn observe_into(&self, stats: &mut quarry_etl::cost::SourceStats) {
-        for t in &self.timings {
-            if t.rows_in > 0 {
-                // Input/output pairs additionally carry an observed
-                // selectivity, which generalizes across flow rewrites.
-                stats.observe_op_io(&t.op, t.rows_in as f64, t.rows_out as f64);
-            } else {
-                stats.observe_op(&t.op, t.rows_out as f64);
-            }
-        }
-    }
-}
-
 /// A column whose gather is deferred: the source column plus an optional
 /// selection vector ([`NULL_IDX`] entries become NULL). The gather runs at
 /// most once — `done` memoizes it — so a column consumed by two downstream
@@ -246,14 +188,14 @@ impl Batch {
         Batch::Lazy(Arc::new(LazyRel { schema, len, cols }))
     }
 
-    fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         match self {
             Batch::Rel(r) => r.len(),
             Batch::Lazy(lz) => lz.len,
         }
     }
 
-    fn schema(&self) -> &Schema {
+    pub(crate) fn schema(&self) -> &Schema {
         match self {
             Batch::Rel(r) => &r.schema,
             Batch::Lazy(lz) => &lz.schema,
@@ -293,7 +235,7 @@ impl Batch {
     }
 
     /// Materializes every column (in parallel) into a relation.
-    fn materialize(&self) -> Arc<Relation> {
+    pub(crate) fn materialize(&self) -> Arc<Relation> {
         match self {
             Batch::Rel(r) => Arc::clone(r),
             Batch::Lazy(lz) => {
@@ -370,313 +312,6 @@ fn used_columns(exprs: &[&CompiledExpr], extra: &[usize]) -> Vec<usize> {
     used
 }
 
-/// The execution engine: owns a catalog and runs flows against it.
-#[derive(Debug, Default)]
-pub struct Engine {
-    pub catalog: Catalog,
-    /// The cross-run result cache plus the plan (fingerprints, cone costs)
-    /// for the flow about to run; consulted at pipeline-breaker boundaries.
-    cache: Option<(Arc<crate::cache::ResultCache>, crate::cache::CachePlan)>,
-}
-
-/// The executor-facing outcome of one pre-run cache consultation: which ops
-/// the cache already answers and which ops still have to execute.
-struct CachePass {
-    /// Cache-served results, published without executing the op.
-    hits: HashMap<OpId, Arc<Relation>>,
-    /// Ops whose results must be *available*: sinks, plus — transitively —
-    /// the inputs of every available op the cache did not answer. Everything
-    /// else is skipped: it only feeds subflows the cache already holds.
-    needed: std::collections::HashSet<OpId>,
-}
-
-impl CachePass {
-    /// Whether `id` executes this run (a cache hit is published, not run).
-    fn executes(&self, id: OpId) -> bool {
-        self.needed.contains(&id) && !self.hits.contains_key(&id)
-    }
-}
-
-impl Engine {
-    pub fn new(catalog: Catalog) -> Self {
-        Engine { catalog, cache: None }
-    }
-
-    /// Installs the cross-run result cache together with the [`CachePlan`]
-    /// computed for the flow this engine is about to run. A plan whose shape
-    /// does not match the executed flow is ignored for that run (the cache
-    /// is then bypassed entirely), so a stale plan can never mis-key.
-    ///
-    /// [`CachePlan`]: crate::cache::CachePlan
-    pub fn set_result_cache(&mut self, cache: Arc<crate::cache::ResultCache>, plan: crate::cache::CachePlan) {
-        self.cache = Some((cache, plan));
-    }
-
-    /// Uninstalls the result cache.
-    pub fn clear_result_cache(&mut self) {
-        self.cache = None;
-    }
-
-    /// Consults the cache for `flow` before execution: walks the ops in
-    /// reverse topological order, looks up every *reachable* cacheable
-    /// operator (one not already covered by a downstream hit) and derives
-    /// the set of ops that still execute. Returns `None` when no cache is
-    /// installed, it is disabled, or the plan does not match the flow.
-    fn cache_prepass(&self, flow: &Flow, order: &[OpId]) -> Option<CachePass> {
-        let (cache, plan) = self.cache.as_ref()?;
-        if !cache.enabled() || !plan.matches(flow) {
-            return None;
-        }
-        let mut pass = CachePass { hits: HashMap::new(), needed: std::collections::HashSet::new() };
-        for &id in order.iter().rev() {
-            let op = flow.op(id);
-            if op.kind.is_sink() {
-                pass.needed.insert(id);
-            }
-            if !pass.needed.contains(&id) {
-                continue; // feeds only cache-served subflows: never runs
-            }
-            if crate::cache::cacheable(&op.kind) {
-                if let Some(fp) = plan.fingerprint(id) {
-                    if let Some(rel) = cache.lookup(fp) {
-                        crate::events::emit(crate::events::EngineEvent::CacheHit {
-                            op: &op.name,
-                            rows: rel.len() as u64,
-                        });
-                        pass.hits.insert(id, rel);
-                        continue; // inputs stay un-needed unless used elsewhere
-                    }
-                    crate::events::emit(crate::events::EngineEvent::CacheMiss { op: &op.name });
-                }
-            }
-            pass.needed.extend(flow.inputs_of(id));
-        }
-        Some(pass)
-    }
-
-    /// Publishes one finished operation: its batch becomes available to its
-    /// consumers, and the report and the event stream record it. A
-    /// cache-served result publishes the same way — zero rows in, the cached
-    /// relation out, no measurable elapsed work.
-    fn publish(
-        results: &mut HashMap<OpId, Batch>,
-        report: &mut RunReport,
-        op: &Operation,
-        rows_in: usize,
-        out: Batch,
-        elapsed: Duration,
-        worker: usize,
-    ) {
-        report.rows_processed += out.len();
-        crate::events::emit(crate::events::EngineEvent::OpFinish {
-            op: &op.name,
-            rows_in: rows_in as u64,
-            rows_out: out.len() as u64,
-            lane: worker as u32,
-        });
-        report.timings.push(OpTiming {
-            op: op.name.clone(),
-            kind: op.kind.type_name(),
-            rows_in,
-            rows_out: out.len(),
-            elapsed,
-            worker,
-        });
-        results.insert(op.id, out);
-    }
-
-    /// Offers one freshly computed batch for admission. Materialized batches
-    /// admit for free (storing is an `Arc` clone); late batches are charged
-    /// a modeled gather, so caching never forces an eager materialization
-    /// unless the modeled cross-run saving clearly pays for it.
-    fn cache_offer(&self, flow: &Flow, id: OpId, out: &Batch) -> Option<Batch> {
-        let (cache, plan) = self.cache.as_ref()?;
-        let op = flow.op(id);
-        if !cache.enabled() || !crate::cache::cacheable(&op.kind) {
-            return None;
-        }
-        let fp = plan.fingerprint(id)?;
-        let mat_cost = match out {
-            Batch::Rel(_) => 0.0,
-            Batch::Lazy(_) => crate::cache::materialize_cost(out.len(), out.schema().len()),
-        };
-        if mat_cost > 0.0 && !cache.would_admit(fp, plan.saved_cost(id), mat_cost) {
-            return None; // the gather itself would not pay — stay late
-        }
-        let rel = out.materialize();
-        let admitted = cache.admit(fp, &rel, plan.saved_cost(id), mat_cost, plan.flow_epoch);
-        if admitted {
-            crate::events::emit(crate::events::EngineEvent::CacheInsert {
-                op: &op.name,
-                bytes: rel.estimated_bytes() as u64,
-            });
-        }
-        // Hand the materialized form back so the run itself also reuses the
-        // gather the admission just paid for.
-        Some(Batch::Rel(rel))
-    }
-
-    /// Executes a flow: sources read from the catalog, loaders append to
-    /// (auto-creating) target tables. Returns the run report.
-    ///
-    /// Operations are scheduled by dependency level (`level(op) = 1 +
-    /// max(level(inputs))`): the pure operations of one level run
-    /// concurrently on the shared worker pool, on top of each operation's
-    /// own morsel parallelism — both layers draw threads from one budget, so
-    /// nesting never oversubscribes the machine. Loaders then take exclusive
-    /// catalog access one at a time, in topological order, so the loaded
-    /// tables do not depend on the thread count.
-    pub fn run(&mut self, flow: &Flow) -> Result<RunReport, EngineError> {
-        flow.schemas()?; // full static validation before touching data
-        let order = flow.topo_order()?;
-        let mut level_of: HashMap<OpId, usize> = HashMap::with_capacity(order.len());
-        let mut levels: Vec<Vec<OpId>> = Vec::new();
-        for &id in &order {
-            let level = flow.inputs_of(id).iter().map(|i| level_of[i] + 1).max().unwrap_or(0);
-            level_of.insert(id, level);
-            if levels.len() <= level {
-                levels.resize_with(level + 1, Vec::new);
-            }
-            levels[level].push(id);
-        }
-
-        let cache_pass = self.cache_prepass(flow, &order);
-        let start = Instant::now();
-        let mut results: HashMap<OpId, Batch> = HashMap::with_capacity(order.len());
-        let mut report = RunReport::default();
-        if let Some(pass) = &cache_pass {
-            // Cache-served results publish up front; the level loop then
-            // schedules only the ops that actually execute.
-            for &id in &order {
-                if let Some(rel) = pass.hits.get(&id) {
-                    let out = Batch::Rel(Arc::clone(rel));
-                    Engine::publish(&mut results, &mut report, flow.op(id), 0, out, Duration::ZERO, 0);
-                }
-            }
-        }
-        for mut level in levels {
-            if let Some(pass) = &cache_pass {
-                level.retain(|&id| pass.executes(id));
-            }
-            let (pure_ops, sinks): (Vec<OpId>, Vec<OpId>) =
-                level.into_iter().partition(|&id| !flow.op(id).kind.is_sink());
-            let catalog = &self.catalog;
-            let jobs: Vec<(&Operation, Vec<Batch>)> = pure_ops
-                .into_iter()
-                .map(|id| (flow.op(id), flow.inputs_of(id).iter().map(|i| results[i].clone()).collect()))
-                .collect();
-            let rows_in = |inputs: &[Batch]| inputs.iter().map(Batch::len).sum::<usize>();
-            // Each job starts its clock when it begins executing, so the
-            // recorded elapsed time is the operation's own work, not the
-            // time it spent queued or waiting for siblings to finish.
-            let run_job = |i: usize| -> Result<(Batch, Duration, usize), EngineError> {
-                let (op, inputs) = &jobs[i];
-                let worker = pool::worker_slot();
-                let t0 = Instant::now();
-                let out = execute_pure(catalog, &op.name, &op.kind, inputs)?;
-                Ok((out, t0.elapsed(), worker))
-            };
-            let outcomes = pool::run_indexed(jobs.len(), run_job);
-            // The first error in job order wins: deterministic at any width.
-            for ((op, inputs), outcome) in jobs.iter().zip(outcomes) {
-                let (mut out, elapsed, worker) = outcome?;
-                if cache_pass.is_some() {
-                    if let Some(cached) = self.cache_offer(flow, op.id, &out) {
-                        out = cached;
-                    }
-                }
-                Engine::publish(&mut results, &mut report, op, rows_in(inputs), out, elapsed, worker);
-            }
-            for id in sinks {
-                let op = flow.op(id);
-                let OpKind::Loader { table, key } = &op.kind else { unreachable!("only loaders are sinks") };
-                let t0 = Instant::now();
-                let mat = results[&flow.inputs_of(id)[0]].materialize();
-                self.load(table, key, &mat, input_distinct_on(flow, id, key), &mut report)?;
-                Engine::publish(&mut results, &mut report, op, mat.len(), Batch::Rel(mat), t0.elapsed(), 0);
-            }
-        }
-        report.total = start.elapsed();
-        Ok(report)
-    }
-
-    /// Loader execution: append (empty key, strict schema) or upsert.
-    /// `distinct` is the plan's proof that no two input rows share a key
-    /// ([`input_distinct_on`]).
-    fn load(
-        &mut self,
-        table: &str,
-        key: &[String],
-        input: &Arc<Relation>,
-        distinct: bool,
-        report: &mut RunReport,
-    ) -> Result<(), EngineError> {
-        if key.is_empty() {
-            match self.catalog.get_mut(table) {
-                Some(existing) => {
-                    if existing.schema.names().collect::<Vec<_>>() != input.schema.names().collect::<Vec<_>>() {
-                        return Err(EngineError::LoadSchemaMismatch {
-                            table: table.to_string(),
-                            detail: format!("target is {}, input is {}", existing.schema, input.schema),
-                        });
-                    }
-                    if existing.is_empty() {
-                        // Appending to an empty table adopts the input's
-                        // columns: zero values copied.
-                        existing.columns = input.columns().to_vec();
-                        existing.nrows = input.len();
-                    } else {
-                        let columns: Vec<Arc<Col>> = existing
-                            .columns
-                            .iter()
-                            .zip(input.columns())
-                            .zip(&existing.schema.columns)
-                            .map(|((a, b), sc)| Arc::new(Col::concat(&[a.as_ref(), b.as_ref()], sc.ty)))
-                            .collect();
-                        existing.columns = columns;
-                        existing.nrows += input.len();
-                    }
-                }
-                None => {
-                    // First load into a fresh table: share the relation. A
-                    // later append copies-on-write only if the flow result is
-                    // still alive.
-                    self.catalog.put_shared(table.to_string(), Arc::clone(input));
-                }
-            }
-        } else {
-            // The merge plan indexes `old ++ input` with `u32` positions.
-            check_row_capacity(self.catalog.get(table).map_or(0, Relation::len) + input.len())?;
-            upsert(&mut self.catalog, table, input, key, distinct)
-                .map_err(|detail| EngineError::LoadSchemaMismatch { table: table.to_string(), detail })?;
-        }
-        report.loaded.push((table.to_string(), input.len()));
-        Ok(())
-    }
-}
-
-/// Whether the plan proves the rows reaching `loader` pairwise distinct on
-/// `key`: its input is an `Aggregation` grouping by a non-empty subset of
-/// `key` — one row per group, so no two rows agree on every key column —
-/// reached directly or through steps that only drop or reorder rows and
-/// columns or append new ones. A group column re-created under its old name
-/// on the way (`added`) proves nothing.
-fn input_distinct_on(flow: &Flow, loader: OpId, key: &[String]) -> bool {
-    let mut added: Vec<&String> = Vec::new();
-    let mut at = flow.inputs_of(loader)[0];
-    loop {
-        match &flow.op(at).kind {
-            OpKind::Aggregation { group_by, .. } => {
-                return !group_by.is_empty() && group_by.iter().all(|g| key.contains(g) && !added.contains(&g));
-            }
-            OpKind::Derivation { column, .. } | OpKind::SurrogateKey { output: column, .. } => added.push(column),
-            OpKind::Extraction { .. } | OpKind::Projection { .. } | OpKind::Selection { .. } | OpKind::Sort { .. } => {}
-            _ => return false,
-        }
-        at = flow.inputs_of(at)[0];
-    }
-}
-
 /// The morsel decomposition of `len` rows: contiguous ranges of at most
 /// [`MORSEL_ROWS`] rows, in order. Empty input has no morsels.
 pub(crate) fn morsel_ranges(len: usize) -> Vec<Range<usize>> {
@@ -732,7 +367,7 @@ fn gather_all(cols: &[Arc<Col>], indices: &[u32]) -> Vec<Arc<Col>> {
 /// Row positions are carried as `u32` selection vectors (with `u32::MAX`
 /// reserved as [`NULL_IDX`]); relations beyond that are out of scope for an
 /// in-memory engine and are refused before any index is narrowed.
-fn check_row_capacity(len: usize) -> Result<(), EngineError> {
+pub(crate) fn check_row_capacity(len: usize) -> Result<(), EngineError> {
     if len < u32::MAX as usize {
         Ok(())
     } else {
@@ -740,37 +375,37 @@ fn check_row_capacity(len: usize) -> Result<(), EngineError> {
     }
 }
 
-/// Executes one catalog-read-only operation (everything but loaders).
+/// Reads one source: the catalog table projected onto the declared
+/// extraction schema. Zero rows copied — a schema that is the table's own
+/// layout hands out the table itself, anything else shares its columns
+/// (catalog tables may carry more, e.g. FKs).
+pub(crate) fn read_source(catalog: &Catalog, datastore: &str, schema: &Schema) -> Result<Batch, EngineError> {
+    let table = catalog.get_shared(datastore).ok_or_else(|| EngineError::UnknownTable(datastore.to_string()))?;
+    if *schema == table.schema {
+        return Ok(Batch::Rel(table));
+    }
+    let columns: Vec<Arc<Col>> = schema
+        .columns
+        .iter()
+        .map(|c| {
+            table.schema.index_of(&c.name).map(|i| Arc::clone(table.column(i))).ok_or_else(|| {
+                EngineError::SourceSchemaMismatch { table: datastore.to_string(), column: c.name.clone() }
+            })
+        })
+        .collect::<Result<_, _>>()?;
+    Ok(Batch::Rel(Arc::new(Relation::from_columns(schema.clone(), columns))))
+}
+
+/// Executes one operation that is a function of its inputs alone: everything
+/// but sources ([`read_source`]) and loaders ([`crate::schedule`]).
 ///
-/// Returns a [`Batch`] so that pass-through operations — a datastore whose
-/// declared schema matches the catalog table, an extraction or projection
-/// that keeps every column in place, a selection that keeps every row — can
-/// share their input instead of copying, and so that row-dropping operators
-/// can stay late instead of gathering.
-fn execute_pure(catalog: &Catalog, name: &str, kind: &OpKind, inputs: &[Batch]) -> Result<Batch, EngineError> {
+/// Returns a [`Batch`] so that pass-through operations — an extraction or
+/// projection that keeps every column in place, a selection that keeps every
+/// row — can share their input instead of copying, and so that row-dropping
+/// operators can stay late instead of gathering.
+pub(crate) fn execute_pure(name: &str, kind: &OpKind, inputs: &[Batch]) -> Result<Batch, EngineError> {
     let eval_err = |e: EvalError| EngineError::Eval { op: name.to_string(), error: e };
     match kind {
-        OpKind::Datastore { datastore, schema } => {
-            let table = catalog.get_shared(datastore).ok_or_else(|| EngineError::UnknownTable(datastore.clone()))?;
-            if *schema == table.schema {
-                // The declared extraction schema is the table's own layout:
-                // hand out the table itself, zero rows copied.
-                return Ok(Batch::Rel(table));
-            }
-            // Project the catalog table onto the declared extraction schema
-            // (catalog tables may carry more columns, e.g. FKs). Columns are
-            // shared, not copied.
-            let columns: Vec<Arc<Col>> = schema
-                .columns
-                .iter()
-                .map(|c| {
-                    table.schema.index_of(&c.name).map(|i| Arc::clone(table.column(i))).ok_or_else(|| {
-                        EngineError::SourceSchemaMismatch { table: datastore.clone(), column: c.name.clone() }
-                    })
-                })
-                .collect::<Result<_, _>>()?;
-            Ok(Batch::Rel(Arc::new(Relation::from_columns(schema.clone(), columns))))
-        }
         OpKind::Extraction { columns } | OpKind::Projection { columns } => {
             let input = &inputs[0];
             let indices: Vec<usize> = columns.iter().map(|c| input.col(c)).collect();
@@ -967,7 +602,9 @@ fn execute_pure(catalog: &Catalog, name: &str, kind: &OpKind, inputs: &[Batch]) 
             columns.push(LateCol::direct(Arc::new(Col::new(ColumnData::Int(concat(chunks)), None))));
             Ok(Batch::lazy(schema, input.len(), columns))
         }
-        OpKind::Loader { .. } => unreachable!("loaders are executed by Engine::load"),
+        OpKind::Datastore { .. } | OpKind::Loader { .. } => {
+            unreachable!("sources and loaders are executed by the scheduler")
+        }
     }
 }
 
@@ -992,9 +629,15 @@ thread_local! {
 /// concatenation and one gather, never a `Value` per cell.
 ///
 /// `distinct` — the plan proved the input's keys pairwise distinct
-/// ([`input_distinct_on`]) — lets a load into an empty table take the
+/// ([`crate::schedule::input_distinct_on`]) — lets a load into an empty table take the
 /// identity plan the grouping would have arrived at without hashing a row.
-fn upsert(catalog: &mut Catalog, table: &str, input: &Relation, key: &[String], distinct: bool) -> Result<(), String> {
+pub(crate) fn upsert(
+    catalog: &mut Catalog,
+    table: &str,
+    input: &Relation,
+    key: &[String],
+    distinct: bool,
+) -> Result<(), String> {
     if !catalog.contains(table) {
         // Create empty, then run the merge below: the input itself may
         // carry several rows per key (e.g. a fact-grain recomputation), and
@@ -1862,7 +1505,9 @@ fn hash_aggregate(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use quarry_etl::{parse_expr, ColType, Column, Schema};
+    use crate::schedule::{Engine, RunReport};
+    use quarry_etl::{parse_expr, ColType, Column, Flow, Schema};
+    use std::time::Duration;
 
     fn li_schema() -> Schema {
         Schema::new(vec![
@@ -2719,70 +2364,37 @@ mod tests {
 
     #[test]
     fn timings_measure_op_work_not_barrier_wait() {
-        // Two independent ops at the same level: a trivial projection over 3
-        // rows and an expression-heavy selection over many rows. If per-op
-        // elapsed included the level barrier, both would report roughly the
-        // level's wall time; measured per-job, the cheap op must come out
-        // far below the expensive one.
+        // One more expensive sibling than the pool has lanes, and a trivial
+        // projection positioned behind them all: every sibling is ready the
+        // moment the source is read, so the projection sits in the ready set
+        // until a lane has finished an expensive one. `started` shows the
+        // wait, `elapsed` must not contain it.
         let mut c = multi_morsel_catalog(MORSEL_ROWS * 4);
-        c.put(
-            "tiny",
-            Relation::with_rows(
-                Schema::new(vec![Column::new("x", ColType::Integer)]),
-                vec![vec![Value::Int(1)], vec![Value::Int(2)], vec![Value::Int(3)]],
-            ),
-        );
+        let tiny_schema = Schema::new(vec![Column::new("x", ColType::Integer)]);
+        c.put("tiny", Relation::with_rows(tiny_schema.clone(), (1..4).map(|x| vec![Value::Int(x)]).collect()));
+        let big_schema = c.get("big").unwrap().schema.clone();
         let mut f = Flow::new("t");
-        let tiny = f
-            .add_op(
-                "TINY",
-                OpKind::Datastore {
-                    datastore: "tiny".into(),
-                    schema: Schema::new(vec![Column::new("x", ColType::Integer)]),
-                },
-            )
-            .unwrap();
-        let big = f
-            .add_op(
-                "BIG",
-                OpKind::Datastore {
-                    datastore: "big".into(),
-                    schema: Schema::new(vec![
-                        Column::new("k", ColType::Integer),
-                        Column::new("grp", ColType::Integer),
-                        Column::new("v", ColType::Decimal),
-                    ]),
-                },
-            )
-            .unwrap();
-        // Level 1: CHEAP and EXPENSIVE are siblings.
+        let big = f.add_op("BIG", OpKind::Datastore { datastore: "big".into(), schema: big_schema }).unwrap();
+        let tiny = f.add_op("TINY", OpKind::Datastore { datastore: "tiny".into(), schema: tiny_schema }).unwrap();
+        let predicate = "ABS(v * 3 - k) + v * v - v * v + ABS(v) - ABS(v) >= 0 AND CONCAT(grp, '-', k) <> 'x'";
+        let expensive: Vec<String> = (0..=pool::threads()).map(|i| format!("EXPENSIVE_{i}")).collect();
+        for (i, name) in expensive.iter().enumerate() {
+            let s = f.append(big, name, OpKind::Selection { predicate: parse_expr(predicate).unwrap() }).unwrap();
+            f.append(s, format!("L{i}"), OpKind::Loader { table: format!("o{i}"), key: vec![] }).unwrap();
+        }
         let cheap = f.append(tiny, "CHEAP", OpKind::Projection { columns: vec!["x".into()] }).unwrap();
-        let expensive = f
-            .append(
-                big,
-                "EXPENSIVE",
-                OpKind::Selection {
-                    predicate: parse_expr(
-                        "ABS(v * 3 - k) + v * v - v * v + ABS(v) - ABS(v) >= 0 AND CONCAT(grp, '-', k) <> 'x'",
-                    )
-                    .unwrap(),
-                },
-            )
-            .unwrap();
-        f.append(cheap, "L1", OpKind::Loader { table: "o1".into(), key: vec![] }).unwrap();
-        f.append(expensive, "L2", OpKind::Loader { table: "o2".into(), key: vec![] }).unwrap();
-        let mut engine = Engine::new(c);
-        let report = engine.run(&f).unwrap();
-        let elapsed = |name: &str| report.timings.iter().find(|t| t.op == name).unwrap().elapsed;
-        let (cheap_t, expensive_t) = (elapsed("CHEAP"), elapsed("EXPENSIVE"));
+        f.append(cheap, "L_cheap", OpKind::Loader { table: "o_cheap".into(), key: vec![] }).unwrap();
+        let report = Engine::new(c).run(&f).unwrap();
+        let timing = |name: &str| report.timings.iter().find(|t| t.op == name).unwrap();
+        let cheap = timing("CHEAP");
+        let first_lane_free = expensive.iter().map(|e| timing(e).started + timing(e).elapsed).min().unwrap();
+        assert!(cheap.started >= first_lane_free, "CHEAP started at {:?}, before a lane was free", cheap.started);
+        let fastest = expensive.iter().map(|e| timing(e).elapsed).min().unwrap();
         assert!(
-            cheap_t < expensive_t,
-            "3-row projection ({cheap_t:?}) must report less own-work time than a {}-row selection ({expensive_t:?})",
+            cheap.elapsed.as_micros() < fastest.as_micros().max(1) / 2,
+            "3-row projection's elapsed ({:?}) looks padded with its wait behind a {}-row selection ({fastest:?})",
+            cheap.elapsed,
             MORSEL_ROWS * 4
-        );
-        assert!(
-            cheap_t.as_micros() < expensive_t.as_micros().max(1) / 2,
-            "cheap op's elapsed ({cheap_t:?}) looks barrier-padded against {expensive_t:?}"
         );
     }
 
@@ -2844,7 +2456,6 @@ mod tests {
         let lineitem = c.get_shared("lineitem").unwrap();
         // Projection of a subset: the output column IS the input column.
         let out = execute_pure(
-            &c,
             "P",
             &OpKind::Projection { columns: vec!["l_discount".into()] },
             &[Batch::Rel(Arc::clone(&lineitem))],
@@ -2854,7 +2465,6 @@ mod tests {
         assert!(Arc::ptr_eq(out.column(0), lineitem.column(2)), "projection shares the picked column");
         // An all-true selection returns the input relation itself.
         let out = execute_pure(
-            &c,
             "S",
             &OpKind::Selection { predicate: parse_expr("l_extendedprice > 0").unwrap() },
             &[Batch::Rel(Arc::clone(&lineitem))],
@@ -2873,7 +2483,6 @@ mod tests {
         let lineitem = Batch::Rel(c.get_shared("lineitem").unwrap());
         let orders = Batch::Rel(c.get_shared("orders").unwrap());
         let sel = execute_pure(
-            &c,
             "S",
             &OpKind::Selection { predicate: parse_expr("l_extendedprice < 150").unwrap() },
             &[lineitem],

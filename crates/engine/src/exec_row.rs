@@ -18,9 +18,10 @@ use crate::catalog::Catalog;
 use crate::eval::{eval_compiled, truthy, EvalError};
 use crate::exec::{
     accumulate, agg_fns, compile, concat, finalize_state, merge_state, per_morsel, surrogate_of, try_concat, AggState,
-    EngineError, OpTiming, RunReport,
+    EngineError,
 };
 use crate::relation::{Relation, Row};
+use crate::schedule::{OpTiming, RunReport};
 use crate::value::Value;
 use quarry_etl::{AggSpec, CompiledExpr, Flow, JoinKind, OpId, OpKind, Schema, UnboundColumn};
 use std::collections::{BTreeMap, HashMap};
@@ -119,6 +120,7 @@ impl RowEngine {
                 kind: op.kind.type_name(),
                 rows_in,
                 rows_out: out.len(),
+                started: t0.duration_since(start),
                 elapsed,
                 worker: 0,
             });
@@ -490,7 +492,7 @@ fn row_hash_aggregate(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::Engine;
+    use crate::schedule::Engine;
     use quarry_etl::{parse_expr, ColType, Column};
 
     fn catalog() -> Catalog {

@@ -20,7 +20,7 @@
 //!   (vectorized expression kernels, hash joins and two-phase hash
 //!   aggregation over fixed-width encoded keys, surrogate-key assignment,
 //!   loaders) with per-operation timing in its [`RunReport`]; its single
-//!   [`Engine::run`] schedules operators by dependency level;
+//!   [`Engine::run`] starts each operator when its inputs have finished;
 //! - [`RowEngine`] — the retired row-at-a-time executor, kept as the
 //!   reference the equivalence suites and benchmarks compare against;
 //! - [`pool`] — the shared scoped-thread worker pool both parallelism
@@ -40,6 +40,7 @@ mod exec_row;
 mod keys;
 pub mod pool;
 mod relation;
+mod schedule;
 pub mod stats;
 pub mod tpch;
 mod value;
@@ -48,7 +49,8 @@ mod vector;
 pub use cache::{table_stamp, CachePlan, CacheStats, ResultCache};
 pub use catalog::Catalog;
 pub use eval::{eval_compiled, truthy, EvalError};
-pub use exec::{surrogate_of, Engine, EngineError, OpTiming, RunReport, MAX_RADIX_PARTITIONS, MORSEL_ROWS};
+pub use exec::{surrogate_of, EngineError, MAX_RADIX_PARTITIONS, MORSEL_ROWS};
 pub use exec_row::RowEngine;
 pub use relation::{assert_same_rows, Relation, RelationBuilder, Row};
+pub use schedule::{Engine, OpTiming, RunReport};
 pub use value::Value;

@@ -1,13 +1,13 @@
 //! A tiny scoped-thread worker pool with a global helper-thread budget.
 //!
-//! Both layers of the executor's parallelism run through [`run_indexed`]:
-//! the level scheduler fans out independent operators, and each operator
-//! fans out its own morsels. The two layers compose without oversubscribing
-//! because helper threads come from one process-wide budget of
-//! `threads() - 1` tokens: a region that finds the budget empty simply runs
-//! its jobs inline on the calling thread. Nothing ever blocks waiting for a
-//! token, so nesting cannot deadlock, and the total number of live worker
-//! threads never exceeds `threads()`.
+//! Both layers of the executor's parallelism draw helper threads from one
+//! process-wide budget of `threads() - 1` tokens: each operator fans out its
+//! morsels through [`run_indexed`], and the run scheduler
+//! ([`crate::schedule`]) keeps helpers on independent operators, each holding
+//! one [`Token`] while it works and none while it has nothing to do. A
+//! region that finds the budget empty simply runs its jobs inline on the
+//! calling thread. Nothing ever blocks waiting for a token, so nesting cannot
+//! deadlock, and the number of threads doing work never exceeds `threads()`.
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering};
@@ -134,6 +134,47 @@ fn release(n: usize) {
     }
 }
 
+/// One helper token held outside a [`run_indexed`] region, by a thread that
+/// works on `lane` for as long as it holds it. Dropping it returns the token
+/// to the budget and the thread to the lane it was on.
+pub(crate) struct Token {
+    prev_slot: usize,
+}
+
+impl Token {
+    /// Takes one token without blocking and puts the current thread on `lane`.
+    pub(crate) fn take(lane: usize) -> Option<Token> {
+        (acquire(1) == 1).then(|| Token::seat(lane))
+    }
+
+    /// Puts the current thread on `lane`, for a token already acquired.
+    fn seat(lane: usize) -> Token {
+        Token { prev_slot: WORKER_SLOT.with(|s| s.replace(lane)) }
+    }
+}
+
+impl Drop for Token {
+    fn drop(&mut self) {
+        WORKER_SLOT.with(|s| s.set(self.prev_slot));
+        release(1);
+    }
+}
+
+/// Spawns a scoped helper thread on `lane` if the budget has a token for it;
+/// the thread starts out holding that token. Returns whether it spawned.
+pub(crate) fn spawn_helper<'scope>(
+    scope: &'scope std::thread::Scope<'scope, '_>,
+    lane: usize,
+    f: impl FnOnce(Token) + Send + 'scope,
+) -> bool {
+    if acquire(1) == 0 {
+        return false;
+    }
+    HELPERS_SPAWNED.fetch_add(1, Ordering::Relaxed);
+    scope.spawn(move || f(Token::seat(lane))); // the lane is the new thread's
+    true
+}
+
 /// Runs `jobs` independent jobs `f(0) .. f(jobs - 1)` and returns their
 /// results in index order. Work is claimed from a shared counter, so cheap
 /// and expensive jobs balance across however many helper threads the budget
@@ -214,7 +255,7 @@ mod tests {
     /// Polls `settled` for up to ~10 s. The pool's state is process-wide and
     /// other tests of this binary open regions concurrently, so an instant
     /// reading can see their workers; a quiet instant always comes.
-    fn eventually(settled: impl Fn() -> bool) -> bool {
+    fn eventually(mut settled: impl FnMut() -> bool) -> bool {
         for _ in 0..10_000 {
             if settled() {
                 return true;
@@ -302,6 +343,24 @@ mod tests {
                 assert!(lane == outer || lane > 0, "inline nested jobs keep lane {outer}, got {lane}");
             }
         }
+    }
+
+    #[test]
+    fn a_held_token_is_one_helper_on_its_lane_until_dropped() {
+        if threads() < 2 {
+            return; // no helper budget on this machine
+        }
+        // Sibling tests borrow from the same budget; a free token comes.
+        let mut held = None;
+        assert!(eventually(|| {
+            held = Token::take(5);
+            held.is_some()
+        }));
+        assert_eq!(worker_slot(), 5);
+        assert!(IN_USE.load(Ordering::Relaxed) >= 1);
+        drop(held);
+        assert_eq!(worker_slot(), 0, "the thread is back on the lane it came from");
+        assert!(eventually(|| IN_USE.load(Ordering::Relaxed) == 0), "the token went back");
     }
 
     #[test]

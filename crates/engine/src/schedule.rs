@@ -1,0 +1,662 @@
+//! The run scheduler: [`Engine::run`] executes a validated flow against a
+//! catalog, starting every operator as soon as its inputs have finished.
+//!
+//! Each executing operator has a fixed *position* — cache hits first, then
+//! level by level (`level(op) = 1 + max(level(inputs))`), pure operators
+//! before loaders, flow order within — and a count of unfinished input edges.
+//! A pure operator whose count reaches zero is ready; the calling thread and
+//! up to `threads() - 1` helpers claim ready operators, smallest position
+//! first. Whatever touches the catalog — sources, then loaders — runs on the
+//! calling thread, each once every operation positioned before it has
+//! finished. Pure operators are functions of their inputs alone, so the
+//! loaded tables — also those a failing run leaves behind — and the report,
+//! the cache admissions and the error (all assembled or retired in position
+//! order) are the same at every thread count, in whatever order the
+//! operators happened to finish.
+
+use crate::cache::{cacheable, materialize_cost, CachePlan, ResultCache};
+use crate::catalog::Catalog;
+use crate::column::Column as Col;
+use crate::events::{emit, EngineEvent};
+use crate::exec::{check_row_capacity, execute_pure, read_source, upsert, Batch, EngineError};
+use crate::pool;
+use crate::relation::Relation;
+use quarry_etl::{Flow, OpId, OpKind, Operation};
+use std::any::Any;
+use std::collections::{BTreeSet, HashMap, HashSet};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::thread::Scope;
+use std::time::{Duration, Instant};
+
+/// Wall-clock timing and row counts of one executed operation.
+///
+/// `elapsed` is measured around the operation's own work, from the instant
+/// a thread starts executing it — never the time it spent in the ready set
+/// waiting for a free thread, or (a loader) for its turn.
+#[derive(Debug, Clone)]
+pub struct OpTiming {
+    pub op: String,
+    pub kind: &'static str,
+    /// Total rows across the operation's inputs (0 for datastores).
+    pub rows_in: usize,
+    pub rows_out: usize,
+    /// When the operation started executing, as an offset from the start of
+    /// the run (zero for a cache-served result).
+    pub started: Duration,
+    pub elapsed: Duration,
+    /// Pool lane the operation ran on (see [`pool::worker_slot`]): 0 for the
+    /// calling/serial thread, `h` for helper lane `h`.
+    pub worker: usize,
+}
+
+impl OpTiming {
+    /// The record of one finished operation, announced to the event stream.
+    fn finished(
+        op: &Operation,
+        rows_in: usize,
+        rows_out: usize,
+        started: Duration,
+        elapsed: Duration,
+        worker: usize,
+    ) -> Self {
+        emit(EngineEvent::OpFinish {
+            op: &op.name,
+            rows_in: rows_in as u64,
+            rows_out: rows_out as u64,
+            lane: worker as u32,
+        });
+        OpTiming { op: op.name.clone(), kind: op.kind.type_name(), rows_in, rows_out, started, elapsed, worker }
+    }
+}
+
+/// The result of executing a flow.
+#[derive(Debug, Clone, Default)]
+pub struct RunReport {
+    /// Rows loaded per target table, in load order.
+    pub loaded: Vec<(String, usize)>,
+    /// Per-operation timings in position order (see the module docs),
+    /// whatever order the operations finished in.
+    pub timings: Vec<OpTiming>,
+    /// Total wall-clock time of the run.
+    pub total: Duration,
+    /// Total rows emitted across all operations (work proxy).
+    pub rows_processed: usize,
+}
+
+impl RunReport {
+    pub fn rows_loaded(&self, table: &str) -> usize {
+        self.loaded.iter().filter(|(t, _)| t == table).map(|(_, n)| n).sum()
+    }
+
+    /// Time each lane spent executing operations (index = [`OpTiming::worker`]);
+    /// `total` minus a lane's entry is the time it idled or scheduled.
+    pub fn lane_busy(&self) -> Vec<Duration> {
+        let mut busy = vec![Duration::ZERO; self.timings.iter().map(|t| t.worker + 1).max().unwrap_or(1)];
+        for t in &self.timings {
+            busy[t.worker] += t.elapsed;
+        }
+        busy
+    }
+
+    /// Feeds the run's per-operation output cardinalities back into a cost
+    /// model's [`SourceStats`](quarry_etl::cost::SourceStats): future
+    /// integration decisions then estimate with what this run actually
+    /// measured instead of static selectivity guesses.
+    pub fn observe_into(&self, stats: &mut quarry_etl::cost::SourceStats) {
+        for t in &self.timings {
+            if t.rows_in > 0 {
+                // Input/output pairs additionally carry an observed
+                // selectivity, which generalizes across flow rewrites.
+                stats.observe_op_io(&t.op, t.rows_in as f64, t.rows_out as f64);
+            } else {
+                stats.observe_op(&t.op, t.rows_out as f64);
+            }
+        }
+    }
+}
+
+/// The execution engine: owns a catalog and runs flows against it.
+#[derive(Debug, Default)]
+pub struct Engine {
+    pub catalog: Catalog,
+    /// The cross-run result cache plus the plan (fingerprints, cone costs)
+    /// for the flow about to run; consulted at pipeline-breaker boundaries.
+    cache: Option<(Arc<ResultCache>, CachePlan)>,
+}
+
+/// The executor-facing outcome of one pre-run cache consultation: which ops
+/// the cache already answers and which ops still have to execute.
+struct CachePass {
+    /// Cache-served results, published without executing the op.
+    hits: HashMap<OpId, Arc<Relation>>,
+    /// Ops whose results must be *available*: sinks, plus — transitively —
+    /// the inputs of every available op the cache did not answer. Everything
+    /// else is skipped: it only feeds subflows the cache already holds.
+    needed: HashSet<OpId>,
+}
+
+/// Why an operation did not finish: its own error, or a panic to re-raise on
+/// the calling thread once the run has drained.
+enum Failure {
+    Error(EngineError),
+    Panic(Box<dyn Any + Send>),
+}
+
+/// What the threads of one run share. Operations are addressed by position.
+struct Run<'a> {
+    /// Cache hits, then the executing operations, in position order.
+    ops: Vec<&'a Operation>,
+    /// Producer positions per operation, one per input edge, in edge order.
+    inputs: Vec<Vec<usize>>,
+    /// Consumer positions per operation, one per output edge.
+    consumers: Vec<Vec<usize>>,
+    /// Cacheable executing operations; admission is offered in this order.
+    offers: Vec<usize>,
+    cache: Option<&'a (Arc<ResultCache>, CachePlan)>,
+    /// Helpers this run may keep (`threads() - 1`).
+    width: usize,
+    start: Instant,
+    state: Mutex<State>,
+    wake: Condvar,
+}
+
+#[derive(Default)]
+struct State {
+    /// Unfinished input edges per operation.
+    pending: Vec<usize>,
+    /// Output and timing of every finished operation.
+    done: Vec<Option<(Batch, OpTiming)>>,
+    /// Pure operations whose inputs have all finished, not yet claimed.
+    ready: BTreeSet<usize>,
+    /// Every operation before this position has finished.
+    frontier: usize,
+    /// Smallest position that failed (`ops.len()` while none has): nothing
+    /// at or after it starts any more.
+    limit: usize,
+    failure: Option<Failure>,
+    /// Operations claimed and not yet recorded, offers of theirs included.
+    running: usize,
+    /// How many of `offers` have been retired, and whether a thread is at it.
+    offered: usize,
+    offering: bool,
+    helpers: usize,
+    /// The calling thread has nothing to do until something finishes.
+    caller_waits: bool,
+    finished: bool,
+}
+
+/// Ends the run for the helpers when the calling thread leaves it, unwinding
+/// or not.
+struct Finish<'a>(&'a Run<'a>);
+
+impl Drop for Finish<'_> {
+    fn drop(&mut self) {
+        self.0.state.lock().unwrap_or_else(PoisonError::into_inner).finished = true;
+        self.0.wake.notify_all();
+    }
+}
+
+impl<'a> Run<'a> {
+    fn lock(&self) -> MutexGuard<'_, State> {
+        self.state.lock().expect("operators run, and panic, outside the scheduler lock")
+    }
+
+    fn wait<'g>(&self, g: MutexGuard<'g, State>) -> MutexGuard<'g, State> {
+        self.wake.wait(g).expect("operators run, and panic, outside the scheduler lock")
+    }
+
+    fn inputs_of(&self, g: &State, pos: usize) -> Vec<Batch> {
+        let out = |&i: &usize| g.done[i].as_ref().expect("inputs finish before their consumer starts").0.clone();
+        self.inputs[pos].iter().map(out).collect()
+    }
+
+    /// Claims the ready operation with the smallest position, unless a
+    /// failure before it has stopped the run.
+    fn claim(&self, g: &mut State) -> Option<(usize, Vec<Batch>)> {
+        let pos = g.ready.first().copied().filter(|&p| p < g.limit)?;
+        g.ready.remove(&pos);
+        g.running += 1;
+        Some((pos, self.inputs_of(g, pos)))
+    }
+
+    /// Runs `f` as the claimed operation at `pos` — timing its work, catching
+    /// its panic — and records the outcome: releases its consumers, calls
+    /// for helpers if more became ready than threads are free, and retires
+    /// whatever cache offers are now due.
+    fn perform<'scope>(
+        &'scope self,
+        scope: &'scope Scope<'scope, '_>,
+        pos: usize,
+        inputs: &[Batch],
+        f: impl FnOnce(&Operation) -> Result<Batch, EngineError>,
+    ) {
+        let op = self.ops[pos];
+        let t0 = Instant::now();
+        let outcome = catch_unwind(AssertUnwindSafe(|| f(op))).map_err(Failure::Panic);
+        let outcome = outcome.and_then(|out| out.map_err(Failure::Error));
+        let elapsed = t0.elapsed();
+        let outcome = outcome.map(|out| {
+            let (rows_in, started) = (inputs.iter().map(Batch::len).sum(), t0.duration_since(self.start));
+            (OpTiming::finished(op, rows_in, out.len(), started, elapsed, pool::worker_slot()), out)
+        });
+        let mut g = self.lock();
+        match outcome {
+            Ok((timing, out)) => {
+                g.done[pos] = Some((out, timing));
+                while g.done.get(g.frontier).is_some_and(Option::is_some) {
+                    g.frontier += 1;
+                }
+                for &c in &self.consumers[pos] {
+                    g.pending[c] -= 1;
+                    if g.pending[c] == 0 && !self.ops[c].kind.is_sink() {
+                        g.ready.insert(c);
+                    }
+                }
+            }
+            Err(failure) if pos < g.limit => (g.limit, g.failure) = (pos, Some(failure)),
+            Err(_) => {}
+        }
+        // This thread takes one ready operation next, every other idle
+        // thread one more; the rest is worth a new helper each.
+        let idle = 2 + g.helpers - g.running;
+        for _ in idle..g.ready.range(..g.limit).count().min(idle + self.width - g.helpers) {
+            let lane = g.helpers + 1;
+            if !pool::spawn_helper(scope, lane, move |token| self.help(scope, lane, token)) {
+                break;
+            }
+            g.helpers += 1;
+        }
+        self.wake.notify_all();
+        g = self.retire_offers(g);
+        g.running -= 1;
+        if g.running == 0 {
+            self.wake.notify_all();
+        }
+    }
+
+    /// Offers finished results to the cache in `offers` order, one thread at
+    /// a time, so admission — which depends on what was admitted before —
+    /// is a function of the flow, not of which operator finished first. The
+    /// consumers are not kept waiting: a late column gathers once
+    /// (`LateCol` memoizes), whoever asks first.
+    fn retire_offers<'g>(&'g self, mut g: MutexGuard<'g, State>) -> MutexGuard<'g, State> {
+        let Some(cache) = self.cache.filter(|_| !g.offering) else { return g };
+        g.offering = true;
+        while let Some((pos, Some((out, _)))) = self.offers.get(g.offered).map(|&pos| (pos, &g.done[pos])) {
+            let out = out.clone();
+            g.offered += 1;
+            drop(g);
+            cache_offer(cache, self.ops[pos], &out);
+            g = self.lock();
+        }
+        g.offering = false;
+        g
+    }
+
+    /// A helper's life: claim and execute while operations are ready, hold
+    /// no token while none is — an operator that runs alone finds the whole
+    /// budget free for its morsels. For the same reason the last ready
+    /// operation is left to a calling thread that has nothing else to do.
+    fn help<'scope>(&'scope self, scope: &'scope Scope<'scope, '_>, lane: usize, token: pool::Token) {
+        let mut token = Some(token);
+        let mut g = self.lock();
+        while !g.finished {
+            if g.ready.range(..g.limit).nth(usize::from(g.caller_waits)).is_some() {
+                token = token.or_else(|| pool::Token::take(lane));
+            } else {
+                token = None;
+            }
+            match token.as_ref().and_then(|_| self.claim(&mut g)) {
+                Some((pos, inputs)) => {
+                    drop(g);
+                    self.perform(scope, pos, &inputs, |op| execute_pure(&op.name, &op.kind, &inputs));
+                    g = self.lock();
+                }
+                None => g = self.wait(g),
+            }
+        }
+    }
+}
+
+impl CachePass {
+    /// Whether `id` executes this run (a cache hit is published, not run).
+    fn executes(&self, id: OpId) -> bool {
+        self.needed.contains(&id) && !self.hits.contains_key(&id)
+    }
+}
+
+impl Engine {
+    pub fn new(catalog: Catalog) -> Self {
+        Engine { catalog, cache: None }
+    }
+
+    /// Installs the cross-run result cache together with the [`CachePlan`]
+    /// computed for the flow this engine is about to run. A plan whose shape
+    /// does not match the executed flow is ignored for that run (the cache
+    /// is then bypassed entirely), so a stale plan can never mis-key.
+    pub fn set_result_cache(&mut self, cache: Arc<ResultCache>, plan: CachePlan) {
+        self.cache = Some((cache, plan));
+    }
+
+    /// Uninstalls the result cache.
+    pub fn clear_result_cache(&mut self) {
+        self.cache = None;
+    }
+
+    /// Consults the cache for `flow` before execution: walks the ops in
+    /// reverse topological order, looks up every *reachable* cacheable
+    /// operator (one not already covered by a downstream hit) and derives
+    /// the set of ops that still execute. Returns `None` when no cache is
+    /// installed, it is disabled, or the plan does not match the flow.
+    fn cache_prepass(&self, flow: &Flow, order: &[OpId]) -> Option<CachePass> {
+        let (cache, plan) = self.cache.as_ref()?;
+        if !cache.enabled() || !plan.matches(flow) {
+            return None;
+        }
+        let mut pass = CachePass { hits: HashMap::new(), needed: HashSet::new() };
+        for &id in order.iter().rev() {
+            let op = flow.op(id);
+            if op.kind.is_sink() {
+                pass.needed.insert(id);
+            }
+            if !pass.needed.contains(&id) {
+                continue; // feeds only cache-served subflows: never runs
+            }
+            if cacheable(&op.kind) {
+                if let Some(fp) = plan.fingerprint(id) {
+                    if let Some(rel) = cache.lookup(fp) {
+                        emit(EngineEvent::CacheHit { op: &op.name, rows: rel.len() as u64 });
+                        pass.hits.insert(id, rel);
+                        continue; // inputs stay un-needed unless used elsewhere
+                    }
+                    emit(EngineEvent::CacheMiss { op: &op.name });
+                }
+            }
+            pass.needed.extend(flow.inputs_of(id));
+        }
+        Some(pass)
+    }
+
+    /// Executes a flow: sources read from the catalog, loaders append to
+    /// (auto-creating) target tables. Returns the run report.
+    ///
+    /// One scheduler for every flow and width (see the module docs). Both
+    /// layers of parallelism — independent operators here, morsels inside
+    /// each — draw threads from one budget, so nesting never oversubscribes
+    /// the machine. After a failure nothing positioned later starts, what is
+    /// in flight drains, and the error with the smallest position is returned.
+    pub fn run(&mut self, flow: &Flow) -> Result<RunReport, EngineError> {
+        flow.schemas()?; // full static validation before touching data
+        let order = flow.topo_order()?;
+        let pass = self.cache_prepass(flow, &order);
+        let start = Instant::now();
+        let Engine { catalog, cache } = self;
+
+        let mut level_of: HashMap<OpId, usize> = HashMap::with_capacity(order.len());
+        for &id in &order {
+            let level = flow.inputs_of(id).iter().map(|i| level_of[i] + 1).max().unwrap_or(0);
+            level_of.insert(id, level);
+        }
+        let is_hit = |id: &OpId| pass.as_ref().is_some_and(|p| p.hits.contains_key(id));
+        let mut plan: Vec<OpId> = order.iter().copied().filter(is_hit).collect();
+        let hits = plan.len();
+        plan.extend(order.iter().copied().filter(|&id| pass.as_ref().is_none_or(|p| p.executes(id))));
+        // `order` is level-major already; the stable sort moves each level's
+        // loaders behind its pure operations.
+        plan[hits..].sort_by_key(|id| (level_of[id], flow.op(*id).kind.is_sink()));
+        let pos_of: HashMap<OpId, usize> = plan.iter().enumerate().map(|(pos, &id)| (id, pos)).collect();
+        let ops: Vec<&Operation> = plan.iter().map(|&id| flow.op(id)).collect();
+        let n = ops.len();
+        let inputs: Vec<Vec<usize>> = (plan.iter().enumerate())
+            .map(|(pos, &id)| if pos < hits { &[][..] } else { flow.inputs_of(id) })
+            .map(|ins| ins.iter().map(|i| pos_of[i]).collect())
+            .collect();
+        let mut consumers = vec![Vec::new(); n];
+        for (pos, ins) in inputs.iter().enumerate() {
+            ins.iter().for_each(|&i| consumers[i].push(pos));
+        }
+        // Sources and loaders touch the catalog; the rest is pure.
+        let pure: Vec<usize> = (hits..n).filter(|&p| !touches_catalog(ops[p])).collect();
+
+        let mut state = State {
+            pending: inputs.iter().map(|ins| ins.iter().filter(|&&i| i >= hits).count()).collect(),
+            done: vec![None; n],
+            frontier: hits,
+            limit: n,
+            ..State::default()
+        };
+        for (pos, op) in ops.iter().enumerate().take(hits) {
+            // A cache-served result: zero rows in, the cached relation out,
+            // no measurable elapsed work.
+            let rel = &pass.as_ref().expect("hits come from a cache pass").hits[&op.id];
+            let timing = OpTiming::finished(op, 0, rel.len(), Duration::ZERO, Duration::ZERO, 0);
+            state.done[pos] = Some((Batch::Rel(Arc::clone(rel)), timing));
+        }
+        state.ready.extend(pure.iter().filter(|&&p| state.pending[p] == 0));
+        let run = Run {
+            offers: pure.into_iter().filter(|&p| cacheable(&ops[p].kind)).collect(),
+            cache: cache.as_ref().filter(|_| pass.is_some()),
+            ops,
+            inputs,
+            consumers,
+            width: pool::threads().saturating_sub(1),
+            start,
+            state: Mutex::new(state),
+            wake: Condvar::new(),
+        };
+
+        std::thread::scope(|scope| {
+            let _finish = Finish(&run);
+            let mut g = run.lock();
+            loop {
+                g.caller_waits = false;
+                let pos = g.frontier;
+                // A source or loader runs here, and only once everything
+                // before it has finished: the catalog changes in position
+                // order, and a failure leaves exactly the loads before it.
+                if pos < g.limit && touches_catalog(run.ops[pos]) {
+                    g.running += 1;
+                    let inputs = run.inputs_of(&g, pos);
+                    drop(g);
+                    run.perform(scope, pos, &inputs, |op| match &op.kind {
+                        OpKind::Loader { table, key } => {
+                            let mat = inputs[0].materialize();
+                            load(catalog, table, key, &mat, input_distinct_on(flow, op.id, key))?;
+                            Ok(Batch::Rel(mat))
+                        }
+                        OpKind::Datastore { datastore, schema } => read_source(catalog, datastore, schema),
+                        _ => unreachable!("only sources and loaders touch the catalog"),
+                    });
+                } else if let Some((pos, inputs)) = run.claim(&mut g) {
+                    drop(g);
+                    run.perform(scope, pos, &inputs, |op| execute_pure(&op.name, &op.kind, &inputs));
+                } else if g.running == 0 {
+                    break; // finished, or stopped by a failure and drained
+                } else {
+                    g.caller_waits = true;
+                    g = run.wait(g);
+                    continue;
+                }
+                g = run.lock();
+            }
+            drop(g); // before `_finish` takes the lock
+        });
+
+        let state = run.state.into_inner().unwrap_or_else(PoisonError::into_inner);
+        match state.failure {
+            Some(Failure::Error(e)) => return Err(e),
+            Some(Failure::Panic(payload)) => resume_unwind(payload),
+            None => {}
+        }
+        let mut report = RunReport::default();
+        for (op, done) in run.ops.iter().zip(state.done) {
+            let (_, timing) = done.expect("a run without a failure finishes every operation");
+            report.rows_processed += timing.rows_out;
+            if let OpKind::Loader { table, .. } = &op.kind {
+                report.loaded.push((table.clone(), timing.rows_out));
+            }
+            report.timings.push(timing);
+        }
+        report.total = start.elapsed();
+        Ok(report)
+    }
+}
+
+fn touches_catalog(op: &Operation) -> bool {
+    op.kind.is_source() || op.kind.is_sink()
+}
+
+/// Offers one freshly computed batch for admission. Materialized batches
+/// admit for free (storing is an `Arc` clone); late batches are charged a
+/// modeled gather, so caching never forces an eager materialization unless
+/// the modeled cross-run saving clearly pays for it.
+fn cache_offer((cache, plan): &(Arc<ResultCache>, CachePlan), op: &Operation, out: &Batch) {
+    let Some(fp) = plan.fingerprint(op.id) else { return };
+    let mat_cost = match out {
+        Batch::Rel(_) => 0.0,
+        Batch::Lazy(_) => materialize_cost(out.len(), out.schema().len()),
+    };
+    if mat_cost > 0.0 && !cache.would_admit(fp, plan.saved_cost(op.id), mat_cost) {
+        return; // the gather itself would not pay — stay late
+    }
+    let rel = out.materialize();
+    if cache.admit(fp, &rel, plan.saved_cost(op.id), mat_cost, plan.flow_epoch) {
+        emit(EngineEvent::CacheInsert { op: &op.name, bytes: rel.estimated_bytes() as u64 });
+    }
+}
+
+/// Loader execution: append (empty key, strict schema) or upsert.
+/// `distinct` is the plan's proof that no two input rows share a key
+/// ([`input_distinct_on`]).
+fn load(
+    catalog: &mut Catalog,
+    table: &str,
+    key: &[String],
+    input: &Arc<Relation>,
+    distinct: bool,
+) -> Result<(), EngineError> {
+    if !key.is_empty() {
+        // The merge plan indexes `old ++ input` with `u32` positions.
+        check_row_capacity(catalog.get(table).map_or(0, Relation::len) + input.len())?;
+        return upsert(catalog, table, input, key, distinct)
+            .map_err(|detail| EngineError::LoadSchemaMismatch { table: table.to_string(), detail });
+    }
+    let Some(existing) = catalog.get_mut(table) else {
+        // First load into a fresh table: share the relation. A later append
+        // copies-on-write only if the flow result is still alive.
+        catalog.put_shared(table.to_string(), Arc::clone(input));
+        return Ok(());
+    };
+    if existing.schema.names().collect::<Vec<_>>() != input.schema.names().collect::<Vec<_>>() {
+        return Err(EngineError::LoadSchemaMismatch {
+            table: table.to_string(),
+            detail: format!("target is {}, input is {}", existing.schema, input.schema),
+        });
+    }
+    if existing.is_empty() {
+        // Appending to an empty table adopts the input's columns: zero
+        // values copied.
+        existing.columns = input.columns().to_vec();
+        existing.nrows = input.len();
+    } else {
+        let columns: Vec<Arc<Col>> = existing
+            .columns
+            .iter()
+            .zip(input.columns())
+            .zip(&existing.schema.columns)
+            .map(|((a, b), sc)| Arc::new(Col::concat(&[a.as_ref(), b.as_ref()], sc.ty)))
+            .collect();
+        existing.columns = columns;
+        existing.nrows += input.len();
+    }
+    Ok(())
+}
+
+/// Whether the plan proves the rows reaching `loader` pairwise distinct on
+/// `key`: its input is an `Aggregation` grouping by a non-empty subset of
+/// `key` — one row per group, so no two rows agree on every key column —
+/// reached directly or through steps that only drop or reorder rows and
+/// columns or append new ones. A group column re-created under its old name
+/// on the way (`added`) proves nothing.
+pub(crate) fn input_distinct_on(flow: &Flow, loader: OpId, key: &[String]) -> bool {
+    let mut added: Vec<&String> = Vec::new();
+    let mut at = flow.inputs_of(loader)[0];
+    loop {
+        match &flow.op(at).kind {
+            OpKind::Aggregation { group_by, .. } => {
+                return !group_by.is_empty() && group_by.iter().all(|g| key.contains(g) && !added.contains(&g));
+            }
+            OpKind::Derivation { column, .. } | OpKind::SurrogateKey { output: column, .. } => added.push(column),
+            OpKind::Extraction { .. } | OpKind::Projection { .. } | OpKind::Selection { .. } | OpKind::Sort { .. } => {}
+            _ => return false,
+        }
+        at = flow.inputs_of(at)[0];
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::value::Value;
+    use quarry_etl::{parse_expr, ColType, Column, Schema};
+
+    fn numbers(rows: i64) -> (Catalog, Schema) {
+        let schema = Schema::new(vec![Column::new("k", ColType::Integer)]);
+        let mut c = Catalog::new();
+        c.put("t", Relation::with_rows(schema.clone(), (0..rows).map(|k| vec![Value::Int(k)]).collect()));
+        (c, schema)
+    }
+
+    fn sel(predicate: &str) -> OpKind {
+        OpKind::Selection { predicate: parse_expr(predicate).unwrap() }
+    }
+
+    fn append_to(table: &str) -> OpKind {
+        OpKind::Loader { table: table.into(), key: vec![] }
+    }
+
+    #[test]
+    fn the_report_lists_operations_by_position_whatever_finished_first() {
+        let (c, schema) = numbers(100);
+        let mut f = Flow::new("positions");
+        let src = f.add_op("SRC", OpKind::Datastore { datastore: "t".into(), schema }).unwrap();
+        // The deep branch comes first in the flow and runs first on one thread.
+        let deep = f.append(src, "DEEP_1", sel("k >= 10")).unwrap();
+        let deep = f.append(deep, "DEEP_2", sel("k >= 20")).unwrap();
+        f.append(deep, "LOAD_deep", append_to("out")).unwrap();
+        let flat = f.append(src, "FLAT", sel("k < 5")).unwrap();
+        f.append(flat, "LOAD_flat", append_to("out")).unwrap();
+        f.append(src, "LOAD_src", append_to("out")).unwrap();
+        let mut engine = Engine::new(c);
+        let report = engine.run(&f).unwrap();
+        let ops: Vec<&str> = report.timings.iter().map(|t| t.op.as_str()).collect();
+        // Level by level, pure operations before the level's loaders.
+        assert_eq!(ops, ["SRC", "DEEP_1", "FLAT", "LOAD_src", "DEEP_2", "LOAD_flat", "LOAD_deep"]);
+        assert_eq!(report.loaded, [("out".to_string(), 100), ("out".to_string(), 5), ("out".to_string(), 80)]);
+        assert_eq!(report.rows_processed, 100 + 90 + 5 + 100 + 80 + 5 + 80);
+        assert_eq!(engine.catalog.get("out").unwrap().len(), 185);
+        assert_eq!(report.lane_busy().iter().sum::<Duration>(), report.timings.iter().map(|t| t.elapsed).sum());
+        assert!(report.timings.iter().all(|t| t.started + t.elapsed <= report.total));
+    }
+
+    #[test]
+    fn a_consumer_waits_for_every_edge_not_every_producer() {
+        let (c, schema) = numbers(10);
+        let mut f = Flow::new("self_union");
+        let src = f.add_op("SRC", OpKind::Datastore { datastore: "t".into(), schema }).unwrap();
+        let half = f.append(src, "HALF", sel("k < 5")).unwrap();
+        // HALF ∪ HALF: bridging the step away leaves two edges HALF → UNION.
+        let union = f.append(half, "UNION", OpKind::Union).unwrap();
+        let step = f.append(half, "STEP", OpKind::Distinct).unwrap();
+        f.connect(step, union).unwrap();
+        f.remove_bridging(step);
+        assert_eq!(f.inputs_of(union), [half, half]);
+        f.append(union, "LOAD", append_to("out")).unwrap();
+        let mut engine = Engine::new(c);
+        let report = engine.run(&f).unwrap();
+        assert_eq!(report.rows_loaded("out"), 10);
+        let keys = engine.catalog.get("out").unwrap().column_values("k");
+        assert_eq!(keys, (0..5).chain(0..5).map(Value::Int).collect::<Vec<_>>());
+    }
+}
