@@ -18,6 +18,11 @@
 //! last (each link the input that finished last: its work and the time its
 //! links sat finished-but-not-started), the longest chain of dependent work,
 //! the time loaders waited for their turn; then the 25 slowest operators.
+//! Beside it: the run's minor page faults and peak RSS (`/proc/self/stat`
+//! and `VmHWM`, reset before each run where `/proc/self/clear_refs` allows;
+//! omitted where `/proc` does not exist), the most operator outputs the
+//! scheduler held at once, and with `--flow optimized` the search's wall
+//! time and move counts.
 
 use quarry::{Quarry, QuarryConfig};
 use quarry_engine::{tpch, Engine, OpTiming};
@@ -34,6 +39,19 @@ fn usage(problem: &str) -> ! {
 
 fn parsed<T: std::str::FromStr>(flag: &str, value: &str) -> T {
     value.parse().unwrap_or_else(|_| usage(&format!("bad value `{value}` for {flag}")))
+}
+
+/// Minor page faults of this process so far: field 10 of `/proc/self/stat`
+/// (the fields after the parenthesized command name start at field 3).
+fn minor_faults() -> Option<u64> {
+    let stat = std::fs::read_to_string("/proc/self/stat").ok()?;
+    stat.rsplit_once(')')?.1.split_whitespace().nth(7)?.parse().ok()
+}
+
+/// Peak resident set size in kB: `VmHWM` in `/proc/self/status`.
+fn peak_rss_kb() -> Option<u64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    status.lines().find_map(|l| l.strip_prefix("VmHWM:"))?.trim().strip_suffix("kB")?.trim().parse().ok()
 }
 
 fn main() {
@@ -60,22 +78,29 @@ fn main() {
     for r in requirements {
         q.add_requirement(r).expect("integrates");
     }
-    if optimized {
-        q.optimize().expect("optimizes");
-    }
+    let search = optimized.then(|| {
+        let t0 = Instant::now();
+        let report = q.optimize().expect("optimizes");
+        (t0.elapsed(), report)
+    });
     let unified = q.unified().1.clone();
 
-    let mut best: Option<(Duration, quarry_engine::RunReport)> = None;
+    let mut best: Option<(Duration, quarry_engine::RunReport, Option<u64>, Option<u64>)> = None;
     for _ in 0..5 {
         let mut engine = Engine::new(catalog.clone());
+        // Resets VmHWM to the current RSS (Linux); where refused, the peak
+        // printed is the process's.
+        let _ = std::fs::write("/proc/self/clear_refs", "5");
+        let faults_before = minor_faults();
         let t0 = Instant::now();
         let report = engine.run(&unified).expect("runs");
         let total = t0.elapsed();
-        if best.as_ref().is_none_or(|(t, _)| total < *t) {
-            best = Some((total, report));
+        let faults = minor_faults().zip(faults_before).map(|(after, before)| after - before);
+        if best.as_ref().is_none_or(|(t, ..)| total < *t) {
+            best = Some((total, report, faults, peak_rss_kb()));
         }
     }
-    let (total, report) = best.expect("five runs");
+    let (total, report, faults, peak_kb) = best.expect("five runs");
     println!(
         "{} overlap, {} flow, sf={sf}, N={n}, threads={} (available_parallelism={}): total {total:?} over {} ops",
         if high { "high" } else { "low" },
@@ -84,6 +109,14 @@ fn main() {
         std::thread::available_parallelism().map_or(0, usize::from),
         report.timings.len()
     );
+    if let Some((wall, search)) = &search {
+        println!("optimize: {wall:?}, {} moves proposed, {} accepted", search.proposed, search.accepted);
+    }
+    let mut memory = Vec::new();
+    memory.extend(faults.map(|f| format!("{f} minor page faults")));
+    memory.extend(peak_kb.map(|kb| format!("peak RSS {:.1} MB (VmHWM)", kb as f64 / 1024.0)));
+    memory.push(format!("{} operator outputs held at once", report.peak_held));
+    println!("memory: {}", memory.join(", "));
     let mut by_kind: BTreeMap<&str, (Duration, usize, usize)> = BTreeMap::new();
     for t in &report.timings {
         let e = by_kind.entry(t.kind).or_default();

@@ -15,7 +15,8 @@
 //! dependency-driven scheduler could get wrong (`scheduler_*`: deep chains
 //! beside wide fan-outs, diamonds, self-unions, loaders of every kind into
 //! shared tables at different depths, seeded random DAGs, cache-served flows,
-//! failures, and a stress run under a watchdog).
+//! a late cache offer retired after its consumers took their inputs, outputs
+//! dropped at their last claim, failures, and a stress run under a watchdog).
 
 use quarry::Quarry;
 use quarry_bench::{figure3_pair, high_overlap_family, requirement_family};
@@ -1483,6 +1484,87 @@ fn scheduler_cache_admission_is_width_independent() {
             stats, reference,
             "(inserts, rejects, evictions, entries, bytes, hits, misses) at {threads} threads"
         );
+    }
+}
+
+/// A cacheable late batch whose consumers all claim it before its offer
+/// retires: `LATE` (a selection, so a late batch) is positioned after `SLOW`
+/// (a fact-grain aggregation) and finishes long before it, so with a second
+/// thread its two consumers take their inputs while its offer still waits
+/// behind `SLOW`'s; the offer then holds the last claim. `big` is rebuilt
+/// before every run, so `SLOW` never hits, while `LATE` is admitted at its
+/// second miss, the second run. Under an 8 MiB budget the cache's counters
+/// after each run are the same at every width, and the values this flow has
+/// always produced.
+#[test]
+fn scheduler_late_offer_behind_its_consumers_is_width_independent() {
+    let base = dag_catalog(8 * MORSEL_ROWS);
+    let with_fresh_big = || {
+        let mut catalog = base.clone();
+        catalog.put("big", dag_catalog(8 * MORSEL_ROWS).get("src").unwrap().clone());
+        catalog
+    };
+    let mut f = Flow::new("late_offer");
+    let big = scan(&mut f, "BIG", &with_fresh_big(), "big");
+    let src = scan(&mut f, "SRC", &base, "src");
+    let slow = f.append(big, "SLOW", agg(&["k"], &SUMS)).unwrap();
+    let late = f.append(src, "LATE", sel("g < 9")).unwrap();
+    f.append(slow, "LOAD_slow", load("slow", &[])).unwrap();
+    let wide = f.append(late, "WIDE", derive("w", "v * 2")).unwrap();
+    f.append(wide, "LOAD_wide", load("wide", &[])).unwrap();
+    let narrow = f.append(late, "NARROW", project(&["k", "g"])).unwrap();
+    f.append(narrow, "LOAD_narrow", load("narrow", &["k"])).unwrap();
+    f.validate().expect("valid");
+    let mut row = RowEngine::from_catalog(&with_fresh_big());
+    row.run(&f).expect("row run");
+    for threads in [1usize, 2, 8] {
+        let cache = Arc::new(ResultCache::new(true, 8 << 20));
+        let after_each_run: Vec<_> = at_width(threads, || {
+            (0..2)
+                .map(|_| {
+                    let mut engine = cached_engine(&with_fresh_big(), &f, &cache);
+                    engine.run(&f).expect("runs");
+                    for t in row.table_names() {
+                        assert_eq!(
+                            &row.table(t).unwrap(),
+                            engine.catalog.get(t).unwrap(),
+                            "`{t}` at {threads} threads"
+                        );
+                    }
+                    let s = cache.stats();
+                    (s.inserts, s.rejects, s.evictions, s.entries, s.bytes, s.hits, s.misses)
+                })
+                .collect()
+        });
+        assert_eq!(
+            after_each_run,
+            [(1, 0, 0, 1, 786_624, 0, 2), (3, 0, 0, 3, 2_117_952, 0, 4)],
+            "(inserts, rejects, evictions, entries, bytes, hits, misses) at {threads} threads"
+        );
+    }
+}
+
+/// Each output is dropped at its last claim: a 30-operation chain holds at
+/// most two outputs at once at every width.
+#[test]
+fn scheduler_a_chain_holds_at_most_two_outputs() {
+    let catalog = dag_catalog(2 * MORSEL_ROWS + 37);
+    let mut f = Flow::new("chain");
+    let mut tip = scan(&mut f, "SRC", &catalog, "src");
+    for depth in 0..28 {
+        tip = if depth % 2 == 0 {
+            f.append(tip, format!("SEL{depth}"), sel(&format!("k >= {depth}"))).unwrap()
+        } else {
+            f.append(tip, format!("SORT{depth}"), OpKind::Sort { columns: vec!["g".into(), "k".into()] }).unwrap()
+        };
+    }
+    f.append(tip, "APPEND", load("log", &[])).unwrap();
+    f.validate().expect("valid");
+    assert_equivalent_at(&catalog, &[&f], &WIDTHS);
+    for threads in WIDTHS {
+        let report = at_width(threads, || Engine::new(catalog.clone()).run(&f)).expect("runs");
+        assert_eq!(report.timings.len(), 30);
+        assert!(report.peak_held <= 2, "{} outputs held at once at {threads} threads", report.peak_held);
     }
 }
 

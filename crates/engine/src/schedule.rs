@@ -82,6 +82,8 @@ pub struct RunReport {
     pub total: Duration,
     /// Total rows emitted across all operations (work proxy).
     pub rows_processed: usize,
+    /// Most operator outputs held at once (each lives until its last claim).
+    pub peak_held: usize,
 }
 
 impl RunReport {
@@ -165,8 +167,15 @@ struct Run<'a> {
 struct State {
     /// Unfinished input edges per operation.
     pending: Vec<usize>,
-    /// Output and timing of every finished operation.
-    done: Vec<Option<(Batch, OpTiming)>>,
+    /// Claims pending per output: one per consumer edge, plus its offer.
+    uses: Vec<usize>,
+    /// Output of every finished operation until its last claim.
+    outputs: Vec<Option<Batch>>,
+    /// Outputs held now, and at most.
+    held: usize,
+    peak_held: usize,
+    /// Timing of every finished operation.
+    timings: Vec<Option<OpTiming>>,
     /// Pure operations whose inputs have all finished, not yet claimed.
     ready: BTreeSet<usize>,
     /// Every operation before this position has finished.
@@ -184,6 +193,29 @@ struct State {
     /// The calling thread has nothing to do until something finishes.
     caller_waits: bool,
     finished: bool,
+}
+
+impl State {
+    /// Keeps an output for its claims; one nothing will claim is handed back.
+    fn hold(&mut self, pos: usize, out: Batch) -> Option<Batch> {
+        if self.uses[pos] == 0 {
+            return Some(out);
+        }
+        self.outputs[pos] = Some(out);
+        self.held += 1;
+        self.peak_held = self.peak_held.max(self.held);
+        None
+    }
+
+    /// One claim on the output at `pos`: a clone while others remain, the
+    /// output itself for the last, so the scheduler lets go of it there.
+    fn claim_output(&mut self, pos: usize) -> Batch {
+        self.uses[pos] -= 1;
+        let last = self.uses[pos] == 0;
+        self.held -= usize::from(last);
+        let out = if last { self.outputs[pos].take() } else { self.outputs[pos].clone() };
+        out.expect("an output is held until its last claim")
+    }
 }
 
 /// Ends the run for the helpers when the calling thread leaves it, unwinding
@@ -206,45 +238,45 @@ impl<'a> Run<'a> {
         self.wake.wait(g).expect("operators run, and panic, outside the scheduler lock")
     }
 
-    fn inputs_of(&self, g: &State, pos: usize) -> Vec<Batch> {
-        let out = |&i: &usize| g.done[i].as_ref().expect("inputs finish before their consumer starts").0.clone();
-        self.inputs[pos].iter().map(out).collect()
-    }
-
     /// Claims the ready operation with the smallest position, unless a
     /// failure before it has stopped the run.
     fn claim(&self, g: &mut State) -> Option<(usize, Vec<Batch>)> {
         let pos = g.ready.first().copied().filter(|&p| p < g.limit)?;
         g.ready.remove(&pos);
         g.running += 1;
-        Some((pos, self.inputs_of(g, pos)))
+        Some((pos, self.inputs[pos].iter().map(|&i| g.claim_output(i)).collect()))
     }
 
     /// Runs `f` as the claimed operation at `pos` — timing its work, catching
     /// its panic — and records the outcome: releases its consumers, calls
     /// for helpers if more became ready than threads are free, and retires
-    /// whatever cache offers are now due.
+    /// whatever cache offers are now due. Inputs are dropped before the lock
+    /// is taken: a producer's last claim frees its output there.
     fn perform<'scope>(
         &'scope self,
         scope: &'scope Scope<'scope, '_>,
         pos: usize,
-        inputs: &[Batch],
-        f: impl FnOnce(&Operation) -> Result<Batch, EngineError>,
+        inputs: Vec<Batch>,
+        f: impl FnOnce(&Operation, &[Batch]) -> Result<Batch, EngineError>,
     ) {
         let op = self.ops[pos];
         let t0 = Instant::now();
-        let outcome = catch_unwind(AssertUnwindSafe(|| f(op))).map_err(Failure::Panic);
+        let outcome = catch_unwind(AssertUnwindSafe(|| f(op, &inputs))).map_err(Failure::Panic);
         let outcome = outcome.and_then(|out| out.map_err(Failure::Error));
         let elapsed = t0.elapsed();
         let outcome = outcome.map(|out| {
             let (rows_in, started) = (inputs.iter().map(Batch::len).sum(), t0.duration_since(self.start));
             (OpTiming::finished(op, rows_in, out.len(), started, elapsed, pool::worker_slot()), out)
         });
+        drop(inputs);
+        // Declared before the guard, so dropped after it: an output nothing
+        // claims is freed outside the lock.
+        let mut _unclaimed = None;
         let mut g = self.lock();
         match outcome {
             Ok((timing, out)) => {
-                g.done[pos] = Some((out, timing));
-                while g.done.get(g.frontier).is_some_and(Option::is_some) {
+                g.timings[pos] = Some(timing);
+                while g.timings.get(g.frontier).is_some_and(Option::is_some) {
                     g.frontier += 1;
                 }
                 for &c in &self.consumers[pos] {
@@ -253,6 +285,7 @@ impl<'a> Run<'a> {
                         g.ready.insert(c);
                     }
                 }
+                _unclaimed = g.hold(pos, out);
             }
             Err(failure) if pos < g.limit => (g.limit, g.failure) = (pos, Some(failure)),
             Err(_) => {}
@@ -279,15 +312,15 @@ impl<'a> Run<'a> {
     /// a time, so admission — which depends on what was admitted before —
     /// is a function of the flow, not of which operator finished first. The
     /// consumers are not kept waiting: a late column gathers once
-    /// (`LateCol` memoizes), whoever asks first.
+    /// (`LateCol` memoizes), whoever asks first. An offer is a claim.
     fn retire_offers<'g>(&'g self, mut g: MutexGuard<'g, State>) -> MutexGuard<'g, State> {
         let Some(cache) = self.cache.filter(|_| !g.offering) else { return g };
         g.offering = true;
-        while let Some((pos, Some((out, _)))) = self.offers.get(g.offered).map(|&pos| (pos, &g.done[pos])) {
-            let out = out.clone();
+        while let Some(&pos) = self.offers.get(g.offered).filter(|&&pos| g.timings[pos].is_some()) {
             g.offered += 1;
+            let out = g.claim_output(pos);
             drop(g);
-            cache_offer(cache, self.ops[pos], &out);
+            cache_offer(cache, self.ops[pos], out);
             g = self.lock();
         }
         g.offering = false;
@@ -310,7 +343,7 @@ impl<'a> Run<'a> {
             match token.as_ref().and_then(|_| self.claim(&mut g)) {
                 Some((pos, inputs)) => {
                     drop(g);
-                    self.perform(scope, pos, &inputs, |op| execute_pure(&op.name, &op.kind, &inputs));
+                    self.perform(scope, pos, inputs, |op, inputs| execute_pure(&op.name, &op.kind, inputs));
                     g = self.lock();
                 }
                 None => g = self.wait(g),
@@ -418,25 +451,30 @@ impl Engine {
         }
         // Sources and loaders touch the catalog; the rest is pure.
         let pure: Vec<usize> = (hits..n).filter(|&p| !touches_catalog(ops[p])).collect();
+        let cache = cache.as_ref().filter(|_| pass.is_some());
+        let offers: Vec<usize> = pure.iter().copied().filter(|&p| cache.is_some() && cacheable(&ops[p].kind)).collect();
 
         let mut state = State {
             pending: inputs.iter().map(|ins| ins.iter().filter(|&&i| i >= hits).count()).collect(),
-            done: vec![None; n],
+            uses: consumers.iter().map(Vec::len).collect(),
+            outputs: vec![None; n],
+            timings: vec![None; n],
             frontier: hits,
             limit: n,
             ..State::default()
         };
+        offers.iter().for_each(|&p| state.uses[p] += 1);
         for (pos, op) in ops.iter().enumerate().take(hits) {
             // A cache-served result: zero rows in, the cached relation out,
             // no measurable elapsed work.
             let rel = &pass.as_ref().expect("hits come from a cache pass").hits[&op.id];
-            let timing = OpTiming::finished(op, 0, rel.len(), Duration::ZERO, Duration::ZERO, 0);
-            state.done[pos] = Some((Batch::Rel(Arc::clone(rel)), timing));
+            state.timings[pos] = Some(OpTiming::finished(op, 0, rel.len(), Duration::ZERO, Duration::ZERO, 0));
+            state.hold(pos, Batch::Rel(Arc::clone(rel)));
         }
         state.ready.extend(pure.iter().filter(|&&p| state.pending[p] == 0));
         let run = Run {
-            offers: pure.into_iter().filter(|&p| cacheable(&ops[p].kind)).collect(),
-            cache: cache.as_ref().filter(|_| pass.is_some()),
+            offers,
+            cache,
             ops,
             inputs,
             consumers,
@@ -457,9 +495,9 @@ impl Engine {
                 // order, and a failure leaves exactly the loads before it.
                 if pos < g.limit && touches_catalog(run.ops[pos]) {
                     g.running += 1;
-                    let inputs = run.inputs_of(&g, pos);
+                    let inputs = run.inputs[pos].iter().map(|&i| g.claim_output(i)).collect();
                     drop(g);
-                    run.perform(scope, pos, &inputs, |op| match &op.kind {
+                    run.perform(scope, pos, inputs, |op, inputs| match &op.kind {
                         OpKind::Loader { table, key } => {
                             let mat = inputs[0].materialize();
                             load(catalog, table, key, &mat, input_distinct_on(flow, op.id, key))?;
@@ -470,7 +508,7 @@ impl Engine {
                     });
                 } else if let Some((pos, inputs)) = run.claim(&mut g) {
                     drop(g);
-                    run.perform(scope, pos, &inputs, |op| execute_pure(&op.name, &op.kind, &inputs));
+                    run.perform(scope, pos, inputs, |op, inputs| execute_pure(&op.name, &op.kind, inputs));
                 } else if g.running == 0 {
                     break; // finished, or stopped by a failure and drained
                 } else {
@@ -489,9 +527,9 @@ impl Engine {
             Some(Failure::Panic(payload)) => resume_unwind(payload),
             None => {}
         }
-        let mut report = RunReport::default();
-        for (op, done) in run.ops.iter().zip(state.done) {
-            let (_, timing) = done.expect("a run without a failure finishes every operation");
+        let mut report = RunReport { peak_held: state.peak_held, ..RunReport::default() };
+        for (op, timing) in run.ops.iter().zip(state.timings) {
+            let timing = timing.expect("a run without a failure finishes every operation");
             report.rows_processed += timing.rows_out;
             if let OpKind::Loader { table, .. } = &op.kind {
                 report.loaded.push((table.clone(), timing.rows_out));
@@ -511,7 +549,7 @@ fn touches_catalog(op: &Operation) -> bool {
 /// admit for free (storing is an `Arc` clone); late batches are charged a
 /// modeled gather, so caching never forces an eager materialization unless
 /// the modeled cross-run saving clearly pays for it.
-fn cache_offer((cache, plan): &(Arc<ResultCache>, CachePlan), op: &Operation, out: &Batch) {
+fn cache_offer((cache, plan): &(Arc<ResultCache>, CachePlan), op: &Operation, out: Batch) {
     let Some(fp) = plan.fingerprint(op.id) else { return };
     let mat_cost = match out {
         Batch::Rel(_) => 0.0,
@@ -658,5 +696,41 @@ mod tests {
         assert_eq!(report.rows_loaded("out"), 10);
         let keys = engine.catalog.get("out").unwrap().column_values("k");
         assert_eq!(keys, (0..5).chain(0..5).map(Value::Int).collect::<Vec<_>>());
+    }
+
+    /// Two edges from one producer are two claims: the first gets a clone,
+    /// the second the output itself, and only then does the scheduler let go.
+    #[test]
+    fn a_self_union_output_is_released_at_its_second_claim() {
+        let (c, _) = numbers(10);
+        let out = Batch::Rel(Arc::new(c.get("t").unwrap().clone()));
+        let mut s = State { uses: vec![2], outputs: vec![None], ..State::default() };
+        assert!(s.hold(0, out).is_none());
+        let first = s.claim_output(0);
+        assert!(s.outputs[0].is_some() && s.held == 1, "one edge is still unclaimed");
+        let second = s.claim_output(0);
+        assert!(s.outputs[0].is_none() && s.held == 0 && s.peak_held == 1, "both edges claimed");
+        assert_eq!(first.len() + second.len(), 20);
+        // An output nothing claims is never held.
+        let mut s = State { uses: vec![0], outputs: vec![None], ..State::default() };
+        assert!(s.hold(0, first).is_some() && s.peak_held == 0);
+    }
+
+    /// A chain of 30 operations: each output is dropped as its consumer
+    /// starts, so at most two are ever held, at any width.
+    #[test]
+    fn a_chain_holds_at_most_two_outputs() {
+        let (c, schema) = numbers(100);
+        let mut f = Flow::new("chain");
+        let mut tip = f.add_op("SRC", OpKind::Datastore { datastore: "t".into(), schema }).unwrap();
+        for i in 0..28 {
+            tip = f.append(tip, format!("SEL{i}"), sel(&format!("k >= {i}"))).unwrap();
+        }
+        f.append(tip, "LOAD", append_to("out")).unwrap();
+        let mut engine = Engine::new(c);
+        let report = engine.run(&f).unwrap();
+        assert_eq!(report.timings.len(), 30);
+        assert_eq!(report.rows_loaded("out"), 73);
+        assert!((1..=2).contains(&report.peak_held), "held {} outputs at once", report.peak_held);
     }
 }

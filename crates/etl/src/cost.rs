@@ -125,6 +125,19 @@ impl Clone for SourceStats {
     }
 }
 
+/// Equal tables, observations, keys and defaults. The generation and the
+/// cardinality cache say how a value was reached, not what it holds.
+impl PartialEq for SourceStats {
+    fn eq(&self, other: &Self) -> bool {
+        self.rows == other.rows
+            && self.observed == other.observed
+            && self.observed_io == other.observed_io
+            && self.unique_keys == other.unique_keys
+            && self.group_fraction == other.group_fraction
+            && self.default_rows == other.default_rows
+    }
+}
+
 impl SourceStats {
     pub fn new() -> Self {
         SourceStats { group_fraction: 0.1, default_rows: 1_000.0, ..SourceStats::default() }

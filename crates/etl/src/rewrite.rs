@@ -604,6 +604,12 @@ impl RewriteState {
     }
 
     /// Restores the state captured by a successful [`apply`](Self::apply).
+    ///
+    /// Undos compose newest-first: after moves `a, b, c`, undoing `c`, `b`,
+    /// `a` in that order restores the state before `a` exactly — flow (op
+    /// ids, op order, edge order), statistics, cost bits and every maintained
+    /// map. Each token restores what its move displaced from the state that
+    /// move saw, so it must be undone while the state is again that state.
     pub fn undo(&mut self, undo: Applied) {
         self.flow.revert(undo.journal);
         self.cost = undo.cost;

@@ -7,6 +7,8 @@
 //! 3. `undo` restores the state bit-identically.
 //! 4. Over long accept/undo walks, everything `RewriteState` maintains beside
 //!    the flow equals a from-scratch rebuild after every step.
+//! 5. Undos compose: up to 32 accepted moves undone newest-first restore the
+//!    state at every depth.
 
 use proptest::prelude::*;
 use quarry_etl::cost::{EstimatedTime, EtlCostModel, SourceStats, TimeWeights};
@@ -330,6 +332,57 @@ fn long_walks_match_a_rebuild_after_every_step() {
         }
     }
     assert!(applied > 500, "the walks must exercise real moves, applied only {applied}");
+}
+
+/// Most moves an undo stack holds in [`stacked_undo`].
+const STACK_DEPTH: usize = 32;
+
+/// Accepts every legal move among seeded proposals until [`STACK_DEPTH`]
+/// are applied in a row, then undoes them newest-first. At every depth the
+/// flow, the statistics and the cost bits must equal what they were when
+/// that move was applied, and the maintained maps a rebuild — the property
+/// the annealer's undo back to its best state rests on. Returns the depth
+/// reached.
+fn stacked_undo(mut st: RewriteState, seed: u64) -> usize {
+    let mut rng = seed;
+    let mut stack = Vec::new();
+    for _ in 0..4 * STACK_DEPTH {
+        if stack.len() == STACK_DEPTH {
+            break;
+        }
+        let moves = st.candidate_moves();
+        let mv = moves[pick(&mut rng, moves.len() as u64) as usize];
+        let before = (st.flow().clone(), st.stats().clone(), st.cost(), st.describe(&mv));
+        if let Ok(applied) = st.apply(&mv) {
+            stack.push((before, applied));
+        }
+    }
+    let depth = stack.len();
+    while let Some(((flow, stats, cost, label), applied)) = stack.pop() {
+        let label = format!("seed {seed} depth {}: undo {label}", stack.len() + 1);
+        st.undo(applied);
+        assert_eq!(st.flow(), &flow, "{label}: flow");
+        assert_eq!(st.stats(), &stats, "{label}: statistics");
+        assert_eq!(st.cost().to_bits(), cost.to_bits(), "{label}: cost");
+        st.audit().unwrap_or_else(|e| panic!("{label}: {e}"));
+    }
+    depth
+}
+
+/// Stacked undos over the seeded randomized flows, under both weight
+/// presets: the annealer takes back whole runs of accepted moves, not only
+/// the move it just applied.
+#[test]
+fn stacked_undos_restore_every_depth() {
+    let mut depths = Vec::new();
+    for seed in 0..24u64 {
+        let (flow, stats) = random_flow(seed);
+        for model in models() {
+            depths.push(stacked_undo(RewriteState::new(flow.clone(), stats.clone(), model).unwrap(), seed ^ 0x57ac));
+        }
+    }
+    let full = depths.iter().filter(|&&d| d == STACK_DEPTH).count();
+    assert!(full >= 8, "too few walks stacked {STACK_DEPTH} moves: {depths:?}");
 }
 
 /// A left join must never accept a swap (outer semantics are not

@@ -138,13 +138,13 @@ struct ChainResult {
     log: Vec<MoveRecord>,
 }
 
-/// Runs one Metropolis chain from `base`, returning its best-seen state.
+/// Runs one Metropolis chain from `base`, returning its best-seen state — not
+/// a snapshot: the moves accepted since the best are undone newest-first.
 fn run_chain(base: &RewriteState, chain: usize, opts: &AnnealOptions, deadline: Instant) -> ChainResult {
     let mut st = base.clone();
     let mut rng = SplitMix64(opts.seed.wrapping_add(chain as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1);
     let start_cost = st.cost();
-    let mut best_flow = st.flow().clone();
-    let mut best_stats = st.stats().clone();
+    let mut since_best = Vec::new();
     let mut best_cost = start_cost;
     let temp0 = (opts.init_temp_frac * start_cost).max(f64::MIN_POSITIVE);
     let mut temp = temp0;
@@ -190,8 +190,9 @@ fn run_chain(base: &RewriteState, chain: usize, opts: &AnnealOptions, deadline: 
                     );
                     if st.cost() < best_cost {
                         best_cost = st.cost();
-                        best_flow = st.flow().clone();
-                        best_stats = st.stats().clone();
+                        since_best.clear();
+                    } else {
+                        since_best.push(applied);
                     }
                     moves = st.candidate_moves();
                 } else {
@@ -211,6 +212,8 @@ fn run_chain(base: &RewriteState, chain: usize, opts: &AnnealOptions, deadline: 
         }
         temp = (temp * opts.cooling).max(f64::MIN_POSITIVE);
     }
+    since_best.into_iter().rev().for_each(|applied| st.undo(applied));
+    let (best_flow, best_stats) = st.into_parts();
     ChainResult { best_flow, best_stats, best_cost, proposed, accepted, log }
 }
 
@@ -232,28 +235,26 @@ pub fn anneal_from(base: &RewriteState, opts: &AnnealOptions) -> AnnealOutcome {
     let start_cost = base.cost();
     let chains = opts.chains.max(1);
     let deadline = Instant::now() + std::time::Duration::from_millis(opts.budget_ms.max(1));
-    let results = quarry_engine::pool::run_indexed(chains, |i| run_chain(base, i, opts, deadline));
+    let mut results = quarry_engine::pool::run_indexed(chains, |i| run_chain(base, i, opts, deadline));
 
-    let mut best_chain = 0usize;
+    let (mut best_chain, mut best_cost) = (0usize, results[0].best_cost);
     let mut proposed = 0u64;
     let mut accepted = 0u64;
     let mut log = Vec::new();
-    for (i, r) in results.iter().enumerate() {
+    for (i, r) in results.iter_mut().enumerate() {
         proposed += r.proposed;
         accepted += r.accepted;
+        log.append(&mut r.log);
         // Strictly-lower wins; ties keep the earlier chain, so the reduction
         // is independent of completion order (run_indexed is index-ordered).
-        if r.best_cost < results[best_chain].best_cost {
-            best_chain = i;
+        if r.best_cost < best_cost {
+            (best_chain, best_cost) = (i, r.best_cost);
         }
     }
-    for r in &results {
-        log.extend(r.log.iter().cloned());
-    }
-    let winner = &results[best_chain];
+    let winner = results.swap_remove(best_chain);
     AnnealOutcome {
-        flow: winner.best_flow.clone(),
-        stats: winner.best_stats.clone(),
+        flow: winner.best_flow,
+        stats: winner.best_stats,
         cost: winner.best_cost,
         start_cost,
         proposed,
@@ -414,6 +415,53 @@ mod tests {
         let out = anneal(&flow, &stats, model, &opts).unwrap();
         assert!(out.log.len() <= 2 * LOG_CAP_PER_CHAIN, "log stays bounded: {}", out.log.len());
         assert!(out.log.iter().any(|r| r.accepted), "an explain log without accepted moves explains nothing");
+    }
+
+    /// A chain hands back its best state without having snapshotted it: the
+    /// test walks the same chain — same draws, same accept decisions — and
+    /// clones the state itself at every new best. In most chains the best
+    /// comes mid-chain and uphill accepts follow it, so the chain has to undo
+    /// its way back.
+    #[test]
+    fn a_chain_returns_the_state_a_snapshot_takes_at_its_best() {
+        let (flow, stats) = spine();
+        let model = EstimatedTime { weights: TimeWeights::columnar() };
+        let base = RewriteState::new(flow, stats, model).unwrap();
+        let opts = AnnealOptions { steps: 256, init_temp_frac: 0.2, cooling: 0.99, ..AnnealOptions::default() };
+        let deadline = Instant::now() + std::time::Duration::from_secs(600);
+        let mut undone_back = 0;
+        for chain in 0..8 {
+            let got = run_chain(&base, chain, &opts, deadline);
+
+            let mut st = base.clone();
+            // The chain's own stream: any other fails the comparison below.
+            let mut rng = SplitMix64(opts.seed.wrapping_add(chain as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1);
+            let mut temp = (opts.init_temp_frac * st.cost()).max(f64::MIN_POSITIVE);
+            let (mut snapshot, mut best_step, mut last_uphill) = (st.clone(), None, None);
+            let mut moves = st.candidate_moves();
+            for step in 0..opts.steps {
+                let mv = moves[rng.pick(moves.len())];
+                if let Ok(applied) = st.apply(&mv) {
+                    let delta = applied.delta;
+                    if delta <= 0.0 || rng.next_f64() < (-delta / temp).exp() {
+                        if st.cost() < snapshot.cost() {
+                            (snapshot, best_step) = (st.clone(), Some(step));
+                        } else if delta > 0.0 {
+                            last_uphill = Some(step);
+                        }
+                        moves = st.candidate_moves();
+                    } else {
+                        st.undo(applied);
+                    }
+                }
+                temp = (temp * opts.cooling).max(f64::MIN_POSITIVE);
+            }
+            undone_back += usize::from(best_step.is_some() && last_uphill > best_step);
+            assert_eq!(&got.best_flow, snapshot.flow(), "chain {chain}");
+            assert_eq!(&got.best_stats, snapshot.stats(), "chain {chain}");
+            assert_eq!(got.best_cost.to_bits(), snapshot.cost().to_bits(), "chain {chain}");
+        }
+        assert!(undone_back >= 4, "{undone_back} of 8 chains met uphill accepts after their best");
     }
 
     /// The same pin `optimizer_equivalence.rs` holds for the requirement
