@@ -163,8 +163,8 @@ fn op_ns_per_row(reps: usize, op: &str, mut run: impl FnMut() -> quarry_engine::
 /// each — the fact-grain aggregations of the low-overlap family, which group
 /// by two surrogate keys — and what the second upsert load of a dimension
 /// table costs per row (every key already present, the lifecycle's
-/// `LOADER_dim_orders'`). 300 k and 75 k rows, the sizes those operators see
-/// at sf = 0.05.
+/// `LOADER_dim_orders'`), with scattered keys and with sorted ones. 300 k and
+/// 75 k rows, the sizes those operators see at sf = 0.05.
 fn aggregate_cardinality_series(reps: usize) -> Vec<CardinalityPoint> {
     const ROWS: usize = 300_000;
     const DIM_ROWS: usize = 75_000;
@@ -209,31 +209,39 @@ fn aggregate_cardinality_series(reps: usize) -> Vec<CardinalityPoint> {
         Column::new("clerk", ColType::Text),
         Column::new("day", ColType::Date),
     ]);
-    let mut catalog = Catalog::new();
-    catalog.put(
-        "orders",
-        Relation::with_rows(
-            dim_schema.clone(),
-            (0..DIM_ROWS)
-                .map(|i| {
-                    vec![
-                        Value::Int(((i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 1) as i64),
-                        Value::Float(i as f64 * 1.5),
-                        Value::Str(["F", "O", "P"][i % 3].into()),
-                        Value::Str(format!("Clerk#{:05}", i % 1000)),
-                        Value::Date(8000 + (i % 2400) as i32),
-                    ]
-                })
-                .collect(),
-        ),
-    );
-    let flow = single_table_flow("orders", &dim_schema, None, &["k"]);
-    let (ns_per_row, rows_out) = op_ns_per_row(reps, "LOAD", || {
-        let mut engine = Engine::new(catalog.clone());
-        engine.run(&flow).expect("first load");
-        engine.run(&flow).expect("second load")
-    });
-    points.push(CardinalityPoint { case: "upsert_second_load".into(), rows: DIM_ROWS, rows_out, ns_per_row });
+    // Both sides of the loader's plan choice: keys scattered like
+    // content-addressed surrogates are grouped by hash; keys that rise down
+    // the table, as extracted dimension keys do, merge in one pass.
+    let scattered = |i: usize| ((i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 1) as i64;
+    for (case, key) in
+        [("upsert_second_load", scattered as fn(usize) -> i64), ("upsert_second_load_sorted", |i| i as i64)]
+    {
+        let mut catalog = Catalog::new();
+        catalog.put(
+            "orders",
+            Relation::with_rows(
+                dim_schema.clone(),
+                (0..DIM_ROWS)
+                    .map(|i| {
+                        vec![
+                            Value::Int(key(i)),
+                            Value::Float(i as f64 * 1.5),
+                            Value::Str(["F", "O", "P"][i % 3].into()),
+                            Value::Str(format!("Clerk#{:05}", i % 1000)),
+                            Value::Date(8000 + (i % 2400) as i32),
+                        ]
+                    })
+                    .collect(),
+            ),
+        );
+        let flow = single_table_flow("orders", &dim_schema, None, &["k"]);
+        let (ns_per_row, rows_out) = op_ns_per_row(reps, "LOAD", || {
+            let mut engine = Engine::new(catalog.clone());
+            engine.run(&flow).expect("first load");
+            engine.run(&flow).expect("second load")
+        });
+        points.push(CardinalityPoint { case: case.into(), rows: DIM_ROWS, rows_out, ns_per_row });
+    }
     for p in &points {
         println!("{:>28} {:>8} {:>9} {:>8.1}", p.case, p.rows, p.rows_out, p.ns_per_row);
     }

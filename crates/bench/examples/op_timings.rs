@@ -6,13 +6,18 @@
 //!
 //! ```text
 //! cargo run --release -p quarry-bench --example op_timings -- \
-//!     [--family high|low] [--flow greedy|optimized] [--sf 0.01] [--n 8] [--threads 0]
+//!     [--family high|low] [--flow greedy|optimized] [--sf 0.01] [--n 8] [--threads 0] [--warm]
 //! ```
 //!
 //! `--flow greedy` (the default) runs the unified flow as integration left
 //! it; `--flow optimized` runs `Quarry::optimize` over it first, which is the
 //! flow the lifecycle benchmark executes. `--threads 0` keeps the pool's
-//! auto-detected width. The fastest of five runs is printed: busy time per
+//! auto-detected width. `--warm` installs a result cache keyed like the
+//! lifecycle's (`CachePlan::for_catalog`), fills it with one run and times
+//! the runs after it: the lifecycle benchmark's `exec_warm_s`, where the
+//! cache serves every pure operator and what is left is mostly the loaders
+//! (the `loaders:` line puts their busy time beside the run's wall time).
+//! The fastest of five runs is printed: busy time per
 //! operator kind; what the scheduler made of it — achieved parallelism
 //! (Σ elapsed ÷ wall), idle time per lane, the chain of operators that ended
 //! last (each link the input that finished last: its work and the time its
@@ -25,14 +30,15 @@
 //! time and move counts.
 
 use quarry::{Quarry, QuarryConfig};
-use quarry_engine::{tpch, Engine, OpTiming};
+use quarry_engine::{tpch, CachePlan, Engine, OpTiming, ResultCache};
 use std::collections::{BTreeMap, HashMap};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 fn usage(problem: &str) -> ! {
     eprintln!(
         "{problem}\nusage: op_timings [--family high|low] [--flow greedy|optimized] [--sf <f64>] [--n <usize>] \
-         [--threads <usize>]"
+         [--threads <usize>] [--warm]"
     );
     std::process::exit(2)
 }
@@ -55,9 +61,13 @@ fn peak_rss_kb() -> Option<u64> {
 }
 
 fn main() {
-    let (mut high, mut optimized, mut sf, mut n, mut threads) = (true, false, 0.01f64, 8usize, 0usize);
+    let (mut high, mut optimized, mut sf, mut n, mut threads, mut warm) = (true, false, 0.01f64, 8usize, 0usize, false);
     let mut args = std::env::args().skip(1);
     while let Some(flag) = args.next() {
+        if flag == "--warm" {
+            warm = true;
+            continue;
+        }
         let value = args.next().unwrap_or_default();
         match (flag.as_str(), value.as_str()) {
             ("--family", "high") => high = true,
@@ -84,10 +94,22 @@ fn main() {
         (t0.elapsed(), report)
     });
     let unified = q.unified().1.clone();
+    // The cache one run filled, and the plan every timed run keys it with.
+    let cache = warm.then(|| {
+        let cache = Arc::new(ResultCache::new(true, q.config().cache.budget_bytes));
+        let plan = CachePlan::for_catalog(&unified, &catalog, 1).expect("the unified flow plans");
+        let mut engine = Engine::new(catalog.clone());
+        engine.set_result_cache(Arc::clone(&cache), plan.clone());
+        engine.run(&unified).expect("fills the cache");
+        (cache, plan)
+    });
 
     let mut best: Option<(Duration, quarry_engine::RunReport, Option<u64>, Option<u64>)> = None;
     for _ in 0..5 {
         let mut engine = Engine::new(catalog.clone());
+        if let Some((cache, plan)) = &cache {
+            engine.set_result_cache(Arc::clone(cache), plan.clone());
+        }
         // Resets VmHWM to the current RSS (Linux); where refused, the peak
         // printed is the process's.
         let _ = std::fs::write("/proc/self/clear_refs", "5");
@@ -102,9 +124,10 @@ fn main() {
     }
     let (total, report, faults, peak_kb) = best.expect("five runs");
     println!(
-        "{} overlap, {} flow, sf={sf}, N={n}, threads={} (available_parallelism={}): total {total:?} over {} ops",
+        "{} overlap, {} flow{}, sf={sf}, N={n}, threads={} (available_parallelism={}): total {total:?} over {} ops",
         if high { "high" } else { "low" },
         if optimized { "optimized" } else { "greedy" },
+        if warm { ", warm" } else { "" },
         quarry_engine::pool::threads(),
         std::thread::available_parallelism().map_or(0, usize::from),
         report.timings.len()
@@ -128,6 +151,12 @@ fn main() {
         println!("{busy:>12?}  ops={ops:>3} out={rows_out:>8}  {kind}");
     }
     let busy: Duration = report.timings.iter().map(|t| t.elapsed).sum();
+    let loaders: Duration = report.timings.iter().filter(|t| t.kind == "Loader").map(|t| t.elapsed).sum();
+    println!(
+        "loaders: Σ elapsed {loaders:?} of wall {:?} ({:.0}%)",
+        report.total,
+        100.0 * loaders.as_secs_f64() / report.total.as_secs_f64()
+    );
     println!(
         "parallelism: {:.2} (Σ elapsed {busy:?} ÷ wall {:?})",
         busy.as_secs_f64() / report.total.as_secs_f64(),

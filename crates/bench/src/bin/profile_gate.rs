@@ -26,6 +26,7 @@ use quarry::obs::flight::{self, EventKind};
 use quarry::profile::KernelDelta;
 use quarry::{ExecutionProfile, Quarry};
 use quarry_engine::tpch;
+use quarry_etl::cost::cardinality_state;
 use quarry_repository::{ArtifactKind, Json};
 use std::hint::black_box;
 use std::time::{Duration, Instant};
@@ -92,7 +93,8 @@ fn main() {
     let stats = q.config().stats.clone();
     let capture = median_of(|| {
         let t0 = Instant::now();
-        let profile = ExecutionProfile::capture(&flow, &report, &stats, KernelDelta::default(), kernels);
+        let estimates = cardinality_state(&flow, &stats).unwrap_or_default();
+        let profile = ExecutionProfile::capture(&flow, &report, &estimates, KernelDelta::default(), kernels);
         black_box(profile.to_json().to_pretty_string());
         t0.elapsed()
     });

@@ -11,7 +11,9 @@
 //! aggregation state layouts (fact-grain and recurring groups, NULL group
 //! keys, every function over every input representation, order-sensitive
 //! sums, errors, every shape of partition run), second loads into a
-//! populated table and keyed loads of aggregation outputs, and the shapes a
+//! populated table, keyed loads of aggregation outputs and of every shape of
+//! target and input keys the loader's sorted merge must tell apart from the
+//! key grouping (`keyed_load_*`), and the shapes a
 //! dependency-driven scheduler could get wrong (`scheduler_*`: deep chains
 //! beside wide fan-outs, diamonds, self-unions, loaders of every kind into
 //! shared tables at different depths, seeded random DAGs, cache-served flows,
@@ -1189,6 +1191,90 @@ fn float_keys_into_an_int_keyed_table_agree() {
     assert_eq!(dim.len(), 12, "ten old rows, 6.5 and the NULL key appended");
     assert_eq!(dim.row(5), [Value::Float(5.0), Value::Str("L5".into()), Value::Float(55.0)], "last write wins");
     assert_eq!(dim.row(10), [Value::Float(6.5), Value::Null, Value::Float(65.0)]);
+}
+
+/// Target and input keys of one keyed load per shape the loader's merge
+/// plan must get right, seeded: a `None` target is an absent table, a `None`
+/// key a NULL. Sorted shapes take the merge, the others the key grouping.
+#[allow(clippy::type_complexity)]
+fn keyed_load_shapes(seed: u64) -> Vec<(&'static str, Option<Vec<Option<i64>>>, Vec<Option<i64>>)> {
+    let mut rng = Lcg(seed.wrapping_mul(0x9e37_79b9_7f4a_7c15).wrapping_add(11));
+    let mut draw = |n: usize, lo: i64, span: usize| {
+        let mut keys: Vec<i64> = (0..n).map(|_| lo + rng.pick(span) as i64).collect();
+        keys.sort_unstable();
+        keys.dedup();
+        keys
+    };
+    let (base, other) = (draw(400, -300, 2000), draw(400, -300, 2000));
+    let stride = draw(40, 1, 9)[0] as usize + 1;
+    let keys = |keys: &[i64]| keys.iter().copied().map(Some).collect::<Vec<_>>();
+    let every = |step: usize| keys(&base.iter().step_by(step).copied().collect::<Vec<_>>());
+    let all = keys(&base);
+    let shifted = |f: fn(i64) -> i64| base.iter().map(|&k| Some(f(k))).collect::<Vec<_>>();
+    let twice: Vec<Option<i64>> = all.iter().flat_map(|&k| [k; 2]).step_by(3).collect();
+    let holes: Vec<Option<i64>> = all.iter().enumerate().map(|(i, &k)| k.filter(|_| i % stride != 0)).collect();
+    let reversed: Vec<Option<i64>> = all.iter().rev().copied().collect();
+    let shuffled: Vec<Option<i64>> = (0..all.len()).map(|i| all[i * 7919 % all.len()]).collect();
+    let extremes = [i64::MIN, i64::MIN + 1, -1_000_000, -1, 0, 1, i64::MAX - 1, i64::MAX];
+    vec![
+        ("identical", Some(all.clone()), all.clone()),
+        ("subset", Some(all.clone()), every(stride)),
+        ("superset", Some(every(stride)), all.clone()),
+        ("disjoint", Some(shifted(|k| 2 * k)), shifted(|k| 2 * k + 1)),
+        ("disjoint_after", Some(all.clone()), shifted(|k| k + 10_000)),
+        ("interleaved", Some(all.clone()), keys(&other)),
+        ("duplicate_inputs", Some(all.clone()), twice.clone()),
+        ("duplicate_targets", Some(twice), all.clone()),
+        ("null_inputs", Some(all.clone()), holes.clone()),
+        ("null_targets", Some(holes), all.clone()),
+        ("descending_input", Some(all.clone()), reversed.clone()),
+        ("descending_target", Some(reversed), all.clone()),
+        ("unsorted_input", Some(all.clone()), shuffled.clone()),
+        ("unsorted_target", Some(shuffled.clone()), all.clone()),
+        ("extremes", Some(keys(&extremes)), keys(&[i64::MIN, -1, 2, i64::MAX])),
+        ("empty_input", Some(all.clone()), vec![]),
+        ("empty_target", Some(vec![]), all.clone()),
+        ("absent_target", None, all.clone()),
+        ("absent_target_unsorted", None, shuffled),
+    ]
+}
+
+/// Keyed loads of every shape in [`keyed_load_shapes`], each under two
+/// layouts — the input carrying the target's columns, and the input carrying
+/// one column fewer and one the target lacks (so the schema widens) — loaded
+/// once and twice, at 1, 2, 4 and 8 threads: every table equals the row
+/// engine's.
+#[test]
+fn keyed_load_shapes_agree() {
+    let narrow = schema_of(&[("k", ColType::Integer), ("a", ColType::Decimal), ("b", ColType::Text)]);
+    let widening = schema_of(&[("k", ColType::Integer), ("b", ColType::Text), ("c", ColType::Integer)]);
+    let key = |k: &Option<i64>| k.map_or(Value::Null, Value::Int);
+    for seed in 0..3 {
+        for (shape, target, input) in keyed_load_shapes(seed) {
+            for widens in [false, true] {
+                let mut catalog = Catalog::new();
+                if let Some(target) = &target {
+                    let rows = (target.iter().enumerate())
+                        .map(|(i, k)| vec![key(k), Value::Float(i as f64 / 4.0), Value::Str(format!("t{i}"))])
+                        .collect();
+                    catalog.put("dim", Relation::with_rows(narrow.clone(), rows));
+                }
+                let rows = (input.iter().enumerate())
+                    .map(|(i, k)| match widens {
+                        false => vec![key(k), Value::Float(i as f64), Value::Str(format!("i{i}"))],
+                        true => vec![key(k), Value::Str(format!("i{i}")), Value::Int(i as i64)],
+                    })
+                    .collect();
+                catalog.put("src", Relation::with_rows(if widens { &widening } else { &narrow }.clone(), rows));
+                let mut f = Flow::new(format!("keyed_{shape}"));
+                let src = scan(&mut f, "SRC", &catalog, "src");
+                f.append(src, "UPSERT", load("dim", &["k"])).unwrap();
+                f.validate().expect("valid");
+                assert_equivalent_at(&catalog, &[&f], &WIDTHS);
+                assert_equivalent_at(&catalog, &[&f, &f], &WIDTHS);
+            }
+        }
+    }
 }
 
 #[test]

@@ -5,8 +5,8 @@ use crate::profile::{ExecutionProfile, KernelDelta};
 use quarry_deployer::{DeployError, DeploymentArtifacts, PlatformRegistry};
 use quarry_elicitor::{Elicitor, Session};
 use quarry_engine::{CachePlan, CacheStats, Catalog, Engine, EngineError, ResultCache, RunReport};
-use quarry_etl::cost::{cardinality_state, op_fingerprint, EstimatedTime, TimeWeights};
-use quarry_etl::Flow;
+use quarry_etl::cost::{cardinality_state, op_fingerprint, CardState, EstimatedTime, TimeWeights};
+use quarry_etl::{Flow, OpId};
 use quarry_formats::registry::FormatRegistry;
 use quarry_formats::{FormatError, Requirement};
 use quarry_integrator::etl::EtlIntegrationReport;
@@ -224,8 +224,10 @@ pub struct Quarry {
     /// Canonical per-op fingerprints (`op name → signature hash`) of the
     /// unified flow as of the last ETL run — the routing table
     /// [`Quarry::observe_run`] uses so observations never fold into an op
-    /// the optimizer has since rewritten under the same name.
-    run_fingerprints: Mutex<HashMap<String, u64>>,
+    /// the optimizer has since rewritten under the same name — and the flow
+    /// epoch they were taken at. Every mutation of the flow moves the epoch,
+    /// so a run at the same epoch finds them current.
+    run_fingerprints: Mutex<(Option<u64>, HashMap<String, u64>)>,
     /// The resolved per-source epoch values (counter mixed with table stamp)
     /// of the last ETL run — what the optimizer's cache discount keys its
     /// probe fingerprints on, since no catalog is in scope at optimize time.
@@ -474,7 +476,7 @@ impl Quarry {
             drift,
             result_cache,
             source_epochs: HashMap::new(),
-            run_fingerprints: Mutex::new(HashMap::new()),
+            run_fingerprints: Mutex::new((None, HashMap::new())),
             last_source_epochs: Mutex::new(HashMap::new()),
             cached_plan: Mutex::new(None),
         })
@@ -1018,7 +1020,7 @@ impl Quarry {
     pub fn observe_run(&mut self, report: &RunReport) {
         let recorded = {
             let fps = self.run_fingerprints.lock().unwrap_or_else(|p| p.into_inner());
-            fps.clone()
+            fps.1.clone()
         };
         for t in &report.timings {
             let Some(op) = self.unified_etl.op_by_name(&t.op) else {
@@ -1043,10 +1045,7 @@ impl Quarry {
     /// estimates keeps accumulating evidence, and once an operator's median
     /// misestimate exceeds the threshold it is flagged in `obs.drift.*` and
     /// the flight recorder until a correction is observed.
-    fn digest_drift(&self, report: &RunReport) {
-        let Ok(estimates) = cardinality_state(&self.unified_etl, &self.config.stats) else {
-            return;
-        };
+    fn digest_drift(&self, report: &RunReport, estimates: &HashMap<OpId, CardState>) {
         let mut sampled = false;
         for t in &report.timings {
             if let Some(op) = self.unified_etl.op_by_name(&t.op) {
@@ -1167,15 +1166,15 @@ impl Quarry {
             Ok(report) => {
                 self.remember_run_fingerprints();
                 self.record_run(&step, &report);
-                let profile = ExecutionProfile::capture(
-                    &self.unified_etl,
-                    &report,
-                    &self.config.stats,
-                    kernels_before,
-                    kernels_after,
-                );
+                // One estimate pass feeds the profile and the drift digest.
+                // Estimates are best-effort: a flow the estimator cannot
+                // order (it executed, so it is acyclic — this is defensive)
+                // profiles with zero estimates and samples no drift.
+                let estimates = cardinality_state(&self.unified_etl, &self.config.stats).unwrap_or_default();
+                let profile =
+                    ExecutionProfile::capture(&self.unified_etl, &report, &estimates, kernels_before, kernels_after);
                 self.persist_profile(&profile);
-                self.digest_drift(&report);
+                self.digest_drift(&report, &estimates);
                 Ok((engine, report))
             }
             Err(e) => Err(QuarryError::Engine(e)),
@@ -1278,10 +1277,10 @@ impl Quarry {
     /// a run, so a later [`Quarry::observe_run`] can tell whether an op name
     /// still denotes the operation the run actually measured.
     fn remember_run_fingerprints(&self) {
+        let epoch = Some(self.consolidation.flow_epoch());
         let mut fps = self.run_fingerprints.lock().unwrap_or_else(|p| p.into_inner());
-        fps.clear();
-        for op in self.unified_etl.ops() {
-            fps.insert(op.name.clone(), op_fingerprint(&op.kind));
+        if fps.0 != epoch {
+            *fps = (epoch, self.unified_etl.ops().map(|op| (op.name.clone(), op_fingerprint(&op.kind))).collect());
         }
     }
 
@@ -1715,6 +1714,48 @@ mod tests {
         }
         // The run itself still contributed: at least one surviving op folded.
         assert!(report.timings.iter().any(|t| q.config().stats.observed_op(&t.op).is_some()));
+    }
+
+    #[test]
+    fn observe_run_routes_a_second_run_at_the_same_epoch_like_the_first() {
+        let catalog = quarry_engine::tpch::generate(0.002, 42);
+        let mut v2 = figure4_requirement();
+        v2.slicers[0].value = "France".into();
+        // Runs `runs` times at one epoch, rewrites the slicer, then observes
+        // the last run: what folded, per timed op. Uncached, so every run
+        // times every op.
+        let folded = |runs: usize| {
+            let mut q = Quarry::tpch();
+            q.config.cache.enabled = false;
+            q.add_requirement(figure4_requirement()).unwrap();
+            let epoch = q.consolidation.flow_epoch();
+            let reports: Vec<RunReport> = (0..runs).map(|_| q.run_etl(catalog.clone()).unwrap().1).collect();
+            assert_eq!(q.consolidation.flow_epoch(), epoch, "running moves no epoch");
+            q.change_requirement(v2.clone()).unwrap();
+            let last = reports.last().unwrap();
+            q.observe_run(last);
+            let stats = &q.config().stats;
+            let seen: Vec<_> = last
+                .timings
+                .iter()
+                .map(|t| (t.op.clone(), stats.observed_op(&t.op), stats.observed_selectivity(&t.op)))
+                .collect();
+            (q, seen)
+        };
+        let (_, first) = folded(1);
+        let (mut q, second) = folded(2);
+        assert_eq!(first, second);
+        let skipped = second.iter().filter(|(_, rows, sel)| rows.is_none() && sel.is_none()).count();
+        assert!(skipped > 0, "the rewritten slicer's observation is dropped");
+        // After the change the epoch moved: the next run routes against the
+        // rewritten flow, so its slicer observation folds.
+        let (_, report) = q.run_etl(catalog).unwrap();
+        q.observe_run(&report);
+        let stats = &q.config().stats;
+        assert!(report
+            .timings
+            .iter()
+            .all(|t| stats.observed_op(&t.op).is_some() || stats.observed_selectivity(&t.op).is_some()));
     }
 
     #[test]

@@ -22,8 +22,8 @@
 //! ```
 
 use quarry_engine::RunReport;
-use quarry_etl::cost::{cardinality_state, SourceStats};
-use quarry_etl::Flow;
+use quarry_etl::cost::CardState;
+use quarry_etl::{Flow, OpId};
 use quarry_repository::Json;
 use std::collections::HashMap;
 
@@ -103,21 +103,20 @@ impl KernelDelta {
 
 impl ExecutionProfile {
     /// Builds a profile from a run over `flow`: per-operator estimates come
-    /// from the cost model under `stats` (pass the statistics that were live
-    /// when the run started — estimates folded *after* the run would just
-    /// echo the observations back), measurements from `report`, and kernel
-    /// deltas from counter snapshots bracketing the run.
+    /// from the cost model's [`cardinality_state`] (computed under the
+    /// statistics that were live when the run started — estimates folded
+    /// *after* the run would just echo the observations back; an operator
+    /// without one profiles with a zero estimate), measurements from
+    /// `report`, and kernel deltas from counter snapshots bracketing the run.
+    ///
+    /// [`cardinality_state`]: quarry_etl::cost::cardinality_state
     pub fn capture(
         flow: &Flow,
         report: &RunReport,
-        stats: &SourceStats,
+        estimates: &HashMap<OpId, CardState>,
         kernels_before: KernelDelta,
         kernels_after: KernelDelta,
     ) -> ExecutionProfile {
-        // Estimates are best-effort: a flow the estimator cannot order (it
-        // executed, so it is acyclic — this is defensive) profiles with
-        // zero estimates rather than not at all.
-        let estimates = cardinality_state(flow, stats).unwrap_or_default();
         let estimated_by_name: HashMap<&str, f64> = flow
             .ops()
             .map(|op| (op.name.as_str(), estimates.get(&op.id).map(|&(rows, _)| rows).unwrap_or(0.0)))
@@ -293,6 +292,7 @@ impl ExecutionProfile {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use quarry_etl::cost::{cardinality_state, SourceStats};
     use quarry_etl::{parse_expr, ColType, Column, OpKind, Schema};
 
     fn src_schema() -> Schema {
@@ -325,7 +325,9 @@ mod tests {
         }
         report.total = std::time::Duration::from_micros(900);
         report.rows_processed = 1074;
-        let profile = ExecutionProfile::capture(&flow, &report, &stats, KernelDelta::default(), KernelDelta::default());
+        let estimates = cardinality_state(&flow, &stats).unwrap();
+        let profile =
+            ExecutionProfile::capture(&flow, &report, &estimates, KernelDelta::default(), KernelDelta::default());
         (flow, profile)
     }
 
@@ -418,13 +420,8 @@ mod tests {
                 worker: 0,
             });
         }
-        let p = ExecutionProfile::capture(
-            &flow,
-            &report,
-            &SourceStats::default(),
-            KernelDelta::default(),
-            KernelDelta::default(),
-        );
+        let estimates = cardinality_state(&flow, &SourceStats::default()).unwrap();
+        let p = ExecutionProfile::capture(&flow, &report, &estimates, KernelDelta::default(), KernelDelta::default());
         let tree = p.render();
         assert_eq!(tree.matches("DATASTORE_s [").count(), 1, "shared source expands once: {tree}");
         assert!(tree.contains("DATASTORE_s (shared, shown above)"), "{tree}");

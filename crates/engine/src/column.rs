@@ -47,6 +47,11 @@ impl Bitmap {
         b
     }
 
+    /// An all-clear bitmap of `len` bits: every slot NULL.
+    fn all_null(len: usize) -> Self {
+        Bitmap { bits: vec![0; len.div_ceil(64)], len }
+    }
+
     pub fn len(&self) -> usize {
         self.len
     }
@@ -136,6 +141,7 @@ pub(crate) fn contiguous_run(indices: &[u32]) -> Option<std::ops::Range<usize>> 
 
 /// An interned pool of distinct strings backing dictionary-encoded columns.
 #[derive(Debug, Default)]
+#[cfg_attr(test, derive(PartialEq))]
 pub struct StringPool {
     strings: Vec<String>,
     index: HashMap<String, u32>,
@@ -188,6 +194,7 @@ impl StringPool {
 
 /// The typed storage behind one column.
 #[derive(Debug, Clone)]
+#[cfg_attr(test, derive(PartialEq))]
 pub enum ColumnData {
     Int(Vec<i64>),
     Float(Vec<f64>),
@@ -208,6 +215,7 @@ pub enum ColumnData {
 /// One column: typed data plus an optional validity bitmap (`None` = every
 /// slot valid). Invalid slots hold an arbitrary placeholder datum.
 #[derive(Debug, Clone)]
+#[cfg_attr(test, derive(PartialEq))]
 pub struct Column {
     data: ColumnData,
     validity: Option<Bitmap>,
@@ -233,13 +241,14 @@ impl Column {
         Column { data, validity: None }
     }
 
-    /// A column of `len` NULLs, typed after `ty`.
+    /// A column of `len` NULLs, typed after `ty` — the column a
+    /// [`ColumnBuilder`] fed `len` NULLs builds, filled in one allocation.
     pub fn nulls(ty: ColType, len: usize) -> Self {
-        let mut b = ColumnBuilder::new(ty);
-        for _ in 0..len {
-            b.push(Value::Null);
+        let empty = Column::empty(ty);
+        if len == 0 {
+            return empty;
         }
-        b.finish()
+        Column::nulls_typed(&empty.data, len)
     }
 
     pub fn data(&self) -> &ColumnData {
@@ -685,15 +694,9 @@ impl ColumnBuilder {
             Column::new(data, validity)
         };
         match self.state {
-            Start => {
-                // Nothing but NULLs (or nothing at all): type after the
-                // declared schema type.
-                let mut c = Column::empty(self.ty);
-                if self.leading_nulls > 0 {
-                    c = Column::nulls_typed(&c.data, self.leading_nulls);
-                }
-                c
-            }
+            // Nothing but NULLs (or nothing at all): type after the declared
+            // schema type.
+            Start => Column::nulls(self.ty, self.leading_nulls),
             Int(d, bm) => finish_typed(ColumnData::Int(d), bm),
             Float(d, bm) => finish_typed(ColumnData::Float(d), bm),
             Bool(d, bm) => finish_typed(ColumnData::Bool(d), bm),
@@ -708,10 +711,6 @@ impl ColumnBuilder {
 impl Column {
     /// A column of `len` NULL slots with the same representation as `like`.
     fn nulls_typed(like: &ColumnData, len: usize) -> Column {
-        let mut bm = Bitmap::new();
-        for _ in 0..len {
-            bm.push(false);
-        }
         let data = match like {
             ColumnData::Int(_) => ColumnData::Int(vec![0; len]),
             ColumnData::Float(_) => ColumnData::Float(vec![0.0; len]),
@@ -721,7 +720,7 @@ impl Column {
             ColumnData::Str(_) => ColumnData::Str(vec![String::new(); len]),
             ColumnData::Mixed(_) => return Column::new(ColumnData::Mixed(vec![Value::Null; len]), None),
         };
-        Column::new(data, Some(bm))
+        Column::new(data, Some(Bitmap::all_null(len)))
     }
 }
 
@@ -853,6 +852,22 @@ mod tests {
             let mut s = String::new();
             c.write_display(0, &mut s).unwrap();
             assert_eq!(s, v.to_string(), "display mismatch for {v:?}");
+        }
+    }
+
+    #[test]
+    fn typed_null_fill_equals_the_built_column() {
+        let types = [ColType::Integer, ColType::Decimal, ColType::Date, ColType::Boolean, ColType::Text];
+        for ty in types {
+            for len in [0, 1, 63, 64, 65, 75_000] {
+                let filled = Column::nulls(ty, len);
+                assert_eq!(filled, build(ty, vec![Value::Null; len]), "{ty} × {len}");
+                // The bits a slot-by-slot build pushes, word for word.
+                let mut pushed = Bitmap::new();
+                (0..len).for_each(|_| pushed.push(false));
+                assert_eq!(filled.validity(), (len > 0).then_some(&pushed), "{ty} × {len}");
+                assert!((0..len).all(|i| filled.is_null(i)));
+            }
         }
     }
 

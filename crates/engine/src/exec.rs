@@ -610,8 +610,8 @@ pub(crate) fn execute_pure(name: &str, kind: &OpKind, inputs: &[Batch]) -> Resul
 
 #[cfg(test)]
 thread_local! {
-    /// How many upserts on this thread grouped their keys (the general path).
-    static KEY_GROUPINGS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    /// Targets of the upserts on this thread that grouped their keys (the hash path).
+    static KEY_GROUPINGS: std::cell::RefCell<Vec<String>> = const { std::cell::RefCell::new(Vec::new()) };
 }
 
 /// Upsert-merges `input` into the catalog table `table` keyed on `key`:
@@ -620,17 +620,25 @@ thread_local! {
 /// (the last old row carrying a key takes the match; within the batch the
 /// last write wins) or append, in first-seen order, when no old row matches.
 ///
-/// Keys are grouped once over `old ++ input` ([`key_group_ids`]): encoded
-/// words give the same per-column equality as `Value` rows — NULL equals
-/// NULL, the concatenation unifies the two sides' dictionaries — and only a
-/// `Mixed` key column (an `Int`-keyed table receiving `Float` keys, say)
-/// falls back to `Value`-row keys. The merge plan is a selection vector over
-/// `old ++ input`, so every carried column rebuilds as one typed
-/// concatenation and one gather, never a `Value` per cell.
+/// The merge plan is a selection vector over `old ++ input`, so every
+/// carried column rebuilds as one typed concatenation and one gather, never
+/// a `Value` per cell. It comes one of two ways:
+///
+/// - a *sorted* key — one NULL-free `Int` column, strictly increasing on the
+///   input and on a populated target — merges the two key slices in one pass
+///   ([`merge_sorted_keys`]), hashing nothing;
+/// - any other key is grouped once over `old ++ input` ([`key_group_ids`]):
+///   encoded words give the same per-column equality as `Value` rows — NULL
+///   equals NULL, the concatenation unifies the two sides' dictionaries —
+///   and only a `Mixed` key column (an `Int`-keyed table receiving `Float`
+///   keys, say) falls back to `Value`-row keys.
 ///
 /// `distinct` — the plan proved the input's keys pairwise distinct
 /// ([`crate::schedule::input_distinct_on`]) — lets a load into an empty table take the
 /// identity plan the grouping would have arrived at without hashing a row.
+/// A load that rewrites every row in place (the plan sends slot *s* to input
+/// row *s*) shares the input's columns. A rejected load leaves the table as
+/// it was.
 pub(crate) fn upsert(
     catalog: &mut Catalog,
     table: &str,
@@ -646,73 +654,63 @@ pub(crate) fn upsert(
     }
     let existing = catalog.get_mut(table).expect("created above");
     // Widen the schema to the union; check types of shared columns.
+    let mut widened = Vec::new();
     for c in &input.schema.columns {
         match existing.schema.column(&c.name) {
             Some(prev) if prev.ty != c.ty => {
                 return Err(format!("column `{}` is {} in the target but {} in the input", c.name, prev.ty, c.ty));
             }
             Some(_) => {}
-            None => {
-                let n = existing.nrows;
-                existing.schema.columns.push(c.clone());
-                existing.columns.push(Arc::new(Col::nulls(c.ty, n)));
-            }
+            None => widened.push(c.clone()),
         }
     }
-    // Target position → input column carrying it.
-    let input_of: Vec<Option<usize>> = existing.schema.names().map(|n| input.schema.index_of(n)).collect();
+    if let Some(k) = key.iter().find(|k| input.schema.index_of(k).is_none()) {
+        let side = if existing.schema.index_of(k).is_some() { "input" } else { "target" };
+        return Err(format!("upsert key `{k}` missing from {side}"));
+    }
     let old_len = existing.nrows;
-    // One column over `old ++ input`; on a first load, the input column.
+    let total = old_len + input.len();
+    let merged = sorted_int_key(input, key).and_then(|new| {
+        let old = if old_len == 0 { &[][..] } else { sorted_int_key(existing, key)? };
+        Some(merge_sorted_keys(old, new))
+    });
+    existing.schema.columns.extend(widened);
+    // Target position → input column carrying it. Widened positions have no
+    // old column yet: their old rows are NULL.
+    let input_of: Vec<Option<usize>> = existing.schema.names().map(|n| input.schema.index_of(n)).collect();
     let stacked = |tp: usize, ic: usize| -> Arc<Col> {
         if old_len == 0 {
             return Arc::clone(&input.columns()[ic]);
         }
-        let parts = [existing.columns[tp].as_ref(), input.columns()[ic].as_ref()];
-        Arc::new(Col::concat(&parts, existing.schema.columns[tp].ty))
+        let ty = existing.schema.columns[tp].ty;
+        let old = existing.columns.get(tp).cloned().unwrap_or_else(|| Arc::new(Col::nulls(ty, old_len)));
+        Arc::new(Col::concat(&[old.as_ref(), input.columns()[ic].as_ref()], ty))
     };
-    let key_cols: Vec<Arc<Col>> = key
-        .iter()
-        .map(|k| {
-            let tp = existing.schema.index_of(k).ok_or_else(|| format!("upsert key `{k}` missing from target"))?;
-            let ic = input_of[tp].ok_or_else(|| format!("upsert key `{k}` missing from input"))?;
-            Ok(stacked(tp, ic))
-        })
-        .collect::<Result<_, String>>()?;
-    let total = old_len + input.len();
-    let (ids, groups) = if distinct && old_len == 0 {
-        (Vec::new(), total)
-    } else {
-        #[cfg(test)]
-        KEY_GROUPINGS.with(|n| n.set(n.get() + 1));
-        key_group_ids(&key_cols.iter().map(Arc::as_ref).collect::<Vec<_>>(), total)
+    let plan: Option<Vec<u32>> = match merged {
+        Some(plan) => plan,
+        None if distinct && old_len == 0 => None,
+        None => {
+            #[cfg(test)]
+            KEY_GROUPINGS.with(|g| g.borrow_mut().push(table.to_string()));
+            let key_cols: Vec<Arc<Col>> = key
+                .iter()
+                .map(|k| {
+                    let tp = existing.schema.index_of(k).expect("the widened target has every input column");
+                    stacked(tp, input_of[tp].expect("the input carries every key"))
+                })
+                .collect();
+            let (ids, groups) = key_group_ids(&key_cols.iter().map(Arc::as_ref).collect::<Vec<_>>(), total);
+            grouped_plan(&ids, old_len, groups)
+        }
     };
-    // The merge plan: per output slot, the row of `old ++ input` it takes.
-    // `None` is the identity — every key distinct, so nothing matches and
-    // nothing dedups (the common first load of a dimension or fact table):
-    // the merged columns are the stacked ones, shared rather than copied.
-    let plan: Option<Vec<u32>> = (groups < total).then(|| {
-        // Each key group's slot in the merged table: the last old row
-        // carrying the key, else the appended slot its first input row opens.
-        let mut slot_of: Vec<u32> = vec![NULL_IDX; groups];
-        for (slot, &g) in ids[..old_len].iter().enumerate() {
-            slot_of[g as usize] = slot as u32;
-        }
-        let mut plan: Vec<u32> = (0..old_len as u32).collect();
-        for (i, &g) in ids[old_len..].iter().enumerate() {
-            let slot = &mut slot_of[g as usize];
-            if *slot == NULL_IDX {
-                *slot = plan.len() as u32;
-                plan.push(NULL_IDX);
-            }
-            plan[*slot as usize] = (old_len + i) as u32;
-        }
-        plan
-    });
     let new_len = plan.as_ref().map_or(total, Vec::len);
+    let overwrite = plan.as_deref().and_then(contiguous_run) == Some(old_len..total);
     // Columns the input does not carry keep their values (appended slots
-    // pad with NULL); columns it does carry gather through the plan.
-    let columns: Vec<Arc<Col>> = (0..existing.columns.len())
+    // pad with NULL); columns it does carry gather through the plan, or are
+    // the input's own when it overwrites every row.
+    let columns: Vec<Arc<Col>> = (0..existing.schema.len())
         .map(|tp| match (input_of[tp], &plan) {
+            (Some(ic), _) if overwrite => Arc::clone(&input.columns()[ic]),
             (None, _) if new_len == old_len => Arc::clone(&existing.columns[tp]),
             (None, _) => {
                 let ty = existing.schema.columns[tp].ty;
@@ -725,6 +723,65 @@ pub(crate) fn upsert(
     existing.columns = columns;
     existing.nrows = new_len;
     Ok(())
+}
+
+/// The key's values when `key` is one `Int` column without NULLs whose
+/// values strictly increase down `rel` — so no two rows share a key.
+fn sorted_int_key<'a>(rel: &'a Relation, key: &[String]) -> Option<&'a [i64]> {
+    let [k] = key else { return None };
+    let col = rel.columns.get(rel.schema.index_of(k)?)?;
+    match col.data() {
+        ColumnData::Int(v) if col.validity().is_none() && v.windows(2).all(|w| w[0] < w[1]) => Some(v),
+        _ => None,
+    }
+}
+
+/// The merge plan from `old ++ new`'s key groups ([`key_group_ids`]): per
+/// output slot, the row it takes. A key's slot is the last old row carrying
+/// it, else the slot its first input row appends; its last input row wins.
+/// `None` is the identity — every key distinct (the common first load): the
+/// merged columns are the stacked ones, shared rather than copied.
+fn grouped_plan(ids: &[u32], old_len: usize, groups: usize) -> Option<Vec<u32>> {
+    if groups == ids.len() {
+        return None;
+    }
+    let mut slot_of: Vec<u32> = vec![NULL_IDX; groups];
+    for (slot, &g) in ids[..old_len].iter().enumerate() {
+        slot_of[g as usize] = slot as u32;
+    }
+    let mut plan: Vec<u32> = (0..old_len as u32).collect();
+    for (i, &g) in ids[old_len..].iter().enumerate() {
+        let slot = &mut slot_of[g as usize];
+        if *slot == NULL_IDX {
+            *slot = plan.len() as u32;
+            plan.push(NULL_IDX);
+        }
+        plan[*slot as usize] = (old_len + i) as u32;
+    }
+    Some(plan)
+}
+
+/// [`grouped_plan`] of two strictly increasing key slices by one two-pointer
+/// pass, hashing nothing: a target row whose key the input carries takes
+/// that input row, and the other input rows append in input order — with
+/// both sides distinct, exactly what the grouping plans.
+fn merge_sorted_keys(old: &[i64], new: &[i64]) -> Option<Vec<u32>> {
+    if old.is_empty() {
+        return None;
+    }
+    let mut plan: Vec<u32> = (0..old.len() as u32).collect();
+    let mut at = 0;
+    for (i, k) in new.iter().enumerate() {
+        while old.get(at).is_some_and(|o| o < k) {
+            at += 1;
+        }
+        let row = (old.len() + i) as u32;
+        match old.get(at) {
+            Some(o) if o == k => plan[at] = row,
+            _ => plan.push(row),
+        }
+    }
+    (plan.len() < old.len() + new.len()).then_some(plan)
 }
 
 /// Streaming FNV-1a over display bytes — the surrogate-key hash. Shared by
@@ -2089,15 +2146,157 @@ mod tests {
         f
     }
 
+    /// The targets of the upserts that grouped their keys while `run` ran.
+    fn grouped_during(run: impl FnOnce()) -> Vec<String> {
+        let before = KEY_GROUPINGS.with(|g| g.borrow().len());
+        run();
+        KEY_GROUPINGS.with(|g| g.borrow()[before..].to_vec())
+    }
+
     /// Runs `f` on `engine` and returns how many upserts grouped their keys;
     /// `out` must equal the row engine's, run from the same catalog.
     fn key_groupings(engine: &mut Engine, f: &Flow) -> usize {
         let mut reference = crate::RowEngine::from_catalog(&engine.catalog);
         reference.run(f).unwrap();
-        let before = KEY_GROUPINGS.with(|n| n.get());
-        engine.run(f).unwrap();
+        let grouped = grouped_during(|| {
+            engine.run(f).unwrap();
+        });
         assert_eq!(&reference.table("out").unwrap(), engine.catalog.get("out").unwrap());
-        KEY_GROUPINGS.with(|n| n.get()) - before
+        grouped.len()
+    }
+
+    #[test]
+    fn keyed_load_merge_plans_equal_the_grouped_plans() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let grouped = |old: &[i64], new: &[i64]| {
+            let stacked = Col::new(ColumnData::Int([old, new].concat()), None);
+            let (ids, groups) = key_group_ids(&[&stacked], old.len() + new.len());
+            grouped_plan(&ids, old.len(), groups)
+        };
+        let every = |keys: &[i64], step: usize| keys.iter().step_by(step).copied().collect::<Vec<_>>();
+        for seed in 0..32 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut draw = |n: usize, lo: i64, hi: i64| {
+                let mut keys: Vec<i64> = (0..n).map(|_| rng.gen_range(lo..hi)).collect();
+                keys.sort_unstable();
+                keys.dedup();
+                keys
+            };
+            let (base, other) = (draw(300, -500, 500), draw(300, -500, 500));
+            let mut extremes = draw(60, i64::MIN, i64::MAX);
+            extremes.extend([i64::MIN, i64::MIN + 1, -1, 0, 1, i64::MAX - 1, i64::MAX]);
+            extremes.sort_unstable();
+            extremes.dedup();
+            let cases = [
+                ("identical", base.clone(), base.clone()),
+                ("subset", base.clone(), every(&base, 3)),
+                ("superset", every(&base, 2), base.clone()),
+                ("disjoint", base.iter().map(|k| 2 * k).collect(), base.iter().map(|k| 2 * k + 1).collect()),
+                ("interleaved", base.clone(), other),
+                ("extremes", extremes.clone(), every(&extremes, 2)),
+                ("empty input", base.clone(), vec![]),
+                ("empty target", vec![], base.clone()),
+            ];
+            for (shape, old, new) in cases {
+                assert_eq!(merge_sorted_keys(&old, &new), grouped(&old, &new), "{shape}, seed {seed}");
+            }
+        }
+    }
+
+    /// Upserts `src(k, v)` into `dim(k, w)` on `k` — `dim` absent, or holding
+    /// one row per `target` key — and returns the targets whose loads grouped
+    /// their keys with the engine. `dim` must equal the row engine's.
+    fn load_keys(target: Option<&[Value]>, input: &[Value]) -> (Vec<String>, Engine) {
+        let table = |payload: &str, keys: &[Value]| {
+            let schema = Schema::new(vec![Column::new("k", ColType::Integer), Column::new(payload, ColType::Decimal)]);
+            let rows = keys.iter().enumerate().map(|(i, k)| vec![k.clone(), Value::Float(i as f64)]).collect();
+            Relation::with_rows(schema, rows)
+        };
+        let mut c = Catalog::new();
+        c.put("src", table("v", input));
+        if let Some(target) = target {
+            c.put("dim", table("w", target));
+        }
+        let mut f = Flow::new("keyed");
+        let schema = c.get("src").unwrap().schema.clone();
+        let d = f.add_op("DS", OpKind::Datastore { datastore: "src".into(), schema }).unwrap();
+        f.append(d, "LOAD", OpKind::Loader { table: "dim".into(), key: vec!["k".into()] }).unwrap();
+        let mut reference = crate::RowEngine::from_catalog(&c);
+        reference.run(&f).unwrap();
+        let mut engine = Engine::new(c);
+        let grouped = grouped_during(|| {
+            engine.run(&f).unwrap();
+        });
+        assert_eq!(&reference.table("dim").unwrap(), engine.catalog.get("dim").unwrap(), "{target:?} ← {input:?}");
+        (grouped, engine)
+    }
+
+    #[test]
+    fn keyed_load_merges_exactly_when_both_keys_are_sorted() {
+        let ints = |keys: &[i64]| keys.iter().map(|&k| Value::Int(k)).collect::<Vec<_>>();
+        let sorted = ints(&[-7, 0, 3, 9, 12]);
+        for target in [None, Some(vec![]), Some(ints(&[0, 9, 40])), Some(sorted.clone())] {
+            assert!(load_keys(target.as_deref(), &sorted).0.is_empty(), "{target:?}");
+        }
+        let mut nullable = sorted.clone();
+        nullable[2] = Value::Null;
+        let floats = vec![Value::Float(0.0), Value::Float(3.0)];
+        // Scattered like content-addressed surrogates: the load the merge leaves to the hash.
+        let scattered: Vec<Value> =
+            (0..64u64).map(|i| Value::Int((i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 1) as i64)).collect();
+        for input in [ints(&[0, 3, 3, 9]), ints(&[9, 3, 0]), nullable, floats, scattered.clone()] {
+            assert_eq!(load_keys(Some(&sorted), &input).0, ["dim"], "{input:?}");
+        }
+        for target in [ints(&[9, 3, 0]), ints(&[0, 0, 3]), scattered.clone()] {
+            assert_eq!(load_keys(Some(&target), &sorted).0, ["dim"], "{target:?}");
+        }
+        assert_eq!(load_keys(Some(&scattered), &scattered).0, ["dim"]);
+        assert_eq!(load_keys(None, &ints(&[3, 0])).0, ["dim"]);
+
+        // Same keys again: every row overwritten, the input's columns shared
+        // and the widened `v` never padded.
+        let (_, engine) = load_keys(Some(&sorted), &sorted);
+        let (dim, src) = (engine.catalog.get("dim").unwrap(), engine.catalog.get("src").unwrap());
+        assert_eq!(dim.schema.names().collect::<Vec<_>>(), ["k", "w", "v"]);
+        assert!(Arc::ptr_eq(dim.column(0), src.column(0)) && Arc::ptr_eq(dim.column(2), src.column(1)));
+    }
+
+    /// The low-overlap family's conformed dimensions — several loaders
+    /// upserting into one table, a first load into an absent table and later
+    /// ones into a loaded one — keep their sorted keys through extraction,
+    /// renames and joins, so no dimension load hashes a key, in the first run
+    /// or in a second run into the loaded warehouse.
+    #[test]
+    fn keyed_load_of_conformed_dimensions_never_groups_keys() {
+        let catalog = crate::tpch::generate(0.01, 42);
+        let mut q = quarry::Quarry::tpch();
+        for r in quarry_bench::requirement_family(8) {
+            q.add_requirement(r).expect("integrates");
+        }
+        let flow = q.unified().1.clone();
+        let mut dim_loads: Vec<&str> = (flow.ops())
+            .filter_map(|op| match &op.kind {
+                OpKind::Loader { table, key } if !key.is_empty() && !table.starts_with("fact") => Some(table.as_str()),
+                _ => None,
+            })
+            .collect();
+        let loads = dim_loads.len();
+        dim_loads.sort_unstable();
+        dim_loads.dedup();
+        assert!(loads > dim_loads.len(), "some dimension is loaded twice: {dim_loads:?}");
+        let mut reference = crate::RowEngine::from_catalog(&catalog);
+        let mut engine = Engine::new(catalog);
+        for run in ["first", "second"] {
+            reference.run(&flow).unwrap();
+            let grouped = grouped_during(|| {
+                engine.run(&flow).unwrap();
+            });
+            let dims: Vec<&String> = grouped.iter().filter(|t| dim_loads.contains(&t.as_str())).collect();
+            assert!(dims.is_empty(), "{run} run: {dims:?} grouped their keys");
+            for t in &dim_loads {
+                assert_eq!(&reference.table(t).unwrap(), engine.catalog.get(t).unwrap(), "{run} run: `{t}`");
+            }
+        }
     }
 
     #[test]
