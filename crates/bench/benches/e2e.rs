@@ -1,11 +1,8 @@
 //! Experiment E1 (Figure 1) + E10: end-to-end lifecycle latency per stage,
-//! swept over the number of requirements, plus removal cost. E11 adds the
-//! integration-scaling series (incremental vs re-derive per-step cost),
-//! persisted as `BENCH_integration.json` at the repo root.
+//! swept over the number of requirements, plus removal cost.
 
 use criterion::{BenchmarkId, Criterion};
-use quarry_bench::{integration_scaling, quarry_with, requirement_family, IntegrationStepTiming};
-use quarry_repository::Json;
+use quarry_bench::{quarry_with, requirement_family};
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -42,48 +39,6 @@ fn print_series() {
     }
 }
 
-/// Prints the E11 integration-scaling series and persists it as
-/// `BENCH_integration.json` so EXPERIMENTS.md has a machine-readable source.
-fn print_integration_scaling() {
-    println!("\n# E11: per-step integrate cost, incremental vs re-derive");
-    println!("{:>4} {:>16} {:>14} {:>10} {:>8}", "N", "incremental-ms", "rederive-ms", "speedup", "etl-ops");
-    let series = integration_scaling(&[1, 2, 4, 8, 16, 32, 64, 128]);
-    for p in &series {
-        let speedup = if p.incremental_ms > 0.0 { p.rederive_ms / p.incremental_ms } else { 0.0 };
-        println!(
-            "{:>4} {:>16.3} {:>14.3} {:>9.1}x {:>8}",
-            p.n, p.incremental_ms, p.rederive_ms, speedup, p.unified_ops
-        );
-    }
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_integration.json");
-    if let Err(e) = std::fs::write(path, series_to_json(&series).to_pretty_string()) {
-        eprintln!("could not write {path}: {e}");
-    }
-}
-
-fn series_to_json(series: &[IntegrationStepTiming]) -> Json {
-    let mut doc = Json::object();
-    doc.set("experiment", Json::String("E11 integration scaling".into()));
-    doc.set("workload", Json::String("requirement_family, per-step integrate (MD + ETL)".into()));
-    doc.set(
-        "series",
-        Json::Array(
-            series
-                .iter()
-                .map(|p| {
-                    let mut row = Json::object();
-                    row.set("n", Json::Number(p.n as f64));
-                    row.set("incremental_ms", Json::Number(p.incremental_ms));
-                    row.set("rederive_ms", Json::Number(p.rederive_ms));
-                    row.set("unified_ops", Json::Number(p.unified_ops as f64));
-                    row
-                })
-                .collect(),
-        ),
-    );
-    doc
-}
-
 fn bench_lifecycle(c: &mut Criterion) {
     let mut group = c.benchmark_group("e2e_add_requirements");
     group.sample_size(10);
@@ -112,11 +67,10 @@ fn bench_lifecycle(c: &mut Criterion) {
 }
 
 fn main() {
-    // The printed comparison series are measurement runs; `--test` (the CI
-    // bench smoke) only proves the harness still executes.
+    // The printed series is a measurement run; `--test` (the CI bench smoke)
+    // only proves the harness still executes.
     if !criterion::is_test_mode() {
         print_series();
-        print_integration_scaling();
     }
     let mut criterion = Criterion::default().configure_from_args();
     bench_lifecycle(&mut criterion);

@@ -2,19 +2,15 @@
 //! execution time for integrated ETL processes". Executes the consolidated
 //! unified flow vs the N separate partial flows on generated TPC-H data and
 //! reports the wall-clock gap. E7b sweeps the morsel-parallel executor over
-//! pinned thread counts; E13 compares the columnar engine against the retired
-//! row-at-a-time baseline, and its `aggregate_cardinality` series prices one
+//! pinned thread counts, and the `aggregate_cardinality` series prices one
 //! grouped `SUM` per input row as the rows-per-group ratio falls to 1, beside
-//! the second upsert load of a dimension table. All series persist to
-//! `BENCH_engine.json` at the repo root so EXPERIMENTS.md has a
-//! machine-readable source.
+//! the second upsert load of a dimension table.
 
 use criterion::{BenchmarkId, Criterion};
 use quarry::Quarry;
-use quarry_bench::{join_heavy, requirement_family, row_vs_columnar, EngineComparison, JoinHeavyPoint};
+use quarry_bench::requirement_family;
 use quarry_engine::{tpch, Catalog, Engine, Relation, RelationBuilder, Value};
 use quarry_etl::{parse_expr, AggSpec, ColType, Column, Flow, OpKind, Schema};
-use quarry_repository::Json;
 use std::hint::black_box;
 use std::time::{Duration, Instant};
 
@@ -33,19 +29,9 @@ fn best_of_3(mut measure: impl FnMut() -> Duration) -> Duration {
     (0..3).map(|_| measure()).min().expect("three samples")
 }
 
-/// One measured row of an E7 series.
-struct E7Point {
-    label: &'static str,
-    sf: f64,
-    n: usize,
-    integrated: Duration,
-    separate: Duration,
-}
-
-fn series_for(label: &'static str, families: impl Fn(usize) -> Vec<quarry_formats::Requirement>) -> Vec<E7Point> {
+fn series_for(label: &str, families: impl Fn(usize) -> Vec<quarry_formats::Requirement>) {
     println!("\n# E7 ({label}): integrated vs separate ETL execution (wall clock)");
     println!("{:>6} {:>4} {:>14} {:>14} {:>8}", "sf", "N", "integrated", "separate", "speedup");
-    let mut points = Vec::new();
     for sf in [0.005f64, 0.01] {
         let catalog = tpch::generate(sf, 42);
         for n in [2usize, 4, 8] {
@@ -68,13 +54,11 @@ fn series_for(label: &'static str, families: impl Fn(usize) -> Vec<quarry_format
                 separate,
                 separate.as_secs_f64() / integrated.as_secs_f64()
             );
-            points.push(E7Point { label, sf, n, integrated, separate });
         }
     }
-    points
 }
 
-fn thread_scaling_series() -> Vec<(usize, Duration)> {
+fn thread_scaling_series() {
     // The morsel-parallel executor on the headline workload (high overlap,
     // sf=0.01, N=8), swept over pinned worker counts. Results are
     // bit-identical at every width (asserted by the equivalence suite);
@@ -88,7 +72,6 @@ fn thread_scaling_series() -> Vec<(usize, Duration)> {
     }
     let unified = q.unified().1.clone();
     let mut base = None;
-    let mut points = Vec::new();
     for threads in [1usize, 2, 4, 8] {
         quarry_engine::pool::set_threads(threads);
         let best = best_of_3(|| {
@@ -99,42 +82,8 @@ fn thread_scaling_series() -> Vec<(usize, Duration)> {
         });
         let baseline = *base.get_or_insert(best);
         println!("{:>8} {:>14?} {:>7.2}x", threads, best, baseline.as_secs_f64() / best.as_secs_f64());
-        points.push((threads, best));
     }
     quarry_engine::pool::set_threads(0); // restore auto-detection
-    points
-}
-
-fn row_vs_columnar_series() -> Vec<EngineComparison> {
-    println!("\n# E13: columnar engine vs retired row-at-a-time baseline, high overlap");
-    println!("{:>6} {:>4} {:>12} {:>12} {:>8}", "sf", "N", "columnar-ms", "row-ms", "speedup");
-    let mut points = Vec::new();
-    for (sf, n) in [(0.005, 4), (0.005, 8), (0.01, 4), (0.01, 8)] {
-        let p = row_vs_columnar(sf, n, 3);
-        println!("{:>6} {:>4} {:>12.3} {:>12.3} {:>7.2}x", p.sf, p.n, p.columnar_ms, p.row_ms, p.speedup());
-        points.push(p);
-    }
-    points
-}
-
-fn join_heavy_series() -> Vec<JoinHeavyPoint> {
-    println!("\n# E13: join-heavy selectivity sweep — late materialization + radix join, sf=0.01");
-    println!("{:>6} {:>6} {:>12} {:>10}", "sf", "sel%", "columnar-ms", "rows-kept");
-    let mut points = Vec::new();
-    for pct in [1u32, 10, 90] {
-        let p = join_heavy(0.01, pct, 3);
-        println!("{:>6} {:>6} {:>12.3} {:>10}", p.sf, p.selectivity_pct, p.columnar_ms, p.rows_kept);
-        points.push(p);
-    }
-    points
-}
-
-/// One measured row of the `aggregate_cardinality` series.
-struct CardinalityPoint {
-    case: String,
-    rows: usize,
-    rows_out: usize,
-    ns_per_row: f64,
 }
 
 /// `rows` rows in one table, loaded by one flow; `datastore → tail → LOAD`.
@@ -165,12 +114,11 @@ fn op_ns_per_row(reps: usize, op: &str, mut run: impl FnMut() -> quarry_engine::
 /// table costs per row (every key already present, the lifecycle's
 /// `LOADER_dim_orders'`), with scattered keys and with sorted ones. 300 k and
 /// 75 k rows, the sizes those operators see at sf = 0.05.
-fn aggregate_cardinality_series(reps: usize) -> Vec<CardinalityPoint> {
+fn aggregate_cardinality_series(reps: usize) {
     const ROWS: usize = 300_000;
     const DIM_ROWS: usize = 75_000;
     println!("\n# aggregate_cardinality: one SUM over a two-column integer key, {ROWS} rows; second-load upsert");
     println!("{:>28} {:>8} {:>9} {:>8}", "case", "rows", "rows-out", "ns/row");
-    let mut points = Vec::new();
     let schema = Schema::new(vec![
         Column::new("k1", ColType::Integer),
         Column::new("k2", ColType::Integer),
@@ -195,12 +143,8 @@ fn aggregate_cardinality_series(reps: usize) -> Vec<CardinalityPoint> {
         let flow = single_table_flow("facts", &schema, Some(agg), &[]);
         let (ns_per_row, rows_out) =
             op_ns_per_row(reps, "AGG", || Engine::new(catalog.clone()).run(&flow).expect("runs"));
-        points.push(CardinalityPoint {
-            case: format!("sum_{rows_per_group}_rows_per_group"),
-            rows: ROWS,
-            rows_out,
-            ns_per_row,
-        });
+        let case = format!("sum_{rows_per_group}_rows_per_group");
+        println!("{case:>28} {ROWS:>8} {rows_out:>9} {ns_per_row:>8.1}");
     }
     let dim_schema = Schema::new(vec![
         Column::new("k", ColType::Integer),
@@ -240,109 +184,8 @@ fn aggregate_cardinality_series(reps: usize) -> Vec<CardinalityPoint> {
             engine.run(&flow).expect("first load");
             engine.run(&flow).expect("second load")
         });
-        points.push(CardinalityPoint { case: case.into(), rows: DIM_ROWS, rows_out, ns_per_row });
+        println!("{case:>28} {DIM_ROWS:>8} {rows_out:>9} {ns_per_row:>8.1}");
     }
-    for p in &points {
-        println!("{:>28} {:>8} {:>9} {:>8.1}", p.case, p.rows, p.rows_out, p.ns_per_row);
-    }
-    points
-}
-
-fn ms(d: Duration) -> Json {
-    Json::Number(d.as_secs_f64() * 1e3)
-}
-
-fn series_to_json(
-    e7: &[E7Point],
-    e7b: &[(usize, Duration)],
-    e13: &[EngineComparison],
-    e13j: &[JoinHeavyPoint],
-    cardinality: &[CardinalityPoint],
-) -> Json {
-    let mut doc = Json::object();
-    doc.set("experiment", Json::String("E7/E7b/E13 engine execution".into()));
-    doc.set(
-        "workload",
-        Json::String("unified vs separate flows over generated TPC-H; columnar vs row-at-a-time engine".into()),
-    );
-    doc.set(
-        "e7",
-        Json::Array(
-            e7.iter()
-                .map(|p| {
-                    let mut row = Json::object();
-                    row.set("series", Json::String(p.label.split(' ').next().unwrap_or(p.label).into()));
-                    row.set("sf", Json::Number(p.sf));
-                    row.set("n", Json::Number(p.n as f64));
-                    row.set("integrated_ms", ms(p.integrated));
-                    row.set("separate_ms", ms(p.separate));
-                    row.set("speedup", Json::Number(p.separate.as_secs_f64() / p.integrated.as_secs_f64()));
-                    row
-                })
-                .collect(),
-        ),
-    );
-    doc.set(
-        "e7b_threads",
-        Json::Array(
-            e7b.iter()
-                .map(|&(threads, d)| {
-                    let mut row = Json::object();
-                    row.set("threads", Json::Number(threads as f64));
-                    row.set("integrated_ms", ms(d));
-                    row
-                })
-                .collect(),
-        ),
-    );
-    doc.set(
-        "e13_row_vs_columnar",
-        Json::Array(
-            e13.iter()
-                .map(|p| {
-                    let mut row = Json::object();
-                    row.set("sf", Json::Number(p.sf));
-                    row.set("n", Json::Number(p.n as f64));
-                    row.set("columnar_ms", Json::Number(p.columnar_ms));
-                    row.set("row_ms", Json::Number(p.row_ms));
-                    row.set("speedup", Json::Number(p.speedup()));
-                    row
-                })
-                .collect(),
-        ),
-    );
-    doc.set(
-        "e13_join_heavy",
-        Json::Array(
-            e13j.iter()
-                .map(|p| {
-                    let mut row = Json::object();
-                    row.set("sf", Json::Number(p.sf));
-                    row.set("selectivity_pct", Json::Number(f64::from(p.selectivity_pct)));
-                    row.set("columnar_ms", Json::Number(p.columnar_ms));
-                    row.set("rows_kept", Json::Number(p.rows_kept as f64));
-                    row
-                })
-                .collect(),
-        ),
-    );
-    doc.set(
-        "aggregate_cardinality",
-        Json::Array(
-            cardinality
-                .iter()
-                .map(|p| {
-                    let mut row = Json::object();
-                    row.set("case", Json::String(p.case.clone()));
-                    row.set("rows", Json::Number(p.rows as f64));
-                    row.set("rows_out", Json::Number(p.rows_out as f64));
-                    row.set("ns_per_row", Json::Number(p.ns_per_row));
-                    row
-                })
-                .collect(),
-        ),
-    );
-    doc
 }
 
 fn print_series() {
@@ -350,16 +193,10 @@ fn print_series() {
     // requirements over the same analytical contexts. The low-overlap sweep
     // is the honest counterpoint: with little shared work, consolidation
     // cannot win wall-clock (it saves design effort, not cycles).
-    let mut e7 = series_for("high overlap — the demo scenario", quarry_bench::high_overlap_family);
-    e7.extend(series_for("low overlap — counterpoint", requirement_family));
-    let e7b = thread_scaling_series();
-    let e13 = row_vs_columnar_series();
-    let e13j = join_heavy_series();
-    let cardinality = aggregate_cardinality_series(5);
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_engine.json");
-    if let Err(e) = std::fs::write(path, series_to_json(&e7, &e7b, &e13, &e13j, &cardinality).to_pretty_string()) {
-        eprintln!("could not write {path}: {e}");
-    }
+    series_for("high overlap — the demo scenario", quarry_bench::high_overlap_family);
+    series_for("low overlap — counterpoint", requirement_family);
+    thread_scaling_series();
+    aggregate_cardinality_series(5);
 }
 
 fn bench(c: &mut Criterion) {
@@ -401,23 +238,6 @@ fn bench(c: &mut Criterion) {
             });
         });
     }
-    group.finish();
-
-    // Columnar vs the retired row-at-a-time engine (E13's bench-smoke leg).
-    let mut group = c.benchmark_group("engine_row_vs_columnar_n4");
-    group.sample_size(10);
-    group.bench_function("columnar", |b| {
-        b.iter(|| {
-            let mut engine = Engine::new(catalog.clone());
-            black_box(engine.run(&unified).expect("runs"))
-        });
-    });
-    group.bench_function("row", |b| {
-        b.iter(|| {
-            let mut engine = quarry_engine::RowEngine::from_catalog(&catalog);
-            black_box(engine.run(&unified).expect("runs"))
-        });
-    });
     group.finish();
 }
 

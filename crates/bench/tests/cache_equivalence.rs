@@ -7,7 +7,7 @@
 //! a cache-disabled engine at 1, 4, and 8 threads.
 
 use quarry::Quarry;
-use quarry_bench::{high_overlap_family, requirement_family};
+use quarry_bench::{at_width, high_overlap_family, requirement_family};
 use quarry_engine::{tpch, CachePlan, Catalog, Engine, ResultCache};
 use quarry_etl::{parse_expr, AggSpec, Flow, JoinKind, OpKind};
 use std::sync::Arc;
@@ -33,25 +33,22 @@ fn sorted_table_names(c: &Catalog) -> Vec<String> {
 /// and asserts every loaded table is bit-identical to the baseline at 1, 4,
 /// and 8 threads.
 fn assert_cache_invisible(catalog: &Catalog, flow: &Flow) {
-    quarry_engine::pool::set_threads(1);
     let mut baseline = Engine::new(catalog.clone());
-    baseline.run(flow).expect("baseline run");
+    at_width(1, || baseline.run(flow)).expect("baseline run");
 
     let cache = Arc::new(ResultCache::new(true, 256 << 20));
     let mut modes: Vec<(String, Engine)> = Vec::new();
     // Each width runs cold + warm against the same shared cache, so only
     // the first width's first pass is truly cold.
     for threads in [1usize, 4, 8] {
-        quarry_engine::pool::set_threads(threads);
         for pass in ["cold", "warm"] {
             let mut engine = Engine::new(catalog.clone());
             let plan = CachePlan::for_catalog(flow, &engine.catalog, 0).expect("plan");
             engine.set_result_cache(Arc::clone(&cache), plan);
-            engine.run(flow).expect("cached run");
+            at_width(threads, || engine.run(flow)).expect("cached run");
             modes.push((format!("{threads}-thread {pass}"), engine));
         }
     }
-    quarry_engine::pool::set_threads(0); // restore auto-detection
     let warm_hits = cache.stats().hits;
     assert!(warm_hits > 0, "warm passes over an identical catalog must serve cache hits for `{}`", flow.name);
 
@@ -188,12 +185,11 @@ fn empty_inputs_cache_on_vs_off() {
     baseline.run(&unified).expect("baseline run");
     let cache = Arc::new(ResultCache::new(true, 256 << 20));
     for threads in [1usize, 4, 8] {
-        quarry_engine::pool::set_threads(threads);
         for _pass in 0..2 {
             let mut engine = Engine::new(catalog.clone());
             let plan = CachePlan::for_catalog(&unified, &engine.catalog, 0).expect("plan");
             engine.set_result_cache(Arc::clone(&cache), plan);
-            engine.run(&unified).expect("cached run");
+            at_width(threads, || engine.run(&unified)).expect("cached run");
             for t in sorted_table_names(&baseline.catalog) {
                 assert_eq!(
                     baseline.catalog.get(&t).unwrap(),
@@ -203,7 +199,6 @@ fn empty_inputs_cache_on_vs_off() {
             }
         }
     }
-    quarry_engine::pool::set_threads(0);
 }
 
 /// A stale plan epoch must never serve entries admitted under another epoch:

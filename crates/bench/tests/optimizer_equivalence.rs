@@ -8,7 +8,7 @@
 //! and across incremental add/remove lifecycles.
 
 use quarry::Quarry;
-use quarry_bench::{high_overlap_family, requirement_family};
+use quarry_bench::{at_width, high_overlap_family, requirement_family};
 use quarry_engine::{tpch, Catalog, Engine};
 use quarry_etl::Flow;
 use quarry_formats::Requirement;
@@ -37,14 +37,12 @@ fn sorted_table_names(c: &Catalog) -> Vec<String> {
 /// Asserts the optimized flow reproduces the greedy flow's 1-thread
 /// warehouse bit for bit at 1, 4, and 8 threads.
 fn assert_optimized_equivalent(catalog: &Catalog, greedy: &Flow, optimized: &Flow) {
-    quarry_engine::pool::set_threads(1);
     let mut reference = Engine::new(catalog.clone());
-    reference.run(greedy).expect("greedy 1-thread run");
+    at_width(1, || reference.run(greedy)).expect("greedy 1-thread run");
     let tables = sorted_table_names(&reference.catalog);
     for threads in [1usize, 4, 8] {
-        quarry_engine::pool::set_threads(threads);
         let mut engine = Engine::new(catalog.clone());
-        engine.run(optimized).expect("optimized run");
+        at_width(threads, || engine.run(optimized)).expect("optimized run");
         assert_eq!(tables, sorted_table_names(&engine.catalog), "table sets differ at {threads} threads");
         for t in &tables {
             assert_eq!(
@@ -54,7 +52,6 @@ fn assert_optimized_equivalent(catalog: &Catalog, greedy: &Flow, optimized: &Flo
             );
         }
     }
-    quarry_engine::pool::set_threads(0); // restore auto-detection
 }
 
 #[test]

@@ -21,14 +21,14 @@
 //! dropped at their last claim, failures, and a stress run under a watchdog).
 
 use quarry::Quarry;
-use quarry_bench::{figure3_pair, high_overlap_family, requirement_family};
+use quarry_bench::{at_width, figure3_pair, high_overlap_family, requirement_family};
 use quarry_engine::{
     pool, tpch, CachePlan, Catalog, Engine, EngineError, Relation, ResultCache, RowEngine, RunReport, Value,
     MORSEL_ROWS,
 };
 use quarry_etl::{parse_expr, AggSpec, ColType, Column, Flow, JoinKind, OpId, OpKind, Schema};
 use quarry_formats::Requirement;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Small enough to keep debug-mode runs quick, large enough that lineitem
@@ -60,18 +60,6 @@ fn op_counts(report: &RunReport) -> Vec<(String, usize, usize)> {
     let mut counts: Vec<_> = report.timings.iter().map(|t| (t.op.clone(), t.rows_in, t.rows_out)).collect();
     counts.sort();
     counts
-}
-
-/// Runs `f` with the pool pinned to `threads`. The width is process-wide and
-/// the tests of this binary run concurrently, so every test that sets it
-/// goes through here, one at a time.
-fn at_width<R>(threads: usize, f: impl FnOnce() -> R) -> R {
-    static WIDTH: Mutex<()> = Mutex::new(());
-    let _pinned = WIDTH.lock().unwrap_or_else(|e| e.into_inner());
-    pool::set_threads(threads);
-    let out = f();
-    pool::set_threads(0); // restore auto-detection
-    out
 }
 
 /// Runs `flows` on the row-at-a-time reference and on [`Engine::run`] at 1,
@@ -1544,7 +1532,7 @@ fn scheduler_all_cache_hits_but_one_branch_agrees() {
 /// Cache admission is a function of the flow: under a budget several times
 /// below the working set — every admission decided by what was admitted and
 /// evicted before it — the counters after a cold and after a second run are
-/// the same at every width.
+/// the same at every width, and the resident bytes never exceed the budget.
 #[test]
 fn scheduler_cache_admission_is_width_independent() {
     let catalog = tpch::generate(0.01, 42);
@@ -1557,6 +1545,7 @@ fn scheduler_cache_admission_is_width_independent() {
                 .map(|_| {
                     cached_engine(&catalog, &unified, &cache).run(&unified).expect("runs");
                     let s = cache.stats();
+                    assert!(s.bytes <= 1 << 20, "resident bytes over the budget at {threads} threads: {s:?}");
                     (s.inserts, s.rejects, s.evictions, s.entries, s.bytes, s.hits, s.misses)
                 })
                 .collect()

@@ -153,8 +153,8 @@ mod tests {
     #[test]
     fn metrics_include_counters_histograms_and_pool_stats() {
         let obs = Obs::new(true);
-        obs.add("engine.runs", 2);
-        obs.observe("engine.op_seconds", 0.25);
+        obs.counter("engine.runs").add(2);
+        obs.histogram("engine.op_seconds").observe(0.25);
         let doc = metrics_to_json(&obs);
         // Metric names contain dots, so fetch them with `get`, not `path`.
         assert_eq!(doc.get("counters").and_then(|c| c.get("engine.runs")).and_then(Json::as_f64), Some(2.0));
@@ -168,7 +168,7 @@ mod tests {
     #[test]
     fn gauges_get_their_own_section() {
         let obs = Obs::new(true);
-        obs.set_gauge("pool.queue_depth", 3);
+        obs.gauge("pool.queue_depth").set(3);
         let doc = metrics_to_json(&obs);
         assert_eq!(doc.get("gauges").and_then(|g| g.get("pool.queue_depth")).and_then(Json::as_f64), Some(3.0));
     }

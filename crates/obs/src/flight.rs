@@ -29,12 +29,12 @@
 //!   could not read consistently as [`FlightLog::torn`].
 //!
 //! The process-wide recorder ([`recorder`]) is the one the lifecycle, the
-//! engine hooks, and the `GET /debug/events` endpoint share; it is enabled
-//! from construction ("always-on"). [`install_panic_dump`] chains a panic
+//! engine hooks, and the `GET /debug/events` endpoint share; it has no off
+//! switch ("always-on"). [`install_panic_dump`] chains a panic
 //! hook that prints the tail of the log to stderr — the black-box dump.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
@@ -238,7 +238,6 @@ struct LabelTable {
 /// The flight recorder. See the module docs for the full contract.
 #[derive(Debug)]
 pub struct FlightRecorder {
-    enabled: AtomicBool,
     /// Global monotonic sequence counter — the total order a drain rebuilds.
     seq: AtomicU64,
     shards: Box<[Shard]>,
@@ -247,13 +246,11 @@ pub struct FlightRecorder {
 }
 
 impl FlightRecorder {
-    /// A recorder with `shards × slots` total event capacity, enabled from
-    /// construction.
+    /// A recorder with `shards × slots` total event capacity.
     pub fn with_capacity(shards: usize, slots: usize) -> FlightRecorder {
         let shards = shards.max(1);
         let slots = slots.max(1);
         FlightRecorder {
-            enabled: AtomicBool::new(true),
             seq: AtomicU64::new(0),
             shards: (0..shards)
                 .map(|_| Shard { head: AtomicU64::new(0), slots: (0..slots).map(|_| Slot::new()).collect() })
@@ -270,16 +267,6 @@ impl FlightRecorder {
     /// Total event capacity before wrap-around.
     pub fn capacity(&self) -> usize {
         self.shards.iter().map(|s| s.slots.len()).sum()
-    }
-
-    pub fn is_enabled(&self) -> bool {
-        self.enabled.load(Ordering::Relaxed)
-    }
-
-    /// Turning the recorder off makes [`FlightRecorder::record`] a single
-    /// relaxed load (the overhead-budget escape hatch; on by default).
-    pub fn set_enabled(&self, on: bool) {
-        self.enabled.store(on, Ordering::Relaxed);
     }
 
     /// Interns `name`, returning a handle that records lock-free. The table
@@ -309,9 +296,6 @@ impl FlightRecorder {
     /// Appends one event. Lock-free: a global sequence fetch-add, a shard
     /// head fetch-add, and seven relaxed stores under the slot's seqlock.
     pub fn record(&self, kind: EventKind, label: LabelId, lane: u32, a: i64, b: i64) {
-        if !self.is_enabled() {
-            return;
-        }
         let seq = self.seq.fetch_add(1, Ordering::Relaxed);
         let micros = self.epoch.elapsed().as_micros() as u64;
         let shard = &self.shards[WRITER_SLOT.with(|s| *s) % self.shards.len()];
@@ -336,9 +320,6 @@ impl FlightRecorder {
     /// convenience path for call sites at per-operator (not per-row)
     /// frequency.
     pub fn record_named(&self, kind: EventKind, name: &str, lane: u32, a: i64, b: i64) {
-        if !self.is_enabled() {
-            return;
-        }
         let label = self.label(name);
         self.record(kind, label, lane, a, b);
     }
@@ -535,17 +516,6 @@ mod tests {
     }
 
     #[test]
-    fn disabled_recorder_records_nothing() {
-        let r = FlightRecorder::with_capacity(1, 8);
-        r.set_enabled(false);
-        r.record_named(EventKind::Custom, "x", 0, 0, 0);
-        assert!(r.drain().events.is_empty());
-        r.set_enabled(true);
-        r.record_named(EventKind::Custom, "x", 0, 0, 0);
-        assert_eq!(r.drain().events.len(), 1);
-    }
-
-    #[test]
     fn label_table_caps_at_other() {
         let r = FlightRecorder::with_capacity(1, 8);
         for i in 0..(MAX_LABELS + 10) {
@@ -595,7 +565,6 @@ mod tests {
 
     #[test]
     fn global_recorder_is_always_on() {
-        assert!(recorder().is_enabled());
         assert!(recorder().capacity() >= DEFAULT_SLOTS);
     }
 }

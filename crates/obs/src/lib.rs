@@ -17,9 +17,7 @@
 //! - **cheap when enabled** — metrics are recorded through pre-resolved
 //!   handles ([`Obs::counter`] / [`Obs::gauge`] / [`Obs::histogram`]) that
 //!   bump striped relaxed atomics: no map lock, no string hashing, no
-//!   allocation on the hot path (see [`registry`]). The string-keyed
-//!   [`Obs::add`] / [`Obs::observe`] API remains as a thin shim over the
-//!   registry for call sites off the hot path;
+//!   allocation on the hot path (see [`registry`]);
 //! - **thread-safe** — a handle is `Clone + Send + Sync`; metrics may be
 //!   bumped from engine worker threads while the lifecycle thread owns the
 //!   span stack.
@@ -396,48 +394,6 @@ impl Obs {
         self.inner.type_conflicts.value()
     }
 
-    // ---- string-keyed shims -------------------------------------------------
-
-    /// Adds `n` to a named counter. Compatibility shim over the registry:
-    /// resolves the handle on every call — prefer [`Obs::counter`] on hot
-    /// paths.
-    pub fn add(&self, name: &str, n: u64) {
-        if !self.is_enabled() {
-            return;
-        }
-        self.counter(name).add(n);
-    }
-
-    /// Folds one observation into a named histogram. Compatibility shim —
-    /// prefer [`Obs::histogram`] on hot paths.
-    pub fn observe(&self, name: &str, value: f64) {
-        if !self.is_enabled() {
-            return;
-        }
-        self.histogram(name).observe(value);
-    }
-
-    /// Sets a named gauge. Compatibility shim — prefer [`Obs::gauge`] on
-    /// hot paths.
-    pub fn set_gauge(&self, name: &str, value: i64) {
-        if !self.is_enabled() {
-            return;
-        }
-        self.gauge(name).set(value);
-    }
-
-    /// Runs `f` and folds its wall time (in seconds) into the named
-    /// histogram. When disabled, the only overhead is the enabled check.
-    pub fn time<R>(&self, name: &str, f: impl FnOnce() -> R) -> R {
-        if !self.is_enabled() {
-            return f();
-        }
-        let start = Instant::now();
-        let result = f();
-        self.observe(name, start.elapsed().as_secs_f64());
-        result
-    }
-
     // ---- snapshots ----------------------------------------------------------
 
     /// Registers a collector whose output is appended to every [`Obs::metrics`]
@@ -561,33 +517,15 @@ mod tests {
     use super::*;
 
     #[test]
-    fn time_folds_wall_clock_into_a_histogram() {
-        let obs = Obs::new(true);
-        let value = obs.time("t.seconds", || 41 + 1);
-        assert_eq!(value, 42);
-        match obs.metric("t.seconds") {
-            Some(Metric::Histogram(h)) => {
-                assert_eq!(h.count, 1);
-                assert!(h.sum >= 0.0);
-            }
-            other => panic!("expected histogram, got {other:?}"),
-        }
-        // Disabled: the closure still runs, nothing is recorded.
-        let off = Obs::disabled();
-        assert_eq!(off.time("t.seconds", || 7), 7);
-        assert!(off.metric("t.seconds").is_none());
-    }
-
-    #[test]
     fn disabled_records_nothing() {
         let obs = Obs::disabled();
         {
             let s = obs.span("root");
             s.attr("k", 1i64);
         }
-        obs.add("c", 5);
-        obs.observe("h", 1.0);
-        obs.set_gauge("g", 3);
+        obs.counter("c").add(5);
+        obs.histogram("h").observe(1.0);
+        obs.gauge("g").set(3);
         obs.record_span("pre", Duration::from_millis(1), vec![]);
         assert!(obs.trace().is_empty());
         assert!(obs.metrics().is_empty());
@@ -679,10 +617,11 @@ mod tests {
     #[test]
     fn counters_and_histograms_accumulate() {
         let obs = Obs::new(true);
-        obs.add("engine.runs", 1);
-        obs.add("engine.runs", 2);
-        obs.observe("engine.op_ms", 2.0);
-        obs.observe("engine.op_ms", 4.0);
+        obs.counter("engine.runs").add(1);
+        obs.counter("engine.runs").add(2);
+        let op_ms = obs.histogram("engine.op_ms");
+        op_ms.observe(2.0);
+        op_ms.observe(4.0);
         assert_eq!(obs.metric("engine.runs"), Some(Metric::Counter(3)));
         match obs.metric("engine.op_ms") {
             Some(Metric::Histogram(h)) => {
@@ -701,10 +640,10 @@ mod tests {
         let obs = Obs::new(true);
         std::thread::scope(|s| {
             for _ in 0..4 {
-                let obs = obs.clone();
+                let n = obs.counter("n");
                 s.spawn(move || {
                     for _ in 0..1000 {
-                        obs.add("n", 1);
+                        n.inc();
                     }
                 });
             }
@@ -715,10 +654,10 @@ mod tests {
     #[test]
     fn type_conflicts_are_counted_not_silently_dropped() {
         let obs = Obs::new(true);
-        obs.add("x", 1);
+        obs.counter("x").inc();
         // Requesting the same name as a histogram is a naming bug: in debug
         // builds it asserts; in release builds it is surfaced as a counter.
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| obs.observe("x", 1.0)));
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| obs.histogram("x").observe(1.0)));
         assert_eq!(result.is_err(), cfg!(debug_assertions), "debug assert fires exactly in debug builds");
         assert_eq!(obs.type_conflicts(), 1);
         let metrics = obs.metrics();
