@@ -97,9 +97,9 @@ fn main() {
     // The cache one run filled, and the plan every timed run keys it with.
     let cache = warm.then(|| {
         let cache = Arc::new(ResultCache::new(true, q.config().cache.budget_bytes));
-        let plan = CachePlan::for_catalog(&unified, &catalog, 1).expect("the unified flow plans");
+        let plan = Arc::new(CachePlan::for_catalog(&unified, &catalog, 1).expect("the unified flow plans"));
         let mut engine = Engine::new(catalog.clone());
-        engine.set_result_cache(Arc::clone(&cache), plan.clone());
+        engine.set_result_cache(Arc::clone(&cache), Arc::clone(&plan));
         engine.run(&unified).expect("fills the cache");
         (cache, plan)
     });
@@ -108,7 +108,7 @@ fn main() {
     for _ in 0..5 {
         let mut engine = Engine::new(catalog.clone());
         if let Some((cache, plan)) = &cache {
-            engine.set_result_cache(Arc::clone(cache), plan.clone());
+            engine.set_result_cache(Arc::clone(cache), Arc::clone(plan));
         }
         // Resets VmHWM to the current RSS (Linux); where refused, the peak
         // printed is the process's.

@@ -44,7 +44,7 @@ fn assert_cache_invisible(catalog: &Catalog, flow: &Flow) {
         for pass in ["cold", "warm"] {
             let mut engine = Engine::new(catalog.clone());
             let plan = CachePlan::for_catalog(flow, &engine.catalog, 0).expect("plan");
-            engine.set_result_cache(Arc::clone(&cache), plan);
+            engine.set_result_cache(Arc::clone(&cache), Arc::new(plan));
             at_width(threads, || engine.run(flow)).expect("cached run");
             modes.push((format!("{threads}-thread {pass}"), engine));
         }
@@ -188,7 +188,7 @@ fn empty_inputs_cache_on_vs_off() {
         for _pass in 0..2 {
             let mut engine = Engine::new(catalog.clone());
             let plan = CachePlan::for_catalog(&unified, &engine.catalog, 0).expect("plan");
-            engine.set_result_cache(Arc::clone(&cache), plan);
+            engine.set_result_cache(Arc::clone(&cache), Arc::new(plan));
             at_width(threads, || engine.run(&unified)).expect("cached run");
             for t in sorted_table_names(&baseline.catalog) {
                 assert_eq!(
@@ -216,7 +216,7 @@ fn epoch_change_misses_but_stays_identical() {
         cache.set_flow_epoch(epoch);
         let mut engine = Engine::new(catalog.clone());
         let plan = CachePlan::for_catalog(&flow, &engine.catalog, epoch).expect("plan");
-        engine.set_result_cache(Arc::clone(&cache), plan);
+        engine.set_result_cache(Arc::clone(&cache), Arc::new(plan));
         engine.run(&flow).expect("cached run");
         for t in sorted_table_names(&baseline.catalog) {
             assert_eq!(baseline.catalog.get(&t).unwrap(), engine.catalog.get(&t).unwrap(), "table `{t}` differs");
@@ -226,4 +226,40 @@ fn epoch_change_misses_but_stays_identical() {
     assert!(stats.hits > 0, "the repeat at epoch 0 must hit: {stats:?}");
     // The epoch bump purged the old entries; the epoch-1 run found nothing.
     assert!(stats.misses >= stats.hits, "epoch 1 must miss everything: {stats:?}");
+}
+
+/// The cache's decisions, pinned: the low-overlap unified flow at sf 0.01
+/// under a 1 MiB budget, several times below its working set, run three
+/// times against one cache at 1, 2 and 8 threads. The counters after each
+/// run are the values the policy (admission on room and, for a late batch,
+/// on a second miss; cost-weighted LRU eviction) produced when it was
+/// pinned, so a policy change that moves any decision fails here.
+#[test]
+fn cache_decisions_are_pinned() {
+    let catalog = tpch::generate(0.01, 42);
+    let unified = unified_of(requirement_family(8));
+    let plan = Arc::new(CachePlan::for_catalog(&unified, &catalog, 0).expect("plan"));
+    for threads in [1usize, 2, 8] {
+        let cache = Arc::new(ResultCache::new(true, 1 << 20));
+        let after_each_run: Vec<_> = at_width(threads, || {
+            (0..3)
+                .map(|_| {
+                    let mut engine = Engine::new(catalog.clone());
+                    engine.set_result_cache(Arc::clone(&cache), Arc::clone(&plan));
+                    engine.run(&unified).expect("runs");
+                    let s = cache.stats();
+                    (s.inserts, s.rejects, s.evictions, s.entries, s.bytes, s.hits, s.misses)
+                })
+                .collect()
+        });
+        // On the cold run every lookup misses and every miss is offered; an
+        // offer neither inserted nor rejected is a late batch left ungathered.
+        let (inserts, rejects, .., misses) = after_each_run[0];
+        assert_eq!(misses - inserts - rejects, 16, "late batches gathered on the cold run at {threads} threads");
+        assert_eq!(
+            after_each_run,
+            [(5, 3, 0, 5, 354_992, 0, 24), (8, 10, 3, 5, 354_992, 5, 34), (11, 17, 6, 5, 354_992, 10, 44)],
+            "(inserts, rejects, evictions, entries, bytes, hits, misses) at {threads} threads"
+        );
+    }
 }

@@ -1482,7 +1482,7 @@ fn scheduler_appends_and_upserts_into_one_table_agree() {
 fn cached_engine(catalog: &Catalog, flow: &Flow, cache: &Arc<ResultCache>) -> Engine {
     let mut engine = Engine::new(catalog.clone());
     let plan = CachePlan::for_catalog(flow, &engine.catalog, 0).expect("plan");
-    engine.set_result_cache(Arc::clone(cache), plan);
+    engine.set_result_cache(Arc::clone(cache), Arc::new(plan));
     engine
 }
 

@@ -76,7 +76,8 @@ impl OptimizerConfig {
 
 /// The `cache.*` configuration keys: the cross-run subflow result cache that
 /// serves materialized intermediates keyed by recursive operator fingerprint
-/// (epoch-invalidated, cost-admitted, budget-evicted).
+/// (epoch-invalidated, admitted while they fit, budget-evicted by modeled
+/// saving per byte).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheConfig {
     /// `cache.enabled` — consult and populate the result cache on every ETL

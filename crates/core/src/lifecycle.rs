@@ -11,7 +11,7 @@ use quarry_formats::registry::FormatRegistry;
 use quarry_formats::{FormatError, Requirement};
 use quarry_integrator::etl::EtlIntegrationReport;
 use quarry_integrator::md::MdIntegrationReport;
-use quarry_integrator::optimize::{optimize_flow_with_discount, OptimizeReport};
+use quarry_integrator::optimize::{optimize_flow, OptimizeReport};
 use quarry_integrator::state::{ConsolidationState, ConsolidationStats};
 use quarry_integrator::IntegrateError;
 use quarry_interpreter::{InterpretError, Interpreter, PartialDesign};
@@ -228,17 +228,17 @@ pub struct Quarry {
     /// epoch they were taken at. Every mutation of the flow moves the epoch,
     /// so a run at the same epoch finds them current.
     run_fingerprints: Mutex<(Option<u64>, HashMap<String, u64>)>,
-    /// The resolved per-source epoch values (counter mixed with table stamp)
-    /// of the last ETL run — what the optimizer's cache discount keys its
-    /// probe fingerprints on, since no catalog is in scope at optimize time.
-    last_source_epochs: Mutex<HashMap<String, u64>>,
-    /// Memo of the last [`CachePlan`] built for a run. Valid while the flow
-    /// epoch, flow shape, and resolved source epochs are unchanged —
+    /// The last [`CachePlan`] built for a run, with the resolved per-source
+    /// epochs (counter mixed with table stamp) it was keyed on. Valid while
+    /// the flow epoch, flow shape, and resolved source epochs are unchanged —
     /// rebuilding it (fingerprints + modeled cone costs) is the dominant
     /// fixed cost of a cache-enabled run, and repeated runs over the same
     /// warehouse data need not pay it twice.
-    cached_plan: Mutex<Option<CachePlan>>,
+    plan_memo: Mutex<Option<PlanMemo>>,
 }
+
+/// A built [`CachePlan`] and the resolved source epochs it was keyed on.
+type PlanMemo = (HashMap<String, u64>, Arc<CachePlan>);
 
 /// Handles for the metrics the lifecycle itself records. Kept together so
 /// construction resolves every name exactly once.
@@ -477,8 +477,7 @@ impl Quarry {
             result_cache,
             source_epochs: HashMap::new(),
             run_fingerprints: Mutex::new((None, HashMap::new())),
-            last_source_epochs: Mutex::new(HashMap::new()),
-            cached_plan: Mutex::new(None),
+            plan_memo: Mutex::new(None),
         })
     }
 
@@ -623,20 +622,20 @@ impl Quarry {
             partial
         };
 
-        // Persist the requirement and its partial designs.
         self.repository.put_artifact(ArtifactKind::Requirement, &req.id, &req.to_string_pretty())?;
-        self.repository.put_artifact(
-            ArtifactKind::MdSchema,
-            &format!("partial-{}", req.id),
-            &quarry_formats::xmd::to_string(&partial.md),
-        )?;
-        self.repository.put_artifact(
-            ArtifactKind::EtlFlow,
-            &format!("partial-{}", req.id),
-            &quarry_formats::xlm::to_string(&partial.etl),
-        )?;
-        self.repository.link_requirement(&req.id, ArtifactKind::MdSchema, &format!("partial-{}", req.id))?;
-        self.repository.link_requirement(&req.id, ArtifactKind::EtlFlow, &format!("partial-{}", req.id))?;
+        self.integrate_partial(req, &partial.md, &partial.etl)
+    }
+
+    /// The consolidation half of every add, whoever produced the partial
+    /// design: persist and link the partials → integrate MD and ETL through
+    /// the maintained consolidation state → commit the unified design under
+    /// `req` → optimize (with `optimizer.enabled`) → validate.
+    fn integrate_partial(&mut self, req: Requirement, md: &MdSchema, etl: &Flow) -> Result<DesignUpdate, QuarryError> {
+        let key = format!("partial-{}", req.id);
+        self.repository.put_artifact(ArtifactKind::MdSchema, &key, &quarry_formats::xmd::to_string(md))?;
+        self.repository.put_artifact(ArtifactKind::EtlFlow, &key, &quarry_formats::xlm::to_string(etl))?;
+        self.repository.link_requirement(&req.id, ArtifactKind::MdSchema, &key)?;
+        self.repository.link_requirement(&req.id, ArtifactKind::EtlFlow, &key)?;
 
         // Integrate through the maintained consolidation state, recording the
         // quality-factor deltas (structural design complexity and estimated
@@ -649,7 +648,7 @@ impl Quarry {
             // attributes, so it is skipped when nothing records them.
             let before = self.obs.is_enabled().then(|| self.config.md_cost.cost(&self.unified_md));
             let started = Instant::now();
-            let result = self.consolidation.md_step(&self.unified_md, &partial.md, self.config.md_cost.as_ref())?;
+            let result = self.consolidation.md_step(&self.unified_md, md, self.config.md_cost.as_ref())?;
             self.metrics.md_integrate_seconds.observe(started.elapsed().as_secs_f64());
             phase.attr("cost_after", result.report.cost);
             if let Some(before) = before {
@@ -667,7 +666,7 @@ impl Quarry {
             let started = Instant::now();
             let report = self.consolidation.etl_step(
                 &mut self.unified_etl,
-                &partial.etl,
+                etl,
                 self.config.etl_cost.as_ref(),
                 &self.config.stats,
                 self.config.etl_options,
@@ -683,7 +682,8 @@ impl Quarry {
         };
 
         self.unified_md = md_result.schema;
-        self.requirements.insert(req.id.clone(), req.clone());
+        let id = req.id.clone();
+        self.requirements.insert(id.clone(), req);
         self.persist_unified()?;
 
         // `optimizer.enabled` folds the cost-based optimizer into every
@@ -703,7 +703,7 @@ impl Quarry {
             warnings
         };
         Ok(DesignUpdate {
-            requirement_id: req.id,
+            requirement_id: id,
             md_cost: md_result.report.cost,
             etl_cost: etl_report.cost,
             md_report: Some(md_result.report),
@@ -751,49 +751,9 @@ impl Quarry {
         etl.stamp_requirement(requirement_id);
 
         self.repository.record_marker(&format!("step:add_partial_design:{requirement_id}"))?;
-        self.repository.put_artifact(
-            ArtifactKind::MdSchema,
-            &format!("partial-{requirement_id}"),
-            &quarry_formats::xmd::to_string(&md),
-        )?;
-        self.repository.put_artifact(
-            ArtifactKind::EtlFlow,
-            &format!("partial-{requirement_id}"),
-            &quarry_formats::xlm::to_string(&etl),
-        )?;
-        self.repository.link_requirement(
-            requirement_id,
-            ArtifactKind::MdSchema,
-            &format!("partial-{requirement_id}"),
-        )?;
-        self.repository.link_requirement(
-            requirement_id,
-            ArtifactKind::EtlFlow,
-            &format!("partial-{requirement_id}"),
-        )?;
-
-        let md_result = self.consolidation.md_step(&self.unified_md, &md, self.config.md_cost.as_ref())?;
-        let etl_report = self.consolidation.etl_step(
-            &mut self.unified_etl,
-            &etl,
-            self.config.etl_cost.as_ref(),
-            &self.config.stats,
-            self.config.etl_options,
-        )?;
-        self.unified_md = md_result.schema;
-        // Record a marker requirement so lifecycle bookkeeping (removal,
-        // listing) treats the external design like any other.
-        self.requirements.insert(requirement_id.to_string(), Requirement::new(requirement_id));
-        self.persist_unified()?;
-        let warnings = self.unified_md.validate();
-        Ok(DesignUpdate {
-            requirement_id: requirement_id.to_string(),
-            md_cost: md_result.report.cost,
-            etl_cost: etl_report.cost,
-            md_report: Some(md_result.report),
-            etl_report: Some(etl_report),
-            warnings,
-        })
+        // A marker requirement, so lifecycle bookkeeping (removal, listing)
+        // treats the external design like any other.
+        self.integrate_partial(Requirement::new(requirement_id), &md, &etl)
     }
 
     /// Removes a requirement: every design element serving only it is
@@ -950,47 +910,7 @@ impl Quarry {
         let model = EstimatedTime { weights: TimeWeights::columnar() };
         let opts = self.config.optimizer.anneal_options();
         let started = Instant::now();
-        // The result cache makes the subflows it holds near-free on the next
-        // run, and committing a rewrite invalidates every entry — so the
-        // commit comparison discounts whatever the cache would serve. The
-        // discount walks like the executor's prepass: from the sinks down,
-        // a cached op contributes its cone's modeled cost and is not
-        // descended into, so overlapping cones are never double-counted.
-        let cache = Arc::clone(&self.result_cache);
-        let epoch = self.consolidation.flow_epoch();
-        let stats_probe = self.config.stats.clone();
-        let sources = self.last_source_epochs.lock().unwrap_or_else(|p| p.into_inner()).clone();
-        let discount = move |flow: &Flow| -> f64 {
-            if !cache.enabled() || cache.stats().entries == 0 {
-                return 0.0;
-            }
-            let source_epoch = |name: &str| sources.get(name).copied().unwrap_or(0);
-            let Ok(plan) = CachePlan::for_flow(flow, &stats_probe, epoch, &source_epoch) else {
-                return 0.0;
-            };
-            let Ok(order) = flow.topo_order() else {
-                return 0.0;
-            };
-            let mut needed = std::collections::HashSet::new();
-            let mut saved = 0.0;
-            for id in order.iter().rev() {
-                let op = flow.op(*id);
-                if op.kind.is_sink() {
-                    needed.insert(*id);
-                }
-                if !needed.contains(id) {
-                    continue;
-                }
-                if plan.fingerprint(*id).is_some_and(|fp| cache.peek(fp)) {
-                    saved += plan.saved_cost(*id);
-                    continue;
-                }
-                needed.extend(flow.inputs_of(*id));
-            }
-            saved
-        };
-        let report =
-            optimize_flow_with_discount(&mut self.unified_etl, &mut self.config.stats, model, &opts, &discount)?;
+        let report = optimize_flow(&mut self.unified_etl, &mut self.config.stats, model, &opts)?;
         self.metrics.optimize_seconds.observe(started.elapsed().as_secs_f64());
         self.metrics.optimizer_runs.inc();
         self.metrics.optimizer_moves_proposed.add(report.proposed);
@@ -1244,33 +1164,30 @@ impl Quarry {
             quarry_engine::table_stamp(catalog, name).hash(&mut h);
             h.finish()
         };
-        // Resolve the per-source epochs first (cheap table stamps): they key
-        // the optimizer's cache discount and the plan memo below.
-        let mut resolved = HashMap::new();
-        for op in self.unified_etl.ops() {
-            if let quarry_etl::OpKind::Datastore { datastore, .. } = &op.kind {
-                resolved.insert(datastore.clone(), source_epoch(datastore));
-            }
-        }
         // Reuse the memoized plan when nothing it depends on changed: same
         // flow epoch (which bumps on every design mutation), same flow
-        // shape, same resolved source epochs. Otherwise rebuild.
-        let reusable = {
-            let memo = self.cached_plan.lock().unwrap_or_else(|p| p.into_inner());
-            let last = self.last_source_epochs.lock().unwrap_or_else(|p| p.into_inner());
-            memo.as_ref()
-                .filter(|p| p.flow_epoch == epoch && *last == resolved && p.matches(&self.unified_etl))
-                .cloned()
+        // shape, same resolved source epochs (cheap table stamps). Otherwise
+        // rebuild.
+        let resolved: HashMap<String, u64> = self
+            .unified_etl
+            .ops()
+            .filter_map(|op| match &op.kind {
+                quarry_etl::OpKind::Datastore { datastore, .. } => Some((datastore.clone(), source_epoch(datastore))),
+                _ => None,
+            })
+            .collect();
+        let mut memo = self.plan_memo.lock().unwrap_or_else(|p| p.into_inner());
+        let current = memo.as_ref().filter(|(sources, plan)| {
+            plan.flow_epoch == epoch && *sources == resolved && plan.matches(&self.unified_etl)
+        });
+        let plan = match current {
+            Some((_, plan)) => Arc::clone(plan),
+            None => match CachePlan::for_flow(&self.unified_etl, &self.config.stats, epoch, &source_epoch) {
+                Ok(plan) => Arc::clone(&memo.insert((resolved, Arc::new(plan))).1),
+                Err(_) => return,
+            },
         };
-        *self.last_source_epochs.lock().unwrap_or_else(|p| p.into_inner()) = resolved;
-        let plan = match reusable {
-            Some(plan) => Some(plan),
-            None => CachePlan::for_flow(&self.unified_etl, &self.config.stats, epoch, &source_epoch).ok(),
-        };
-        if let Some(plan) = plan {
-            *self.cached_plan.lock().unwrap_or_else(|p| p.into_inner()) = Some(plan.clone());
-            engine.set_result_cache(Arc::clone(&self.result_cache), plan);
-        }
+        engine.set_result_cache(Arc::clone(&self.result_cache), plan);
     }
 
     /// Snapshots the unified flow's canonical per-op fingerprints right after
@@ -1864,16 +1781,88 @@ mod tests {
         let mut q = Quarry::with_config(domain.ontology, domain.sources, cfg);
         q.set_observability(true);
         q.add_requirement(figure4_requirement()).unwrap();
-        let metrics = q.observability().metrics();
-        let runs = metrics
-            .iter()
-            .find(|(n, _)| n == "integrator.optimizer.runs")
-            .and_then(|(_, m)| m.as_counter())
-            .unwrap_or(0);
+        let runs = counter(&q, "integrator.optimizer.runs");
         assert!(runs >= 1, "optimizer.enabled must fold the optimizer into the add step");
         // The design stays usable afterwards.
         q.add_requirement(netprofit_requirement()).unwrap();
         q.run_etl(quarry_engine::tpch::generate(0.002, 42)).unwrap();
+    }
+
+    /// A TPC-H instance that optimizes inside every add, with a budget no
+    /// search reaches, so the committed flow does not depend on the clock.
+    fn optimizing_tpch() -> Quarry {
+        let domain = quarry_ontology::tpch::domain();
+        let mut cfg = QuarryConfig::tpch(0.01);
+        cfg.optimizer.enabled = true;
+        cfg.optimizer.budget_ms = 60_000;
+        Quarry::with_config(domain.ontology, domain.sources, cfg)
+    }
+
+    /// Adds `req` the way an external design tool would: its partial design,
+    /// not the requirement.
+    fn add_as_external(q: &mut Quarry, req: &Requirement) -> Result<DesignUpdate, QuarryError> {
+        let partial = q.interpret(req).unwrap();
+        q.add_partial_design(&req.id, partial.md, partial.etl)
+    }
+
+    fn unified_documents(q: &Quarry) -> (String, String) {
+        (quarry_formats::xmd::to_string(q.unified().0), quarry_formats::xlm::to_string(q.unified().1))
+    }
+
+    fn counter(q: &Quarry, name: &str) -> u64 {
+        q.observability().metrics().iter().find(|(n, _)| n == name).and_then(|(_, m)| m.as_counter()).unwrap_or(0)
+    }
+
+    #[test]
+    fn external_partials_consolidate_like_interpreted_requirements() {
+        let (mut interpreted, mut external) = (Quarry::tpch(), Quarry::tpch());
+        external.set_observability(true);
+        for req in [figure4_requirement(), netprofit_requirement()] {
+            interpreted.add_requirement(req.clone()).unwrap();
+            add_as_external(&mut external, &req).unwrap();
+        }
+        assert_eq!(unified_documents(&external), unified_documents(&interpreted));
+        assert_eq!(external.requirement_ids(), ["IR1", "IR2"]);
+        let trace = external.trace();
+        let step = trace.find("add_partial_design").expect("the step is traced");
+        assert!(step.find("md_integrate").is_some() && step.find("etl_integrate").is_some(), "{}", trace.render());
+        let metrics = external.observability().metrics();
+        for name in ["integrator.md_integrate_seconds", "integrator.etl_integrate_seconds"] {
+            let observed = metrics.iter().find(|(n, _)| n == name).and_then(|(_, m)| m.as_histogram());
+            assert_eq!(observed.map(|h| h.count), Some(2), "{name}");
+        }
+    }
+
+    #[test]
+    fn external_partials_run_the_enabled_optimizer() {
+        let (mut interpreted, mut external) = (optimizing_tpch(), optimizing_tpch());
+        external.set_observability(true);
+        for req in [figure4_requirement(), netprofit_requirement()] {
+            interpreted.add_requirement(req.clone()).unwrap();
+            add_as_external(&mut external, &req).unwrap();
+        }
+        assert_eq!(counter(&external, "integrator.optimizer.runs"), 2, "one search per add");
+        assert_eq!(unified_documents(&external), unified_documents(&interpreted));
+    }
+
+    #[test]
+    fn an_unsound_external_partial_leaves_the_design_untouched() {
+        let mut q = Quarry::tpch();
+        q.add_requirement(figure4_requirement()).unwrap();
+        let before = unified_documents(&q);
+        let mut partial = q.interpret(&netprofit_requirement()).unwrap();
+        let source = partial.etl.ops().find(|op| op.kind.is_source()).expect("a source").id;
+        let ghost = quarry_etl::parse_expr("ghost_column > 1").unwrap();
+        let sel = partial.etl.append(source, "SEL_ghost", quarry_etl::OpKind::Selection { predicate: ghost }).unwrap();
+        partial
+            .etl
+            .append(sel, "LOAD_ghost", quarry_etl::OpKind::Loader { table: "ghost".into(), key: vec![] })
+            .unwrap();
+        let result = q.add_partial_design("IR2", partial.md, partial.etl);
+        assert!(matches!(result, Err(QuarryError::Integrate(_))), "{result:?}");
+        assert_eq!(unified_documents(&q), before);
+        assert_eq!(q.requirement_ids(), ["IR1"]);
+        assert!(q.repository().latest(ArtifactKind::EtlFlow, "partial-IR2").is_err(), "nothing of it is stored");
     }
 
     /// The default cost models, counting whole-design costings.

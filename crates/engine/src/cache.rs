@@ -11,13 +11,14 @@
 //! invalidation is pure key rotation: epoch bumps make old entries
 //! unreachable (and [`ResultCache::set_flow_epoch`] purges them for hygiene).
 //!
-//! Admission is cost-based: an output is cached only when the modeled time
-//! of its upstream cone ([`EstimatedTime::subtree_costs`]) times the
-//! observed hit-likelihood (how often this fingerprint has been requested)
-//! exceeds what admitting costs — nothing for outputs the executor already
-//! materialized, a modeled gather for late-materialized ones. Eviction under
-//! the byte budget is cost-weighted LRU: the entry with the least modeled
-//! saving per byte, discounted by staleness, goes first.
+//! Admission asks for demand and room, nothing else. An output the executor
+//! already holds materialized is admitted whenever it fits the budget; a late
+//! batch is gathered and admitted only on its fingerprint's second miss, so a
+//! cold run never pays a gather for a reuse that is still speculative.
+//! Eviction under the byte budget is cost-weighted LRU: the entry with the
+//! least modeled saving per byte, discounted by staleness, goes first. That
+//! ranking is the only reader of [`CachePlan`]'s modeled cone costs
+//! ([`EstimatedTime::subtree_costs`]).
 
 use crate::catalog::Catalog;
 use crate::relation::Relation;
@@ -28,8 +29,8 @@ use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::{Arc, Mutex};
 
-/// Bound on the fingerprint-demand map (a hit-likelihood heuristic, not
-/// correctness state); past it the counts reset wholesale.
+/// Bound on the fingerprint-demand map (admission state, not correctness
+/// state); past it the counts reset wholesale.
 const DEMAND_CAP: usize = 1 << 16;
 
 /// Operator kinds whose outputs are worth keying: pipeline breakers (join
@@ -48,27 +49,9 @@ pub(crate) fn cacheable(kind: &OpKind) -> bool {
     )
 }
 
-/// Hit-likelihood from demand: how often this fingerprint has been asked for
-/// and missed. Saturates toward 1 — a subflow requested run after run is
-/// near-certain to be requested again.
-fn likelihood(demand: u32) -> f64 {
-    1.0 - 0.5f64.powi(demand.min(30) as i32)
-}
-
-/// Misses a fingerprint must accumulate before admission will pay a
-/// non-zero materialization price for it. Free offers (results the executor
-/// already holds materialized) are admitted from the first miss; paying a
-/// gather for a late-materialized batch on the very first run would tax
-/// every cold run for a reuse that is still speculative.
-const COSTLY_ADMIT_MIN_DEMAND: u32 = 2;
-
-/// Modeled cost (in [`EstimatedTime`] units) of eagerly materializing a late
-/// `rows × cols` batch for admission: one gather per column per row. Charged
-/// against the modeled cross-run saving so the cold run never pays a gather
-/// that the cache is unlikely to amortize.
-pub fn materialize_cost(rows: usize, cols: usize) -> f64 {
-    0.1 * rows as f64 * cols as f64
-}
+/// Misses a fingerprint must accumulate before a late batch is gathered
+/// for admission (see [`ResultCache::would_admit`]).
+const LATE_ADMIT_MIN_DEMAND: u32 = 2;
 
 /// A content stamp for one catalog table: row count, schema, and the
 /// identities of its shared columns. Folding this into the per-source epoch
@@ -97,8 +80,8 @@ pub fn table_stamp(catalog: &Catalog, name: &str) -> u64 {
 }
 
 /// Everything the executor needs to consult the cache for one flow: per-op
-/// fingerprints and per-op modeled cone costs, pinned to the exact flow
-/// shape they were computed for.
+/// fingerprints, and per-op modeled cone costs for eviction to rank by,
+/// pinned to the exact flow shape they were computed for.
 #[derive(Debug, Clone)]
 pub struct CachePlan {
     flow_fp: u64,
@@ -140,7 +123,8 @@ impl CachePlan {
         self.fingerprints.get(&id).copied()
     }
 
-    /// Modeled cost of the op's upstream cone — what a hit on it saves.
+    /// Modeled cost of the op's upstream cone — what a hit on it saves, and
+    /// what eviction weighs an entry by.
     pub fn saved_cost(&self, id: OpId) -> f64 {
         self.saved.get(&id).copied().unwrap_or(0.0)
     }
@@ -160,8 +144,8 @@ struct Inner {
     entries: HashMap<u64, Entry>,
     bytes: usize,
     tick: u64,
-    /// Times each fingerprint was looked up and missed — the hit-likelihood
-    /// signal for admission.
+    /// Times each fingerprint was looked up and missed — what a late batch
+    /// waits on before admission.
     demand: HashMap<u64, u32>,
     hits: u64,
     misses: u64,
@@ -180,7 +164,7 @@ pub struct CacheStats {
     pub hits: u64,
     pub misses: u64,
     pub inserts: u64,
-    /// Lookups that missed and whose results admission then declined.
+    /// Offers declined because the result alone exceeds the budget.
     pub rejects: u64,
     pub evictions: u64,
 }
@@ -246,36 +230,18 @@ impl ResultCache {
         None
     }
 
-    /// Whether a live entry exists for `fp`, without touching the
-    /// hit/miss/demand accounting — the optimizer's discount probe.
-    pub fn peek(&self, fp: u64) -> bool {
-        self.enabled && self.lock().entries.contains_key(&fp)
-    }
-
-    /// The admission economics without the entry itself: would an offer with
-    /// this modeled saving and materialization price currently clear the
-    /// `saved × hit-likelihood > cost` bar? The executor asks this *before*
-    /// paying a gather for a late batch.
-    pub fn would_admit(&self, fp: u64, saved: f64, materialize_cost: f64) -> bool {
-        if !self.enabled {
-            return false;
-        }
-        let inner = self.lock();
-        let demand = inner.demand.get(&fp).copied().unwrap_or(1).max(1);
-        if materialize_cost > 0.0 && demand < COSTLY_ADMIT_MIN_DEMAND {
-            return false;
-        }
-        saved * likelihood(demand) > materialize_cost
+    /// Whether a late batch for `fp` is worth gathering: its fingerprint has
+    /// missed at least twice. The executor asks this *before* paying the
+    /// gather; a materialized output needs no such history.
+    pub fn would_admit(&self, fp: u64) -> bool {
+        self.enabled && self.lock().demand.get(&fp).is_some_and(|&d| d >= LATE_ADMIT_MIN_DEMAND)
     }
 
     /// Offers one computed result for admission. `saved` is the modeled cost
-    /// of the result's upstream cone (the win per future hit),
-    /// `materialize_cost` the modeled price of storing it now (zero when the
-    /// executor already holds it materialized). Admitted only when
-    /// `saved × hit-likelihood > materialize_cost` and the entry fits the
-    /// budget; then evicts cost-weighted-LRU until under budget. Returns
-    /// whether the entry is resident afterwards.
-    pub fn admit(&self, fp: u64, relation: &Arc<Relation>, saved: f64, materialize_cost: f64, flow_epoch: u64) -> bool {
+    /// of the result's upstream cone, kept for eviction to rank by. Admitted
+    /// when it fits the budget; then evicts cost-weighted-LRU until under
+    /// budget. Returns whether the entry is resident afterwards.
+    pub fn admit(&self, fp: u64, relation: &Arc<Relation>, saved: f64, flow_epoch: u64) -> bool {
         if !self.enabled {
             return false;
         }
@@ -284,11 +250,7 @@ impl ResultCache {
         if inner.entries.contains_key(&fp) {
             return true; // already resident (a concurrent lane admitted it)
         }
-        let demand = inner.demand.get(&fp).copied().unwrap_or(1).max(1);
-        if (materialize_cost > 0.0 && demand < COSTLY_ADMIT_MIN_DEMAND)
-            || saved * likelihood(demand) <= materialize_cost
-            || bytes > self.budget_bytes
-        {
+        if bytes > self.budget_bytes {
             inner.rejects += 1;
             return false;
         }
@@ -328,16 +290,13 @@ impl ResultCache {
     /// Announces the current flow epoch: entries admitted under any other
     /// epoch are purged. Their fingerprints could never hit again anyway
     /// (the epoch folds into every key); purging frees their memory the
-    /// moment the lifecycle commits a new design.
+    /// moment the lifecycle commits a new design. A purge is invalidation,
+    /// not a budget eviction, so `evictions` does not count it. Demand is
+    /// forgotten on every call, epoch moved or not.
     pub fn set_flow_epoch(&self, epoch: u64) {
         let mut inner = self.lock();
-        let stale: Vec<u64> = inner.entries.iter().filter(|(_, e)| e.flow_epoch != epoch).map(|(&fp, _)| fp).collect();
-        for fp in stale {
-            if let Some(entry) = inner.entries.remove(&fp) {
-                inner.bytes -= entry.bytes;
-                inner.evictions += 1;
-            }
-        }
+        inner.entries.retain(|_, e| e.flow_epoch == epoch);
+        inner.bytes = inner.entries.values().map(|e| e.bytes).sum();
         inner.demand.clear();
     }
 
@@ -381,7 +340,7 @@ mod tests {
     fn lookup_miss_then_admit_then_hit() {
         let cache = ResultCache::new(true, 1 << 20);
         assert!(cache.lookup(7).is_none());
-        assert!(cache.admit(7, &rel(10), 1000.0, 0.0, 1));
+        assert!(cache.admit(7, &rel(10), 1000.0, 1));
         let hit = cache.lookup(7).expect("admitted entry hits");
         assert_eq!(hit.len(), 10);
         let s = cache.stats();
@@ -394,52 +353,45 @@ mod tests {
     fn disabled_cache_never_stores_or_counts() {
         let cache = ResultCache::new(false, 1 << 20);
         assert!(cache.lookup(1).is_none());
-        assert!(!cache.admit(1, &rel(4), 1e9, 0.0, 1));
+        assert!(!cache.admit(1, &rel(4), 1e9, 1));
         assert!(cache.lookup(1).is_none());
         let s = cache.stats();
         assert_eq!((s.hits, s.misses, s.inserts, s.entries), (0, 0, 0, 0));
     }
 
     #[test]
-    fn admission_weighs_saving_against_materialization() {
+    fn materialized_outputs_are_admitted_whenever_they_fit() {
         let cache = ResultCache::new(true, 1 << 20);
-        // Demand 1 → likelihood 0.5; a saving of 10 against a
-        // materialization cost of 8 does not clear the bar…
-        cache.lookup(1);
-        assert!(!cache.admit(1, &rel(4), 10.0, 8.0, 1));
-        assert_eq!(cache.stats().rejects, 1);
-        // …but after repeated demand the likelihood approaches 1 and the
-        // same offer is admitted.
-        cache.lookup(1);
-        cache.lookup(1);
-        assert!(cache.admit(1, &rel(4), 10.0, 8.0, 1));
+        // No demand history and no modeled saving: a result the executor
+        // already holds is admitted on room alone.
+        assert!(cache.admit(1, &rel(4), 0.0, 1));
+        cache.lookup(2);
+        assert!(cache.admit(2, &rel(4), 10.0, 1));
+        let s = cache.stats();
+        assert_eq!((s.inserts, s.rejects, s.entries), (2, 0, 2));
     }
 
     #[test]
     fn costly_admission_requires_repeated_demand() {
         let cache = ResultCache::new(true, 1 << 20);
-        // One miss is not enough history to pay a gather, no matter the
-        // modeled saving…
+        // Never asked for, or asked once: a late batch stays late…
+        assert!(!cache.would_admit(9));
         cache.lookup(9);
-        assert!(!cache.would_admit(9, 1e9, 1.0));
-        assert!(!cache.admit(9, &rel(4), 1e9, 1.0, 1));
-        // …a second miss is.
+        assert!(!cache.would_admit(9));
+        // …a second miss is enough history to pay its gather.
         cache.lookup(9);
-        assert!(cache.would_admit(9, 1e9, 1.0));
-        assert!(cache.admit(9, &rel(4), 1e9, 1.0, 1));
-        // Free offers clear the bar from the very first miss.
-        cache.lookup(10);
-        assert!(cache.would_admit(10, 1.0, 0.0));
+        assert!(cache.would_admit(9));
+        assert!(!ResultCache::new(false, 1 << 20).would_admit(9), "a disabled cache gathers nothing");
     }
 
     #[test]
     fn budget_eviction_prefers_low_value_entries() {
         let budget = rel(64).estimated_bytes() * 2 + 64;
         let cache = ResultCache::new(true, budget);
-        assert!(cache.admit(1, &rel(64), 10.0, 0.0, 1), "low value");
-        assert!(cache.admit(2, &rel(64), 1e6, 0.0, 1), "high value");
+        assert!(cache.admit(1, &rel(64), 10.0, 1), "low value");
+        assert!(cache.admit(2, &rel(64), 1e6, 1), "high value");
         // A third entry forces an eviction; the low-value entry goes.
-        assert!(cache.admit(3, &rel(64), 1e6, 0.0, 1));
+        assert!(cache.admit(3, &rel(64), 1e6, 1));
         assert!(cache.stats().evictions >= 1);
         assert!(cache.lookup(1).is_none(), "low-value entry evicted");
         assert!(cache.lookup(2).is_some() || cache.lookup(3).is_some());
@@ -449,19 +401,20 @@ mod tests {
     #[test]
     fn oversized_entries_are_rejected_outright() {
         let cache = ResultCache::new(true, 16);
-        assert!(!cache.admit(1, &rel(1024), 1e9, 0.0, 1));
+        assert!(!cache.admit(1, &rel(1024), 1e9, 1));
         assert_eq!(cache.stats().entries, 0);
     }
 
     #[test]
     fn flow_epoch_change_purges_old_entries() {
         let cache = ResultCache::new(true, 1 << 20);
-        assert!(cache.admit(1, &rel(8), 100.0, 0.0, 1));
-        assert!(cache.admit(2, &rel(8), 100.0, 0.0, 1));
+        assert!(cache.admit(1, &rel(8), 100.0, 1));
+        assert!(cache.admit(2, &rel(8), 100.0, 1));
         cache.set_flow_epoch(2);
         let s = cache.stats();
         assert_eq!(s.entries, 0, "stale-epoch entries purged");
         assert_eq!(s.bytes, 0);
+        assert_eq!(s.evictions, 0, "a purge is invalidation, not a budget eviction");
         assert!(cache.lookup(1).is_none() && cache.lookup(2).is_none());
     }
 

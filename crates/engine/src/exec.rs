@@ -2373,7 +2373,8 @@ mod tests {
         let mut loaded = Vec::new();
         for served in [false, true] {
             let mut engine = Engine::new(c.clone());
-            engine.set_result_cache(Arc::clone(&cache), crate::cache::CachePlan::for_catalog(&f, &c, 1).unwrap());
+            let plan = crate::cache::CachePlan::for_catalog(&f, &c, 1).unwrap();
+            engine.set_result_cache(Arc::clone(&cache), Arc::new(plan));
             assert_eq!(key_groupings(&mut engine, &f), 0);
             assert_eq!(cache.stats().hits > 0, served, "the second run's aggregation comes from the cache");
             loaded.push(engine.catalog.get("out").unwrap().clone());

@@ -14,7 +14,7 @@
 //! order) are the same at every thread count, in whatever order the
 //! operators happened to finish.
 
-use crate::cache::{cacheable, materialize_cost, CachePlan, ResultCache};
+use crate::cache::{cacheable, CachePlan, ResultCache};
 use crate::catalog::Catalog;
 use crate::column::Column as Col;
 use crate::events::{emit, EngineEvent};
@@ -124,7 +124,7 @@ pub struct Engine {
     pub catalog: Catalog,
     /// The cross-run result cache plus the plan (fingerprints, cone costs)
     /// for the flow about to run; consulted at pipeline-breaker boundaries.
-    cache: Option<(Arc<ResultCache>, CachePlan)>,
+    cache: Option<(Arc<ResultCache>, Arc<CachePlan>)>,
 }
 
 /// The executor-facing outcome of one pre-run cache consultation: which ops
@@ -155,7 +155,7 @@ struct Run<'a> {
     consumers: Vec<Vec<usize>>,
     /// Cacheable executing operations; admission is offered in this order.
     offers: Vec<usize>,
-    cache: Option<&'a (Arc<ResultCache>, CachePlan)>,
+    cache: Option<&'a (Arc<ResultCache>, Arc<CachePlan>)>,
     /// Helpers this run may keep (`threads() - 1`).
     width: usize,
     start: Instant,
@@ -367,8 +367,9 @@ impl Engine {
     /// Installs the cross-run result cache together with the [`CachePlan`]
     /// computed for the flow this engine is about to run. A plan whose shape
     /// does not match the executed flow is ignored for that run (the cache
-    /// is then bypassed entirely), so a stale plan can never mis-key.
-    pub fn set_result_cache(&mut self, cache: Arc<ResultCache>, plan: CachePlan) {
+    /// is then bypassed entirely), so a stale plan can never mis-key. The
+    /// plan is shared, so a caller that memoizes it installs it without a copy.
+    pub fn set_result_cache(&mut self, cache: Arc<ResultCache>, plan: Arc<CachePlan>) {
         self.cache = Some((cache, plan));
     }
 
@@ -545,21 +546,17 @@ fn touches_catalog(op: &Operation) -> bool {
     op.kind.is_source() || op.kind.is_sink()
 }
 
-/// Offers one freshly computed batch for admission. Materialized batches
-/// admit for free (storing is an `Arc` clone); late batches are charged a
-/// modeled gather, so caching never forces an eager materialization unless
-/// the modeled cross-run saving clearly pays for it.
-fn cache_offer((cache, plan): &(Arc<ResultCache>, CachePlan), op: &Operation, out: Batch) {
+/// Offers one freshly computed batch for admission. A materialized batch is
+/// offered as it is (storing is an `Arc` clone); a late batch is gathered for
+/// it only once its fingerprint has missed twice, so a cold run never pays a
+/// gather for a reuse that is still speculative.
+fn cache_offer((cache, plan): &(Arc<ResultCache>, Arc<CachePlan>), op: &Operation, out: Batch) {
     let Some(fp) = plan.fingerprint(op.id) else { return };
-    let mat_cost = match out {
-        Batch::Rel(_) => 0.0,
-        Batch::Lazy(_) => materialize_cost(out.len(), out.schema().len()),
-    };
-    if mat_cost > 0.0 && !cache.would_admit(fp, plan.saved_cost(op.id), mat_cost) {
-        return; // the gather itself would not pay — stay late
+    if matches!(out, Batch::Lazy(_)) && !cache.would_admit(fp) {
+        return; // stay late
     }
     let rel = out.materialize();
-    if cache.admit(fp, &rel, plan.saved_cost(op.id), mat_cost, plan.flow_epoch) {
+    if cache.admit(fp, &rel, plan.saved_cost(op.id), plan.flow_epoch) {
         emit(EngineEvent::CacheInsert { op: &op.name, bytes: rel.estimated_bytes() as u64 });
     }
 }

@@ -107,24 +107,6 @@ pub fn optimize_flow(
     model: EstimatedTime,
     opts: &AnnealOptions,
 ) -> Result<OptimizeReport, IntegrateError> {
-    optimize_flow_with_discount(flow, stats, model, opts, &|_| 0.0)
-}
-
-/// [`optimize_flow`] with a caller-supplied cost discount applied at the
-/// commit comparison. `discount(flow)` returns modeled cost the caller knows
-/// it will *not* pay on the next run — the lifecycle passes the summed saved
-/// cost of unified-flow subtrees the result cache can serve, which makes
-/// cached subflows near-free in the optimizer's eyes. The search itself is
-/// unchanged (moves are still scored on full cost); only the final
-/// "candidate beats input" decision sees effective costs. With a zero
-/// discount this is exactly [`optimize_flow`].
-pub fn optimize_flow_with_discount(
-    flow: &mut Flow,
-    stats: &mut SourceStats,
-    model: EstimatedTime,
-    opts: &AnnealOptions,
-    discount: &dyn Fn(&Flow) -> f64,
-) -> Result<OptimizeReport, IntegrateError> {
     let started = Instant::now();
     let invalid = |e: quarry_etl::FlowError| IntegrateError::InvalidResult(vec![e.to_string()]);
     let before_cost = model.cost(flow, stats).map_err(invalid)?;
@@ -168,13 +150,8 @@ pub fn optimize_flow_with_discount(
     // Commit only a from-scratch-verified strict improvement. The re-cost
     // uses the winning chain's statistics: observations it invalidated by
     // restructuring an operation must not pin the candidate's estimates.
-    // Effective costs subtract what the caller's result cache already covers:
-    // restructuring a subtree the cache serves for free must clear a higher
-    // bar, because the commit itself invalidates every cached entry.
     let after_cost = model.cost(&candidate, &outcome.stats).map_err(invalid)?;
-    let before_effective = (before_cost - discount(flow).clamp(0.0, before_cost)).max(0.0);
-    let after_effective = (after_cost - discount(&candidate).clamp(0.0, after_cost)).max(0.0);
-    if after_effective < before_effective {
+    if after_cost < before_cost {
         *flow = candidate;
         *stats = outcome.stats;
         report.after_cost = after_cost;
@@ -318,26 +295,6 @@ mod tests {
         let report = optimize_flow(&mut flow, &mut stats, EstimatedTime::new(), &AnnealOptions::default()).unwrap();
         assert!(!report.applied);
         assert_eq!(report.before_cost, 0.0);
-    }
-
-    #[test]
-    fn cache_discount_blocks_a_commit_the_cache_already_covers() {
-        let (mut flow, mut stats) = spine();
-        let original = flow.clone();
-        let model = EstimatedTime { weights: TimeWeights::columnar() };
-        // The cache claims it serves (almost) the entire current flow for
-        // free, but nothing of any restructured candidate: the modeled win
-        // cannot beat "already free", so the optimizer must not commit.
-        let discount = |f: &Flow| if *f == original { f64::MAX / 4.0 } else { 0.0 };
-        let report =
-            optimize_flow_with_discount(&mut flow, &mut stats, model, &AnnealOptions::default(), &discount).unwrap();
-        assert!(!report.applied, "a fully cached flow is already effectively free");
-        assert_eq!(flow, original);
-        // A zero discount reduces to plain optimize_flow and commits.
-        let (mut flow2, mut stats2) = spine();
-        let report2 =
-            optimize_flow_with_discount(&mut flow2, &mut stats2, model, &AnnealOptions::default(), &|_| 0.0).unwrap();
-        assert!(report2.applied);
     }
 
     #[test]
