@@ -13,6 +13,13 @@
 //! the whole-flow work a step used to do (`flow.clone`, `validate`, `cost`),
 //! the two integrator steps under a maintained `ConsolidationState`, and the
 //! repository puts of the step's five documents.
+//!
+//! A `change` block then times the benchmark's change on the finished
+//! design (requirement N − 5 with its dimensions reversed and its slicer
+//! dropped): the ETL half of the retraction with what it validates and
+//! costs, and retraction plus re-add `etl_step` once with the index kept
+//! through `ConsolidationState::retract` and once after `invalidate()`,
+//! which rebuilds canonical form, index and facts.
 
 use quarry::Quarry;
 use quarry_deployer::pdi;
@@ -155,4 +162,56 @@ fn main() {
     );
     let bytes: usize = docs.iter().map(|(_, _, d)| d.len()).sum();
     line("puts (5 documents)", puts, &format!("{bytes:>8} bytes, in-memory repository"));
+
+    if n < 6 {
+        return;
+    }
+    let mut changed = family[n - 6].clone();
+    changed.dimensions.reverse();
+    changed.slicers.clear();
+    let (id, changed) = (&changed.id, q.interpret(&changed).expect("the changed requirement is MD-compliant"));
+    let mut retracted = etl.clone();
+    let mut kept = state.clone();
+    kept.retract(&mut retracted, id, cfg.etl_cost.as_ref(), &cfg.stats).expect("the retraction validates");
+    println!(
+        "change {id}: the retraction leaves {} of {} ops, index {}",
+        retracted.op_count(),
+        etl.op_count(),
+        if kept.etl_index_ready() { "kept" } else { "dropped (a canonical rule fires)" }
+    );
+    let retract = |(mut s, mut flow): (ConsolidationState, Flow)| {
+        let cost = s.retract(&mut flow, id, cfg.etl_cost.as_ref(), &cfg.stats).expect("the retraction validates");
+        (s, flow, cost)
+    };
+    line(
+        "retract (kept index)",
+        fastest(|| (state.clone(), etl.clone()), retract),
+        "validates and costs through the kept facts",
+    );
+    line("retracted flow.validate", fastest(|| (), |()| retracted.validate()), "what the rebuilt path validates");
+    line("retracted etl_cost.cost", fastest(|| (), |()| cfg.etl_cost.cost(&retracted, &cfg.stats)), "what it costs");
+    let re_add = |(mut s, mut flow): (ConsolidationState, Flow)| {
+        let report =
+            s.etl_step(&mut flow, &changed.etl, cfg.etl_cost.as_ref(), &cfg.stats, cfg.etl_options).expect("ETL step");
+        (s, flow, report)
+    };
+    let kept_change = fastest(
+        || (state.clone(), etl.clone()),
+        |input| {
+            let (s, flow, _) = retract(input);
+            re_add((s, flow))
+        },
+    );
+    line("change (kept index)", kept_change, "retract + etl_step");
+    let rebuilt_change = fastest(
+        || (state.clone(), etl.clone()),
+        |(mut s, mut flow)| {
+            flow.retract_requirement(id);
+            s.invalidate();
+            flow.validate().expect("the retracted flow validates");
+            cfg.etl_cost.cost(&flow, &cfg.stats).expect("the retracted flow costs");
+            re_add((s, flow))
+        },
+    );
+    line("change (rebuilt index)", rebuilt_change, "retract_requirement + invalidate + validate + cost + etl_step");
 }

@@ -7,11 +7,17 @@
 //! before the streaming `XmlWriter` replaced them; each is the FNV-1a 64 of
 //! one class of documents over a whole design session, so a change to any
 //! document of any step shows.
+//!
+//! A second session changes and removes requirements on the way, the way the
+//! lifecycle benchmark's `design-session` does. Its pins also cover what a
+//! step persists beside the documents: the flow epoch and the number of
+//! puts of each unified document.
 
 use quarry::Quarry;
 use quarry_bench::{high_overlap_family, requirement_family};
 use quarry_deployer::{ExecutionPlatform, PostgresPdi};
 use quarry_formats::{xlm, xmd, Requirement};
+use quarry_repository::ArtifactKind;
 
 #[derive(Clone, Copy)]
 struct Fnv(u64);
@@ -77,9 +83,47 @@ const LOW_N64: [u64; 6] = [
     0xb012_5f44_fb0d_5fa9,
     0xb78d_05de_91ee_78a2,
 ];
+/// In [`change_session_hashes`] order: unified xMD, unified xLM, epochs and
+/// versions.
+const LOW_N64_CHANGES: [u64; 3] = [0x3cb5_e6ec_551e_ab16, 0x2369_ec3e_6312_1bce, 0xd09e_4b13_6f03_86e8];
 const TPCH_OWLX: u64 = 0x6f28_fc78_5678_0683;
 
-fn assert_pinned(family: &str, got: [(&'static str, u64); 6], pinned: [u64; 6]) {
+/// The benchmark's session pattern: after every 8th add, an earlier
+/// requirement changes (dimensions reversed, slicer dropped) and another one
+/// is removed. After every step the unified xMD and xLM are hashed, and so
+/// are the persisted flow epoch and the stored version numbers of both
+/// unified documents.
+fn change_session_hashes(family: Vec<Requirement>) -> [(&'static str, u64); 3] {
+    let [mut unified_xmd, mut unified_xlm, mut epochs] = [Fnv::new(); 3];
+    let mut q = Quarry::tpch();
+    let mut fold = |q: &Quarry| {
+        let (md, etl) = q.unified();
+        unified_xmd.fold(&xmd::to_string(md));
+        unified_xlm.fold(&xlm::to_string(etl));
+        let epoch = q.repository().with_store(|s| {
+            let (_, doc) = s.find_by("lifecycle", "name", "flow-epoch").into_iter().next().expect("persisted");
+            doc.get("epoch").and_then(|e| e.as_f64()).expect("the epoch is a number")
+        });
+        let version = |kind| q.repository().latest(kind, "unified").expect("persisted").version;
+        epochs.fold(&format!("{epoch} {} {}", version(ArtifactKind::MdSchema), version(ArtifactKind::EtlFlow)));
+    };
+    for (i, r) in family.iter().enumerate() {
+        q.add_requirement(r.clone()).expect("integrates");
+        fold(&q);
+        if (i + 1) % 8 == 0 {
+            let mut changed = family[i - 5].clone();
+            changed.dimensions.reverse();
+            changed.slicers.clear();
+            q.change_requirement(changed).expect("the changed requirement integrates");
+            fold(&q);
+            q.remove_requirement(&family[i - 2].id).expect("the removal validates");
+            fold(&q);
+        }
+    }
+    [("unified_xmd", unified_xmd.0), ("unified_xlm", unified_xlm.0), ("epochs", epochs.0)]
+}
+
+fn assert_pinned<const N: usize>(family: &str, got: [(&'static str, u64); N], pinned: [u64; N]) {
     assert!(got.map(|(_, hash)| hash) == pinned, "{family}: documents changed, now {got:#018x?}");
 }
 
@@ -91,6 +135,11 @@ fn high_overlap_n8_documents_are_byte_identical_to_the_dom_writers() {
 #[test]
 fn low_overlap_n64_documents_are_byte_identical_to_the_dom_writers() {
     assert_pinned("low N=64", session_hashes(requirement_family(64)), LOW_N64);
+}
+
+#[test]
+fn low_overlap_n64_change_session_is_byte_identical() {
+    assert_pinned("low N=64 with changes", change_session_hashes(requirement_family(64)), LOW_N64_CHANGES);
 }
 
 #[test]

@@ -785,37 +785,44 @@ impl Quarry {
     fn remove_requirement_phases(&mut self, id: &str, own_rollback: bool) -> Result<DesignUpdate, QuarryError> {
         self.repository.record_marker(&format!("step:remove_requirement:{id}"))?;
         let snapshot = own_rollback.then(|| self.snapshot(id));
+        let result = self.retract_and_persist(id);
+        if result.is_err() {
+            if let Some(snapshot) = snapshot {
+                // A rollback that itself fails outranks the original error.
+                self.restore(snapshot, id)?;
+            }
+        }
+        result
+    }
+
+    /// The removal after its snapshot: retract, validate, then the writes
+    /// (unlink, persist). Every error leaves the design retracted in memory
+    /// for the caller to restore.
+    fn retract_and_persist(&mut self, id: &str) -> Result<DesignUpdate, QuarryError> {
         self.requirements.remove(id);
-        {
+        let etl_cost = {
             let _phase = self.obs.span("retract");
             self.unified_md.retract_requirement(id);
-            self.unified_etl.retract_requirement(id);
-            self.repository.unlink_requirement(id)?;
-            // Retraction splices the flow outside an integration step, so the
-            // maintained ETL index no longer describes it.
-            self.consolidation.invalidate();
-        }
+            // Validates and costs the pruned flow, through the facts kept
+            // beside the consolidation index while that survives.
+            self.consolidation.retract(&mut self.unified_etl, id, self.config.etl_cost.as_ref(), &self.config.stats)
+        };
 
         let phase = self.obs.span("validate");
         let violations = self.unified_md.validate();
         phase.attr("warnings", violations.len());
         drop(phase);
-        let mut rejected =
-            violations.iter().any(|v| v.kind.is_error()).then(|| violations.iter().map(ToString::to_string).collect());
-        if rejected.is_none() && self.unified_etl.op_count() > 0 {
-            rejected = self.unified_etl.validate().err().map(|e| vec![e.to_string()]);
-        }
-        if let Some(reasons) = rejected {
-            if let Some(snapshot) = snapshot {
-                self.restore(snapshot, id)?;
-            }
+        if violations.iter().any(|v| v.kind.is_error()) {
+            let reasons = violations.iter().map(ToString::to_string).collect();
             return Err(QuarryError::Integrate(IntegrateError::InvalidResult(reasons)));
         }
+        let etl_cost = etl_cost?;
+        self.repository.unlink_requirement(id)?;
         self.persist_unified()?;
         Ok(DesignUpdate {
             requirement_id: id.to_string(),
             md_cost: self.config.md_cost.cost(&self.unified_md),
-            etl_cost: self.config.etl_cost.cost(&self.unified_etl, &self.config.stats).unwrap_or_default(),
+            etl_cost,
             warnings: violations,
             ..DesignUpdate::default()
         })
@@ -1321,6 +1328,32 @@ mod tests {
             "slicer selection must disappear after the change"
         );
         assert_eq!(q.requirement_ids(), ["IR1"]);
+    }
+
+    #[test]
+    fn changes_and_removals_keep_the_maintained_index() {
+        let mut q = Quarry::tpch();
+        q.add_requirement(figure4_requirement()).unwrap();
+        q.add_requirement(netprofit_requirement()).unwrap();
+        let (rebuilds, epoch) = (q.consolidation_stats().etl_index_rebuilds, q.consolidation.flow_epoch());
+        let mut v2 = netprofit_requirement();
+        v2.dimensions.reverse();
+        let update = q.change_requirement(v2).unwrap();
+        assert_eq!(q.consolidation_stats().etl_index_rebuilds, rebuilds, "the re-add reuses the kept index");
+        assert_eq!(q.consolidation.flow_epoch(), epoch + 2, "one epoch for the retraction, one for the re-add");
+        assert_eq!(
+            update.etl_cost.to_bits(),
+            q.config.etl_cost.cost(&q.unified_etl, &q.config.stats).unwrap().to_bits()
+        );
+        let removed = q.remove_requirement("IR2").unwrap();
+        assert_eq!(q.consolidation.flow_epoch(), epoch + 3);
+        assert!(q.consolidation.etl_index_ready(), "the removal keeps the index");
+        assert_eq!(
+            removed.etl_cost.to_bits(),
+            q.config.etl_cost.cost(&q.unified_etl, &q.config.stats).unwrap().to_bits()
+        );
+        q.add_requirement(netprofit_requirement()).unwrap();
+        assert_eq!(q.consolidation_stats().etl_index_rebuilds, rebuilds);
     }
 
     #[test]

@@ -107,6 +107,19 @@ impl FlowFacts {
         })
     }
 
+    /// Drops what is kept for operations that left the flow. What the
+    /// others keep stays valid only if they kept their inputs, as the
+    /// survivors of a requirement retraction do
+    /// ([`Flow::retract_requirement`]).
+    pub fn forget(&mut self, gone: impl IntoIterator<Item = OpId>) {
+        for id in gone {
+            self.schemas.remove(&id);
+            self.cards.remove(&id);
+            self.costs.remove(&id);
+            self.depth.remove(&id);
+        }
+    }
+
     /// The flow's cost under `model`: the sum of the maintained parts in
     /// operation order — the additions [`EtlCostModel::cost`] performs, so
     /// the same bits — or the model's own answer when a part is missing
@@ -237,6 +250,24 @@ mod tests {
         // L, S and J widen; the aggregation's output does not, so the loader
         // behind it is not visited.
         assert_eq!(facts.recomputed(), 4);
+        assert_matches_from_scratch(&facts, &f, &model, &stats);
+    }
+
+    #[test]
+    fn a_pruned_branch_is_forgotten_and_nothing_else_moves() {
+        let (mut f, model, stats) = (flow(), EstimatedTime::new(), stats());
+        f.stamp_requirement("IR1");
+        let j = f.id_by_name("J").unwrap();
+        let p = f.append(j, "P", OpKind::Projection { columns: vec!["l_price".into()] }).unwrap();
+        let l2 = f.append(p, "LOAD2", OpKind::Loader { table: "t2".into(), key: vec![] }).unwrap();
+        f.op_mut(p).satisfies.insert("IR2".into());
+        f.op_mut(l2).satisfies.insert("IR2".into());
+        let mut facts = FlowFacts::default();
+        facts.refresh(&f, &[], &model, &stats).unwrap();
+        let retraction = f.retract_requirement("IR2");
+        facts.forget(retraction.pruned.iter().map(|o| o.id));
+        facts.refresh(&f, &[], &model, &stats).unwrap();
+        assert_eq!(facts.recomputed(), 0);
         assert_matches_from_scratch(&facts, &f, &model, &stats);
     }
 

@@ -121,6 +121,20 @@ pub(crate) enum Edit {
 #[derive(Debug, Clone, Default)]
 pub struct Journal(pub(crate) Vec<Edit>);
 
+/// What [`Flow::retract_requirement`] changed.
+#[derive(Debug, Clone, Default)]
+pub struct Retraction {
+    /// Whether any operation stopped serving the requirement.
+    pub changed: bool,
+    /// The operations pruned because they serve no requirement any more, in
+    /// flow order.
+    pub pruned: Vec<Operation>,
+    /// Surviving operations that lost a consumer to the pruning, ascending.
+    pub lost_consumers: Vec<OpId>,
+    /// Surviving operations that lost an input to the pruning, ascending.
+    pub lost_inputs: Vec<OpId>,
+}
+
 /// A logical ETL process: a named DAG of operations.
 ///
 /// The ordered `edges` list is the source of truth (left/right input order,
@@ -392,9 +406,10 @@ impl Flow {
     /// serve any requirement. Unary ops in the middle of a surviving chain
     /// cannot become orphaned because satisfier sets only shrink toward the
     /// sinks (an op serves every requirement its downstream loaders serve);
-    /// pruning therefore removes complete sub-branches. Returns true when
-    /// anything changed.
-    pub fn retract_requirement(&mut self, req: &str) -> bool {
+    /// pruning therefore removes complete sub-branches, and on such a flow
+    /// every surviving operation keeps its inputs
+    /// ([`Retraction::lost_inputs`] stays empty).
+    pub fn retract_requirement(&mut self, req: &str) -> Retraction {
         let mut changed = false;
         for op in self.ops_mut() {
             changed |= op.satisfies.remove(req);
@@ -403,16 +418,34 @@ impl Flow {
         // list is filtered in one pass however many operations died.
         let dead: Vec<OpId> = self.ops().filter(|o| o.satisfies.is_empty()).map(|o| o.id).collect();
         if dead.is_empty() {
-            return changed;
+            return Retraction { changed, ..Retraction::default() };
         }
         let is_dead = |id: &OpId| dead.binary_search(id).is_ok();
-        self.edges.retain(|(f, t)| !is_dead(f) && !is_dead(t));
-        self.ops.retain(|n| !n.op.satisfies.is_empty());
-        for n in &mut self.ops {
-            n.ins.retain(|i| !is_dead(i));
-            n.outs.retain(|o| !is_dead(o));
+        let (mut lost_consumers, mut lost_inputs) = (Vec::new(), Vec::new());
+        self.edges.retain(|(f, t)| match (is_dead(f), is_dead(t)) {
+            (false, false) => true,
+            (false, true) => {
+                lost_consumers.push(*f);
+                false
+            }
+            (true, false) => {
+                lost_inputs.push(*t);
+                false
+            }
+            (true, true) => false,
+        });
+        let pruned = self.ops.extract_if(.., |n| n.op.satisfies.is_empty()).map(|n| n.op).collect();
+        for ids in [&mut lost_consumers, &mut lost_inputs] {
+            ids.sort_unstable();
+            ids.dedup();
         }
-        true
+        for &id in &lost_consumers {
+            self.node_mut(id).outs.retain(|o| !is_dead(o));
+        }
+        for &id in &lost_inputs {
+            self.node_mut(id).ins.retain(|i| !is_dead(i));
+        }
+        Retraction { changed: true, pruned, lost_consumers, lost_inputs }
     }
 
     /// Removes a unary operation and bridges its input to its consumers
@@ -765,7 +798,9 @@ mod tests {
         let mut f = sample_flow();
         f.stamp_requirement("IR1");
         assert_eq!(f.satisfied_requirements().len(), 1);
-        assert!(f.retract_requirement("IR1"));
+        let retraction = f.retract_requirement("IR1");
+        assert!(retraction.changed);
+        assert_eq!(retraction.pruned.len(), 6);
         assert_eq!(f.op_count(), 0);
         assert_eq!(f.edge_count(), 0);
     }
@@ -784,8 +819,11 @@ mod tests {
             f.op_mut(id).satisfies.insert("IR2".into());
         }
         let before = f.op_count();
-        f.retract_requirement("IR2");
+        let retraction = f.retract_requirement("IR2");
         assert_eq!(f.op_count(), before - 1, "only IR2's private loader disappears");
+        assert_eq!(retraction.pruned.iter().map(|o| o.id).collect::<Vec<_>>(), [extra]);
+        assert_eq!(retraction.lost_consumers, [sel], "the selection lost the loader");
+        assert!(retraction.lost_inputs.is_empty(), "survivors keep their inputs");
         f.validate().unwrap();
         assert!(f.op_by_name("LOAD_extra").is_none());
     }

@@ -227,18 +227,9 @@ pub(crate) fn push_selection_with(
     sel: OpId,
     known: Option<&HashMap<OpId, Schema>>,
 ) -> Result<bool, FlowError> {
-    let pred = match &flow.op(sel).kind {
-        OpKind::Selection { predicate } => predicate.clone(),
-        _ => return Ok(false),
-    };
-    let pred_cols: Vec<String> = pred.columns().into_iter().collect();
-    let Some(&input) = flow.inputs_of(sel).first() else { return Ok(false) };
-    if flow.outputs_of(input).len() != 1 {
-        return Ok(false); // shared intermediate: moving the filter would leak
-    }
-    let above_kind = flow.op(input).kind.clone();
-    match &above_kind {
-        OpKind::Union => {
+    let Some((input, to)) = plan_selection_move(flow, sel, known)? else { return Ok(false) };
+    match to {
+        SelectionMove::IntoUnion => {
             // σ(A ∪ B) = σ(A) ∪ σ(B): the filter is *replicated* into both
             // branches (routing it into just one would leave the other
             // branch unfiltered). Bag union concatenates, and the filter
@@ -246,19 +237,48 @@ pub(crate) fn push_selection_with(
             // bit-identical.
             let branches = flow.inputs_of(input).to_vec();
             debug_assert_eq!(branches.len(), 2);
+            let kind = flow.op(sel).kind.clone();
             let reqs = flow.op(sel).satisfies.clone();
             let base = flow.op(sel).name.clone();
             for (i, &branch) in branches.iter().enumerate() {
                 let name = unique_op_name(flow, &format!("{base}_u{}", i + 1));
-                let copy = flow.add_op(name, OpKind::Selection { predicate: pred.clone() })?;
+                let copy = flow.add_op(name, kind.clone())?;
                 flow.op_mut(copy).satisfies = reqs.clone();
                 // Each splice consumes the first remaining (branch, union)
                 // edge, so a self-union A ∪ A gets one copy per slot.
                 splice_on_edge(flow, copy, branch, input);
             }
             flow.remove_bridging(sel);
-            Ok(true)
         }
+        SelectionMove::Onto(from) => move_between(flow, sel, from, input),
+    }
+    Ok(true)
+}
+
+/// Where [`push_selection_with`] moves a selection that reads a union or
+/// another operation.
+enum SelectionMove {
+    /// A copy into each branch of the union.
+    IntoUnion,
+    /// Onto the edge from this operation into the one the selection read.
+    Onto(OpId),
+}
+
+/// The move [`push_selection_with`] makes, if any, and the operation the
+/// selection reads before it.
+fn plan_selection_move(
+    flow: &Flow,
+    sel: OpId,
+    known: Option<&HashMap<OpId, Schema>>,
+) -> Result<Option<(OpId, SelectionMove)>, FlowError> {
+    let OpKind::Selection { predicate } = &flow.op(sel).kind else { return Ok(None) };
+    let pred_cols: Vec<String> = predicate.columns().into_iter().collect();
+    let Some(&input) = flow.inputs_of(sel).first() else { return Ok(None) };
+    if flow.outputs_of(input).len() != 1 {
+        return Ok(None); // shared intermediate: moving the filter would leak
+    }
+    let to = match &flow.op(input).kind {
+        OpKind::Union => Some(SelectionMove::IntoUnion),
         OpKind::Join { kind, .. } => {
             // Route into the branch that supplies every predicate column.
             // For left joins only the left (probe) branch is legal: a
@@ -275,21 +295,40 @@ pub(crate) fn push_selection_with(
                     &propagated
                 }
             };
-            let target = legal_branches.iter().copied().find(|b| pred_cols.iter().all(|c| schemas[b].has(c)));
-            if let Some(branch) = target {
-                move_between(flow, sel, branch, input);
-            }
-            Ok(target.is_some())
+            legal_branches
+                .iter()
+                .copied()
+                .find(|b| pred_cols.iter().all(|c| schemas[b].has(c)))
+                .map(SelectionMove::Onto)
         }
         unary if selection_moves_above(unary, &pred_cols) => {
             let grand_inputs = flow.inputs_of(input);
-            let Some(&grand) = grand_inputs.first() else { return Ok(false) }; // `input` is a source
-            debug_assert_eq!(grand_inputs.len(), 1, "unary ops have one input");
-            move_between(flow, sel, grand, input);
-            Ok(true)
+            debug_assert!(grand_inputs.len() <= 1, "unary ops have one input");
+            grand_inputs.first().copied().map(SelectionMove::Onto) // `None`: `input` is a source
         }
-        _ => Ok(false),
-    }
+        _ => None,
+    };
+    Ok(to.map(|to| (input, to)))
+}
+
+/// Whether a canonical flow is still canonical after `producers` lost
+/// consumers and nothing else changed, which is what a requirement
+/// retraction does to the operations it keeps (their inputs, kinds and
+/// `schemas` stand). Consumer counts are read only by the sole-consumer
+/// gates of [`normalize`], so only a producer left with exactly one
+/// consumer can unblock a rule: a selection push-down into it, or a merge
+/// of adjacent selections or projections. Dedupe cannot be unblocked: a
+/// flow canonical without rule alignment stays canonical.
+pub fn canonical_after_losing_consumers(flow: &Flow, producers: &[OpId], schemas: &HashMap<OpId, Schema>) -> bool {
+    producers.iter().all(|&producer| {
+        let &[consumer] = flow.outputs_of(producer) else { return true };
+        match (&flow.op(producer).kind, &flow.op(consumer).kind) {
+            (OpKind::Selection { .. }, OpKind::Selection { .. })
+            | (OpKind::Projection { .. }, OpKind::Projection { .. }) => false,
+            (_, OpKind::Selection { .. }) => matches!(plan_selection_move(flow, consumer, Some(schemas)), Ok(None)),
+            _ => true,
+        }
+    })
 }
 
 /// A name not yet used by any operation of `flow`: `base` itself, or

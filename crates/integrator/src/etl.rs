@@ -15,7 +15,7 @@ use quarry_engine::pool;
 use quarry_etl::cost::{EstimatedTime, EtlCostModel, SourceStats};
 use quarry_etl::facts::FlowFacts;
 use quarry_etl::rules;
-use quarry_etl::{Flow, FlowError, OpId};
+use quarry_etl::{Flow, FlowError, OpId, Operation};
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::Mutex;
 
@@ -93,6 +93,42 @@ impl EtlIndex {
     /// first step under it).
     pub fn facts(&self) -> &FlowFacts {
         &self.facts
+    }
+
+    /// Drops the entries of the operations a requirement retraction pruned
+    /// from `flow` (`pruned` in flow order, so ascending by id) and brings
+    /// the facts in line with it. The survivors keep their inputs, so their
+    /// keys and facts stand; only statistics that moved since the last step
+    /// re-derive anything.
+    pub(crate) fn forget(
+        &mut self,
+        flow: &Flow,
+        pruned: &[Operation],
+        cost: &dyn EtlCostModel,
+        stats: &SourceStats,
+    ) -> Result<(), FlowError> {
+        if !pruned.is_empty() {
+            self.by_key.retain(|_, id| pruned.binary_search_by_key(id, |o| o.id).is_err());
+            for op in pruned {
+                self.names.remove(&op.name);
+            }
+            self.facts.forget(pruned.iter().map(|o| o.id));
+        }
+        self.facts.refresh(flow, &[], cost, stats)
+    }
+
+    /// Compares the entries with what [`EtlIndex::build`] derives from
+    /// `flow`; `Err` says what differs.
+    pub(crate) fn audit(&self, flow: &Flow) -> Result<(), String> {
+        let fresh = EtlIndex::build(flow);
+        if self.by_key != fresh.by_key {
+            return Err(format!("{} keys kept, {} rebuilt, or entries differ", self.by_key.len(), fresh.by_key.len()));
+        }
+        if self.names != fresh.names {
+            let (kept, rebuilt) = (&self.names - &fresh.names, &fresh.names - &self.names);
+            return Err(format!("names differ: only kept {kept:?}, only rebuilt {rebuilt:?}"));
+        }
+        Ok(())
     }
 
     pub fn len(&self) -> usize {

@@ -8,9 +8,11 @@
 //! in *canonical form* ([`quarry_etl::rules::canonicalize`] — established
 //! once, repaired incrementally on insert), and a hash index
 //! `(merge_key, input ids) → OpId` makes per-op matching O(1). The index is
-//! updated in place as ops are matched/added/widened and is fully rebuilt
-//! only after out-of-band mutation of the unified design (requirement
-//! removal/rollback), which callers signal via [`ConsolidationState::invalidate`].
+//! updated in place as ops are matched/added/widened, and pruned in place
+//! when a requirement is retracted through [`ConsolidationState::retract`].
+//! It is fully rebuilt only after out-of-band mutation of the unified design
+//! (optimizer commit, rollback), which callers signal via
+//! [`ConsolidationState::invalidate`].
 //! The flow's per-operation schemas and cost parts live and die with the
 //! index ([`quarry_etl::facts::FlowFacts`]): a step under a maintained index
 //! validates and costs what it added or widened and what that reaches, and
@@ -25,6 +27,13 @@
 //! canonical dedupe criterion, so inserting the copy preserves key
 //! uniqueness. Widening never changes an op's merge key.
 //!
+//! Retraction only prunes whole sub-branches: every surviving op keeps its
+//! inputs, hence its merge key, schema, cardinality, cost part and depth,
+//! and no two survivors can come to share a key. What can change is a
+//! survivor's consumer count, and a survivor left with a sole consumer may
+//! unblock a sole-consumer-gated rewrite; that case is checked locally
+//! ([`rules::canonical_after_losing_consumers`]) and falls back to a rebuild.
+//!
 //! Both paths produce bit-identical unified designs and reports — proven by
 //! the randomized suite in `tests/incremental_equivalence.rs`.
 
@@ -36,7 +45,7 @@ use crate::IntegrateError;
 use quarry_etl::cost::{EtlCostModel, SourceStats};
 use quarry_etl::facts::FlowFacts;
 use quarry_etl::rules;
-use quarry_etl::Flow;
+use quarry_etl::{Flow, FlowError};
 use quarry_md::{CostModel, MdSchema};
 use quarry_obs::{Counter, Obs};
 
@@ -134,6 +143,13 @@ impl ConsolidationState {
         self.etl.is_some()
     }
 
+    /// Compares the maintained index with what `EtlIndex::build` derives
+    /// from `flow`; `Err` says what differs, or that there is no index. The
+    /// oracle the maintained index is tested against.
+    pub fn audit_etl_index(&self, flow: &Flow) -> Result<(), String> {
+        self.etl.as_ref().ok_or("no maintained index")?.index.audit(flow)
+    }
+
     /// The per-operation schemas and cost parts kept beside the ETL index
     /// (`None` before the first step and after invalidation).
     pub fn etl_facts(&self) -> Option<&FlowFacts> {
@@ -142,12 +158,55 @@ impl ConsolidationState {
 
     /// Drops the maintained ETL index. Call after any mutation of the
     /// unified flow that did not go through [`ConsolidationState::etl_step`]
-    /// (requirement retraction, snapshot rollback); the next step rebuilds
-    /// canonical form and index from scratch, which is exactly the one-shot
-    /// integrator's per-step behavior.
+    /// or [`ConsolidationState::retract`] (optimizer commit, snapshot
+    /// rollback); the next step rebuilds canonical form and index from
+    /// scratch, which is exactly the one-shot integrator's per-step behavior.
     pub fn invalidate(&mut self) {
         self.etl = None;
         self.flow_epoch += 1;
+    }
+
+    /// Retracts requirement `req` from `unified`, validates what is left and
+    /// returns its cost under `cost` and `stats`. The flow epoch advances by
+    /// exactly one, as under [`invalidate`](Self::invalidate).
+    ///
+    /// Under a reusable index nothing is re-derived: the pruned ops leave
+    /// the index and the kept facts, the survivors' entries stand (they keep
+    /// their inputs), and the flow is validated and costed through those
+    /// facts, so the next step reuses the index. It falls back to
+    /// [`invalidate`](Self::invalidate) and a whole-flow validation when
+    /// there is no reusable index (before the first step, after an
+    /// invalidation), when a survivor left with a sole consumer would let a
+    /// canonical rule fire, or when a survivor lost an input (which the
+    /// satisfier-set invariant of [`Flow::retract_requirement`] rules out).
+    /// On error the flow stays retracted and the index is dropped; the
+    /// caller restores its own snapshot.
+    pub fn retract(
+        &mut self,
+        unified: &mut Flow,
+        req: &str,
+        cost: &dyn EtlCostModel,
+        stats: &SourceStats,
+    ) -> Result<f64, IntegrateError> {
+        self.flow_epoch += 1;
+        let fingerprint = (unified.op_count(), unified.edge_count());
+        let kept = self.etl.take().filter(|s| s.fingerprint == fingerprint);
+        let retraction = unified.retract_requirement(req);
+        debug_assert!(retraction.lost_inputs.is_empty(), "survivors keep their inputs: {:?}", retraction.lost_inputs);
+        let invalid = |e: FlowError| IntegrateError::InvalidResult(vec![e.to_string()]);
+        if let Some(mut state) = kept.filter(|_| retraction.lost_inputs.is_empty()) {
+            state.index.forget(unified, &retraction.pruned, cost, stats).map_err(invalid)?;
+            let schemas = state.index.facts().schemas();
+            if !state.aligned || rules::canonical_after_losing_consumers(unified, &retraction.lost_consumers, schemas) {
+                unified.check_outputs_consumed().map_err(invalid)?;
+                let total = state.index.facts().cost(unified, cost, stats).map_err(invalid)?;
+                state.fingerprint = (unified.op_count(), unified.edge_count());
+                self.etl = Some(state);
+                return Ok(total);
+            }
+        }
+        unified.validate().map_err(invalid)?;
+        cost.cost(unified, stats).map_err(invalid)
     }
 
     /// The current unified-flow epoch (see the field docs). Exposed so the

@@ -14,6 +14,12 @@
 //! through widened sources feeding joins, failing steps that roll back
 //! through the flow's edit journal, and changed source statistics.
 //!
+//! Removals and changes retract through the state on the incremental path
+//! ([`ConsolidationState::retract`]), which keeps the index and the facts;
+//! the seed path retracts the flow and re-derives on the next step. After
+//! every retraction the kept facts and index must equal a rebuild, and the
+//! reported cost the whole-flow cost, bit for bit.
+//!
 //! A second check pits the delta scorer against whole-schema costing: every
 //! MD step is replayed under an opaque wrapper of the same cost model (no
 //! additive decomposition, so the integrator falls back to full scoring) and
@@ -21,11 +27,11 @@
 
 use quarry_etl::cost::{EstimatedTime, EtlCostModel, SourceStats};
 use quarry_etl::facts::FlowFacts;
-use quarry_etl::{parse_expr, AggSpec, ColType, Column, Flow, JoinKind, OpKind, Schema};
+use quarry_etl::{parse_expr, rules, AggSpec, ColType, Column, Flow, JoinKind, OpKind, Schema};
 use quarry_formats::{xlm, xmd};
 use quarry_integrator::etl::{integrate_etl, EtlIntegrationOptions};
 use quarry_integrator::md::integrate_md;
-use quarry_integrator::state::ConsolidationState;
+use quarry_integrator::state::{ConsolidationState, ConsolidationStats};
 use quarry_integrator::IntegrateError;
 use quarry_md::{CostModel, DimLink, Dimension, Fact, Level, MdDataType, MdSchema, Measure, StructuralComplexity};
 
@@ -237,10 +243,19 @@ fn assert_facts_exact(state: &ConsolidationState, flow: &Flow, model: &Estimated
 /// Drives one randomized requirement lifecycle down both paths, asserting
 /// bit-identical state after every operation.
 fn run_equivalence(seed: u64, ops: usize, options: EtlIntegrationOptions) {
-    run_equivalence_over(gen_etl, seed, ops, options);
+    run_equivalence_over(gen_etl, seed, ops, 70, options);
 }
 
-fn run_equivalence_over(gen: fn(&mut Rng, &str) -> Flow, seed: u64, ops: usize, options: EtlIntegrationOptions) {
+/// Returns the incremental path's counters. `add_pct` percent of the steps
+/// add (every step does while nothing is active); the rest split evenly
+/// between removals and changes.
+fn run_equivalence_over(
+    gen: fn(&mut Rng, &str) -> Flow,
+    seed: u64,
+    ops: usize,
+    add_pct: usize,
+    options: EtlIntegrationOptions,
+) -> ConsolidationStats {
     let mut rng = Rng::new(seed);
     let cost = StructuralComplexity::new();
     let etl_cost = EstimatedTime::new();
@@ -260,7 +275,8 @@ fn run_equivalence_over(gen: fn(&mut Rng, &str) -> Flow, seed: u64, ops: usize, 
 
     for step in 0..ops {
         let roll = rng.below(100);
-        if active.is_empty() || roll < 70 {
+        let retract_pct = add_pct + (100 - add_pct) / 2;
+        if active.is_empty() || roll < add_pct {
             // Add a fresh requirement.
             let id = format!("R{next_id}");
             next_id += 1;
@@ -280,36 +296,45 @@ fn run_equivalence_over(gen: fn(&mut Rng, &str) -> Flow, seed: u64, ops: usize, 
             );
             active.push(id);
             adds += 1;
-        } else if roll < 85 {
-            // Remove a random active requirement.
-            let id = active.swap_remove(rng.below(active.len()));
-            seed_md.retract_requirement(&id);
-            seed_etl.retract_requirement(&id);
-            inc_md.retract_requirement(&id);
-            inc_etl.retract_requirement(&id);
-            state.invalidate();
         } else {
-            // Change: retract the old version, integrate a new one (same id).
-            let id = active[rng.below(active.len())].clone();
+            // Remove a random active requirement, or change one: retract
+            // the old version, integrate a new one (same id).
+            let change = roll >= retract_pct;
+            let id = if change {
+                active[rng.below(active.len())].clone()
+            } else {
+                active.swap_remove(rng.below(active.len()))
+            };
             seed_md.retract_requirement(&id);
             seed_etl.retract_requirement(&id);
             inc_md.retract_requirement(&id);
-            inc_etl.retract_requirement(&id);
-            state.invalidate();
-            add_both(
-                &mut rng,
-                gen,
-                &id,
-                &cost,
-                &etl_cost,
-                &stats,
-                options,
-                &mut seed_md,
-                &mut seed_etl,
-                &mut inc_md,
-                &mut inc_etl,
-                &mut state,
-            );
+            let epoch = state.flow_epoch();
+            let retracted = state.retract(&mut inc_etl, &id, &etl_cost, &stats).expect("the retraction validates");
+            let at = format!("seed {seed} step {step}: retracting {id}");
+            assert_eq!(state.flow_epoch(), epoch + 1, "{at}: one epoch per retraction");
+            assert_eq!(inc_etl, seed_etl, "{at}: retracted flows diverged");
+            let whole = etl_cost.cost(&seed_etl, &stats).unwrap();
+            assert_eq!(retracted.to_bits(), whole.to_bits(), "{at}: cost bits diverged from the whole-flow cost");
+            if state.etl_index_ready() {
+                assert_facts_exact(&state, &inc_etl, &etl_cost, &stats, &at);
+                state.audit_etl_index(&inc_etl).unwrap_or_else(|e| panic!("{at}: kept index diverged: {e}"));
+            }
+            if change {
+                add_both(
+                    &mut rng,
+                    gen,
+                    &id,
+                    &cost,
+                    &etl_cost,
+                    &stats,
+                    options,
+                    &mut seed_md,
+                    &mut seed_etl,
+                    &mut inc_md,
+                    &mut inc_etl,
+                    &mut state,
+                );
+            }
         }
 
         assert_eq!(seed_md, inc_md, "seed {seed} step {step}: unified MD schemas diverged");
@@ -326,7 +351,8 @@ fn run_equivalence_over(gen: fn(&mut Rng, &str) -> Flow, seed: u64, ops: usize, 
         );
     }
 
-    assert!(adds >= ops / 2, "generator sanity: the sequence should be add-heavy");
+    // At least 5/7 of the expected adds: half the steps at 70 %.
+    assert!(adds * 700 >= ops * add_pct * 5, "generator sanity: {adds} adds in {ops} steps");
     let s = state.stats();
     assert!(
         s.etl_index_rebuilds < adds as u64,
@@ -336,6 +362,7 @@ fn run_equivalence_over(gen: fn(&mut Rng, &str) -> Flow, seed: u64, ops: usize, 
     );
     seed_etl.validate().expect("final unified flow is well-formed");
     assert!(!seed_md.validate().iter().any(|v| v.kind.is_error()), "final unified schema is sound");
+    s
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -393,9 +420,9 @@ fn equivalence_holds_without_rule_alignment() {
 #[test]
 fn widened_sources_feeding_joins_stay_bit_identical() {
     for seed in [5, 11, 2024] {
-        run_equivalence_over(gen_mixed_etl, seed, 30, EtlIntegrationOptions::default());
+        run_equivalence_over(gen_mixed_etl, seed, 30, 70, EtlIntegrationOptions::default());
     }
-    run_equivalence_over(gen_mixed_etl, 17, 30, EtlIntegrationOptions { align_with_rules: false });
+    run_equivalence_over(gen_mixed_etl, 17, 30, 70, EtlIntegrationOptions { align_with_rules: false });
 }
 
 #[test]
@@ -560,4 +587,85 @@ fn long_add_only_sequence_keeps_a_single_index_build() {
     assert_eq!(s.etl_index_rebuilds, 1, "no invalidation → the index is built exactly once");
     assert!(s.etl_index_hits > 0, "overlapping pipelines must hit the index");
     etl.validate().unwrap();
+}
+
+#[test]
+fn change_heavy_sequences_keep_a_single_index_build() {
+    // No operation of these generators is left with a sole consumer that a
+    // canonical rule rewrites, so every retraction keeps the index.
+    for (seed, gen) in [(31, gen_etl as fn(&mut Rng, &str) -> Flow), (37, gen_mixed_etl), (41, gen_mixed_etl)] {
+        let s = run_equivalence_over(gen, seed, 40, 30, EtlIntegrationOptions::default());
+        assert_eq!(s.etl_index_rebuilds, 1, "seed {seed}: retractions keep the index");
+    }
+    let s = run_equivalence_over(gen_mixed_etl, 43, 40, 30, EtlIntegrationOptions { align_with_rules: false });
+    assert_eq!(s.etl_index_rebuilds, 1, "without rule alignment no retraction can unblock a rule");
+}
+
+#[test]
+fn a_retraction_that_unblocks_a_canonical_rule_falls_back_to_a_rebuild() {
+    let (etl_cost, stats, options) = (EstimatedTime::new(), stats(), EtlIntegrationOptions::default());
+    let selection = |p: &str| OpKind::Selection { predicate: parse_expr(p).unwrap() };
+    let projection = |cols: &[&str]| OpKind::Projection { columns: cols.iter().map(|c| c.to_string()).collect() };
+    let group_by_cat = OpKind::Aggregation {
+        group_by: vec!["alpha_cat".into()],
+        aggregates: vec![AggSpec::new("SUM", parse_expr("alpha_val").unwrap(), "alpha_total")],
+    };
+    // (rule, whether the shared op reads the extraction or the datastore,
+    // the shared op, its consumer serving R1 alone). R2's loader is the
+    // shared op's other consumer, so the rule is blocked until R2 goes.
+    let cases = [
+        ("selection push-down", true, group_by_cat, selection("alpha_cat = 'x'")),
+        ("adjacent selections", false, selection("alpha_val > 5"), selection("alpha_val > 10")),
+        ("adjacent projections", true, projection(&["alpha_id", "alpha_val"]), projection(&["alpha_id"])),
+    ];
+    for (rule, extracted, shared, consumer) in cases {
+        let mut flow = Flow::new("unified");
+        let ds = flow
+            .add_op("DS_alpha", OpKind::Datastore { datastore: "alpha".into(), schema: table_schema("alpha") })
+            .unwrap();
+        let columns = vec!["alpha_id".into(), "alpha_val".into(), "alpha_cat".into()];
+        let input = if extracted { flow.append(ds, "EX_alpha", OpKind::Extraction { columns }).unwrap() } else { ds };
+        let x = flow.append(input, "SHARED", shared).unwrap();
+        let c = flow.append(x, "CONSUMER", consumer).unwrap();
+        flow.append(c, "LOAD_1", OpKind::Loader { table: "t1".into(), key: vec![] }).unwrap();
+        let l2 = flow.append(x, "LOAD_2", OpKind::Loader { table: "t2".into(), key: vec![] }).unwrap();
+        flow.stamp_requirement("R1");
+        for id in flow.upstream_of(l2).into_iter().chain([l2]) {
+            flow.op_mut(id).satisfies.insert("R2".into());
+        }
+        flow.op_mut(l2).satisfies.remove("R1");
+        assert!(rules::is_canonical(&flow, true), "{rule}: the shared op blocks the rule");
+
+        let (mut seed_etl, mut etl, mut state) = (flow.clone(), flow, ConsolidationState::new());
+        // Requirements on another table, which leave the shared op alone.
+        let add = |id: &str, seed_etl: &mut Flow, etl: &mut Flow, state: &mut ConsolidationState| {
+            let mut partial = Flow::new(format!("partial_{id}"));
+            let ds = partial
+                .add_op("DS_gamma", OpKind::Datastore { datastore: "gamma".into(), schema: table_schema("gamma") })
+                .unwrap();
+            partial.append(ds, format!("LOAD_{id}"), OpKind::Loader { table: format!("t_{id}"), key: vec![] }).unwrap();
+            partial.stamp_requirement(id);
+            let one = integrate_etl(seed_etl, &partial, &etl_cost, &stats, options).unwrap();
+            let report = state.etl_step(etl, &partial, &etl_cost, &stats, options).unwrap();
+            *seed_etl = one.flow;
+            assert_eq!(*seed_etl, *etl, "{rule}: flows diverged at {id}");
+            assert_eq!(xlm::to_string(seed_etl), xlm::to_string(etl), "{rule}: xLM diverged at {id}");
+            assert_eq!(one.report, report, "{rule}: reports diverged at {id}");
+            assert_facts_exact(state, etl, &etl_cost, &stats, &format!("{rule}: {id}"));
+        };
+        add("R3", &mut seed_etl, &mut etl, &mut state);
+
+        seed_etl.retract_requirement("R2");
+        let epoch = state.flow_epoch();
+        let retracted = state.retract(&mut etl, "R2", &etl_cost, &stats).unwrap();
+        assert_eq!(etl, seed_etl);
+        assert!(!rules::is_canonical(&etl, true), "{rule}: the retraction unblocks the rule");
+        assert!(!state.etl_index_ready(), "{rule}: the fallback drops the index");
+        assert_eq!(state.flow_epoch(), epoch + 1);
+        assert_eq!(retracted.to_bits(), etl_cost.cost(&etl, &stats).unwrap().to_bits());
+
+        add("R4", &mut seed_etl, &mut etl, &mut state);
+        assert_eq!(state.stats().etl_index_rebuilds, 2, "{rule}: the step after the fallback rebuilds");
+        state.audit_etl_index(&etl).unwrap();
+    }
 }
