@@ -42,8 +42,8 @@ commands:
                            run's execution profile (estimated vs. actual rows,
                            timings, kernel dispatch) as an annotated plan tree
   events                   dump the flight recorder's recent event history
-                           (always on: spans, pool, WAL fsyncs, optimizer
-                           moves, kernel fallbacks, drift flags)
+                           (always on: operator finishes, pool, WAL fsyncs,
+                           optimizer moves, kernel fallbacks, cache traffic)
   cache [clear]            result-cache statistics (entries, bytes, hit rate);
                            `cache clear` drops every cached intermediate
   query <file.xrq>         answer a requirement from the loaded warehouse

@@ -5,8 +5,8 @@ use crate::profile::{ExecutionProfile, KernelDelta};
 use quarry_deployer::{DeployError, DeploymentArtifacts, PlatformRegistry};
 use quarry_elicitor::{Elicitor, Session};
 use quarry_engine::{CachePlan, CacheStats, Catalog, Engine, EngineError, ResultCache, RunReport};
-use quarry_etl::cost::{cardinality_state, op_fingerprint, CardState, EstimatedTime, TimeWeights};
-use quarry_etl::{Flow, OpId};
+use quarry_etl::cost::{cardinality_state, op_fingerprint, EstimatedTime, TimeWeights};
+use quarry_etl::Flow;
 use quarry_formats::registry::FormatRegistry;
 use quarry_formats::{FormatError, Requirement};
 use quarry_integrator::etl::EtlIntegrationReport;
@@ -16,10 +16,9 @@ use quarry_integrator::state::{ConsolidationState, ConsolidationStats};
 use quarry_integrator::IntegrateError;
 use quarry_interpreter::{InterpretError, Interpreter, PartialDesign};
 use quarry_md::{MdSchema, MdViolation};
-use quarry_obs::drift::{DriftDetector, DriftReport};
 use quarry_obs::flight::{self, EventKind};
 use quarry_obs::serve::ObsServer;
-use quarry_obs::{Counter, Histogram, HistogramSnapshot, Metric, Obs, Span, Trace};
+use quarry_obs::{Counter, Histogram, HistogramSnapshot, Metric, Obs, Span, SpanNode, Trace};
 use quarry_ontology::mappings::SourceRegistry;
 use quarry_ontology::Ontology;
 use quarry_repository::{ArtifactKind, DocId, DocumentStore, DurabilityOptions, Json, Repository, StoreError};
@@ -193,8 +192,9 @@ pub struct Quarry {
     requirements: BTreeMap<String, Requirement>,
     /// Incremental consolidation state: keeps the unified ETL flow canonical
     /// and indexed across steps so integration stays O(partial) per
-    /// requirement. Invalidated whenever the unified design is mutated
-    /// outside an integration step (retraction, rollback).
+    /// requirement. A retraction prunes the index in place (dropping it only
+    /// when a canonical rule could fire on what is left); an optimizer
+    /// commit or a rollback invalidates it.
     consolidation: ConsolidationState,
     /// Observability recorder: span trees per lifecycle step plus named
     /// metrics. Disabled (and effectively free) unless switched on via
@@ -206,11 +206,6 @@ pub struct Quarry {
     /// The live scrape endpoint, if started (see [`Quarry::serve_metrics`]).
     /// Shuts down when the instance is dropped.
     obs_server: Option<ObsServer>,
-    /// Estimate-drift analyzer: fed per-operator estimated-vs-actual
-    /// cardinalities by [`Quarry::observe_run`], scraped by a metrics
-    /// collector (`obs.drift.*`). Shared so the collector closure can read
-    /// it without borrowing `self`.
-    drift: Arc<DriftDetector>,
     /// Cross-run subflow result cache: fingerprint-keyed materialized
     /// intermediates shared by every ETL run of this instance (see
     /// `quarry_engine::cache`). Shared so the metrics collector closure can
@@ -353,23 +348,6 @@ impl Quarry {
         platforms.register(Box::new(crate::native::NativePlatform));
         let obs = Obs::disabled();
         obs.set_build_info(env!("CARGO_PKG_VERSION"), option_env!("QUARRY_GIT_HASH").unwrap_or("unknown"));
-        let drift = Arc::new(DriftDetector::default());
-        // Drift gauges: how many operators are tracked, how many currently
-        // exceed the misestimate threshold, and (per flagged op, worst
-        // first) the median actual/estimated ratio in permille.
-        let drift_src = Arc::clone(&drift);
-        obs.register_collector(Box::new(move |out| {
-            let report = drift_src.report();
-            out.push(("obs.drift.ops_tracked".to_string(), Metric::Gauge(report.ops.len() as i64)));
-            let flagged = report.flagged();
-            out.push(("obs.drift.flagged_ops".to_string(), Metric::Gauge(flagged.len() as i64)));
-            for op in flagged.iter().take(8) {
-                out.push((
-                    format!("obs.drift.ratio_permille.{}", op.op),
-                    Metric::Gauge((op.median_ratio * 1000.0).round() as i64),
-                ));
-            }
-        }));
         // The engine pool's always-on gauges and kernel/radix stats ride
         // along in every metrics snapshot; the engine itself stays free of
         // any obs dependency.
@@ -473,7 +451,6 @@ impl Quarry {
             obs,
             metrics,
             obs_server: None,
-            drift,
             result_cache,
             source_epochs: HashMap::new(),
             run_fingerprints: Mutex::new((None, HashMap::new())),
@@ -936,8 +913,10 @@ impl Quarry {
     /// configured source statistics ([`RunReport::observe_into`]): later
     /// optimizations and integrations then estimate with what the engine
     /// actually observed instead of static selectivity guesses. This is the
-    /// correction the drift analyzer asks for — once the observations land,
-    /// re-runs estimate close to actual and the `obs.drift.*` flags decay.
+    /// correction a misestimate in the stored [`ExecutionProfile`] asks for:
+    /// once the observations land, re-runs estimate close to actual and
+    /// their [`ProfileOp::ratio`](crate::profile::ProfileOp::ratio) returns
+    /// towards 1.
     /// Observations route through the canonical op fingerprint: a timing is
     /// folded only when the op name still exists in the unified flow *and*
     /// its semantic signature matches what the run executed. After an
@@ -966,65 +945,31 @@ impl Quarry {
         }
     }
 
-    /// Samples the drift analyzer with a run's estimated-vs-actual
-    /// per-operator cardinalities. Runs on every execution (not on
-    /// [`Quarry::observe_run`]): a plan that keeps executing on stale
-    /// estimates keeps accumulating evidence, and once an operator's median
-    /// misestimate exceeds the threshold it is flagged in `obs.drift.*` and
-    /// the flight recorder until a correction is observed.
-    fn digest_drift(&self, report: &RunReport, estimates: &HashMap<OpId, CardState>) {
-        let mut sampled = false;
-        for t in &report.timings {
-            if let Some(op) = self.unified_etl.op_by_name(&t.op) {
-                if let Some(&(rows, _)) = estimates.get(&op.id) {
-                    self.drift.sample(&t.op, rows, t.rows_out as f64);
-                    sampled = true;
-                }
-            }
-        }
-        if !sampled {
-            return;
-        }
-        let recorder = flight::recorder();
-        for op in self.drift.report().flagged() {
-            recorder.record_named(EventKind::Drift, &op.op, 0, op.last_estimated as i64, op.last_actual as i64);
-        }
-    }
-
-    /// The estimate-drift analyzer's current view: per-operator median
-    /// misestimate ratios over a recent window, flagged outliers first.
-    pub fn drift_report(&self) -> DriftReport {
-        self.drift.report()
-    }
-
     /// Cumulative consolidation-index traffic (ETL index hits/misses/rebuilds
     /// and MD lookup-map hits/misses) since this instance was created.
     pub fn consolidation_stats(&self) -> ConsolidationStats {
         self.consolidation.stats()
     }
 
-    /// Closes a lifecycle-step span (tagging it with the error, if any) and
-    /// versions the accumulated trace in the repository.
+    /// Closes a lifecycle-step span (tagging it with the error, if any) and,
+    /// when it closed as a root, versions it in the repository. A step nested
+    /// in another (the removal and the add inside a change) is carried by
+    /// its parent's version.
     fn finish_step<T>(&self, step: Span, result: &Result<T, QuarryError>) {
         if let Err(e) = result {
             step.attr("error", e.to_string());
         }
-        drop(step);
-        self.persist_trace();
+        if let Some(root) = step.close() {
+            self.persist_trace(root);
+        }
     }
 
-    /// Persists the current trace as a versioned repository document under
-    /// [`TRACE_KEY`] — one version per completed lifecycle step. Traces are
-    /// advisory, so a durable-log failure here is counted, not raised.
-    fn persist_trace(&self) {
-        if !self.obs.is_enabled() {
-            return;
-        }
-        let trace = self.obs.trace();
-        if trace.is_empty() {
-            return;
-        }
-        let doc = crate::tracedoc::trace_to_json(&trace);
+    /// Persists one completed root step as a trace document under
+    /// [`TRACE_KEY`]: one version per step, holding that step alone, so a
+    /// step's cost does not grow with the session. Traces are advisory, so a
+    /// durable-log failure here is counted, not raised.
+    fn persist_trace(&self, root: SpanNode) {
+        let doc = crate::tracedoc::trace_to_json(&Trace { spans: vec![root] });
         if self.repository.put_artifact(ArtifactKind::Trace, TRACE_KEY, &doc.to_pretty_string()).is_err() {
             self.obs.counter("repository.trace_persist_failures").inc();
         }
@@ -1093,15 +1038,13 @@ impl Quarry {
             Ok(report) => {
                 self.remember_run_fingerprints();
                 self.record_run(&step, &report);
-                // One estimate pass feeds the profile and the drift digest.
                 // Estimates are best-effort: a flow the estimator cannot
                 // order (it executed, so it is acyclic — this is defensive)
-                // profiles with zero estimates and samples no drift.
+                // profiles with zero estimates.
                 let estimates = cardinality_state(&self.unified_etl, &self.config.stats).unwrap_or_default();
                 let profile =
                     ExecutionProfile::capture(&self.unified_etl, &report, &estimates, kernels_before, kernels_after);
                 self.persist_profile(&profile);
-                self.digest_drift(&report, &estimates);
                 Ok((engine, report))
             }
             Err(e) => Err(QuarryError::Engine(e)),
@@ -2108,7 +2051,7 @@ mod tests {
     }
 
     #[test]
-    fn skewed_source_flags_drift_and_the_correction_changes_the_chosen_plan() {
+    fn skewed_source_shows_in_the_stored_profile_and_the_correction_changes_the_chosen_plan() {
         let domain = quarry_ontology::tpch::domain();
         let mut cfg = QuarryConfig::tpch(0.01);
         // Stale statistics: the supplier table is claimed enormous, so the
@@ -2120,44 +2063,39 @@ mod tests {
             .with_unique("part", &["p_partkey"])
             .with_unique("supplier", &["s_suppkey"]);
         let mut q = Quarry::with_config(domain.ontology, domain.sources, cfg);
-        q.set_observability(true);
         q.unified_etl = skewed_spine_flow();
         q.optimize().unwrap();
         let plan_stale = q.unified().1.clone();
+        let supplier = |q: &Quarry| {
+            let stored = q.repository().latest(ArtifactKind::Profile, "unified").unwrap();
+            let profile = ExecutionProfile::from_json(&Json::parse(&stored.content).unwrap()).unwrap();
+            let op = profile.ops.iter().find(|o| o.name == "DS_supplier").cloned().expect("DS_supplier profiled");
+            (op, profile.render())
+        };
 
-        // Three runs over the real (skewed) data accumulate drift evidence;
-        // nothing is observed back yet, so the estimates stay stale.
+        // Three runs over the real (skewed) data; nothing is observed back
+        // yet, so every run estimates with the stale statistics and its
+        // stored profile records the misestimate.
         let mut last_report = None;
         for _ in 0..3 {
             let (_, report) = q.run_etl(skewed_spine_catalog()).unwrap();
             last_report = Some(report);
         }
-        let drift = q.drift_report();
-        let flagged = drift.flagged();
-        assert!(
-            flagged.iter().any(|o| o.op == "DS_supplier"),
-            "a 5000x supplier misestimate must be flagged after three runs: {flagged:?}"
-        );
-        let metrics = q.observability().metrics();
-        let gauge = |name: &str| {
-            metrics.iter().find(|(n, _)| n == name).and_then(|(_, m)| match m {
-                Metric::Gauge(v) => Some(*v),
-                _ => None,
-            })
-        };
-        assert!(gauge("obs.drift.flagged_ops").unwrap_or(0) >= 1, "flagged gauge must surface");
-        assert!(gauge("obs.drift.ops_tracked").unwrap_or(0) >= 3, "spine operators are tracked");
-        let log = flight::recorder().drain();
-        assert!(
-            log.events.iter().any(|e| e.kind == EventKind::Drift && e.label == "DS_supplier"),
-            "flagging lands a Drift event in the flight recorder"
-        );
+        let (op, rendered) = supplier(&q);
+        assert!(op.ratio() < 0.5, "a 5000x supplier overestimate is on record: ratio {}", op.ratio());
+        let line = rendered.lines().find(|l| l.contains("DS_supplier [")).expect("DS_supplier rendered");
+        assert!(line.contains("misestimated"), "render marks the misestimate: {line}");
 
         // Feed the correction back: the annealer re-searches with observed
         // cardinalities and commits to a different plan.
         q.observe_run(&last_report.unwrap());
         q.optimize().unwrap();
         assert_ne!(plan_stale, *q.unified().1, "corrected statistics must change the chosen plan");
+
+        // The next run estimates with what the engine observed.
+        q.run_etl(skewed_spine_catalog()).unwrap();
+        let (op, _) = supplier(&q);
+        assert!((0.5..=2.0).contains(&op.ratio()), "the corrected estimate is on record: ratio {}", op.ratio());
     }
 
     #[test]

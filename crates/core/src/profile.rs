@@ -2,7 +2,7 @@
 //! annotated with what the cost model *predicted* and what the engine
 //! *measured*.
 //!
-//! A [`RunReport`](quarry_engine::RunReport) carries flat per-operation
+//! A [`RunReport`] carries flat per-operation
 //! timings; an [`ExecutionProfile`] joins them with the flow's structure and
 //! the cost model's per-operator cardinality estimates (computed with the
 //! statistics that were live when the run started), plus the engine's kernel
@@ -53,7 +53,8 @@ pub struct ProfileOp {
 
 impl ProfileOp {
     /// `actual / estimated`, both floored at one row — the misestimate
-    /// ratio drift detection digests.
+    /// ratio [`ExecutionProfile::render`] prints. Stored profiles are the
+    /// record of estimated vs. actual cardinality.
     pub fn ratio(&self) -> f64 {
         (self.rows_out as f64).max(1.0) / self.estimated_rows.max(1.0)
     }
@@ -74,7 +75,7 @@ pub struct ExecutionProfile {
     pub kernel_scalar_fallback: u64,
     /// Executed operators in execution order.
     pub ops: Vec<ProfileOp>,
-    /// Names of the flow's sink operators (tree roots of [`render`]).
+    /// Names of the flow's sink operators (tree roots of [`render`](ExecutionProfile::render)).
     pub sinks: Vec<String>,
 }
 

@@ -1,8 +1,8 @@
 //! JSON documents for observability data: span trees and metric snapshots.
 //!
-//! The repository stores every artifact as versioned text, so completed
-//! lifecycle traces are serialized to JSON here and put under
-//! `ArtifactKind::Trace`. The same encoding backs the `GetTrace` /
+//! The repository stores every artifact as versioned text, so each
+//! completed lifecycle step is serialized here as a one-root trace and put
+//! under `ArtifactKind::Trace`. The same encoding backs the `GetTrace` /
 //! `GetMetrics` service endpoints.
 
 use quarry_obs::{AttrValue, Metric, Obs, SpanNode, Trace};

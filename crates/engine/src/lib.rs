@@ -10,7 +10,7 @@
 //!
 //! Components:
 //!
-//! - [`Value`], [`Relation`], [`column`] — the runtime data model: relations
+//! - [`Value`], [`Relation`], [`column`](mod@column) — the runtime data model: relations
 //!   hold `Arc`-shared typed columns (dictionary-encoded strings, validity
 //!   bitmaps), with a row-view shim for row-oriented consumers;
 //! - [`eval_compiled`] — the one scalar evaluator for the `quarry-etl`

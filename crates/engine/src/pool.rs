@@ -3,8 +3,8 @@
 //! Both layers of the executor's parallelism draw helper threads from one
 //! process-wide budget of `threads() - 1` tokens: each operator fans out its
 //! morsels through [`run_indexed`], and the run scheduler
-//! ([`crate::schedule`]) keeps helpers on independent operators, each holding
-//! one [`Token`] while it works and none while it has nothing to do. A
+//! (`schedule.rs`) keeps helpers on independent operators, each holding
+//! one `Token` while it works and none while it has nothing to do. A
 //! region that finds the budget empty simply runs its jobs inline on the
 //! calling thread. Nothing ever blocks waiting for a token, so nesting cannot
 //! deadlock, and the number of threads doing work never exceeds `threads()`.

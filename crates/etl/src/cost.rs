@@ -211,7 +211,7 @@ impl SourceStats {
         self.observed.get(op).copied()
     }
 
-    /// The observed selectivity (`rows_out / rows_in`, clamped into [0,1])
+    /// The observed selectivity (`rows_out / rows_in`, clamped into [0, 1])
     /// for `op`, when an input/output pair was recorded with a non-empty
     /// input.
     pub fn observed_selectivity(&self, op: &str) -> Option<f64> {

@@ -240,7 +240,7 @@ impl Flow {
     }
 
     /// Not journaled: while a journal is open, only for operations added
-    /// under it (use [`set_kind`](Self::set_kind) or
+    /// under it (use `set_kind` or
     /// [`op_mut_journaled`](Self::op_mut_journaled) for the others).
     pub fn op_mut(&mut self, id: OpId) -> &mut Operation {
         &mut self.node_mut(id).op

@@ -972,7 +972,7 @@ pub fn absorbs_widening(flow: &Flow, op: OpId) -> bool {
 
 /// For every operation, the set of its output columns that are *live*: they
 /// feed some final output (loader) or some computation on the way. Computed
-/// by a backward pass of [`live_of`].
+/// by a backward pass of `live_of`.
 pub fn live_columns(flow: &Flow, schemas: &HashMap<OpId, Schema>) -> HashMap<OpId, BTreeSet<String>> {
     let order = flow.topo_order().expect("state flows are acyclic");
     let mut live = HashMap::with_capacity(order.len());

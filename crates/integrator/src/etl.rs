@@ -140,7 +140,7 @@ impl EtlIndex {
     }
 }
 
-/// Per-step match statistics of [`consolidate_into`].
+/// Per-step match statistics of `consolidate_into`.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ConsolidateOutcome {
     /// Index hits: partial ops matched onto existing unified ops.

@@ -4,10 +4,11 @@
 //! Metrics aggregate and spans require an enabled recorder plus lexical
 //! nesting; neither answers *"what were the last ten thousand things the
 //! process did?"* when a run panics or a store write fails. The flight
-//! recorder does: every subsystem appends compact events (span open/close,
-//! pool queue-depth transitions, WAL fsync batches, optimizer move
-//! acceptances, engine kernel fallbacks) into per-worker ring shards, and a
-//! drain reconstructs the global order from a monotonic sequence counter.
+//! recorder does: every subsystem appends compact events (engine operator
+//! finishes, pool queue-depth transitions, WAL fsync batches, optimizer move
+//! acceptances, engine kernel fallbacks, result-cache traffic) into
+//! per-worker ring shards, and a drain reconstructs the global order from a
+//! monotonic sequence counter.
 //!
 //! Design constraints, matching the rest of the crate:
 //!
@@ -56,10 +57,6 @@ const MAX_LABELS: u32 = 4096;
 /// kind-specific and documented per variant.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EventKind {
-    /// A lifecycle span opened (`a` = depth).
-    SpanOpen,
-    /// A lifecycle span closed (`a` = elapsed µs).
-    SpanClose,
     /// An engine operator finished (`a` = rows in, `b` = rows out).
     OpFinish,
     /// A pool region transition (`a` = queue depth after, `b` = jobs).
@@ -70,8 +67,6 @@ pub enum EventKind {
     OptimizerMove,
     /// A vectorized kernel fell back to the scalar path (`a` = fallbacks so far).
     KernelFallback,
-    /// A drift analyzer flagged an operator (`a` = estimated rows, `b` = actual rows).
-    Drift,
     /// The result cache served an operator's output (`a` = rows).
     CacheHit,
     /// The result cache was consulted and had nothing (`a`/`b` unused).
@@ -87,14 +82,11 @@ pub enum EventKind {
 impl EventKind {
     pub fn as_str(self) -> &'static str {
         match self {
-            EventKind::SpanOpen => "span_open",
-            EventKind::SpanClose => "span_close",
             EventKind::OpFinish => "op_finish",
             EventKind::QueueDepth => "queue_depth",
             EventKind::WalFsync => "wal_fsync",
             EventKind::OptimizerMove => "optimizer_move",
             EventKind::KernelFallback => "kernel_fallback",
-            EventKind::Drift => "drift",
             EventKind::CacheHit => "cache_hit",
             EventKind::CacheMiss => "cache_miss",
             EventKind::CacheInsert => "cache_insert",
@@ -105,37 +97,31 @@ impl EventKind {
 
     fn code(self) -> u64 {
         match self {
-            EventKind::SpanOpen => 1,
-            EventKind::SpanClose => 2,
-            EventKind::OpFinish => 3,
-            EventKind::QueueDepth => 4,
-            EventKind::WalFsync => 5,
-            EventKind::OptimizerMove => 6,
-            EventKind::KernelFallback => 7,
-            EventKind::Drift => 8,
-            EventKind::Custom => 9,
-            EventKind::CacheHit => 10,
-            EventKind::CacheMiss => 11,
-            EventKind::CacheInsert => 12,
-            EventKind::CacheEvict => 13,
+            EventKind::OpFinish => 1,
+            EventKind::QueueDepth => 2,
+            EventKind::WalFsync => 3,
+            EventKind::OptimizerMove => 4,
+            EventKind::KernelFallback => 5,
+            EventKind::CacheHit => 6,
+            EventKind::CacheMiss => 7,
+            EventKind::CacheInsert => 8,
+            EventKind::CacheEvict => 9,
+            EventKind::Custom => 10,
         }
     }
 
     fn from_code(code: u64) -> Option<EventKind> {
         Some(match code {
-            1 => EventKind::SpanOpen,
-            2 => EventKind::SpanClose,
-            3 => EventKind::OpFinish,
-            4 => EventKind::QueueDepth,
-            5 => EventKind::WalFsync,
-            6 => EventKind::OptimizerMove,
-            7 => EventKind::KernelFallback,
-            8 => EventKind::Drift,
-            9 => EventKind::Custom,
-            10 => EventKind::CacheHit,
-            11 => EventKind::CacheMiss,
-            12 => EventKind::CacheInsert,
-            13 => EventKind::CacheEvict,
+            1 => EventKind::OpFinish,
+            2 => EventKind::QueueDepth,
+            3 => EventKind::WalFsync,
+            4 => EventKind::OptimizerMove,
+            5 => EventKind::KernelFallback,
+            6 => EventKind::CacheHit,
+            7 => EventKind::CacheMiss,
+            8 => EventKind::CacheInsert,
+            9 => EventKind::CacheEvict,
+            10 => EventKind::Custom,
             _ => return None,
         })
     }
@@ -270,7 +256,7 @@ impl FlightRecorder {
     }
 
     /// Interns `name`, returning a handle that records lock-free. The table
-    /// is capped: past [`MAX_LABELS`] distinct names everything interns as
+    /// is capped: past `MAX_LABELS` (4096) distinct names everything interns as
     /// `<other>` rather than growing without bound.
     pub fn label(&self, name: &str) -> LabelId {
         let mut table = self.labels.lock().unwrap_or_else(|p| p.into_inner());
@@ -507,11 +493,11 @@ mod tests {
         r.record(EventKind::Custom, label, 0, 1, 2);
         r.clear();
         assert!(r.drain().events.is_empty());
-        r.record(EventKind::SpanOpen, label, 3, 4, 5);
+        r.record(EventKind::OpFinish, label, 3, 4, 5);
         let log = r.drain();
         assert_eq!(log.events.len(), 1);
         assert_eq!(log.events[0].label, "keep");
-        assert_eq!(log.events[0].kind, EventKind::SpanOpen);
+        assert_eq!(log.events[0].kind, EventKind::OpFinish);
         assert_eq!(log.events[0].lane, 3);
     }
 
@@ -530,14 +516,11 @@ mod tests {
     #[test]
     fn kind_codes_roundtrip() {
         for kind in [
-            EventKind::SpanOpen,
-            EventKind::SpanClose,
             EventKind::OpFinish,
             EventKind::QueueDepth,
             EventKind::WalFsync,
             EventKind::OptimizerMove,
             EventKind::KernelFallback,
-            EventKind::Drift,
             EventKind::CacheHit,
             EventKind::CacheMiss,
             EventKind::CacheInsert,

@@ -17,7 +17,7 @@
 //! - **cheap when enabled** — metrics are recorded through pre-resolved
 //!   handles ([`Obs::counter`] / [`Obs::gauge`] / [`Obs::histogram`]) that
 //!   bump striped relaxed atomics: no map lock, no string hashing, no
-//!   allocation on the hot path (see [`registry`]);
+//!   allocation on the hot path (see `registry.rs`);
 //! - **thread-safe** — a handle is `Clone + Send + Sync`; metrics may be
 //!   bumped from engine worker threads while the lifecycle thread owns the
 //!   span stack.
@@ -32,14 +32,11 @@
 //! and [`serve`] exposes both on a std-only HTTP scrape endpoint
 //! (`GET /metrics`, `/trace`, `/healthz`, `/debug/events`).
 //!
-//! Two deeper layers build on the substrate: [`flight`] is the always-on
-//! fixed-capacity ring buffer of structured events (the "black box"), and
-//! [`drift`] compares the cost model's cardinality estimates against what
-//! executions actually produced.
+//! [`flight`] builds on the substrate: the always-on fixed-capacity ring
+//! buffer of structured events (the "black box").
 
 #![forbid(unsafe_code)]
 
-pub mod drift;
 pub mod export;
 pub mod flight;
 mod registry;
@@ -487,16 +484,33 @@ impl Span {
             }
         }
     }
+
+    /// Closes the span, as dropping it does, and returns a copy of it if it
+    /// closed as a trace root. `None` when recording is off or the span
+    /// nests inside another one (its parent carries it).
+    pub fn close(mut self) -> Option<SpanNode> {
+        let obs = self.obs.take()?;
+        let mut state = obs.inner.spans.lock().expect("span lock");
+        let closed = state.close_to(self.depth);
+        (closed && self.depth == 0).then(|| state.roots.last().cloned()).flatten()
+    }
 }
 
 impl Drop for Span {
     fn drop(&mut self) {
         let Some(obs) = &self.obs else { return };
-        let mut state = obs.inner.spans.lock().expect("span lock");
-        // Close this frame and anything opened after it that leaked (guards
-        // dropped out of order fold into their parent rather than dangling).
-        while state.stack.len() > self.depth {
-            let frame = state.stack.pop().expect("non-empty");
+        obs.inner.spans.lock().expect("span lock").close_to(self.depth);
+    }
+}
+
+impl SpanState {
+    /// Closes the frame at `depth` and anything opened after it that leaked
+    /// (guards dropped out of order fold into their parent rather than
+    /// dangling). Returns whether any frame was open there.
+    fn close_to(&mut self, depth: usize) -> bool {
+        let closed = self.stack.len() > depth;
+        while self.stack.len() > depth {
+            let frame = self.stack.pop().expect("non-empty");
             let node = SpanNode {
                 name: frame.name,
                 start: frame.start,
@@ -504,11 +518,12 @@ impl Drop for Span {
                 attrs: frame.attrs,
                 children: frame.children,
             };
-            match state.stack.last_mut() {
+            match self.stack.last_mut() {
                 Some(parent) => parent.children.push(node),
-                None => state.roots.push(node),
+                None => self.roots.push(node),
             }
         }
+        closed
     }
 }
 
@@ -597,6 +612,19 @@ mod tests {
         assert!(trace.spans[1].start >= trace.spans[0].start);
         obs.clear();
         assert!(obs.trace().is_empty());
+    }
+
+    #[test]
+    fn close_returns_only_a_root_span() {
+        let obs = Obs::new(true);
+        let outer = obs.span("change_requirement");
+        let inner = obs.span("remove_requirement");
+        assert_eq!(inner.close(), None, "a nested span is carried by its parent");
+        let root = outer.close().expect("a root span is returned");
+        assert_eq!(root.name, "change_requirement");
+        assert_eq!(root.children.iter().map(|c| c.name.as_str()).collect::<Vec<_>>(), ["remove_requirement"]);
+        assert_eq!(obs.trace().spans, [root]);
+        assert_eq!(Obs::disabled().span("off").close(), None);
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! - [`DocumentStore`] / [`Repository`] — a collection-oriented document
 //!   store with field-path queries, plus a thread-safe, versioned artifact
 //!   API used by the Quarry façade to persist every design generation;
-//! - [`wal`] / [`snapshot`] / [`recover`] — durability: an append-only
+//! - [`wal`] / [`snapshot`] / [`recover`](mod@recover) — durability: an append-only
 //!   write-ahead log of mutations with configurable fsync policy, crash-safe
 //!   snapshot compaction, and deterministic replay ([`Repository::open`]
 //!   recovers bit-identical state, truncating a torn final record).

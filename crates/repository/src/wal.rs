@@ -21,7 +21,7 @@
 //! header fits, the payload fits, the checksum matches, and the payload
 //! parses back into a [`Mutation`]; the first invalid record ends the log —
 //! everything before it is the durable prefix, everything from it on is a
-//! torn tail that recovery truncates (see [`crate::recover`]).
+//! torn tail that recovery truncates (see [`crate::recover`](mod@crate::recover)).
 //!
 //! ## Statistics
 //!

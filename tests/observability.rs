@@ -97,17 +97,64 @@ fn trace_is_retrievable_via_service_and_versioned_in_the_repository() {
     assert_eq!(metrics.get("counters").and_then(|c| c.get("engine.runs")).and_then(Json::as_f64), Some(1.0));
     assert!(metrics.path("pool.regions").and_then(Json::as_f64).is_some());
 
-    // Each lifecycle step versioned a trace document in the repository.
-    let history = q.repository().history(ArtifactKind::Trace, "session").unwrap();
-    assert!(history.len() >= 3, "one trace version per step, got {}", history.len());
-    let latest = Json::parse(&history.last().unwrap().content).unwrap();
-    assert_eq!(latest.path("spans.0.name").and_then(Json::as_str), Some("add_requirement"));
+    // Each lifecycle step versioned its own trace document in the
+    // repository: one root per version, in step order. A failed step is
+    // versioned too, carrying its error.
+    assert!(matches!(
+        handle(&mut q, ServiceRequest::Deploy { platform: "teradata".into() }),
+        ServiceResponse::Error(_)
+    ));
+    let roots = session_roots(&q);
+    let names: Vec<&str> = roots.iter().map(|spans| spans[0].get("name").and_then(Json::as_str).unwrap()).collect();
+    assert_eq!(names, ["add_requirement", "deploy", "execute", "deploy"]);
+    assert!(roots.iter().all(|spans| spans.len() == 1), "one root per version");
+    assert_eq!(roots[0][0].path("children.0.name").and_then(Json::as_str), Some("interpret"));
+    assert_eq!(roots[1][0].path("attrs.platform").and_then(Json::as_str), Some("native"));
+    assert!(roots[1][0].path("attrs.error").is_none());
+    let error = roots[3][0].path("attrs.error").and_then(Json::as_str).expect("the failed deploy's error");
+    assert!(error.contains("teradata"), "{error}");
 
     // The rendered tree (what `quarry-cli trace` prints) names every phase.
     let rendered = q.trace().render();
     for phase in ["add_requirement", "interpret", "md_integrate", "etl_integrate", "validate", "deploy", "execute"] {
         assert!(rendered.contains(phase), "rendered tree missing `{phase}`:\n{rendered}");
     }
+}
+
+/// The `spans` array of every stored `Trace/session` version, oldest first.
+fn session_roots(q: &Quarry) -> Vec<Vec<Json>> {
+    let history = q.repository().history(ArtifactKind::Trace, "session").unwrap();
+    history
+        .iter()
+        .map(|version| {
+            let doc = Json::parse(&version.content).expect("trace version is well-formed JSON");
+            doc.get("spans").and_then(Json::as_array).expect("trace version has spans").to_vec()
+        })
+        .collect()
+}
+
+#[test]
+fn a_change_writes_one_trace_version() {
+    let mut q = Quarry::tpch();
+    q.set_observability(true);
+    q.add_requirement(figure4_requirement()).unwrap();
+    let mut changed = figure4_requirement();
+    changed.slicers.clear();
+    q.change_requirement(changed).unwrap();
+
+    let roots = session_roots(&q);
+    assert_eq!(roots.len(), 2, "one version for the add, one for the change");
+    let change = &roots[1];
+    assert_eq!(change.len(), 1);
+    assert_eq!(change[0].get("name").and_then(Json::as_str), Some("change_requirement"));
+    let children: Vec<&str> = change[0]
+        .get("children")
+        .and_then(Json::as_array)
+        .unwrap()
+        .iter()
+        .filter_map(|c| c.get("name").and_then(Json::as_str))
+        .collect();
+    assert_eq!(children, ["remove_requirement", "add_requirement"]);
 }
 
 #[test]
