@@ -13,10 +13,13 @@
 //! it; `--flow optimized` runs `Quarry::optimize` over it first, which is the
 //! flow the lifecycle benchmark executes. `--threads 0` keeps the pool's
 //! auto-detected width. `--warm` installs a result cache keyed like the
-//! lifecycle's (`CachePlan::for_catalog`), fills it with one run and times
+//! lifecycle's (`Engine::set_result_cache`), fills it with one run and times
 //! the runs after it: the lifecycle benchmark's `exec_warm_s`, where the
 //! cache serves every pure operator and what is left is mostly the loaders
 //! (the `loaders:` line puts their busy time beside the run's wall time).
+//! It also times 20 warm `Quarry::run_etl` calls and prints their median
+//! wall time beside their median `RunReport.total` (the `run_etl:` line):
+//! the difference is what a warm run spends outside the engine.
 //! The fastest of five runs is printed: busy time per
 //! operator kind; what the scheduler made of it — achieved parallelism
 //! (Σ elapsed ÷ wall), idle time per lane, the chain of operators that ended
@@ -30,7 +33,7 @@
 //! time and move counts.
 
 use quarry::{Quarry, QuarryConfig};
-use quarry_engine::{tpch, CachePlan, Engine, OpTiming, ResultCache};
+use quarry_engine::{tpch, Engine, OpTiming, ResultCache};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -94,21 +97,20 @@ fn main() {
         (t0.elapsed(), report)
     });
     let unified = q.unified().1.clone();
-    // The cache one run filled, and the plan every timed run keys it with.
+    // The cache one run filled, which every timed run reads.
     let cache = warm.then(|| {
         let cache = Arc::new(ResultCache::new(true, q.config().cache.budget_bytes));
-        let plan = Arc::new(CachePlan::for_catalog(&unified, &catalog, 1).expect("the unified flow plans"));
         let mut engine = Engine::new(catalog.clone());
-        engine.set_result_cache(Arc::clone(&cache), Arc::clone(&plan));
+        engine.set_result_cache(Arc::clone(&cache), 1, HashMap::new());
         engine.run(&unified).expect("fills the cache");
-        (cache, plan)
+        cache
     });
 
     let mut best: Option<(Duration, quarry_engine::RunReport, Option<u64>, Option<u64>)> = None;
     for _ in 0..5 {
         let mut engine = Engine::new(catalog.clone());
-        if let Some((cache, plan)) = &cache {
-            engine.set_result_cache(Arc::clone(cache), Arc::clone(plan));
+        if let Some(cache) = &cache {
+            engine.set_result_cache(Arc::clone(cache), 1, HashMap::new());
         }
         // Resets VmHWM to the current RSS (Linux); where refused, the peak
         // printed is the process's.
@@ -134,6 +136,28 @@ fn main() {
     );
     if let Some((wall, search)) = &search {
         println!("optimize: {wall:?}, {} moves proposed, {} accepted", search.proposed, search.accepted);
+    }
+    if warm {
+        // One run fills the lifecycle's own cache; the 20 after it are warm.
+        q.run_etl(catalog.clone()).expect("fills the lifecycle's cache");
+        let (mut walls, mut totals): (Vec<Duration>, Vec<Duration>) = (0..20)
+            .map(|_| {
+                let catalog = catalog.clone();
+                let t0 = Instant::now();
+                let (engine, report) = q.run_etl(catalog).expect("runs");
+                let wall = t0.elapsed();
+                drop(engine);
+                (wall, report.total)
+            })
+            .unzip();
+        walls.sort();
+        totals.sort();
+        println!(
+            "run_etl: median {:?} wall over 20 warm runs, median RunReport.total {:?}, {:?} outside the engine",
+            walls[10],
+            totals[10],
+            walls[10].saturating_sub(totals[10])
+        );
     }
     let mut memory = Vec::new();
     memory.extend(faults.map(|f| format!("{f} minor page faults")));

@@ -8,7 +8,7 @@
 
 use quarry::Quarry;
 use quarry_bench::{at_width, high_overlap_family, requirement_family};
-use quarry_engine::{tpch, CachePlan, Catalog, Engine, ResultCache};
+use quarry_engine::{tpch, Catalog, Engine, ResultCache};
 use quarry_etl::{parse_expr, AggSpec, Flow, JoinKind, OpKind};
 use std::sync::Arc;
 
@@ -43,8 +43,7 @@ fn assert_cache_invisible(catalog: &Catalog, flow: &Flow) {
     for threads in [1usize, 4, 8] {
         for pass in ["cold", "warm"] {
             let mut engine = Engine::new(catalog.clone());
-            let plan = CachePlan::for_catalog(flow, &engine.catalog, 0).expect("plan");
-            engine.set_result_cache(Arc::clone(&cache), Arc::new(plan));
+            engine.set_result_cache(Arc::clone(&cache), 0, Default::default());
             at_width(threads, || engine.run(flow)).expect("cached run");
             modes.push((format!("{threads}-thread {pass}"), engine));
         }
@@ -187,8 +186,7 @@ fn empty_inputs_cache_on_vs_off() {
     for threads in [1usize, 4, 8] {
         for _pass in 0..2 {
             let mut engine = Engine::new(catalog.clone());
-            let plan = CachePlan::for_catalog(&unified, &engine.catalog, 0).expect("plan");
-            engine.set_result_cache(Arc::clone(&cache), Arc::new(plan));
+            engine.set_result_cache(Arc::clone(&cache), 0, Default::default());
             at_width(threads, || engine.run(&unified)).expect("cached run");
             for t in sorted_table_names(&baseline.catalog) {
                 assert_eq!(
@@ -215,8 +213,7 @@ fn epoch_change_misses_but_stays_identical() {
     for epoch in [0u64, 0, 1] {
         cache.set_flow_epoch(epoch);
         let mut engine = Engine::new(catalog.clone());
-        let plan = CachePlan::for_catalog(&flow, &engine.catalog, epoch).expect("plan");
-        engine.set_result_cache(Arc::clone(&cache), Arc::new(plan));
+        engine.set_result_cache(Arc::clone(&cache), epoch, Default::default());
         engine.run(&flow).expect("cached run");
         for t in sorted_table_names(&baseline.catalog) {
             assert_eq!(baseline.catalog.get(&t).unwrap(), engine.catalog.get(&t).unwrap(), "table `{t}` differs");
@@ -238,14 +235,13 @@ fn epoch_change_misses_but_stays_identical() {
 fn cache_decisions_are_pinned() {
     let catalog = tpch::generate(0.01, 42);
     let unified = unified_of(requirement_family(8));
-    let plan = Arc::new(CachePlan::for_catalog(&unified, &catalog, 0).expect("plan"));
     for threads in [1usize, 2, 8] {
         let cache = Arc::new(ResultCache::new(true, 1 << 20));
         let after_each_run: Vec<_> = at_width(threads, || {
             (0..3)
                 .map(|_| {
                     let mut engine = Engine::new(catalog.clone());
-                    engine.set_result_cache(Arc::clone(&cache), Arc::clone(&plan));
+                    engine.set_result_cache(Arc::clone(&cache), 0, Default::default());
                     engine.run(&unified).expect("runs");
                     let s = cache.stats();
                     (s.inserts, s.rejects, s.evictions, s.entries, s.bytes, s.hits, s.misses)

@@ -18,15 +18,16 @@
 //! beside wide fan-outs, diamonds, self-unions, loaders of every kind into
 //! shared tables at different depths, seeded random DAGs, cache-served flows,
 //! a late cache offer retired after its consumers took their inputs, outputs
-//! dropped at their last claim, failures, and a stress run under a watchdog).
+//! dropped at their last claim, failures, flow errors that must stop a run
+//! before its first operator (`scheduler_flow_error_*`), and a stress run
+//! under a watchdog).
 
 use quarry::Quarry;
 use quarry_bench::{at_width, figure3_pair, high_overlap_family, requirement_family};
 use quarry_engine::{
-    pool, tpch, CachePlan, Catalog, Engine, EngineError, Relation, ResultCache, RowEngine, RunReport, Value,
-    MORSEL_ROWS,
+    pool, tpch, Catalog, Engine, EngineError, Relation, ResultCache, RowEngine, RunReport, Value, MORSEL_ROWS,
 };
-use quarry_etl::{parse_expr, AggSpec, ColType, Column, Flow, JoinKind, OpId, OpKind, Schema};
+use quarry_etl::{parse_expr, AggSpec, ColType, Column, Flow, FlowError, JoinKind, OpId, OpKind, Schema};
 use quarry_formats::Requirement;
 use std::sync::Arc;
 use std::time::Duration;
@@ -1479,10 +1480,9 @@ fn scheduler_appends_and_upserts_into_one_table_agree() {
     assert_equivalent_at(&catalog, &[&f, &f], &WIDTHS);
 }
 
-fn cached_engine(catalog: &Catalog, flow: &Flow, cache: &Arc<ResultCache>) -> Engine {
+fn cached_engine(catalog: &Catalog, cache: &Arc<ResultCache>) -> Engine {
     let mut engine = Engine::new(catalog.clone());
-    let plan = CachePlan::for_catalog(flow, &engine.catalog, 0).expect("plan");
-    engine.set_result_cache(Arc::clone(cache), Arc::new(plan));
+    engine.set_result_cache(Arc::clone(cache), 0, Default::default());
     engine
 }
 
@@ -1507,9 +1507,9 @@ fn scheduler_all_cache_hits_but_one_branch_agrees() {
         let (engine, report) = at_width(threads, || {
             // Three passes: late results are admitted from the second miss on.
             for _ in 0..3 {
-                cached_engine(&catalog, &base, &cache).run(&base).expect("warming run");
+                cached_engine(&catalog, &cache).run(&base).expect("warming run");
             }
-            let mut engine = cached_engine(&catalog, &extended, &cache);
+            let mut engine = cached_engine(&catalog, &cache);
             let report = engine.run(&extended).expect("mostly cache-served run");
             (engine, report)
         });
@@ -1543,7 +1543,7 @@ fn scheduler_cache_admission_is_width_independent() {
         let after_each_run: Vec<_> = at_width(threads, || {
             (0..2)
                 .map(|_| {
-                    cached_engine(&catalog, &unified, &cache).run(&unified).expect("runs");
+                    cached_engine(&catalog, &cache).run(&unified).expect("runs");
                     let s = cache.stats();
                     assert!(s.bytes <= 1 << 20, "resident bytes over the budget at {threads} threads: {s:?}");
                     (s.inserts, s.rejects, s.evictions, s.entries, s.bytes, s.hits, s.misses)
@@ -1597,7 +1597,7 @@ fn scheduler_late_offer_behind_its_consumers_is_width_independent() {
         let after_each_run: Vec<_> = at_width(threads, || {
             (0..2)
                 .map(|_| {
-                    let mut engine = cached_engine(&with_fresh_big(), &f, &cache);
+                    let mut engine = cached_engine(&with_fresh_big(), &cache);
                     engine.run(&f).expect("runs");
                     for t in row.table_names() {
                         assert_eq!(
@@ -1716,6 +1716,95 @@ fn scheduler_failed_load_keeps_earlier_loads_and_stops_later_ones() {
             assert!(engine.catalog.get(absent).is_none(), "`{absent}` loaded after the failure at {threads} threads");
         }
     }
+}
+
+/// A flow error stops the run before any operator starts: at every width
+/// [`Engine::run`] returns the error `expected` accepts, and the catalog is
+/// the one before the run — not even `LOAD_first`, positioned before the
+/// flaw, loads.
+fn assert_flow_error_stops_the_run(f: &Flow, expected: impl Fn(&FlowError) -> bool) {
+    let catalog = dag_catalog(3 * MORSEL_ROWS);
+    for threads in [1usize, 2, 8] {
+        let mut engine = Engine::new(catalog.clone());
+        match at_width(threads, || engine.run(f)) {
+            Err(EngineError::Flow(e)) => assert!(expected(&e), "unexpected flow error at {threads} threads: {e:?}"),
+            other => panic!("expected a flow error at {threads} threads, got {other:?}"),
+        }
+        assert!(engine.catalog == catalog, "the catalog changed at {threads} threads");
+    }
+}
+
+/// `SRC → LOAD_first`, and `SRC → SEL → BAD → LOAD_bad` with `BAD` built by
+/// `flaw` from the flow and `SEL`.
+fn flawed(flaw: impl FnOnce(&mut Flow, OpId) -> OpId) -> Flow {
+    let mut f = Flow::new("flawed");
+    let src = scan(&mut f, "SRC", &dag_catalog(1), "src");
+    f.append(src, "LOAD_first", load("first", &[])).unwrap();
+    let sel = f.append(src, "SEL", sel("k >= 0")).unwrap();
+    let bad = flaw(&mut f, sel);
+    f.append(bad, "LOAD_bad", load("bad", &[])).unwrap();
+    f
+}
+
+/// `BAD` is a single-input `kind` over `SEL`; the error must name it.
+fn assert_invalid_op_stops_the_run(kind: OpKind) {
+    let f = flawed(|f, sel| f.append(sel, "BAD", kind).unwrap());
+    assert_flow_error_stops_the_run(&f, |e| matches!(e, FlowError::InvalidOp { op, .. } if op == "BAD"));
+}
+
+#[test]
+fn scheduler_flow_error_cycle() {
+    // `SEL` feeds a loader; `CYCLE ⇄ BAD` reads nothing but itself.
+    let f = flawed(|f, sel| {
+        f.append(sel, "LOAD_sel", load("sel", &[])).unwrap();
+        let cycle = f.add_op("CYCLE", OpKind::Distinct).unwrap();
+        let bad = f.append(cycle, "BAD", OpKind::Distinct).unwrap();
+        f.connect(bad, cycle).unwrap();
+        bad
+    });
+    assert_flow_error_stops_the_run(&f, |e| *e == FlowError::Cycle);
+}
+
+#[test]
+fn scheduler_flow_error_arity() {
+    let join = OpKind::Join { kind: JoinKind::Inner, left_on: vec!["k".into()], right_on: vec!["k".into()] };
+    let f = flawed(|f, sel| f.append(sel, "BAD", join).unwrap());
+    assert_flow_error_stops_the_run(&f, |e| matches!(e, FlowError::Arity { op, expected: 2, found: 1 } if op == "BAD"));
+}
+
+#[test]
+fn scheduler_flow_error_unknown_column_in_a_selection() {
+    assert_invalid_op_stops_the_run(sel("missing > 0"));
+}
+
+#[test]
+fn scheduler_flow_error_unknown_column_in_a_derivation() {
+    assert_invalid_op_stops_the_run(derive("d", "missing * 2"));
+}
+
+#[test]
+fn scheduler_flow_error_unknown_column_in_an_aggregation() {
+    assert_invalid_op_stops_the_run(agg(&["g"], &[("SUM", "missing", "total")]));
+}
+
+#[test]
+fn scheduler_flow_error_unknown_join_key() {
+    let f = flawed(|f, sel| {
+        let source = f.id_by_name("SRC").unwrap();
+        let right = f.append(source, "RIGHT", project(&["k", "v"])).unwrap();
+        let join = OpKind::Join { kind: JoinKind::Inner, left_on: vec!["k".into()], right_on: vec!["missing".into()] };
+        binary(f, "BAD".into(), join, sel, right)
+    });
+    assert_flow_error_stops_the_run(&f, |e| matches!(e, FlowError::InvalidOp { op, .. } if op == "BAD"));
+}
+
+#[test]
+fn scheduler_flow_error_union_layout_mismatch() {
+    let f = flawed(|f, sel| {
+        let wider = f.append(sel, "WIDER", derive("d", "k * 2")).unwrap();
+        binary(f, "BAD".into(), OpKind::Union, sel, wider)
+    });
+    assert_flow_error_stops_the_run(&f, |e| matches!(e, FlowError::InvalidOp { op, .. } if op == "BAD"));
 }
 
 /// A helper that finds nothing ready returns its token: three single-morsel

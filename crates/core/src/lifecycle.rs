@@ -4,9 +4,9 @@ use crate::config::QuarryConfig;
 use crate::profile::{ExecutionProfile, KernelDelta};
 use quarry_deployer::{DeployError, DeploymentArtifacts, PlatformRegistry};
 use quarry_elicitor::{Elicitor, Session};
-use quarry_engine::{CachePlan, CacheStats, Catalog, Engine, EngineError, ResultCache, RunReport};
-use quarry_etl::cost::{cardinality_state, op_fingerprint, EstimatedTime, TimeWeights};
-use quarry_etl::Flow;
+use quarry_engine::{CacheStats, Catalog, Engine, EngineError, PhysicalPlan, ResultCache, RunReport};
+use quarry_etl::cost::{cardinality_state_of, flow_fingerprint, op_fingerprint, EstimatedTime, TimeWeights};
+use quarry_etl::{Flow, FlowError};
 use quarry_formats::registry::FormatRegistry;
 use quarry_formats::{FormatError, Requirement};
 use quarry_integrator::etl::EtlIntegrationReport;
@@ -211,29 +211,19 @@ pub struct Quarry {
     /// `quarry_engine::cache`). Shared so the metrics collector closure can
     /// read its stats without borrowing `self`.
     result_cache: Arc<ResultCache>,
-    /// Per-source invalidation epochs, folded into the cache fingerprints
-    /// alongside the catalog table stamps. Bumped by
-    /// [`Quarry::bump_source_epoch`] when a datastore is registered or
-    /// mutated behind the catalog's back.
+    /// Per-source invalidation epochs, folded into the cache keys alongside
+    /// the catalog table stamps. Bumped by [`Quarry::bump_source_epoch`]
+    /// when a datastore is registered or mutated behind the catalog's back.
     source_epochs: HashMap<String, u64>,
-    /// Canonical per-op fingerprints (`op name → signature hash`) of the
-    /// unified flow as of the last ETL run — the routing table
-    /// [`Quarry::observe_run`] uses so observations never fold into an op
-    /// the optimizer has since rewritten under the same name — and the flow
-    /// epoch they were taken at. Every mutation of the flow moves the epoch,
-    /// so a run at the same epoch finds them current.
-    run_fingerprints: Mutex<(Option<u64>, HashMap<String, u64>)>,
-    /// The last [`CachePlan`] built for a run, with the resolved per-source
-    /// epochs (counter mixed with table stamp) it was keyed on. Valid while
-    /// the flow epoch, flow shape, and resolved source epochs are unchanged —
-    /// rebuilding it (fingerprints + modeled cone costs) is the dominant
-    /// fixed cost of a cache-enabled run, and repeated runs over the same
-    /// warehouse data need not pay it twice.
-    plan_memo: Mutex<Option<PlanMemo>>,
+    /// The plan of the last successful ETL run. Every write to the unified
+    /// flow moves the epoch, so a run at the same key executes it again
+    /// without compiling; [`Quarry::observe_run`] routes against it.
+    run_plan: Mutex<Option<EpochPlan>>,
 }
 
-/// A built [`CachePlan`] and the resolved source epochs it was keyed on.
-type PlanMemo = (HashMap<String, u64>, Arc<CachePlan>);
+/// A plan of the unified flow and the flow epoch and `(op_count,
+/// edge_count)` shape it was compiled at.
+type EpochPlan = ((u64, usize, usize), Arc<PhysicalPlan>);
 
 /// Handles for the metrics the lifecycle itself records. Kept together so
 /// construction resolves every name exactly once.
@@ -453,8 +443,7 @@ impl Quarry {
             obs_server: None,
             result_cache,
             source_epochs: HashMap::new(),
-            run_fingerprints: Mutex::new((None, HashMap::new())),
-            plan_memo: Mutex::new(None),
+            run_plan: Mutex::new(None),
         })
     }
 
@@ -910,7 +899,8 @@ impl Quarry {
     }
 
     /// Feeds a run's measured per-operation cardinalities back into the
-    /// configured source statistics ([`RunReport::observe_into`]): later
+    /// configured source statistics (rows out, and rows in where the
+    /// operation read any, which pins a selection's selectivity): later
     /// optimizations and integrations then estimate with what the engine
     /// actually observed instead of static selectivity guesses. This is the
     /// correction a misestimate in the stored [`ExecutionProfile`] asks for:
@@ -919,23 +909,21 @@ impl Quarry {
     /// towards 1.
     /// Observations route through the canonical op fingerprint: a timing is
     /// folded only when the op name still exists in the unified flow *and*
-    /// its semantic signature matches what the run executed. After an
-    /// optimizer commit (or a requirement change) rewrites an operation
-    /// under a surviving name, that op's stale observation is dropped
-    /// instead of pinning the rewritten op's estimates to the old reality.
+    /// its semantic signature matches the one in the plan of the last
+    /// successful run. After an optimizer commit (or a requirement change)
+    /// rewrites an operation under a surviving name, that op's stale
+    /// observation is dropped instead of pinning the rewritten op's
+    /// estimates to the old reality.
     pub fn observe_run(&mut self, report: &RunReport) {
-        let recorded = {
-            let fps = self.run_fingerprints.lock().unwrap_or_else(|p| p.into_inner());
-            fps.1.clone()
-        };
+        let plan = self.run_plan.lock().unwrap_or_else(|p| p.into_inner()).as_ref().map(|(_, plan)| Arc::clone(plan));
+        let ran: HashMap<&str, u64> =
+            plan.iter().flat_map(|plan| plan.nodes()).map(|n| (n.op.name.as_str(), n.signature)).collect();
         for t in &report.timings {
             let Some(op) = self.unified_etl.op_by_name(&t.op) else {
                 continue; // the op no longer exists: nothing to pin
             };
-            if let Some(&fp) = recorded.get(&t.op) {
-                if fp != op_fingerprint(&op.kind) {
-                    continue; // rewritten since the run: the observation is stale
-                }
+            if ran.get(t.op.as_str()).is_some_and(|&fp| fp != op_fingerprint(&op.kind)) {
+                continue; // rewritten since the run: the observation is stale
             }
             if t.rows_in > 0 {
                 self.config.stats.observe_op_io(&t.op, t.rows_in as f64, t.rows_out as f64);
@@ -1032,19 +1020,21 @@ impl Quarry {
         let mut engine = crate::native::deploy(&self.unified_md, catalog);
         self.install_result_cache(&mut engine);
         let kernels_before = KernelDelta::snapshot();
-        let run = engine.run(&self.unified_etl);
+        let run = self.plan().map_err(EngineError::Flow).and_then(|memo| Ok((engine.execute(&memo.1)?, memo)));
         let kernels_after = KernelDelta::snapshot();
         let result = match run {
-            Ok(report) => {
-                self.remember_run_fingerprints();
+            Ok((report, memo)) => {
                 self.record_run(&step, &report);
                 // Estimates are best-effort: a flow the estimator cannot
                 // order (it executed, so it is acyclic — this is defensive)
                 // profiles with zero estimates.
-                let estimates = cardinality_state(&self.unified_etl, &self.config.stats).unwrap_or_default();
+                let fingerprint = memo.1.flow_fingerprint();
+                let estimates =
+                    cardinality_state_of(&self.unified_etl, fingerprint, &self.config.stats).unwrap_or_default();
                 let profile =
                     ExecutionProfile::capture(&self.unified_etl, &report, &estimates, kernels_before, kernels_after);
                 self.persist_profile(&profile);
+                *self.run_plan.lock().unwrap_or_else(|p| p.into_inner()) = Some(memo);
                 Ok((engine, report))
             }
             Err(e) => Err(QuarryError::Engine(e)),
@@ -1094,61 +1084,32 @@ impl Quarry {
 
     // ---- result cache ---------------------------------------------------------
 
+    /// The plan to execute the unified flow by, and the key it is valid
+    /// under: the last successful run's while the flow epoch and shape are
+    /// unchanged, else compiled afresh, cone costs under the configured
+    /// statistics.
+    fn plan(&self) -> Result<EpochPlan, FlowError> {
+        let flow = &self.unified_etl;
+        let key = (self.consolidation.flow_epoch(), flow.op_count(), flow.edge_count());
+        let memo = self.run_plan.lock().unwrap_or_else(|p| p.into_inner());
+        if let Some((_, plan)) = memo.as_ref().filter(|(at, _)| *at == key) {
+            debug_assert_eq!(plan.flow_fingerprint(), flow_fingerprint(flow), "the flow changed, its epoch did not");
+            return Ok((key, Arc::clone(plan)));
+        }
+        Ok((key, Arc::new(PhysicalPlan::compile(flow, Some(&self.config.stats))?)))
+    }
+
     /// Installs the cross-run result cache on `engine` for the unified flow:
-    /// purges entries from older flow epochs, then keys this run's plan on
-    /// the current epoch plus per-source epochs mixed with the catalog's
-    /// table stamps (data identity). A flow the plan cannot be computed for
-    /// simply runs uncached.
+    /// purges entries from older flow epochs, then keys this run on the
+    /// current epoch plus the per-source epochs, which the engine mixes with
+    /// the catalog's table stamps (data identity).
     fn install_result_cache(&self, engine: &mut Engine) {
         if !self.config.cache.enabled || self.unified_etl.op_count() == 0 {
             return;
         }
         let epoch = self.consolidation.flow_epoch();
         self.result_cache.set_flow_epoch(epoch);
-        let catalog = &engine.catalog;
-        let source_epochs = &self.source_epochs;
-        let source_epoch = move |name: &str| {
-            use std::hash::{Hash, Hasher};
-            let mut h = std::collections::hash_map::DefaultHasher::new();
-            source_epochs.get(name).copied().unwrap_or(0).hash(&mut h);
-            quarry_engine::table_stamp(catalog, name).hash(&mut h);
-            h.finish()
-        };
-        // Reuse the memoized plan when nothing it depends on changed: same
-        // flow epoch (which bumps on every design mutation), same flow
-        // shape, same resolved source epochs (cheap table stamps). Otherwise
-        // rebuild.
-        let resolved: HashMap<String, u64> = self
-            .unified_etl
-            .ops()
-            .filter_map(|op| match &op.kind {
-                quarry_etl::OpKind::Datastore { datastore, .. } => Some((datastore.clone(), source_epoch(datastore))),
-                _ => None,
-            })
-            .collect();
-        let mut memo = self.plan_memo.lock().unwrap_or_else(|p| p.into_inner());
-        let current = memo.as_ref().filter(|(sources, plan)| {
-            plan.flow_epoch == epoch && *sources == resolved && plan.matches(&self.unified_etl)
-        });
-        let plan = match current {
-            Some((_, plan)) => Arc::clone(plan),
-            None => match CachePlan::for_flow(&self.unified_etl, &self.config.stats, epoch, &source_epoch) {
-                Ok(plan) => Arc::clone(&memo.insert((resolved, Arc::new(plan))).1),
-                Err(_) => return,
-            },
-        };
-        engine.set_result_cache(Arc::clone(&self.result_cache), plan);
-    }
-
-    /// Snapshots the unified flow's canonical per-op fingerprints right after
-    /// a run, so a later [`Quarry::observe_run`] can tell whether an op name
-    /// still denotes the operation the run actually measured.
-    fn remember_run_fingerprints(&self) {
-        let epoch = Some(self.consolidation.flow_epoch());
-        let mut fps = self.run_fingerprints.lock().unwrap_or_else(|p| p.into_inner());
-        if fps.0 != epoch {
-            *fps = (epoch, self.unified_etl.ops().map(|op| (op.name.clone(), op_fingerprint(&op.kind))).collect());
-        }
+        engine.set_result_cache(Arc::clone(&self.result_cache), epoch, self.source_epochs.clone());
     }
 
     /// Current result-cache counters (entries, bytes, hit/miss/insert/evict
@@ -1651,6 +1612,36 @@ mod tests {
             .all(|t| stats.observed_op(&t.op).is_some() || stats.observed_selectivity(&t.op).is_some()));
     }
 
+    /// The unified flow compiles once per flow epoch: warm runs and a source
+    /// bump execute the cold run's plan, every write to the flow a new one.
+    #[test]
+    fn one_plan_per_flow_epoch() {
+        let catalog = quarry_engine::tpch::generate(0.002, 42);
+        let plan = |q: &mut Quarry| {
+            q.run_etl(catalog.clone()).unwrap();
+            Arc::clone(&q.run_plan.lock().unwrap().as_ref().expect("a successful run keeps its plan").1)
+        };
+        let mut q = Quarry::tpch();
+        q.add_requirement(figure4_requirement()).unwrap();
+        let cold = plan(&mut q);
+        for _ in 0..3 {
+            assert!(Arc::ptr_eq(&cold, &plan(&mut q)), "a warm run compiles nothing");
+        }
+        q.bump_source_epoch("lineitem");
+        assert!(Arc::ptr_eq(&cold, &plan(&mut q)), "a source epoch re-keys the cache, not the plan");
+
+        q.add_requirement(netprofit_requirement()).unwrap();
+        let added = plan(&mut q);
+        assert!(!Arc::ptr_eq(&cold, &added), "an add compiles a new plan");
+        let mut v2 = figure4_requirement();
+        v2.slicers[0].value = "France".into();
+        q.change_requirement(v2).unwrap();
+        let changed = plan(&mut q);
+        assert!(!Arc::ptr_eq(&added, &changed), "a change compiles a new plan");
+        assert!(q.optimize().unwrap().applied, "the two-requirement design has a better plan");
+        assert!(!Arc::ptr_eq(&changed, &plan(&mut q)), "an applied optimize compiles a new plan");
+    }
+
     #[test]
     fn repeated_runs_hit_the_result_cache_with_identical_output() {
         let mut q = Quarry::tpch();
@@ -2064,6 +2055,7 @@ mod tests {
             .with_unique("supplier", &["s_suppkey"]);
         let mut q = Quarry::with_config(domain.ontology, domain.sources, cfg);
         q.unified_etl = skewed_spine_flow();
+        q.consolidation.invalidate();
         q.optimize().unwrap();
         let plan_stale = q.unified().1.clone();
         let supplier = |q: &Quarry| {

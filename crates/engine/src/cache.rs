@@ -3,10 +3,9 @@
 //! Quarry's consolidation story makes shared subflows cheap *within* one run;
 //! this module extends the saving *across* runs: a memory-budgeted store of
 //! materialized operator outputs (`Arc<Relation>`, zero-copy to publish)
-//! keyed by the recursive subflow fingerprint of
-//! [`quarry_etl::cost::subflow_fingerprints`]. A fingerprint covers the
-//! operator's canonical form, its inputs' fingerprints, the per-flow epoch
-//! and the per-source epochs — so a hit is only possible when the same
+//! keyed per run by [`PhysicalPlan::cache_keys`](crate::PhysicalPlan::cache_keys):
+//! the operator's signature hash folded with its inputs' keys, the per-flow
+//! epoch and the per-source epochs — so a hit is only possible when the same
 //! computation over the same source state is requested again, and
 //! invalidation is pure key rotation: epoch bumps make old entries
 //! unreachable (and [`ResultCache::set_flow_epoch`] purges them for hygiene).
@@ -17,13 +16,12 @@
 //! cold run never pays a gather for a reuse that is still speculative.
 //! Eviction under the byte budget is cost-weighted LRU: the entry with the
 //! least modeled saving per byte, discounted by staleness, goes first. That
-//! ranking is the only reader of [`CachePlan`]'s modeled cone costs
-//! ([`EstimatedTime::subtree_costs`]).
+//! ranking is the only reader of the plan's modeled cone costs
+//! ([`PlanNode::cone_cost`](crate::PlanNode::cone_cost)).
 
 use crate::catalog::Catalog;
 use crate::relation::Relation;
-use quarry_etl::cost::{flow_fingerprint, subflow_fingerprints, EstimatedTime, SourceStats, TimeWeights};
-use quarry_etl::{Flow, FlowError, OpId, OpKind};
+use quarry_etl::OpKind;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
@@ -60,7 +58,7 @@ const LATE_ADMIT_MIN_DEMAND: u32 = 2;
 /// column `Arc`s and therefore the stamp, so stale data cannot hit (at worst
 /// an unchanged table re-generated from scratch misses: false negatives
 /// only).
-pub fn table_stamp(catalog: &Catalog, name: &str) -> u64 {
+pub(crate) fn table_stamp(catalog: &Catalog, name: &str) -> u64 {
     let mut h = DefaultHasher::new();
     match catalog.get_shared(name) {
         Some(rel) => {
@@ -68,7 +66,7 @@ pub fn table_stamp(catalog: &Catalog, name: &str) -> u64 {
             rel.len().hash(&mut h);
             for col in rel.schema.columns.iter() {
                 col.name.hash(&mut h);
-                format!("{:?}", col.ty).hash(&mut h);
+                col.ty.hash(&mut h);
             }
             for col in rel.columns() {
                 (Arc::as_ptr(col) as usize).hash(&mut h);
@@ -77,57 +75,6 @@ pub fn table_stamp(catalog: &Catalog, name: &str) -> u64 {
         None => 0u8.hash(&mut h),
     }
     h.finish()
-}
-
-/// Everything the executor needs to consult the cache for one flow: per-op
-/// fingerprints, and per-op modeled cone costs for eviction to rank by,
-/// pinned to the exact flow shape they were computed for.
-#[derive(Debug, Clone)]
-pub struct CachePlan {
-    flow_fp: u64,
-    /// The flow epoch the fingerprints were computed under; admitted entries
-    /// are tagged with it so [`ResultCache::set_flow_epoch`] can purge.
-    pub flow_epoch: u64,
-    fingerprints: HashMap<OpId, u64>,
-    saved: HashMap<OpId, f64>,
-}
-
-impl CachePlan {
-    /// Builds the plan for `flow`: recursive fingerprints under the given
-    /// epochs plus modeled upstream-cone costs (columnar weights) under
-    /// `stats`.
-    pub fn for_flow(
-        flow: &Flow,
-        stats: &SourceStats,
-        flow_epoch: u64,
-        source_epoch: &dyn Fn(&str) -> u64,
-    ) -> Result<CachePlan, FlowError> {
-        let fingerprints = subflow_fingerprints(flow, flow_epoch, source_epoch)?;
-        let model = EstimatedTime { weights: TimeWeights::columnar() };
-        let saved = model.subtree_costs(flow, stats)?;
-        Ok(CachePlan { flow_fp: flow_fingerprint(flow), flow_epoch, fingerprints, saved })
-    }
-
-    /// A plan for engine-only callers (benchmarks, tests): source epochs are
-    /// the catalog's table stamps and the flow epoch is fixed.
-    pub fn for_catalog(flow: &Flow, catalog: &Catalog, flow_epoch: u64) -> Result<CachePlan, FlowError> {
-        CachePlan::for_flow(flow, &catalog.statistics(), flow_epoch, &|name| table_stamp(catalog, name))
-    }
-
-    /// Whether this plan was computed for exactly `flow`'s shape.
-    pub fn matches(&self, flow: &Flow) -> bool {
-        self.flow_fp == flow_fingerprint(flow)
-    }
-
-    pub fn fingerprint(&self, id: OpId) -> Option<u64> {
-        self.fingerprints.get(&id).copied()
-    }
-
-    /// Modeled cost of the op's upstream cone — what a hit on it saves, and
-    /// what eviction weighs an entry by.
-    pub fn saved_cost(&self, id: OpId) -> f64 {
-        self.saved.get(&id).copied().unwrap_or(0.0)
-    }
 }
 
 #[derive(Debug)]
@@ -431,22 +378,5 @@ mod tests {
         catalog.put("t", Relation::with_rows(schema, vec![vec![Value::Int(2)]]));
         assert_ne!(a, table_stamp(&catalog, "t"));
         assert_ne!(a, table_stamp(&catalog, "missing"));
-    }
-
-    #[test]
-    fn plans_pin_the_flow_shape() {
-        let mut f = Flow::new("p");
-        let schema = Schema::new(vec![Column::new("x", ColType::Integer)]);
-        let d = f.add_op("DS", OpKind::Datastore { datastore: "t".into(), schema }).unwrap();
-        f.append(d, "LOAD", OpKind::Loader { table: "out".into(), key: vec![] }).unwrap();
-        let catalog = Catalog::new();
-        let plan = CachePlan::for_catalog(&f, &catalog, 1).unwrap();
-        assert!(plan.matches(&f));
-        assert!(plan.fingerprint(d).is_some());
-        assert!(plan.saved_cost(d) >= 0.0);
-        let mut other = f.clone();
-        let e = other.add_op("DS2", OpKind::Datastore { datastore: "u".into(), schema: Schema::empty() }).unwrap();
-        other.append(e, "LOAD2", OpKind::Loader { table: "out2".into(), key: vec![] }).unwrap();
-        assert!(!plan.matches(&other), "a different shape rejects the plan");
     }
 }

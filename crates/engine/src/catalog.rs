@@ -12,7 +12,7 @@ use std::sync::Arc;
 /// datastore operator without copying a single row; mutation goes through
 /// [`Catalog::get_mut`], which copies-on-write only while a reader still
 /// holds the table.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Catalog {
     tables: BTreeMap<String, Arc<Relation>>,
 }

@@ -397,13 +397,14 @@ pub(crate) fn read_source(catalog: &Catalog, datastore: &str, schema: &Schema) -
 }
 
 /// Executes one operation that is a function of its inputs alone: everything
-/// but sources ([`read_source`]) and loaders ([`crate::schedule`]).
+/// but sources ([`read_source`]) and loaders ([`crate::schedule`]). `schema`
+/// is the output schema the plan propagated for it.
 ///
 /// Returns a [`Batch`] so that pass-through operations — an extraction or
 /// projection that keeps every column in place, a selection that keeps every
 /// row — can share their input instead of copying, and so that row-dropping
 /// operators can stay late instead of gathering.
-pub(crate) fn execute_pure(name: &str, kind: &OpKind, inputs: &[Batch]) -> Result<Batch, EngineError> {
+pub(crate) fn execute_pure(name: &str, kind: &OpKind, schema: &Schema, inputs: &[Batch]) -> Result<Batch, EngineError> {
     let eval_err = |e: EvalError| EngineError::Eval { op: name.to_string(), error: e };
     match kind {
         OpKind::Extraction { columns } | OpKind::Projection { columns } => {
@@ -413,17 +414,16 @@ pub(crate) fn execute_pure(name: &str, kind: &OpKind, inputs: &[Batch]) -> Resul
                 // Keeps every column in place: the output IS the input.
                 return Ok(input.clone());
             }
-            let schema = input.schema().project(columns).expect("validated");
             match input {
                 Batch::Rel(r) => {
                     let picked = indices.iter().map(|&i| Arc::clone(r.column(i))).collect();
-                    Ok(Batch::Rel(Arc::new(Relation::from_columns(schema, picked))))
+                    Ok(Batch::Rel(Arc::new(Relation::from_columns(schema.clone(), picked))))
                 }
                 // A late input stays late: dropped columns simply never
                 // gather. Shared `LateCol`s keep their memoized gathers.
                 Batch::Lazy(lz) => {
                     let picked = indices.iter().map(|&i| Arc::clone(&lz.cols[i])).collect();
-                    Ok(Batch::lazy(schema, lz.len, picked))
+                    Ok(Batch::lazy(schema.clone(), lz.len, picked))
                 }
             }
         }
@@ -486,7 +486,6 @@ pub(crate) fn execute_pure(name: &str, kind: &OpKind, inputs: &[Batch]) -> Resul
         }
         OpKind::Derivation { column: _, expr } => {
             let input = &inputs[0];
-            let schema = kind.output_schema(name, std::slice::from_ref(input.schema()))?;
             let expr = compile(expr, input.schema(), name)?;
             let cols = input.cols_for(&used_columns(&[&expr], &[]));
             let cols = cols.as_slice();
@@ -503,7 +502,7 @@ pub(crate) fn execute_pure(name: &str, kind: &OpKind, inputs: &[Batch]) -> Resul
             // Output = all input columns (still late) + the one new column.
             let mut columns = input.late_cols();
             columns.push(LateCol::direct(Arc::new(derived)));
-            Ok(Batch::lazy(schema, input.len(), columns))
+            Ok(Batch::lazy(schema.clone(), input.len(), columns))
         }
         OpKind::Join { kind: jk, left_on, right_on } => {
             check_row_capacity(inputs[0].len().max(inputs[1].len()))?;
@@ -511,8 +510,9 @@ pub(crate) fn execute_pure(name: &str, kind: &OpKind, inputs: &[Batch]) -> Resul
         }
         OpKind::Aggregation { group_by, aggregates } => {
             check_row_capacity(inputs[0].len())?;
-            let schema = kind.output_schema(name, std::slice::from_ref(inputs[0].schema()))?;
-            hash_aggregate(&inputs[0], group_by, aggregates, schema).map(|r| Batch::Rel(Arc::new(r))).map_err(eval_err)
+            hash_aggregate(&inputs[0], group_by, aggregates, schema.clone())
+                .map(|r| Batch::Rel(Arc::new(r)))
+                .map_err(eval_err)
         }
         OpKind::Union => {
             let (l, r) = (&inputs[0].materialize(), &inputs[1].materialize());
@@ -576,7 +576,6 @@ pub(crate) fn execute_pure(name: &str, kind: &OpKind, inputs: &[Batch]) -> Resul
         }
         OpKind::SurrogateKey { natural, output: _ } => {
             let input = &inputs[0];
-            let schema = kind.output_schema(name, std::slice::from_ref(input.schema()))?;
             let indices: Vec<usize> = natural.iter().map(|c| input.col(c)).collect();
             // Only the natural-key columns materialize; the payload stays
             // late behind the appended key column.
@@ -600,7 +599,7 @@ pub(crate) fn execute_pure(name: &str, kind: &OpKind, inputs: &[Batch]) -> Resul
             });
             let mut columns = input.late_cols();
             columns.push(LateCol::direct(Arc::new(Col::new(ColumnData::Int(concat(chunks)), None))));
-            Ok(Batch::lazy(schema, input.len(), columns))
+            Ok(Batch::lazy(schema.clone(), input.len(), columns))
         }
         OpKind::Datastore { .. } | OpKind::Loader { .. } => {
             unreachable!("sources and loaders are executed by the scheduler")
@@ -634,7 +633,7 @@ thread_local! {
 ///   keys, say) falls back to `Value`-row keys.
 ///
 /// `distinct` — the plan proved the input's keys pairwise distinct
-/// ([`crate::schedule::input_distinct_on`]) — lets a load into an empty table take the
+/// ([`crate::PlanNode::distinct`]) — lets a load into an empty table take the
 /// identity plan the grouping would have arrived at without hashing a row.
 /// A load that rewrites every row in place (the plan sends slot *s* to input
 /// row *s*) shares the input's columns. A rejected load leaves the table as
@@ -1635,7 +1634,12 @@ mod tests {
 
         // The run's measured cardinalities feed back into the cost model.
         let mut stats = engine.catalog.statistics();
-        report.observe_into(&mut stats);
+        for t in &report.timings {
+            match t.rows_in {
+                0 => stats.observe_op(&t.op, t.rows_out as f64),
+                rows_in => stats.observe_op_io(&t.op, rows_in as f64, t.rows_out as f64),
+            }
+        }
         let sel_rows = report.timings.iter().find(|t| t.op == "SEL").unwrap().rows_out;
         assert_eq!(stats.observed_op("SEL"), Some(sel_rows as f64));
         let cards = quarry_etl::cost::cardinalities(&f, &stats).unwrap();
@@ -2373,8 +2377,7 @@ mod tests {
         let mut loaded = Vec::new();
         for served in [false, true] {
             let mut engine = Engine::new(c.clone());
-            let plan = crate::cache::CachePlan::for_catalog(&f, &c, 1).unwrap();
-            engine.set_result_cache(Arc::clone(&cache), Arc::new(plan));
+            engine.set_result_cache(Arc::clone(&cache), 1, HashMap::new());
             assert_eq!(key_groupings(&mut engine, &f), 0);
             assert_eq!(cache.stats().hits > 0, served, "the second run's aggregation comes from the cache");
             loaded.push(engine.catalog.get("out").unwrap().clone());
@@ -2658,6 +2661,7 @@ mod tests {
         let out = execute_pure(
             "P",
             &OpKind::Projection { columns: vec!["l_discount".into()] },
+            &lineitem.schema.project(&["l_discount".to_string()]).unwrap(),
             &[Batch::Rel(Arc::clone(&lineitem))],
         )
         .unwrap();
@@ -2667,6 +2671,7 @@ mod tests {
         let out = execute_pure(
             "S",
             &OpKind::Selection { predicate: parse_expr("l_extendedprice > 0").unwrap() },
+            &lineitem.schema,
             &[Batch::Rel(Arc::clone(&lineitem))],
         )
         .unwrap();
@@ -2685,6 +2690,7 @@ mod tests {
         let sel = execute_pure(
             "S",
             &OpKind::Selection { predicate: parse_expr("l_extendedprice < 150").unwrap() },
+            &li_schema(),
             &[lineitem],
         )
         .unwrap();

@@ -16,11 +16,16 @@
 //! - [`eval_compiled`] — the one scalar evaluator for the `quarry-etl`
 //!   expression language, over pre-compiled expressions (column names bound
 //!   to positions once per operator); the vectorized kernels fall back to it;
-//! - [`Engine`], [`Catalog`] — the morsel-parallel columnar flow executor
+//! - [`PhysicalPlan`] — a flow compiled once: checked, put in position
+//!   order, and annotated with what every run of it shares (input positions,
+//!   output schemas, loader distinctness, signature hashes for cache keys,
+//!   modeled cone costs);
+//! - [`Engine`], [`Catalog`] — the morsel-parallel columnar executor
 //!   (vectorized expression kernels, hash joins and two-phase hash
 //!   aggregation over fixed-width encoded keys, surrogate-key assignment,
 //!   loaders) with per-operation timing in its [`RunReport`]; its single
-//!   [`Engine::run`] starts each operator when its inputs have finished;
+//!   scheduler ([`Engine::execute`]) starts each operator when its inputs
+//!   have finished, and [`Engine::run`] is compile, then execute;
 //! - [`RowEngine`] — the retired row-at-a-time executor, kept as the
 //!   reference the equivalence suites and benchmarks compare against;
 //! - [`pool`] — the shared scoped-thread worker pool both parallelism
@@ -38,6 +43,7 @@ pub mod events;
 mod exec;
 mod exec_row;
 mod keys;
+mod plan;
 pub mod pool;
 mod relation;
 mod schedule;
@@ -46,11 +52,12 @@ pub mod tpch;
 mod value;
 mod vector;
 
-pub use cache::{table_stamp, CachePlan, CacheStats, ResultCache};
+pub use cache::{CacheStats, ResultCache};
 pub use catalog::Catalog;
 pub use eval::{eval_compiled, truthy, EvalError};
 pub use exec::{surrogate_of, EngineError, MAX_RADIX_PARTITIONS, MORSEL_ROWS};
 pub use exec_row::RowEngine;
+pub use plan::{PhysicalPlan, PlanNode};
 pub use relation::{assert_same_rows, Relation, RelationBuilder, Row};
 pub use schedule::{Engine, OpTiming, RunReport};
 pub use value::Value;

@@ -1,9 +1,10 @@
-//! The run scheduler: [`Engine::run`] executes a validated flow against a
-//! catalog, starting every operator as soon as its inputs have finished.
+//! The run scheduler: [`Engine::execute`] runs a compiled
+//! [`PhysicalPlan`] against a catalog, starting every operator as soon as
+//! its inputs have finished; [`Engine::run`] compiles a flow, then executes.
 //!
 //! Each executing operator has a fixed *position* — cache hits first, then
-//! level by level (`level(op) = 1 + max(level(inputs))`), pure operators
-//! before loaders, flow order within — and a count of unfinished input edges.
+//! the executing operators in plan order (level by level, pure operators
+//! before loaders, flow order within) — and a count of unfinished input edges.
 //! A pure operator whose count reaches zero is ready; the calling thread and
 //! up to `threads() - 1` helpers claim ready operators, smallest position
 //! first. Whatever touches the catalog — sources, then loaders — runs on the
@@ -14,16 +15,17 @@
 //! order) are the same at every thread count, in whatever order the
 //! operators happened to finish.
 
-use crate::cache::{cacheable, CachePlan, ResultCache};
+use crate::cache::{cacheable, table_stamp, ResultCache};
 use crate::catalog::Catalog;
 use crate::column::Column as Col;
 use crate::events::{emit, EngineEvent};
 use crate::exec::{check_row_capacity, execute_pure, read_source, upsert, Batch, EngineError};
+use crate::plan::{mix, PhysicalPlan, PlanNode};
 use crate::pool;
 use crate::relation::Relation;
-use quarry_etl::{Flow, OpId, OpKind, Operation};
+use quarry_etl::{Flow, OpKind, Operation};
 use std::any::Any;
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::Scope;
@@ -100,42 +102,36 @@ impl RunReport {
         }
         busy
     }
-
-    /// Feeds the run's per-operation output cardinalities back into a cost
-    /// model's [`SourceStats`](quarry_etl::cost::SourceStats): future
-    /// integration decisions then estimate with what this run actually
-    /// measured instead of static selectivity guesses.
-    pub fn observe_into(&self, stats: &mut quarry_etl::cost::SourceStats) {
-        for t in &self.timings {
-            if t.rows_in > 0 {
-                // Input/output pairs additionally carry an observed
-                // selectivity, which generalizes across flow rewrites.
-                stats.observe_op_io(&t.op, t.rows_in as f64, t.rows_out as f64);
-            } else {
-                stats.observe_op(&t.op, t.rows_out as f64);
-            }
-        }
-    }
 }
 
 /// The execution engine: owns a catalog and runs flows against it.
 #[derive(Debug, Default)]
 pub struct Engine {
     pub catalog: Catalog,
-    /// The cross-run result cache plus the plan (fingerprints, cone costs)
-    /// for the flow about to run; consulted at pipeline-breaker boundaries.
-    cache: Option<(Arc<ResultCache>, Arc<CachePlan>)>,
+    /// The cross-run result cache, consulted at pipeline-breaker boundaries.
+    cache: Option<CacheBinding>,
 }
 
-/// The executor-facing outcome of one pre-run cache consultation: which ops
-/// the cache already answers and which ops still have to execute.
+/// An installed result cache and the epochs this engine's runs key it with.
+#[derive(Debug)]
+struct CacheBinding {
+    cache: Arc<ResultCache>,
+    flow_epoch: u64,
+    /// Per-source counters, mixed with the catalog's table stamps.
+    source_epochs: HashMap<String, u64>,
+}
+
+/// The executor-facing outcome of one pre-run cache consultation, by plan
+/// position: which ops the cache already answers and which still execute.
 struct CachePass {
+    /// This run's cache key per position ([`PhysicalPlan::cache_keys`]).
+    keys: Vec<u64>,
     /// Cache-served results, published without executing the op.
-    hits: HashMap<OpId, Arc<Relation>>,
+    hits: Vec<Option<Arc<Relation>>>,
     /// Ops whose results must be *available*: sinks, plus — transitively —
     /// the inputs of every available op the cache did not answer. Everything
     /// else is skipped: it only feeds subflows the cache already holds.
-    needed: HashSet<OpId>,
+    needed: Vec<bool>,
 }
 
 /// Why an operation did not finish: its own error, or a panic to re-raise on
@@ -148,14 +144,15 @@ enum Failure {
 /// What the threads of one run share. Operations are addressed by position.
 struct Run<'a> {
     /// Cache hits, then the executing operations, in position order.
-    ops: Vec<&'a Operation>,
+    ops: Vec<&'a PlanNode>,
     /// Producer positions per operation, one per input edge, in edge order.
     inputs: Vec<Vec<usize>>,
     /// Consumer positions per operation, one per output edge.
     consumers: Vec<Vec<usize>>,
-    /// Cacheable executing operations; admission is offered in this order.
-    offers: Vec<usize>,
-    cache: Option<&'a (Arc<ResultCache>, Arc<CachePlan>)>,
+    /// Cacheable executing operations with their cache keys; admission is
+    /// offered in this order.
+    offers: Vec<(usize, u64)>,
+    cache: Option<&'a CacheBinding>,
     /// Helpers this run may keep (`threads() - 1`).
     width: usize,
     start: Instant,
@@ -257,16 +254,16 @@ impl<'a> Run<'a> {
         scope: &'scope Scope<'scope, '_>,
         pos: usize,
         inputs: Vec<Batch>,
-        f: impl FnOnce(&Operation, &[Batch]) -> Result<Batch, EngineError>,
+        f: impl FnOnce(&PlanNode, &[Batch]) -> Result<Batch, EngineError>,
     ) {
-        let op = self.ops[pos];
+        let node = self.ops[pos];
         let t0 = Instant::now();
-        let outcome = catch_unwind(AssertUnwindSafe(|| f(op, &inputs))).map_err(Failure::Panic);
+        let outcome = catch_unwind(AssertUnwindSafe(|| f(node, &inputs))).map_err(Failure::Panic);
         let outcome = outcome.and_then(|out| out.map_err(Failure::Error));
         let elapsed = t0.elapsed();
         let outcome = outcome.map(|out| {
             let (rows_in, started) = (inputs.iter().map(Batch::len).sum(), t0.duration_since(self.start));
-            (OpTiming::finished(op, rows_in, out.len(), started, elapsed, pool::worker_slot()), out)
+            (OpTiming::finished(&node.op, rows_in, out.len(), started, elapsed, pool::worker_slot()), out)
         });
         drop(inputs);
         // Declared before the guard, so dropped after it: an output nothing
@@ -281,7 +278,7 @@ impl<'a> Run<'a> {
                 }
                 for &c in &self.consumers[pos] {
                     g.pending[c] -= 1;
-                    if g.pending[c] == 0 && !self.ops[c].kind.is_sink() {
+                    if g.pending[c] == 0 && !self.ops[c].op.kind.is_sink() {
                         g.ready.insert(c);
                     }
                 }
@@ -316,11 +313,11 @@ impl<'a> Run<'a> {
     fn retire_offers<'g>(&'g self, mut g: MutexGuard<'g, State>) -> MutexGuard<'g, State> {
         let Some(cache) = self.cache.filter(|_| !g.offering) else { return g };
         g.offering = true;
-        while let Some(&pos) = self.offers.get(g.offered).filter(|&&pos| g.timings[pos].is_some()) {
+        while let Some(&(pos, key)) = self.offers.get(g.offered).filter(|(pos, _)| g.timings[*pos].is_some()) {
             g.offered += 1;
             let out = g.claim_output(pos);
             drop(g);
-            cache_offer(cache, self.ops[pos], out);
+            cache_offer(cache, self.ops[pos], key, out);
             g = self.lock();
         }
         g.offering = false;
@@ -343,7 +340,9 @@ impl<'a> Run<'a> {
             match token.as_ref().and_then(|_| self.claim(&mut g)) {
                 Some((pos, inputs)) => {
                     drop(g);
-                    self.perform(scope, pos, inputs, |op, inputs| execute_pure(&op.name, &op.kind, inputs));
+                    self.perform(scope, pos, inputs, |node, inputs| {
+                        execute_pure(&node.op.name, &node.op.kind, &node.schema, inputs)
+                    });
                     g = self.lock();
                 }
                 None => g = self.wait(g),
@@ -352,108 +351,97 @@ impl<'a> Run<'a> {
     }
 }
 
-impl CachePass {
-    /// Whether `id` executes this run (a cache hit is published, not run).
-    fn executes(&self, id: OpId) -> bool {
-        self.needed.contains(&id) && !self.hits.contains_key(&id)
-    }
-}
-
 impl Engine {
     pub fn new(catalog: Catalog) -> Self {
         Engine { catalog, cache: None }
     }
 
-    /// Installs the cross-run result cache together with the [`CachePlan`]
-    /// computed for the flow this engine is about to run. A plan whose shape
-    /// does not match the executed flow is ignored for that run (the cache
-    /// is then bypassed entirely), so a stale plan can never mis-key. The
-    /// plan is shared, so a caller that memoizes it installs it without a copy.
-    pub fn set_result_cache(&mut self, cache: Arc<ResultCache>, plan: Arc<CachePlan>) {
-        self.cache = Some((cache, plan));
+    /// Installs the cross-run result cache. A run keys it per operation
+    /// ([`PhysicalPlan::cache_keys`]) with `flow_epoch` — admitted entries are
+    /// tagged with it for [`ResultCache::set_flow_epoch`] to purge — and, per
+    /// source, the catalog table's content stamp mixed with the source's
+    /// counter in `source_epochs` (zero when absent).
+    pub fn set_result_cache(&mut self, cache: Arc<ResultCache>, flow_epoch: u64, source_epochs: HashMap<String, u64>) {
+        self.cache = Some(CacheBinding { cache, flow_epoch, source_epochs });
     }
 
-    /// Uninstalls the result cache.
-    pub fn clear_result_cache(&mut self) {
-        self.cache = None;
-    }
-
-    /// Consults the cache for `flow` before execution: walks the ops in
-    /// reverse topological order, looks up every *reachable* cacheable
-    /// operator (one not already covered by a downstream hit) and derives
-    /// the set of ops that still execute. Returns `None` when no cache is
-    /// installed, it is disabled, or the plan does not match the flow.
-    fn cache_prepass(&self, flow: &Flow, order: &[OpId]) -> Option<CachePass> {
-        let (cache, plan) = self.cache.as_ref()?;
-        if !cache.enabled() || !plan.matches(flow) {
-            return None;
-        }
-        let mut pass = CachePass { hits: HashMap::new(), needed: HashSet::new() };
-        for &id in order.iter().rev() {
-            let op = flow.op(id);
-            if op.kind.is_sink() {
-                pass.needed.insert(id);
-            }
-            if !pass.needed.contains(&id) {
+    /// Consults the cache before execution: walks the plan backwards, looks
+    /// up every *reachable* cacheable operator (one not already covered by a
+    /// downstream hit) and derives the set of ops that still execute.
+    /// Returns `None` when no cache is installed or it is disabled.
+    fn cache_prepass(&self, plan: &PhysicalPlan) -> Option<CachePass> {
+        let binding = self.cache.as_ref().filter(|b| b.cache.enabled())?;
+        let keys = plan.cache_keys(binding.flow_epoch, |source| {
+            mix(binding.source_epochs.get(source).copied().unwrap_or(0), table_stamp(&self.catalog, source))
+        });
+        let n = plan.nodes().len();
+        let mut pass = CachePass { keys, hits: vec![None; n], needed: vec![false; n] };
+        for (pos, node) in plan.nodes().iter().enumerate().rev() {
+            let op = &node.op;
+            pass.needed[pos] |= op.kind.is_sink();
+            if !pass.needed[pos] {
                 continue; // feeds only cache-served subflows: never runs
             }
             if cacheable(&op.kind) {
-                if let Some(fp) = plan.fingerprint(id) {
-                    if let Some(rel) = cache.lookup(fp) {
-                        emit(EngineEvent::CacheHit { op: &op.name, rows: rel.len() as u64 });
-                        pass.hits.insert(id, rel);
-                        continue; // inputs stay un-needed unless used elsewhere
-                    }
-                    emit(EngineEvent::CacheMiss { op: &op.name });
+                if let Some(rel) = binding.cache.lookup(pass.keys[pos]) {
+                    emit(EngineEvent::CacheHit { op: &op.name, rows: rel.len() as u64 });
+                    pass.hits[pos] = Some(rel);
+                    continue; // inputs stay un-needed unless used elsewhere
                 }
+                emit(EngineEvent::CacheMiss { op: &op.name });
             }
-            pass.needed.extend(flow.inputs_of(id));
+            node.inputs.iter().for_each(|&i| pass.needed[i] = true);
         }
         Some(pass)
     }
 
-    /// Executes a flow: sources read from the catalog, loaders append to
-    /// (auto-creating) target tables. Returns the run report.
+    /// Compiles `flow` ([`PhysicalPlan::compile`], costed with the catalog's
+    /// statistics when a result cache is installed), then executes it. A
+    /// flow error is returned before any operator starts.
+    pub fn run(&mut self, flow: &Flow) -> Result<RunReport, EngineError> {
+        let stats = self.cache.as_ref().map(|_| self.catalog.statistics());
+        let plan = PhysicalPlan::compile(flow, stats.as_ref())?;
+        self.execute(&plan)
+    }
+
+    /// Executes a compiled plan: sources read from the catalog, loaders
+    /// append to (auto-creating) target tables. Returns the run report.
     ///
-    /// One scheduler for every flow and width (see the module docs). Both
+    /// One scheduler for every plan and width (see the module docs). Both
     /// layers of parallelism — independent operators here, morsels inside
     /// each — draw threads from one budget, so nesting never oversubscribes
     /// the machine. After a failure nothing positioned later starts, what is
     /// in flight drains, and the error with the smallest position is returned.
-    pub fn run(&mut self, flow: &Flow) -> Result<RunReport, EngineError> {
-        flow.schemas()?; // full static validation before touching data
-        let order = flow.topo_order()?;
-        let pass = self.cache_prepass(flow, &order);
+    pub fn execute(&mut self, plan: &PhysicalPlan) -> Result<RunReport, EngineError> {
+        let pass = self.cache_prepass(plan);
         let start = Instant::now();
         let Engine { catalog, cache } = self;
+        let nodes = plan.nodes();
 
-        let mut level_of: HashMap<OpId, usize> = HashMap::with_capacity(order.len());
-        for &id in &order {
-            let level = flow.inputs_of(id).iter().map(|i| level_of[i] + 1).max().unwrap_or(0);
-            level_of.insert(id, level);
-        }
-        let is_hit = |id: &OpId| pass.as_ref().is_some_and(|p| p.hits.contains_key(id));
-        let mut plan: Vec<OpId> = order.iter().copied().filter(is_hit).collect();
-        let hits = plan.len();
-        plan.extend(order.iter().copied().filter(|&id| pass.as_ref().is_none_or(|p| p.executes(id))));
-        // `order` is level-major already; the stable sort moves each level's
-        // loaders behind its pure operations.
-        plan[hits..].sort_by_key(|id| (level_of[id], flow.op(*id).kind.is_sink()));
-        let pos_of: HashMap<OpId, usize> = plan.iter().enumerate().map(|(pos, &id)| (id, pos)).collect();
-        let ops: Vec<&Operation> = plan.iter().map(|&id| flow.op(id)).collect();
+        // Run positions: the cache hits, then the executing operations, each
+        // in plan order.
+        let hit = |p: usize| pass.as_ref().and_then(|c| c.hits[p].as_ref());
+        let mut order: Vec<usize> = (0..nodes.len()).filter(|&p| hit(p).is_some()).collect();
+        let hits = order.len();
+        order.extend((0..nodes.len()).filter(|&p| pass.as_ref().is_none_or(|c| c.needed[p] && hit(p).is_none())));
+        let mut pos_of = vec![0; nodes.len()];
+        order.iter().enumerate().for_each(|(pos, &p)| pos_of[p] = pos);
+        let ops: Vec<&PlanNode> = order.iter().map(|&p| &nodes[p]).collect();
         let n = ops.len();
-        let inputs: Vec<Vec<usize>> = (plan.iter().enumerate())
-            .map(|(pos, &id)| if pos < hits { &[][..] } else { flow.inputs_of(id) })
-            .map(|ins| ins.iter().map(|i| pos_of[i]).collect())
+        let inputs: Vec<Vec<usize>> = (ops.iter().enumerate())
+            .map(|(pos, node)| if pos < hits { &[][..] } else { &node.inputs[..] })
+            .map(|ins| ins.iter().map(|&i| pos_of[i]).collect())
             .collect();
         let mut consumers = vec![Vec::new(); n];
         for (pos, ins) in inputs.iter().enumerate() {
             ins.iter().for_each(|&i| consumers[i].push(pos));
         }
         // Sources and loaders touch the catalog; the rest is pure.
-        let pure: Vec<usize> = (hits..n).filter(|&p| !touches_catalog(ops[p])).collect();
+        let pure: Vec<usize> = (hits..n).filter(|&p| !touches_catalog(&ops[p].op)).collect();
         let cache = cache.as_ref().filter(|_| pass.is_some());
-        let offers: Vec<usize> = pure.iter().copied().filter(|&p| cache.is_some() && cacheable(&ops[p].kind)).collect();
+        let offers: Vec<(usize, u64)> = (pass.as_ref())
+            .map(|c| pure.iter().filter(|&&p| cacheable(&ops[p].op.kind)).map(|&p| (p, c.keys[order[p]])).collect())
+            .unwrap_or_default();
 
         let mut state = State {
             pending: inputs.iter().map(|ins| ins.iter().filter(|&&i| i >= hits).count()).collect(),
@@ -464,11 +452,11 @@ impl Engine {
             limit: n,
             ..State::default()
         };
-        offers.iter().for_each(|&p| state.uses[p] += 1);
-        for (pos, op) in ops.iter().enumerate().take(hits) {
+        offers.iter().for_each(|&(p, _)| state.uses[p] += 1);
+        for (pos, &p) in order.iter().enumerate().take(hits) {
             // A cache-served result: zero rows in, the cached relation out,
             // no measurable elapsed work.
-            let rel = &pass.as_ref().expect("hits come from a cache pass").hits[&op.id];
+            let (op, rel) = (&nodes[p].op, hit(p).expect("hits come from a cache pass"));
             state.timings[pos] = Some(OpTiming::finished(op, 0, rel.len(), Duration::ZERO, Duration::ZERO, 0));
             state.hold(pos, Batch::Rel(Arc::clone(rel)));
         }
@@ -494,14 +482,14 @@ impl Engine {
                 // A source or loader runs here, and only once everything
                 // before it has finished: the catalog changes in position
                 // order, and a failure leaves exactly the loads before it.
-                if pos < g.limit && touches_catalog(run.ops[pos]) {
+                if pos < g.limit && touches_catalog(&run.ops[pos].op) {
                     g.running += 1;
                     let inputs = run.inputs[pos].iter().map(|&i| g.claim_output(i)).collect();
                     drop(g);
-                    run.perform(scope, pos, inputs, |op, inputs| match &op.kind {
+                    run.perform(scope, pos, inputs, |node, inputs| match &node.op.kind {
                         OpKind::Loader { table, key } => {
                             let mat = inputs[0].materialize();
-                            load(catalog, table, key, &mat, input_distinct_on(flow, op.id, key))?;
+                            load(catalog, table, key, &mat, node.distinct)?;
                             Ok(Batch::Rel(mat))
                         }
                         OpKind::Datastore { datastore, schema } => read_source(catalog, datastore, schema),
@@ -509,7 +497,9 @@ impl Engine {
                     });
                 } else if let Some((pos, inputs)) = run.claim(&mut g) {
                     drop(g);
-                    run.perform(scope, pos, inputs, |op, inputs| execute_pure(&op.name, &op.kind, inputs));
+                    run.perform(scope, pos, inputs, |node, inputs| {
+                        execute_pure(&node.op.name, &node.op.kind, &node.schema, inputs)
+                    });
                 } else if g.running == 0 {
                     break; // finished, or stopped by a failure and drained
                 } else {
@@ -529,10 +519,10 @@ impl Engine {
             None => {}
         }
         let mut report = RunReport { peak_held: state.peak_held, ..RunReport::default() };
-        for (op, timing) in run.ops.iter().zip(state.timings) {
+        for (node, timing) in run.ops.iter().zip(state.timings) {
             let timing = timing.expect("a run without a failure finishes every operation");
             report.rows_processed += timing.rows_out;
-            if let OpKind::Loader { table, .. } = &op.kind {
+            if let OpKind::Loader { table, .. } = &node.op.kind {
                 report.loaded.push((table.clone(), timing.rows_out));
             }
             report.timings.push(timing);
@@ -546,24 +536,23 @@ fn touches_catalog(op: &Operation) -> bool {
     op.kind.is_source() || op.kind.is_sink()
 }
 
-/// Offers one freshly computed batch for admission. A materialized batch is
-/// offered as it is (storing is an `Arc` clone); a late batch is gathered for
-/// it only once its fingerprint has missed twice, so a cold run never pays a
-/// gather for a reuse that is still speculative.
-fn cache_offer((cache, plan): &(Arc<ResultCache>, Arc<CachePlan>), op: &Operation, out: Batch) {
-    let Some(fp) = plan.fingerprint(op.id) else { return };
-    if matches!(out, Batch::Lazy(_)) && !cache.would_admit(fp) {
+/// Offers one freshly computed batch for admission under `key`. A
+/// materialized batch is offered as it is (storing is an `Arc` clone); a late
+/// batch is gathered for it only once its key has missed twice, so a cold run
+/// never pays a gather for a reuse that is still speculative.
+fn cache_offer(binding: &CacheBinding, node: &PlanNode, key: u64, out: Batch) {
+    if matches!(out, Batch::Lazy(_)) && !binding.cache.would_admit(key) {
         return; // stay late
     }
     let rel = out.materialize();
-    if cache.admit(fp, &rel, plan.saved_cost(op.id), plan.flow_epoch) {
-        emit(EngineEvent::CacheInsert { op: &op.name, bytes: rel.estimated_bytes() as u64 });
+    if binding.cache.admit(key, &rel, node.cone_cost, binding.flow_epoch) {
+        emit(EngineEvent::CacheInsert { op: &node.op.name, bytes: rel.estimated_bytes() as u64 });
     }
 }
 
 /// Loader execution: append (empty key, strict schema) or upsert.
 /// `distinct` is the plan's proof that no two input rows share a key
-/// ([`input_distinct_on`]).
+/// ([`PlanNode::distinct`]).
 fn load(
     catalog: &mut Catalog,
     table: &str,
@@ -606,28 +595,6 @@ fn load(
         existing.nrows += input.len();
     }
     Ok(())
-}
-
-/// Whether the plan proves the rows reaching `loader` pairwise distinct on
-/// `key`: its input is an `Aggregation` grouping by a non-empty subset of
-/// `key` — one row per group, so no two rows agree on every key column —
-/// reached directly or through steps that only drop or reorder rows and
-/// columns or append new ones. A group column re-created under its old name
-/// on the way (`added`) proves nothing.
-pub(crate) fn input_distinct_on(flow: &Flow, loader: OpId, key: &[String]) -> bool {
-    let mut added: Vec<&String> = Vec::new();
-    let mut at = flow.inputs_of(loader)[0];
-    loop {
-        match &flow.op(at).kind {
-            OpKind::Aggregation { group_by, .. } => {
-                return !group_by.is_empty() && group_by.iter().all(|g| key.contains(g) && !added.contains(&g));
-            }
-            OpKind::Derivation { column, .. } | OpKind::SurrogateKey { output: column, .. } => added.push(column),
-            OpKind::Extraction { .. } | OpKind::Projection { .. } | OpKind::Selection { .. } | OpKind::Sort { .. } => {}
-            _ => return false,
-        }
-        at = flow.inputs_of(at)[0];
-    }
 }
 
 #[cfg(test)]

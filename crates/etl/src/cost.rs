@@ -189,8 +189,8 @@ impl SourceStats {
     }
 
     /// Records the output cardinality an engine run observed for the
-    /// operation named `op` (the engine's `RunReport::observe_into` calls
-    /// this for every timed operation).
+    /// operation named `op` (the lifecycle's `Quarry::observe_run` calls
+    /// this for every timed operation that read no rows).
     pub fn observe_op(&mut self, op: impl Into<String>, rows: f64) {
         self.observed.insert(op.into(), rows);
         self.touch();
@@ -373,43 +373,6 @@ pub fn op_fingerprint(kind: &OpKind) -> u64 {
     h.finish()
 }
 
-/// Recursive subflow fingerprints: for every operation, a hash of its
-/// canonical signature, the fingerprints of its inputs (in edge order), the
-/// flow epoch, and — for datastores — the source's epoch. Two operations with
-/// equal fingerprints denote the same computation over the same source state,
-/// which is what makes the fingerprint a sound cross-run result-cache key:
-///
-/// - operation *names* are excluded, so renames don't shed cached results;
-/// - the per-source epoch folds into every subflow that reads the source, so
-///   a registration/mutation of one datastore invalidates exactly the
-///   subflows that depend on it;
-/// - the per-flow epoch folds into everything, so an integrate/optimize
-///   commit invalidates wholesale (conservative: the committed flow may
-///   recompute once, but can never reuse a stale intermediate).
-pub fn subflow_fingerprints(
-    flow: &Flow,
-    flow_epoch: u64,
-    source_epoch: &dyn Fn(&str) -> u64,
-) -> Result<HashMap<OpId, u64>, FlowError> {
-    let order = flow.topo_order()?;
-    let mut fps: HashMap<OpId, u64> = HashMap::with_capacity(order.len());
-    for id in order {
-        let op = flow.op(id);
-        let mut h = DefaultHasher::new();
-        0x0051_a717u64.hash(&mut h); // domain tag: subflow fingerprints
-        flow_epoch.hash(&mut h);
-        crate::rules::op_signature(&op.kind).hash(&mut h);
-        if let OpKind::Datastore { datastore, .. } = &op.kind {
-            source_epoch(datastore).hash(&mut h);
-        }
-        for input in flow.inputs_of(id) {
-            fps[input].hash(&mut h);
-        }
-        fps.insert(id, h.finish());
-    }
-    Ok(fps)
-}
-
 /// Full `(rows, retained)` state for every operation of a flow, memoized per
 /// flow fingerprint inside `stats` (invalidated by any stats mutation).
 ///
@@ -419,7 +382,16 @@ pub fn subflow_fingerprints(
 /// by the *build* side's retained fraction — so a filter pushed into either
 /// branch correctly shrinks the join output.
 pub fn cardinality_state(flow: &Flow, stats: &SourceStats) -> Result<Arc<HashMap<OpId, CardState>>, FlowError> {
-    let fp = flow_fingerprint(flow);
+    cardinality_state_of(flow, flow_fingerprint(flow), stats)
+}
+
+/// [`cardinality_state`] for a caller that already holds `flow`'s
+/// [`flow_fingerprint`] `fp`.
+pub fn cardinality_state_of(
+    flow: &Flow,
+    fp: u64,
+    stats: &SourceStats,
+) -> Result<Arc<HashMap<OpId, CardState>>, FlowError> {
     {
         let mut cache = stats.cache.lock().unwrap_or_else(|e| e.into_inner());
         if let Some(hit) = cache.get(fp) {
@@ -999,45 +971,6 @@ mod tests {
         assert!(card_cache_evictions() > evicted_before, "inserting past the cap must evict");
         let still = cardinality_state(&warm, &s).unwrap();
         assert!(Arc::ptr_eq(&warm_state, &still), "the recently-used entry survives eviction");
-    }
-
-    #[test]
-    fn subflow_fingerprints_ignore_names_and_track_epochs() {
-        let f = pipeline();
-        let epochs = |_: &str| 7u64;
-        let fps = subflow_fingerprints(&f, 1, &epochs).unwrap();
-        assert_eq!(fps.len(), f.op_count());
-        // Renaming an op changes nothing: the computation is identical.
-        let mut renamed = f.clone();
-        let sel = renamed.id_by_name("SEL").unwrap();
-        renamed.rename_op(sel, "SEL_RENAMED").unwrap();
-        let fps2 = subflow_fingerprints(&renamed, 1, &epochs).unwrap();
-        assert_eq!(fps[&sel], fps2[&sel], "names are excluded from the key");
-        // A flow-epoch bump changes every fingerprint.
-        let fps3 = subflow_fingerprints(&f, 2, &epochs).unwrap();
-        for (id, fp) in &fps {
-            assert_ne!(fp, &fps3[id], "flow epoch folds into {id:?}");
-        }
-        // A source-epoch bump changes every dependent subflow.
-        let fps4 = subflow_fingerprints(&f, 1, &|_: &str| 8u64).unwrap();
-        for (id, fp) in &fps {
-            assert_ne!(fp, &fps4[id], "source epoch folds into {id:?}");
-        }
-        // Changing a predicate changes the op and everything downstream, but
-        // not the upstream datastore.
-        let mut altered = f.clone();
-        let sel_id = altered.id_by_name("SEL").unwrap();
-        for op in altered.ops_mut() {
-            if op.id == sel_id {
-                op.kind = OpKind::Selection { predicate: parse_expr("l_discount > 0.5").unwrap() };
-            }
-        }
-        let fps5 = subflow_fingerprints(&altered, 1, &epochs).unwrap();
-        let ds = f.id_by_name("DS").unwrap();
-        assert_eq!(fps[&ds], fps5[&ds], "upstream untouched");
-        assert_ne!(fps[&sel_id], fps5[&sel_id], "the altered op re-keys");
-        let load = f.id_by_name("LOAD").unwrap();
-        assert_ne!(fps[&load], fps5[&load], "downstream re-keys transitively");
     }
 
     #[test]
