@@ -30,8 +30,11 @@
 //! and `VmHWM`, reset before each run where `/proc/self/clear_refs` allows;
 //! omitted where `/proc` does not exist), the most operator outputs the
 //! scheduler held at once, and with `--flow optimized` the search's wall
-//! time and move counts.
+//! time and move counts. The `events:` line counts the flight-recorder
+//! events the fastest run recorded, by kind: the traffic the recorder's one
+//! lock per event has to carry.
 
+use quarry::obs::flight;
 use quarry::{Quarry, QuarryConfig};
 use quarry_engine::{tpch, Engine, OpTiming, ResultCache};
 use std::collections::{BTreeMap, HashMap};
@@ -107,6 +110,7 @@ fn main() {
     });
 
     let mut best: Option<(Duration, quarry_engine::RunReport, Option<u64>, Option<u64>)> = None;
+    let mut events = String::new();
     for _ in 0..5 {
         let mut engine = Engine::new(catalog.clone());
         if let Some(cache) = &cache {
@@ -116,11 +120,18 @@ fn main() {
         // printed is the process's.
         let _ = std::fs::write("/proc/self/clear_refs", "5");
         let faults_before = minor_faults();
+        let events_before = flight::recorder().drain().recorded;
         let t0 = Instant::now();
         let report = engine.run(&unified).expect("runs");
         let total = t0.elapsed();
         let faults = minor_faults().zip(faults_before).map(|(after, before)| after - before);
         if best.as_ref().is_none_or(|(t, ..)| total < *t) {
+            let mut by_kind: BTreeMap<&str, u64> = BTreeMap::new();
+            for e in flight::recorder().drain().events.iter().filter(|e| e.seq >= events_before) {
+                *by_kind.entry(e.kind.as_str()).or_default() += 1;
+            }
+            let counts: Vec<String> = by_kind.iter().map(|(kind, n)| format!("{kind} {n}")).collect();
+            events = format!("{} recorded ({})", by_kind.values().sum::<u64>(), counts.join(", "));
             best = Some((total, report, faults, peak_rss_kb()));
         }
     }
@@ -164,6 +175,7 @@ fn main() {
     memory.extend(peak_kb.map(|kb| format!("peak RSS {:.1} MB (VmHWM)", kb as f64 / 1024.0)));
     memory.push(format!("{} operator outputs held at once", report.peak_held));
     println!("memory: {}", memory.join(", "));
+    println!("events: {events}");
     let mut by_kind: BTreeMap<&str, (Duration, usize, usize)> = BTreeMap::new();
     for t in &report.timings {
         let e = by_kind.entry(t.kind).or_default();

@@ -264,39 +264,35 @@ impl LifecycleMetrics {
 /// (`OnceLock`), so constructing many `Quarry` instances is harmless.
 fn install_event_bridges() {
     flight::install_panic_dump();
-    let recorder = flight::recorder();
-    let pool = recorder.label("pool");
-    let kernel = recorder.label("kernel");
-    quarry_engine::events::set_event_hook(move |event| {
+    quarry_engine::events::set_event_hook(|event| {
         use quarry_engine::events::EngineEvent;
         let recorder = flight::recorder();
         match event {
             EngineEvent::OpFinish { op, rows_in, rows_out, lane } => {
-                recorder.record_named(EventKind::OpFinish, op, lane, rows_in as i64, rows_out as i64);
+                recorder.record(EventKind::OpFinish, op, lane, rows_in as i64, rows_out as i64);
             }
             EngineEvent::QueueDepth { depth, jobs } => {
-                recorder.record(EventKind::QueueDepth, pool, 0, depth, jobs as i64);
+                recorder.record(EventKind::QueueDepth, "pool", 0, depth, jobs as i64);
             }
             EngineEvent::KernelFallback { total } => {
-                recorder.record(EventKind::KernelFallback, kernel, 0, total as i64, 0);
+                recorder.record(EventKind::KernelFallback, "kernel", 0, total as i64, 0);
             }
             EngineEvent::CacheHit { op, rows } => {
-                recorder.record_named(EventKind::CacheHit, op, 0, rows as i64, 0);
+                recorder.record(EventKind::CacheHit, op, 0, rows as i64, 0);
             }
             EngineEvent::CacheMiss { op } => {
-                recorder.record_named(EventKind::CacheMiss, op, 0, 0, 0);
+                recorder.record(EventKind::CacheMiss, op, 0, 0, 0);
             }
             EngineEvent::CacheInsert { op, bytes } => {
-                recorder.record_named(EventKind::CacheInsert, op, 0, bytes as i64, 0);
+                recorder.record(EventKind::CacheInsert, op, 0, bytes as i64, 0);
             }
             EngineEvent::CacheEvict { bytes } => {
-                recorder.record_named(EventKind::CacheEvict, "cache", 0, bytes as i64, 0);
+                recorder.record(EventKind::CacheEvict, "cache", 0, bytes as i64, 0);
             }
         }
     });
-    let wal = recorder.label("wal");
-    quarry_repository::set_fsync_event_hook(move |latency_micros, fsyncs| {
-        flight::recorder().record(EventKind::WalFsync, wal, 0, latency_micros as i64, fsyncs as i64);
+    quarry_repository::set_fsync_event_hook(|latency_micros, fsyncs| {
+        flight::recorder().record(EventKind::WalFsync, "wal", 0, latency_micros as i64, fsyncs as i64);
     });
 }
 

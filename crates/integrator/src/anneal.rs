@@ -152,10 +152,8 @@ fn run_chain(base: &RewriteState, chain: usize, opts: &AnnealOptions, deadline: 
     let mut accepted = 0u64;
     let mut log = Vec::new();
     // Accepted moves go to the flight recorder so a post-hoc drain shows
-    // *when* the search moved, interleaved with engine and WAL events. The
-    // label is interned once; recording is lock-free.
+    // *when* the search moved, interleaved with engine and WAL events.
     let flight = quarry_obs::flight::recorder();
-    let flight_label = flight.label("anneal");
     let cost_scale = if start_cost > 0.0 { start_cost } else { 1.0 };
 
     // The neighborhood depends on the flow alone, and a rejected or illegal
@@ -183,7 +181,7 @@ fn run_chain(base: &RewriteState, chain: usize, opts: &AnnealOptions, deadline: 
                     accepted += 1;
                     flight.record(
                         quarry_obs::flight::EventKind::OptimizerMove,
-                        flight_label,
+                        "anneal",
                         chain as u32,
                         chain as i64,
                         (delta / cost_scale * 1000.0) as i64,

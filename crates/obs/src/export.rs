@@ -4,7 +4,7 @@
 //! Both are hand-rolled over `std` (this crate carries no dependencies) and
 //! deterministic: same snapshot in, same bytes out.
 
-use crate::flight::{FlightEvent, FlightLog};
+use crate::flight::FlightLog;
 use crate::{AttrValue, Metric, SpanNode, Trace};
 use std::fmt::Write as _;
 
@@ -129,43 +129,10 @@ fn fmt_f64(v: f64) -> String {
 /// pool lane that ran each operator), so parallel `execute` phases fan out
 /// visually across tracks.
 pub fn chrome_trace(trace: &Trace) -> String {
-    chrome_trace_with_events(trace, &[], 0)
-}
-
-/// Like [`chrome_trace`], but additionally renders flight-recorder events as
-/// instant (`"ph":"i"`) events on the `tid` of the worker lane that recorded
-/// them, so ring-buffer events and span tracks line up in one timeline.
-///
-/// `event_ts_offset_micros` aligns the two clocks: flight-event timestamps
-/// count from the recorder's construction, span timestamps from the trace
-/// epoch; the caller passes the recorder-clock microseconds at which the
-/// trace epoch started (0 keeps raw recorder timestamps). Offsets clamp at
-/// zero rather than rendering negative timestamps.
-pub fn chrome_trace_with_events(trace: &Trace, events: &[FlightEvent], event_ts_offset_micros: i64) -> String {
     let mut out = String::from("{\"traceEvents\":[");
     let mut first = true;
     for span in &trace.spans {
         write_span_events(&mut out, span, 0, &mut first);
-    }
-    for event in events {
-        if !first {
-            out.push(',');
-        }
-        first = false;
-        let ts = (event.micros as i64 - event_ts_offset_micros).max(0);
-        // Scope "t" (thread) keeps the marker on its lane's track instead of
-        // a full-height process flash.
-        let _ = write!(
-            out,
-            "{{\"name\":{},\"cat\":\"quarry.flight\",\"ph\":\"i\",\"ts\":{ts},\"pid\":1,\"tid\":{},\"s\":\"t\",\
-             \"args\":{{\"kind\":{},\"seq\":{},\"a\":{},\"b\":{}}}}}",
-            json_string(&event.label),
-            event.lane,
-            json_string(event.kind.as_str()),
-            event.seq,
-            event.a,
-            event.b
-        );
     }
     out.push_str("]}");
     out
@@ -179,8 +146,8 @@ pub fn events_json(log: &FlightLog) -> String {
     let mut out = String::from("{");
     let _ = write!(
         out,
-        "\"capacity\":{},\"recorded\":{},\"dropped\":{},\"torn\":{},\"events\":[",
-        log.capacity, log.recorded, log.dropped, log.torn
+        "\"capacity\":{},\"recorded\":{},\"dropped\":{},\"events\":[",
+        log.capacity, log.recorded, log.dropped
     );
     for (i, e) in log.events.iter().enumerate() {
         if i > 0 {
@@ -266,6 +233,7 @@ fn json_string(s: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::flight::{EventKind, FlightEvent};
     use crate::Obs;
     use std::time::Duration;
 
@@ -359,57 +327,28 @@ mod tests {
         assert_eq!(chrome_trace(&Trace::default()), "{\"traceEvents\":[]}");
     }
 
-    fn sample_event(label: &str, lane: u32, micros: u64) -> FlightEvent {
-        FlightEvent { seq: 7, micros, kind: crate::flight::EventKind::OpFinish, label: label.into(), lane, a: 10, b: 4 }
-    }
-
-    #[test]
-    fn chrome_instant_events_land_on_their_lane() {
-        let obs = Obs::new(true);
-        {
-            let _root = obs.span("execute");
-            obs.record_span("JOIN_1", Duration::from_micros(250), vec![("worker".into(), AttrValue::Int(2))]);
-        }
-        let json = chrome_trace_with_events(&obs.trace(), &[sample_event("JOIN_1", 2, 900)], 400);
-        assert!(json.contains("\"ph\":\"X\""), "{json}");
-        assert!(json.contains("\"ph\":\"i\""), "{json}");
-        assert!(json.contains("\"cat\":\"quarry.flight\""), "{json}");
-        assert!(json.contains("\"s\":\"t\""), "{json}");
-        // The instant event rides lane 2 — the same tid as the span that ran
-        // there — and its timestamp is offset onto the trace clock.
-        assert!(json.contains("\"ts\":500,\"pid\":1,\"tid\":2"), "{json}");
-        assert!(json.contains("\"kind\":\"op_finish\""), "{json}");
-    }
-
-    #[test]
-    fn chrome_instant_events_on_an_empty_trace_are_valid_and_escaped() {
-        let json = chrome_trace_with_events(&Trace::default(), &[sample_event("SEL \"q\"\n", 0, 100)], 0);
-        assert!(json.starts_with("{\"traceEvents\":[{"), "no leading comma without spans: {json}");
-        assert!(json.contains("\"name\":\"SEL \\\"q\\\"\\n\""), "{json}");
-        // Clamped, not negative, when the offset exceeds the timestamp.
-        let clamped = chrome_trace_with_events(&Trace::default(), &[sample_event("x", 0, 100)], 500);
-        assert!(clamped.contains("\"ts\":0"), "{clamped}");
-        assert_eq!(chrome_trace_with_events(&Trace::default(), &[], 0), "{\"traceEvents\":[]}");
-    }
-
     #[test]
     fn events_json_carries_loss_accounting_and_escapes_labels() {
         let log = FlightLog {
-            events: vec![sample_event("needs \"escaping\"", 3, 42)],
+            events: vec![FlightEvent {
+                seq: 7,
+                micros: 42,
+                kind: EventKind::OpFinish,
+                label: "needs \"escaping\"".into(),
+                lane: 3,
+                a: 10,
+                b: 4,
+            }],
             dropped: 5,
-            torn: 1,
             recorded: 7,
             capacity: 16,
         };
         let json = events_json(&log);
-        assert!(json.starts_with("{\"capacity\":16,\"recorded\":7,\"dropped\":5,\"torn\":1,"), "{json}");
+        assert!(json.starts_with("{\"capacity\":16,\"recorded\":7,\"dropped\":5,"), "{json}");
         assert!(json.contains("\"label\":\"needs \\\"escaping\\\"\""), "{json}");
         assert!(json.contains("\"kind\":\"op_finish\""), "{json}");
         assert!(json.contains("\"lane\":3"), "{json}");
-        assert_eq!(
-            events_json(&FlightLog::default()),
-            "{\"capacity\":0,\"recorded\":0,\"dropped\":0,\"torn\":0,\"events\":[]}"
-        );
+        assert_eq!(events_json(&FlightLog::default()), "{\"capacity\":0,\"recorded\":0,\"dropped\":0,\"events\":[]}");
     }
 
     #[test]

@@ -1,33 +1,27 @@
-//! The flight recorder: an always-on, fixed-capacity, lock-free ring buffer
-//! of structured events — the system's "black box".
+//! The flight recorder: an always-on, fixed-capacity ring buffer of
+//! structured events — the system's "black box".
 //!
 //! Metrics aggregate and spans require an enabled recorder plus lexical
 //! nesting; neither answers *"what were the last ten thousand things the
 //! process did?"* when a run panics or a store write fails. The flight
 //! recorder does: every subsystem appends compact events (engine operator
 //! finishes, pool queue-depth transitions, WAL fsync batches, optimizer move
-//! acceptances, engine kernel fallbacks, result-cache traffic) into
-//! per-worker ring shards, and a drain reconstructs the global order from a
-//! monotonic sequence counter.
+//! acceptances, engine kernel fallbacks, result-cache traffic) into one ring,
+//! each stamped with a sequence number that totally orders them.
 //!
 //! Design constraints, matching the rest of the crate:
 //!
 //! - **bounded** — capacity is fixed at construction; memory never grows
-//!   with event volume. Past capacity the ring overwrites its oldest slots
-//!   and *counts* the overwrites ([`FlightLog::dropped`]) instead of
-//!   silently losing history.
-//! - **lock-free recording** — [`FlightRecorder::record`] is a handful of
-//!   relaxed atomic stores guarded by a per-slot seqlock version; there is
-//!   no mutex on the event path. Labels are interned strings: resolving a
-//!   [`LabelId`] with [`FlightRecorder::label`] takes a short lock once,
-//!   after which recording with it is lock-free
-//!   ([`FlightRecorder::record_named`] is the convenience shim that interns
-//!   per call — fine at per-operator frequency, not per row).
-//! - **shared-nothing writers** — writer threads spread over shards by a
-//!   per-thread slot, so engine workers do not contend on one cache line.
-//! - **torn reads are detected, not returned** — a drain concurrent with
-//!   writers validates each slot's seqlock version and reports slots it
-//!   could not read consistently as [`FlightLog::torn`].
+//!   past it. Past capacity the ring overwrites its oldest events and
+//!   *counts* the overwrites ([`FlightLog::dropped`]) instead of silently
+//!   losing history. Any one thread may fill the whole ring.
+//! - **one lock per event** — [`FlightRecorder::record`] takes the ring's
+//!   mutex, interns the label (the table is capped: past 4096 distinct
+//!   names a label records as `<other>`), and stores one compact event. A
+//!   run records a few hundred events, so the lock is a fraction of a
+//!   percent of it; call sites record per operator, never per row.
+//! - **consistent drains** — [`FlightRecorder::drain`] copies the ring out
+//!   under the same lock, so it never returns half an event.
 //!
 //! The process-wide recorder ([`recorder`]) is the one the lifecycle, the
 //! engine hooks, and the `GET /debug/events` endpoint share; it has no off
@@ -35,19 +29,17 @@
 //! hook that prints the tail of the log to stderr — the black-box dump.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError, TryLockError};
 use std::time::Instant;
 
-/// Default shard count for the global recorder: enough that one worker pool
-/// spreads out, small enough to stay cache-friendly at drain time.
-pub const DEFAULT_SHARDS: usize = 8;
-/// Default slots per shard; the global recorder holds
-/// `DEFAULT_SHARDS × DEFAULT_SLOTS` events (~1 MiB).
-pub const DEFAULT_SLOTS: usize = 2048;
+/// Event capacity of the global recorder (~640 KiB once full).
+pub const DEFAULT_CAPACITY: usize = 16_384;
 /// Interned-label table cap: beyond it new names collapse into `<other>` so
 /// a label leak cannot grow memory unboundedly.
-const MAX_LABELS: u32 = 4096;
+const MAX_LABELS: usize = 4096;
+/// How many times a black-box dump tries the ring's lock before it reports
+/// the recorder busy instead of blocking a crashing thread.
+const DUMP_TRIES: usize = 1000;
 
 // ---------------------------------------------------------------------------
 // Events
@@ -94,43 +86,12 @@ impl EventKind {
             EventKind::Custom => "custom",
         }
     }
-
-    fn code(self) -> u64 {
-        match self {
-            EventKind::OpFinish => 1,
-            EventKind::QueueDepth => 2,
-            EventKind::WalFsync => 3,
-            EventKind::OptimizerMove => 4,
-            EventKind::KernelFallback => 5,
-            EventKind::CacheHit => 6,
-            EventKind::CacheMiss => 7,
-            EventKind::CacheInsert => 8,
-            EventKind::CacheEvict => 9,
-            EventKind::Custom => 10,
-        }
-    }
-
-    fn from_code(code: u64) -> Option<EventKind> {
-        Some(match code {
-            1 => EventKind::OpFinish,
-            2 => EventKind::QueueDepth,
-            3 => EventKind::WalFsync,
-            4 => EventKind::OptimizerMove,
-            5 => EventKind::KernelFallback,
-            6 => EventKind::CacheHit,
-            7 => EventKind::CacheMiss,
-            8 => EventKind::CacheInsert,
-            9 => EventKind::CacheEvict,
-            10 => EventKind::Custom,
-            _ => return None,
-        })
-    }
 }
 
 /// One drained event, label resolved.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FlightEvent {
-    /// Global sequence number (total order across all shards).
+    /// Sequence number: the order events were recorded in.
     pub seq: u64,
     /// Microseconds since the recorder's construction.
     pub micros: u64,
@@ -145,8 +106,8 @@ pub struct FlightEvent {
     pub b: i64,
 }
 
-/// A drained snapshot of the ring: events in global sequence order plus the
-/// loss accounting that makes overflow visible instead of silent.
+/// A drained snapshot of the ring: events in sequence order plus the loss
+/// accounting that makes overflow visible instead of silent.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct FlightLog {
     /// Events in ascending `seq` order.
@@ -154,10 +115,7 @@ pub struct FlightLog {
     /// Events overwritten by ring wrap-around since the last clear. Zero
     /// means the log is complete.
     pub dropped: u64,
-    /// Slots skipped because a writer was mid-store during the drain.
-    pub torn: u64,
-    /// Total events ever recorded (`= events + dropped + torn` when no
-    /// writer raced the drain).
+    /// Total events ever recorded (`= events + dropped`).
     pub recorded: u64,
     /// Ring capacity in events.
     pub capacity: usize,
@@ -167,228 +125,143 @@ pub struct FlightLog {
 // Ring storage
 // ---------------------------------------------------------------------------
 
-/// One ring slot, written under a seqlock version: odd while a writer is
-/// mid-store, bumped to even when the payload is complete. A reader that
-/// observes a version change (or an odd version) discards the slot.
-#[derive(Debug)]
-struct Slot {
-    version: AtomicU64,
-    seq: AtomicU64,
-    micros: AtomicU64,
-    /// `kind code << 32 | lane`.
-    kind_lane: AtomicU64,
-    label: AtomicU64,
-    a: AtomicI64,
-    b: AtomicI64,
+/// One stored event; its `seq` is implied by its slot.
+#[derive(Debug, Clone, Copy)]
+struct Stored {
+    micros: u64,
+    kind: EventKind,
+    label: u32,
+    lane: u32,
+    a: i64,
+    b: i64,
 }
-
-impl Slot {
-    fn new() -> Slot {
-        Slot {
-            version: AtomicU64::new(0),
-            seq: AtomicU64::new(0),
-            micros: AtomicU64::new(0),
-            kind_lane: AtomicU64::new(0),
-            label: AtomicU64::new(0),
-            a: AtomicI64::new(0),
-            b: AtomicI64::new(0),
-        }
-    }
-}
-
-#[derive(Debug)]
-struct Shard {
-    /// Events ever claimed in this shard; slot = `head % slots.len()`.
-    head: AtomicU64,
-    slots: Box<[Slot]>,
-}
-
-/// Process-wide monotonically assigned writer slots (separate from the
-/// registry's stripe slots so shard spread does not depend on metric use).
-static NEXT_WRITER_SLOT: AtomicUsize = AtomicUsize::new(0);
-
-thread_local! {
-    static WRITER_SLOT: usize = NEXT_WRITER_SLOT.fetch_add(1, Ordering::Relaxed);
-}
-
-/// A pre-interned label handle; recording with one is lock-free.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LabelId(u32);
 
 #[derive(Debug, Default)]
-struct LabelTable {
+struct Ring {
+    /// Event `seq` lives in slot `seq % capacity`; the vector is allocated
+    /// at its capacity, filled, and then overwritten in place.
+    events: Vec<Stored>,
+    /// Events recorded since the last clear — the next event's `seq`.
+    recorded: u64,
     by_name: HashMap<String, u32>,
     names: Vec<String>,
+}
+
+impl Ring {
+    fn intern(&mut self, name: &str) -> u32 {
+        if let Some(&id) = self.by_name.get(name) {
+            return id;
+        }
+        let name = if self.names.len() >= MAX_LABELS { "<other>" } else { name };
+        if let Some(&id) = self.by_name.get(name) {
+            return id;
+        }
+        let id = self.names.len() as u32;
+        self.names.push(name.to_string());
+        self.by_name.insert(name.to_string(), id);
+        id
+    }
+
+    /// Copies the ring out, oldest event first.
+    fn log(&self, capacity: usize) -> FlightLog {
+        let first = self.recorded - self.events.len() as u64;
+        let (newer, older) = self.events.split_at((first % capacity as u64) as usize);
+        let events = (older.iter().chain(newer).zip(first..))
+            .map(|(e, seq)| FlightEvent {
+                seq,
+                micros: e.micros,
+                kind: e.kind,
+                label: self.names[e.label as usize].clone(),
+                lane: e.lane,
+                a: e.a,
+                b: e.b,
+            })
+            .collect();
+        FlightLog { events, dropped: first, recorded: self.recorded, capacity }
+    }
 }
 
 /// The flight recorder. See the module docs for the full contract.
 #[derive(Debug)]
 pub struct FlightRecorder {
-    /// Global monotonic sequence counter — the total order a drain rebuilds.
-    seq: AtomicU64,
-    shards: Box<[Shard]>,
-    labels: Mutex<LabelTable>,
+    ring: Mutex<Ring>,
+    capacity: usize,
     epoch: Instant,
 }
 
 impl FlightRecorder {
-    /// A recorder with `shards × slots` total event capacity.
-    pub fn with_capacity(shards: usize, slots: usize) -> FlightRecorder {
-        let shards = shards.max(1);
-        let slots = slots.max(1);
-        FlightRecorder {
-            seq: AtomicU64::new(0),
-            shards: (0..shards)
-                .map(|_| Shard { head: AtomicU64::new(0), slots: (0..slots).map(|_| Slot::new()).collect() })
-                .collect(),
-            labels: Mutex::new(LabelTable::default()),
-            epoch: Instant::now(),
-        }
+    /// A recorder holding the newest `capacity` events.
+    pub fn with_capacity(capacity: usize) -> FlightRecorder {
+        let capacity = capacity.max(1);
+        let ring = Ring { events: Vec::with_capacity(capacity), ..Ring::default() };
+        FlightRecorder { ring: Mutex::new(ring), capacity, epoch: Instant::now() }
     }
 
     pub fn new() -> FlightRecorder {
-        FlightRecorder::with_capacity(DEFAULT_SHARDS, DEFAULT_SLOTS)
+        FlightRecorder::with_capacity(DEFAULT_CAPACITY)
     }
 
     /// Total event capacity before wrap-around.
     pub fn capacity(&self) -> usize {
-        self.shards.iter().map(|s| s.slots.len()).sum()
+        self.capacity
     }
 
-    /// Interns `name`, returning a handle that records lock-free. The table
-    /// is capped: past `MAX_LABELS` (4096) distinct names everything interns as
-    /// `<other>` rather than growing without bound.
-    pub fn label(&self, name: &str) -> LabelId {
-        let mut table = self.labels.lock().unwrap_or_else(|p| p.into_inner());
-        if let Some(&id) = table.by_name.get(name) {
-            return LabelId(id);
+    fn ring(&self) -> MutexGuard<'_, Ring> {
+        // Every step of `record` leaves the ring readable (a label id is
+        // pushed before it is used, `recorded` moves last), so a panic under
+        // the lock loses at most the event being recorded.
+        self.ring.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Appends one event, overwriting the oldest one once the ring is full.
+    pub fn record(&self, kind: EventKind, label: &str, lane: u32, a: i64, b: i64) {
+        let mut ring = self.ring();
+        let label = ring.intern(label);
+        let event = Stored { micros: self.epoch.elapsed().as_micros() as u64, kind, label, lane, a, b };
+        let slot = (ring.recorded % self.capacity as u64) as usize;
+        match ring.events.get_mut(slot) {
+            Some(old) => *old = event,
+            None => ring.events.push(event),
         }
-        if table.names.len() as u32 >= MAX_LABELS {
-            let overflow = "<other>";
-            if let Some(&id) = table.by_name.get(overflow) {
-                return LabelId(id);
-            }
-            let id = table.names.len() as u32;
-            table.names.push(overflow.to_string());
-            table.by_name.insert(overflow.to_string(), id);
-            return LabelId(id);
-        }
-        let id = table.names.len() as u32;
-        table.names.push(name.to_string());
-        table.by_name.insert(name.to_string(), id);
-        LabelId(id)
+        ring.recorded += 1;
     }
 
-    /// Appends one event. Lock-free: a global sequence fetch-add, a shard
-    /// head fetch-add, and seven relaxed stores under the slot's seqlock.
-    pub fn record(&self, kind: EventKind, label: LabelId, lane: u32, a: i64, b: i64) {
-        let seq = self.seq.fetch_add(1, Ordering::Relaxed);
-        let micros = self.epoch.elapsed().as_micros() as u64;
-        let shard = &self.shards[WRITER_SLOT.with(|s| *s) % self.shards.len()];
-        let idx = shard.head.fetch_add(1, Ordering::Relaxed);
-        let slot = &shard.slots[(idx % shard.slots.len() as u64) as usize];
-        // Seqlock write: odd while storing, even (and changed) when done.
-        // Two writers lapping each other on one slot can interleave — that
-        // only happens past capacity, where the slot's old event is already
-        // accounted as dropped; the reader's version re-check rejects any
-        // interleaved result.
-        slot.version.fetch_add(1, Ordering::Acquire);
-        slot.seq.store(seq, Ordering::Relaxed);
-        slot.micros.store(micros, Ordering::Relaxed);
-        slot.kind_lane.store(kind.code() << 32 | lane as u64, Ordering::Relaxed);
-        slot.label.store(label.0 as u64, Ordering::Relaxed);
-        slot.a.store(a, Ordering::Relaxed);
-        slot.b.store(b, Ordering::Relaxed);
-        slot.version.fetch_add(1, Ordering::Release);
-    }
-
-    /// [`FlightRecorder::record`] with per-call label interning — the
-    /// convenience path for call sites at per-operator (not per-row)
-    /// frequency.
-    pub fn record_named(&self, kind: EventKind, name: &str, lane: u32, a: i64, b: i64) {
-        let label = self.label(name);
-        self.record(kind, label, lane, a, b);
-    }
-
-    /// Non-destructive drain: snapshots every readable slot, reconstructs
-    /// the global order by sequence number, and accounts for what is *not*
-    /// in the result (overwritten and torn slots). Safe to call while
-    /// writers are active; a post-quiescence drain below capacity returns
-    /// every event exactly once.
+    /// Non-destructive drain: every event still in the ring, in `seq`
+    /// order, plus how many were overwritten.
     pub fn drain(&self) -> FlightLog {
-        let table = {
-            let t = self.labels.lock().unwrap_or_else(|p| p.into_inner());
-            t.names.clone()
-        };
-        let mut events = Vec::new();
-        let mut dropped = 0u64;
-        let mut torn = 0u64;
-        for shard in self.shards.iter() {
-            let head = shard.head.load(Ordering::Acquire);
-            let cap = shard.slots.len() as u64;
-            dropped += head.saturating_sub(cap);
-            for slot in shard.slots.iter().take(head.min(cap) as usize) {
-                let v1 = slot.version.load(Ordering::Acquire);
-                if v1 == 0 || v1 % 2 == 1 {
-                    // Never written, or a writer is mid-store right now.
-                    if v1 % 2 == 1 {
-                        torn += 1;
-                    }
-                    continue;
-                }
-                let seq = slot.seq.load(Ordering::Relaxed);
-                let micros = slot.micros.load(Ordering::Relaxed);
-                let kind_lane = slot.kind_lane.load(Ordering::Relaxed);
-                let label = slot.label.load(Ordering::Relaxed);
-                let a = slot.a.load(Ordering::Relaxed);
-                let b = slot.b.load(Ordering::Relaxed);
-                if slot.version.load(Ordering::Acquire) != v1 {
-                    torn += 1;
-                    continue;
-                }
-                let Some(kind) = EventKind::from_code(kind_lane >> 32) else {
-                    torn += 1;
-                    continue;
-                };
-                events.push(FlightEvent {
-                    seq,
-                    micros,
-                    kind,
-                    label: table.get(label as usize).cloned().unwrap_or_else(|| format!("label#{label}")),
-                    lane: (kind_lane & 0xffff_ffff) as u32,
-                    a,
-                    b,
-                });
-            }
-        }
-        events.sort_by_key(|e| e.seq);
-        FlightLog { events, dropped, torn, recorded: self.seq.load(Ordering::Relaxed), capacity: self.capacity() }
+        self.ring().log(self.capacity)
     }
 
-    /// Resets the ring (heads, slots, counters; interned labels are kept).
-    /// Not linearizable against concurrent writers — meant for test setup
-    /// and explicit operator resets, not the hot path.
+    /// Empties the ring and restarts `seq` at zero; interned labels are kept.
     pub fn clear(&self) {
-        for shard in self.shards.iter() {
-            shard.head.store(0, Ordering::Relaxed);
-            for slot in shard.slots.iter() {
-                slot.version.store(0, Ordering::Relaxed);
-            }
-        }
-        self.seq.store(0, Ordering::Relaxed);
+        let mut ring = self.ring();
+        ring.events.clear();
+        ring.recorded = 0;
     }
 
     /// Renders the tail of the log as indented text — what the panic hook
-    /// and the `StoreError` path print.
+    /// and the `StoreError` path print. Never blocks: if the ring's lock
+    /// stays taken for `DUMP_TRIES` attempts (say the crashing thread
+    /// panicked inside [`FlightRecorder::record`]), it says the recorder
+    /// was busy instead.
     pub fn render_tail(&self, max_events: usize) -> String {
-        let log = self.drain();
+        let log = (0..DUMP_TRIES).find_map(|_| match self.ring.try_lock() {
+            Ok(ring) => Some(ring.log(self.capacity)),
+            Err(TryLockError::Poisoned(poisoned)) => Some(poisoned.into_inner().log(self.capacity)),
+            Err(TryLockError::WouldBlock) => {
+                std::thread::yield_now();
+                None
+            }
+        });
+        let Some(log) = log else {
+            return "flight recorder: busy, no events dumped\n".to_string();
+        };
         let mut out = String::new();
         out.push_str(&format!(
-            "flight recorder: {} of {} recorded events ({} dropped, {} torn)\n",
+            "flight recorder: {} of {} recorded events ({} dropped)\n",
             log.events.len(),
             log.recorded,
-            log.dropped,
-            log.torn
+            log.dropped
         ));
         let skip = log.events.len().saturating_sub(max_events);
         for e in &log.events[skip..] {
@@ -420,7 +293,7 @@ impl Default for FlightRecorder {
 static GLOBAL: OnceLock<FlightRecorder> = OnceLock::new();
 
 /// The process-wide flight recorder every subsystem shares. Always-on from
-/// first touch; capacity [`DEFAULT_SHARDS`]` × `[`DEFAULT_SLOTS`].
+/// first touch; capacity [`DEFAULT_CAPACITY`].
 pub fn recorder() -> &'static FlightRecorder {
     GLOBAL.get_or_init(FlightRecorder::new)
 }
@@ -448,17 +321,13 @@ mod tests {
 
     #[test]
     fn events_drain_in_global_sequence_order() {
-        // A single-threaded writer lands on one shard, so that shard alone
-        // must hold everything.
-        let r = FlightRecorder::with_capacity(4, 128);
-        let label = r.label("op");
+        let r = FlightRecorder::with_capacity(128);
         for i in 0..100 {
-            r.record(EventKind::Custom, label, 0, i, -i);
+            r.record(EventKind::Custom, "op", 0, i, -i);
         }
         let log = r.drain();
         assert_eq!(log.events.len(), 100);
         assert_eq!(log.dropped, 0);
-        assert_eq!(log.torn, 0);
         assert_eq!(log.recorded, 100);
         for (i, e) in log.events.iter().enumerate() {
             assert_eq!(e.seq, i as u64);
@@ -470,10 +339,9 @@ mod tests {
 
     #[test]
     fn overflow_is_reported_not_silent() {
-        let r = FlightRecorder::with_capacity(1, 16);
-        let label = r.label("x");
+        let r = FlightRecorder::with_capacity(16);
         for i in 0..40 {
-            r.record(EventKind::Custom, label, 0, i, 0);
+            r.record(EventKind::Custom, "x", 0, i, 0);
         }
         let log = r.drain();
         assert_eq!(log.capacity, 16);
@@ -487,58 +355,70 @@ mod tests {
     }
 
     #[test]
+    fn one_writer_fills_the_whole_ring() {
+        let r = FlightRecorder::with_capacity(16);
+        for i in 0..100 {
+            r.record(EventKind::Custom, "x", 0, i, 0);
+        }
+        let log = r.drain();
+        assert_eq!((log.capacity, log.recorded, log.dropped), (16, 100, 84));
+        assert_eq!(log.events.iter().map(|e| e.seq).collect::<Vec<_>>(), (84..=99).collect::<Vec<_>>());
+        assert!(log.events.iter().all(|e| e.a == e.seq as i64), "each slot holds its own event");
+
+        let r = FlightRecorder::new();
+        for i in 0..16_000 {
+            r.record(EventKind::Custom, "x", 0, i, 0);
+        }
+        let log = r.drain();
+        assert_eq!((log.events.len(), log.dropped, log.capacity), (16_000, 0, DEFAULT_CAPACITY));
+    }
+
+    #[test]
+    fn drains_are_non_destructive_and_in_seq_order_across_the_wrap() {
+        let r = FlightRecorder::with_capacity(8);
+        for i in 0..13 {
+            r.record(EventKind::Custom, "x", 0, i, 0);
+        }
+        let first = r.drain();
+        assert_eq!(first, r.drain(), "a drain leaves the ring as it was");
+        assert_eq!(first.events.iter().map(|e| e.a).collect::<Vec<_>>(), (5..13).collect::<Vec<_>>());
+        assert!(first.events.windows(2).all(|w| w[0].seq + 1 == w[1].seq && w[0].micros <= w[1].micros));
+    }
+
+    #[test]
     fn clear_resets_the_ring_but_keeps_labels() {
-        let r = FlightRecorder::with_capacity(2, 8);
-        let label = r.label("keep");
-        r.record(EventKind::Custom, label, 0, 1, 2);
+        let r = FlightRecorder::with_capacity(16);
+        r.record(EventKind::Custom, "keep", 0, 1, 2);
         r.clear();
         assert!(r.drain().events.is_empty());
-        r.record(EventKind::OpFinish, label, 3, 4, 5);
+        r.record(EventKind::OpFinish, "keep", 3, 4, 5);
         let log = r.drain();
         assert_eq!(log.events.len(), 1);
+        assert_eq!(log.events[0].seq, 0);
         assert_eq!(log.events[0].label, "keep");
         assert_eq!(log.events[0].kind, EventKind::OpFinish);
         assert_eq!(log.events[0].lane, 3);
+        assert_eq!(r.ring().names, ["keep"]);
     }
 
     #[test]
     fn label_table_caps_at_other() {
-        let r = FlightRecorder::with_capacity(1, 8);
+        let r = FlightRecorder::with_capacity(8);
         for i in 0..(MAX_LABELS + 10) {
-            r.label(&format!("label-{i}"));
+            r.record(EventKind::Custom, &format!("label-{i}"), 0, 0, 0);
         }
-        let overflowed = r.label("one-more");
-        assert_eq!(overflowed, r.label("and-another"), "past the cap everything is <other>");
-        r.record(EventKind::Custom, overflowed, 0, 0, 0);
-        assert_eq!(r.drain().events[0].label, "<other>");
-    }
-
-    #[test]
-    fn kind_codes_roundtrip() {
-        for kind in [
-            EventKind::OpFinish,
-            EventKind::QueueDepth,
-            EventKind::WalFsync,
-            EventKind::OptimizerMove,
-            EventKind::KernelFallback,
-            EventKind::CacheHit,
-            EventKind::CacheMiss,
-            EventKind::CacheInsert,
-            EventKind::CacheEvict,
-            EventKind::Custom,
-        ] {
-            assert_eq!(EventKind::from_code(kind.code()), Some(kind));
-            assert!(!kind.as_str().is_empty());
-        }
-        assert_eq!(EventKind::from_code(0), None);
-        assert_eq!(EventKind::from_code(99), None);
+        r.record(EventKind::Custom, "one-more", 0, 0, 0);
+        r.record(EventKind::Custom, "and-another", 0, 0, 0);
+        let labels: Vec<String> = r.drain().events.into_iter().map(|e| e.label).collect();
+        assert_eq!(labels[labels.len() - 2..], ["<other>", "<other>"], "past the cap everything is <other>");
+        assert_eq!(r.ring().names.len(), MAX_LABELS + 1);
     }
 
     #[test]
     fn render_tail_truncates_to_the_newest() {
-        let r = FlightRecorder::with_capacity(1, 64);
+        let r = FlightRecorder::with_capacity(64);
         for i in 0..10 {
-            r.record_named(EventKind::Custom, &format!("ev{i}"), 0, i, 0);
+            r.record(EventKind::Custom, &format!("ev{i}"), 0, i, 0);
         }
         let tail = r.render_tail(3);
         assert!(tail.contains("10 of 10 recorded"), "{tail}");
@@ -547,7 +427,17 @@ mod tests {
     }
 
     #[test]
+    fn render_tail_does_not_wait_for_a_held_lock() {
+        let r = FlightRecorder::with_capacity(8);
+        r.record(EventKind::Custom, "x", 0, 0, 0);
+        let held = r.ring();
+        assert_eq!(r.render_tail(8), "flight recorder: busy, no events dumped\n");
+        drop(held);
+        assert!(r.render_tail(8).starts_with("flight recorder: 1 of 1 recorded events (0 dropped)\n"));
+    }
+
+    #[test]
     fn global_recorder_is_always_on() {
-        assert!(recorder().capacity() >= DEFAULT_SLOTS);
+        assert_eq!(recorder().capacity(), DEFAULT_CAPACITY);
     }
 }

@@ -15,9 +15,10 @@
 //! - **zero-cost when disabled** — every recording entry point begins with
 //!   one relaxed atomic load and returns before any allocation or lock;
 //! - **cheap when enabled** — metrics are recorded through pre-resolved
-//!   handles ([`Obs::counter`] / [`Obs::gauge`] / [`Obs::histogram`]) that
-//!   bump striped relaxed atomics: no map lock, no string hashing, no
-//!   allocation on the hot path (see `registry.rs`);
+//!   handles ([`Obs::counter`] / [`Obs::gauge`] / [`Obs::histogram`]): a
+//!   counter bump is one relaxed atomic add, a histogram observation one
+//!   short lock; no name lookup, no allocation on the hot path (see
+//!   `registry.rs`);
 //! - **thread-safe** — a handle is `Clone + Send + Sync`; metrics may be
 //!   bumped from engine worker threads while the lifecycle thread owns the
 //!   span stack.
@@ -46,7 +47,7 @@ pub use registry::{Counter, Gauge, Histogram, HistogramSnapshot, Metric};
 
 use registry::Registry;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -224,7 +225,7 @@ struct Inner {
     /// Bumped whenever a name is requested under two different metric types
     /// (see [`Obs::type_conflicts`]). Not gated on `enabled`: losing data to
     /// a naming bug is worth surfacing even on an otherwise idle recorder.
-    type_conflicts: Arc<registry::CounterSentinel>,
+    type_conflicts: AtomicU64,
     /// Construction instant — the epoch [`UPTIME_METRIC`] counts from.
     started: Instant,
     /// `(label, value)` identity pairs set by [`Obs::set_build_info`];
@@ -248,7 +249,7 @@ impl Default for Inner {
             spans: Mutex::default(),
             registry: Registry::default(),
             collectors: Mutex::new(Vec::new()),
-            type_conflicts: Arc::new(registry::CounterSentinel::default()),
+            type_conflicts: AtomicU64::new(0),
             started: Instant::now(),
             build_info: Mutex::new(None),
         }
@@ -335,7 +336,7 @@ impl Obs {
     // ---- handle resolution --------------------------------------------------
 
     /// Resolves (registering on first use) a counter handle. Resolve once,
-    /// bump forever: the handle itself is one relaxed striped atomic add.
+    /// bump forever: the handle itself is one relaxed atomic add.
     ///
     /// If `name` is already registered as another metric type the conflict
     /// is surfaced (debug assert + [`TYPE_CONFLICTS_METRIC`] counter) and a
@@ -346,7 +347,7 @@ impl Obs {
             Ok(cell) => Counter(cell),
             Err(conflict) => {
                 self.report_conflict(name, conflict);
-                Counter(registry::detached_counter(&self.inner.enabled))
+                Counter(Arc::new(registry::CounterCell::new(&self.inner.enabled)))
             }
         }
     }
@@ -357,7 +358,7 @@ impl Obs {
             Ok(cell) => Gauge(cell),
             Err(conflict) => {
                 self.report_conflict(name, conflict);
-                Gauge(registry::detached_gauge(&self.inner.enabled))
+                Gauge(Arc::new(registry::GaugeCell::new(&self.inner.enabled)))
             }
         }
     }
@@ -369,7 +370,7 @@ impl Obs {
             Ok(cell) => Histogram(cell),
             Err(conflict) => {
                 self.report_conflict(name, conflict);
-                Histogram(registry::detached_histogram(&self.inner.enabled))
+                Histogram(Arc::new(registry::HistogramCell::new(&self.inner.enabled)))
             }
         }
     }
@@ -378,7 +379,7 @@ impl Obs {
     /// losing data silently. The counter is bumped *before* the debug assert
     /// so release builds keep an audit trail where debug builds panic.
     fn report_conflict(&self, name: &str, conflict: registry::TypeConflict) {
-        self.inner.type_conflicts.inc();
+        self.inner.type_conflicts.fetch_add(1, Ordering::Relaxed);
         debug_assert!(
             false,
             "metric `{name}` is registered as a {} but was requested as a {}",
@@ -388,7 +389,7 @@ impl Obs {
 
     /// How many metric-type conflicts this recorder has seen.
     pub fn type_conflicts(&self) -> u64 {
-        self.inner.type_conflicts.value()
+        self.inner.type_conflicts.load(Ordering::Relaxed)
     }
 
     // ---- snapshots ----------------------------------------------------------
@@ -430,7 +431,7 @@ impl Obs {
                 out.push((UPTIME_METRIC.to_string(), Metric::Gauge(self.uptime_seconds() as i64)));
             }
         }
-        let conflicts = self.inner.type_conflicts.value();
+        let conflicts = self.type_conflicts();
         if conflicts > 0 {
             out.push((TYPE_CONFLICTS_METRIC.to_string(), Metric::Counter(conflicts)));
         }
@@ -459,7 +460,7 @@ impl Obs {
         state.epoch = None;
         drop(state);
         self.inner.registry.reset();
-        self.inner.type_conflicts.reset();
+        self.inner.type_conflicts.store(0, Ordering::Relaxed);
     }
 }
 

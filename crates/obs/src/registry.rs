@@ -1,12 +1,12 @@
-//! The sharded, lock-free metric registry behind [`crate::Obs`].
+//! The metric registry behind [`crate::Obs`].
 //!
 //! Call sites resolve a name to a handle **once** ([`Counter`], [`Gauge`],
-//! [`Histogram`]) and afterwards record through relaxed atomics only — no
-//! map lock, no string hashing, no allocation on the hot path. Counters and
-//! histogram totals are striped across cache-line-padded cells indexed by a
-//! per-thread slot, so engine worker threads bumping the same metric never
-//! contend on one cache line. The name → handle map itself is sharded by
-//! name hash and touched only at registration and snapshot time.
+//! [`Histogram`]) and afterwards record through the handle's own cell — no
+//! name lookup, no allocation on the hot path. A counter or gauge is one
+//! relaxed atomic; a histogram keeps its count, sum, extrema and buckets
+//! behind one mutex, so a snapshot always sees whole observations. The
+//! name → cell map is one mutex-guarded `BTreeMap`, touched only at
+//! registration and snapshot time.
 //!
 //! Histograms are fixed log-bucketed (HDR-style): base-2 octaves split into
 //! 8 sub-buckets straight from the `f64` bit pattern, covering ~1 ns to 64 s
@@ -14,38 +14,8 @@
 //! [`HistogramSnapshot::quantile`] is therefore exact to within one bucket.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
-
-// ---------------------------------------------------------------------------
-// Striping
-// ---------------------------------------------------------------------------
-
-/// Stripe count: enough slots that threads of one worker pool land on
-/// distinct cache lines, bounded so a histogram stays a few KiB.
-pub(crate) const STRIPES: usize = 16;
-
-/// A cache-line-padded atomic cell (64-byte alignment keeps neighbouring
-/// stripes out of each other's cache line).
-#[repr(align(64))]
-#[derive(Debug, Default)]
-struct PaddedU64(AtomicU64);
-
-/// Process-wide monotonically assigned thread slots.
-static NEXT_THREAD_SLOT: AtomicUsize = AtomicUsize::new(0);
-
-thread_local! {
-    static THREAD_SLOT: usize = NEXT_THREAD_SLOT.fetch_add(1, Ordering::Relaxed) % STRIPES;
-}
-
-#[inline]
-fn stripe() -> usize {
-    THREAD_SLOT.with(|s| *s)
-}
-
-fn stripes() -> Box<[PaddedU64]> {
-    (0..STRIPES).map(|_| PaddedU64::default()).collect()
-}
+use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 // ---------------------------------------------------------------------------
 // Metric snapshots
@@ -154,29 +124,27 @@ impl Metric {
 #[derive(Debug)]
 pub(crate) struct CounterCell {
     enabled: Arc<AtomicBool>,
-    stripes: Box<[PaddedU64]>,
+    value: AtomicU64,
 }
 
 impl CounterCell {
-    fn new(enabled: Arc<AtomicBool>) -> Self {
-        CounterCell { enabled, stripes: stripes() }
+    pub(crate) fn new(enabled: &Arc<AtomicBool>) -> Self {
+        CounterCell { enabled: Arc::clone(enabled), value: AtomicU64::new(0) }
     }
 
     #[inline]
     fn add(&self, n: u64) {
         if self.enabled.load(Ordering::Relaxed) {
-            self.stripes[stripe()].0.fetch_add(n, Ordering::Relaxed);
+            self.value.fetch_add(n, Ordering::Relaxed);
         }
     }
 
     fn value(&self) -> u64 {
-        self.stripes.iter().map(|s| s.0.load(Ordering::Relaxed)).sum()
+        self.value.load(Ordering::Relaxed)
     }
 
     fn reset(&self) {
-        for s in self.stripes.iter() {
-            s.0.store(0, Ordering::Relaxed);
-        }
+        self.value.store(0, Ordering::Relaxed);
     }
 }
 
@@ -188,8 +156,8 @@ pub(crate) struct GaugeCell {
 }
 
 impl GaugeCell {
-    fn new(enabled: Arc<AtomicBool>) -> Self {
-        GaugeCell { enabled, value: AtomicI64::new(0), touched: AtomicBool::new(false) }
+    pub(crate) fn new(enabled: &Arc<AtomicBool>) -> Self {
+        GaugeCell { enabled: Arc::clone(enabled), value: AtomicI64::new(0), touched: AtomicBool::new(false) }
     }
 
     #[inline]
@@ -269,31 +237,34 @@ fn bucket_upper(i: usize) -> f64 {
     f64::from_bits(exp << 52) * (1.0 + sub / 8.0)
 }
 
+/// What a histogram has observed; one lock covers all of it.
+#[derive(Debug)]
+struct HistogramState {
+    count: u64,
+    sum: f64,
+    min: f64,
+    max: f64,
+    buckets: [u64; BUCKETS],
+}
+
+impl HistogramState {
+    const EMPTY: HistogramState =
+        HistogramState { count: 0, sum: 0.0, min: f64::INFINITY, max: f64::NEG_INFINITY, buckets: [0; BUCKETS] };
+}
+
 #[derive(Debug)]
 pub(crate) struct HistogramCell {
     enabled: Arc<AtomicBool>,
-    /// Striped observation counts (summed for `count`).
-    counts: Box<[PaddedU64]>,
-    /// Striped sums, stored as f64 bit patterns and folded via CAS.
-    sums: Box<[PaddedU64]>,
-    /// Log-bucketed counts. Same-bucket updates share a `fetch_add`, which
-    /// stays lock-free; distinct buckets do not touch the same cell.
-    buckets: Box<[AtomicU64]>,
-    /// Observed extrema as f64 bit patterns (CAS loops).
-    min_bits: AtomicU64,
-    max_bits: AtomicU64,
+    state: Mutex<HistogramState>,
 }
 
 impl HistogramCell {
-    fn new(enabled: Arc<AtomicBool>) -> Self {
-        HistogramCell {
-            enabled,
-            counts: stripes(),
-            sums: (0..STRIPES).map(|_| PaddedU64(AtomicU64::new(0f64.to_bits()))).collect(),
-            buckets: (0..BUCKETS).map(|_| AtomicU64::new(0)).collect(),
-            min_bits: AtomicU64::new(f64::INFINITY.to_bits()),
-            max_bits: AtomicU64::new(f64::NEG_INFINITY.to_bits()),
-        }
+    pub(crate) fn new(enabled: &Arc<AtomicBool>) -> Self {
+        HistogramCell { enabled: Arc::clone(enabled), state: Mutex::new(HistogramState::EMPTY) }
+    }
+
+    fn state(&self) -> MutexGuard<'_, HistogramState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     #[inline]
@@ -301,70 +272,33 @@ impl HistogramCell {
         if !self.enabled.load(Ordering::Relaxed) || v.is_nan() {
             return;
         }
-        let s = stripe();
-        self.counts[s].0.fetch_add(1, Ordering::Relaxed);
-        // Striped sum: CAS on this thread's stripe only, so the loop almost
-        // never retries.
-        let sum = &self.sums[s].0;
-        let mut cur = sum.load(Ordering::Relaxed);
-        loop {
-            let next = (f64::from_bits(cur) + v).to_bits();
-            match sum.compare_exchange_weak(cur, next, Ordering::Relaxed, Ordering::Relaxed) {
-                Ok(_) => break,
-                Err(actual) => cur = actual,
-            }
+        let mut s = self.state();
+        s.count += 1;
+        s.sum += v;
+        s.buckets[bucket_index(v)] += 1;
+        if v < s.min {
+            s.min = v;
         }
-        self.buckets[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
-        update_extreme(&self.min_bits, v, |new, cur| new < cur);
-        update_extreme(&self.max_bits, v, |new, cur| new > cur);
+        if v > s.max {
+            s.max = v;
+        }
     }
 
     fn snapshot(&self) -> HistogramSnapshot {
-        let count: u64 = self.counts.iter().map(|s| s.0.load(Ordering::Relaxed)).sum();
-        let sum: f64 = self.sums.iter().map(|s| f64::from_bits(s.0.load(Ordering::Relaxed))).sum();
-        let min = f64::from_bits(self.min_bits.load(Ordering::Relaxed));
-        let max = f64::from_bits(self.max_bits.load(Ordering::Relaxed));
-        let buckets = self
-            .buckets
-            .iter()
-            .enumerate()
-            .filter_map(|(i, b)| {
-                let n = b.load(Ordering::Relaxed);
-                (n > 0).then(|| (bucket_upper(i), n))
-            })
-            .collect();
+        let s = self.state();
+        let buckets =
+            (s.buckets.iter().enumerate()).filter(|(_, &n)| n > 0).map(|(i, &n)| (bucket_upper(i), n)).collect();
         HistogramSnapshot {
-            count,
-            sum,
-            min: min.is_finite().then_some(min),
-            max: max.is_finite().then_some(max),
+            count: s.count,
+            sum: s.sum,
+            min: s.min.is_finite().then_some(s.min),
+            max: s.max.is_finite().then_some(s.max),
             buckets,
         }
     }
 
     fn reset(&self) {
-        for s in self.counts.iter() {
-            s.0.store(0, Ordering::Relaxed);
-        }
-        for s in self.sums.iter() {
-            s.0.store(0f64.to_bits(), Ordering::Relaxed);
-        }
-        for b in self.buckets.iter() {
-            b.store(0, Ordering::Relaxed);
-        }
-        self.min_bits.store(f64::INFINITY.to_bits(), Ordering::Relaxed);
-        self.max_bits.store(f64::NEG_INFINITY.to_bits(), Ordering::Relaxed);
-    }
-}
-
-/// CAS loop folding `v` into an extremum cell (f64 bits).
-fn update_extreme(cell: &AtomicU64, v: f64, better: impl Fn(f64, f64) -> bool) {
-    let mut cur = cell.load(Ordering::Relaxed);
-    while better(v, f64::from_bits(cur)) {
-        match cell.compare_exchange_weak(cur, v.to_bits(), Ordering::Relaxed, Ordering::Relaxed) {
-            Ok(_) => break,
-            Err(actual) => cur = actual,
-        }
+        *self.state() = HistogramState::EMPTY;
     }
 }
 
@@ -372,8 +306,8 @@ fn update_extreme(cell: &AtomicU64, v: f64, better: impl Fn(f64, f64) -> bool) {
 // Handles
 // ---------------------------------------------------------------------------
 
-/// A pre-resolved counter handle: one relaxed atomic add per bump, striped
-/// per thread. Clones share the same cell.
+/// A pre-resolved counter handle: one relaxed atomic add per bump. Clones
+/// share the same cell.
 #[derive(Debug, Clone)]
 pub struct Counter(pub(crate) Arc<CounterCell>);
 
@@ -418,8 +352,7 @@ impl Gauge {
     }
 }
 
-/// A pre-resolved histogram handle: relaxed striped count/sum plus one
-/// bucket `fetch_add` per observation.
+/// A pre-resolved histogram handle: one short lock per observation.
 #[derive(Debug, Clone)]
 pub struct Histogram(pub(crate) Arc<HistogramCell>);
 
@@ -460,13 +393,11 @@ impl Entry {
     }
 }
 
-const SHARDS: usize = 8;
-
-/// Sharded name → cell map. Locked only at registration and snapshot time;
+/// Name → cell map. Locked only at registration and snapshot time;
 /// recording goes through the cells directly.
 #[derive(Debug, Default)]
 pub(crate) struct Registry {
-    shards: [Mutex<BTreeMap<String, Entry>>; SHARDS],
+    names: Mutex<BTreeMap<String, Entry>>,
 }
 
 /// The error returned when a name is already registered with another type.
@@ -476,60 +407,42 @@ pub(crate) struct TypeConflict {
     pub requested: &'static str,
 }
 
-fn fnv(name: &str) -> u64 {
-    let mut h = 0xcbf29ce484222325u64;
-    for b in name.as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
-}
-
 impl Registry {
-    fn shard(&self, name: &str) -> MutexGuard<'_, BTreeMap<String, Entry>> {
-        let guard = self.shards[(fnv(name) % SHARDS as u64) as usize].lock();
-        // A panic while holding a shard lock (e.g. a failed debug assert in a
+    fn names(&self) -> MutexGuard<'_, BTreeMap<String, Entry>> {
+        // A panic while holding the lock (e.g. a failed debug assert in a
         // caller's thread) must not wedge the whole registry.
-        guard.unwrap_or_else(|poisoned| poisoned.into_inner())
+        self.names.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The entry registered under `name`, registering `make()` if none is.
+    fn entry(&self, name: &str, make: impl FnOnce() -> Entry) -> Entry {
+        self.names().entry(name.to_string()).or_insert_with(make).clone()
     }
 
     pub(crate) fn counter(&self, name: &str, enabled: &Arc<AtomicBool>) -> Result<Arc<CounterCell>, TypeConflict> {
-        let mut shard = self.shard(name);
-        match shard
-            .entry(name.to_string())
-            .or_insert_with(|| Entry::Counter(Arc::new(CounterCell::new(Arc::clone(enabled)))))
-        {
-            Entry::Counter(cell) => Ok(Arc::clone(cell)),
+        match self.entry(name, || Entry::Counter(Arc::new(CounterCell::new(enabled)))) {
+            Entry::Counter(cell) => Ok(cell),
             other => Err(TypeConflict { existing: other.kind(), requested: "counter" }),
         }
     }
 
     pub(crate) fn gauge(&self, name: &str, enabled: &Arc<AtomicBool>) -> Result<Arc<GaugeCell>, TypeConflict> {
-        let mut shard = self.shard(name);
-        match shard
-            .entry(name.to_string())
-            .or_insert_with(|| Entry::Gauge(Arc::new(GaugeCell::new(Arc::clone(enabled)))))
-        {
-            Entry::Gauge(cell) => Ok(Arc::clone(cell)),
+        match self.entry(name, || Entry::Gauge(Arc::new(GaugeCell::new(enabled)))) {
+            Entry::Gauge(cell) => Ok(cell),
             other => Err(TypeConflict { existing: other.kind(), requested: "gauge" }),
         }
     }
 
     pub(crate) fn histogram(&self, name: &str, enabled: &Arc<AtomicBool>) -> Result<Arc<HistogramCell>, TypeConflict> {
-        let mut shard = self.shard(name);
-        match shard
-            .entry(name.to_string())
-            .or_insert_with(|| Entry::Histogram(Arc::new(HistogramCell::new(Arc::clone(enabled)))))
-        {
-            Entry::Histogram(cell) => Ok(Arc::clone(cell)),
+        match self.entry(name, || Entry::Histogram(Arc::new(HistogramCell::new(enabled)))) {
+            Entry::Histogram(cell) => Ok(cell),
             other => Err(TypeConflict { existing: other.kind(), requested: "histogram" }),
         }
     }
 
     /// Snapshot of one metric by name, including untouched entries.
     pub(crate) fn get(&self, name: &str) -> Option<Metric> {
-        let shard = self.shard(name);
-        shard.get(name).map(|e| match e {
+        self.names().get(name).map(|e| match e {
             Entry::Counter(c) => Metric::Counter(c.value()),
             Entry::Gauge(g) => Metric::Gauge(g.value()),
             Entry::Histogram(h) => Metric::Histogram(h.snapshot()),
@@ -541,97 +454,29 @@ impl Registry {
     /// recorded), so zero counters, untouched gauges, and empty histograms
     /// are omitted — a metric appears once it has observations.
     pub(crate) fn snapshot(&self) -> Vec<(String, Metric)> {
-        let mut out: Vec<(String, Metric)> = Vec::new();
-        for shard in &self.shards {
-            let shard = shard.lock().unwrap_or_else(|p| p.into_inner());
-            for (name, entry) in shard.iter() {
-                let metric = match entry {
-                    Entry::Counter(c) => {
-                        let v = c.value();
-                        if v == 0 {
-                            continue;
-                        }
-                        Metric::Counter(v)
-                    }
-                    Entry::Gauge(g) => {
-                        if !g.is_touched() {
-                            continue;
-                        }
-                        Metric::Gauge(g.value())
-                    }
-                    Entry::Histogram(h) => {
-                        let snap = h.snapshot();
-                        if snap.is_empty() {
-                            continue;
-                        }
-                        Metric::Histogram(snap)
-                    }
-                };
-                out.push((name.clone(), metric));
-            }
-        }
-        out.sort_by(|(a, _), (b, _)| a.cmp(b));
-        out
+        let names = self.names();
+        let recorded = names.iter().filter_map(|(name, entry)| {
+            let metric = match entry {
+                Entry::Counter(c) => Some(c.value()).filter(|&v| v > 0).map(Metric::Counter)?,
+                Entry::Gauge(g) => g.is_touched().then(|| Metric::Gauge(g.value()))?,
+                Entry::Histogram(h) => Some(h.snapshot()).filter(|s| !s.is_empty()).map(Metric::Histogram)?,
+            };
+            Some((name.clone(), metric))
+        });
+        recorded.collect()
     }
 
     /// Resets every value while keeping all registrations (live handles keep
     /// recording into the same cells).
     pub(crate) fn reset(&self) {
-        for shard in &self.shards {
-            let shard = shard.lock().unwrap_or_else(|p| p.into_inner());
-            for entry in shard.values() {
-                match entry {
-                    Entry::Counter(c) => c.reset(),
-                    Entry::Gauge(g) => g.reset(),
-                    Entry::Histogram(h) => h.reset(),
-                }
+        for entry in self.names().values() {
+            match entry {
+                Entry::Counter(c) => c.reset(),
+                Entry::Gauge(g) => g.reset(),
+                Entry::Histogram(h) => h.reset(),
             }
         }
     }
-}
-
-/// A striped counter that is *not* gated on the enabled flag — backs the
-/// recorder's type-conflict count, which must survive even on an otherwise
-/// idle recorder (losing data to a naming bug is worth surfacing).
-#[derive(Debug)]
-pub(crate) struct CounterSentinel {
-    stripes: Box<[PaddedU64]>,
-}
-
-impl Default for CounterSentinel {
-    fn default() -> Self {
-        CounterSentinel { stripes: stripes() }
-    }
-}
-
-impl CounterSentinel {
-    pub(crate) fn inc(&self) {
-        self.stripes[stripe()].0.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn value(&self) -> u64 {
-        self.stripes.iter().map(|s| s.0.load(Ordering::Relaxed)).sum()
-    }
-
-    pub(crate) fn reset(&self) {
-        for s in self.stripes.iter() {
-            s.0.store(0, Ordering::Relaxed);
-        }
-    }
-}
-
-/// Detached cells back the handles returned on a type conflict: recording
-/// through them stays safe and cheap but reaches no registered metric.
-pub(crate) fn detached_counter(enabled: &Arc<AtomicBool>) -> Arc<CounterCell> {
-    Arc::new(CounterCell::new(Arc::clone(enabled)))
-}
-
-pub(crate) fn detached_gauge(enabled: &Arc<AtomicBool>) -> Arc<GaugeCell> {
-    Arc::new(GaugeCell::new(Arc::clone(enabled)))
-}
-
-pub(crate) fn detached_histogram(enabled: &Arc<AtomicBool>) -> Arc<HistogramCell> {
-    Arc::new(HistogramCell::new(Arc::clone(enabled)))
 }
 
 #[cfg(test)]
@@ -683,7 +528,7 @@ mod tests {
 
     #[test]
     fn histogram_quantiles_track_a_known_distribution() {
-        let h = HistogramCell::new(on());
+        let h = HistogramCell::new(&on());
         for i in 1..=1000 {
             h.observe(i as f64 / 1000.0); // uniform 0.001 .. 1.000
         }
@@ -704,7 +549,7 @@ mod tests {
 
     #[test]
     fn empty_histogram_has_no_extrema_and_no_quantiles() {
-        let h = HistogramCell::new(on());
+        let h = HistogramCell::new(&on());
         let snap = h.snapshot();
         assert!(snap.is_empty());
         assert_eq!(snap.min, None);
@@ -715,7 +560,7 @@ mod tests {
 
     #[test]
     fn nan_observations_are_dropped() {
-        let h = HistogramCell::new(on());
+        let h = HistogramCell::new(&on());
         h.observe(f64::NAN);
         assert!(h.snapshot().is_empty());
         h.observe(2.0);
@@ -725,9 +570,9 @@ mod tests {
     #[test]
     fn disabled_cells_record_nothing() {
         let enabled = Arc::new(AtomicBool::new(false));
-        let c = CounterCell::new(Arc::clone(&enabled));
-        let h = HistogramCell::new(Arc::clone(&enabled));
-        let g = GaugeCell::new(Arc::clone(&enabled));
+        let c = CounterCell::new(&enabled);
+        let h = HistogramCell::new(&enabled);
+        let g = GaugeCell::new(&enabled);
         c.add(5);
         h.observe(1.0);
         g.set(3);

@@ -226,7 +226,7 @@ mod tests {
     fn serves_flight_recorder_events() {
         let obs = Obs::new(true);
         let server = serve(&obs, "127.0.0.1:0").expect("bind");
-        flight::recorder().record_named(flight::EventKind::Custom, "serve-test-event", 0, 7, 0);
+        flight::recorder().record(flight::EventKind::Custom, "serve-test-event", 0, 7, 0);
         let (head, body) = get(server.addr(), "/debug/events");
         assert!(head.starts_with("HTTP/1.1 200 OK"), "{head}");
         assert!(head.contains("application/json"), "{head}");

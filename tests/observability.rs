@@ -5,9 +5,10 @@
 
 use quarry::obs::AttrValue;
 use quarry::service::{handle, ServiceRequest, ServiceResponse};
-use quarry::Quarry;
+use quarry::{ExecutionProfile, Quarry};
 use quarry_formats::xrq::figure4_requirement;
 use quarry_repository::{ArtifactKind, Json};
+use std::collections::HashMap;
 
 #[test]
 fn full_run_yields_a_span_tree_covering_every_lifecycle_phase() {
@@ -65,6 +66,32 @@ fn full_run_yields_a_span_tree_covering_every_lifecycle_phase() {
     // Metrics registry accumulated engine counters.
     assert_eq!(q.observability().metric("engine.runs").and_then(|m| m.as_counter()), Some(1));
     assert!(q.observability().metric("engine.rows").and_then(|m| m.as_counter()).unwrap() > 0);
+
+    // One account that adds up: the stored profile, the report, the flow,
+    // the execute span and the counters describe the same run.
+    let stored = q.repository().latest(ArtifactKind::Profile, "unified").unwrap();
+    let profile = ExecutionProfile::from_json(&Json::parse(&stored.content).unwrap()).expect("stored profile parses");
+    assert_eq!(profile.ops.len(), report.timings.len());
+    for (op, t) in profile.ops.iter().zip(&report.timings) {
+        assert_eq!(
+            (op.name.as_str(), op.kind.as_str(), op.rows_in, op.rows_out, op.worker, op.elapsed_us),
+            (t.op.as_str(), t.kind, t.rows_in as u64, t.rows_out as u64, t.worker as u32, t.elapsed.as_micros() as u64),
+            "profile op and report timing at the same position"
+        );
+    }
+    let flow = q.unified().1;
+    let rows_out: HashMap<&str, usize> = report.timings.iter().map(|t| (t.op.as_str(), t.rows_out)).collect();
+    for t in &report.timings {
+        let id = flow.id_by_name(&t.op).expect("executed ops are in the unified flow");
+        let fed: usize = flow.inputs_of(id).iter().map(|&i| rows_out[flow.op(i).name.as_str()]).sum();
+        assert_eq!(t.rows_in, fed, "`{}` reads exactly what its producers wrote", t.op);
+    }
+    let last_end = report.timings.iter().map(|t| t.started + t.elapsed).max().unwrap();
+    assert!(last_end <= report.total, "every op ends within the run: {last_end:?} > {:?}", report.total);
+    assert!(report.total <= execute.elapsed, "the run fits its execute span");
+    let counter = |name: &str| q.observability().metric(name).and_then(|m| m.as_counter());
+    assert_eq!(counter("engine.ops"), Some(report.timings.len() as u64));
+    assert_eq!(counter("engine.rows"), Some(report.rows_processed as u64));
 }
 
 #[test]
