@@ -37,8 +37,9 @@ commands:
                            (measured cardinalities feed the optimizer)
   optimize [--explain]     anneal the unified flow over equivalent rewrites;
                            --explain prints the per-move search log
-  explain [--analyze]      print the cost model's estimated cardinalities for
-                           the unified flow; --analyze renders the latest
+  explain [--analyze]      print the unified flow's plan, compiled with the
+                           cost model's estimated cardinalities under the
+                           live statistics; --analyze renders the latest
                            run's execution profile (estimated vs. actual rows,
                            timings, kernel dispatch) as an annotated plan tree
   events                   dump the flight recorder's recent event history
@@ -183,20 +184,17 @@ fn dispatch(
                 });
             }
             let flow = quarry.unified().1;
-            return Some(match quarry_etl::cost::cardinalities(flow, &quarry.config().stats) {
-                Ok(cards) => {
+            return Some(match quarry_engine::PhysicalPlan::compile(flow, Some(&quarry.config().stats)) {
+                Ok(plan) => {
                     let mut out = format!(
                         "{} — estimated plan ({} ops); run the flow, then `explain --analyze` for actuals:\n",
                         flow.name,
-                        flow.ops().count(),
+                        plan.nodes().len(),
                     );
-                    for id in flow.topo_order().unwrap_or_default() {
-                        let op = flow.op(id);
+                    for node in plan.nodes() {
                         out.push_str(&format!(
                             "  {:<44} est {:>12.0} rows  {}\n",
-                            op.name,
-                            cards.get(&id).copied().unwrap_or(0.0),
-                            op.kind,
+                            node.op.name, node.estimated_rows, node.op.kind,
                         ));
                     }
                     out

@@ -55,22 +55,20 @@ pub struct OptimizerConfig {
     pub enabled: bool,
     /// `optimizer.budget_ms` — wall-clock safety valve per optimization.
     pub budget_ms: u64,
-    /// `optimizer.chains` — independent annealing chains on the worker pool.
-    pub chains: usize,
 }
 
 impl Default for OptimizerConfig {
     fn default() -> Self {
-        let d = AnnealOptions::default();
-        OptimizerConfig { enabled: false, budget_ms: d.budget_ms, chains: d.chains }
+        OptimizerConfig { enabled: false, budget_ms: AnnealOptions::default().budget_ms }
     }
 }
 
 impl OptimizerConfig {
-    /// The annealer options these keys select (search schedule knobs keep
-    /// their defaults, so results stay deterministic per seed).
+    /// The annealer options these keys select (the chain count and the
+    /// search schedule knobs keep their defaults, so results stay
+    /// deterministic per seed).
     pub fn anneal_options(&self) -> AnnealOptions {
-        AnnealOptions { chains: self.chains.max(1), budget_ms: self.budget_ms.max(1), ..AnnealOptions::default() }
+        AnnealOptions { budget_ms: self.budget_ms.max(1), ..AnnealOptions::default() }
     }
 }
 
@@ -182,9 +180,9 @@ mod tests {
     fn optimizer_defaults_are_off_but_budgeted() {
         let cfg = QuarryConfig::default();
         assert!(!cfg.optimizer.enabled);
-        assert!(cfg.optimizer.budget_ms > 0 && cfg.optimizer.chains > 0);
+        assert!(cfg.optimizer.budget_ms > 0);
         let opts = cfg.optimizer.anneal_options();
-        assert_eq!(opts.chains, cfg.optimizer.chains);
+        assert_eq!(opts.chains, AnnealOptions::default().chains);
         assert_eq!(opts.budget_ms, cfg.optimizer.budget_ms);
     }
 }

@@ -5,7 +5,7 @@ use crate::profile::{ExecutionProfile, KernelDelta};
 use quarry_deployer::{DeployError, DeploymentArtifacts, PlatformRegistry};
 use quarry_elicitor::{Elicitor, Session};
 use quarry_engine::{CacheStats, Catalog, Engine, EngineError, PhysicalPlan, ResultCache, RunReport};
-use quarry_etl::cost::{cardinality_state_of, flow_fingerprint, op_fingerprint, EstimatedTime, TimeWeights};
+use quarry_etl::cost::{flow_fingerprint, op_fingerprint, EstimatedTime, TimeWeights};
 use quarry_etl::{Flow, FlowError};
 use quarry_formats::registry::FormatRegistry;
 use quarry_formats::{FormatError, Requirement};
@@ -216,14 +216,15 @@ pub struct Quarry {
     /// when a datastore is registered or mutated behind the catalog's back.
     source_epochs: HashMap<String, u64>,
     /// The plan of the last successful ETL run. Every write to the unified
-    /// flow moves the epoch, so a run at the same key executes it again
-    /// without compiling; [`Quarry::observe_run`] routes against it.
+    /// flow moves the epoch and every write to the statistics their
+    /// generation, so a run at the same key executes it again without
+    /// compiling; [`Quarry::observe_run`] routes against it.
     run_plan: Mutex<Option<EpochPlan>>,
 }
 
-/// A plan of the unified flow and the flow epoch and `(op_count,
-/// edge_count)` shape it was compiled at.
-type EpochPlan = ((u64, usize, usize), Arc<PhysicalPlan>);
+/// A plan of the unified flow and the flow epoch, `(op_count, edge_count)`
+/// shape and statistics generation it was compiled at.
+type EpochPlan = ((u64, usize, usize, u64), Arc<PhysicalPlan>);
 
 /// Handles for the metrics the lifecycle itself records. Kept together so
 /// construction resolves every name exactly once.
@@ -387,8 +388,7 @@ impl Quarry {
             }
         }));
         // The cross-run result cache and its always-on stats: hit/miss/insert
-        // traffic, resident bytes, and the cardinality-memo eviction counter
-        // ride along in every metrics snapshot.
+        // traffic and resident bytes ride along in every metrics snapshot.
         let result_cache = Arc::new(ResultCache::new(config.cache.enabled, config.cache.budget_bytes));
         let cache_src = Arc::clone(&result_cache);
         obs.register_collector(Box::new(move |out| {
@@ -400,10 +400,6 @@ impl Quarry {
             out.push(("engine.cache.inserts".to_string(), Metric::Counter(s.inserts)));
             out.push(("engine.cache.rejects".to_string(), Metric::Counter(s.rejects)));
             out.push(("engine.cache.evictions".to_string(), Metric::Counter(s.evictions)));
-            out.push((
-                "integrator.optimizer.card_cache_evictions".to_string(),
-                Metric::Counter(quarry_etl::cost::card_cache_evictions()),
-            ));
         }));
         let metrics = LifecycleMetrics::resolve(&obs);
         let mut consolidation = ConsolidationState::new();
@@ -1021,15 +1017,7 @@ impl Quarry {
         let result = match run {
             Ok((report, memo)) => {
                 self.record_run(&step, &report);
-                // Estimates are best-effort: a flow the estimator cannot
-                // order (it executed, so it is acyclic — this is defensive)
-                // profiles with zero estimates.
-                let fingerprint = memo.1.flow_fingerprint();
-                let estimates =
-                    cardinality_state_of(&self.unified_etl, fingerprint, &self.config.stats).unwrap_or_default();
-                let profile =
-                    ExecutionProfile::capture(&self.unified_etl, &report, &estimates, kernels_before, kernels_after);
-                self.persist_profile(&profile);
+                self.persist_profile(&ExecutionProfile::capture(&memo.1, &report, kernels_before, kernels_after));
                 *self.run_plan.lock().unwrap_or_else(|p| p.into_inner()) = Some(memo);
                 Ok((engine, report))
             }
@@ -1081,12 +1069,12 @@ impl Quarry {
     // ---- result cache ---------------------------------------------------------
 
     /// The plan to execute the unified flow by, and the key it is valid
-    /// under: the last successful run's while the flow epoch and shape are
-    /// unchanged, else compiled afresh, cone costs under the configured
-    /// statistics.
+    /// under: the last successful run's while the flow epoch and shape and
+    /// the statistics generation are unchanged, else compiled afresh,
+    /// estimates and cone costs under the configured statistics.
     fn plan(&self) -> Result<EpochPlan, FlowError> {
         let flow = &self.unified_etl;
-        let key = (self.consolidation.flow_epoch(), flow.op_count(), flow.edge_count());
+        let key = (self.consolidation.flow_epoch(), flow.op_count(), flow.edge_count(), self.config.stats.generation());
         let memo = self.run_plan.lock().unwrap_or_else(|p| p.into_inner());
         if let Some((_, plan)) = memo.as_ref().filter(|(at, _)| *at == key) {
             debug_assert_eq!(plan.flow_fingerprint(), flow_fingerprint(flow), "the flow changed, its epoch did not");
@@ -1635,7 +1623,29 @@ mod tests {
         let changed = plan(&mut q);
         assert!(!Arc::ptr_eq(&added, &changed), "a change compiles a new plan");
         assert!(q.optimize().unwrap().applied, "the two-requirement design has a better plan");
-        assert!(!Arc::ptr_eq(&changed, &plan(&mut q)), "an applied optimize compiles a new plan");
+        let optimized = plan(&mut q);
+        assert!(!Arc::ptr_eq(&changed, &optimized), "an applied optimize compiles a new plan");
+
+        // Observations move the statistics generation: the next run
+        // compiles under them, the run after it reuses that plan.
+        let (_, report) = q.run_etl(catalog.clone()).unwrap();
+        q.observe_run(&report);
+        let observed = plan(&mut q);
+        assert!(!Arc::ptr_eq(&optimized, &observed), "a run after an observation compiles a new plan");
+        assert!(Arc::ptr_eq(&observed, &plan(&mut q)), "the run after it reuses that plan");
+        let stored = q.repository().latest(ArtifactKind::Profile, "unified").unwrap();
+        let profile = ExecutionProfile::from_json(&Json::parse(&stored.content).unwrap()).unwrap();
+        let stats = &q.config().stats;
+        let pinned: Vec<_> = profile
+            .ops
+            .iter()
+            .filter_map(|op| Some((op, stats.observed_op(&op.name)?)))
+            .filter(|(op, _)| stats.observed_selectivity(&op.name).is_none())
+            .collect();
+        assert!(!pinned.is_empty());
+        for (op, rows) in pinned {
+            assert_eq!(op.estimated_rows, rows, "`{}` estimates what the engine observed", op.name);
+        }
     }
 
     #[test]

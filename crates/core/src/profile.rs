@@ -3,8 +3,9 @@
 //! *measured*.
 //!
 //! A [`RunReport`] carries flat per-operation
-//! timings; an [`ExecutionProfile`] joins them with the flow's structure and
-//! the cost model's per-operator cardinality estimates (computed with the
+//! timings; an [`ExecutionProfile`] is a view of them and the
+//! [`PhysicalPlan`] they executed: the flow's structure and the cost model's
+//! per-operator cardinality estimates come from the plan (compiled under the
 //! statistics that were live when the run started), plus the engine's kernel
 //! dispatch deltas. Profiles serialize to JSON — numbers render via Rust's
 //! shortest-round-trip `f64` formatting, so a profile round-trips
@@ -21,9 +22,7 @@
 //!    └─ JOIN_... ...
 //! ```
 
-use quarry_engine::RunReport;
-use quarry_etl::cost::CardState;
-use quarry_etl::{Flow, OpId};
+use quarry_engine::{PhysicalPlan, PlanNode, RunReport};
 use quarry_repository::Json;
 use std::collections::HashMap;
 
@@ -103,32 +102,26 @@ impl KernelDelta {
 }
 
 impl ExecutionProfile {
-    /// Builds a profile from a run over `flow`: per-operator estimates come
-    /// from the cost model's [`cardinality_state`] (computed under the
-    /// statistics that were live when the run started — estimates folded
-    /// *after* the run would just echo the observations back; an operator
-    /// without one profiles with a zero estimate), measurements from
-    /// `report`, and kernel deltas from counter snapshots bracketing the run.
-    ///
-    /// [`cardinality_state`]: quarry_etl::cost::cardinality_state
+    /// Builds a profile from a run of `plan`: inputs, sinks and per-operator
+    /// estimates come from the plan (compiled under the statistics live when
+    /// the run started — estimates folded *after* the run would just echo
+    /// the observations back; a plan compiled without statistics profiles
+    /// with zero estimates), measurements from `report`, and kernel deltas
+    /// from counter snapshots bracketing the run.
     pub fn capture(
-        flow: &Flow,
+        plan: &PhysicalPlan,
         report: &RunReport,
-        estimates: &HashMap<OpId, CardState>,
         kernels_before: KernelDelta,
         kernels_after: KernelDelta,
     ) -> ExecutionProfile {
-        let estimated_by_name: HashMap<&str, f64> = flow
-            .ops()
-            .map(|op| (op.name.as_str(), estimates.get(&op.id).map(|&(rows, _)| rows).unwrap_or(0.0)))
-            .collect();
-        let inputs_by_name: HashMap<&str, Vec<String>> = flow
-            .ops()
-            .map(|op| (op.name.as_str(), flow.inputs_of(op.id).iter().map(|&i| flow.op(i).name.clone()).collect()))
-            .collect();
+        let nodes = plan.nodes();
+        let by_name: HashMap<&str, &PlanNode> = nodes.iter().map(|n| (n.op.name.as_str(), n)).collect();
+        // The flow's sinks in flow order, which is id order.
+        let mut sinks: Vec<_> = nodes.iter().map(|n| &n.op).filter(|op| op.kind.is_sink()).collect();
+        sinks.sort_by_key(|op| op.id);
         let delta = kernels_after.since(kernels_before);
         ExecutionProfile {
-            flow: flow.name.clone(),
+            flow: plan.flow_name().to_string(),
             total_us: report.total.as_micros() as u64,
             rows_processed: report.rows_processed as u64,
             kernel_vectorized: delta.vectorized,
@@ -136,18 +129,21 @@ impl ExecutionProfile {
             ops: report
                 .timings
                 .iter()
-                .map(|t| ProfileOp {
-                    name: t.op.clone(),
-                    kind: t.kind.to_string(),
-                    inputs: inputs_by_name.get(t.op.as_str()).cloned().unwrap_or_default(),
-                    estimated_rows: estimated_by_name.get(t.op.as_str()).copied().unwrap_or(0.0),
-                    rows_in: t.rows_in as u64,
-                    rows_out: t.rows_out as u64,
-                    elapsed_us: t.elapsed.as_micros() as u64,
-                    worker: t.worker as u32,
+                .map(|t| {
+                    let node = by_name.get(t.op.as_str()).expect("a report times the operations of its plan");
+                    ProfileOp {
+                        name: t.op.clone(),
+                        kind: t.kind.to_string(),
+                        inputs: node.inputs.iter().map(|&i| nodes[i].op.name.clone()).collect(),
+                        estimated_rows: node.estimated_rows,
+                        rows_in: t.rows_in as u64,
+                        rows_out: t.rows_out as u64,
+                        elapsed_us: t.elapsed.as_micros() as u64,
+                        worker: t.worker as u32,
+                    }
                 })
                 .collect(),
-            sinks: flow.sinks().into_iter().map(|id| flow.op(id).name.clone()).collect(),
+            sinks: sinks.into_iter().map(|op| op.name.clone()).collect(),
         }
     }
 
@@ -293,8 +289,8 @@ impl ExecutionProfile {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use quarry_etl::cost::{cardinality_state, SourceStats};
-    use quarry_etl::{parse_expr, ColType, Column, OpKind, Schema};
+    use quarry_etl::cost::SourceStats;
+    use quarry_etl::{parse_expr, ColType, Column, Flow, OpKind, Schema};
 
     fn src_schema() -> Schema {
         Schema::new(vec![Column::new("x", ColType::Integer)])
@@ -326,9 +322,8 @@ mod tests {
         }
         report.total = std::time::Duration::from_micros(900);
         report.rows_processed = 1074;
-        let estimates = cardinality_state(&flow, &stats).unwrap();
-        let profile =
-            ExecutionProfile::capture(&flow, &report, &estimates, KernelDelta::default(), KernelDelta::default());
+        let plan = PhysicalPlan::compile(&flow, Some(&stats)).unwrap();
+        let profile = ExecutionProfile::capture(&plan, &report, KernelDelta::default(), KernelDelta::default());
         (flow, profile)
     }
 
@@ -421,8 +416,8 @@ mod tests {
                 worker: 0,
             });
         }
-        let estimates = cardinality_state(&flow, &SourceStats::default()).unwrap();
-        let p = ExecutionProfile::capture(&flow, &report, &estimates, KernelDelta::default(), KernelDelta::default());
+        let plan = PhysicalPlan::compile(&flow, Some(&SourceStats::default())).unwrap();
+        let p = ExecutionProfile::capture(&plan, &report, KernelDelta::default(), KernelDelta::default());
         let tree = p.render();
         assert_eq!(tree.matches("DATASTORE_s [").count(), 1, "shared source expands once: {tree}");
         assert!(tree.contains("DATASTORE_s (shared, shown above)"), "{tree}");

@@ -1642,8 +1642,8 @@ mod tests {
         }
         let sel_rows = report.timings.iter().find(|t| t.op == "SEL").unwrap().rows_out;
         assert_eq!(stats.observed_op("SEL"), Some(sel_rows as f64));
-        let cards = quarry_etl::cost::cardinalities(&f, &stats).unwrap();
-        assert_eq!(cards[&s], sel_rows as f64, "estimator now uses the observed filter cardinality");
+        let cards = quarry_etl::cost::cardinality_state(&f, &stats).unwrap();
+        assert_eq!(cards[&s].0, sel_rows as f64, "estimator now uses the observed filter cardinality");
     }
 
     /// Runs `f` on the engine and on the row-at-a-time reference from the

@@ -4,12 +4,16 @@
 //! propagation and a topological order, nothing more, so a dangling output
 //! still runs — and fixes what every run of the flow shares, per *position*:
 //! level by level (`level(op) = 1 + max(level(inputs))`), a level's pure
-//! operations before its loaders, flow order within.
+//! operations before its loaders, flow order within. With statistics it
+//! also derives the run's cost-model facts in one fold over the positions:
+//! each node's estimated rows and the modeled cost of its upstream cone.
 //! [`Engine::execute`](crate::Engine::execute) runs a plan without looking
 //! at the flow again; [`Engine::run`](crate::Engine::run) is compile, then
 //! execute.
 
-use quarry_etl::cost::{flow_fingerprint, op_fingerprint, EstimatedTime, SourceStats, TimeWeights};
+use quarry_etl::cost::{
+    flow_fingerprint, op_cardinality, op_fingerprint, CardState, EstimatedTime, SourceStats, TimeWeights,
+};
 use quarry_etl::{Flow, FlowError, OpId, OpKind, Operation, Schema};
 use std::collections::HashMap;
 
@@ -29,8 +33,13 @@ pub struct PlanNode {
     /// [`op_fingerprint`] of the operation: its canonical signature, names
     /// excluded.
     pub signature: u64,
-    /// Modeled cost of the upstream cone (zero when compiled without
-    /// statistics): what a cache hit on this output saves.
+    /// The cost model's estimated output rows ([`op_cardinality`]; zero when
+    /// compiled without statistics).
+    pub estimated_rows: f64,
+    /// Modeled cost of the upstream cone — the node and everything it
+    /// transitively reads, shared work counted once, summed in position
+    /// order (zero when compiled without statistics): what a cache hit on
+    /// this output saves.
     pub cone_cost: f64,
 }
 
@@ -38,18 +47,17 @@ pub struct PlanNode {
 #[derive(Debug, Clone)]
 pub struct PhysicalPlan {
     nodes: Vec<PlanNode>,
+    flow_name: String,
     flow_fp: u64,
 }
 
 impl PhysicalPlan {
     /// Compiles `flow`: fails with the error `flow.schemas()` or
     /// `flow.topo_order()` reports, before any data is touched. With `stats`
-    /// the cone costs are the columnar cost model's.
+    /// the estimates and cone costs are the columnar cost model's.
     pub fn compile(flow: &Flow, stats: Option<&SourceStats>) -> Result<PhysicalPlan, FlowError> {
         let mut schemas = flow.schemas()?;
         let mut order = flow.topo_order()?;
-        let model = EstimatedTime { weights: TimeWeights::columnar() };
-        let cones = stats.map(|stats| model.subtree_costs(flow, stats)).transpose()?;
         let mut level: HashMap<OpId, usize> = HashMap::with_capacity(order.len());
         for &id in &order {
             level.insert(id, flow.inputs_of(id).iter().map(|i| level[i] + 1).max().unwrap_or(0));
@@ -58,7 +66,7 @@ impl PhysicalPlan {
         // level's loaders behind its pure operations.
         order.sort_by_key(|id| (level[id], flow.op(*id).kind.is_sink()));
         let pos_of: HashMap<OpId, usize> = order.iter().enumerate().map(|(pos, &id)| (id, pos)).collect();
-        let nodes = order
+        let mut nodes: Vec<PlanNode> = order
             .iter()
             .map(|&id| {
                 let op = flow.op(id);
@@ -67,17 +75,26 @@ impl PhysicalPlan {
                     schema: schemas.remove(&id).expect("every operation has a schema"),
                     distinct: matches!(&op.kind, OpKind::Loader { key, .. } if input_distinct_on(flow, id, key)),
                     signature: op_fingerprint(&op.kind),
-                    cone_cost: cones.as_ref().map_or(0.0, |cones| cones[&id]),
+                    estimated_rows: 0.0,
+                    cone_cost: 0.0,
                     op: op.clone(),
                 }
             })
             .collect();
-        Ok(PhysicalPlan { nodes, flow_fp: flow_fingerprint(flow) })
+        if let Some(stats) = stats {
+            estimate(&mut nodes, stats);
+        }
+        Ok(PhysicalPlan { nodes, flow_name: flow.name.clone(), flow_fp: flow_fingerprint(flow) })
     }
 
     /// The nodes in position order.
     pub fn nodes(&self) -> &[PlanNode] {
         &self.nodes
+    }
+
+    /// The name of the flow this plan was compiled from.
+    pub fn flow_name(&self) -> &str {
+        &self.flow_name
     }
 
     /// The [`flow_fingerprint`] of the flow this plan was compiled from.
@@ -100,6 +117,34 @@ impl PhysicalPlan {
             keys.push(node.inputs.iter().fold(key, |key, &i| mix(key, keys[i])));
         }
         keys
+    }
+}
+
+/// Fills in each node's estimated rows and cone cost under `stats`: one
+/// fold of [`op_cardinality`] and the columnar [`EstimatedTime`] part over
+/// the positions (every input precedes its consumer), each cone a bit set of
+/// positions whose parts are summed in ascending position order, so a plan's
+/// costs are a function of the flow and the statistics alone.
+fn estimate(nodes: &mut [PlanNode], stats: &SourceStats) {
+    let model = EstimatedTime { weights: TimeWeights::columnar() };
+    let words = nodes.len().div_ceil(64);
+    let mut cards: Vec<CardState> = Vec::with_capacity(nodes.len());
+    let mut parts: Vec<f64> = Vec::with_capacity(nodes.len());
+    let mut cones: Vec<Vec<u64>> = Vec::with_capacity(nodes.len());
+    for (pos, node) in nodes.iter_mut().enumerate() {
+        let inputs: Vec<CardState> = node.inputs.iter().map(|&i| cards[i]).collect();
+        let card = op_cardinality(&node.op.kind, &node.op.name, &inputs, stats);
+        let input_rows: Vec<f64> = inputs.iter().map(|&(rows, _)| rows).collect();
+        parts.push(model.op_cost(&node.op.kind, &input_rows, card.0, node.schema.len()));
+        let mut cone = vec![0u64; words];
+        cone[pos / 64] |= 1 << (pos % 64);
+        for &i in &node.inputs {
+            cone.iter_mut().zip(&cones[i]).for_each(|(w, c)| *w |= c);
+        }
+        node.estimated_rows = card.0;
+        node.cone_cost = (0..=pos).filter(|&p| cone[p / 64] >> (p % 64) & 1 == 1).map(|p| parts[p]).sum();
+        cards.push(card);
+        cones.push(cone);
     }
 }
 
@@ -137,6 +182,7 @@ fn input_distinct_on(flow: &Flow, loader: OpId, key: &[String]) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use quarry_etl::cost::{cardinality_state, EtlCostModel};
     use quarry_etl::{parse_expr, AggSpec, ColType, Column};
 
     fn src_schema() -> Schema {
@@ -174,10 +220,76 @@ mod tests {
         let distinct: Vec<&str> = plan.nodes().iter().filter(|n| n.distinct).map(|n| n.op.name.as_str()).collect();
         assert_eq!(distinct, ["LOAD_agg"], "only the aggregation's loader is proved distinct");
         assert_eq!(plan.flow_fingerprint(), flow_fingerprint(&f));
-        assert!(plan.nodes().iter().all(|n| n.cone_cost == 0.0), "no statistics, no cone costs");
+        assert!(plan.nodes().iter().all(|n| n.cone_cost == 0.0 && n.estimated_rows == 0.0), "no statistics, no costs");
         let costed = PhysicalPlan::compile(&f, Some(&SourceStats::new().with_table("t", 1000.0))).unwrap();
         let cone = |name: &str| costed.nodes().iter().find(|n| n.op.name == name).unwrap().cone_cost;
         assert!(cone("SRC") > 0.0 && cone("AGG") > cone("SEL") && cone("SEL") > cone("SRC"));
+    }
+
+    /// `SRC → SEL → AGG → LOAD` under a 60k-row source.
+    fn linear() -> (Flow, SourceStats) {
+        let mut f = Flow::new("linear");
+        let src = f.add_op("SRC", OpKind::Datastore { datastore: "t".into(), schema: src_schema() }).unwrap();
+        let s = f.append(src, "SEL", sel("v > 1")).unwrap();
+        let aggregates = vec![AggSpec::new("SUM", parse_expr("v").unwrap(), "total")];
+        let a = f.append(s, "AGG", OpKind::Aggregation { group_by: vec!["k".into()], aggregates }).unwrap();
+        f.append(a, "LOAD", OpKind::Loader { table: "agg".into(), key: vec!["k".into()] }).unwrap();
+        (f, SourceStats::new().with_table("t", 60_000.0))
+    }
+
+    #[test]
+    fn estimates_are_the_cost_models_and_cones_cover_the_upstream_once() {
+        let (f, stats) = linear();
+        let plan = PhysicalPlan::compile(&f, Some(&stats)).unwrap();
+        let cards = cardinality_state(&f, &stats).unwrap();
+        for node in plan.nodes() {
+            assert_eq!(node.estimated_rows.to_bits(), cards[&node.op.id].0.to_bits(), "`{}`", node.op.name);
+        }
+        let cone = |name: &str| plan.nodes().iter().find(|n| n.op.name == name).unwrap().cone_cost;
+        let total = EstimatedTime { weights: TimeWeights::columnar() }.cost(&f, &stats).unwrap();
+        assert!((cone("LOAD") - total).abs() <= 1e-9 * total, "the sink's cone is the whole linear flow");
+        assert!(cone("SRC") < cone("SEL") && cone("SEL") < cone("AGG") && cone("AGG") < cone("LOAD"), "cones nest");
+        // A shared producer counts once in a cone that reaches it twice.
+        let f = pipeline();
+        let stats = SourceStats::new().with_table("t", 1000.0);
+        let plan = PhysicalPlan::compile(&f, Some(&stats)).unwrap();
+        let parts: HashMap<&str, f64> = EstimatedTime { weights: TimeWeights::columnar() }
+            .decompose(&f, &stats)
+            .unwrap()
+            .unwrap()
+            .into_iter()
+            .map(|p| (f.op(p.id).name.as_str(), p.cost))
+            .collect();
+        let cone = |name: &str| plan.nodes().iter().find(|n| n.op.name == name).unwrap().cone_cost;
+        let agg = parts["SRC"] + parts["SEL"] + parts["AGG"];
+        assert!((cone("AGG") - agg).abs() <= 1e-9 * agg);
+    }
+
+    #[test]
+    fn recompiling_gives_bit_identical_cone_costs() {
+        // One source fanning into a long chain of derivations and filters,
+        // each also loaded: deep cones of parts of many magnitudes, where the
+        // summation order shows in the last bits.
+        let mut f = Flow::new("deep");
+        let mut at = f.add_op("SRC", OpKind::Datastore { datastore: "t".into(), schema: src_schema() }).unwrap();
+        for i in 0..48 {
+            let kind = if i % 3 == 0 {
+                sel(&format!("v > {i}"))
+            } else {
+                OpKind::Derivation { column: format!("d{i}"), expr: parse_expr(&format!("v * {i}")).unwrap() }
+            };
+            at = f.append(at, format!("OP{i}"), kind).unwrap();
+            f.append(at, format!("LOAD{i}"), OpKind::Loader { table: format!("t{i}"), key: vec![] }).unwrap();
+        }
+        let stats = SourceStats::new().with_table("t", 123_457.0);
+        let bits = || -> Vec<u64> {
+            let plan = PhysicalPlan::compile(&f, Some(&stats)).unwrap();
+            plan.nodes().iter().map(|n| n.cone_cost.to_bits()).collect()
+        };
+        let first = bits();
+        for _ in 0..20 {
+            assert_eq!(bits(), first, "a plan's cone costs are a function of the flow and the statistics");
+        }
     }
 
     #[test]

@@ -7,9 +7,11 @@
 //! costs from them; [`EstimatedTime`] is the default quality factor, and
 //! [`OpCount`] the trivial ablation alternative (experiment E8).
 //!
-//! Cardinality propagation is memoized per flow shape inside [`SourceStats`]
-//! (the cost-based optimizer evaluates thousands of designs against one stats
-//! object), and every model exposes an additive per-operation decomposition
+//! Cardinality propagation is one fold of [`op_cardinality`] over a
+//! topological order per call, memoized nowhere: a compiled plan
+//! (`quarry_engine::PhysicalPlan`) keeps a run's estimates per node, and the
+//! optimizer re-folds only the operations a move touched. Every model
+//! exposes an additive per-operation decomposition
 //! ([`EtlCostModel::decompose`]) whose parts sum to [`EtlCostModel::cost`] —
 //! the invariant the optimizer's incremental cost deltas rest on.
 
@@ -20,68 +22,18 @@ use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
-use std::sync::{Arc, Mutex};
 
 /// Cardinality state per operation: `(rows, retained)` where `retained` is
 /// the product of selectivities applied upstream of (and at) the operation.
 pub type CardState = (f64, f64);
 
-/// Bound on the number of distinct flow shapes cached per [`SourceStats`];
-/// past it the least-recently-used shape is evicted (the optimizer's working
-/// set is far smaller — it re-costs the same handful of shapes while deltas
-/// cover the rest).
-const CARD_CACHE_CAP: usize = 128;
-
-/// Process-wide count of cardinality-memo LRU evictions, exported through
-/// the lifecycle's metrics collector as
-/// `integrator.optimizer.card_cache_evictions`.
-static CARD_CACHE_EVICTIONS: AtomicU64 = AtomicU64::new(0);
-
-/// Cardinality-memo entries evicted by the LRU cap since process start.
-pub fn card_cache_evictions() -> u64 {
-    CARD_CACHE_EVICTIONS.load(Relaxed)
-}
-
-/// The memoized [`cardinality_state`] results: flow fingerprint → state,
-/// with a logical clock for least-recently-used eviction at
-/// [`CARD_CACHE_CAP`].
-#[derive(Debug, Default)]
-struct CardCache {
-    map: HashMap<u64, (u64, Arc<HashMap<OpId, CardState>>)>,
-    tick: u64,
-}
-
-impl CardCache {
-    fn get(&mut self, fp: u64) -> Option<Arc<HashMap<OpId, CardState>>> {
-        self.tick += 1;
-        let tick = self.tick;
-        self.map.get_mut(&fp).map(|slot| {
-            slot.0 = tick;
-            Arc::clone(&slot.1)
-        })
-    }
-
-    fn insert(&mut self, fp: u64, state: Arc<HashMap<OpId, CardState>>) {
-        self.tick += 1;
-        while self.map.len() >= CARD_CACHE_CAP && !self.map.contains_key(&fp) {
-            if let Some(&oldest) = self.map.iter().min_by_key(|(_, (t, _))| *t).map(|(k, _)| k) {
-                self.map.remove(&oldest);
-                CARD_CACHE_EVICTIONS.fetch_add(1, Relaxed);
-            } else {
-                break;
-            }
-        }
-        self.map.insert(fp, (self.tick, state));
-    }
-}
-
 /// Row-count statistics for source datastores, plus observed per-operation
 /// cardinalities fed back from actual engine runs.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct SourceStats {
     rows: HashMap<String, f64>,
     /// Output cardinalities observed by executing a flow, keyed by operation
-    /// name. When present for an operation, [`cardinalities`] prefers the
+    /// name. When present for an operation, [`op_cardinality`] prefers the
     /// observation over its static estimate.
     observed: HashMap<String, f64>,
     /// `(rows_in, rows_out)` pairs observed per operation. For selections
@@ -105,28 +57,10 @@ pub struct SourceStats {
     /// mutates). Whoever caches facts derived from the statistics compares
     /// it ([`SourceStats::generation`]).
     generation: u64,
-    /// Memoized [`cardinality_state`] results keyed by flow fingerprint,
-    /// LRU-bounded at [`CARD_CACHE_CAP`] shapes.
-    cache: Mutex<CardCache>,
 }
 
-impl Clone for SourceStats {
-    fn clone(&self) -> Self {
-        SourceStats {
-            rows: self.rows.clone(),
-            observed: self.observed.clone(),
-            observed_io: self.observed_io.clone(),
-            unique_keys: self.unique_keys.clone(),
-            group_fraction: self.group_fraction,
-            default_rows: self.default_rows,
-            generation: self.generation,
-            cache: Mutex::new(CardCache::default()),
-        }
-    }
-}
-
-/// Equal tables, observations, keys and defaults. The generation and the
-/// cardinality cache say how a value was reached, not what it holds.
+/// Equal tables, observations, keys and defaults. The generation says how a
+/// value was reached, not what it holds.
 impl PartialEq for SourceStats {
     fn eq(&self, other: &Self) -> bool {
         self.rows == other.rows
@@ -146,12 +80,11 @@ impl SourceStats {
     fn touch(&mut self) {
         static NEXT_GENERATION: AtomicU64 = AtomicU64::new(1);
         self.generation = NEXT_GENERATION.fetch_add(1, Relaxed);
-        self.cache.get_mut().unwrap_or_else(|e| e.into_inner()).map.clear();
     }
 
     /// Identifies the current tables, observations and key declarations: it
-    /// grows whenever one of them changes (and the cardinality cache is
-    /// invalidated) and is never shared by two objects that differ in them.
+    /// grows whenever one of them changes and is never shared by two objects
+    /// that differ in them.
     /// The public `group_fraction` and `default_rows` are not covered.
     pub fn generation(&self) -> u64 {
         self.generation
@@ -373,31 +306,15 @@ pub fn op_fingerprint(kind: &OpKind) -> u64 {
     h.finish()
 }
 
-/// Full `(rows, retained)` state for every operation of a flow, memoized per
-/// flow fingerprint inside `stats` (invalidated by any stats mutation).
+/// Full `(rows, retained)` state for every operation of a flow: one fold of
+/// [`op_cardinality`] over a topological order.
 ///
 /// Each operation tracks `(rows, retained)` where `retained` is the product
 /// of selectivities applied upstream. Joins are treated as key/foreign-key
 /// joins (the DW case): the output follows the probing (left) side, scaled
 /// by the *build* side's retained fraction — so a filter pushed into either
 /// branch correctly shrinks the join output.
-pub fn cardinality_state(flow: &Flow, stats: &SourceStats) -> Result<Arc<HashMap<OpId, CardState>>, FlowError> {
-    cardinality_state_of(flow, flow_fingerprint(flow), stats)
-}
-
-/// [`cardinality_state`] for a caller that already holds `flow`'s
-/// [`flow_fingerprint`] `fp`.
-pub fn cardinality_state_of(
-    flow: &Flow,
-    fp: u64,
-    stats: &SourceStats,
-) -> Result<Arc<HashMap<OpId, CardState>>, FlowError> {
-    {
-        let mut cache = stats.cache.lock().unwrap_or_else(|e| e.into_inner());
-        if let Some(hit) = cache.get(fp) {
-            return Ok(hit);
-        }
-    }
+pub fn cardinality_state(flow: &Flow, stats: &SourceStats) -> Result<HashMap<OpId, CardState>, FlowError> {
     let order = flow.topo_order()?;
     let mut state: HashMap<OpId, CardState> = HashMap::with_capacity(order.len());
     for id in order {
@@ -405,16 +322,7 @@ pub fn cardinality_state_of(
         let op = flow.op(id);
         state.insert(id, op_cardinality(&op.kind, &op.name, &inputs, stats));
     }
-    let state = Arc::new(state);
-    let mut cache = stats.cache.lock().unwrap_or_else(|e| e.into_inner());
-    cache.insert(fp, Arc::clone(&state));
     Ok(state)
-}
-
-/// Estimated output cardinality for every operation of a flow (the `rows`
-/// half of [`cardinality_state`]).
-pub fn cardinalities(flow: &Flow, stats: &SourceStats) -> Result<HashMap<OpId, f64>, FlowError> {
-    Ok(cardinality_state(flow, stats)?.iter().map(|(&k, &(rows, _))| (k, rows)).collect())
 }
 
 /// One operation's share of a flow's cost.
@@ -573,27 +481,6 @@ impl EstimatedTime {
         }
         Ok(parts)
     }
-
-    /// Modeled cost of every operation's *upstream cone* (the op itself plus
-    /// everything it transitively reads), with shared upstream work counted
-    /// once per cone. This is what a result-cache hit on the operation's
-    /// output saves: the whole cone need not run.
-    pub fn subtree_costs(&self, flow: &Flow, stats: &SourceStats) -> Result<HashMap<OpId, f64>, FlowError> {
-        let parts: HashMap<OpId, f64> = self.parts(flow, stats)?.into_iter().map(|p| (p.id, p.cost)).collect();
-        let order = flow.topo_order()?;
-        let mut cones: HashMap<OpId, std::collections::HashSet<OpId>> = HashMap::with_capacity(order.len());
-        let mut costs = HashMap::with_capacity(order.len());
-        for id in order {
-            let mut cone: std::collections::HashSet<OpId> = std::collections::HashSet::new();
-            cone.insert(id);
-            for input in flow.inputs_of(id) {
-                cone.extend(cones[input].iter().copied());
-            }
-            costs.insert(id, cone.iter().map(|op| parts[op]).sum::<f64>());
-            cones.insert(id, cone);
-        }
-        Ok(costs)
-    }
 }
 
 impl EtlCostModel for EstimatedTime {
@@ -672,6 +559,11 @@ mod tests {
         SourceStats::new().with_table("lineitem", 60_000.0).with_table("orders", 15_000.0)
     }
 
+    /// The `rows` half of [`cardinality_state`].
+    fn rows_of(flow: &Flow, stats: &SourceStats) -> HashMap<OpId, f64> {
+        cardinality_state(flow, stats).unwrap().into_iter().map(|(id, (rows, _))| (id, rows)).collect()
+    }
+
     fn pipeline() -> Flow {
         let mut f = Flow::new("p");
         let d = f.add_op("DS", li()).unwrap();
@@ -722,7 +614,7 @@ mod tests {
         // A run saw the filter keep 1% of 50k rows; the ratio generalizes to
         // the estimated 60k input rather than pinning the output to 500.
         s.observe_op_io("SEL", 50_000.0, 500.0);
-        let cards = cardinalities(&f, &s).unwrap();
+        let cards = rows_of(&f, &s);
         assert!((cards[&sel] - 60_000.0 * 0.01).abs() < 1.0, "ratio applied to estimated input: {}", cards[&sel]);
         assert_eq!(s.observed_selectivity("SEL"), Some(0.01));
         // Degenerate observations (empty input) fall back to the static path.
@@ -733,7 +625,7 @@ mod tests {
     #[test]
     fn cardinalities_propagate() {
         let f = pipeline();
-        let cards = cardinalities(&f, &stats()).unwrap();
+        let cards = rows_of(&f, &stats());
         let sel = f.id_by_name("SEL").unwrap();
         assert!((cards[&sel] - 60_000.0 * 0.33).abs() < 1.0);
         let agg = f.id_by_name("AGG").unwrap();
@@ -746,15 +638,13 @@ mod tests {
         let s = stats();
         let g0 = s.generation();
         let first = cardinality_state(&f, &s).unwrap();
-        let second = cardinality_state(&f, &s).unwrap();
-        assert!(Arc::ptr_eq(&first, &second), "second call must hit the cache");
+        assert_eq!(cardinality_state(&f, &s).unwrap(), first);
         assert_eq!(s.generation(), g0, "reads do not invalidate");
-        // Any stats mutation invalidates the cache.
+        // Any stats mutation moves the generation.
         let mut s = s;
         s.observe_op("SEL", 10.0);
         assert!(s.generation() > g0);
         let third = cardinality_state(&f, &s).unwrap();
-        assert!(!Arc::ptr_eq(&first, &third), "observation must invalidate the cache");
         let sel = f.id_by_name("SEL").unwrap();
         assert_eq!(third[&sel].0, 10.0);
         s.clear_observations();
@@ -778,7 +668,7 @@ mod tests {
         let f = pipeline();
         let mut s = SourceStats::new();
         s.default_rows = 500.0;
-        let cards = cardinalities(&f, &s).unwrap();
+        let cards = rows_of(&f, &s);
         assert_eq!(cards[&f.id_by_name("DS").unwrap()], 500.0);
     }
 
@@ -872,7 +762,7 @@ mod tests {
         f.append(j, "LOAD", OpKind::Loader { table: "t".into(), key: vec![] }).unwrap();
         let cost = EstimatedTime::new().cost(&f, &stats()).unwrap();
         assert!(cost > 0.0);
-        let cards = cardinalities(&f, &stats()).unwrap();
+        let cards = rows_of(&f, &stats());
         assert_eq!(cards[&j], 60_000.0, "FK join keeps probe-side cardinality");
     }
 
@@ -880,17 +770,17 @@ mod tests {
     fn observed_cardinalities_override_estimates() {
         let f = pipeline();
         let mut s = stats();
-        let cards = cardinalities(&f, &s).unwrap();
+        let cards = rows_of(&f, &s);
         let sel = f.id_by_name("SEL").unwrap();
         assert!((cards[&sel] - 60_000.0 * 0.33).abs() < 1.0, "static estimate first");
         // A run observed the filter keeping almost nothing.
         s.observe_op("SEL", 120.0);
-        let cards = cardinalities(&f, &s).unwrap();
+        let cards = rows_of(&f, &s);
         assert_eq!(cards[&sel], 120.0, "observation wins");
         let agg = f.id_by_name("AGG").unwrap();
         assert!(cards[&agg] <= 120.0 * s.group_fraction + 1.0, "correction propagates downstream");
         s.clear_observations();
-        let cards = cardinalities(&f, &s).unwrap();
+        let cards = rows_of(&f, &s);
         assert!((cards[&sel] - 60_000.0 * 0.33).abs() < 1.0, "cleared observations restore estimates");
     }
 
@@ -938,53 +828,6 @@ mod tests {
         assert_eq!(OpCount.cost(&f, &stats()).unwrap(), 4.0);
         assert_eq!(OpCount.name(), "operation-count");
         assert_eq!(EstimatedTime::new().name(), "estimated-execution-time");
-    }
-
-    #[test]
-    fn cardinality_memo_evicts_least_recently_used_past_the_cap() {
-        let s = stats();
-        // Distinct flows (distinct fingerprints) up to one past the cap; the
-        // first flow is kept warm by re-reading it between inserts.
-        let flow_n = |n: usize| {
-            let mut f = Flow::new("lru");
-            let mut prev = f.add_op("DS", li()).unwrap();
-            for i in 0..n {
-                prev = f
-                    .append(
-                        prev,
-                        format!("SEL{i}"),
-                        OpKind::Selection { predicate: parse_expr("l_discount > 0.05").unwrap() },
-                    )
-                    .unwrap();
-            }
-            f.append(prev, "LOAD", OpKind::Loader { table: "t".into(), key: vec![] }).unwrap();
-            f
-        };
-        let warm = flow_n(0);
-        let warm_state = cardinality_state(&warm, &s).unwrap();
-        let evicted_before = card_cache_evictions();
-        for n in 1..CARD_CACHE_CAP + 8 {
-            cardinality_state(&flow_n(n), &s).unwrap();
-            // Re-read the warm entry so it is never the LRU victim.
-            cardinality_state(&warm, &s).unwrap();
-        }
-        assert!(card_cache_evictions() > evicted_before, "inserting past the cap must evict");
-        let still = cardinality_state(&warm, &s).unwrap();
-        assert!(Arc::ptr_eq(&warm_state, &still), "the recently-used entry survives eviction");
-    }
-
-    #[test]
-    fn subtree_costs_cover_the_upstream_cone_once() {
-        let f = pipeline();
-        let s = stats();
-        let m = EstimatedTime::new();
-        let costs = m.subtree_costs(&f, &s).unwrap();
-        let load = f.id_by_name("LOAD").unwrap();
-        let total = m.cost(&f, &s).unwrap();
-        assert!((costs[&load] - total).abs() <= 1e-9 * total, "the sink's cone is the whole linear flow");
-        let sel = f.id_by_name("SEL").unwrap();
-        let ds = f.id_by_name("DS").unwrap();
-        assert!(costs[&ds] < costs[&sel] && costs[&sel] < costs[&load], "cones nest along the pipeline");
     }
 
     #[test]

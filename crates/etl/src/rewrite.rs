@@ -217,7 +217,7 @@ impl RewriteState {
     /// incremental propagation for its deep checks).
     pub fn new(flow: Flow, stats: SourceStats, model: EstimatedTime) -> Result<Self, FlowError> {
         let schemas = flow.schemas()?;
-        let cards: HashMap<OpId, CardState> = (*cardinality_state(&flow, &stats)?).clone();
+        let cards = cardinality_state(&flow, &stats)?;
         let use_width = model.weights.per_column != 0.0;
         let mut op_costs = HashMap::with_capacity(flow.op_count());
         let mut cost = 0.0;
@@ -1509,8 +1509,8 @@ mod tests {
         // The ratio survived the move (selection observations are kept), so
         // the estimate still reflects the measured 12% selectivity.
         assert!((st.cost() - st.full_recost().unwrap()).abs() < 1e-9 * st.cost().abs().max(1.0));
-        let cards = crate::cost::cardinalities(st.flow(), st.stats()).unwrap();
-        assert_eq!(cards[&sel], 120.0);
+        let cards = cardinality_state(st.flow(), st.stats()).unwrap();
+        assert_eq!(cards[&sel].0, 120.0);
     }
 
     #[test]

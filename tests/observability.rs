@@ -6,6 +6,7 @@
 use quarry::obs::AttrValue;
 use quarry::service::{handle, ServiceRequest, ServiceResponse};
 use quarry::{ExecutionProfile, Quarry};
+use quarry_etl::cost::cardinality_state;
 use quarry_formats::xrq::figure4_requirement;
 use quarry_repository::{ArtifactKind, Json};
 use std::collections::HashMap;
@@ -92,6 +93,51 @@ fn full_run_yields_a_span_tree_covering_every_lifecycle_phase() {
     let counter = |name: &str| q.observability().metric(name).and_then(|m| m.as_counter());
     assert_eq!(counter("engine.ops"), Some(report.timings.len() as u64));
     assert_eq!(counter("engine.rows"), Some(report.rows_processed as u64));
+}
+
+/// The stored profile is a view of the executed plan and the run's report.
+/// On a cold run and on a cache-served warm run alike, every estimate is the
+/// cost model's under the statistics live at run start, inputs and sinks are
+/// the flow's, and the document keeps its members in order.
+#[test]
+fn stored_profiles_estimate_under_the_live_statistics_cold_and_warm() {
+    let members = |doc: &Json| match doc {
+        Json::Object(members) => members.iter().map(|(k, _)| k.clone()).collect::<Vec<_>>(),
+        other => panic!("not an object: {other:?}"),
+    };
+    let mut q = Quarry::tpch();
+    q.add_requirement(figure4_requirement()).unwrap();
+    let catalog = quarry_engine::tpch::generate(0.002, 42);
+    for warm in [false, true] {
+        let cards = cardinality_state(q.unified().1, &q.config().stats).unwrap();
+        let hits_before = q.cache_stats().hits;
+        let (_, report) = q.run_etl(catalog.clone()).unwrap();
+        let hits = (q.cache_stats().hits - hits_before) as usize;
+        assert_eq!(hits > 0, warm, "only the warm run is cache-served");
+
+        let stored = q.repository().latest(ArtifactKind::Profile, "unified").unwrap();
+        let doc = Json::parse(&stored.content).unwrap();
+        assert_eq!(members(&doc), ["version", "flow", "totalUs", "rowsProcessed", "kernels", "ops", "sinks"]);
+        for op in doc.get("ops").and_then(Json::as_array).unwrap() {
+            let expected = ["name", "kind", "inputs", "estimatedRows", "rowsIn", "rowsOut", "elapsedUs", "worker"];
+            assert_eq!(members(op), expected);
+        }
+        let profile = ExecutionProfile::from_json(&doc).unwrap();
+        let flow = q.unified().1;
+        let name = |id| flow.op(id).name.clone();
+        assert_eq!(profile.flow, flow.name);
+        assert_eq!(profile.sinks, flow.sinks().into_iter().map(name).collect::<Vec<_>>());
+        assert_eq!(profile.ops.len(), report.timings.len());
+        for (pos, (op, t)) in profile.ops.iter().zip(&report.timings).enumerate() {
+            let id = flow.id_by_name(&op.name).expect("profiled ops are in the unified flow");
+            assert_eq!((op.name.as_str(), op.kind.as_str(), op.rows_in), (t.op.as_str(), t.kind, t.rows_in as u64));
+            assert_eq!(op.estimated_rows.to_bits(), cards[&id].0.to_bits(), "`{}` (warm: {warm})", op.name);
+            assert_eq!(op.inputs, flow.inputs_of(id).iter().map(|&i| name(i)).collect::<Vec<_>>());
+            if pos < hits {
+                assert_eq!(op.rows_in, 0, "cache-served `{}` reads nothing", op.name);
+            }
+        }
+    }
 }
 
 #[test]
