@@ -29,14 +29,16 @@
 //! Beside it: the run's minor page faults and peak RSS (`/proc/self/stat`
 //! and `VmHWM`, reset before each run where `/proc/self/clear_refs` allows;
 //! omitted where `/proc` does not exist), the most operator outputs the
-//! scheduler held at once, and with `--flow optimized` the search's wall
-//! time and move counts. The `events:` line counts the flight-recorder
+//! scheduler held at once, with `--flow optimized` the search's wall
+//! time and move counts, and one `fused:` line per group of sibling
+//! aggregations the plan runs as one keyed pass (its producer and members;
+//! each member's timing is an equal share of the pass). The `events:` line counts the flight-recorder
 //! events the fastest run recorded, by kind: the traffic the recorder's one
 //! lock per event has to carry.
 
 use quarry::obs::flight;
 use quarry::{Quarry, QuarryConfig};
-use quarry_engine::{tpch, Engine, OpTiming, ResultCache};
+use quarry_engine::{tpch, Engine, OpTiming, PhysicalPlan, ResultCache};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -147,6 +149,11 @@ fn main() {
     );
     if let Some((wall, search)) = &search {
         println!("optimize: {wall:?}, {} moves proposed, {} accepted", search.proposed, search.accepted);
+    }
+    let plan = PhysicalPlan::compile(&unified, None).expect("compiles");
+    for group in plan.fused_groups() {
+        let members: Vec<&str> = group.members.iter().map(|&m| plan.nodes()[m].op.name.as_str()).collect();
+        println!("fused: {} over {}: {}", members.len(), plan.nodes()[group.producer].op.name, members.join(", "));
     }
     if warm {
         // One run fills the lifecycle's own cache; the 20 after it are warm.

@@ -8,7 +8,7 @@
 
 use quarry::Quarry;
 use quarry_bench::{at_width, high_overlap_family, requirement_family};
-use quarry_engine::{tpch, Catalog, Engine, ResultCache};
+use quarry_engine::{tpch, Catalog, Engine, PhysicalPlan, ResultCache};
 use quarry_etl::{parse_expr, AggSpec, Flow, JoinKind, OpKind};
 use std::sync::Arc;
 
@@ -195,6 +195,48 @@ fn empty_inputs_cache_on_vs_off() {
                     "table `{t}` differs on empty inputs at {threads} threads"
                 );
             }
+        }
+    }
+}
+
+/// A fused pass whose members the cache answers in part: the four-requirement
+/// demo flow fills the cache, then the eight-requirement flow — the same
+/// spine and four more aggregations — finds four of its eight fused
+/// members there. Those are served without their cones running (their
+/// derivations never execute), the other four run as one pass, and the
+/// warehouse is bit-identical to a cache-off run at 1, 4 and 8 threads.
+#[test]
+fn fused_pass_with_some_members_cache_served_stays_identical() {
+    let catalog = tpch::generate(SF, 42);
+    let (four, eight) = (unified_of(high_overlap_family(4)), unified_of(high_overlap_family(8)));
+    let plan = PhysicalPlan::compile(&eight, None).unwrap();
+    let members: Vec<&str> = plan.fused_groups()[0].members.iter().map(|&m| plan.nodes()[m].op.name.as_str()).collect();
+    assert_eq!(members.len(), 8);
+    let mut baseline = Engine::new(catalog.clone());
+    baseline.run(&eight).expect("baseline run");
+    for threads in [1usize, 4, 8] {
+        let cache = Arc::new(ResultCache::new(true, 256 << 20));
+        let mut engine = Engine::new(catalog.clone());
+        engine.set_result_cache(Arc::clone(&cache), 0, Default::default());
+        at_width(threads, || engine.run(&four)).expect("fills the cache");
+        let mut engine = Engine::new(catalog.clone());
+        engine.set_result_cache(Arc::clone(&cache), 0, Default::default());
+        let report = at_width(threads, || engine.run(&eight)).expect("cached run");
+        let timing = |name: &str| report.timings.iter().find(|t| t.op == name);
+        let (served, ran): (Vec<&str>, Vec<&str>) =
+            members.iter().partition(|m| timing(m).is_some_and(|t| t.rows_in == 0 && t.elapsed.is_zero()));
+        assert_eq!((served.len(), ran.len()), (4, 4), "served {served:?}, ran {ran:?} at {threads} threads");
+        for m in &served {
+            let derivation = m.replace("AGGREGATION_", "DERIVE_");
+            assert!(timing(&derivation).is_none(), "`{derivation}` ran under a served `{m}` at {threads} threads");
+        }
+        assert!(ran.iter().all(|m| timing(&m.replace("AGGREGATION_", "DERIVE_")).is_some()));
+        for t in sorted_table_names(&baseline.catalog) {
+            assert_eq!(
+                baseline.catalog.get(&t).unwrap(),
+                engine.catalog.get(&t).unwrap(),
+                "table `{t}` not bit-identical to the cache-off run at {threads} threads"
+            );
         }
     }
 }

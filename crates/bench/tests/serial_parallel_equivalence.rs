@@ -20,12 +20,14 @@
 //! a late cache offer retired after its consumers took their inputs, outputs
 //! dropped at their last claim, failures, flow errors that must stop a run
 //! before its first operator (`scheduler_flow_error_*`), and a stress run
-//! under a watchdog).
+//! under a watchdog), and sibling aggregations run as one keyed pass
+//! (`fused_*`: the demo and wide flows, and a pass whose members fail).
 
 use quarry::Quarry;
 use quarry_bench::{at_width, figure3_pair, high_overlap_family, requirement_family};
 use quarry_engine::{
-    pool, tpch, Catalog, Engine, EngineError, Relation, ResultCache, RowEngine, RunReport, Value, MORSEL_ROWS,
+    pool, tpch, Catalog, Engine, EngineError, EvalError, PhysicalPlan, Relation, ResultCache, RowEngine, RunReport,
+    Value, MORSEL_ROWS,
 };
 use quarry_etl::{parse_expr, AggSpec, ColType, Column, Flow, FlowError, JoinKind, OpId, OpKind, Schema};
 use quarry_formats::Requirement;
@@ -1867,4 +1869,86 @@ fn scheduler_stress_never_loses_a_wake_up() {
         });
         watchdog.recv_timeout(Duration::from_secs(120)).expect("240 tiny runs neither hang nor fail");
     });
+}
+
+/// The demo's unified flow, greedy and optimized, runs its eight
+/// aggregations as one keyed pass — the plan must say so, or this suite
+/// would pass without fusion — and the wide flow its two pairs; every
+/// warehouse is bit-identical to the row engine's at 1, 2, 4 and 8 threads,
+/// with the same per-operation row counts at every width.
+#[test]
+fn fused_passes_agree_with_the_row_engine_at_every_width() {
+    let catalog = tpch::generate(SF, 42);
+    for (high, optimized) in [(true, false), (true, true), (false, false), (false, true)] {
+        let mut q = Quarry::tpch();
+        for r in if high { high_overlap_family(8) } else { requirement_family(8) } {
+            q.add_requirement(r).expect("integrates");
+        }
+        if optimized {
+            q.optimize().expect("the search runs");
+        }
+        let flow = q.unified().1.clone();
+        let plan = PhysicalPlan::compile(&flow, None).expect("compiles");
+        let fused: Vec<usize> = plan.fused_groups().iter().map(|g| g.members.len()).collect();
+        let expected: &[usize] = if high { &[8] } else { &[2, 2] };
+        assert_eq!(fused, expected, "fused pass sizes (high overlap: {high}, optimized: {optimized})");
+        assert_equivalent_at(&catalog, &[&flow], &WIDTHS);
+    }
+}
+
+/// Four sibling aggregations by `g` over `facts(g, v, dirty)`, behind
+/// chains of zero to three derivations (levels 1 to 4, so `LOAD_1` is
+/// positioned before `AGG_3`); `bad` names the operation that reads the
+/// `dirty` column, which holds a string in the second morsel.
+fn four_siblings(bad: &str) -> (Catalog, Flow) {
+    let mut catalog = Catalog::new();
+    let rows = (0..3 * MORSEL_ROWS as i64).map(|i| {
+        let dirty = if i == MORSEL_ROWS as i64 + 7 { Value::Str("second-morsel".into()) } else { Value::Int(i) };
+        vec![Value::Int(i % 11), Value::Float(i as f64 / 8.0), dirty]
+    });
+    let schema = schema_of(&[("g", ColType::Integer), ("v", ColType::Decimal), ("dirty", ColType::Integer)]);
+    catalog.put("facts", Relation::with_rows(schema, rows.collect()));
+    let input = |name: &str, fine: &'static str| if name == bad { "dirty * 2" } else { fine };
+    let mut f = Flow::new("four_siblings");
+    let src = scan(&mut f, "SRC", &catalog, "facts");
+    for (i, depth) in [0, 1, 2, 3].into_iter().enumerate() {
+        let mut at = src;
+        for step in 0..depth {
+            let name = format!("D_{}{}", i + 1, ["a", "b", "c"][step]);
+            at = f.append(at, &name, derive(&format!("m{step}"), input(&name, "v + 1"))).unwrap();
+        }
+        let name = format!("AGG_{}", i + 1);
+        let a = f.append(at, &name, agg(&["g"], &[("SUM", input(&name, "v"), "total"), ("COUNT", "1", "n")])).unwrap();
+        f.append(a, format!("LOAD_{}", i + 1), load(&format!("t{}", i + 1), &["g"])).unwrap();
+    }
+    f.validate().expect("valid");
+    (catalog, f)
+}
+
+/// A fused pass fails as its members would alone, at every width: a measure
+/// failing in the third of four members returns that member's evaluation
+/// error and leaves loaded only `LOAD_1`, positioned before it (as the
+/// unfused engine did); a derivation failing in the fourth member's chain
+/// stops the run before any load, while the pass runs the one member
+/// positioned before the failure instead of waiting for the fourth.
+#[test]
+fn fused_pass_failures_are_width_independent() {
+    let (catalog, f) = four_siblings("");
+    let plan = PhysicalPlan::compile(&f, None).expect("compiles");
+    let groups: Vec<Vec<&str>> = (plan.fused_groups().iter())
+        .map(|g| g.members.iter().map(|&m| plan.nodes()[m].op.name.as_str()).collect())
+        .collect();
+    assert_eq!(groups, [["AGG_1", "AGG_2", "AGG_3", "AGG_4"]]);
+    assert_equivalent_at(&catalog, &[&f], &WIDTHS);
+    for (bad, tables) in [("AGG_3", &["facts", "t1"][..]), ("D_4b", &["facts"][..])] {
+        let (catalog, f) = four_siblings(bad);
+        for threads in WIDTHS {
+            let mut engine = Engine::new(catalog.clone());
+            match at_width(threads, || engine.run(&f)) {
+                Err(EngineError::Eval { op, error: EvalError::Type(_) }) => assert_eq!(op, bad, "at {threads} threads"),
+                other => panic!("expected `{bad}` to fail at {threads} threads, got {other:?}"),
+            }
+            assert_eq!(sorted_table_names(&engine.catalog), tables, "`{bad}` failing at {threads} threads");
+        }
+    }
 }

@@ -39,9 +39,11 @@ commands:
                            --explain prints the per-move search log
   explain [--analyze]      print the unified flow's plan, compiled with the
                            cost model's estimated cardinalities under the
-                           live statistics; --analyze renders the latest
-                           run's execution profile (estimated vs. actual rows,
-                           timings, kernel dispatch) as an annotated plan tree
+                           live statistics, each aggregation fused into a
+                           keyed pass marked `fused i/k over <producer>`;
+                           --analyze renders the latest run's execution
+                           profile (estimated vs. actual rows, timings,
+                           kernel dispatch) as an annotated plan tree
   events                   dump the flight recorder's recent event history
                            (always on: operator finishes, pool, WAL fsyncs,
                            optimizer moves, kernel fallbacks, cache traffic)
@@ -191,9 +193,18 @@ fn dispatch(
                         flow.name,
                         plan.nodes().len(),
                     );
-                    for node in plan.nodes() {
+                    // A fused member's mark: its place in the pass, the
+                    // pass's size and the producer the pass keys.
+                    let mut fused = vec![String::new(); plan.nodes().len()];
+                    for group in plan.fused_groups() {
+                        for (i, &m) in group.members.iter().enumerate() {
+                            let producer = &plan.nodes()[group.producer].op.name;
+                            fused[m] = format!("  fused {}/{} over {producer}", i + 1, group.members.len());
+                        }
+                    }
+                    for (node, fused) in plan.nodes().iter().zip(&fused) {
                         out.push_str(&format!(
-                            "  {:<44} est {:>12.0} rows  {}\n",
+                            "  {:<44} est {:>12.0} rows  {}{fused}\n",
                             node.op.name, node.estimated_rows, node.op.kind,
                         ));
                     }
@@ -466,6 +477,22 @@ fn main() {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The demo flow's eight aggregations run as one keyed pass: `explain`
+    /// marks each with its place in the pass and the producer it keys.
+    #[test]
+    fn explain_marks_the_fused_aggregations_of_the_demo_flow() {
+        let mut quarry = Quarry::tpch();
+        for r in quarry_bench::high_overlap_family(8) {
+            quarry.add_requirement(r).expect("the family integrates");
+        }
+        let explained = dispatch(&mut quarry, "explain", &mut false, &mut None).expect("not quit");
+        assert_eq!(explained.matches("  fused ").count(), 8, "{explained}");
+        for i in 1..=8 {
+            let marker = format!("fused {i}/8 over KEY_Supplier");
+            assert!(explained.lines().any(|l| l.contains("AGGREGATION_") && l.ends_with(&marker)), "{explained}");
+        }
+    }
 
     #[test]
     fn scripted_session_covers_every_command() {

@@ -509,10 +509,8 @@ pub(crate) fn execute_pure(name: &str, kind: &OpKind, schema: &Schema, inputs: &
             Ok(hash_join(&inputs[0], &inputs[1], left_on, right_on, *jk))
         }
         OpKind::Aggregation { group_by, aggregates } => {
-            check_row_capacity(inputs[0].len())?;
-            hash_aggregate(&inputs[0], group_by, aggregates, schema.clone())
-                .map(|r| Batch::Rel(Arc::new(r)))
-                .map_err(eval_err)
+            let member = AggMember { name, aggregates, schema, input: &inputs[0] };
+            execute_aggregations(group_by, &[member]).pop().expect("one result per member")
         }
         OpKind::Union => {
             let (l, r) = (&inputs[0].materialize(), &inputs[1].materialize());
@@ -605,6 +603,23 @@ pub(crate) fn execute_pure(name: &str, kind: &OpKind, schema: &Schema, inputs: &
             unreachable!("sources and loaders are executed by the scheduler")
         }
     }
+}
+
+/// Executes aggregations that group by `group_by` over row-aligned inputs
+/// — a [`crate::FusedGroup`]'s members, or one aggregation alone — as one
+/// keyed pass ([`hash_aggregate`]). One result per member, in member order;
+/// an evaluation error names its member.
+pub(crate) fn execute_aggregations(group_by: &[String], members: &[AggMember]) -> Vec<Result<Batch, EngineError>> {
+    let rows = members[0].input.len();
+    if check_row_capacity(rows).is_err() {
+        return members.iter().map(|_| Err(EngineError::RowCapacity { rows })).collect();
+    }
+    (hash_aggregate(group_by, members).into_iter().zip(members))
+        .map(|(out, member)| {
+            out.map(|r| Batch::Rel(Arc::new(r)))
+                .map_err(|error| EngineError::Eval { op: member.name.to_string(), error })
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -1359,12 +1374,14 @@ impl Lane {
 /// One morsel's aggregation result, struct-of-arrays over its local groups
 /// laid out as partition-contiguous runs: radix partition `p` owns positions
 /// `starts[p]..starts[p + 1]` of `keys`, `firsts` (each group's first-seen
-/// row) and every lane, in first-seen order within the run.
+/// row) and every lane, in first-seen order within the run. `lanes` holds
+/// one entry per member of the pass: its lanes, or the error its measures
+/// raised on this morsel.
 struct LocalAgg<K> {
     keys: Vec<K>,
     firsts: Vec<u32>,
     starts: Vec<u32>,
-    lanes: Vec<Lane>,
+    lanes: Vec<Result<Vec<Lane>, EvalError>>,
 }
 
 impl<K> LocalAgg<K> {
@@ -1373,54 +1390,58 @@ impl<K> LocalAgg<K> {
     }
 }
 
-/// An aggregation's groups: `firsts` in first-seen (ascending) order, and
-/// for output row `k` the id `perm[k]` its accumulators have in `lanes`.
+/// One member's measures in a keyed pass: compiled against its own input,
+/// whose columns `cols` holds (schema-aligned, see [`Batch::cols_for`]).
+struct Measures {
+    cols: Vec<Arc<Col>>,
+    exprs: Vec<CompiledExpr>,
+    fns: Vec<AggFn>,
+}
+
+/// A keyed pass's groups: `firsts` in first-seen (ascending) order, and for
+/// output row `k` the id `perm[k]` the accumulators have in every member's
+/// `lanes` — or the first error, in morsel order, that member's measures
+/// raised.
 struct Grouped {
     firsts: Vec<u32>,
     perm: Vec<u32>,
-    lanes: Vec<Lane>,
+    lanes: Vec<Result<Vec<Lane>, EvalError>>,
 }
 
 /// The aggregation skeleton, generic over the group-key type: two-phase
 /// parallel aggregation over flat accumulator lanes ([`Lane`]), allocating
-/// per morsel and per partition, never per group.
+/// per morsel and per partition, never per group. The rows are keyed once
+/// for every member of the pass; each member's measures fold into lanes of
+/// their own against the same group ids.
 ///
-/// Phase 1, per morsel: measures evaluate column-at-a-time and one hash probe
-/// per row resolves it to a local group; the local groups are then ranked by
-/// the key's radix partition (a stable counting sort) and the rows' group
-/// ids re-ranked with them *before* the measures fold ([`fold_lane`]), so
-/// keys, first-seen rows and every lane come out as partition-contiguous
-/// runs ([`LocalAgg`]). Phase 2, per partition, in parallel: a table
-/// pre-sized from the partition's entry count streams each morsel's run in
-/// morsel order ([`Lane::absorb`]) — slices in, no gather — keeping each
-/// key's earliest first-seen row, and the merged partitions land in exactly
-/// sized arrays. A key lives in one partition and a row opens at most one
-/// group, so scattering the merged groups over their first-seen rows and
-/// reading the rows back in order restores global first-occurrence order
-/// without comparing groups.
+/// Phase 1, per morsel: one hash probe per row resolves it to a local
+/// group; the local groups are then ranked by the key's radix partition (a
+/// stable counting sort) and the rows' group ids re-ranked with them. Each
+/// member's measures then evaluate column-at-a-time and fold
+/// ([`fold_lane`]), so keys, first-seen rows and every lane come out as
+/// partition-contiguous runs ([`LocalAgg`]). Phase 2, per partition, in
+/// parallel: a table pre-sized from the partition's entry count streams each
+/// morsel's run in morsel order ([`Lane::absorb`]) — slices in, no gather —
+/// keeping each key's earliest first-seen row, and the merged partitions land
+/// in exactly sized arrays. A key lives in one partition and a row opens at
+/// most one group, so scattering the merged groups over their first-seen
+/// rows and reading the rows back in order restores global first-occurrence
+/// order without comparing groups.
 ///
 /// Sums are per-morsel partials folded in row order from `0.0`, combined in
 /// morsel order: a pure function of the morsel structure and the key values,
-/// identical at any thread count and to the row engine's. (Within a morsel,
+/// identical at any thread count and to the row engine's. A member whose
+/// measures fail keeps the first failure in morsel order (within a morsel
 /// evaluation errors surface measure-major rather than row-major — still
-/// deterministic, since morsel order breaks ties across morsels.)
-fn agg_core<K, P, F>(
-    cols: &[Arc<Col>],
-    len: usize,
-    measures: &[CompiledExpr],
-    fns: &[AggFn],
-    npart: usize,
-    part: P,
-    keyf: F,
-) -> Result<Grouped, EvalError>
+/// deterministic) and drops out of phase 2; the other members are unaffected.
+fn agg_core<K, P, F>(len: usize, members: &[Result<Measures, EvalError>], npart: usize, part: P, keyf: F) -> Grouped
 where
     K: Hash + Eq + Clone + Send + Sync,
     P: Fn(&K) -> usize + Sync,
     F: Fn(usize) -> K + Sync,
 {
-    let locals: Vec<Result<LocalAgg<K>, EvalError>> = per_morsel(len, |rg| {
+    let mut locals: Vec<LocalAgg<K>> = per_morsel(len, |rg| {
         let sel = RowSel::Range(rg.clone());
-        let veks: Vec<Vek> = measures.iter().map(|m| eval_vector(m, cols, &sel)).collect::<Result<_, _>>()?;
         let mut index: FastMap<K, u32> = FastMap::with_capacity_and_hasher(rg.len(), Default::default());
         // Per local group in first-seen order: its first row and partition.
         let mut seen: Vec<(u32, u32)> = Vec::new();
@@ -1450,18 +1471,42 @@ where
         }
         gids.iter_mut().for_each(|g| *g = rank[*g as usize]);
         let keys = firsts.iter().map(|&first| keyf(first as usize)).collect();
-        let lanes =
-            fns.iter().zip(&veks).map(|(&f, vek)| fold_lane(f, vek, &gids, firsts.len())).collect::<Result<_, _>>()?;
-        Ok(LocalAgg { keys, firsts, starts, lanes })
+        let lanes = members
+            .iter()
+            .map(|m| {
+                let Ok(m) = m else { return Ok(Vec::new()) };
+                let veks: Vec<Vek> = m.exprs.iter().map(|e| eval_vector(e, &m.cols, &sel)).collect::<Result<_, _>>()?;
+                m.fns.iter().zip(&veks).map(|(&f, vek)| fold_lane(f, vek, &gids, firsts.len())).collect()
+            })
+            .collect();
+        LocalAgg { keys, firsts, starts, lanes }
     });
-    // The first error in morsel order wins — deterministic under any
-    // thread count.
-    let locals: Vec<LocalAgg<K>> = locals.into_iter().collect::<Result<_, _>>()?;
-    let merged: Vec<(Vec<u32>, Vec<Lane>)> = pool::run_indexed(npart, |p| {
+    // Per member, the first error in morsel order wins — deterministic under
+    // any thread count.
+    let mut failed: Vec<Option<EvalError>> = members.iter().map(|m| m.as_ref().err().cloned()).collect();
+    for local in &mut locals {
+        for (lanes, failed) in local.lanes.iter_mut().zip(&mut failed) {
+            if let (Err(e), None) = (&lanes, &failed) {
+                *failed = Some(e.clone());
+            }
+            if failed.is_some() {
+                *lanes = Ok(Vec::new());
+            }
+        }
+    }
+    let fresh = |n: usize| -> Vec<Vec<Lane>> {
+        (members.iter().zip(&failed))
+            .map(|(m, failed)| match (m, failed) {
+                (Ok(m), None) => m.fns.iter().map(|&f| Lane::with_capacity(f, n)).collect(),
+                _ => Vec::new(),
+            })
+            .collect()
+    };
+    let merged: Vec<(Vec<u32>, Vec<Vec<Lane>>)> = pool::run_indexed(npart, |p| {
         let entries = locals.iter().map(|l| l.run(p).len()).sum();
         let mut index: FastMap<K, u32> = FastMap::with_capacity_and_hasher(entries, Default::default());
         let mut firsts: Vec<u32> = Vec::with_capacity(entries);
-        let mut lanes: Vec<Lane> = fns.iter().map(|&f| Lane::with_capacity(f, entries)).collect();
+        let mut lanes = fresh(entries);
         let mut slots: Vec<u32> = Vec::new();
         for local in &locals {
             let run = local.run(p);
@@ -1472,7 +1517,10 @@ where
                     firsts.len() as u32 - 1
                 })
             }));
-            lanes.iter_mut().zip(&local.lanes).for_each(|(into, from)| into.absorb(from, run.clone(), &slots));
+            for (into, from) in lanes.iter_mut().zip(&local.lanes) {
+                let from = from.as_ref().expect("failed members were emptied above");
+                into.iter_mut().zip(from).for_each(|(into, from)| into.absorb(from, run.clone(), &slots));
+            }
         }
         (firsts, lanes)
     });
@@ -1480,10 +1528,12 @@ where
     drop(locals);
     let groups = merged.iter().map(|(firsts, _)| firsts.len()).sum();
     let mut firsts: Vec<u32> = Vec::with_capacity(groups);
-    let mut lanes: Vec<Lane> = fns.iter().map(|&f| Lane::with_capacity(f, groups)).collect();
+    let mut lanes = fresh(groups);
     for (mut more_firsts, more_lanes) in merged {
         firsts.append(&mut more_firsts);
-        lanes.iter_mut().zip(more_lanes).for_each(|(lane, more)| lane.append(more));
+        for (lanes, more) in lanes.iter_mut().zip(more_lanes) {
+            lanes.iter_mut().zip(more).for_each(|(lane, more)| lane.append(more));
+        }
     }
     let mut group_at = vec![NULL_IDX; len];
     for (g, &first) in firsts.iter().enumerate() {
@@ -1491,55 +1541,72 @@ where
     }
     let (firsts, perm) =
         group_at.iter().enumerate().filter(|(_, &g)| g != NULL_IDX).map(|(row, &g)| (row as u32, g)).unzip();
-    Ok(Grouped { firsts, perm, lanes })
+    let lanes = lanes.into_iter().zip(failed).map(|(lanes, failed)| failed.map_or(Ok(lanes), Err)).collect();
+    Grouped { firsts, perm, lanes }
 }
 
-/// Columnar grouped aggregation: group keys are planned once
-/// ([`plan_group_keys`]) into fixed-width words unless a `Mixed` column
-/// forces `Value`-row keys, and aggregate radix-partitioned ([`agg_core`]).
-/// The output's group columns gather at each group's first-seen row (word
-/// equality coincides with value equality within every encoded column); the
-/// aggregate columns build straight from the lanes ([`Lane::into_column`]).
-/// Only the group and measure columns materialize from a late input.
-fn hash_aggregate(
-    input: &Batch,
-    group_by: &[String],
-    aggregates: &[AggSpec],
-    schema: Schema,
-) -> Result<Relation, EvalError> {
-    let len = input.len();
-    let g_idx: Vec<usize> = group_by.iter().map(|c| input.col(c)).collect();
-    // Bind measure expressions and aggregate functions once, up front.
-    let measures: Vec<CompiledExpr> = aggregates
-        .iter()
-        .map(|a| {
-            CompiledExpr::compile(&a.input, input.schema()).map_err(|UnboundColumn(c)| EvalError::UnknownColumn(c))
+/// One aggregation of a keyed pass ([`hash_aggregate`]): its name, its
+/// measures, its output schema and its own input.
+pub(crate) struct AggMember<'a> {
+    pub(crate) name: &'a str,
+    pub(crate) aggregates: &'a [AggSpec],
+    pub(crate) schema: &'a Schema,
+    pub(crate) input: &'a Batch,
+}
+
+/// Columnar grouped aggregation of every member in one keyed pass: the
+/// members group by `group_by` over row-aligned inputs (a
+/// [`crate::FusedGroup`], or one aggregation alone), so the keys come from the
+/// first member's input. Group keys are planned once ([`plan_group_keys`])
+/// into fixed-width words unless a `Mixed` column forces `Value`-row keys,
+/// and aggregate radix-partitioned ([`agg_core`]). The group columns gather
+/// once at each group's first-seen row (word equality coincides with value
+/// equality within every encoded column) and every member's output shares
+/// them; the aggregate columns build straight from the member's lanes
+/// ([`Lane::into_column`]). Only the group and measure columns materialize
+/// from a late input. One result per member, in member order.
+fn hash_aggregate(group_by: &[String], members: &[AggMember]) -> Vec<Result<Relation, EvalError>> {
+    let lead = members[0].input;
+    let len = lead.len();
+    let g_idx: Vec<usize> = group_by.iter().map(|c| lead.col(c)).collect();
+    // Bind every member's measure expressions and aggregate functions once,
+    // up front; the first member's columns carry the group columns too.
+    let measures: Vec<Result<Measures, EvalError>> = (members.iter().enumerate())
+        .map(|(m, member)| {
+            let exprs: Vec<CompiledExpr> = (member.aggregates.iter())
+                .map(|a| {
+                    CompiledExpr::compile(&a.input, member.input.schema())
+                        .map_err(|UnboundColumn(c)| EvalError::UnknownColumn(c))
+                })
+                .collect::<Result<_, _>>()?;
+            let keys: &[usize] = if m == 0 { &g_idx } else { &[] };
+            let cols = member.input.cols_for(&used_columns(&exprs.iter().collect::<Vec<_>>(), keys));
+            Ok(Measures { cols, exprs, fns: agg_fns(member.aggregates) })
         })
-        .collect::<Result<_, _>>()?;
-    let fns = agg_fns(aggregates);
-    let cols = input.cols_for(&used_columns(&measures.iter().collect::<Vec<_>>(), &g_idx));
-    let cols = cols.as_slice();
+        .collect();
+    let unbound;
+    let cols: &[Arc<Col>] = match &measures[0] {
+        Ok(lead) => &lead.cols,
+        Err(_) => {
+            unbound = lead.cols_for(&g_idx);
+            &unbound
+        }
+    };
 
     let mut grouped = if g_idx.is_empty() {
-        agg_core(cols, len, &measures, &fns, 1, |_: &()| 0, |_| ())?
+        agg_core(len, &measures, 1, |_: &()| 0, |_| ())
     } else {
         let g_cols: Vec<&Col> = g_idx.iter().map(|&c| cols[c].as_ref()).collect();
         match plan_group_keys(&g_cols, len) {
             GroupKeyPlan::Values => {
                 let keyf = |i: usize| -> Row { g_idx.iter().map(|&c| cols[c].value(i)).collect() };
-                agg_core(cols, len, &measures, &fns, 1, |_: &Row| 0, keyf)?
+                agg_core(len, &measures, 1, |_: &Row| 0, keyf)
             }
             GroupKeyPlan::Encoded(sk) => {
                 let npart = radix_partition_count(len);
-                with_packed_key!(sk.width, npart, |pack, part| agg_core(
-                    cols,
-                    len,
-                    &measures,
-                    &fns,
-                    npart,
-                    part,
-                    |i| pack(sk.row(i))
-                ))?
+                with_packed_key!(sk.width, npart, |pack, part| agg_core(len, &measures, npart, part, |i| pack(
+                    sk.row(i)
+                )))
             }
         }
     };
@@ -1547,15 +1614,26 @@ fn hash_aggregate(
         // A global aggregation over zero rows still yields one row of
         // neutral values, matching SQL semantics: one group that folded
         // nothing. (Its first-seen row is unused: no group columns gather.)
-        let lanes = fns.iter().map(|&f| fold_lane(f, &Vek::Const(Value::Null), &[], 1)).collect::<Result<_, _>>()?;
-        grouped = Grouped { firsts: vec![0], perm: vec![0], lanes };
+        for (lanes, m) in grouped.lanes.iter_mut().zip(&measures) {
+            if let (Ok(_), Ok(m)) = (&lanes, m) {
+                *lanes = m.fns.iter().map(|&f| fold_lane(f, &Vek::Const(Value::Null), &[], 1)).collect();
+            }
+        }
+        (grouped.firsts, grouped.perm) = (vec![0], vec![0]);
     }
     let Grouped { firsts, perm, lanes } = grouped;
-    let mut columns: Vec<Arc<Col>> = g_idx.iter().map(|&c| Arc::new(cols[c].gather(&firsts))).collect();
-    for ((lane, &f), sc) in lanes.into_iter().zip(&fns).zip(&schema.columns[group_by.len()..]) {
-        columns.push(Arc::new(lane.into_column(&perm, f, sc.ty)));
-    }
-    Ok(Relation::from_columns(schema, columns))
+    let group_cols: Vec<Arc<Col>> = g_idx.iter().map(|&c| Arc::new(cols[c].gather(&firsts))).collect();
+    (lanes.into_iter().zip(members))
+        .map(|(lanes, member)| {
+            let mut columns = group_cols.clone();
+            for ((lane, f), sc) in
+                lanes?.into_iter().zip(agg_fns(member.aggregates)).zip(&member.schema.columns[group_by.len()..])
+            {
+                columns.push(Arc::new(lane.into_column(&perm, f, sc.ty)));
+            }
+            Ok(Relation::from_columns(member.schema.clone(), columns))
+        })
+        .collect()
 }
 
 #[cfg(test)]

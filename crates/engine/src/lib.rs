@@ -57,7 +57,7 @@ pub use catalog::Catalog;
 pub use eval::{eval_compiled, truthy, EvalError};
 pub use exec::{surrogate_of, EngineError, MAX_RADIX_PARTITIONS, MORSEL_ROWS};
 pub use exec_row::RowEngine;
-pub use plan::{PhysicalPlan, PlanNode};
+pub use plan::{FusedGroup, PhysicalPlan, PlanNode};
 pub use relation::{assert_same_rows, Relation, RelationBuilder, Row};
 pub use schedule::{Engine, OpTiming, RunReport};
 pub use value::Value;

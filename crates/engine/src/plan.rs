@@ -7,7 +7,9 @@
 //! operations before its loaders, flow order within. With statistics it
 //! also derives the run's cost-model facts in one fold over the positions:
 //! each node's estimated rows and the modeled cost of its upstream cone.
-//! [`Engine::execute`](crate::Engine::execute) runs a plan without looking
+//! Last it groups sibling aggregations that can share one keyed pass
+//! ([`FusedGroup`]); every member keeps its own node, estimates and cache
+//! key. [`Engine::execute`](crate::Engine::execute) runs a plan without looking
 //! at the flow again; [`Engine::run`](crate::Engine::run) is compile, then
 //! execute.
 
@@ -43,10 +45,27 @@ pub struct PlanNode {
     pub cone_cost: f64,
 }
 
+/// Sibling aggregations the engine runs as one keyed pass: they group by
+/// the same columns, and each reads `producer`'s rows one for one — its
+/// input is `producer` itself or reaches it through derivations and
+/// projections only, none of which defines or drops a group column. So every
+/// member's input holds the producer's group columns, row for row: the pass
+/// hashes each row once and folds every member's measures, evaluated over
+/// the member's own input, as lanes of one table.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct FusedGroup {
+    /// The position where every member's chain of derivations and
+    /// projections ends.
+    pub producer: usize,
+    /// The members' positions, ascending; at least two.
+    pub members: Vec<usize>,
+}
+
 /// A flow compiled for execution (see the module docs).
 #[derive(Debug, Clone)]
 pub struct PhysicalPlan {
     nodes: Vec<PlanNode>,
+    fused: Vec<FusedGroup>,
     flow_name: String,
     flow_fp: u64,
 }
@@ -84,12 +103,19 @@ impl PhysicalPlan {
         if let Some(stats) = stats {
             estimate(&mut nodes, stats);
         }
-        Ok(PhysicalPlan { nodes, flow_name: flow.name.clone(), flow_fp: flow_fingerprint(flow) })
+        let fused = fuse(&nodes);
+        Ok(PhysicalPlan { nodes, fused, flow_name: flow.name.clone(), flow_fp: flow_fingerprint(flow) })
     }
 
     /// The nodes in position order.
     pub fn nodes(&self) -> &[PlanNode] {
         &self.nodes
+    }
+
+    /// The fused aggregation groups, by their first member's position. An
+    /// aggregation in none of them runs as a pass of its own.
+    pub fn fused_groups(&self) -> &[FusedGroup] {
+        &self.fused
     }
 
     /// The name of the flow this plan was compiled from.
@@ -148,6 +174,37 @@ fn estimate(nodes: &mut [PlanNode], stats: &SourceStats) {
     }
 }
 
+/// Groups the aggregations that share one keyed pass ([`FusedGroup`]). From
+/// each aggregation's input the walk climbs through projections and through
+/// derivations of other columns; a derivation of a group column, or any
+/// other kind, ends the chain. (A projection on the way keeps every group
+/// column: the aggregation reads them, and nothing between re-creates one.)
+/// Aggregations with equal `group_by` whose chains end at the same position
+/// share a pass over it.
+fn fuse(nodes: &[PlanNode]) -> Vec<FusedGroup> {
+    // Per group-by and chain end the aggregations, in position order.
+    let mut siblings: HashMap<(&[String], usize), Vec<usize>> = HashMap::new();
+    for (pos, node) in nodes.iter().enumerate() {
+        let OpKind::Aggregation { group_by, .. } = &node.op.kind else { continue };
+        let mut at = node.inputs[0];
+        loop {
+            match &nodes[at].op.kind {
+                OpKind::Derivation { column, .. } if !group_by.contains(column) => {}
+                OpKind::Projection { .. } => {}
+                _ => break,
+            }
+            at = nodes[at].inputs[0];
+        }
+        siblings.entry((group_by.as_slice(), at)).or_default().push(pos);
+    }
+    let mut groups: Vec<FusedGroup> = (siblings.into_iter())
+        .filter(|(_, members)| members.len() > 1)
+        .map(|((_, producer), members)| FusedGroup { producer, members })
+        .collect();
+    groups.sort_by_key(|g| g.members[0]);
+    groups
+}
+
 /// Folds `x` into `h`: SplitMix64's finalizer over a rotate-multiply-xor of
 /// the pair, so every bit of either word and their order move the result.
 pub(crate) fn mix(h: u64, x: u64) -> u64 {
@@ -183,7 +240,7 @@ fn input_distinct_on(flow: &Flow, loader: OpId, key: &[String]) -> bool {
 mod tests {
     use super::*;
     use quarry_etl::cost::{cardinality_state, EtlCostModel};
-    use quarry_etl::{parse_expr, AggSpec, ColType, Column};
+    use quarry_etl::{parse_expr, AggSpec, ColType, Column, OpId};
 
     fn src_schema() -> Schema {
         Schema::new(vec![Column::new("k", ColType::Integer), Column::new("v", ColType::Decimal)])
@@ -334,5 +391,200 @@ mod tests {
         for (name, same) in [("SRC", true), ("SEL", false), ("AGG", false), ("LOAD_agg", false), ("LOAD_src", true)] {
             assert_eq!(keys[at(&plan, name)] == altered_keys[at(&altered, name)], same, "`{name}`");
         }
+    }
+
+    /// The unified flow of the benchmark's demo: eight requirements of the
+    /// high-overlap family, greedy or optimized, with the statistics its
+    /// lifecycle costs it with.
+    fn demo(optimized: bool) -> (Flow, SourceStats) {
+        unified(true, optimized)
+    }
+
+    /// The unified flow of eight requirements of the high- or low-overlap
+    /// family: the demo's flow or the wide one.
+    fn unified(high: bool, optimized: bool) -> (Flow, SourceStats) {
+        let mut q = quarry::Quarry::tpch();
+        let family = if high { quarry_bench::high_overlap_family(8) } else { quarry_bench::requirement_family(8) };
+        for r in family {
+            q.add_requirement(r).expect("the family integrates");
+        }
+        if optimized {
+            q.optimize().expect("the search runs");
+        }
+        (q.unified().1.clone(), q.config().stats.clone())
+    }
+
+    /// Each fused group as its producer's name and its members' names.
+    fn fused_names(plan: &PhysicalPlan) -> Vec<(String, Vec<String>)> {
+        let name = |p: usize| plan.nodes()[p].op.name.clone();
+        plan.fused_groups().iter().map(|g| (name(g.producer), g.members.iter().map(|&m| name(m)).collect())).collect()
+    }
+
+    #[test]
+    fn fused_demo_flow_runs_its_eight_aggregations_as_one_pass_over_key_supplier() {
+        for optimized in [false, true] {
+            let (f, stats) = demo(optimized);
+            let plan = PhysicalPlan::compile(&f, Some(&stats)).unwrap();
+            let groups = fused_names(&plan);
+            assert_eq!(groups.len(), 1, "optimized: {optimized}: {groups:?}");
+            let (producer, members) = &groups[0];
+            assert_eq!(producer, "KEY_Supplier", "optimized: {optimized}");
+            let aggregations: Vec<String> = (plan.nodes().iter())
+                .filter(|n| matches!(n.op.kind, OpKind::Aggregation { .. }))
+                .map(|n| n.op.name.clone())
+                .collect();
+            assert_eq!(members, &aggregations, "every aggregation, in position order (optimized: {optimized})");
+            assert_eq!(members.len(), 8);
+        }
+    }
+
+    #[test]
+    fn fused_wide_flow_runs_its_two_pairs() {
+        for optimized in [false, true] {
+            let (f, stats) = unified(false, optimized);
+            let groups = fused_names(&PhysicalPlan::compile(&f, Some(&stats)).unwrap());
+            let shapes: Vec<(&str, usize)> = groups.iter().map(|(p, m)| (p.as_str(), m.len())).collect();
+            assert_eq!(shapes, [("KEY_Supplier", 2), ("KEY_Part", 2)], "optimized: {optimized}: {groups:?}");
+        }
+    }
+
+    fn agg(group_by: &[&str]) -> OpKind {
+        let aggregates = vec![AggSpec::new("SUM", parse_expr("v").unwrap(), "total")];
+        OpKind::Aggregation { group_by: group_by.iter().map(|g| g.to_string()).collect(), aggregates }
+    }
+
+    fn derive(column: &str, expr: &str) -> OpKind {
+        OpKind::Derivation { column: column.into(), expr: parse_expr(expr).unwrap() }
+    }
+
+    /// `SRC(k, v)` and two aggregations: `A` over what `a` builds on it,
+    /// `B` over what `b` builds; each loaded. Returns the plan's groups.
+    fn siblings(
+        a: impl FnOnce(&mut Flow, OpId) -> OpId,
+        b: impl FnOnce(&mut Flow, OpId) -> OpId,
+    ) -> Vec<(String, Vec<String>)> {
+        let mut f = Flow::new("siblings");
+        let src = f.add_op("SRC", OpKind::Datastore { datastore: "t".into(), schema: src_schema() }).unwrap();
+        let outs = [a(&mut f, src), b(&mut f, src)];
+        for (name, out) in ["A", "B"].into_iter().zip(outs) {
+            f.append(out, format!("LOAD_{name}"), OpKind::Loader { table: name.into(), key: vec![] }).unwrap();
+        }
+        fused_names(&PhysicalPlan::compile(&f, None).unwrap())
+    }
+
+    fn pair(producer: &str) -> Vec<(String, Vec<String>)> {
+        vec![(producer.to_string(), vec!["A".to_string(), "B".to_string()])]
+    }
+
+    #[test]
+    fn fused_only_past_derivations_and_projections_never_a_selection() {
+        // Each member derives its own measure straight off the source.
+        let measure = |name: &'static str| {
+            move |f: &mut Flow, src: OpId| {
+                let d = f.append(src, format!("D_{name}"), derive(&format!("m_{name}"), "v * 2")).unwrap();
+                f.append(d, name, agg(&["k"])).unwrap()
+            }
+        };
+        assert_eq!(siblings(measure("A"), measure("B")), pair("SRC"));
+        // A projection on one way and a bare read on the other still fuse.
+        let projected = |f: &mut Flow, src: OpId| {
+            let p = f.append(src, "P", OpKind::Projection { columns: vec!["v".into(), "k".into()] }).unwrap();
+            f.append(p, "A", agg(&["k"])).unwrap()
+        };
+        let bare = |f: &mut Flow, src: OpId| f.append(src, "B", agg(&["k"])).unwrap();
+        let members = vec!["B".to_string(), "A".to_string()];
+        assert_eq!(siblings(projected, bare), [("SRC".to_string(), members)], "members in position order");
+        // A selection in one member's chain: its rows are not the source's.
+        let selected = |f: &mut Flow, src: OpId| {
+            let s = f.append(src, "S", sel("v > 1")).unwrap();
+            let d = f.append(s, "D_A", derive("m_A", "v * 2")).unwrap();
+            f.append(d, "A", agg(&["k"])).unwrap()
+        };
+        assert_eq!(siblings(selected, measure("B")), []);
+    }
+
+    #[test]
+    fn fused_never_over_a_group_column_derived_above_the_producer() {
+        // Both group by `g`, each deriving it on its own way up: the chains
+        // end at two derivations.
+        let own = |name: &'static str| {
+            move |f: &mut Flow, src: OpId| {
+                let d = f.append(src, format!("G_{name}"), derive("g", "k * 3")).unwrap();
+                f.append(d, name, agg(&["g"])).unwrap()
+            }
+        };
+        assert_eq!(siblings(own("A"), own("B")), []);
+        // Reading one derivation of `g`, they fuse over it.
+        let mut f = Flow::new("shared_g");
+        let src = f.add_op("SRC", OpKind::Datastore { datastore: "t".into(), schema: src_schema() }).unwrap();
+        let g = f.append(src, "G", derive("g", "k * 3")).unwrap();
+        for name in ["A", "B"] {
+            let d = f.append(g, format!("D_{name}"), derive(&format!("m_{name}"), "v")).unwrap();
+            let a = f.append(d, name, agg(&["g"])).unwrap();
+            f.append(a, format!("LOAD_{name}"), OpKind::Loader { table: name.into(), key: vec![] }).unwrap();
+        }
+        assert_eq!(fused_names(&PhysicalPlan::compile(&f, None).unwrap()), pair("G"));
+    }
+
+    #[test]
+    fn fused_never_through_a_projection_that_drops_a_group_column() {
+        // `A` drops `k` and re-creates it: its rows carry another `k`.
+        let dropped = |f: &mut Flow, src: OpId| {
+            let p = f.append(src, "P", OpKind::Projection { columns: vec!["v".into()] }).unwrap();
+            let d = f.append(p, "K", derive("k", "v * 2")).unwrap();
+            f.append(d, "A", agg(&["k"])).unwrap()
+        };
+        let bare = |f: &mut Flow, src: OpId| f.append(src, "B", agg(&["k"])).unwrap();
+        assert_eq!(siblings(dropped, bare), []);
+    }
+
+    #[test]
+    fn fused_never_across_unequal_group_by() {
+        let by = |name: &'static str, group_by: &'static [&'static str]| {
+            move |f: &mut Flow, src: OpId| f.append(src, name, agg(group_by)).unwrap()
+        };
+        assert_eq!(siblings(by("A", &["k"]), by("B", &["k", "v"])), []);
+        assert_eq!(siblings(by("A", &["k", "v"]), by("B", &["v", "k"])), [], "the order is the output's layout");
+        assert_eq!(siblings(by("A", &[]), by("B", &[])), pair("SRC"), "global aggregations fuse too");
+    }
+
+    #[test]
+    fn fused_groups_are_identical_across_recompiles() {
+        for (f, stats) in [demo(false), demo(true), unified(false, true)] {
+            let first = PhysicalPlan::compile(&f, Some(&stats)).unwrap().fused_groups().to_vec();
+            assert!(!first.is_empty());
+            for _ in 0..10 {
+                assert_eq!(PhysicalPlan::compile(&f, Some(&stats)).unwrap().fused_groups(), first);
+                assert_eq!(PhysicalPlan::compile(&f, None).unwrap().fused_groups(), first, "statistics play no part");
+            }
+        }
+    }
+
+    /// Fusion adds groups and moves nothing a node held: over every position
+    /// of the demo flow, greedy and optimized, the cache keys, cone costs and
+    /// estimated rows fold to the values the plan gave before fusion existed.
+    #[test]
+    fn fused_plans_keep_every_position_key_cost_and_estimate() {
+        let folds = |optimized: bool| -> [u64; 3] {
+            let (f, stats) = demo(optimized);
+            let plan = PhysicalPlan::compile(&f, Some(&stats)).unwrap();
+            let keys = plan.cache_keys(1, |source| source.len() as u64);
+            let nodes = plan.nodes();
+            [
+                keys.iter().fold(0, |h, &k| mix(h, k)),
+                nodes.iter().fold(0, |h, n| mix(h, n.cone_cost.to_bits())),
+                nodes.iter().fold(0, |h, n| mix(h, n.estimated_rows.to_bits())),
+            ]
+        };
+        assert_eq!(
+            folds(false),
+            [3_571_867_569_331_655_183, 9_355_202_956_469_615_908, 16_388_726_278_503_823_435],
+            "greedy: (keys, cone costs, estimates)"
+        );
+        assert_eq!(
+            folds(true),
+            [17_595_385_578_762_588_509, 17_998_957_066_008_898_951, 5_817_732_587_727_871_357],
+            "optimized: (keys, cone costs, estimates)"
+        );
     }
 }

@@ -14,12 +14,22 @@
 //! the cache admissions and the error (all assembled or retired in position
 //! order) are the same at every thread count, in whatever order the
 //! operators happened to finish.
+//!
+//! The executing members of a [`FusedGroup`](crate::FusedGroup) run as one
+//! keyed pass, claimed at the first member's position once every member
+//! positioned before the failure limit has its input. Each member still
+//! finishes as itself: its own output, consumers, cache offer and timing,
+//! which charges it an equal share of the pass's elapsed time. Members the
+//! cache answers are not in the pass; a member whose evaluation fails fails
+//! at its own position, while a panic fails the pass at its first member.
 
 use crate::cache::{cacheable, table_stamp, ResultCache};
 use crate::catalog::Catalog;
 use crate::column::Column as Col;
 use crate::events::{emit, EngineEvent};
-use crate::exec::{check_row_capacity, execute_pure, read_source, upsert, Batch, EngineError};
+use crate::exec::{
+    check_row_capacity, execute_aggregations, execute_pure, read_source, upsert, AggMember, Batch, EngineError,
+};
 use crate::plan::{mix, PhysicalPlan, PlanNode};
 use crate::pool;
 use crate::relation::Relation;
@@ -141,6 +151,13 @@ enum Failure {
     Panic(Box<dyn Any + Send>),
 }
 
+/// What one claim executes: an operation, or the members of a fused pass,
+/// each with its inputs, in position order.
+type Claimed = Vec<(usize, Vec<Batch>)>;
+
+/// How one claimed operation ended: its timing and output, or its failure.
+type Outcome = Result<(OpTiming, Batch), Failure>;
+
 /// What the threads of one run share. Operations are addressed by position.
 struct Run<'a> {
     /// Cache hits, then the executing operations, in position order.
@@ -149,6 +166,10 @@ struct Run<'a> {
     inputs: Vec<Vec<usize>>,
     /// Consumer positions per operation, one per output edge.
     consumers: Vec<Vec<usize>>,
+    /// The executing members of each fused pass that has two or more, in
+    /// position order, and the pass each position belongs to.
+    passes: Vec<Vec<usize>>,
+    pass_of: Vec<Option<usize>>,
     /// Cacheable executing operations with their cache keys; admission is
     /// offered in this order.
     offers: Vec<(usize, u64)>,
@@ -173,8 +194,11 @@ struct State {
     peak_held: usize,
     /// Timing of every finished operation.
     timings: Vec<Option<OpTiming>>,
-    /// Pure operations whose inputs have all finished, not yet claimed.
+    /// Pure operations whose inputs have all finished, not yet claimed; a
+    /// fused pass by its first member.
     ready: BTreeSet<usize>,
+    /// Which fused passes have been claimed.
+    claimed_passes: Vec<bool>,
     /// Every operation before this position has finished.
     frontier: usize,
     /// Smallest position that failed (`ops.len()` while none has): nothing
@@ -235,57 +259,120 @@ impl<'a> Run<'a> {
         self.wake.wait(g).expect("operators run, and panic, outside the scheduler lock")
     }
 
-    /// Claims the ready operation with the smallest position, unless a
-    /// failure before it has stopped the run.
-    fn claim(&self, g: &mut State) -> Option<(usize, Vec<Batch>)> {
+    /// Readies the pure operation at `pos`, whose inputs have all finished —
+    /// or, a member of a fused pass, the pass, once every member positioned
+    /// before the failure limit has its inputs and the pass is unclaimed.
+    fn release(&self, g: &mut State, pos: usize) {
+        let Some(pass) = self.pass_of[pos] else {
+            g.ready.insert(pos);
+            return;
+        };
+        let members = &self.passes[pass];
+        let mut due = members.iter().take_while(|&&m| m < g.limit).peekable();
+        if !g.claimed_passes[pass] && due.peek().is_some() && due.all(|&m| g.pending[m] == 0) {
+            g.ready.insert(members[0]);
+        }
+    }
+
+    /// Claims the ready operation with the smallest position — a fused pass
+    /// with its members before the failure limit — unless a failure before
+    /// it has stopped the run.
+    fn claim(&self, g: &mut State) -> Option<Claimed> {
         let pos = g.ready.first().copied().filter(|&p| p < g.limit)?;
         g.ready.remove(&pos);
         g.running += 1;
-        Some((pos, self.inputs[pos].iter().map(|&i| g.claim_output(i)).collect()))
+        let members = match self.pass_of[pos] {
+            Some(pass) => {
+                g.claimed_passes[pass] = true;
+                &self.passes[pass][..]
+            }
+            None => std::slice::from_ref(&pos),
+        };
+        let limit = g.limit;
+        let due = members.iter().take_while(|&&m| m < limit);
+        Some(due.map(|&m| (m, self.inputs[m].iter().map(|&i| g.claim_output(i)).collect())).collect())
     }
 
-    /// Runs `f` as the claimed operation at `pos` — timing its work, catching
-    /// its panic — and records the outcome: releases its consumers, calls
-    /// for helpers if more became ready than threads are free, and retires
-    /// whatever cache offers are now due. Inputs are dropped before the lock
-    /// is taken: a producer's last claim frees its output there.
+    /// Executes a claim of pure operations: one operation, or a fused pass.
+    fn execute(&self, claimed: &[(usize, Vec<Batch>)]) -> Vec<Result<Batch, EngineError>> {
+        let node = self.ops[claimed[0].0];
+        match (&node.op.kind, claimed) {
+            (_, [(_, inputs)]) => vec![execute_pure(&node.op.name, &node.op.kind, &node.schema, inputs)],
+            (OpKind::Aggregation { group_by, .. }, members) => {
+                let members: Vec<AggMember> = (members.iter())
+                    .map(|(pos, inputs)| {
+                        let node = self.ops[*pos];
+                        let OpKind::Aggregation { aggregates, .. } = &node.op.kind else {
+                            unreachable!("a fused pass holds aggregations only")
+                        };
+                        AggMember { name: &node.op.name, aggregates, schema: &node.schema, input: &inputs[0] }
+                    })
+                    .collect();
+                execute_aggregations(group_by, &members)
+            }
+            _ => unreachable!("only aggregations fuse"),
+        }
+    }
+
+    /// Runs `f` on a claim — timing its work, catching its panic — and
+    /// records each operation's outcome: releases its consumers, calls for
+    /// helpers if more became ready than threads are free, and retires
+    /// whatever cache offers are now due. The operations of a fused pass
+    /// share its elapsed time equally, back to back; a panic fails the
+    /// first. Inputs are dropped before the lock is taken: a producer's last
+    /// claim frees its output there.
     fn perform<'scope>(
         &'scope self,
         scope: &'scope Scope<'scope, '_>,
-        pos: usize,
-        inputs: Vec<Batch>,
-        f: impl FnOnce(&PlanNode, &[Batch]) -> Result<Batch, EngineError>,
+        claimed: Claimed,
+        f: impl FnOnce(&[(usize, Vec<Batch>)]) -> Vec<Result<Batch, EngineError>>,
     ) {
-        let node = self.ops[pos];
         let t0 = Instant::now();
-        let outcome = catch_unwind(AssertUnwindSafe(|| f(node, &inputs))).map_err(Failure::Panic);
-        let outcome = outcome.and_then(|out| out.map_err(Failure::Error));
+        let outs = catch_unwind(AssertUnwindSafe(|| f(&claimed)));
         let elapsed = t0.elapsed();
-        let outcome = outcome.map(|out| {
-            let (rows_in, started) = (inputs.iter().map(Batch::len).sum(), t0.duration_since(self.start));
-            (OpTiming::finished(&node.op, rows_in, out.len(), started, elapsed, pool::worker_slot()), out)
-        });
-        drop(inputs);
+        let (started, k) = (t0.duration_since(self.start), claimed.len() as u32);
+        let outcomes: Vec<(usize, Outcome)> = match outs {
+            Err(payload) => vec![(claimed[0].0, Err(Failure::Panic(payload)))],
+            Ok(outs) => (claimed.iter().zip(outs).zip(0..))
+                .map(|(((pos, inputs), out), i)| {
+                    let share = if i + 1 == k { elapsed - elapsed / k * (k - 1) } else { elapsed / k };
+                    let timing = |out: &Batch| {
+                        let rows_in = inputs.iter().map(Batch::len).sum();
+                        let at = started + elapsed / k * i;
+                        OpTiming::finished(&self.ops[*pos].op, rows_in, out.len(), at, share, pool::worker_slot())
+                    };
+                    (*pos, out.map(|out| (timing(&out), out)).map_err(Failure::Error))
+                })
+                .collect(),
+        };
+        drop(claimed);
         // Declared before the guard, so dropped after it: an output nothing
         // claims is freed outside the lock.
-        let mut _unclaimed = None;
+        let mut _unclaimed = Vec::new();
         let mut g = self.lock();
-        match outcome {
-            Ok((timing, out)) => {
-                g.timings[pos] = Some(timing);
-                while g.timings.get(g.frontier).is_some_and(Option::is_some) {
-                    g.frontier += 1;
-                }
-                for &c in &self.consumers[pos] {
-                    g.pending[c] -= 1;
-                    if g.pending[c] == 0 && !self.ops[c].op.kind.is_sink() {
-                        g.ready.insert(c);
+        let limit = g.limit;
+        for (pos, outcome) in outcomes {
+            match outcome {
+                Ok((timing, out)) => {
+                    g.timings[pos] = Some(timing);
+                    for &c in &self.consumers[pos] {
+                        g.pending[c] -= 1;
+                        if g.pending[c] == 0 && !self.ops[c].op.kind.is_sink() {
+                            self.release(&mut g, c);
+                        }
                     }
+                    _unclaimed.extend(g.hold(pos, out));
                 }
-                _unclaimed = g.hold(pos, out);
+                Err(failure) if pos < g.limit => (g.limit, g.failure) = (pos, Some(failure)),
+                Err(_) => {}
             }
-            Err(failure) if pos < g.limit => (g.limit, g.failure) = (pos, Some(failure)),
-            Err(_) => {}
+        }
+        while g.timings.get(g.frontier).is_some_and(Option::is_some) {
+            g.frontier += 1;
+        }
+        if g.limit < limit {
+            // A pass no longer waits for members at or past the failure.
+            self.passes.iter().for_each(|members| self.release(&mut g, members[0]));
         }
         // This thread takes one ready operation next, every other idle
         // thread one more; the rest is worth a new helper each.
@@ -338,11 +425,9 @@ impl<'a> Run<'a> {
                 token = None;
             }
             match token.as_ref().and_then(|_| self.claim(&mut g)) {
-                Some((pos, inputs)) => {
+                Some(claimed) => {
                     drop(g);
-                    self.perform(scope, pos, inputs, |node, inputs| {
-                        execute_pure(&node.op.name, &node.op.kind, &node.schema, inputs)
-                    });
+                    self.perform(scope, claimed, |claimed| self.execute(claimed));
                     g = self.lock();
                 }
                 None => g = self.wait(g),
@@ -442,6 +527,13 @@ impl Engine {
         let offers: Vec<(usize, u64)> = (pass.as_ref())
             .map(|c| pure.iter().filter(|&&p| cacheable(&ops[p].op.kind)).map(|&p| (p, c.keys[order[p]])).collect())
             .unwrap_or_default();
+        let passes: Vec<Vec<usize>> = (plan.fused_groups().iter())
+            .map(|group| {
+                let executing = group.members.iter().filter(|&&p| pos_of[p] >= hits && order[pos_of[p]] == p);
+                executing.map(|&p| pos_of[p]).collect()
+            })
+            .filter(|members: &Vec<usize>| members.len() > 1)
+            .collect();
 
         let mut state = State {
             pending: inputs.iter().map(|ins| ins.iter().filter(|&&i| i >= hits).count()).collect(),
@@ -450,6 +542,7 @@ impl Engine {
             timings: vec![None; n],
             frontier: hits,
             limit: n,
+            claimed_passes: vec![false; passes.len()],
             ..State::default()
         };
         offers.iter().for_each(|&(p, _)| state.uses[p] += 1);
@@ -460,13 +553,18 @@ impl Engine {
             state.timings[pos] = Some(OpTiming::finished(op, 0, rel.len(), Duration::ZERO, Duration::ZERO, 0));
             state.hold(pos, Batch::Rel(Arc::clone(rel)));
         }
-        state.ready.extend(pure.iter().filter(|&&p| state.pending[p] == 0));
+        let mut pass_of = vec![None; n];
+        for (pass, members) in passes.iter().enumerate() {
+            members.iter().for_each(|&m| pass_of[m] = Some(pass));
+        }
         let run = Run {
             offers,
             cache,
             ops,
             inputs,
             consumers,
+            passes,
+            pass_of,
             width: pool::threads().saturating_sub(1),
             start,
             state: Mutex::new(state),
@@ -476,6 +574,11 @@ impl Engine {
         std::thread::scope(|scope| {
             let _finish = Finish(&run);
             let mut g = run.lock();
+            for &p in &pure {
+                if g.pending[p] == 0 {
+                    run.release(&mut g, p);
+                }
+            }
             loop {
                 g.caller_waits = false;
                 let pos = g.frontier;
@@ -486,20 +589,21 @@ impl Engine {
                     g.running += 1;
                     let inputs = run.inputs[pos].iter().map(|&i| g.claim_output(i)).collect();
                     drop(g);
-                    run.perform(scope, pos, inputs, |node, inputs| match &node.op.kind {
-                        OpKind::Loader { table, key } => {
-                            let mat = inputs[0].materialize();
-                            load(catalog, table, key, &mat, node.distinct)?;
-                            Ok(Batch::Rel(mat))
-                        }
-                        OpKind::Datastore { datastore, schema } => read_source(catalog, datastore, schema),
-                        _ => unreachable!("only sources and loaders touch the catalog"),
+                    let node = run.ops[pos];
+                    run.perform(scope, vec![(pos, inputs)], |claimed| {
+                        let inputs = &claimed[0].1;
+                        vec![match &node.op.kind {
+                            OpKind::Loader { table, key } => {
+                                let mat = inputs[0].materialize();
+                                load(catalog, table, key, &mat, node.distinct).map(|()| Batch::Rel(mat))
+                            }
+                            OpKind::Datastore { datastore, schema } => read_source(catalog, datastore, schema),
+                            _ => unreachable!("only sources and loaders touch the catalog"),
+                        }]
                     });
-                } else if let Some((pos, inputs)) = run.claim(&mut g) {
+                } else if let Some(claimed) = run.claim(&mut g) {
                     drop(g);
-                    run.perform(scope, pos, inputs, |node, inputs| {
-                        execute_pure(&node.op.name, &node.op.kind, &node.schema, inputs)
-                    });
+                    run.perform(scope, claimed, |claimed| run.execute(claimed));
                 } else if g.running == 0 {
                     break; // finished, or stopped by a failure and drained
                 } else {
