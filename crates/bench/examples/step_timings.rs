@@ -137,26 +137,34 @@ fn main() {
     let recomputed = state.etl_facts().map_or(0, |f| f.recomputed());
     line("etl_step", etl_time, &format!("schema and cost part re-derived for {recomputed} of {} ops", etl.op_count()));
 
-    // The step's five documents; the unified ones become deltas against the
-    // versions stored above. Re-putting the previous versions between
-    // repetitions keeps every timed put a real one-step delta.
+    // The step's five documents in the lifecycle's order: the unified ones
+    // become deltas against the versions stored above, the partials deltas
+    // against the unified ones just put. Re-putting the previous unified
+    // versions and taking fresh partial keys between repetitions keeps every
+    // timed put a real one-step delta.
     let id = &last_req.id;
     let docs = [
         (ArtifactKind::Requirement, id.clone(), last_req.to_string_pretty()),
-        (ArtifactKind::MdSchema, format!("partial-{id}"), xmd::to_string(&last.md)),
-        (ArtifactKind::EtlFlow, format!("partial-{id}"), xlm::to_string(&last.etl)),
         (ArtifactKind::MdSchema, "unified".to_string(), xmd::to_string(&md)),
         (ArtifactKind::EtlFlow, "unified".to_string(), xlm::to_string(&etl)),
+        (ArtifactKind::MdSchema, format!("partial-{id}"), xmd::to_string(&last.md)),
+        (ArtifactKind::EtlFlow, format!("partial-{id}"), xlm::to_string(&last.etl)),
     ];
     let (prev_md, prev_etl) = (xmd::to_string(&md_before), xlm::to_string(&etl_before));
+    let mut rep = 0;
     let puts = fastest(
         || {
             put(ArtifactKind::MdSchema, "unified", &prev_md);
             put(ArtifactKind::EtlFlow, "unified", &prev_etl);
+            rep += 1;
+            rep
         },
-        |()| {
-            for (kind, key, doc) in &docs {
-                put(*kind, key, doc);
+        |rep| {
+            for (i, (kind, key, doc)) in docs.iter().enumerate() {
+                match i {
+                    0..=2 => put(*kind, key, doc),
+                    _ => put(*kind, &format!("{key}/{rep}"), doc),
+                }
             }
         },
     );

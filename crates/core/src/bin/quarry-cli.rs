@@ -60,7 +60,9 @@ commands:
   replay <dir>             read-only recovery of a durable repository
                            directory: replay its snapshot + log and report
                            what a restart would restore and, per artifact,
-                           how its versions are stored (whole / delta, bytes)
+                           how its versions are stored (whole / delta, and
+                           how many of the deltas are on another key's
+                           version; stored / materialized bytes)
   json (on|off)            toggle JSON response encoding
   help                     this text
   quit                     exit";
@@ -343,11 +345,13 @@ fn dispatch(
                         out.push_str(&format!("  {name}: {} document(s)\n", store.count(name)));
                         for a in storage.iter().filter(|a| name.strip_prefix("artifacts.") == Some(a.kind.as_str())) {
                             out.push_str(&format!(
-                                "    {}: {} version(s), {} whole + {} delta, {} stored / {} materialized byte(s)\n",
+                                "    {}: {} version(s), {} whole + {} delta ({} on another key), {} stored / {} \
+                                 materialized byte(s)\n",
                                 a.key,
                                 a.versions,
                                 a.versions - a.deltas,
                                 a.deltas,
+                                a.cross_key,
                                 a.stored_bytes,
                                 a.materialized_bytes,
                             ));
@@ -615,20 +619,31 @@ mod tests {
         let mut plain = false;
         assert!(run(&mut quarry, &mut plain, "add /no/such/file.xrq").contains("cannot read"));
         assert!(run(&mut quarry, &mut plain, "run NaNx").contains("not a scale factor"));
-        // Replay: read-only recovery of a durable repository directory.
+        // Replay: read-only recovery of a durable repository directory,
+        // here one a durable session of two adds wrote. Each partial design
+        // is one version stored against the unified design of its step.
         let tmp = std::env::temp_dir().join(format!("quarry-cli-replay-{}", std::process::id()));
-        std::fs::create_dir_all(&tmp).unwrap();
+        let _ = std::fs::remove_dir_all(&tmp);
         {
-            let repo =
-                quarry_repository::Repository::open(&tmp, quarry_repository::DurabilityOptions::default()).unwrap();
-            repo.put_artifact(quarry_repository::ArtifactKind::Ontology, "domain", "<owl/>").unwrap();
-            repo.record_marker("demo-session").unwrap();
+            let domain = quarry_ontology::tpch::domain();
+            let mut config = quarry::QuarryConfig::tpch(0.01);
+            config.repository_dir = Some(tmp.clone());
+            let mut durable = Quarry::with_config(domain.ontology, domain.sources, config);
+            for file in ["figure4_revenue", "netprofit"] {
+                let path = format!("{}/../../examples/requirements/{file}.xrq", env!("CARGO_MANIFEST_DIR"));
+                assert!(run(&mut durable, &mut plain, &format!("add {path}")).starts_with("ok: "));
+            }
+            durable.repository().sync().unwrap();
         }
         let replay = run(&mut quarry, &mut plain, &format!("replay {}", tmp.display()));
         assert!(replay.contains("record(s) replayed"), "{replay}");
         assert!(replay.contains("artifacts.ontology: 1 document(s)"), "{replay}");
-        assert!(replay.contains("domain: 1 version(s), 1 whole + 0 delta, "), "{replay}");
-        assert!(replay.contains("markers: demo-session"), "{replay}");
+        assert!(replay.contains("domain: 1 version(s), 1 whole + 0 delta (0 on another key), "), "{replay}");
+        for id in ["IR1", "IR2"] {
+            let partial = format!("partial-{id}: 1 version(s), 0 whole + 1 delta (1 on another key), ");
+            assert_eq!(replay.matches(&partial).count(), 2, "the xMD and the xLM of {id}: {replay}");
+        }
+        assert!(replay.contains("markers: step:add_requirement:IR1, step:add_requirement:IR2"), "{replay}");
         let _ = std::fs::remove_dir_all(&tmp);
         assert!(run(&mut quarry, &mut plain, "replay").contains("usage"));
         assert!(run(&mut quarry, &mut plain, "replay /no/such/dir").contains("replay failed"));

@@ -551,8 +551,8 @@ impl Quarry {
             .map_err(QuarryError::Interpret)
     }
 
-    /// Adds a requirement: interpret → store partials → integrate → validate
-    /// → store unified artifacts. The whole step runs inside an
+    /// Adds a requirement: interpret → integrate → store unified artifacts
+    /// → store partials → validate. The whole step runs inside an
     /// `add_requirement` span with one child span per phase; the completed
     /// trace is versioned in the repository.
     pub fn add_requirement(&mut self, req: Requirement) -> Result<DesignUpdate, QuarryError> {
@@ -585,16 +585,10 @@ impl Quarry {
     }
 
     /// The consolidation half of every add, whoever produced the partial
-    /// design: persist and link the partials → integrate MD and ETL through
-    /// the maintained consolidation state → commit the unified design under
-    /// `req` → optimize (with `optimizer.enabled`) → validate.
+    /// design: integrate MD and ETL through the maintained consolidation
+    /// state → commit the unified design under `req` → persist and link the
+    /// partials → optimize (with `optimizer.enabled`) → validate.
     fn integrate_partial(&mut self, req: Requirement, md: &MdSchema, etl: &Flow) -> Result<DesignUpdate, QuarryError> {
-        let key = format!("partial-{}", req.id);
-        self.repository.put_artifact(ArtifactKind::MdSchema, &key, &quarry_formats::xmd::to_string(md))?;
-        self.repository.put_artifact(ArtifactKind::EtlFlow, &key, &quarry_formats::xlm::to_string(etl))?;
-        self.repository.link_requirement(&req.id, ArtifactKind::MdSchema, &key)?;
-        self.repository.link_requirement(&req.id, ArtifactKind::EtlFlow, &key)?;
-
         // Integrate through the maintained consolidation state, recording the
         // quality-factor deltas (structural design complexity and estimated
         // ETL execution time) on the phase spans. The MD result is applied
@@ -643,6 +637,13 @@ impl Quarry {
         let id = req.id.clone();
         self.requirements.insert(id.clone(), req);
         self.persist_unified()?;
+        // The partials go after the unified design that now contains them,
+        // which the repository then stores them as deltas against.
+        let key = format!("partial-{id}");
+        self.repository.put_artifact(ArtifactKind::MdSchema, &key, &quarry_formats::xmd::to_string(md))?;
+        self.repository.put_artifact(ArtifactKind::EtlFlow, &key, &quarry_formats::xlm::to_string(etl))?;
+        self.repository.link_requirement(&id, ArtifactKind::MdSchema, &key)?;
+        self.repository.link_requirement(&id, ArtifactKind::EtlFlow, &key)?;
 
         // `optimizer.enabled` folds the cost-based optimizer into every
         // integration step (off by default; `Quarry::optimize` runs it on
@@ -1422,6 +1423,41 @@ mod tests {
         assert_eq!(q2.repository().latest(ArtifactKind::EtlFlow, "unified").unwrap(), etl_before);
         assert_eq!(q2.repository().links_for("IR1"), links_before);
         assert!(!links_before.is_empty());
+    }
+
+    /// Every partial design reads back after a restart as exactly what the
+    /// interpreter made of its requirement, the changed one included. Each
+    /// first version is stored against the unified design its step wrote
+    /// before it, and the change's second version chains onto it.
+    #[test]
+    fn durable_partials_read_back_as_interpreted_after_a_restart() {
+        let tmp = TempDir::new("partials");
+        let mut changed = figure4_requirement();
+        changed.slicers.clear();
+        {
+            let mut q = durable_tpch(&tmp.0);
+            q.add_requirement(figure4_requirement()).unwrap();
+            q.add_requirement(netprofit_requirement()).unwrap();
+            q.change_requirement(changed.clone()).unwrap();
+        }
+        let q = durable_tpch(&tmp.0);
+        let repo = q.repository();
+        for (key, versions) in
+            [("partial-IR1", vec![figure4_requirement(), changed]), ("partial-IR2", vec![netprofit_requirement()])]
+        {
+            let interpreted: Vec<PartialDesign> = versions.iter().map(|r| q.interpret(r).unwrap()).collect();
+            let contents = |kind| repo.history(kind, key).unwrap().into_iter().map(|a| a.content).collect::<Vec<_>>();
+            let md: Vec<String> = interpreted.iter().map(|p| quarry_formats::xmd::to_string(&p.md)).collect();
+            let etl: Vec<String> = interpreted.iter().map(|p| quarry_formats::xlm::to_string(&p.etl)).collect();
+            assert_eq!(contents(ArtifactKind::MdSchema), md, "{key}");
+            assert_eq!(contents(ArtifactKind::EtlFlow), etl, "{key}");
+        }
+        let storage = repo.with_store(|s| s.artifact_storage()).unwrap();
+        let partials: Vec<_> = storage.iter().filter(|a| a.key.starts_with("partial-")).collect();
+        assert_eq!(partials.len(), 4);
+        for a in partials {
+            assert_eq!((a.versions - a.deltas, a.cross_key), (0, 1), "{a:?}");
+        }
     }
 
     #[test]

@@ -1,14 +1,17 @@
-//! The retired row-at-a-time executor, preserved as a baseline.
+//! The retired row-at-a-time executor, preserved as a reference.
 //!
 //! [`RowEngine`] is the engine's previous data plane: relations stored as
 //! `Vec<Row>`, operators cloning `Value`s row by row, hash tables keyed on
-//! `Value` rows. It exists for two reasons:
+//! `Value` rows. It is the independent answer the columnar engine is checked
+//! against, never a speed baseline:
 //!
 //! 1. **Equivalence.** The columnar engine must be bit-identical to this one
-//!    at any thread count; the row-vs-columnar equivalence suite runs both
-//!    over randomized flows and compares outputs exactly.
-//! 2. **Benchmarking.** The E13 row-vs-columnar series and the CI engine
-//!    gate measure the columnar engine's speedup against this baseline.
+//!    at any thread count; `serial_parallel_equivalence` (and a few engine
+//!    unit tests) run both over randomized and generated flows and compare
+//!    outputs exactly.
+//! 2. **The benchmark's set-up oracle.** The lifecycle benchmark runs each
+//!    workload's unified flow through both engines on its small catalog
+//!    before timing anything, and every loaded table must agree.
 //!
 //! The executor here mirrors the old serial driver: operators run one after
 //! another in topological order, each still morsel-parallel internally, so

@@ -1,8 +1,10 @@
-//! Line deltas between consecutive versions of one artifact.
+//! Line deltas between two versions of design documents.
 //!
-//! A delta is a JSON array that rebuilds a document from the previous
-//! version of the same artifact (the *base*): a `[start, len]` pair copies
-//! that byte range of the base, a string inserts its text.
+//! A delta is a JSON array that rebuilds a document from another one (the
+//! *base*): the previous version of the same artifact, or for a first
+//! version a version of another artifact that contains most of it (a
+//! partial design's unified design). A `[start, len]` pair copies that
+//! byte range of the base, a string inserts its text.
 //! [`patch`] is the only reader; the repository stores a delta only after
 //! `patch(base, delta)` returned the new content byte for byte, so
 //! [`encode`] is free to miss matches — it only ever costs bytes, never
@@ -18,7 +20,9 @@
 //! on as soon as half of it had to be inserted.
 
 use crate::json::Json;
+use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
+use std::hash::{BuildHasher, Hasher};
 
 /// What one copy op is charged when sizing a delta (`[123456,7890],`).
 const COPY_COST: usize = 16;
@@ -27,6 +31,48 @@ const COPY_COST: usize = 16;
 /// bound. Nothing larger can have been logged, so a stored delta that
 /// expands past it is damage, not data.
 const MAX_PATCHED_BYTES: usize = 256 * 1024 * 1024;
+
+/// Indexes the line hashes [`LineTable`] already computed with one
+/// multiply by a random odd key per table (multiply-shift hashing): the
+/// product's high half, which becomes the low bits the table indexes by, is
+/// universal over the keys, so lines crafted to share buckets cannot make
+/// the table quadratic, and a probe costs no SipHash rounds.
+struct LineKeys(u64);
+
+impl LineKeys {
+    fn new() -> LineKeys {
+        LineKeys(RandomState::new().hash_one(0u64) | 1)
+    }
+}
+
+impl BuildHasher for LineKeys {
+    type Hasher = LineHasher;
+
+    fn build_hasher(&self) -> LineHasher {
+        LineHasher { key: self.0, state: 0 }
+    }
+}
+
+struct LineHasher {
+    key: u64,
+    state: u64,
+}
+
+impl Hasher for LineHasher {
+    fn finish(&self) -> u64 {
+        self.state
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(self.state ^ u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, h: u64) {
+        self.state = h.wrapping_mul(self.key).rotate_left(32);
+    }
+}
 
 /// Where the lines of one document start, and a hash of each.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -113,7 +159,7 @@ pub(crate) fn encode(base: &str, base_lines: &LineTable, new: &str, new_lines: &
 
     // Base lines that occur once, by hash; `REPEATED` marks the others.
     const REPEATED: u32 = u32::MAX;
-    let mut once: HashMap<u64, u32> = HashMap::with_capacity(base_lines.len());
+    let mut once: HashMap<u64, u32, LineKeys> = HashMap::with_capacity_and_hasher(base_lines.len(), LineKeys::new());
     for (i, &h) in base_lines.hashes.iter().enumerate() {
         once.entry(h).and_modify(|slot| *slot = REPEATED).or_insert(i as u32);
     }

@@ -12,22 +12,34 @@
 //!
 //! ## Artifact versions
 //!
-//! Every version of an artifact is one document in `artifacts.<kind>`:
-//! `{"key", "version", "content"}` holds the text whole,
-//! `{"key", "version", "delta"}` holds a [`crate::delta`] against version
-//! `version - 1` of the same key. [`Repository::put_artifact`] picks per
-//! version, from the data alone: whole when there is no previous version,
-//! when the delta is not under half the size of the content, or when the
-//! deltas stored since the last whole version would add up to more than
-//! that version — so materializing any version reads at most twice its
-//! whole base. A delta is stored only after patching it onto the base gave
-//! back the content byte for byte.
+//! Every version of an artifact is one document in `artifacts.<kind>`, in
+//! one of three forms:
+//!
+//! - `{"key", "version", "content"}` holds the text whole;
+//! - `{"key", "version", "delta"}` holds a [`crate::delta`] against version
+//!   `version - 1` of the same key;
+//! - `{"key", "version": 1, "base": {"key", "version"}, "delta"}` holds a
+//!   first version as a delta against a version of *another* key of the
+//!   same kind — a partial design against the unified design it was
+//!   consolidated into.
+//!
+//! [`Repository::put_artifact`] picks per version, from the data alone. A
+//! later version is a delta against its predecessor unless the delta is not
+//! under half the size of the content, or the deltas stored since the
+//! version its chain starts at would add up to more than that version — so
+//! a key's own chain reads at most twice the size of its start. A first
+//! version tries the newest document of its collection as its base, and
+//! takes it when the delta is under half its size and that base's own chain
+//! does not start on another key: a read makes at most one cross-key hop.
+//! A delta is stored only after patching it onto its base gave back the
+//! content byte for byte.
 
 use crate::delta::{self, LineTable};
 use crate::json::Json;
 use crate::recover::{Durable, RecoveryReport};
 use crate::wal::{self, DurabilityOptions};
 use parking_lot::RwLock;
+use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::path::Path;
@@ -202,9 +214,10 @@ impl DocumentStore {
                     kind,
                     key: key.to_string(),
                     versions: stored.len(),
-                    deltas: stored.values().filter(|(_, body)| matches!(body, Body::Delta(_))).count(),
+                    deltas: stored.values().filter(|(_, body)| !matches!(body, Body::Whole(_))).count(),
+                    cross_key: stored.values().filter(|(_, body)| matches!(body, Body::Based { .. })).count(),
                     stored_bytes,
-                    materialized_bytes: history_of(kind, key, &stored)?.iter().map(|a| a.content.len()).sum(),
+                    materialized_bytes: history_of(self, kind, key, &stored)?.iter().map(|a| a.content.len()).sum(),
                 });
             }
         }
@@ -219,9 +232,11 @@ pub struct ArtifactStorage {
     pub kind: ArtifactKind,
     pub key: String,
     pub versions: usize,
-    /// Versions stored as a delta against their predecessor; the others are
-    /// stored whole.
+    /// Versions stored as a delta, against their predecessor or against
+    /// another key; the others are stored whole.
     pub deltas: usize,
+    /// Of the `deltas`, the first version stored against another key.
+    pub cross_key: usize,
     /// Size of the version documents as a log record or snapshot holds them.
     pub stored_bytes: usize,
     /// Size of the versions' text once materialized.
@@ -296,17 +311,30 @@ pub struct Artifact {
 /// How one version document stores its text.
 enum Body<'a> {
     Whole(&'a str),
+    /// A delta against version `version - 1` of the same key.
     Delta(&'a [Json]),
+    /// A first version's delta against version `version` of `key`.
+    Based {
+        key: &'a str,
+        version: u64,
+        ops: &'a [Json],
+    },
 }
 
 fn corrupt(collection: &str, id: DocId, message: impl Into<String>) -> StoreError {
     StoreError::Corrupt { path: collection.to_string(), offset: id.0, message: message.into() }
 }
 
+/// A version number: a positive integer.
+fn version_number(value: &Json) -> Option<u64> {
+    value.as_f64().filter(|v| *v >= 1.0 && v.fract() == 0.0 && *v < u64::MAX as f64).map(|v| v as u64)
+}
+
 /// Every stored version of one artifact, by version number. A document
 /// that carries the key but is not a version document — no positive integer
 /// `version`, not exactly one of a string `content` and an array `delta`, a
-/// version number used twice — is an error, not a version to skip.
+/// `base` that is not a `{"key", "version"}` or is not on a first version's
+/// delta, a version number used twice — is an error, not a version to skip.
 fn stored_versions<'a>(
     store: &'a DocumentStore,
     collection: &str,
@@ -316,15 +344,33 @@ fn stored_versions<'a>(
     for (id, doc) in store.find_by(collection, "key", key) {
         let version = doc
             .get("version")
-            .and_then(Json::as_f64)
-            .filter(|v| *v >= 1.0 && v.fract() == 0.0 && *v < u64::MAX as f64)
-            .ok_or_else(|| corrupt(collection, id, format!("`{key}`: no positive integer `version`")))?
-            as u64;
-        let body = match (doc.get("content"), doc.get("delta")) {
-            (Some(Json::String(text)), None) => Body::Whole(text),
-            (None, Some(Json::Array(ops))) => Body::Delta(ops),
-            (Some(_), Some(_)) => {
+            .and_then(version_number)
+            .ok_or_else(|| corrupt(collection, id, format!("`{key}`: no positive integer `version`")))?;
+        let body = match (doc.get("content"), doc.get("delta"), doc.get("base")) {
+            (Some(Json::String(text)), None, None) => Body::Whole(text),
+            (None, Some(Json::Array(ops)), None) => Body::Delta(ops),
+            (None, Some(Json::Array(ops)), Some(base)) => {
+                let base_key = base.get("key").and_then(Json::as_str);
+                match (base_key, base.get("version").and_then(version_number)) {
+                    (Some(base_key), Some(base_version)) if version == 1 => {
+                        Body::Based { key: base_key, version: base_version, ops }
+                    }
+                    _ => {
+                        return Err(corrupt(
+                            collection,
+                            id,
+                            format!(
+                                "`{key}` v{version}: `base` is not the {{\"key\", \"version\"}} of a first version"
+                            ),
+                        ))
+                    }
+                }
+            }
+            (Some(_), Some(_), _) => {
                 return Err(corrupt(collection, id, format!("`{key}` v{version}: both `content` and `delta`")))
+            }
+            (Some(Json::String(_)), None, Some(_)) => {
+                return Err(corrupt(collection, id, format!("`{key}` v{version}: a `base` on a whole version")))
             }
             _ => {
                 return Err(corrupt(
@@ -344,25 +390,75 @@ fn stored_versions<'a>(
 /// The text of one stored version; `previous` is the materialized version
 /// before it, if that one exists.
 fn materialize(
+    store: &DocumentStore,
     collection: &str,
     key: &str,
     version: u64,
     (id, body): &(DocId, Body),
     previous: Option<(u64, &str)>,
 ) -> Result<String, StoreError> {
-    match body {
-        Body::Whole(text) => Ok(text.to_string()),
+    let (base, ops) = match body {
+        Body::Whole(text) => return Ok(text.to_string()),
         Body::Delta(ops) => {
             let (_, base) = previous.filter(|(v, _)| v + 1 == version).ok_or_else(|| {
                 corrupt(collection, *id, format!("`{key}` v{version} is a delta with no base version"))
             })?;
-            delta::patch(base, ops).map_err(|e| corrupt(collection, *id, format!("`{key}` v{version}: {e}")))
+            (Cow::Borrowed(base), ops)
         }
+        Body::Based { key: base_key, version: base_version, ops } => {
+            (Cow::Owned(base_text(store, collection, *id, key, base_key, *base_version)?), ops)
+        }
+    };
+    delta::patch(&base, ops).map_err(|e| corrupt(collection, *id, format!("`{key}` v{version}: {e}")))
+}
+
+/// The version a key's chain starts at, walking back from `version`: the
+/// nearest one stored whole or against another key (or a delta whose
+/// predecessor is missing, which then fails to materialize).
+fn chain_start(versions: &BTreeMap<u64, (DocId, Body)>, version: u64) -> u64 {
+    let mut first = version;
+    while matches!(versions[&first].1, Body::Delta(_)) && versions.contains_key(&(first - 1)) {
+        first -= 1;
     }
+    first
+}
+
+/// The text the based first version `key` (document `id`) is patched onto:
+/// version `base_version` of `base_key`, read along that key's own chain.
+/// The base must be stored before the document, and its chain must not
+/// start on another key itself, so a read makes at most one hop.
+fn base_text(
+    store: &DocumentStore,
+    collection: &str,
+    id: DocId,
+    key: &str,
+    base_key: &str,
+    base_version: u64,
+) -> Result<String, StoreError> {
+    let what = format!("`{key}` v1 is stored against `{base_key}` v{base_version}");
+    let versions = stored_versions(store, collection, base_key)?;
+    match versions.get(&base_version) {
+        None => return Err(corrupt(collection, id, format!("{what}, which is not stored"))),
+        Some((base_id, _)) if *base_id >= id => {
+            return Err(corrupt(collection, id, format!("{what}, which is not older")))
+        }
+        Some(_) => {}
+    }
+    let first = chain_start(&versions, base_version);
+    if matches!(versions[&first].1, Body::Based { .. }) {
+        return Err(corrupt(collection, id, format!("{what}, which is itself stored against another key")));
+    }
+    let mut text: Option<(u64, String)> = None;
+    for (&version, stored) in versions.range(first..=base_version) {
+        let previous = text.as_ref().map(|(v, t)| (*v, t.as_str()));
+        text = Some((version, materialize(store, collection, base_key, version, stored, previous)?));
+    }
+    Ok(text.expect("the base version is in range").1)
 }
 
 /// Every one of an artifact's stored `versions` materialized, oldest first.
 fn history_of(
+    store: &DocumentStore,
     kind: ArtifactKind,
     key: &str,
     versions: &BTreeMap<u64, (DocId, Body)>,
@@ -371,7 +467,7 @@ fn history_of(
     let mut out: Vec<Artifact> = Vec::with_capacity(versions.len());
     for (&version, stored) in versions {
         let previous = out.last().map(|a| (a.version, a.content.as_str()));
-        let content = materialize(&collection, key, version, stored, previous)?;
+        let content = materialize(store, &collection, key, version, stored, previous)?;
         out.push(Artifact { kind, key: key.to_string(), version, content });
     }
     Ok(out)
@@ -383,37 +479,55 @@ fn history_of(
 struct Head {
     version: u64,
     content: String,
-    /// Line table of `content`, kept from the put that encoded it against
-    /// its predecessor so the next put splits only its own document. Absent
-    /// on first versions and freshly loaded heads until a put needs it.
+    /// Line table of `content`, kept from the put that encoded it so the
+    /// next put splits only its own document. Absent on versions stored
+    /// whole and on freshly loaded heads until a put needs it.
     lines: Option<LineTable>,
-    /// Size of the newest version stored whole, and what the deltas stored
-    /// since are charged ([`delta::cost`]).
+    /// Size of the version the chain starts at, and what the deltas stored
+    /// since, that version's own included, are charged ([`delta::cost`]).
     whole_bytes: usize,
     chain_bytes: usize,
+    /// The chain starts at a first version stored against another key, so
+    /// this version is not offered as a base: reads stay one hop deep.
+    cross_key: bool,
 }
 
 impl Head {
+    fn whole(version: u64, content: &str) -> Head {
+        let (lines, whole_bytes, chain_bytes, cross_key) = (None, content.len(), 0, false);
+        Head { version, content: content.to_string(), lines, whole_bytes, chain_bytes, cross_key }
+    }
+
     /// Rebuilds the head from the stored versions: back from the newest to
-    /// the nearest one stored whole, then forward again.
+    /// the version its chain starts at, then forward again.
     fn load(store: &DocumentStore, collection: &str, key: &str) -> Result<Option<Head>, StoreError> {
         let versions = stored_versions(store, collection, key)?;
         let Some((&newest, _)) = versions.last_key_value() else { return Ok(None) };
-        let mut first = newest;
-        while matches!(versions[&first].1, Body::Delta(_)) && versions.contains_key(&(first - 1)) {
-            first -= 1;
-        }
-        let mut head = Head { version: 0, content: String::new(), lines: None, whole_bytes: 0, chain_bytes: 0 };
-        for (&version, stored) in versions.range(first..) {
+        let mut head = Head::whole(0, "");
+        for (&version, stored) in versions.range(chain_start(&versions, newest)..) {
             let previous = (head.version > 0).then_some((head.version, head.content.as_str()));
-            head.content = materialize(collection, key, version, stored, previous)?;
+            head.content = materialize(store, collection, key, version, stored, previous)?;
             head.version = version;
             match stored.1 {
                 Body::Whole(text) => (head.whole_bytes, head.chain_bytes) = (text.len(), 0),
                 Body::Delta(ops) => head.chain_bytes += delta::cost(ops),
+                Body::Based { ops, .. } => {
+                    (head.whole_bytes, head.chain_bytes, head.cross_key) = (head.content.len(), delta::cost(ops), true)
+                }
             }
         }
         Ok(Some(head))
+    }
+
+    /// The delta from this version to `content` (split as `lines`), when it
+    /// is under half the size of `content` and patches back to it byte for
+    /// byte.
+    fn delta_to(&mut self, content: &str, lines: &LineTable) -> Option<Vec<Json>> {
+        if self.lines.is_none() {
+            self.lines = LineTable::of(&self.content);
+        }
+        let ops = delta::encode(&self.content, self.lines.as_ref()?, content, lines)?;
+        delta::patch(&self.content, &ops).is_ok_and(|patched| patched == content).then_some(ops)
     }
 }
 
@@ -449,6 +563,18 @@ impl RepoInner {
             };
         }
         Ok(heads.get_mut(key))
+    }
+
+    /// What a first version of `kind` is encoded against: the newest
+    /// document of the collection, when it is the newest version of its key
+    /// and that key's chain does not start on another key. A base that
+    /// cannot be read is no base; the version is then stored whole.
+    fn cross_key_base(&mut self, kind: ArtifactKind) -> Option<(String, &mut Head)> {
+        let (_, doc) = self.store.collections.get(&kind.collection())?.docs.last_key_value()?;
+        let key = doc.get("key")?.as_str()?.to_string();
+        let version = doc.get("version").and_then(version_number)?;
+        let head = self.load_head(kind, &key).ok()??;
+        (head.version == version && !head.cross_key).then_some((key, head))
     }
 
     /// A raw document write into an artifact collection may have changed
@@ -563,33 +689,42 @@ impl Repository {
     }
 
     /// Stores a new version of an artifact and returns it. The version is
-    /// stored as a delta against the previous one when that is clearly
-    /// smaller (see the module docs), whole otherwise.
+    /// stored as a delta — against the previous version, or for a first
+    /// version against the newest document of its collection — when that
+    /// is clearly smaller (see the module docs), whole otherwise.
     pub fn put_artifact(&self, kind: ArtifactKind, key: &str, content: &str) -> Result<Artifact, StoreError> {
         let mut inner = self.inner.write();
-        let mut next =
-            Head { version: 1, content: content.to_string(), lines: None, whole_bytes: content.len(), chain_bytes: 0 };
+        let mut next = Head::whole(1, content);
         let mut encoded = None;
+        let mut based_on = None;
         if let Some(head) = inner.load_head(kind, key)? {
             next.version = head.version + 1;
             next.lines = LineTable::of(content);
-            if head.lines.is_none() {
-                head.lines = LineTable::of(&head.content);
-            }
-            if let (Some(base_lines), Some(lines)) = (&head.lines, &next.lines) {
-                let chain = |ops: &[Json]| head.chain_bytes + delta::cost(ops);
-                encoded = delta::encode(&head.content, base_lines, content, lines).filter(|ops| {
-                    chain(ops) <= head.whole_bytes
-                        && delta::patch(&head.content, ops).is_ok_and(|patched| patched == content)
-                });
+            if let Some(lines) = &next.lines {
+                encoded =
+                    head.delta_to(content, lines).filter(|ops| head.chain_bytes + delta::cost(ops) <= head.whole_bytes);
                 if let Some(ops) = &encoded {
-                    (next.whole_bytes, next.chain_bytes) = (head.whole_bytes, chain(ops));
+                    (next.whole_bytes, next.chain_bytes) = (head.whole_bytes, head.chain_bytes + delta::cost(ops));
+                    next.cross_key = head.cross_key;
                 }
+            }
+        } else if let Some((base_key, base)) = inner.cross_key_base(kind) {
+            next.lines = LineTable::of(content);
+            encoded = next.lines.as_ref().and_then(|lines| base.delta_to(content, lines));
+            if let Some(ops) = &encoded {
+                (next.chain_bytes, next.cross_key) = (delta::cost(ops), true);
+                based_on = Some((base_key, base.version));
             }
         }
         let mut doc = Json::object();
         doc.set("key", Json::String(key.to_string()));
         doc.set("version", Json::Number(next.version as f64));
+        if let Some((base_key, base_version)) = based_on {
+            let mut base = Json::object();
+            base.set("key", Json::String(base_key));
+            base.set("version", Json::Number(base_version as f64));
+            doc.set("base", base);
+        }
         match encoded {
             Some(ops) => doc.set("delta", Json::Array(ops)),
             None => doc.set("content", Json::String(content.to_string())),
@@ -625,7 +760,7 @@ impl Repository {
     /// [`StoreError::Corrupt`], never skipped.
     pub fn history(&self, kind: ArtifactKind, key: &str) -> Result<Vec<Artifact>, StoreError> {
         let inner = self.inner.read();
-        history_of(kind, key, &stored_versions(&inner.store, &kind.collection(), key)?)
+        history_of(&inner.store, kind, key, &stored_versions(&inner.store, &kind.collection(), key)?)
     }
 
     /// All keys currently stored for a kind.

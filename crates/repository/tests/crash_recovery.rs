@@ -97,11 +97,59 @@ fn run_script(repo: &Repository) -> Vec<DocumentStore> {
     mirror
 }
 
+/// The partial design of fact `i` of a [`design`]: lines the unified
+/// design holds, so it is stored against the unified version of its step.
+fn partial_design(i: usize) -> String {
+    let design = design(i + 1);
+    let lines: Vec<&str> = design.lines().collect();
+    let fact = &lines[2 + 3 * i..5 + 3 * i];
+    format!("{}\n{}\n{}\n{}\n", lines[0], lines[1], fact.join("\n"), lines.last().unwrap())
+}
+
+/// Two lifecycle steps in the order the lifecycle writes them — marker,
+/// requirement, unified design, partial design, links — ending on a partial
+/// stored against the unified design of its step, so the final record is a
+/// based first version. Every call appends exactly one record.
+fn run_based_script(repo: &Repository) -> Vec<DocumentStore> {
+    let mut mirror = vec![repo.with_store(Clone::clone)];
+    let mut step = |repo: &Repository| mirror.push(repo.with_store(Clone::clone));
+    for (i, id) in ["IR1", "IR2"].into_iter().enumerate() {
+        repo.record_marker(&format!("step:add_requirement:{id}")).unwrap();
+        step(repo);
+        repo.put_artifact(ArtifactKind::Requirement, id, &format!("<xrq id='{id}'/>")).unwrap();
+        step(repo);
+        repo.put_artifact(ArtifactKind::MdSchema, "unified", &design(i + 6)).unwrap();
+        step(repo);
+        repo.put_artifact(ArtifactKind::MdSchema, &format!("partial-{id}"), &partial_design(i + 5)).unwrap();
+        step(repo);
+        if i == 0 {
+            repo.link_requirement(id, ArtifactKind::MdSchema, &format!("partial-{id}")).unwrap();
+            step(repo);
+        }
+    }
+    let based: Vec<String> = repo.with_store(|s| {
+        s.scan("artifacts.md-schema")
+            .into_iter()
+            .filter_map(|(_, d)| Some(d.get("base")?.to_compact_string()))
+            .collect()
+    });
+    assert_eq!(
+        based,
+        [r#"{"key":"unified","version":1}"#, r#"{"key":"unified","version":2}"#],
+        "the script must log based records, the last one final"
+    );
+    mirror
+}
+
 /// Builds the scripted log, returning its bytes and the per-record mirror.
 fn scripted_log(tag: &str) -> (Vec<u8>, Vec<DocumentStore>) {
+    log_of(tag, run_script)
+}
+
+fn log_of(tag: &str, script: fn(&Repository) -> Vec<DocumentStore>) -> (Vec<u8>, Vec<DocumentStore>) {
     let live = TempDir::new(tag);
     let repo = Repository::open(live.path(), matrix_options()).unwrap();
-    let mirror = run_script(&repo);
+    let mirror = script(&repo);
     repo.sync().unwrap();
     drop(repo);
     let bytes = std::fs::read(live.path().join("wal-1.log")).unwrap();
@@ -111,6 +159,27 @@ fn scripted_log(tag: &str) -> (Vec<u8>, Vec<DocumentStore>) {
 #[test]
 fn kill_at_every_offset_recovers_the_exact_prefix() {
     let (bytes, mirror) = scripted_log("matrix");
+    assert_every_cut_recovers_a_prefix(&bytes, &mirror);
+}
+
+/// The matrix over a log whose steps store partial designs against the
+/// unified design of their step: every record boundary and every byte of
+/// the final (based) record recovers the applied prefix, and each prefix
+/// materializes.
+#[test]
+fn kill_at_every_offset_of_a_based_partial_recovers_the_exact_prefix() {
+    let (bytes, mirror) = log_of("matrix-based", run_based_script);
+    assert_every_cut_recovers_a_prefix(&bytes, &mirror);
+    let dir = TempDir::new("matrix-based-full");
+    std::fs::write(dir.path().join("wal-1.log"), &bytes).unwrap();
+    let repo = Repository::open(dir.path(), matrix_options()).unwrap();
+    for (i, id) in ["IR1", "IR2"].into_iter().enumerate() {
+        let partial = repo.latest(ArtifactKind::MdSchema, &format!("partial-{id}")).unwrap();
+        assert_eq!(partial.content, partial_design(i + 5));
+    }
+}
+
+fn assert_every_cut_recovers_a_prefix(bytes: &[u8], mirror: &[DocumentStore]) {
     let records = mirror.len() - 1;
 
     let cut_dir = TempDir::new("matrix-cut");

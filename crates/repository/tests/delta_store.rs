@@ -4,9 +4,10 @@
 //! blocks, full rewrites, empty and one-line documents, CRLF or no trailing
 //! newline, multi-byte text — `latest` and `history` return every put byte
 //! for byte: from the live repository, in memory, after a reopen, and after
-//! a compaction has moved the versions into a snapshot. And stored version
-//! documents that cannot be materialized are `StoreError::Corrupt`, never a
-//! panic and never a version that silently goes missing.
+//! a compaction has moved the versions into a snapshot. A first version
+//! stored against another key's version reads back the same way. And stored
+//! version documents that cannot be materialized are `StoreError::Corrupt`,
+//! never a panic and never a version that silently goes missing.
 
 use proptest::prelude::*;
 use quarry_repository::{ArtifactKind, DurabilityOptions, FsyncPolicy, Json, Repository, StoreError};
@@ -233,4 +234,153 @@ fn raw_writes_into_an_artifact_collection_are_not_masked_by_the_cached_head() {
     assert_eq!(repo.delete_document("artifacts.md-schema", id), Ok(true));
     let versions: Vec<u64> = repo.history(ArtifactKind::MdSchema, "k").unwrap().iter().map(|a| a.version).collect();
     assert_eq!(versions, [1, 3]);
+}
+
+/// A unified design of `facts` facts and the partial design of fact `i`:
+/// the partial is a few lines, all of which the unified design holds.
+fn unified(facts: usize) -> String {
+    (0..facts).map(partial).collect::<Vec<_>>().concat()
+}
+
+fn partial(i: usize) -> String {
+    format!(
+        "<fact name=\"fact_{i}\" note=\"é € 😀\">\n  <measure name=\"m{i}\"/>\n  <measure name=\"n{i}\"/>\n  \
+         <dimension ref=\"d{i}\"/>\n  <dimension ref=\"e{i}\"/>\n</fact>\n"
+    )
+}
+
+/// The stored version documents of `key` in `collection`.
+fn stored(repo: &Repository, collection: &str, key: &str) -> Vec<Json> {
+    repo.with_store(|s| s.find_by(collection, "key", key).into_iter().map(|(_, d)| d.clone()).collect())
+}
+
+/// A first version is stored against the newest document of its collection
+/// when that is clearly smaller, and reads back byte for byte through a
+/// reopen, a compaction and `history`; later versions of the key chain onto
+/// it, and a version whose chain starts on another key is no base.
+#[test]
+fn a_based_first_version_round_trips_through_reopen_compaction_and_history() {
+    let dir = TempDir::new("delta-based");
+    let repo = Repository::open(dir.path(), options(u64::MAX)).unwrap();
+    repo.put_artifact(KIND, "unified", &unified(20)).unwrap();
+    repo.put_artifact(KIND, "partial-3", &partial(3)).unwrap();
+    let [doc] = stored(&repo, "artifacts.etl-flow", "partial-3").try_into().unwrap();
+    assert_eq!(doc.get("base").map(Json::to_compact_string).as_deref(), Some(r#"{"key":"unified","version":1}"#));
+    assert!(doc.get("content").is_none() && doc.get("delta").is_some(), "{doc}");
+    // The next version of the partial is a delta against its own first one.
+    let edited = partial(3).replace("d3", "d33");
+    assert_eq!(repo.put_artifact(KIND, "partial-3", &edited).unwrap().version, 2);
+    // The partial is the newest document now, but its chain starts on
+    // another key: a first version that is a copy of it is stored whole.
+    repo.put_artifact(KIND, "copy", &edited).unwrap();
+    let [doc] = stored(&repo, "artifacts.etl-flow", "copy").try_into().unwrap();
+    assert!(doc.get("content").is_some(), "a base two hops away is refused: {doc}");
+    // A second unified version, then a partial against it.
+    repo.put_artifact(KIND, "unified", &unified(21)).unwrap();
+    repo.put_artifact(KIND, "partial-20", &partial(20)).unwrap();
+    let [doc] = stored(&repo, "artifacts.etl-flow", "partial-20").try_into().unwrap();
+    assert_eq!(doc.get("base").map(Json::to_compact_string).as_deref(), Some(r#"{"key":"unified","version":2}"#));
+
+    let expected = [
+        ("unified", vec![unified(20), unified(21)]),
+        ("partial-3", vec![partial(3), edited.clone()]),
+        ("copy", vec![edited.clone()]),
+        ("partial-20", vec![partial(20)]),
+    ];
+    let check = |repo: &Repository| {
+        for (key, docs) in &expected {
+            assert_eq!(&contents(repo, key), docs, "{key}");
+            assert_eq!(&repo.latest(KIND, key).unwrap().content, docs.last().unwrap(), "{key}");
+        }
+        let storage = repo.with_store(|s| s.artifact_storage()).unwrap();
+        let cross_key: Vec<(&str, usize, usize)> =
+            storage.iter().map(|a| (a.key.as_str(), a.deltas, a.cross_key)).collect();
+        assert_eq!(cross_key, [("copy", 0, 0), ("partial-20", 1, 1), ("partial-3", 2, 1), ("unified", 1, 0)]);
+    };
+    check(&repo);
+
+    // After a reopen: replayed from the log, and the next put of a based
+    // key still finds its chain.
+    repo.sync().unwrap();
+    drop(repo);
+    let reopened = Repository::open(dir.path(), options(1)).unwrap();
+    check(&reopened);
+    let again = edited.replace("m3", "m33");
+    assert_eq!(reopened.put_artifact(KIND, "partial-3", &again).unwrap().version, 3);
+    drop(reopened);
+
+    // After that put compacted: read back from the snapshot.
+    let compacted = Repository::open(dir.path(), options(u64::MAX)).unwrap();
+    assert!(compacted.recovery_report().unwrap().snapshot_seq.is_some(), "the put compacted");
+    assert_eq!(contents(&compacted, "partial-3"), [partial(3), edited, again]);
+    assert_eq!(contents(&compacted, "partial-20"), [partial(20)]);
+    // And a new first version finds its base in the snapshot.
+    compacted.put_artifact(KIND, "unified", &unified(22)).unwrap();
+    compacted.put_artifact(KIND, "partial-21", &partial(21)).unwrap();
+    let [doc] = stored(&compacted, "artifacts.etl-flow", "partial-21").try_into().unwrap();
+    assert!(doc.get("base").is_some(), "{doc}");
+    assert_eq!(contents(&compacted, "partial-21"), [partial(21)]);
+}
+
+/// Based first versions that cannot be read — their base key or version is
+/// missing, the base rests on another key itself, the base is not older
+/// than the document, or the `base` member is malformed — are `Corrupt`
+/// from every read and from the next put, never a panic.
+#[test]
+fn hostile_based_documents_are_corrupt() {
+    let unified = r#"{"key":"u","version":1,"content":"first line of the base\nsecond line of the base\n"}"#;
+    let based = r#"{"key":"k","version":1,"base":{"key":"u","version":1},"delta":[[0,23]]}"#;
+    let hostile: [(&str, &[&str]); 9] = [
+        ("the base key is absent", &[r#"{"key":"k","version":1,"base":{"key":"ghost","version":1},"delta":[[0,5]]}"#]),
+        (
+            "the base version is absent",
+            &[unified, r#"{"key":"k","version":1,"base":{"key":"u","version":2},"delta":[[0,5]]}"#],
+        ),
+        (
+            "the base is itself based",
+            &[
+                unified,
+                r#"{"key":"p","version":1,"base":{"key":"u","version":1},"delta":[[0,23]]}"#,
+                r#"{"key":"k","version":1,"base":{"key":"p","version":1},"delta":[[0,5]]}"#,
+            ],
+        ),
+        (
+            "the base's chain starts on another key",
+            &[
+                unified,
+                r#"{"key":"p","version":1,"base":{"key":"u","version":1},"delta":[[0,23]]}"#,
+                r#"{"key":"p","version":2,"delta":[[0,10]]}"#,
+                r#"{"key":"k","version":1,"base":{"key":"p","version":2},"delta":[[0,5]]}"#,
+            ],
+        ),
+        ("the base is not older than the document", &[based, unified]),
+        ("the base is the document itself", &[r#"{"key":"k","version":1,"base":{"key":"k","version":1},"delta":[]}"#]),
+        (
+            "a base on a later version",
+            &[unified, r#"{"key":"k","version":2,"base":{"key":"u","version":1},"delta":[]}"#],
+        ),
+        ("a base that is not a key and version", &[unified, r#"{"key":"k","version":1,"base":"u","delta":[]}"#]),
+        (
+            "a base on a whole version",
+            &[unified, r#"{"key":"k","version":1,"base":{"key":"u","version":1},"content":"x"}"#],
+        ),
+    ];
+    for (what, docs) in hostile {
+        let repo = Repository::new();
+        repo.put_artifact(ArtifactKind::MdSchema, "bystander", "<ok/>").unwrap();
+        for doc in docs {
+            repo.insert_document("artifacts.md-schema", Json::parse(doc).unwrap()).unwrap();
+        }
+        assert_corrupt(what, repo.latest(ArtifactKind::MdSchema, "k"));
+        assert_corrupt(what, repo.history(ArtifactKind::MdSchema, "k"));
+        assert_corrupt(what, repo.put_artifact(ArtifactKind::MdSchema, "k", "next"));
+        assert_corrupt(what, repo.with_store(|s| s.artifact_storage()));
+        assert_eq!(repo.latest(ArtifactKind::MdSchema, "bystander").unwrap().content, "<ok/>", "{what}");
+    }
+    // The same documents in the right order read back.
+    let repo = Repository::new();
+    for doc in [unified, based] {
+        repo.insert_document("artifacts.md-schema", Json::parse(doc).unwrap()).unwrap();
+    }
+    assert_eq!(repo.latest(ArtifactKind::MdSchema, "k").unwrap().content, "first line of the base\n");
 }
