@@ -633,7 +633,7 @@ mod tests {
     }
 
     #[test]
-    fn cardinality_state_is_memoized_and_invalidated() {
+    fn statistics_generation_tracks_mutations() {
         let f = pipeline();
         let s = stats();
         let g0 = s.generation();

@@ -1,9 +1,9 @@
 //! The optimizer's rewrite-move engine: semantically-equivalent flow
 //! transformations with incremental cost maintenance.
 //!
-//! A [`RewriteState`] owns a flow together with its schema, cardinality,
-//! per-operation cost and live-column maps. Applying a [`Move`] edits the flow
-//! under an edit journal, replays the transfer functions over exactly the
+//! A [`RewriteState`] owns a flow together with its [`FlowFacts`] (schemas,
+//! cardinalities, cost parts, ranks) and live-column map. Applying a [`Move`]
+//! edits the flow under an edit journal, repairs the facts over exactly the
 //! operations the journal says the move touched (propagation stops as soon as
 //! values settle), and returns the cost delta plus an undo record — so a
 //! simulated-annealing chain evaluates a move in O(touched ops) however large
@@ -39,12 +39,13 @@
 //! schema propagation over the touched region — a move that breaks the flow
 //! is rolled back and reported as an error, never committed.
 
-use crate::cost::{cardinality_state, op_cardinality, CardState, EstimatedTime, EtlCostModel, SourceStats};
+use crate::cost::{EstimatedTime, EtlCostModel, SourceStats};
+use crate::facts::{put, restore, sweep, Displaced, FactsUndo, FlowFacts};
 use crate::flow::{Edit, Flow, FlowError, Journal, OpId, Operation};
 use crate::ops::{JoinKind, OpKind};
 use crate::rules;
 use crate::schema::Schema;
-use std::collections::{BTreeSet, BinaryHeap, HashMap, VecDeque};
+use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 
 /// One candidate rewrite of a flow.
@@ -108,36 +109,14 @@ impl From<FlowError> for RewriteError {
 
 type ObsRecord = (Option<f64>, Option<(f64, f64)>);
 
-/// The entries one [`RewriteState::apply`] displaced in a maintained map,
-/// oldest first (`None`: the entry did not exist).
-type Displaced<T> = Vec<(OpId, Option<T>)>;
-
-/// Writes (`Some`) or drops (`None`) one map entry, remembering what it
-/// displaced.
-fn put<T>(map: &mut HashMap<OpId, T>, log: &mut Displaced<T>, id: OpId, value: Option<T>) {
-    let old = match value {
-        Some(v) => map.insert(id, v),
-        None => map.remove(&id),
-    };
-    log.push((id, old));
-}
-
-/// Puts displaced entries back, newest first.
-fn restore<T>(map: &mut HashMap<OpId, T>, log: Displaced<T>) {
-    for (id, old) in log.into_iter().rev() {
-        match old {
-            Some(v) => map.insert(id, v),
-            None => map.remove(&id),
-        };
-    }
-}
-
 /// Everything needed to take back one successful [`RewriteState::apply`]: the
 /// flow's edit journal (edges rewired, kinds replaced, operations inserted
 /// and removed — replayed backwards it restores the exact prior flow, op
 /// order, edge order and ids included), the observations the move dropped or
-/// planted, and per maintained map the entries it displaced. Nothing in it is
-/// proportional to the flow; it is as large as what the move touched.
+/// planted, and the entries it displaced in the facts and the live-column
+/// map. Nothing in it is proportional to the flow; it is as large as what
+/// the move touched.
+#[derive(Default)]
 pub struct Applied {
     /// Cost change of the move (negative = improvement). Bitwise-consistent
     /// with a full re-cost of the new flow.
@@ -146,69 +125,27 @@ pub struct Applied {
     cost: f64,
     obs_restore: Vec<(String, ObsRecord)>,
     obs_added: Vec<String>,
-    schemas: Displaced<Schema>,
-    cards: Displaced<CardState>,
-    costs: Displaced<f64>,
+    facts: FactsUndo,
     live: Displaced<BTreeSet<String>>,
-    ranks: Displaced<u64>,
 }
-
-/// Spacing of the initial topological ranks: room for ~20 rounds of placing
-/// an operation halfway between its neighbours before any rank has to move.
-const RANK_GAP: u64 = 1 << 20;
 
 /// A flow under optimization, with everything a move's legality and cost
 /// depend on maintained beside it: per operation its output schema,
-/// cardinality state, modeled cost, live output columns ([`live_columns`])
-/// and a topological rank (`rank[from] < rank[to]` on every edge), plus the
-/// total cost. [`apply`](Self::apply) repairs each of them for the operations
-/// a move reaches — schemas, cardinalities and ranks downstream of the
-/// rewired edges, liveness upstream — in rank order, stopping where values
-/// settle, so a proposal costs what it touches however large the flow is.
-/// [`RewriteState::new`] on the same flow and statistics rebuilds identical
-/// maps from scratch; that equality is what the maintenance is tested
-/// against.
+/// cardinality state, cost part and topological rank ([`FlowFacts`]) and its
+/// live output columns ([`live_columns`]), plus the running total.
+/// [`apply`](Self::apply) repairs them for the operations a move reaches —
+/// schemas, cardinalities, costs and ranks downstream of the rewired edges,
+/// liveness upstream — in rank order, stopping where values settle, so a
+/// proposal costs what it touches however large the flow is.
+/// [`audit`](Self::audit) compares them with a from-scratch derivation.
 #[derive(Clone)]
 pub struct RewriteState {
     flow: Flow,
     stats: SourceStats,
     model: EstimatedTime,
-    schemas: HashMap<OpId, Schema>,
-    cards: HashMap<OpId, CardState>,
-    op_costs: HashMap<OpId, f64>,
+    facts: FlowFacts,
     live: HashMap<OpId, BTreeSet<String>>,
-    ranks: HashMap<OpId, u64>,
     cost: f64,
-}
-
-/// Visits `seeds` and every operation a change reaches from them, each once
-/// and only after everything it depends on: a downstream sweep pops the
-/// lowest rank first and follows consumers, an upstream sweep the highest and
-/// follows inputs. `visit` reports whether the operation's value changed;
-/// only then are its neighbours in sweep direction visited.
-pub(crate) fn sweep(
-    flow: &Flow,
-    ranks: &HashMap<OpId, u64>,
-    seeds: impl IntoIterator<Item = OpId>,
-    downstream: bool,
-    mut visit: impl FnMut(OpId) -> Result<bool, FlowError>,
-) -> Result<(), FlowError> {
-    let key = |id: OpId| (if downstream { u64::MAX - ranks[&id] } else { ranks[&id] }, id);
-    let mut heap: BinaryHeap<(u64, OpId)> = seeds.into_iter().map(key).collect();
-    let mut last = None;
-    while let Some((_, id)) = heap.pop() {
-        // An operation is queued once per changed neighbour, all of them
-        // before its turn, so its duplicates pop back to back.
-        if last == Some(id) {
-            continue;
-        }
-        last = Some(id);
-        if visit(id)? {
-            let next = if downstream { flow.outputs_of(id) } else { flow.inputs_of(id) };
-            heap.extend(next.iter().map(|&n| key(n)));
-        }
-    }
-    Ok(())
 }
 
 impl RewriteState {
@@ -216,21 +153,11 @@ impl RewriteState {
     /// schema-valid (validity is what lets every later move lean on
     /// incremental propagation for its deep checks).
     pub fn new(flow: Flow, stats: SourceStats, model: EstimatedTime) -> Result<Self, FlowError> {
-        let schemas = flow.schemas()?;
-        let cards = cardinality_state(&flow, &stats)?;
-        let use_width = model.weights.per_column != 0.0;
-        let mut op_costs = HashMap::with_capacity(flow.op_count());
-        let mut cost = 0.0;
-        for op in flow.ops() {
-            let input_rows: Vec<f64> = flow.inputs_of(op.id).iter().map(|i| cards[i].0).collect();
-            let out_cols = if use_width { schemas[&op.id].len() } else { 0 };
-            let c = model.op_cost(&op.kind, &input_rows, cards[&op.id].0, out_cols);
-            op_costs.insert(op.id, c);
-            cost += c;
-        }
-        let live = live_columns(&flow, &schemas);
-        let ranks = flow.topo_order()?.into_iter().zip((1..).map(|i| i * RANK_GAP)).collect();
-        Ok(RewriteState { flow, stats, model, schemas, cards, op_costs, live, ranks, cost })
+        let mut facts = FlowFacts::default();
+        facts.refresh(&flow, &[], &model, &stats)?;
+        let cost = facts.cost(&flow, &model, &stats)?;
+        let live = live_columns(&flow, facts.schemas());
+        Ok(RewriteState { flow, stats, model, facts, live, cost })
     }
 
     pub fn flow(&self) -> &Flow {
@@ -248,7 +175,7 @@ impl RewriteState {
 
     /// Output schema per operation (maintained incrementally).
     pub fn schemas(&self) -> &HashMap<OpId, Schema> {
-        &self.schemas
+        self.facts.schemas()
     }
 
     pub fn into_parts(self) -> (Flow, SourceStats) {
@@ -261,52 +188,23 @@ impl RewriteState {
         self.model.cost(&self.flow, &self.stats)
     }
 
-    /// Rebuilds the state from scratch ([`RewriteState::new`] on a copy of
-    /// the flow and statistics) and compares everything maintained against
-    /// it: schemas, cardinalities, per-operation costs and live columns
-    /// exactly, the running total within rounding (it is a sum of deltas),
-    /// and the ranks against the edges. `Err` names the first difference —
-    /// the oracle the incremental maintenance is tested against.
+    /// Compares everything maintained with a from-scratch derivation: the
+    /// facts through [`FlowFacts::audit`], the live columns exactly, and the
+    /// running total within rounding (it is a sum of deltas). `Err` names
+    /// the first difference — the oracle the incremental maintenance is
+    /// tested against.
     pub fn audit(&self) -> Result<(), String> {
-        fn same<T: PartialEq + fmt::Debug>(
-            what: &str,
-            op: &str,
-            have: Option<T>,
-            rebuilt: Option<T>,
-        ) -> Result<(), String> {
-            if have == rebuilt {
-                Ok(())
-            } else {
-                Err(format!("{what} of {op}: {have:?}, rebuilt {rebuilt:?}"))
-            }
+        self.facts.audit(&self.flow, &self.model, &self.stats)?;
+        let live = live_columns(&self.flow, self.facts.schemas());
+        if self.live != live {
+            let op = self.flow.ops().find(|op| self.live.get(&op.id) != live.get(&op.id));
+            return Err(format!("live columns differ from scratch at {:?}", op.map(|o| &o.name)));
         }
-        let fresh = RewriteState::new(self.flow.clone(), self.stats.clone(), self.model).map_err(|e| e.to_string())?;
-        let bits = |c: &CardState| (c.0.to_bits(), c.1.to_bits());
-        for op in self.flow.ops() {
-            let (id, name) = (&op.id, op.name.as_str());
-            same("schema", name, self.schemas.get(id), fresh.schemas.get(id))?;
-            same("cardinality bits", name, self.cards.get(id).map(bits), fresh.cards.get(id).map(bits))?;
-            same(
-                "cost",
-                name,
-                self.op_costs.get(id).map(|c| c.to_bits()),
-                fresh.op_costs.get(id).map(|c| c.to_bits()),
-            )?;
-            same("live columns", name, self.live.get(id), fresh.live.get(id))?;
+        let fresh = self.full_recost().map_err(|e| e.to_string())?;
+        if (self.cost - fresh).abs() > 1e-9 * fresh.abs().max(1.0) {
+            return Err(format!("total cost {}, from scratch {fresh}", self.cost));
         }
-        let entries = [self.schemas.len(), self.cards.len(), self.op_costs.len(), self.live.len(), self.ranks.len()];
-        if entries != [self.flow.op_count(); 5] {
-            return Err(format!("map sizes {entries:?} for {} operations", self.flow.op_count()));
-        }
-        if (self.cost - fresh.cost).abs() > 1e-9 * fresh.cost.abs().max(1.0) {
-            return Err(format!("total cost {}, rebuilt {}", self.cost, fresh.cost));
-        }
-        match self.flow.edges().iter().find(|(f, t)| self.ranks[f] >= self.ranks[t]) {
-            Some((f, t)) => {
-                Err(format!("rank of {} is not below its consumer {}", self.flow.op(*f).name, self.flow.op(*t).name))
-            }
-            None => Ok(()),
-        }
+        Ok(())
     }
 
     /// A human-readable label for a move (uses current op names).
@@ -362,9 +260,9 @@ impl RewriteState {
         out
     }
 
-    /// Applies a move. On success the maps and cost are updated and an
-    /// [`Applied`] record is returned for [`undo`](Self::undo); on failure
-    /// the state is left exactly as it was.
+    /// Applies a move. On success the facts, live columns and cost are
+    /// updated and an [`Applied`] record is returned for
+    /// [`undo`](Self::undo); on failure the state is left exactly as it was.
     ///
     /// Cost per proposal: the structural edit (a handful of edge-list edits,
     /// each one scan of the flat edge array for the edge's position), then
@@ -384,18 +282,7 @@ impl RewriteState {
             self.flow.revert(journal);
             return Err(e);
         }
-        let mut undo = Applied {
-            delta: 0.0,
-            journal,
-            cost: self.cost,
-            obs_restore: Vec::new(),
-            obs_added: Vec::new(),
-            schemas: Vec::new(),
-            cards: Vec::new(),
-            costs: Vec::new(),
-            live: Vec::new(),
-            ranks: Vec::new(),
-        };
+        let mut undo = Applied { journal, cost: self.cost, ..Applied::default() };
         match self.repair(mv, &mut undo) {
             Ok(delta) => {
                 self.cost += delta;
@@ -410,9 +297,10 @@ impl RewriteState {
         }
     }
 
-    /// Brings the maintained maps in line with the flow `undo.journal` just
-    /// edited, logging every displaced entry into `undo`. Returns the cost
-    /// delta; on `Err` the caller undoes whatever was already repaired.
+    /// Brings the facts and the live columns in line with the flow
+    /// `undo.journal` just edited, logging every displaced entry into
+    /// `undo`. Returns the cost delta; on `Err` the caller undoes whatever
+    /// was already repaired.
     fn repair(&mut self, mv: &Move, undo: &mut Applied) -> Result<f64, FlowError> {
         // ---- the journal names what the move structurally touched: new
         // operations and operations whose kind or input list changed
@@ -485,59 +373,20 @@ impl RewriteState {
             }
         }
 
-        // ---- drop map entries of removed ops ----
-        let mut removed_cost = 0.0;
+        // ---- schemas, cardinalities, cost parts and ranks: one sweep
+        // downstream of what the journal touched (deep validity) ----
+        let (delta, reshaped) =
+            self.facts.repair(&self.flow, &dirty, &removed, &self.model, &self.stats, &mut undo.facts)?;
         for &id in &removed {
-            removed_cost += self.op_costs.get(&id).copied().unwrap_or(0.0);
-            put(&mut self.schemas, &mut undo.schemas, id, None);
-            put(&mut self.cards, &mut undo.cards, id, None);
-            put(&mut self.op_costs, &mut undo.costs, id, None);
             put(&mut self.live, &mut undo.live, id, None);
-            put(&mut self.ranks, &mut undo.ranks, id, None);
         }
-
-        self.repair_ranks(&dirty, &mut undo.ranks)?;
-        let (flow, ranks, stats) = (&self.flow, &self.ranks, &self.stats);
-
-        // ---- schema propagation over the touched region (deep validity) ----
-        let mut schema_changed: BTreeSet<OpId> = BTreeSet::new();
-        let schemas = &mut self.schemas;
-        sweep(flow, ranks, dirty.iter().copied(), true, |id| {
-            let in_schemas: Vec<&Schema> = flow.inputs_of(id).iter().map(|i| &schemas[i]).collect();
-            let op = flow.op(id);
-            let new = op.kind.output_schema(&op.name, &in_schemas)?;
-            if schemas.get(&id) == Some(&new) {
-                return Ok(false);
-            }
-            put(schemas, &mut undo.schemas, id, Some(new));
-            schema_changed.insert(id);
-            Ok(true)
-        })?;
-        let schemas = &self.schemas;
-
-        // ---- cardinality propagation, stopping where values settle ----
-        let mut card_changed: BTreeSet<OpId> = BTreeSet::new();
-        let cards = &mut self.cards;
-        sweep(flow, ranks, dirty.iter().copied(), true, |id| {
-            let in_cards: Vec<CardState> = flow.inputs_of(id).iter().map(|i| cards[i]).collect();
-            let op = flow.op(id);
-            let new = op_cardinality(&op.kind, &op.name, &in_cards, stats);
-            let same =
-                cards.get(&id).is_some_and(|o| o.0.to_bits() == new.0.to_bits() && o.1.to_bits() == new.1.to_bits());
-            if !same {
-                put(cards, &mut undo.cards, id, Some(new));
-                card_changed.insert(id);
-            }
-            Ok(!same)
-        })?;
-        let cards = &self.cards;
 
         // ---- liveness: an operation's live columns follow from its own
         // schema and its consumers' kinds and live columns, so the repair
         // runs upstream from wherever one of those changed ----
-        let live = &mut self.live;
-        let seeds = fed.iter().chain(&schema_changed).copied();
-        sweep(flow, ranks, seeds, false, |id| {
+        let (flow, schemas, live) = (&self.flow, self.facts.schemas(), &mut self.live);
+        let seeds = fed.iter().chain(&reshaped).copied();
+        sweep(flow, self.facts.ranks(), seeds, false, |id| {
             let new = live_of(flow, schemas, live, id);
             let same = live.get(&id) == Some(&new);
             if !same {
@@ -545,62 +394,7 @@ impl RewriteState {
             }
             Ok(!same)
         })?;
-
-        // ---- incremental re-cost: touched ops, plus any op whose inputs'
-        // cardinalities moved. Ascending id order fixes the rounding of the
-        // float sum. ----
-        let mut recost: BTreeSet<OpId> = dirty;
-        recost.extend(schema_changed.iter().copied());
-        for &id in &card_changed {
-            recost.insert(id);
-            recost.extend(flow.outputs_of(id));
-        }
-        let use_width = self.model.weights.per_column != 0.0;
-        let mut delta = -removed_cost;
-        for &id in &recost {
-            let input_rows: Vec<f64> = flow.inputs_of(id).iter().map(|i| cards[i].0).collect();
-            let out_cols = if use_width { schemas[&id].len() } else { 0 };
-            let new_cost = self.model.op_cost(&flow.op(id).kind, &input_rows, cards[&id].0, out_cols);
-            let old = self.op_costs.get(&id).copied();
-            delta += new_cost - old.unwrap_or(0.0);
-            if old != Some(new_cost) {
-                put(&mut self.op_costs, &mut undo.costs, id, Some(new_cost));
-            }
-        }
         Ok(delta)
-    }
-
-    /// Re-establishes `rank[from] < rank[to]` on the in-edges of `dirty`
-    /// (new operations and operations whose inputs were rewired). An
-    /// operation that sits too low moves halfway between its highest input
-    /// and its lowest consumer; only when that gap is used up does it jump a
-    /// whole [`RANK_GAP`] and push its consumers up in turn.
-    fn repair_ranks(&mut self, dirty: &BTreeSet<OpId>, log: &mut Displaced<u64>) -> Result<(), FlowError> {
-        let mut queue: VecDeque<OpId> = dirty.iter().copied().collect();
-        // On a DAG every operation is raised at most once per operation
-        // upstream of it; running out means the move closed a cycle.
-        let mut raises_left = (self.flow.op_count() + 1).pow(2);
-        while let Some(id) = queue.pop_front() {
-            let ranks = &self.ranks;
-            // Inputs not ranked yet are new and still queued; ranking them
-            // re-checks this operation.
-            let floor = self.flow.inputs_of(id).iter().filter_map(|i| ranks.get(i)).max().copied();
-            if ranks.get(&id).is_some_and(|r| floor.is_none_or(|f| *r > f)) {
-                continue;
-            }
-            raises_left = raises_left.checked_sub(1).ok_or(FlowError::Cycle)?;
-            let floor = floor.unwrap_or(0);
-            let ceiling = self.flow.outputs_of(id).iter().filter_map(|o| ranks.get(o)).min().copied();
-            let rank = match ceiling {
-                Some(ceiling) if ceiling > floor + 1 => floor + (ceiling - floor) / 2,
-                _ => floor + RANK_GAP,
-            };
-            put(&mut self.ranks, log, id, Some(rank));
-            if ceiling.is_some_and(|c| c <= rank) {
-                queue.extend(self.flow.outputs_of(id));
-            }
-        }
-        Ok(())
     }
 
     /// Restores the state captured by a successful [`apply`](Self::apply).
@@ -619,11 +413,8 @@ impl RewriteState {
         for name in undo.obs_added {
             let _ = self.stats.take_observation(&name);
         }
-        restore(&mut self.schemas, undo.schemas);
-        restore(&mut self.cards, undo.cards);
-        restore(&mut self.op_costs, undo.costs);
+        self.facts.undo(undo.facts);
         restore(&mut self.live, undo.live);
-        restore(&mut self.ranks, undo.ranks);
     }
 
     /// Cheap existence/kind checks that must run before the flow is edited
@@ -661,7 +452,7 @@ impl RewriteState {
     fn apply_structural(&mut self, mv: &Move) -> Result<(), RewriteError> {
         match mv {
             Move::PushSelection { sel } => {
-                if rules::push_selection_with(&mut self.flow, *sel, Some(&self.schemas))? {
+                if rules::push_selection_with(&mut self.flow, *sel, Some(self.facts.schemas()))? {
                     Ok(())
                 } else {
                     Err(RewriteError::Illegal("selection cannot move down"))
@@ -749,7 +540,7 @@ impl RewriteState {
         let &[a, b] = self.flow.inputs_of(j1) else { return Err(RewriteError::Illegal("join arity")) };
         // The upper join's probe keys must come from A — otherwise A ⋈ C has
         // no key to join on.
-        let a_schema = &self.schemas[&a];
+        let a_schema = &self.facts.schemas()[&a];
         if !u_lo.iter().all(|k| a_schema.has(k)) {
             return Err(RewriteError::Illegal("upper probe keys come from the lower build side"));
         }
@@ -757,8 +548,8 @@ impl RewriteState {
         // match expansion `for b in B(a) for c in C(a)` only commutes with
         // `for c in C(a) for b in B(a)` when one of the two match lists has
         // at most one element per probe row.
-        if !unique_on(&self.flow, &self.schemas, &self.stats, b, &l_ro)
-            && !unique_on(&self.flow, &self.schemas, &self.stats, c, &u_ro)
+        if !unique_on(&self.flow, self.facts.schemas(), &self.stats, b, &l_ro)
+            && !unique_on(&self.flow, self.facts.schemas(), &self.stats, c, &u_ro)
         {
             return Err(RewriteError::Illegal("neither build side is unique on its keys"));
         }
@@ -792,7 +583,7 @@ impl RewriteState {
             return Err(RewriteError::Illegal("join inputs are not distinct"));
         }
         // The C key pair must link to B alone, so it can travel below A.
-        let b_schema = &self.schemas[&b];
+        let b_schema = &self.facts.schemas()[&b];
         if !u_lo.iter().all(|k| b_schema.has(k)) {
             return Err(RewriteError::Illegal("upper probe keys are not build-resident"));
         }
@@ -821,7 +612,7 @@ impl RewriteState {
             return Err(RewriteError::Illegal("join inputs are not distinct"));
         }
         // A must link to B alone for A ⋈ B to be joinable before C arrives.
-        let b_schema = &self.schemas[&b];
+        let b_schema = &self.facts.schemas()[&b];
         if !u_ro.iter().all(|k| b_schema.has(k)) {
             return Err(RewriteError::Illegal("outer build keys are not probe-resident"));
         }
@@ -846,8 +637,8 @@ impl RewriteState {
             return Err(RewriteError::Illegal("consumer does not benefit from pruning"));
         }
         let pos = self.flow.inputs_of(to).iter().position(|&i| i == from).ok_or(RewriteError::Illegal("edge gone"))?;
-        let needed = needed_input(&self.flow, &self.schemas, to, pos, &self.live[&to]);
-        let from_schema = &self.schemas[&from];
+        let needed = needed_input(&self.flow, self.facts.schemas(), to, pos, &self.live[&to]);
+        let from_schema = &self.facts.schemas()[&from];
         let cols: Vec<String> = from_schema.names().filter(|n| needed.contains(*n)).map(str::to_string).collect();
         if cols.len() >= from_schema.len() {
             return Err(RewriteError::Illegal("nothing to prune"));
@@ -1057,6 +848,7 @@ fn needed_input(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cost::cardinality_state;
     use crate::expr::parse_expr;
     use crate::ops::{AggSpec, JoinKind};
     use crate::schema::{ColType, Column};

@@ -6,7 +6,8 @@
 //!    maintained cost equals a full re-cost of the mutated flow.
 //! 3. `undo` restores the state bit-identically.
 //! 4. Over long accept/undo walks, everything `RewriteState` maintains beside
-//!    the flow equals a from-scratch rebuild after every step.
+//!    the flow equals a from-scratch derivation after every step, and every
+//!    move kind is applied and undone at least once.
 //! 5. Undos compose: up to 32 accepted moves undone newest-first restore the
 //!    state at every depth.
 
@@ -52,6 +53,17 @@ fn orders() -> OpKind {
             Column::new("o_orderkey", ColType::Integer),
             Column::new("o_custkey", ColType::Integer),
             Column::new("o_totalprice", ColType::Decimal),
+        ]),
+    }
+}
+
+fn customer() -> OpKind {
+    OpKind::Datastore {
+        datastore: "customer".into(),
+        schema: Schema::new(vec![
+            Column::new("c_custkey", ColType::Integer),
+            Column::new("c_name", ColType::Text),
+            Column::new("c_acctbal", ColType::Decimal),
         ]),
     }
 }
@@ -117,6 +129,24 @@ fn random_flow(seed: u64) -> (Flow, SourceStats) {
         f.connect(spine, j).unwrap();
         f.connect(ord, j).unwrap();
         spine = j;
+        // A customer join probing on an orders column: the shape the
+        // re-association moves need (`(A ⋈ B) ⋈ C` with C's keys on B).
+        if chance(&mut rng, 50) {
+            let cust = f.add_op("DS_customer", customer()).unwrap();
+            let jc = f
+                .add_op(
+                    "JOIN_customer",
+                    OpKind::Join {
+                        kind: JoinKind::Inner,
+                        left_on: vec!["o_custkey".into()],
+                        right_on: vec!["c_custkey".into()],
+                    },
+                )
+                .unwrap();
+            f.connect(spine, jc).unwrap();
+            f.connect(cust, jc).unwrap();
+            spine = jc;
+        }
         if chance(&mut rng, 60) {
             let pt = f.add_op("DS_part", part()).unwrap();
             let pin = if chance(&mut rng, 50) {
@@ -178,7 +208,8 @@ fn random_flow(seed: u64) -> (Flow, SourceStats) {
     let mut stats = SourceStats::new()
         .with_table("lineitem", (1000 + pick(&mut rng, 9000)) as f64)
         .with_table("orders", (500 + pick(&mut rng, 2000)) as f64)
-        .with_table("part", (200 + pick(&mut rng, 1000)) as f64);
+        .with_table("part", (200 + pick(&mut rng, 1000)) as f64)
+        .with_table("customer", (100 + pick(&mut rng, 1500)) as f64);
     if chance(&mut rng, 70) {
         stats.declare_unique("orders", vec!["o_orderkey".into()]);
     }
@@ -262,7 +293,7 @@ proptest! {
         let (flow, stats) = random_flow(seed);
         let model = EstimatedTime { weights: TimeWeights::columnar() };
         let mut st = RewriteState::new(flow, stats, model).unwrap();
-        audited_walk(&mut st, seed ^ 0xabcdef, 12);
+        audited_walk(&mut st, seed ^ 0xabcdef, 12, &mut Coverage::default());
     }
 
     /// Selectivity composition stays a probability on arbitrary predicates
@@ -282,12 +313,47 @@ proptest! {
     }
 }
 
+/// The eight [`Move`] kinds, in declaration order.
+const KINDS: [&str; 8] = ["push", "hoist", "swap", "assoc", "unassoc", "prune", "remove-projection", "merge"];
+
+fn kind(mv: &Move) -> usize {
+    match mv {
+        Move::PushSelection { .. } => 0,
+        Move::HoistSelection { .. } => 1,
+        Move::SwapJoins { .. } => 2,
+        Move::AssocJoins { .. } => 3,
+        Move::UnassocJoins { .. } => 4,
+        Move::PruneColumns { .. } => 5,
+        Move::RemoveProjection { .. } => 6,
+        Move::MergeDuplicates => 7,
+    }
+}
+
+/// How often each move kind was applied and undone, by [`kind`].
+#[derive(Default)]
+struct Coverage {
+    applied: [usize; 8],
+    undone: [usize; 8],
+}
+
+impl Coverage {
+    /// Panics naming every kind never applied or never undone.
+    fn assert_every_kind_applied_and_undone(&self) {
+        let missing: Vec<String> = (0..KINDS.len())
+            .filter(|&k| self.applied[k] == 0 || self.undone[k] == 0)
+            .map(|k| format!("{} (applied {}, undone {})", KINDS[k], self.applied[k], self.undone[k]))
+            .collect();
+        assert!(missing.is_empty(), "move kinds the walks never applied and undone: {missing:?}");
+    }
+}
+
 /// Walks `proposals` seeded proposals from `st`, accepting roughly half of
 /// the legal ones. After every `apply` and every `undo` the maintained state
 /// must equal a from-scratch rebuild ([`RewriteState::audit`]), and `undo`
 /// must restore the flow exactly — op order, edge order and `next_id` are all
-/// part of `Flow`'s equality. Returns how many proposals applied.
-fn audited_walk(st: &mut RewriteState, seed: u64, proposals: usize) -> usize {
+/// part of `Flow`'s equality. Counts into `seen` what applied and what was
+/// undone; returns how many proposals applied.
+fn audited_walk(st: &mut RewriteState, seed: u64, proposals: usize, seen: &mut Coverage) -> usize {
     let mut rng = seed;
     let mut applied = 0;
     for step in 0..proposals {
@@ -299,10 +365,12 @@ fn audited_walk(st: &mut RewriteState, seed: u64, proposals: usize) -> usize {
         match st.apply(&mv) {
             Ok(undo) => {
                 applied += 1;
+                seen.applied[kind(&mv)] += 1;
                 st.audit().unwrap_or_else(|e| panic!("{label}: after apply: {e}"));
                 st.flow().validate().unwrap_or_else(|e| panic!("{label}: {e}"));
                 if chance(&mut rng, 50) {
                     st.undo(undo);
+                    seen.undone[kind(&mv)] += 1;
                     assert_eq!(st.flow(), &before, "{label}: undo restores the flow");
                     assert_eq!(st.cost().to_bits(), cost_before.to_bits(), "{label}: undo restores the cost");
                     st.audit().unwrap_or_else(|e| panic!("{label}: after undo: {e}"));
@@ -319,19 +387,22 @@ fn audited_walk(st: &mut RewriteState, seed: u64, proposals: usize) -> usize {
 }
 
 /// The from-scratch rebuild is the oracle: long seeded walks over the
-/// randomized flows, under both weight presets.
+/// randomized flows, under both weight presets, applying and undoing every
+/// move kind.
 #[test]
 fn long_walks_match_a_rebuild_after_every_step() {
     let mut applied = 0;
+    let mut seen = Coverage::default();
     for seed in 0..24u64 {
         let (flow, stats) = random_flow(seed);
         for model in models() {
             let mut st = RewriteState::new(flow.clone(), stats.clone(), model).unwrap();
             st.audit().unwrap();
-            applied += audited_walk(&mut st, seed ^ 0x5eed, 200);
+            applied += audited_walk(&mut st, seed ^ 0x5eed, 200, &mut seen);
         }
     }
     assert!(applied > 500, "the walks must exercise real moves, applied only {applied}");
+    seen.assert_every_kind_applied_and_undone();
 }
 
 /// Most moves an undo stack holds in [`stacked_undo`].

@@ -109,11 +109,11 @@ pub fn optimize_flow(
 ) -> Result<OptimizeReport, IntegrateError> {
     let started = Instant::now();
     let invalid = |e: quarry_etl::FlowError| IntegrateError::InvalidResult(vec![e.to_string()]);
-    let before_cost = model.cost(flow, stats).map_err(invalid)?;
-    // The search state's initial pass is the one schema propagation of the
-    // input flow; the loader contract is read off it.
+    // The search state's initial pass is the one derivation of the input
+    // flow: the loader contract and the cost to beat (`model.cost`'s bits).
     let base = RewriteState::new(flow.clone(), stats.clone(), model).map_err(invalid)?;
     let sinks_before = sink_interfaces(flow, base.schemas());
+    let before_cost = base.cost();
 
     let outcome = anneal_from(&base, opts);
     let mut report = OptimizeReport {
@@ -295,6 +295,23 @@ mod tests {
         let report = optimize_flow(&mut flow, &mut stats, EstimatedTime::new(), &AnnealOptions::default()).unwrap();
         assert!(!report.applied);
         assert_eq!(report.before_cost, 0.0);
+    }
+
+    #[test]
+    fn the_search_state_prices_the_input_like_the_model() {
+        let (flow, mut stats) = spine();
+        let empty = Flow::new("empty");
+        for observed in [false, true] {
+            if observed {
+                stats.observe_op_io("SEL_spain", 100.0, 95.0);
+            }
+            for model in [EstimatedTime::new(), EstimatedTime { weights: TimeWeights::columnar() }] {
+                for flow in [&flow, &empty] {
+                    let base = RewriteState::new(flow.clone(), stats.clone(), model).unwrap();
+                    assert_eq!(base.cost().to_bits(), model.cost(flow, &stats).unwrap().to_bits());
+                }
+            }
+        }
     }
 
     #[test]

@@ -13,8 +13,9 @@
 //! It is fully rebuilt only after out-of-band mutation of the unified design
 //! (optimizer commit, rollback), which callers signal via
 //! [`ConsolidationState::invalidate`].
-//! The flow's per-operation schemas and cost parts live and die with the
-//! index ([`quarry_etl::facts::FlowFacts`]): a step under a maintained index
+//! The flow's per-operation schemas, cardinalities, cost parts and ranks
+//! live and die with the index ([`quarry_etl::facts::FlowFacts`], the same
+//! index the optimizer's moves repair): a step under a maintained index
 //! validates and costs what it added or widened and what that reaches, and
 //! rolls back through the flow's edit journal, so nothing in it is
 //! proportional to the design.
@@ -28,8 +29,8 @@
 //! uniqueness. Widening never changes an op's merge key.
 //!
 //! Retraction only prunes whole sub-branches: every surviving op keeps its
-//! inputs, hence its merge key, schema, cardinality, cost part and depth,
-//! and no two survivors can come to share a key. What can change is a
+//! inputs, hence its merge key, schema, cardinality and cost part, its rank
+//! stays above its inputs', and no two survivors can come to share a key. What can change is a
 //! survivor's consumer count, and a survivor left with a sole consumer may
 //! unblock a sole-consumer-gated rewrite; that case is checked locally
 //! ([`rules::canonical_after_losing_consumers`]) and falls back to a rebuild.

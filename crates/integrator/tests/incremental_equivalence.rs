@@ -26,7 +26,6 @@
 //! must choose the same schema for the same cost.
 
 use quarry_etl::cost::{EstimatedTime, EtlCostModel, SourceStats};
-use quarry_etl::facts::FlowFacts;
 use quarry_etl::{parse_expr, rules, AggSpec, ColType, Column, Flow, JoinKind, OpKind, Schema};
 use quarry_formats::{xlm, xmd};
 use quarry_integrator::etl::{integrate_etl, EtlIntegrationOptions};
@@ -220,24 +219,12 @@ fn stats() -> SourceStats {
     SourceStats::new().with_table("alpha", 50_000.0).with_table("beta", 8_000.0).with_table("gamma", 1_000.0)
 }
 
-/// The schemas and cost parts the state keeps beside its index equal what
-/// validating and costing `flow` from scratch derives, bit for bit.
+/// The schemas, cardinalities and cost parts the state keeps beside its
+/// index equal what validating and costing `flow` from scratch derives, bit
+/// for bit.
 fn assert_facts_exact(state: &ConsolidationState, flow: &Flow, model: &EstimatedTime, stats: &SourceStats, at: &str) {
     let kept = state.etl_facts().expect("a step just ran under the index");
-    let mut fresh = FlowFacts::default();
-    fresh.refresh(flow, &[], model, stats).expect("the unified flow validates");
-    assert_eq!(kept.schemas(), fresh.schemas(), "{at}: kept schemas diverged from a rebuild");
-    assert_eq!(kept.schemas(), &flow.schemas().unwrap(), "{at}: kept schemas diverged from propagation");
-    let bits = |facts: &FlowFacts| {
-        let mut parts: Vec<_> = facts.cost_parts().iter().map(|(id, c)| (*id, c.to_bits())).collect();
-        parts.sort_unstable();
-        parts
-    };
-    assert_eq!(bits(kept), bits(&fresh), "{at}: kept cost parts diverged from a rebuild");
-    // A clone starts without the memo `cost` would otherwise answer from.
-    let parts = model.decompose(flow, &stats.clone()).unwrap().expect("the model is additive");
-    let decomposed: Vec<_> = parts.iter().map(|p| (p.id, p.cost.to_bits())).collect();
-    assert_eq!(bits(kept), decomposed, "{at}: kept cost parts diverged from decompose");
+    kept.audit(flow, model, stats).unwrap_or_else(|e| panic!("{at}: {e}"));
 }
 
 /// Drives one randomized requirement lifecycle down both paths, asserting
