@@ -5,7 +5,7 @@
 use criterion::{BenchmarkId, Criterion, Throughput};
 use quarry::Quarry;
 use quarry_bench::{high_overlap_family, requirement_family};
-use quarry_etl::cost::{EstimatedTime, SourceStats, TimeWeights};
+use quarry_etl::cost::{EstimatedTime, SourceStats};
 use quarry_etl::rewrite::{Move, RewriteState};
 use quarry_etl::{Flow, OpId};
 use quarry_formats::Requirement;
@@ -184,8 +184,7 @@ fn bench_optimizer_step(c: &mut Criterion) {
         for r in requirements {
             q.add_requirement(r).expect("the family integrates");
         }
-        let model = EstimatedTime { weights: TimeWeights::columnar() };
-        let mut st = RewriteState::new(q.unified().1.clone(), q.config().stats.clone(), model).expect("valid flow");
+        let mut st = RewriteState::new(q.unified().1.clone(), q.config().stats.clone()).expect("valid flow");
         let ops = st.flow().op_count();
         // Each kind's move is kept applied after it is timed, which is what
         // makes its inverse (unassoc after assoc, push after hoist,

@@ -150,7 +150,7 @@ fn main() {
     if let Some((wall, search)) = &search {
         println!("optimize: {wall:?}, {} moves proposed, {} accepted", search.proposed, search.accepted);
     }
-    let plan = PhysicalPlan::compile(&unified, None).expect("compiles");
+    let plan = PhysicalPlan::compile(&unified, &catalog.statistics()).expect("compiles");
     for group in plan.fused_groups() {
         let members: Vec<&str> = group.members.iter().map(|&m| plan.nodes()[m].op.name.as_str()).collect();
         println!("fused: {} over {}: {}", members.len(), plan.nodes()[group.producer].op.name, members.join(", "));

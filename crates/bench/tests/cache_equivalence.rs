@@ -209,7 +209,7 @@ fn empty_inputs_cache_on_vs_off() {
 fn fused_pass_with_some_members_cache_served_stays_identical() {
     let catalog = tpch::generate(SF, 42);
     let (four, eight) = (unified_of(high_overlap_family(4)), unified_of(high_overlap_family(8)));
-    let plan = PhysicalPlan::compile(&eight, None).unwrap();
+    let plan = PhysicalPlan::compile(&eight, &catalog.statistics()).unwrap();
     let members: Vec<&str> = plan.fused_groups()[0].members.iter().map(|&m| plan.nodes()[m].op.name.as_str()).collect();
     assert_eq!(members.len(), 8);
     let mut baseline = Engine::new(catalog.clone());

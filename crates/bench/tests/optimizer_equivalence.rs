@@ -128,7 +128,6 @@ struct SearchPin {
 }
 
 fn assert_search_pinned(label: &str, family: Vec<Requirement>, pin: SearchPin) {
-    use quarry_etl::cost::{EstimatedTime, TimeWeights};
     use quarry_integrator::anneal::{anneal, AnnealOptions};
     use quarry_integrator::optimize::optimize_flow;
 
@@ -138,11 +137,10 @@ fn assert_search_pinned(label: &str, family: Vec<Requirement>, pin: SearchPin) {
     }
     let mut flow = q.unified().1.clone();
     let mut stats = q.config().stats.clone();
-    let model = EstimatedTime { weights: TimeWeights::columnar() };
     // A budget long enough that the step count, not the clock, ends the search.
     let opts = AnnealOptions { budget_ms: 10_000, ..AnnealOptions::default() };
-    let searched = anneal(&flow, &stats, model, &opts).expect("anneal");
-    let report = optimize_flow(&mut flow, &mut stats, model, &opts).expect("optimize");
+    let searched = anneal(&flow, &stats, &opts).expect("anneal");
+    let report = optimize_flow(&mut flow, &mut stats, &opts).expect("optimize");
     let xlm = quarry_formats::xlm::to_string(&flow);
     let fnv = xlm.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3));
     assert!(report.applied, "{label}: the pinned search commits");
@@ -186,7 +184,6 @@ fn seeded_searches_commit_the_pinned_flows() {
 /// `cost_consistency.rs`).
 #[test]
 fn walks_over_the_unified_families_match_a_rebuild_after_every_step() {
-    use quarry_etl::cost::{EstimatedTime, TimeWeights};
     use quarry_etl::rewrite::RewriteState;
 
     for (label, family) in [("high-overlap", high_overlap_family(8)), ("low-overlap", requirement_family(8))] {
@@ -194,8 +191,7 @@ fn walks_over_the_unified_families_match_a_rebuild_after_every_step() {
         for r in family {
             q.add_requirement(r).expect("integrates");
         }
-        let model = EstimatedTime { weights: TimeWeights::columnar() };
-        let mut st = RewriteState::new(q.unified().1.clone(), q.config().stats.clone(), model).expect("valid flow");
+        let mut st = RewriteState::new(q.unified().1.clone(), q.config().stats.clone()).expect("valid flow");
         let mut rng = 0x9e37_79b9_7f4a_7c15u64;
         let mut next = move || {
             rng ^= rng << 13;

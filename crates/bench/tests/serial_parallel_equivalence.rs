@@ -1888,7 +1888,7 @@ fn fused_passes_agree_with_the_row_engine_at_every_width() {
             q.optimize().expect("the search runs");
         }
         let flow = q.unified().1.clone();
-        let plan = PhysicalPlan::compile(&flow, None).expect("compiles");
+        let plan = PhysicalPlan::compile(&flow, &catalog.statistics()).expect("compiles");
         let fused: Vec<usize> = plan.fused_groups().iter().map(|g| g.members.len()).collect();
         let expected: &[usize] = if high { &[8] } else { &[2, 2] };
         assert_eq!(fused, expected, "fused pass sizes (high overlap: {high}, optimized: {optimized})");
@@ -1934,7 +1934,7 @@ fn four_siblings(bad: &str) -> (Catalog, Flow) {
 #[test]
 fn fused_pass_failures_are_width_independent() {
     let (catalog, f) = four_siblings("");
-    let plan = PhysicalPlan::compile(&f, None).expect("compiles");
+    let plan = PhysicalPlan::compile(&f, &catalog.statistics()).expect("compiles");
     let groups: Vec<Vec<&str>> = (plan.fused_groups().iter())
         .map(|g| g.members.iter().map(|&m| plan.nodes()[m].op.name.as_str()).collect())
         .collect();

@@ -188,7 +188,7 @@ fn dispatch(
                 });
             }
             let flow = quarry.unified().1;
-            return Some(match quarry_engine::PhysicalPlan::compile(flow, Some(&quarry.config().stats)) {
+            return Some(match quarry_engine::PhysicalPlan::compile(flow, &quarry.config().stats) {
                 Ok(plan) => {
                     let mut out = format!(
                         "{} — estimated plan ({} ops); run the flow, then `explain --analyze` for actuals:\n",

@@ -46,20 +46,17 @@ pub struct QuarryConfig {
 }
 
 /// The `optimizer.*` configuration keys: the cost-based flow optimizer that
-/// anneals the unified ETL flow over semantically-equivalent rewrites.
+/// anneals the unified ETL flow over semantically-equivalent rewrites. It
+/// runs when [`crate::Quarry::optimize`] is called, never inside a step.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OptimizerConfig {
-    /// `optimizer.enabled` — run the optimizer automatically after every
-    /// integration step. Off by default: [`crate::Quarry::optimize`] can
-    /// always be invoked explicitly.
-    pub enabled: bool,
     /// `optimizer.budget_ms` — wall-clock safety valve per optimization.
     pub budget_ms: u64,
 }
 
 impl Default for OptimizerConfig {
     fn default() -> Self {
-        OptimizerConfig { enabled: false, budget_ms: AnnealOptions::default().budget_ms }
+        OptimizerConfig { budget_ms: AnnealOptions::default().budget_ms }
     }
 }
 
@@ -179,7 +176,6 @@ mod tests {
     #[test]
     fn optimizer_defaults_are_off_but_budgeted() {
         let cfg = QuarryConfig::default();
-        assert!(!cfg.optimizer.enabled);
         assert!(cfg.optimizer.budget_ms > 0);
         let opts = cfg.optimizer.anneal_options();
         assert_eq!(opts.chains, AnnealOptions::default().chains);

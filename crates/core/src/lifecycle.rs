@@ -5,7 +5,7 @@ use crate::profile::{ExecutionProfile, KernelDelta};
 use quarry_deployer::{DeployError, DeploymentArtifacts, PlatformRegistry};
 use quarry_elicitor::{Elicitor, Session};
 use quarry_engine::{CacheStats, Catalog, Engine, EngineError, PhysicalPlan, ResultCache, RunReport};
-use quarry_etl::cost::{flow_fingerprint, op_fingerprint, EstimatedTime, TimeWeights};
+use quarry_etl::cost::{flow_fingerprint, op_fingerprint};
 use quarry_etl::{Flow, FlowError};
 use quarry_formats::registry::FormatRegistry;
 use quarry_formats::{FormatError, Requirement};
@@ -587,7 +587,7 @@ impl Quarry {
     /// The consolidation half of every add, whoever produced the partial
     /// design: integrate MD and ETL through the maintained consolidation
     /// state → commit the unified design under `req` → persist and link the
-    /// partials → optimize (with `optimizer.enabled`) → validate.
+    /// partials → validate.
     fn integrate_partial(&mut self, req: Requirement, md: &MdSchema, etl: &Flow) -> Result<DesignUpdate, QuarryError> {
         // Integrate through the maintained consolidation state, recording the
         // quality-factor deltas (structural design complexity and estimated
@@ -611,10 +611,12 @@ impl Quarry {
         };
         let etl_report = {
             let phase = self.obs.span("etl_integrate");
-            let before = self
-                .obs
-                .is_enabled()
-                .then(|| self.config.etl_cost.cost(&self.unified_etl, &self.config.stats).unwrap_or_default());
+            // Read off the facts kept beside the consolidation index, so the
+            // attribute does not cost a whole-flow derivation per add.
+            let before = self.obs.is_enabled().then(|| {
+                let (cost, stats) = (self.config.etl_cost.as_ref(), &self.config.stats);
+                self.consolidation.etl_cost(&self.unified_etl, cost, stats).unwrap_or_default()
+            });
             let started = Instant::now();
             let report = self.consolidation.etl_step(
                 &mut self.unified_etl,
@@ -644,16 +646,6 @@ impl Quarry {
         self.repository.put_artifact(ArtifactKind::EtlFlow, &key, &quarry_formats::xlm::to_string(etl))?;
         self.repository.link_requirement(&id, ArtifactKind::MdSchema, &key)?;
         self.repository.link_requirement(&id, ArtifactKind::EtlFlow, &key)?;
-
-        // `optimizer.enabled` folds the cost-based optimizer into every
-        // integration step (off by default; `Quarry::optimize` runs it on
-        // demand). An unimproved design passes through untouched.
-        if self.config.optimizer.enabled {
-            let phase = self.obs.span("optimize");
-            let report = self.optimize_phases()?;
-            phase.attr("applied", i64::from(report.applied));
-            phase.attr("cost_delta", report.after_cost - report.before_cost);
-        }
 
         let warnings = {
             let phase = self.obs.span("validate");
@@ -870,13 +862,9 @@ impl Quarry {
 
     fn optimize_phases(&mut self) -> Result<OptimizeReport, QuarryError> {
         self.repository.record_marker("step:optimize")?;
-        // The native engine is columnar, so the optimizer scores with the
-        // engine-aware weight preset (which also prices column width,
-        // unlocking projection-pruning moves).
-        let model = EstimatedTime { weights: TimeWeights::columnar() };
         let opts = self.config.optimizer.anneal_options();
         let started = Instant::now();
-        let report = optimize_flow(&mut self.unified_etl, &mut self.config.stats, model, &opts)?;
+        let report = optimize_flow(&mut self.unified_etl, &mut self.config.stats, &opts)?;
         self.metrics.optimize_seconds.observe(started.elapsed().as_secs_f64());
         self.metrics.optimizer_runs.inc();
         self.metrics.optimizer_moves_proposed.add(report.proposed);
@@ -1081,7 +1069,7 @@ impl Quarry {
             debug_assert_eq!(plan.flow_fingerprint(), flow_fingerprint(flow), "the flow changed, its epoch did not");
             return Ok((key, Arc::clone(plan)));
         }
-        Ok((key, Arc::new(PhysicalPlan::compile(flow, Some(&self.config.stats))?)))
+        Ok((key, Arc::new(PhysicalPlan::compile(flow, &self.config.stats)?)))
     }
 
     /// Installs the cross-run result cache on `engine` for the unified flow:
@@ -1121,7 +1109,7 @@ impl Quarry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use quarry_etl::cost::{OpCostPart, SourceStats};
+    use quarry_etl::cost::{EstimatedTime, EtlCostModel, OpCostPart, SourceStats};
     use quarry_etl::FlowError;
     use quarry_formats::xrq::figure4_requirement;
     use quarry_formats::MeasureSpec;
@@ -1782,27 +1770,11 @@ mod tests {
         );
     }
 
-    #[test]
-    fn enabled_optimizer_runs_inside_every_add_step() {
+    /// A TPC-H instance whose searches get a budget none reaches, so a
+    /// committed flow does not depend on the clock.
+    fn unhurried_tpch() -> Quarry {
         let domain = quarry_ontology::tpch::domain();
         let mut cfg = QuarryConfig::tpch(0.01);
-        cfg.optimizer.enabled = true;
-        let mut q = Quarry::with_config(domain.ontology, domain.sources, cfg);
-        q.set_observability(true);
-        q.add_requirement(figure4_requirement()).unwrap();
-        let runs = counter(&q, "integrator.optimizer.runs");
-        assert!(runs >= 1, "optimizer.enabled must fold the optimizer into the add step");
-        // The design stays usable afterwards.
-        q.add_requirement(netprofit_requirement()).unwrap();
-        q.run_etl(quarry_engine::tpch::generate(0.002, 42)).unwrap();
-    }
-
-    /// A TPC-H instance that optimizes inside every add, with a budget no
-    /// search reaches, so the committed flow does not depend on the clock.
-    fn optimizing_tpch() -> Quarry {
-        let domain = quarry_ontology::tpch::domain();
-        let mut cfg = QuarryConfig::tpch(0.01);
-        cfg.optimizer.enabled = true;
         cfg.optimizer.budget_ms = 60_000;
         Quarry::with_config(domain.ontology, domain.sources, cfg)
     }
@@ -1844,13 +1816,15 @@ mod tests {
 
     #[test]
     fn external_partials_run_the_enabled_optimizer() {
-        let (mut interpreted, mut external) = (optimizing_tpch(), optimizing_tpch());
+        let (mut interpreted, mut external) = (unhurried_tpch(), unhurried_tpch());
         external.set_observability(true);
         for req in [figure4_requirement(), netprofit_requirement()] {
             interpreted.add_requirement(req.clone()).unwrap();
+            interpreted.optimize().unwrap();
             add_as_external(&mut external, &req).unwrap();
+            external.optimize().unwrap();
         }
-        assert_eq!(counter(&external, "integrator.optimizer.runs"), 2, "one search per add");
+        assert_eq!(counter(&external, "integrator.optimizer.runs"), 2, "one search per optimize");
         assert_eq!(unified_documents(&external), unified_documents(&interpreted));
     }
 
@@ -1903,6 +1877,15 @@ mod tests {
         fn decompose(&self, flow: &Flow, stats: &SourceStats) -> Result<Option<Vec<OpCostPart>>, FlowError> {
             self.0.decompose(flow, stats)
         }
+        fn op_part(
+            &self,
+            kind: &quarry_etl::OpKind,
+            input_rows: &[f64],
+            out_rows: f64,
+            out_cols: usize,
+        ) -> Option<f64> {
+            self.0.op_part(kind, input_rows, out_rows, out_cols)
+        }
     }
 
     #[test]
@@ -1922,10 +1905,25 @@ mod tests {
         let (md_off, etl_off) = costings_of_two_adds(false);
         let (md_on, etl_on) = costings_of_two_adds(true);
         // The "before" cost of the whole unified design feeds only the
-        // `cost_before`/`cost_delta` span attributes: one extra costing per
-        // model per add, and only when a recorder is listening.
+        // `cost_before`/`cost_delta` span attributes, and only when a
+        // recorder is listening: one extra MD costing per add. The ETL side
+        // reads the facts kept beside the consolidation index, so only the
+        // first add, which has no index yet, prices the flow from scratch.
         assert_eq!(md_on - md_off, 2, "md costings: {md_off} off, {md_on} on");
-        assert_eq!(etl_on - etl_off, 2, "etl costings: {etl_off} off, {etl_on} on");
+        assert_eq!(etl_on - etl_off, 1, "etl costings: {etl_off} off, {etl_on} on");
+    }
+
+    /// The integrator reports the cost the optimizer minimises: one model,
+    /// one weight table, the same bits.
+    #[test]
+    fn an_add_reports_the_cost_the_optimizer_starts_from() {
+        let mut q = Quarry::tpch();
+        q.add_requirement(figure4_requirement()).unwrap();
+        let update = q.add_requirement(netprofit_requirement()).unwrap();
+        let scratch = EstimatedTime::new().cost(q.unified().1, &q.config().stats).unwrap();
+        let report = q.optimize().unwrap();
+        assert_eq!(update.etl_cost.to_bits(), report.before_cost.to_bits());
+        assert_eq!(update.etl_cost.to_bits(), scratch.to_bits());
     }
 
     #[test]

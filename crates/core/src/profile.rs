@@ -105,8 +105,7 @@ impl ExecutionProfile {
     /// Builds a profile from a run of `plan`: inputs, sinks and per-operator
     /// estimates come from the plan (compiled under the statistics live when
     /// the run started — estimates folded *after* the run would just echo
-    /// the observations back; a plan compiled without statistics profiles
-    /// with zero estimates), measurements from `report`, and kernel deltas
+    /// the observations back), measurements from `report`, and kernel deltas
     /// from counter snapshots bracketing the run.
     pub fn capture(
         plan: &PhysicalPlan,
@@ -322,7 +321,7 @@ mod tests {
         }
         report.total = std::time::Duration::from_micros(900);
         report.rows_processed = 1074;
-        let plan = PhysicalPlan::compile(&flow, Some(&stats)).unwrap();
+        let plan = PhysicalPlan::compile(&flow, &stats).unwrap();
         let profile = ExecutionProfile::capture(&plan, &report, KernelDelta::default(), KernelDelta::default());
         (flow, profile)
     }
@@ -416,7 +415,7 @@ mod tests {
                 worker: 0,
             });
         }
-        let plan = PhysicalPlan::compile(&flow, Some(&SourceStats::default())).unwrap();
+        let plan = PhysicalPlan::compile(&flow, &SourceStats::default()).unwrap();
         let p = ExecutionProfile::capture(&plan, &report, KernelDelta::default(), KernelDelta::default());
         let tree = p.render();
         assert_eq!(tree.matches("DATASTORE_s [").count(), 1, "shared source expands once: {tree}");

@@ -4,18 +4,18 @@
 //! propagation and a topological order, nothing more, so a dangling output
 //! still runs — and fixes what every run of the flow shares, per *position*:
 //! level by level (`level(op) = 1 + max(level(inputs))`), a level's pure
-//! operations before its loaders, flow order within. With statistics it
-//! also derives the run's cost-model facts in one fold over the positions:
-//! each node's estimated rows and the modeled cost of its upstream cone.
-//! Last it groups sibling aggregations that can share one keyed pass
-//! ([`FusedGroup`]); every member keeps its own node, estimates and cache
-//! key. [`Engine::execute`](crate::Engine::execute) runs a plan without looking
+//! operations before its loaders, flow order within. The schemas come from
+//! one derivation of the flow's facts under the statistics it is compiled
+//! with ([`FlowFacts::of`]), which also gives each node its estimated rows
+//! and cost part under the ETL cost model; the plan sums the parts of each
+//! node's upstream cone. Last it groups sibling aggregations that can share
+//! one keyed pass ([`FusedGroup`]); every member keeps its own node,
+//! estimates and cache key. [`Engine::execute`](crate::Engine::execute) runs a plan without looking
 //! at the flow again; [`Engine::run`](crate::Engine::run) is compile, then
 //! execute.
 
-use quarry_etl::cost::{
-    flow_fingerprint, op_cardinality, op_fingerprint, CardState, EstimatedTime, SourceStats, TimeWeights,
-};
+use quarry_etl::cost::{flow_fingerprint, op_fingerprint, EstimatedTime, SourceStats};
+use quarry_etl::facts::FlowFacts;
 use quarry_etl::{Flow, FlowError, OpId, OpKind, Operation, Schema};
 use std::collections::HashMap;
 
@@ -35,13 +35,12 @@ pub struct PlanNode {
     /// [`op_fingerprint`] of the operation: its canonical signature, names
     /// excluded.
     pub signature: u64,
-    /// The cost model's estimated output rows ([`op_cardinality`]; zero when
-    /// compiled without statistics).
+    /// The cost model's estimated output rows
+    /// ([`quarry_etl::cost::op_cardinality`]).
     pub estimated_rows: f64,
     /// Modeled cost of the upstream cone — the node and everything it
     /// transitively reads, shared work counted once, summed in position
-    /// order (zero when compiled without statistics): what a cache hit on
-    /// this output saves.
+    /// order: what a cache hit on this output saves.
     pub cone_cost: f64,
 }
 
@@ -71,11 +70,12 @@ pub struct PhysicalPlan {
 }
 
 impl PhysicalPlan {
-    /// Compiles `flow`: fails with the error `flow.schemas()` or
-    /// `flow.topo_order()` reports, before any data is touched. With `stats`
-    /// the estimates and cone costs are the columnar cost model's.
-    pub fn compile(flow: &Flow, stats: Option<&SourceStats>) -> Result<PhysicalPlan, FlowError> {
-        let mut schemas = flow.schemas()?;
+    /// Compiles `flow`, estimated under `stats`: fails where `flow.schemas()`
+    /// or `flow.topo_order()` fails, with the same kind of error (of several
+    /// operations that do not fit their inputs it may name another), before
+    /// any data is touched.
+    pub fn compile(flow: &Flow, stats: &SourceStats) -> Result<PhysicalPlan, FlowError> {
+        let facts = FlowFacts::of(flow, &EstimatedTime, stats)?;
         let mut order = flow.topo_order()?;
         let mut level: HashMap<OpId, usize> = HashMap::with_capacity(order.len());
         for &id in &order {
@@ -91,18 +91,17 @@ impl PhysicalPlan {
                 let op = flow.op(id);
                 PlanNode {
                     inputs: flow.inputs_of(id).iter().map(|i| pos_of[i]).collect(),
-                    schema: schemas.remove(&id).expect("every operation has a schema"),
+                    schema: facts.schemas()[&id].clone(),
                     distinct: matches!(&op.kind, OpKind::Loader { key, .. } if input_distinct_on(flow, id, key)),
                     signature: op_fingerprint(&op.kind),
-                    estimated_rows: 0.0,
+                    estimated_rows: facts.cards()[&id].0,
                     cone_cost: 0.0,
                     op: op.clone(),
                 }
             })
             .collect();
-        if let Some(stats) = stats {
-            estimate(&mut nodes, stats);
-        }
+        let parts: Vec<f64> = order.iter().map(|id| facts.cost_parts()[id]).collect();
+        sum_cones(&mut nodes, &parts);
         let fused = fuse(&nodes);
         Ok(PhysicalPlan { nodes, fused, flow_name: flow.name.clone(), flow_fp: flow_fingerprint(flow) })
     }
@@ -146,30 +145,20 @@ impl PhysicalPlan {
     }
 }
 
-/// Fills in each node's estimated rows and cone cost under `stats`: one
-/// fold of [`op_cardinality`] and the columnar [`EstimatedTime`] part over
-/// the positions (every input precedes its consumer), each cone a bit set of
-/// positions whose parts are summed in ascending position order, so a plan's
-/// costs are a function of the flow and the statistics alone.
-fn estimate(nodes: &mut [PlanNode], stats: &SourceStats) {
-    let model = EstimatedTime { weights: TimeWeights::columnar() };
+/// Fills in each node's cone cost from the cost parts per position (every
+/// input precedes its consumer): each cone a bit set of positions whose
+/// parts are summed in ascending position order, so a plan's costs are a
+/// function of the flow and the statistics alone.
+fn sum_cones(nodes: &mut [PlanNode], parts: &[f64]) {
     let words = nodes.len().div_ceil(64);
-    let mut cards: Vec<CardState> = Vec::with_capacity(nodes.len());
-    let mut parts: Vec<f64> = Vec::with_capacity(nodes.len());
     let mut cones: Vec<Vec<u64>> = Vec::with_capacity(nodes.len());
     for (pos, node) in nodes.iter_mut().enumerate() {
-        let inputs: Vec<CardState> = node.inputs.iter().map(|&i| cards[i]).collect();
-        let card = op_cardinality(&node.op.kind, &node.op.name, &inputs, stats);
-        let input_rows: Vec<f64> = inputs.iter().map(|&(rows, _)| rows).collect();
-        parts.push(model.op_cost(&node.op.kind, &input_rows, card.0, node.schema.len()));
         let mut cone = vec![0u64; words];
         cone[pos / 64] |= 1 << (pos % 64);
         for &i in &node.inputs {
             cone.iter_mut().zip(&cones[i]).for_each(|(w, c)| *w |= c);
         }
-        node.estimated_rows = card.0;
         node.cone_cost = (0..=pos).filter(|&p| cone[p / 64] >> (p % 64) & 1 == 1).map(|p| parts[p]).sum();
-        cards.push(card);
         cones.push(cone);
     }
 }
@@ -267,7 +256,7 @@ mod tests {
     #[test]
     fn positions_are_level_major_with_loaders_last_and_carry_what_a_run_needs() {
         let f = pipeline();
-        let plan = PhysicalPlan::compile(&f, None).unwrap();
+        let plan = PhysicalPlan::compile(&f, &SourceStats::new().with_table("t", 1000.0)).unwrap();
         let names: Vec<&str> = plan.nodes().iter().map(|n| n.op.name.as_str()).collect();
         assert_eq!(names, ["SRC", "SEL", "LOAD_src", "AGG", "LOAD_sel", "LOAD_agg"]);
         let inputs: Vec<&[usize]> = plan.nodes().iter().map(|n| n.inputs.as_slice()).collect();
@@ -277,9 +266,7 @@ mod tests {
         let distinct: Vec<&str> = plan.nodes().iter().filter(|n| n.distinct).map(|n| n.op.name.as_str()).collect();
         assert_eq!(distinct, ["LOAD_agg"], "only the aggregation's loader is proved distinct");
         assert_eq!(plan.flow_fingerprint(), flow_fingerprint(&f));
-        assert!(plan.nodes().iter().all(|n| n.cone_cost == 0.0 && n.estimated_rows == 0.0), "no statistics, no costs");
-        let costed = PhysicalPlan::compile(&f, Some(&SourceStats::new().with_table("t", 1000.0))).unwrap();
-        let cone = |name: &str| costed.nodes().iter().find(|n| n.op.name == name).unwrap().cone_cost;
+        let cone = |name: &str| plan.nodes().iter().find(|n| n.op.name == name).unwrap().cone_cost;
         assert!(cone("SRC") > 0.0 && cone("AGG") > cone("SEL") && cone("SEL") > cone("SRC"));
     }
 
@@ -297,20 +284,20 @@ mod tests {
     #[test]
     fn estimates_are_the_cost_models_and_cones_cover_the_upstream_once() {
         let (f, stats) = linear();
-        let plan = PhysicalPlan::compile(&f, Some(&stats)).unwrap();
+        let plan = PhysicalPlan::compile(&f, &stats).unwrap();
         let cards = cardinality_state(&f, &stats).unwrap();
         for node in plan.nodes() {
             assert_eq!(node.estimated_rows.to_bits(), cards[&node.op.id].0.to_bits(), "`{}`", node.op.name);
         }
         let cone = |name: &str| plan.nodes().iter().find(|n| n.op.name == name).unwrap().cone_cost;
-        let total = EstimatedTime { weights: TimeWeights::columnar() }.cost(&f, &stats).unwrap();
+        let total = EstimatedTime::new().cost(&f, &stats).unwrap();
         assert!((cone("LOAD") - total).abs() <= 1e-9 * total, "the sink's cone is the whole linear flow");
         assert!(cone("SRC") < cone("SEL") && cone("SEL") < cone("AGG") && cone("AGG") < cone("LOAD"), "cones nest");
         // A shared producer counts once in a cone that reaches it twice.
         let f = pipeline();
         let stats = SourceStats::new().with_table("t", 1000.0);
-        let plan = PhysicalPlan::compile(&f, Some(&stats)).unwrap();
-        let parts: HashMap<&str, f64> = EstimatedTime { weights: TimeWeights::columnar() }
+        let plan = PhysicalPlan::compile(&f, &stats).unwrap();
+        let parts: HashMap<&str, f64> = EstimatedTime::new()
             .decompose(&f, &stats)
             .unwrap()
             .unwrap()
@@ -340,7 +327,7 @@ mod tests {
         }
         let stats = SourceStats::new().with_table("t", 123_457.0);
         let bits = || -> Vec<u64> {
-            let plan = PhysicalPlan::compile(&f, Some(&stats)).unwrap();
+            let plan = PhysicalPlan::compile(&f, &stats).unwrap();
             plan.nodes().iter().map(|n| n.cone_cost.to_bits()).collect()
         };
         let first = bits();
@@ -356,15 +343,15 @@ mod tests {
         // An output nobody reads fails `validate`, not the compile.
         f.append(src, "DANGLING", sel("k > 0")).unwrap();
         assert!(f.validate().is_err());
-        assert!(PhysicalPlan::compile(&f, None).is_ok());
+        assert!(PhysicalPlan::compile(&f, &SourceStats::new()).is_ok());
         f.append(src, "BAD", sel("missing > 0")).unwrap();
-        assert_eq!(PhysicalPlan::compile(&f, None).unwrap_err(), f.schemas().unwrap_err());
+        assert_eq!(PhysicalPlan::compile(&f, &SourceStats::new()).unwrap_err(), f.schemas().unwrap_err());
     }
 
     #[test]
     fn cache_keys_ignore_names_and_track_epochs() {
         let f = pipeline();
-        let plan = PhysicalPlan::compile(&f, None).unwrap();
+        let plan = PhysicalPlan::compile(&f, &SourceStats::new()).unwrap();
         let at = |plan: &PhysicalPlan, name: &str| plan.nodes().iter().position(|n| n.op.name == name).unwrap();
         let keys = plan.cache_keys(1, |_| 7);
         assert_eq!(keys.len(), f.op_count());
@@ -372,7 +359,7 @@ mod tests {
         // Renaming an op changes nothing: the computation is identical.
         let mut renamed = f.clone();
         renamed.rename_op(renamed.id_by_name("SEL").unwrap(), "SEL_RENAMED").unwrap();
-        assert_eq!(PhysicalPlan::compile(&renamed, None).unwrap().cache_keys(1, |_| 7), keys);
+        assert_eq!(PhysicalPlan::compile(&renamed, &SourceStats::new()).unwrap().cache_keys(1, |_| 7), keys);
         // A flow-epoch bump re-keys everything, a source-epoch bump every
         // subflow reading the source (here: all of them).
         let flow_bumped = plan.cache_keys(2, |_| 7);
@@ -386,7 +373,7 @@ mod tests {
         let mut altered = f.clone();
         let sel_id = altered.id_by_name("SEL").unwrap();
         altered.op_mut(sel_id).kind = sel("v > 2");
-        let altered = PhysicalPlan::compile(&altered, None).unwrap();
+        let altered = PhysicalPlan::compile(&altered, &SourceStats::new()).unwrap();
         let altered_keys = altered.cache_keys(1, |_| 7);
         for (name, same) in [("SRC", true), ("SEL", false), ("AGG", false), ("LOAD_agg", false), ("LOAD_src", true)] {
             assert_eq!(keys[at(&plan, name)] == altered_keys[at(&altered, name)], same, "`{name}`");
@@ -424,7 +411,7 @@ mod tests {
     fn fused_demo_flow_runs_its_eight_aggregations_as_one_pass_over_key_supplier() {
         for optimized in [false, true] {
             let (f, stats) = demo(optimized);
-            let plan = PhysicalPlan::compile(&f, Some(&stats)).unwrap();
+            let plan = PhysicalPlan::compile(&f, &stats).unwrap();
             let groups = fused_names(&plan);
             assert_eq!(groups.len(), 1, "optimized: {optimized}: {groups:?}");
             let (producer, members) = &groups[0];
@@ -442,7 +429,7 @@ mod tests {
     fn fused_wide_flow_runs_its_two_pairs() {
         for optimized in [false, true] {
             let (f, stats) = unified(false, optimized);
-            let groups = fused_names(&PhysicalPlan::compile(&f, Some(&stats)).unwrap());
+            let groups = fused_names(&PhysicalPlan::compile(&f, &stats).unwrap());
             let shapes: Vec<(&str, usize)> = groups.iter().map(|(p, m)| (p.as_str(), m.len())).collect();
             assert_eq!(shapes, [("KEY_Supplier", 2), ("KEY_Part", 2)], "optimized: {optimized}: {groups:?}");
         }
@@ -469,7 +456,7 @@ mod tests {
         for (name, out) in ["A", "B"].into_iter().zip(outs) {
             f.append(out, format!("LOAD_{name}"), OpKind::Loader { table: name.into(), key: vec![] }).unwrap();
         }
-        fused_names(&PhysicalPlan::compile(&f, None).unwrap())
+        fused_names(&PhysicalPlan::compile(&f, &SourceStats::new()).unwrap())
     }
 
     fn pair(producer: &str) -> Vec<(String, Vec<String>)> {
@@ -523,7 +510,7 @@ mod tests {
             let a = f.append(d, name, agg(&["g"])).unwrap();
             f.append(a, format!("LOAD_{name}"), OpKind::Loader { table: name.into(), key: vec![] }).unwrap();
         }
-        assert_eq!(fused_names(&PhysicalPlan::compile(&f, None).unwrap()), pair("G"));
+        assert_eq!(fused_names(&PhysicalPlan::compile(&f, &SourceStats::new()).unwrap()), pair("G"));
     }
 
     #[test]
@@ -551,11 +538,15 @@ mod tests {
     #[test]
     fn fused_groups_are_identical_across_recompiles() {
         for (f, stats) in [demo(false), demo(true), unified(false, true)] {
-            let first = PhysicalPlan::compile(&f, Some(&stats)).unwrap().fused_groups().to_vec();
+            let first = PhysicalPlan::compile(&f, &stats).unwrap().fused_groups().to_vec();
             assert!(!first.is_empty());
             for _ in 0..10 {
-                assert_eq!(PhysicalPlan::compile(&f, Some(&stats)).unwrap().fused_groups(), first);
-                assert_eq!(PhysicalPlan::compile(&f, None).unwrap().fused_groups(), first, "statistics play no part");
+                assert_eq!(PhysicalPlan::compile(&f, &stats).unwrap().fused_groups(), first);
+                assert_eq!(
+                    PhysicalPlan::compile(&f, &SourceStats::new()).unwrap().fused_groups(),
+                    first,
+                    "statistics play no part"
+                );
             }
         }
     }
@@ -567,7 +558,7 @@ mod tests {
     fn fused_plans_keep_every_position_key_cost_and_estimate() {
         let folds = |optimized: bool| -> [u64; 3] {
             let (f, stats) = demo(optimized);
-            let plan = PhysicalPlan::compile(&f, Some(&stats)).unwrap();
+            let plan = PhysicalPlan::compile(&f, &stats).unwrap();
             let keys = plan.cache_keys(1, |source| source.len() as u64);
             let nodes = plan.nodes();
             [

@@ -480,12 +480,11 @@ impl Engine {
         Some(pass)
     }
 
-    /// Compiles `flow` ([`PhysicalPlan::compile`], costed with the catalog's
-    /// statistics when a result cache is installed), then executes it. A
-    /// flow error is returned before any operator starts.
+    /// Compiles `flow` ([`PhysicalPlan::compile`], estimated under the
+    /// catalog's statistics), then executes it. A flow error is returned
+    /// before any operator starts.
     pub fn run(&mut self, flow: &Flow) -> Result<RunReport, EngineError> {
-        let stats = self.cache.as_ref().map(|_| self.catalog.statistics());
-        let plan = PhysicalPlan::compile(flow, stats.as_ref())?;
+        let plan = PhysicalPlan::compile(flow, &self.catalog.statistics())?;
         self.execute(&plan)
     }
 

@@ -4,13 +4,18 @@
 //! by applying configurable cost models that may consider different quality
 //! factors of an ETL process (e.g., overall execution time)" (paper §2.3).
 //! This module estimates cardinalities through the DAG and derives per-op
-//! costs from them; [`EstimatedTime`] is the default quality factor, and
-//! [`OpCount`] the trivial ablation alternative (experiment E8).
+//! costs from them; [`EstimatedTime`] is the default quality factor — one
+//! weight table, shaped after the columnar engine, that prices the
+//! integrator's reports, the optimizer's search and the compiled plan alike
+//! — and [`OpCount`] the trivial ablation alternative (experiment E8).
 //!
-//! Cardinality propagation is one fold of [`op_cardinality`] over a
-//! topological order per call, memoized nowhere: a compiled plan
-//! (`quarry_engine::PhysicalPlan`) keeps a run's estimates per node, and the
-//! optimizer re-folds only the operations a move touched. Every model
+//! Cardinality propagation here is one fold of [`op_cardinality`] over a
+//! topological order per call, memoized nowhere — the from-scratch oracle.
+//! Whoever prices a flow it goes on to use — the integrator's steps and
+//! retractions, the optimizer's moves and commit check, the compiled plan
+//! (`quarry_engine::PhysicalPlan`) — derives schemas, cardinalities and cost
+//! parts in one pass through [`crate::facts::FlowFacts`], which replays the
+//! same transfer function and [`EtlCostModel::op_part`]. Every model
 //! exposes an additive per-operation decomposition
 //! ([`EtlCostModel::decompose`]) whose parts sum to [`EtlCostModel::cost`] —
 //! the invariant the optimizer's incremental cost deltas rest on.
@@ -362,121 +367,79 @@ pub trait EtlCostModel {
     }
 }
 
-/// Per-row weights of operation classes for the time model, loosely shaped
-/// after row-at-a-time engine behaviour: joins/aggregations hash (heavier),
-/// sorts dominate, filters/projections stream.
-#[derive(Debug, Clone, Copy)]
-pub struct TimeWeights {
-    pub scan: f64,
-    pub filter: f64,
-    pub project: f64,
-    pub derive: f64,
-    pub join_build: f64,
-    pub join_probe: f64,
-    pub aggregate: f64,
-    pub sort: f64,
-    pub load: f64,
-    pub key_gen: f64,
-    /// Per-column surcharge: every operation's cost is scaled by
-    /// `1 + per_column × output-width`. Zero (the row-engine default) makes
-    /// width free; the columnar preset charges for it, which is what makes
-    /// projection pruning a profitable rewrite instead of pure overhead.
-    pub per_column: f64,
-}
-
-impl Default for TimeWeights {
-    fn default() -> Self {
-        TimeWeights {
-            scan: 1.0,
-            filter: 0.5,
-            project: 0.3,
-            derive: 0.6,
-            join_build: 2.0,
-            join_probe: 1.2,
-            aggregate: 1.8,
-            sort: 3.0,
-            load: 1.5,
-            key_gen: 1.0,
-            per_column: 0.0,
-        }
-    }
-}
-
-impl TimeWeights {
-    /// Weights calibrated to the columnar engine: projections are zero-copy
-    /// column picks, filters emit selection vectors, and derivations run
-    /// vectorized, so streaming operations cost far less per row relative to
-    /// the hash-building joins and aggregations that still dominate. Width
-    /// matters in a columnar plane — every extra column is another vector to
-    /// touch — so `per_column` is non-zero here.
-    pub fn columnar() -> Self {
-        TimeWeights {
-            scan: 0.2,
-            filter: 0.15,
-            project: 0.02,
-            derive: 0.2,
-            join_build: 2.0,
-            join_probe: 0.8,
-            aggregate: 1.5,
-            sort: 3.0,
-            load: 0.6,
-            key_gen: 0.8,
-            per_column: 0.04,
-        }
-    }
-}
-
 /// The paper's demonstrated ETL quality factor: estimated overall execution
 /// time. The estimate is Σ over operations of (rows processed × class
-/// weight) with cardinalities propagated from the sources.
+/// weight) × (1 + a per-column surcharge × output width), with cardinalities
+/// propagated from the sources. One weight table prices every flow — the
+/// integrator's reports, the optimizer's search and the compiled plan's cone
+/// costs — so the cost a step reports is the cost the optimizer minimises.
+///
+/// The weights follow the columnar engine: projections are zero-copy column
+/// picks, filters emit selection vectors and derivations run vectorized, so
+/// streaming operations cost far less per row than the hash-building joins
+/// and aggregations that dominate. Width matters in a columnar plane — every
+/// extra column is another vector to touch — which is what makes projection
+/// pruning a profitable rewrite instead of pure overhead.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct EstimatedTime {
-    pub weights: TimeWeights,
-}
+pub struct EstimatedTime;
+
+// Per-row weights of the operation classes.
+const SCAN: f64 = 0.2;
+const FILTER: f64 = 0.15;
+const PROJECT: f64 = 0.02;
+const DERIVE: f64 = 0.2;
+const JOIN_BUILD: f64 = 2.0;
+const JOIN_PROBE: f64 = 0.8;
+const AGGREGATE: f64 = 1.5;
+const SORT: f64 = 3.0;
+const LOAD: f64 = 0.6;
+const KEY_GEN: f64 = 0.8;
+// Per-column surcharge: every operation's cost is scaled by
+// `1 + PER_COLUMN × output width`.
+const PER_COLUMN: f64 = 0.04;
 
 impl EstimatedTime {
     pub fn new() -> Self {
-        EstimatedTime::default()
+        EstimatedTime
     }
 
     /// Cost of one operation from its kind, per-input cardinalities, output
     /// cardinality and output width. Pure in its arguments — the optimizer
     /// re-evaluates exactly this for the operations a rewrite touches.
     pub fn op_cost(&self, kind: &OpKind, input_rows: &[f64], out_rows: f64, out_cols: usize) -> f64 {
-        let w = &self.weights;
         let in_rows: f64 = input_rows.iter().sum();
         let base = match kind {
-            OpKind::Datastore { .. } => out_rows * w.scan,
-            OpKind::Extraction { .. } => in_rows * w.project,
-            OpKind::Selection { .. } => in_rows * w.filter,
-            OpKind::Projection { .. } => in_rows * w.project,
-            OpKind::Derivation { .. } => in_rows * w.derive,
-            OpKind::Join { .. } => input_rows[1] * w.join_build + input_rows[0] * w.join_probe,
-            OpKind::Aggregation { .. } => in_rows * w.aggregate,
-            OpKind::Union => in_rows * w.project,
-            OpKind::Distinct => in_rows * w.aggregate,
-            OpKind::Sort { .. } => in_rows * w.sort * (in_rows.max(2.0)).log2(),
-            OpKind::SurrogateKey { .. } => in_rows * w.key_gen,
-            OpKind::Loader { .. } => in_rows * w.load,
+            OpKind::Datastore { .. } => out_rows * SCAN,
+            OpKind::Extraction { .. } => in_rows * PROJECT,
+            OpKind::Selection { .. } => in_rows * FILTER,
+            OpKind::Projection { .. } => in_rows * PROJECT,
+            OpKind::Derivation { .. } => in_rows * DERIVE,
+            OpKind::Join { .. } => input_rows[1] * JOIN_BUILD + input_rows[0] * JOIN_PROBE,
+            OpKind::Aggregation { .. } => in_rows * AGGREGATE,
+            OpKind::Union => in_rows * PROJECT,
+            OpKind::Distinct => in_rows * AGGREGATE,
+            OpKind::Sort { .. } => in_rows * SORT * (in_rows.max(2.0)).log2(),
+            OpKind::SurrogateKey { .. } => in_rows * KEY_GEN,
+            OpKind::Loader { .. } => in_rows * LOAD,
         };
-        base * (1.0 + w.per_column * out_cols as f64)
+        base * (1.0 + PER_COLUMN * out_cols as f64)
     }
 
+    /// The from-scratch decomposition: one fold of [`op_cardinality`] and
+    /// one schema propagation over the whole flow. This is the oracle the
+    /// kept facts ([`crate::facts::FlowFacts`]) are audited against.
     fn parts(&self, flow: &Flow, stats: &SourceStats) -> Result<Vec<OpCostPart>, FlowError> {
         let cards = cardinality_state(flow, stats)?;
-        // Width only participates when charged for: the zero-weight path
-        // must not require a schema-valid flow just to be costed.
-        let widths = if self.weights.per_column != 0.0 { Some(flow.schemas()?) } else { None };
+        let widths = flow.schemas()?;
         let mut parts = Vec::with_capacity(flow.op_count());
         for op in flow.ops() {
             let input_rows: Vec<f64> = flow.inputs_of(op.id).iter().map(|i| cards[i].0).collect();
-            let out_cols = widths.as_ref().map_or(0, |w| w[&op.id].len());
             parts.push(OpCostPart {
                 id: op.id,
                 name: op.name.clone(),
                 kind: op.kind.type_name(),
                 rows: cards[&op.id].0,
-                cost: self.op_cost(&op.kind, &input_rows, cards[&op.id].0, out_cols),
+                cost: self.op_cost(&op.kind, &input_rows, cards[&op.id].0, widths[&op.id].len()),
             });
         }
         Ok(parts)
@@ -497,8 +460,6 @@ impl EtlCostModel for EstimatedTime {
     }
 
     fn op_part(&self, kind: &OpKind, input_rows: &[f64], out_rows: f64, out_cols: usize) -> Option<f64> {
-        // `parts` passes width 0 when width is free; the factor is exactly
-        // 1.0 either way.
         Some(self.op_cost(kind, input_rows, out_rows, out_cols))
     }
 }
@@ -796,27 +757,13 @@ mod tests {
     }
 
     #[test]
-    fn columnar_weights_discount_streaming_ops() {
-        let w = TimeWeights::columnar();
-        let d = TimeWeights::default();
-        assert!(w.project < d.project && w.filter < d.filter && w.scan < d.scan);
-        assert!(w.join_build >= 1.0 && w.sort >= d.sort * 0.5, "hash/sort work still dominates");
-        assert!(w.per_column > 0.0, "columnar engines pay per column touched");
-        let m = EstimatedTime { weights: w };
-        assert!(m.cost(&pipeline(), &stats()).unwrap() < EstimatedTime::new().cost(&pipeline(), &stats()).unwrap());
-    }
-
-    #[test]
     fn decompose_parts_sum_to_cost() {
-        for model in [EstimatedTime::new(), EstimatedTime { weights: TimeWeights::columnar() }] {
-            let f = pipeline();
-            let s = stats();
-            let total = model.cost(&f, &s).unwrap();
-            let parts = model.decompose(&f, &s).unwrap().expect("estimated time decomposes");
-            assert_eq!(parts.len(), f.op_count());
-            let sum: f64 = parts.iter().map(|p| p.cost).sum();
-            assert!((sum - total).abs() <= 1e-9 * total.max(1.0), "{sum} != {total}");
-        }
+        let (model, f, s) = (EstimatedTime::new(), pipeline(), stats());
+        let total = model.cost(&f, &s).unwrap();
+        let parts = model.decompose(&f, &s).unwrap().expect("estimated time decomposes");
+        assert_eq!(parts.len(), f.op_count());
+        let sum: f64 = parts.iter().map(|p| p.cost).sum();
+        assert!((sum - total).abs() <= 1e-9 * total.max(1.0), "{sum} != {total}");
         let f = pipeline();
         let parts = OpCount.decompose(&f, &stats()).unwrap().unwrap();
         assert_eq!(parts.iter().map(|p| p.cost).sum::<f64>(), OpCount.cost(&f, &stats()).unwrap());

@@ -10,7 +10,11 @@
 //! touched ([`FlowFacts::refresh`], which derives everything for a flow it
 //! holds nothing for or under changed statistics); the optimizer's moves
 //! also rewire and remove operations, and log what they displace so a move
-//! can be taken back ([`FlowFacts::repair`], [`FlowFacts::undo`]).
+//! can be taken back ([`FlowFacts::repair`], [`FlowFacts::undo`]). Whoever
+//! needs a whole flow validated and priced once — the compiled plan, a
+//! retraction without a kept index, the optimizer's commit check — derives
+//! it fresh ([`FlowFacts::of`]): one pass yields the schemas, the estimated
+//! rows and the cost parts together.
 
 use crate::cost::{cardinality_state, op_cardinality, CardState, EtlCostModel, SourceStats};
 use crate::flow::{Flow, FlowError, OpId};
@@ -89,8 +93,7 @@ pub struct FactsUndo {
 /// Per-operation output schema, cardinality state, cost part and
 /// topological rank of one flow under one cost model and one state of the
 /// source statistics. [`refresh`](Self::refresh) notices other statistics
-/// or a model of another name, not a model of the same name that prices
-/// differently — start from `FlowFacts::default()` when swapping one in.
+/// or a model of another name.
 #[derive(Debug, Clone, Default)]
 pub struct FlowFacts {
     schemas: HashMap<OpId, Schema>,
@@ -110,6 +113,15 @@ pub struct FlowFacts {
 }
 
 impl FlowFacts {
+    /// Derives every fact of `flow` from scratch: validates its schemas
+    /// (failing like [`Flow::schemas`], not on dangling outputs) and prices
+    /// every operation, in one pass.
+    pub fn of(flow: &Flow, model: &dyn EtlCostModel, stats: &SourceStats) -> Result<FlowFacts, FlowError> {
+        let mut facts = FlowFacts::default();
+        facts.refresh(flow, &[], model, stats)?;
+        Ok(facts)
+    }
+
     /// Brings the facts in line with `flow`, where `touched` lists every
     /// operation added or re-kinded since the last call, or derives
     /// everything when they were derived under another model or statistics.
@@ -300,6 +312,12 @@ impl FlowFacts {
         &self.schemas
     }
 
+    /// The `(rows, retained)` state of every operation, as
+    /// [`cardinality_state`] returns it.
+    pub fn cards(&self) -> &HashMap<OpId, CardState> {
+        &self.cards
+    }
+
     /// The cost part of every operation (empty under a whole-flow model).
     pub fn cost_parts(&self) -> &HashMap<OpId, f64> {
         &self.costs
@@ -357,7 +375,7 @@ impl FlowFacts {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cost::{EstimatedTime, OpCount, TimeWeights};
+    use crate::cost::{EstimatedTime, OpCount};
     use crate::expr::parse_expr;
     use crate::ops::{AggSpec, JoinKind, OpKind};
     use crate::schema::{ColType, Column};
@@ -408,13 +426,10 @@ mod tests {
 
     #[test]
     fn first_refresh_derives_everything_and_matches_validate_and_cost() {
-        for weights in [TimeWeights::default(), TimeWeights::columnar()] {
-            let (f, model, stats) = (flow(), EstimatedTime { weights }, stats());
-            let mut facts = FlowFacts::default();
-            facts.refresh(&f, &[], &model, &stats).unwrap();
-            assert_eq!(facts.recomputed(), f.op_count());
-            facts.audit(&f, &model, &stats).unwrap();
-        }
+        let (f, model, stats) = (flow(), EstimatedTime::new(), stats());
+        let facts = FlowFacts::of(&f, &model, &stats).unwrap();
+        assert_eq!(facts.recomputed(), f.op_count());
+        facts.audit(&f, &model, &stats).unwrap();
     }
 
     #[test]
@@ -432,7 +447,7 @@ mod tests {
 
     #[test]
     fn a_widened_source_reaches_downstream_until_the_schema_settles() {
-        let (mut f, model, stats) = (flow(), EstimatedTime { weights: TimeWeights::columnar() }, stats());
+        let (mut f, model, stats) = (flow(), EstimatedTime::new(), stats());
         let mut facts = FlowFacts::default();
         facts.refresh(&f, &[], &model, &stats).unwrap();
         let l = f.id_by_name("L").unwrap();

@@ -71,7 +71,7 @@ pub enum Move {
     /// legal when the outer join's build keys live on B.
     UnassocJoins { upper: OpId },
     /// Insert a projection on the edge `from → to` keeping only the columns
-    /// live through `to` (profitable only when the cost model charges for
+    /// live through `to` (profitable because the cost model charges for
     /// width).
     PruneColumns { from: OpId, to: OpId },
     /// Remove a projection whose widening is absorbed downstream.
@@ -142,7 +142,6 @@ pub struct Applied {
 pub struct RewriteState {
     flow: Flow,
     stats: SourceStats,
-    model: EstimatedTime,
     facts: FlowFacts,
     live: HashMap<OpId, BTreeSet<String>>,
     cost: f64,
@@ -152,12 +151,11 @@ impl RewriteState {
     /// Builds the state with a full initial pass. The flow must be
     /// schema-valid (validity is what lets every later move lean on
     /// incremental propagation for its deep checks).
-    pub fn new(flow: Flow, stats: SourceStats, model: EstimatedTime) -> Result<Self, FlowError> {
-        let mut facts = FlowFacts::default();
-        facts.refresh(&flow, &[], &model, &stats)?;
-        let cost = facts.cost(&flow, &model, &stats)?;
+    pub fn new(flow: Flow, stats: SourceStats) -> Result<Self, FlowError> {
+        let facts = FlowFacts::of(&flow, &EstimatedTime, &stats)?;
+        let cost = facts.cost(&flow, &EstimatedTime, &stats)?;
         let live = live_columns(&flow, facts.schemas());
-        Ok(RewriteState { flow, stats, model, facts, live, cost })
+        Ok(RewriteState { flow, stats, facts, live, cost })
     }
 
     pub fn flow(&self) -> &Flow {
@@ -185,7 +183,7 @@ impl RewriteState {
     /// Total cost recomputed from scratch — the oracle the incremental
     /// maintenance is tested against.
     pub fn full_recost(&self) -> Result<f64, FlowError> {
-        self.model.cost(&self.flow, &self.stats)
+        EstimatedTime.cost(&self.flow, &self.stats)
     }
 
     /// Compares everything maintained with a from-scratch derivation: the
@@ -194,7 +192,7 @@ impl RewriteState {
     /// the first difference — the oracle the incremental maintenance is
     /// tested against.
     pub fn audit(&self) -> Result<(), String> {
-        self.facts.audit(&self.flow, &self.model, &self.stats)?;
+        self.facts.audit(&self.flow, &EstimatedTime, &self.stats)?;
         let live = live_columns(&self.flow, self.facts.schemas());
         if self.live != live {
             let op = self.flow.ops().find(|op| self.live.get(&op.id) != live.get(&op.id));
@@ -249,11 +247,9 @@ impl RewriteState {
                 _ => {}
             }
         }
-        if self.model.weights.per_column != 0.0 {
-            for &(f, t) in self.flow.edges() {
-                if benefits_from_pruning(&self.flow.op(t).kind) {
-                    out.push(Move::PruneColumns { from: f, to: t });
-                }
+        for &(f, t) in self.flow.edges() {
+            if benefits_from_pruning(&self.flow.op(t).kind) {
+                out.push(Move::PruneColumns { from: f, to: t });
             }
         }
         out.push(Move::MergeDuplicates);
@@ -376,7 +372,7 @@ impl RewriteState {
         // ---- schemas, cardinalities, cost parts and ranks: one sweep
         // downstream of what the journal touched (deep validity) ----
         let (delta, reshaped) =
-            self.facts.repair(&self.flow, &dirty, &removed, &self.model, &self.stats, &mut undo.facts)?;
+            self.facts.repair(&self.flow, &dirty, &removed, &EstimatedTime, &self.stats, &mut undo.facts)?;
         for &id in &removed {
             put(&mut self.live, &mut undo.live, id, None);
         }
@@ -630,9 +626,6 @@ impl RewriteState {
     }
 
     fn prune_columns(&mut self, from: OpId, to: OpId) -> Result<(), RewriteError> {
-        if self.model.weights.per_column == 0.0 {
-            return Err(RewriteError::Illegal("width is free under this cost model"));
-        }
         if !benefits_from_pruning(&self.flow.op(to).kind) {
             return Err(RewriteError::Illegal("consumer does not benefit from pruning"));
         }
@@ -664,8 +657,8 @@ impl RewriteState {
     }
 }
 
-/// Whether a narrower input makes `consumer` cheaper under a width-aware
-/// cost model (the consumers [`Move::PruneColumns`] targets).
+/// Whether a narrower input makes `consumer` cheaper under the cost model,
+/// which charges for width (the consumers [`Move::PruneColumns`] targets).
 fn benefits_from_pruning(consumer: &OpKind) -> bool {
     matches!(
         consumer,
@@ -933,7 +926,7 @@ mod tests {
     }
 
     fn state(flow: Flow, stats: SourceStats) -> RewriteState {
-        RewriteState::new(flow, stats, EstimatedTime { weights: crate::cost::TimeWeights::columnar() }).unwrap()
+        RewriteState::new(flow, stats).unwrap()
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //!    state at every depth.
 
 use proptest::prelude::*;
-use quarry_etl::cost::{EstimatedTime, EtlCostModel, SourceStats, TimeWeights};
+use quarry_etl::cost::{EstimatedTime, EtlCostModel, SourceStats};
 use quarry_etl::rewrite::{Move, RewriteError, RewriteState};
 use quarry_etl::{parse_expr, AggSpec, ColType, Column, Flow, JoinKind, OpKind, Schema};
 
@@ -232,10 +232,6 @@ fn random_flow(seed: u64) -> (Flow, SourceStats) {
     (f, stats)
 }
 
-fn models() -> [EstimatedTime; 2] {
-    [EstimatedTime::default(), EstimatedTime { weights: TimeWeights::columnar() }]
-}
-
 fn assert_close(a: f64, b: f64, what: &str) {
     let tol = 1e-9 * a.abs().max(b.abs()).max(1.0);
     assert!((a - b).abs() <= tol, "{what}: {a} vs {b}");
@@ -248,13 +244,11 @@ proptest! {
     #[test]
     fn decompose_parts_sum_to_cost(seed in any::<u64>()) {
         let (flow, stats) = random_flow(seed);
-        for model in models() {
-            let total = model.cost(&flow, &stats).unwrap();
-            let parts = model.decompose(&flow, &stats).unwrap().expect("EstimatedTime decomposes");
-            prop_assert_eq!(parts.len(), flow.op_count());
-            let sum: f64 = parts.iter().map(|p| p.cost).sum();
-            assert_close(sum, total, "decompose sum");
-        }
+        let total = EstimatedTime.cost(&flow, &stats).unwrap();
+        let parts = EstimatedTime.decompose(&flow, &stats).unwrap().expect("EstimatedTime decomposes");
+        prop_assert_eq!(parts.len(), flow.op_count());
+        let sum: f64 = parts.iter().map(|p| p.cost).sum();
+        assert_close(sum, total, "decompose sum");
     }
 
     /// The annealer invariant: every move either cleanly rejects, or the
@@ -263,26 +257,24 @@ proptest! {
     #[test]
     fn every_move_is_delta_consistent(seed in any::<u64>()) {
         let (flow, stats) = random_flow(seed);
-        for model in models() {
-            let mut st = RewriteState::new(flow.clone(), stats.clone(), model).unwrap();
-            assert_close(st.cost(), st.full_recost().unwrap(), "initial cost");
-            for mv in st.candidate_moves() {
-                let reference = st.clone();
-                match st.apply(&mv) {
-                    Ok(applied) => {
-                        st.flow().validate().unwrap();
-                        assert_close(st.cost(), st.full_recost().unwrap(), &st.describe(&mv));
-                        st.undo(applied);
-                    }
-                    // `Flow` errors are late legality rejections (e.g. a
-                    // hoisted predicate's column was pruned upstream by an
-                    // earlier move): the rollback below must leave the state
-                    // untouched.
-                    Err(RewriteError::Illegal(_) | RewriteError::Flow(_)) => {}
+        let mut st = RewriteState::new(flow, stats).unwrap();
+        assert_close(st.cost(), st.full_recost().unwrap(), "initial cost");
+        for mv in st.candidate_moves() {
+            let reference = st.clone();
+            match st.apply(&mv) {
+                Ok(applied) => {
+                    st.flow().validate().unwrap();
+                    assert_close(st.cost(), st.full_recost().unwrap(), &st.describe(&mv));
+                    st.undo(applied);
                 }
-                prop_assert_eq!(st.flow(), reference.flow(), "flow restored after {}", st.describe(&mv));
-                prop_assert_eq!(st.cost().to_bits(), reference.cost().to_bits());
+                // `Flow` errors are late legality rejections (e.g. a
+                // hoisted predicate's column was pruned upstream by an
+                // earlier move): the rollback below must leave the state
+                // untouched.
+                Err(RewriteError::Illegal(_) | RewriteError::Flow(_)) => {}
             }
+            prop_assert_eq!(st.flow(), reference.flow(), "flow restored after {}", st.describe(&mv));
+            prop_assert_eq!(st.cost().to_bits(), reference.cost().to_bits());
         }
     }
 
@@ -291,8 +283,7 @@ proptest! {
     #[test]
     fn random_move_sequences_stay_consistent(seed in any::<u64>()) {
         let (flow, stats) = random_flow(seed);
-        let model = EstimatedTime { weights: TimeWeights::columnar() };
-        let mut st = RewriteState::new(flow, stats, model).unwrap();
+        let mut st = RewriteState::new(flow, stats).unwrap();
         audited_walk(&mut st, seed ^ 0xabcdef, 12, &mut Coverage::default());
     }
 
@@ -387,7 +378,7 @@ fn audited_walk(st: &mut RewriteState, seed: u64, proposals: usize, seen: &mut C
 }
 
 /// The from-scratch rebuild is the oracle: long seeded walks over the
-/// randomized flows, under both weight presets, applying and undoing every
+/// randomized flows, applying and undoing every
 /// move kind.
 #[test]
 fn long_walks_match_a_rebuild_after_every_step() {
@@ -395,11 +386,9 @@ fn long_walks_match_a_rebuild_after_every_step() {
     let mut seen = Coverage::default();
     for seed in 0..24u64 {
         let (flow, stats) = random_flow(seed);
-        for model in models() {
-            let mut st = RewriteState::new(flow.clone(), stats.clone(), model).unwrap();
-            st.audit().unwrap();
-            applied += audited_walk(&mut st, seed ^ 0x5eed, 200, &mut seen);
-        }
+        let mut st = RewriteState::new(flow, stats).unwrap();
+        st.audit().unwrap();
+        applied += audited_walk(&mut st, seed ^ 0x5eed, 200, &mut seen);
     }
     assert!(applied > 500, "the walks must exercise real moves, applied only {applied}");
     seen.assert_every_kind_applied_and_undone();
@@ -440,17 +429,14 @@ fn stacked_undo(mut st: RewriteState, seed: u64) -> usize {
     depth
 }
 
-/// Stacked undos over the seeded randomized flows, under both weight
-/// presets: the annealer takes back whole runs of accepted moves, not only
+/// Stacked undos over the seeded randomized flows: the annealer takes back whole runs of accepted moves, not only
 /// the move it just applied.
 #[test]
 fn stacked_undos_restore_every_depth() {
     let mut depths = Vec::new();
     for seed in 0..24u64 {
         let (flow, stats) = random_flow(seed);
-        for model in models() {
-            depths.push(stacked_undo(RewriteState::new(flow.clone(), stats.clone(), model).unwrap(), seed ^ 0x57ac));
-        }
+        depths.push(stacked_undo(RewriteState::new(flow, stats).unwrap(), seed ^ 0x57ac));
     }
     let full = depths.iter().filter(|&&d| d == STACK_DEPTH).count();
     assert!(full >= 8, "too few walks stacked {STACK_DEPTH} moves: {depths:?}");
@@ -462,8 +448,7 @@ fn stacked_undos_restore_every_depth() {
 fn left_joins_never_swap() {
     for seed in 0..64u64 {
         let (flow, stats) = random_flow(seed);
-        let model = EstimatedTime { weights: TimeWeights::columnar() };
-        let Ok(mut st) = RewriteState::new(flow, stats, model) else { continue };
+        let Ok(mut st) = RewriteState::new(flow, stats) else { continue };
         let left_joins: Vec<_> = st
             .flow()
             .ops()

@@ -20,7 +20,7 @@
 //! exit (it can only truncate a chain, never change the legality of what was
 //! found — every reachable state is execution-equivalent by construction).
 
-use quarry_etl::cost::{EstimatedTime, SourceStats};
+use quarry_etl::cost::SourceStats;
 use quarry_etl::rewrite::RewriteState;
 use quarry_etl::{Flow, FlowError};
 use std::time::Instant;
@@ -215,16 +215,12 @@ fn run_chain(base: &RewriteState, chain: usize, opts: &AnnealOptions, deadline: 
     ChainResult { best_flow, best_stats, best_cost, proposed, accepted, log }
 }
 
-/// Anneals `flow` under `model`, fanning `opts.chains` independent chains out
-/// on the engine worker pool. Returns the best flow found across chains —
-/// possibly the input itself when no chain improved on it.
-pub fn anneal(
-    flow: &Flow,
-    stats: &SourceStats,
-    model: EstimatedTime,
-    opts: &AnnealOptions,
-) -> Result<AnnealOutcome, FlowError> {
-    Ok(anneal_from(&RewriteState::new(flow.clone(), stats.clone(), model)?, opts))
+/// Anneals `flow` under the ETL cost model, fanning `opts.chains`
+/// independent chains out on the engine worker pool. Returns the best flow
+/// found across chains — possibly the input itself when no chain improved
+/// on it.
+pub fn anneal(flow: &Flow, stats: &SourceStats, opts: &AnnealOptions) -> Result<AnnealOutcome, FlowError> {
+    Ok(anneal_from(&RewriteState::new(flow.clone(), stats.clone())?, opts))
 }
 
 /// [`anneal`] from an already-built search state (whose full initial pass
@@ -266,7 +262,6 @@ pub fn anneal_from(base: &RewriteState, opts: &AnnealOptions) -> AnnealOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use quarry_etl::cost::TimeWeights;
     use quarry_etl::{parse_expr, ColType, Column, JoinKind, OpKind, Schema};
 
     /// A stacked inner-join spine where the canonical join order is wrong:
@@ -364,9 +359,8 @@ mod tests {
     #[test]
     fn annealing_finds_the_join_swap_win() {
         let (flow, stats) = spine();
-        let model = EstimatedTime { weights: TimeWeights::columnar() };
         let opts = AnnealOptions::default();
-        let out = anneal(&flow, &stats, model, &opts).unwrap();
+        let out = anneal(&flow, &stats, &opts).unwrap();
         assert!(
             out.cost < out.start_cost * 0.9,
             "the spine swap is worth >10%: start {} best {}",
@@ -376,18 +370,17 @@ mod tests {
         assert!(out.accepted > 0 && out.proposed >= out.accepted);
         // The result is a valid flow whose full re-cost matches the claim.
         out.flow.validate().unwrap();
-        let recost = RewriteState::new(out.flow.clone(), stats, model).unwrap().cost();
+        let recost = RewriteState::new(out.flow.clone(), stats).unwrap().cost();
         assert!((recost - out.cost).abs() <= 1e-9 * recost.abs().max(1.0));
     }
 
     #[test]
     fn annealing_is_deterministic_per_seed() {
         let (flow, stats) = spine();
-        let model = EstimatedTime { weights: TimeWeights::columnar() };
         // A budget long enough that the step count, not the clock, terminates.
         let opts = AnnealOptions { budget_ms: 60_000, ..AnnealOptions::default() };
-        let a = anneal(&flow, &stats, model, &opts).unwrap();
-        let b = anneal(&flow, &stats, model, &opts).unwrap();
+        let a = anneal(&flow, &stats, &opts).unwrap();
+        let b = anneal(&flow, &stats, &opts).unwrap();
         assert_eq!(a.flow, b.flow);
         assert_eq!(a.cost.to_bits(), b.cost.to_bits());
         assert_eq!(a.best_chain, b.best_chain);
@@ -398,9 +391,8 @@ mod tests {
     #[test]
     fn chain_count_is_respected_and_zero_is_clamped() {
         let (flow, stats) = spine();
-        let model = EstimatedTime::new();
         let opts = AnnealOptions { chains: 0, steps: 8, ..AnnealOptions::default() };
-        let out = anneal(&flow, &stats, model, &opts).unwrap();
+        let out = anneal(&flow, &stats, &opts).unwrap();
         assert_eq!(out.chains, 1);
         assert!(out.cost <= out.start_cost, "the best state never regresses below the start");
     }
@@ -408,9 +400,8 @@ mod tests {
     #[test]
     fn move_log_is_capped_per_chain() {
         let (flow, stats) = spine();
-        let model = EstimatedTime { weights: TimeWeights::columnar() };
         let opts = AnnealOptions { chains: 2, steps: 2_000, budget_ms: 60_000, ..AnnealOptions::default() };
-        let out = anneal(&flow, &stats, model, &opts).unwrap();
+        let out = anneal(&flow, &stats, &opts).unwrap();
         assert!(out.log.len() <= 2 * LOG_CAP_PER_CHAIN, "log stays bounded: {}", out.log.len());
         assert!(out.log.iter().any(|r| r.accepted), "an explain log without accepted moves explains nothing");
     }
@@ -423,8 +414,7 @@ mod tests {
     #[test]
     fn a_chain_returns_the_state_a_snapshot_takes_at_its_best() {
         let (flow, stats) = spine();
-        let model = EstimatedTime { weights: TimeWeights::columnar() };
-        let base = RewriteState::new(flow, stats, model).unwrap();
+        let base = RewriteState::new(flow, stats).unwrap();
         let opts = AnnealOptions { steps: 256, init_temp_frac: 0.2, cooling: 0.99, ..AnnealOptions::default() };
         let deadline = Instant::now() + std::time::Duration::from_secs(600);
         let mut undone_back = 0;
@@ -468,9 +458,8 @@ mod tests {
     #[test]
     fn seeded_search_on_the_spine_is_pinned() {
         let (flow, stats) = spine();
-        let model = EstimatedTime { weights: TimeWeights::columnar() };
         let opts = AnnealOptions { budget_ms: 10_000, ..AnnealOptions::default() };
-        let out = anneal(&flow, &stats, model, &opts).unwrap();
+        let out = anneal(&flow, &stats, &opts).unwrap();
         assert_eq!((out.proposed, out.accepted, out.best_chain), (1536, 283, 0));
         assert_eq!(out.cost.to_bits(), 0x40d0_1288_3126_e978);
         let xlm = quarry_formats::xlm::to_string(&out.flow);

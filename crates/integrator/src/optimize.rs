@@ -15,12 +15,18 @@
 //!    actually beats the input. Otherwise the report says `applied: false`
 //!    and the caller keeps its flow untouched.
 //!
+//! Steps 2 and 3 read one fresh derivation of the candidate
+//! ([`FlowFacts::of`]): its schemas give the loader contract, its cost parts
+//! the after-cost — the bits [`quarry_etl::cost::EtlCostModel::cost`]
+//! gives.
+//!
 //! The caller (the lifecycle's `optimize` step) is responsible for the
 //! atomic swap and for invalidating its consolidation index afterwards.
 
 use crate::anneal::{anneal_from, AnnealOptions, MoveRecord};
 use crate::IntegrateError;
-use quarry_etl::cost::{EstimatedTime, EtlCostModel, SourceStats};
+use quarry_etl::cost::{EstimatedTime, SourceStats};
+use quarry_etl::facts::FlowFacts;
 use quarry_etl::rewrite::RewriteState;
 use quarry_etl::{rules, Flow, OpId, OpKind, Schema};
 use std::collections::{BTreeMap, HashMap};
@@ -104,14 +110,14 @@ fn sink_interfaces(flow: &Flow, schemas: &HashMap<OpId, Schema>) -> BTreeMap<(St
 pub fn optimize_flow(
     flow: &mut Flow,
     stats: &mut SourceStats,
-    model: EstimatedTime,
     opts: &AnnealOptions,
 ) -> Result<OptimizeReport, IntegrateError> {
     let started = Instant::now();
     let invalid = |e: quarry_etl::FlowError| IntegrateError::InvalidResult(vec![e.to_string()]);
     // The search state's initial pass is the one derivation of the input
-    // flow: the loader contract and the cost to beat (`model.cost`'s bits).
-    let base = RewriteState::new(flow.clone(), stats.clone(), model).map_err(invalid)?;
+    // flow: the loader contract and the cost to beat (`EstimatedTime::cost`'s
+    // bits).
+    let base = RewriteState::new(flow.clone(), stats.clone()).map_err(invalid)?;
     let sinks_before = sink_interfaces(flow, base.schemas());
     let before_cost = base.cost();
 
@@ -137,20 +143,21 @@ pub fn optimize_flow(
             break;
         }
     }
-    // Re-validate (one propagation: schema-correct, acyclic, no dangling
-    // output) and compare the loader contract, which must be bit-identical:
-    // same target tables, same sink schemas, column for column.
-    let candidate_schemas = candidate.schemas().map_err(invalid)?;
+    // Re-validate and re-cost in one derivation (schema-correct, acyclic, no
+    // dangling output) and compare the loader contract, which must be
+    // bit-identical: same target tables, same sink schemas, column for
+    // column. The derivation uses the winning chain's statistics:
+    // observations it invalidated by restructuring an operation must not pin
+    // the candidate's estimates.
+    let facts = FlowFacts::of(&candidate, &EstimatedTime, &outcome.stats).map_err(invalid)?;
     candidate.check_outputs_consumed().map_err(invalid)?;
-    if sink_interfaces(&candidate, &candidate_schemas) != sinks_before {
+    if sink_interfaces(&candidate, facts.schemas()) != sinks_before {
         report.wall_ms = started.elapsed().as_secs_f64() * 1e3;
         return Ok(report); // structural guard tripped: keep the input flow
     }
 
-    // Commit only a from-scratch-verified strict improvement. The re-cost
-    // uses the winning chain's statistics: observations it invalidated by
-    // restructuring an operation must not pin the candidate's estimates.
-    let after_cost = model.cost(&candidate, &outcome.stats).map_err(invalid)?;
+    // Commit only a from-scratch-verified strict improvement.
+    let after_cost = facts.cost(&candidate, &EstimatedTime, &outcome.stats).map_err(invalid)?;
     if after_cost < before_cost {
         *flow = candidate;
         *stats = outcome.stats;
@@ -164,7 +171,7 @@ pub fn optimize_flow(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use quarry_etl::cost::TimeWeights;
+    use quarry_etl::cost::EtlCostModel;
     use quarry_etl::{parse_expr, ColType, Column, JoinKind, OpKind, Schema};
 
     fn spine() -> (Flow, SourceStats) {
@@ -258,8 +265,7 @@ mod tests {
     fn optimize_commits_a_canonical_improvement() {
         let (mut flow, mut stats) = spine();
         let original = flow.clone();
-        let model = EstimatedTime { weights: TimeWeights::columnar() };
-        let report = optimize_flow(&mut flow, &mut stats, model, &AnnealOptions::default()).unwrap();
+        let report = optimize_flow(&mut flow, &mut stats, &AnnealOptions::default()).unwrap();
         assert!(report.applied, "the spine swap must survive canonicalization");
         assert!(report.improvement() > 0.10, "improvement {}", report.improvement());
         assert_ne!(flow, original);
@@ -278,11 +284,10 @@ mod tests {
     #[test]
     fn optimize_leaves_an_already_optimal_flow_alone() {
         let (mut flow, mut stats) = spine();
-        let model = EstimatedTime { weights: TimeWeights::columnar() };
         // First run finds the win; the second starts from the optimum.
-        optimize_flow(&mut flow, &mut stats, model, &AnnealOptions::default()).unwrap();
+        optimize_flow(&mut flow, &mut stats, &AnnealOptions::default()).unwrap();
         let settled = flow.clone();
-        let report = optimize_flow(&mut flow, &mut stats, model, &AnnealOptions::default()).unwrap();
+        let report = optimize_flow(&mut flow, &mut stats, &AnnealOptions::default()).unwrap();
         assert!(!report.applied, "no second win to find");
         assert_eq!(report.after_cost.to_bits(), report.before_cost.to_bits());
         assert_eq!(flow, settled, "applied: false leaves the flow untouched");
@@ -292,7 +297,7 @@ mod tests {
     fn optimize_handles_an_empty_flow() {
         let mut flow = Flow::new("empty");
         let mut stats = SourceStats::new();
-        let report = optimize_flow(&mut flow, &mut stats, EstimatedTime::new(), &AnnealOptions::default()).unwrap();
+        let report = optimize_flow(&mut flow, &mut stats, &AnnealOptions::default()).unwrap();
         assert!(!report.applied);
         assert_eq!(report.before_cost, 0.0);
     }
@@ -305,11 +310,9 @@ mod tests {
             if observed {
                 stats.observe_op_io("SEL_spain", 100.0, 95.0);
             }
-            for model in [EstimatedTime::new(), EstimatedTime { weights: TimeWeights::columnar() }] {
-                for flow in [&flow, &empty] {
-                    let base = RewriteState::new(flow.clone(), stats.clone(), model).unwrap();
-                    assert_eq!(base.cost().to_bits(), model.cost(flow, &stats).unwrap().to_bits());
-                }
+            for flow in [&flow, &empty] {
+                let base = RewriteState::new(flow.clone(), stats.clone()).unwrap();
+                assert_eq!(base.cost().to_bits(), EstimatedTime.cost(flow, &stats).unwrap().to_bits());
             }
         }
     }
@@ -321,10 +324,9 @@ mod tests {
         // 95 of 100 suppliers qualify. The swap's modeled win shrinks but
         // the optimizer must keep using the observed ratio consistently.
         stats.observe_op_io("SEL_spain", 100.0, 95.0);
-        let model = EstimatedTime { weights: TimeWeights::columnar() };
-        let report = optimize_flow(&mut flow, &mut stats, model, &AnnealOptions::default()).unwrap();
+        let report = optimize_flow(&mut flow, &mut stats, &AnnealOptions::default()).unwrap();
         let (mut flow2, mut stats2) = spine();
-        let report2 = optimize_flow(&mut flow2, &mut stats2, model, &AnnealOptions::default()).unwrap();
+        let report2 = optimize_flow(&mut flow2, &mut stats2, &AnnealOptions::default()).unwrap();
         // With the default 10% selectivity guess the win is much larger than
         // with the observed 95%.
         assert!(report2.improvement() > report.improvement());
@@ -335,9 +337,8 @@ mod tests {
     #[test]
     fn seeded_optimization_of_the_spine_is_pinned() {
         let (mut flow, mut stats) = spine();
-        let model = EstimatedTime { weights: TimeWeights::columnar() };
         let opts = AnnealOptions { budget_ms: 10_000, ..AnnealOptions::default() };
-        let report = optimize_flow(&mut flow, &mut stats, model, &opts).unwrap();
+        let report = optimize_flow(&mut flow, &mut stats, &opts).unwrap();
         assert!(report.applied);
         assert_eq!((report.proposed, report.accepted), (1536, 54));
         assert_eq!(report.after_cost.to_bits(), 0x40d0_122e_978d_4fdf);

@@ -175,13 +175,15 @@ impl ConsolidationState {
     /// the index and the kept facts, the survivors' entries stand (they keep
     /// their inputs), and the flow is validated and costed through those
     /// facts, so the next step reuses the index. It falls back to
-    /// [`invalidate`](Self::invalidate) and a whole-flow validation when
-    /// there is no reusable index (before the first step, after an
-    /// invalidation), when a survivor left with a sole consumer would let a
-    /// canonical rule fire, or when a survivor lost an input (which the
-    /// satisfier-set invariant of [`Flow::retract_requirement`] rules out).
-    /// On error the flow stays retracted and the index is dropped; the
-    /// caller restores its own snapshot.
+    /// [`invalidate`](Self::invalidate) and one fresh derivation of the whole
+    /// flow ([`FlowFacts::of`]) when there is no reusable index (before the
+    /// first step, after an invalidation), when a survivor left with a sole
+    /// consumer would let a canonical rule fire, or when a survivor lost an
+    /// input (which the satisfier-set invariant of
+    /// [`Flow::retract_requirement`] rules out). Either way the cost has the
+    /// bits [`EtlCostModel::cost`] gives the retracted flow. On error the
+    /// flow stays retracted and the index is dropped; the caller restores
+    /// its own snapshot.
     pub fn retract(
         &mut self,
         unified: &mut Flow,
@@ -195,19 +197,49 @@ impl ConsolidationState {
         let retraction = unified.retract_requirement(req);
         debug_assert!(retraction.lost_inputs.is_empty(), "survivors keep their inputs: {:?}", retraction.lost_inputs);
         let invalid = |e: FlowError| IntegrateError::InvalidResult(vec![e.to_string()]);
-        if let Some(mut state) = kept.filter(|_| retraction.lost_inputs.is_empty()) {
+        let mut state = kept.filter(|_| retraction.lost_inputs.is_empty());
+        if let Some(state) = &mut state {
             state.index.forget(unified, &retraction.pruned, cost, stats).map_err(invalid)?;
-            let schemas = state.index.facts().schemas();
-            if !state.aligned || rules::canonical_after_losing_consumers(unified, &retraction.lost_consumers, schemas) {
-                unified.check_outputs_consumed().map_err(invalid)?;
-                let total = state.index.facts().cost(unified, cost, stats).map_err(invalid)?;
-                state.fingerprint = (unified.op_count(), unified.edge_count());
-                self.etl = Some(state);
-                return Ok(total);
-            }
         }
-        unified.validate().map_err(invalid)?;
-        cost.cost(unified, stats).map_err(invalid)
+        // A survivor left with a sole consumer may let a canonical rule fire.
+        let lost = &retraction.lost_consumers;
+        let state = state.filter(|s| {
+            !s.aligned || rules::canonical_after_losing_consumers(unified, lost, s.index.facts().schemas())
+        });
+        let fresh;
+        let facts = match &state {
+            Some(state) => state.index.facts(),
+            None => {
+                fresh = FlowFacts::of(unified, cost, stats).map_err(invalid)?;
+                &fresh
+            }
+        };
+        unified.check_outputs_consumed().map_err(invalid)?;
+        let total = facts.cost(unified, cost, stats).map_err(invalid)?;
+        self.etl = state.map(|state| EtlState { fingerprint: (unified.op_count(), unified.edge_count()), ..state });
+        Ok(total)
+    }
+
+    /// The cost of `unified` under `cost` and `stats`, read off the facts
+    /// kept beside the index when it still describes `unified` (the same
+    /// shape guard as [`etl_step`](Self::etl_step)): their refresh re-derives
+    /// nothing when nothing moved, and everything after the statistics
+    /// changed, which the next step would do anyway. Without a kept index —
+    /// before the first step, after an optimizer commit or a rollback — the
+    /// whole flow is priced from scratch.
+    pub fn etl_cost(&mut self, unified: &Flow, cost: &dyn EtlCostModel, stats: &SourceStats) -> Result<f64, FlowError> {
+        let fingerprint = (unified.op_count(), unified.edge_count());
+        let Some(state) = self.etl.as_mut().filter(|s| s.fingerprint == fingerprint) else {
+            return cost.cost(unified, stats);
+        };
+        // Nothing pruned: `forget` only brings the facts in line.
+        let priced =
+            state.index.forget(unified, &[], cost, stats).and_then(|()| state.index.facts().cost(unified, cost, stats));
+        if priced.is_err() {
+            // A half-done refresh describes nothing; the next step rebuilds.
+            self.etl = None;
+        }
+        priced
     }
 
     /// The current unified-flow epoch (see the field docs). Exposed so the

@@ -18,7 +18,9 @@
 //! ([`ConsolidationState::retract`]), which keeps the index and the facts;
 //! the seed path retracts the flow and re-derives on the next step. After
 //! every retraction the kept facts and index must equal a rebuild, and the
-//! reported cost the whole-flow cost, bit for bit.
+//! reported cost the whole-flow cost, bit for bit. A seeded share of the
+//! retractions first drops the index, as an optimizer commit does, so the
+//! retraction that derives the whole flow afresh is held to the same bits.
 //!
 //! A second check pits the delta scorer against whole-schema costing: every
 //! MD step is replayed under an opaque wrapper of the same cost model (no
@@ -230,17 +232,23 @@ fn assert_facts_exact(state: &ConsolidationState, flow: &Flow, model: &Estimated
 /// Drives one randomized requirement lifecycle down both paths, asserting
 /// bit-identical state after every operation.
 fn run_equivalence(seed: u64, ops: usize, options: EtlIntegrationOptions) {
-    run_equivalence_over(gen_etl, seed, ops, 70, options);
+    run_equivalence_over(gen_etl, seed, ops, 70, INVALIDATE_EVERY, options);
 }
+
+/// The walks that may rebuild their index precede every third retraction
+/// with [`ConsolidationState::invalidate`].
+const INVALIDATE_EVERY: usize = 3;
 
 /// Returns the incremental path's counters. `add_pct` percent of the steps
 /// add (every step does while nothing is active); the rest split evenly
-/// between removals and changes.
+/// between removals and changes. Every `invalidate_every`-th retraction
+/// (none when zero), counted from one the seed picks, finds no index.
 fn run_equivalence_over(
     gen: fn(&mut Rng, &str) -> Flow,
     seed: u64,
     ops: usize,
     add_pct: usize,
+    invalidate_every: usize,
     options: EtlIntegrationOptions,
 ) -> ConsolidationStats {
     let mut rng = Rng::new(seed);
@@ -259,6 +267,8 @@ fn run_equivalence_over(
     let mut active: Vec<String> = Vec::new();
     let mut next_id = 0usize;
     let mut adds = 0usize;
+    let mut retractions = seed as usize;
+    let mut invalidated = 0usize;
 
     for step in 0..ops {
         let roll = rng.below(100);
@@ -295,6 +305,11 @@ fn run_equivalence_over(
             seed_md.retract_requirement(&id);
             seed_etl.retract_requirement(&id);
             inc_md.retract_requirement(&id);
+            retractions += 1;
+            if invalidate_every > 0 && retractions.is_multiple_of(invalidate_every) {
+                state.invalidate();
+                invalidated += 1;
+            }
             let epoch = state.flow_epoch();
             let retracted = state.retract(&mut inc_etl, &id, &etl_cost, &stats).expect("the retraction validates");
             let at = format!("seed {seed} step {step}: retracting {id}");
@@ -340,6 +355,7 @@ fn run_equivalence_over(
 
     // At least 5/7 of the expected adds: half the steps at 70 %.
     assert!(adds * 700 >= ops * add_pct * 5, "generator sanity: {adds} adds in {ops} steps");
+    assert!(invalidate_every == 0 || invalidated > 0, "seed {seed}: no retraction found the index dropped");
     let s = state.stats();
     assert!(
         s.etl_index_rebuilds < adds as u64,
@@ -407,9 +423,10 @@ fn equivalence_holds_without_rule_alignment() {
 #[test]
 fn widened_sources_feeding_joins_stay_bit_identical() {
     for seed in [5, 11, 2024] {
-        run_equivalence_over(gen_mixed_etl, seed, 30, 70, EtlIntegrationOptions::default());
+        run_equivalence_over(gen_mixed_etl, seed, 30, 70, INVALIDATE_EVERY, EtlIntegrationOptions::default());
     }
-    run_equivalence_over(gen_mixed_etl, 17, 30, 70, EtlIntegrationOptions { align_with_rules: false });
+    let options = EtlIntegrationOptions { align_with_rules: false };
+    run_equivalence_over(gen_mixed_etl, 17, 30, 70, INVALIDATE_EVERY, options);
 }
 
 #[test]
@@ -581,10 +598,10 @@ fn change_heavy_sequences_keep_a_single_index_build() {
     // No operation of these generators is left with a sole consumer that a
     // canonical rule rewrites, so every retraction keeps the index.
     for (seed, gen) in [(31, gen_etl as fn(&mut Rng, &str) -> Flow), (37, gen_mixed_etl), (41, gen_mixed_etl)] {
-        let s = run_equivalence_over(gen, seed, 40, 30, EtlIntegrationOptions::default());
+        let s = run_equivalence_over(gen, seed, 40, 30, 0, EtlIntegrationOptions::default());
         assert_eq!(s.etl_index_rebuilds, 1, "seed {seed}: retractions keep the index");
     }
-    let s = run_equivalence_over(gen_mixed_etl, 43, 40, 30, EtlIntegrationOptions { align_with_rules: false });
+    let s = run_equivalence_over(gen_mixed_etl, 43, 40, 30, 0, EtlIntegrationOptions { align_with_rules: false });
     assert_eq!(s.etl_index_rebuilds, 1, "without rule alignment no retraction can unblock a rule");
 }
 
