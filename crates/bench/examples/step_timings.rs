@@ -17,17 +17,22 @@
 //! A `change` block then times the benchmark's change on the finished
 //! design (requirement N − 5 with its dimensions reversed and its slicer
 //! dropped): the ETL half of the retraction with the index kept and without
-//! one (after `invalidate()`, as after an optimizer commit: one fresh
-//! `FlowFacts` derivation of the retracted flow), beside the whole-flow
-//! `validate` and `cost` that derivation replaces, and retraction plus
-//! re-add `etl_step` once with the index kept through
-//! `ConsolidationState::retract` and once after `invalidate()`, which
-//! rebuilds canonical form, index and facts.
+//! one (after `invalidate()`, as after a rollback: one fresh `FlowFacts`
+//! derivation of the retracted flow), beside the whole-flow `validate` and
+//! `cost` that derivation replaces, and retraction plus re-add `etl_step`
+//! once with the index kept through `ConsolidationState::retract` and once
+//! after `invalidate()`, which rebuilds canonical form, index and facts.
+//! Last, the design is optimized as the lifecycle's `optimize` does, and the
+//! change is timed on the committed flow twice: with the index built beside
+//! the facts the commit handed over (`ConsolidationState::adopt`), and after
+//! `invalidate()` instead, which rebuilds.
 
 use quarry::Quarry;
 use quarry_deployer::pdi;
+use quarry_etl::cost::SourceStats;
 use quarry_etl::Flow;
 use quarry_formats::{xlm, xmd};
+use quarry_integrator::optimize::optimize_flow;
 use quarry_integrator::state::ConsolidationState;
 use quarry_md::MdSchema;
 use quarry_repository::{ArtifactKind, Repository};
@@ -190,10 +195,11 @@ fn main() {
         etl.op_count(),
         if kept.etl_index_ready() { "kept" } else { "dropped (a canonical rule fires)" }
     );
-    let retract = |(mut s, mut flow): (ConsolidationState, Flow)| {
-        let cost = s.retract(&mut flow, id, cfg.etl_cost.as_ref(), &cfg.stats).expect("the retraction validates");
+    let retract_under = |stats: &SourceStats, (mut s, mut flow): (ConsolidationState, Flow)| {
+        let cost = s.retract(&mut flow, id, cfg.etl_cost.as_ref(), stats).expect("the retraction validates");
         (s, flow, cost)
     };
+    let retract = |input| retract_under(&cfg.stats, input);
     line(
         "retract (kept index)",
         fastest(|| (state.clone(), etl.clone()), retract),
@@ -207,22 +213,42 @@ fn main() {
     line("retract (no index)", fastest(invalidated, retract), "validates and costs through fresh facts");
     line("retracted flow.validate", fastest(|| (), |()| retracted.validate()), "");
     line("retracted etl_cost.cost", fastest(|| (), |()| cfg.etl_cost.cost(&retracted, &cfg.stats)), "");
-    let re_add = |(mut s, mut flow): (ConsolidationState, Flow)| {
+    let change_under = |stats: &SourceStats, input| {
+        let (mut s, mut flow, _) = retract_under(stats, input);
         let report =
-            s.etl_step(&mut flow, &changed.etl, cfg.etl_cost.as_ref(), &cfg.stats, cfg.etl_options).expect("ETL step");
+            s.etl_step(&mut flow, &changed.etl, cfg.etl_cost.as_ref(), stats, cfg.etl_options).expect("ETL step");
         (s, flow, report)
     };
-    let kept_change = fastest(
-        || (state.clone(), etl.clone()),
-        |input| {
-            let (s, flow, _) = retract(input);
-            re_add((s, flow))
-        },
+    let change = |input| change_under(&cfg.stats, input);
+    line("change (kept index)", fastest(|| (state.clone(), etl.clone()), change), "retract + etl_step");
+    line("change (after rollback)", fastest(invalidated, change), "invalidate + retract + etl_step");
+
+    // The lifecycle's optimize step on the finished design.
+    let (mut optimized, mut stats) = (etl.clone(), cfg.stats.clone());
+    let (opt, facts) =
+        optimize_flow(&mut optimized, &mut stats, &cfg.optimizer.anneal_options()).expect("the search runs");
+    let Some(facts) = facts else {
+        println!("optimize: {} (nothing handed over)", if opt.applied { "committed" } else { "no commit" });
+        return;
+    };
+    let mut committed = state.clone();
+    committed.adopt(&optimized, facts);
+    println!(
+        "optimize: committed {} ops at {:.1} % less modeled cost in {:.1} ms",
+        optimized.op_count(),
+        opt.improvement() * 100.0,
+        opt.wall_ms
     );
-    line("change (kept index)", kept_change, "retract + etl_step");
-    let rebuilt_change = fastest(invalidated, |input| {
-        let (s, flow, _) = retract(input);
-        re_add((s, flow))
-    });
-    line("change (rebuilt index)", rebuilt_change, "invalidate + retract + etl_step");
+    let handed = fastest(|| (committed.clone(), optimized.clone()), |input| change_under(&stats, input));
+    line("change (after commit)", handed, "retract + etl_step on the handed-over index");
+    let dropped = || {
+        let mut s = committed.clone();
+        s.invalidate();
+        (s, optimized.clone())
+    };
+    line(
+        "change (commit, invalidated)",
+        fastest(dropped, |input| change_under(&stats, input)),
+        "invalidate + retract + etl_step",
+    );
 }

@@ -140,7 +140,7 @@ fn assert_search_pinned(label: &str, family: Vec<Requirement>, pin: SearchPin) {
     // A budget long enough that the step count, not the clock, ends the search.
     let opts = AnnealOptions { budget_ms: 10_000, ..AnnealOptions::default() };
     let searched = anneal(&flow, &stats, &opts).expect("anneal");
-    let report = optimize_flow(&mut flow, &mut stats, &opts).expect("optimize");
+    let (report, facts) = optimize_flow(&mut flow, &mut stats, &opts).expect("optimize");
     let xlm = quarry_formats::xlm::to_string(&flow);
     let fnv = xlm.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3));
     assert!(report.applied, "{label}: the pinned search commits");
@@ -151,6 +151,8 @@ fn assert_search_pinned(label: &str, family: Vec<Requirement>, pin: SearchPin) {
     );
     assert_eq!(report.after_cost.to_bits(), pin.after_cost_bits, "{label}: committed cost {}", report.after_cost);
     assert_eq!(fnv, pin.xlm_fnv, "{label}: committed flow bytes");
+    let facts = facts.unwrap_or_else(|| panic!("{label}: a canonical commit hands its facts over"));
+    facts.audit(&flow, &quarry_etl::cost::EstimatedTime, &stats).unwrap_or_else(|e| panic!("{label}: {e}"));
 }
 
 #[test]

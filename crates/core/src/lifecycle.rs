@@ -194,7 +194,8 @@ pub struct Quarry {
     /// and indexed across steps so integration stays O(partial) per
     /// requirement. A retraction prunes the index in place (dropping it only
     /// when a canonical rule could fire on what is left); an optimizer
-    /// commit or a rollback invalidates it.
+    /// commit rebuilds it over the committed flow beside the facts the
+    /// optimizer derived of it; a rollback invalidates it.
     consolidation: ConsolidationState,
     /// Observability recorder: span trees per lifecycle step plus named
     /// metrics. Disabled (and effectively free) unless switched on via
@@ -844,8 +845,10 @@ impl Quarry {
     /// with any cardinalities observed by prior runs (see
     /// [`Quarry::observe_run`]). The swap is transactional: either a
     /// canonical, validated, strictly-cheaper flow replaces the unified one
-    /// — with the consolidation index invalidated and the new design
-    /// persisted — or the design is left untouched.
+    /// — with the consolidation index rebuilt over it beside the facts the
+    /// optimizer's commit check derived (no re-canonicalization, no fresh
+    /// derivation on the next step) and the new design persisted — or the
+    /// design is left untouched.
     pub fn optimize(&mut self) -> Result<OptimizeReport, QuarryError> {
         let step = self.obs.span("optimize");
         let result = self.optimize_phases();
@@ -864,16 +867,20 @@ impl Quarry {
         self.repository.record_marker("step:optimize")?;
         let opts = self.config.optimizer.anneal_options();
         let started = Instant::now();
-        let report = optimize_flow(&mut self.unified_etl, &mut self.config.stats, &opts)?;
+        let (report, facts) = optimize_flow(&mut self.unified_etl, &mut self.config.stats, &opts)?;
         self.metrics.optimize_seconds.observe(started.elapsed().as_secs_f64());
         self.metrics.optimizer_runs.inc();
         self.metrics.optimizer_moves_proposed.add(report.proposed);
         self.metrics.optimizer_moves_accepted.add(report.accepted);
         if report.applied {
             self.metrics.optimizer_applied.inc();
-            // The rewritten flow was mutated outside an integration step, so
-            // the maintained index no longer describes it.
-            self.consolidation.invalidate();
+            // The rewritten flow was mutated outside an integration step: the
+            // index is built over it beside the optimizer's facts, or dropped
+            // when it handed none over.
+            match facts {
+                Some(facts) => self.consolidation.adopt(&self.unified_etl, facts),
+                None => self.consolidation.invalidate(),
+            }
             self.persist_unified()?;
         }
         Ok(report)
@@ -1498,9 +1505,65 @@ mod tests {
                 "{table} must be unchanged by optimization"
             );
         }
-        // A later integration step still works (the index rebuilds).
+        // A later integration step still works (on the handed-over index).
         q.remove_requirement("IR2").unwrap();
         q.add_requirement(netprofit_requirement()).unwrap();
+    }
+
+    /// The benchmark's change (dimensions reversed, slicer dropped) and a
+    /// removal after an applied `optimize` run on the index the commit
+    /// handed over, and give the designs and cost bits of the same steps
+    /// after a rebuild.
+    #[test]
+    fn an_optimizer_commit_hands_its_index_to_the_next_change() {
+        let family = quarry_bench::requirement_family(8);
+        let designed = || {
+            let mut q = Quarry::tpch();
+            for r in &family {
+                q.add_requirement(r.clone()).unwrap();
+            }
+            q
+        };
+        let mut handed = designed();
+        let epoch = handed.consolidation.flow_epoch();
+        assert!(handed.optimize().unwrap().applied, "the low-overlap design optimizes");
+        assert_eq!(handed.consolidation.flow_epoch(), epoch + 1, "a commit moves the epoch once");
+        assert!(handed.consolidation.etl_index_ready(), "the commit keeps an index");
+        handed.consolidation.audit_etl_index(&handed.unified_etl).unwrap();
+        let facts = handed.consolidation.etl_facts().unwrap();
+        facts.audit(&handed.unified_etl, handed.config.etl_cost.as_ref(), &handed.config.stats).unwrap();
+
+        // The same committed design, with the index dropped as a rollback
+        // drops it.
+        let mut rebuilt = designed();
+        rebuilt.unified_etl = handed.unified_etl.clone();
+        rebuilt.config.stats = handed.config.stats.clone();
+        rebuilt.consolidation.invalidate();
+
+        let mut changed = family[2].clone();
+        changed.dimensions.reverse();
+        changed.slicers.clear();
+        let removed = family[5].id.clone();
+        // After each step: the update's cost bits and report, and the
+        // unified designs' bytes.
+        let after = |q: &Quarry, u: DesignUpdate| {
+            let costs = (u.md_cost.to_bits(), u.etl_cost.to_bits(), u.etl_report.as_ref().map(|r| r.cost.to_bits()));
+            let designs =
+                (quarry_formats::xmd::to_string(&q.unified_md), quarry_formats::xlm::to_string(&q.unified_etl));
+            (costs, u.etl_report, designs)
+        };
+        let rebuilds = handed.consolidation_stats().etl_index_rebuilds;
+        let mut steps = Vec::new();
+        for q in [&mut handed, &mut rebuilt] {
+            let change = q.change_requirement(changed.clone()).unwrap();
+            let change = after(q, change);
+            let removal = q.remove_requirement(&removed).unwrap();
+            steps.push([change, after(q, removal)]);
+        }
+        assert_eq!(steps[0], steps[1], "the handed-over index changes nothing a step reports or writes");
+        assert_eq!(handed.consolidation_stats().etl_index_rebuilds, rebuilds, "the change reuses the handed index");
+        assert_eq!(rebuilt.consolidation_stats().etl_index_rebuilds, rebuilds + 1);
+        handed.consolidation.audit_etl_index(&handed.unified_etl).unwrap();
     }
 
     #[test]

@@ -71,9 +71,8 @@ pub struct PhysicalPlan {
 
 impl PhysicalPlan {
     /// Compiles `flow`, estimated under `stats`: fails where `flow.schemas()`
-    /// or `flow.topo_order()` fails, with the same kind of error (of several
-    /// operations that do not fit their inputs it may name another), before
-    /// any data is touched.
+    /// or `flow.topo_order()` fails, with the same error, before any data is
+    /// touched.
     pub fn compile(flow: &Flow, stats: &SourceStats) -> Result<PhysicalPlan, FlowError> {
         let facts = FlowFacts::of(flow, &EstimatedTime, stats)?;
         let mut order = flow.topo_order()?;

@@ -12,12 +12,13 @@
 //! also rewire and remove operations, and log what they displace so a move
 //! can be taken back ([`FlowFacts::repair`], [`FlowFacts::undo`]). Whoever
 //! needs a whole flow validated and priced once — the compiled plan, a
-//! retraction without a kept index, the optimizer's commit check — derives
-//! it fresh ([`FlowFacts::of`]): one pass yields the schemas, the estimated
-//! rows and the cost parts together.
+//! retraction without a kept index, the optimizer's commit check, whose
+//! derivation the integrator then keeps — derives it fresh
+//! ([`FlowFacts::of`]): one walk in [`Flow::topo_order`] yields the schemas,
+//! the estimated rows, the cost parts and the ranks together.
 
 use crate::cost::{cardinality_state, op_cardinality, CardState, EtlCostModel, SourceStats};
-use crate::flow::{Flow, FlowError, OpId};
+use crate::flow::{Flow, FlowError, OpId, Operation};
 use crate::schema::Schema;
 use std::collections::{BTreeSet, BinaryHeap, HashMap, VecDeque};
 
@@ -80,6 +81,22 @@ pub(crate) fn sweep(
     Ok(())
 }
 
+/// One operation's output schema, cardinality state and cost part, from its
+/// inputs' schemas and cardinality states.
+fn derive_op(
+    op: &Operation,
+    in_schemas: &[&Schema],
+    in_cards: &[CardState],
+    model: &dyn EtlCostModel,
+    stats: &SourceStats,
+) -> Result<(Schema, CardState, Option<f64>), FlowError> {
+    let schema = op.kind.output_schema(&op.name, in_schemas)?;
+    let card = op_cardinality(&op.kind, &op.name, in_cards, stats);
+    let in_rows: Vec<f64> = in_cards.iter().map(|c| c.0).collect();
+    let cost = model.op_part(&op.kind, &in_rows, card.0, schema.len());
+    Ok((schema, card, cost))
+}
+
 /// What one [`FlowFacts::repair`] displaced, per kept map; handed back to
 /// [`FlowFacts::undo`]. As large as what the edit touched.
 #[derive(Debug, Default)]
@@ -139,19 +156,42 @@ impl FlowFacts {
             stats.group_fraction.to_bits(),
             stats.default_rows.to_bits(),
         );
-        let everything;
-        let touched = if self.derived_under.as_ref() == Some(&under) {
-            touched
-        } else {
-            *self = FlowFacts { derived_under: Some(under), ..FlowFacts::default() };
-            everything = flow.topo_order()?;
-            &everything
-        };
+        if self.derived_under.as_ref() != Some(&under) {
+            *self = FlowFacts::derive_all(flow, model, stats)?;
+            self.derived_under = Some(under);
+            return Ok(());
+        }
         // Nothing a refresh displaces is ever taken back.
         let mut log = FactsUndo::default();
         self.rerank(flow, touched.iter().copied(), &mut log.ranks)?;
         self.recomputed = self.derive(flow, touched.iter().copied(), model, stats, &mut log)?.len();
         Ok(())
+    }
+
+    /// Derives every fact of `flow` in one walk of [`Flow::topo_order`],
+    /// each operation after its inputs and ranked [`RANK_GAP`] above the
+    /// highest of them (the ranks [`rerank`](Self::rerank) gives a flow it
+    /// holds none for). Fails where [`Flow::schemas`] fails, on the same
+    /// operation.
+    fn derive_all(flow: &Flow, model: &dyn EtlCostModel, stats: &SourceStats) -> Result<FlowFacts, FlowError> {
+        let order = flow.topo_order()?;
+        let n = order.len();
+        let (mut schemas, mut cards) = (HashMap::with_capacity(n), HashMap::with_capacity(n));
+        let (mut costs, mut ranks) = (HashMap::with_capacity(n), HashMap::with_capacity(n));
+        for &id in &order {
+            let inputs = flow.inputs_of(id);
+            let in_schemas: Vec<&Schema> = inputs.iter().map(|i| &schemas[i]).collect();
+            let in_cards: Vec<CardState> = inputs.iter().map(|i| cards[i]).collect();
+            let (schema, card, cost) = derive_op(flow.op(id), &in_schemas, &in_cards, model, stats)?;
+            if let Some(part) = cost {
+                costs.insert(id, part);
+            }
+            let rank = inputs.iter().map(|i| ranks[i]).max().unwrap_or(0) + RANK_GAP;
+            ranks.insert(id, rank);
+            schemas.insert(id, schema);
+            cards.insert(id, card);
+        }
+        Ok(FlowFacts { schemas, cards, costs, ranks, derived_under: None, recomputed: n })
     }
 
     /// Brings the facts in line with a flow edited in place: `removed`
@@ -212,7 +252,6 @@ impl FlowFacts {
         let mut visited = Vec::new();
         let FlowFacts { schemas, cards, costs, ranks, .. } = self;
         sweep(flow, ranks, seeds, true, |id| {
-            let op = flow.op(id);
             let inputs = flow.inputs_of(id);
             let mut in_schemas = Vec::with_capacity(inputs.len());
             let mut in_cards = Vec::with_capacity(inputs.len());
@@ -220,10 +259,7 @@ impl FlowFacts {
                 in_schemas.push(schemas.get(input).ok_or_else(|| missing(*input))?);
                 in_cards.push(*cards.get(input).ok_or_else(|| missing(*input))?);
             }
-            let schema = op.kind.output_schema(&op.name, &in_schemas)?;
-            let card = op_cardinality(&op.kind, &op.name, &in_cards, stats);
-            let in_rows: Vec<f64> = in_cards.iter().map(|c| c.0).collect();
-            let cost = model.op_part(&op.kind, &in_rows, card.0, schema.len());
+            let (schema, card, cost) = derive_op(flow.op(id), &in_schemas, &in_cards, model, stats)?;
             let old_cost = costs.get(&id).copied();
             if cost.map(f64::to_bits) != old_cost.map(f64::to_bits) {
                 put(costs, &mut log.costs, id, cost);
@@ -430,6 +466,11 @@ mod tests {
         let facts = FlowFacts::of(&f, &model, &stats).unwrap();
         assert_eq!(facts.recomputed(), f.op_count());
         facts.audit(&f, &model, &stats).unwrap();
+        // Each operation sits a whole gap above its highest input.
+        for op in f.ops() {
+            let floor = f.inputs_of(op.id).iter().map(|i| facts.ranks()[i]).max().unwrap_or(0);
+            assert_eq!(facts.ranks()[&op.id], floor + RANK_GAP, "{}", op.name);
+        }
     }
 
     #[test]
@@ -505,6 +546,22 @@ mod tests {
         assert!(matches!(facts.refresh(&f, &[bad], &model, &stats), Err(FlowError::InvalidOp { .. })));
         let lone = f.add_op("LONE", OpKind::Distinct).unwrap();
         assert!(matches!(facts.refresh(&f, &[lone], &model, &stats), Err(FlowError::Arity { .. })));
+    }
+
+    #[test]
+    fn a_fresh_derivation_names_the_first_bad_operation_like_schemas() {
+        let (mut f, model, stats) = (flow(), EstimatedTime::new(), stats());
+        let l = f.id_by_name("L").unwrap();
+        for name in ["BAD1", "BAD2"] {
+            let bad = f.append(l, name, OpKind::Selection { predicate: parse_expr("ghost > 1").unwrap() }).unwrap();
+            f.append(bad, format!("LOAD_{name}"), OpKind::Loader { table: name.into(), key: vec![] }).unwrap();
+        }
+        let named = |e: FlowError| match e {
+            FlowError::InvalidOp { op, .. } => op,
+            other => panic!("expected an invalid operation, got {other}"),
+        };
+        assert_eq!(named(f.schemas().unwrap_err()), "BAD1");
+        assert_eq!(named(FlowFacts::of(&f, &model, &stats).unwrap_err()), "BAD1");
     }
 
     #[test]

@@ -89,6 +89,12 @@ impl EtlIndex {
         EtlIndex { by_key, names: flow.ops().map(|o| o.name.clone()).collect(), facts: FlowFacts::default() }
     }
 
+    /// Builds the index for a canonical flow beside facts already derived
+    /// of it.
+    pub(crate) fn with_facts(flow: &Flow, facts: FlowFacts) -> Self {
+        EtlIndex { facts, ..EtlIndex::build(flow) }
+    }
+
     /// The schemas and cost parts kept beside the index (nothing before the
     /// first step under it).
     pub fn facts(&self) -> &FlowFacts {

@@ -20,8 +20,12 @@
 //! the after-cost — the bits [`quarry_etl::cost::EtlCostModel::cost`]
 //! gives.
 //!
-//! The caller (the lifecycle's `optimize` step) is responsible for the
-//! atomic swap and for invalidating its consolidation index afterwards.
+//! On a commit that derivation is handed back beside the report when the
+//! candidate is canonical to a fixpoint: the caller (the lifecycle's
+//! `optimize` step) builds its consolidation index over the committed flow
+//! beside those facts
+//! ([`ConsolidationState::adopt`](crate::state::ConsolidationState::adopt)),
+//! so the next design step neither re-canonicalizes nor re-derives.
 
 use crate::anneal::{anneal_from, AnnealOptions, MoveRecord};
 use crate::IntegrateError;
@@ -96,10 +100,17 @@ fn sink_interfaces(flow: &Flow, schemas: &HashMap<OpId, Schema>) -> BTreeMap<(St
     out
 }
 
-/// Optimizes `flow` in place. On `Ok(report)` the flow is either untouched
-/// (`applied: false`) or replaced by a canonical, validated,
+/// Optimizes `flow` in place. On `Ok((report, facts))` the flow is either
+/// untouched (`applied: false`) or replaced by a canonical, validated,
 /// execution-equivalent flow with strictly lower modeled cost. On `Err` the
 /// flow is untouched.
+///
+/// `facts` is the commit check's derivation of the committed flow, under
+/// [`EstimatedTime`] and the committed `stats`, when that flow is canonical
+/// to a fixpoint (the last canonicalization pass changed nothing); the
+/// caller hands it to
+/// [`ConsolidationState::adopt`](crate::state::ConsolidationState::adopt).
+/// `None` when nothing was applied or the pass cap was reached first.
 ///
 /// `stats` is mutable because a commit also commits the winning chain's view
 /// of the statistics: absolute observations recorded for operations the
@@ -111,7 +122,7 @@ pub fn optimize_flow(
     flow: &mut Flow,
     stats: &mut SourceStats,
     opts: &AnnealOptions,
-) -> Result<OptimizeReport, IntegrateError> {
+) -> Result<(OptimizeReport, Option<FlowFacts>), IntegrateError> {
     let started = Instant::now();
     let invalid = |e: quarry_etl::FlowError| IntegrateError::InvalidResult(vec![e.to_string()]);
     // The search state's initial pass is the one derivation of the input
@@ -137,9 +148,10 @@ pub fn optimize_flow(
     // unified flow permanently canonical, so a win must survive this or it
     // was only an artifact of non-canonical selection placement.
     let mut candidate = outcome.flow;
+    let mut canonical = false;
     for _ in 0..CANONICAL_PASS_CAP {
-        let changes = rules::canonicalize(&mut candidate, true).map_err(invalid)?;
-        if changes == 0 {
+        if rules::canonicalize(&mut candidate, true).map_err(invalid)? == 0 {
+            canonical = true;
             break;
         }
     }
@@ -153,19 +165,21 @@ pub fn optimize_flow(
     candidate.check_outputs_consumed().map_err(invalid)?;
     if sink_interfaces(&candidate, facts.schemas()) != sinks_before {
         report.wall_ms = started.elapsed().as_secs_f64() * 1e3;
-        return Ok(report); // structural guard tripped: keep the input flow
+        return Ok((report, None)); // structural guard tripped: keep the input flow
     }
 
     // Commit only a from-scratch-verified strict improvement.
     let after_cost = facts.cost(&candidate, &EstimatedTime, &outcome.stats).map_err(invalid)?;
+    let mut committed = None;
     if after_cost < before_cost {
         *flow = candidate;
         *stats = outcome.stats;
         report.after_cost = after_cost;
         report.applied = true;
+        committed = canonical.then_some(facts);
     }
     report.wall_ms = started.elapsed().as_secs_f64() * 1e3;
-    Ok(report)
+    Ok((report, committed))
 }
 
 #[cfg(test)]
@@ -265,8 +279,13 @@ mod tests {
     fn optimize_commits_a_canonical_improvement() {
         let (mut flow, mut stats) = spine();
         let original = flow.clone();
-        let report = optimize_flow(&mut flow, &mut stats, &AnnealOptions::default()).unwrap();
+        let (report, facts) = optimize_flow(&mut flow, &mut stats, &AnnealOptions::default()).unwrap();
         assert!(report.applied, "the spine swap must survive canonicalization");
+        // The handed-over facts describe the committed flow under the
+        // committed statistics, and price it at the reported cost.
+        let facts = facts.expect("a canonical commit hands its facts over");
+        facts.audit(&flow, &EstimatedTime, &stats).unwrap();
+        assert_eq!(facts.cost(&flow, &EstimatedTime, &stats).unwrap().to_bits(), report.after_cost.to_bits());
         assert!(report.improvement() > 0.10, "improvement {}", report.improvement());
         assert_ne!(flow, original);
         flow.validate().unwrap();
@@ -287,8 +306,9 @@ mod tests {
         // First run finds the win; the second starts from the optimum.
         optimize_flow(&mut flow, &mut stats, &AnnealOptions::default()).unwrap();
         let settled = flow.clone();
-        let report = optimize_flow(&mut flow, &mut stats, &AnnealOptions::default()).unwrap();
+        let (report, facts) = optimize_flow(&mut flow, &mut stats, &AnnealOptions::default()).unwrap();
         assert!(!report.applied, "no second win to find");
+        assert!(facts.is_none(), "nothing committed, nothing handed over");
         assert_eq!(report.after_cost.to_bits(), report.before_cost.to_bits());
         assert_eq!(flow, settled, "applied: false leaves the flow untouched");
     }
@@ -297,7 +317,7 @@ mod tests {
     fn optimize_handles_an_empty_flow() {
         let mut flow = Flow::new("empty");
         let mut stats = SourceStats::new();
-        let report = optimize_flow(&mut flow, &mut stats, &AnnealOptions::default()).unwrap();
+        let (report, _) = optimize_flow(&mut flow, &mut stats, &AnnealOptions::default()).unwrap();
         assert!(!report.applied);
         assert_eq!(report.before_cost, 0.0);
     }
@@ -324,9 +344,9 @@ mod tests {
         // 95 of 100 suppliers qualify. The swap's modeled win shrinks but
         // the optimizer must keep using the observed ratio consistently.
         stats.observe_op_io("SEL_spain", 100.0, 95.0);
-        let report = optimize_flow(&mut flow, &mut stats, &AnnealOptions::default()).unwrap();
+        let (report, _) = optimize_flow(&mut flow, &mut stats, &AnnealOptions::default()).unwrap();
         let (mut flow2, mut stats2) = spine();
-        let report2 = optimize_flow(&mut flow2, &mut stats2, &AnnealOptions::default()).unwrap();
+        let (report2, _) = optimize_flow(&mut flow2, &mut stats2, &AnnealOptions::default()).unwrap();
         // With the default 10% selectivity guess the win is much larger than
         // with the observed 95%.
         assert!(report2.improvement() > report.improvement());
@@ -338,7 +358,7 @@ mod tests {
     fn seeded_optimization_of_the_spine_is_pinned() {
         let (mut flow, mut stats) = spine();
         let opts = AnnealOptions { budget_ms: 10_000, ..AnnealOptions::default() };
-        let report = optimize_flow(&mut flow, &mut stats, &opts).unwrap();
+        let (report, _) = optimize_flow(&mut flow, &mut stats, &opts).unwrap();
         assert!(report.applied);
         assert_eq!((report.proposed, report.accepted), (1536, 54));
         assert_eq!(report.after_cost.to_bits(), 0x40d0_122e_978d_4fdf);

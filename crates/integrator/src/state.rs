@@ -10,8 +10,11 @@
 //! `(merge_key, input ids) → OpId` makes per-op matching O(1). The index is
 //! updated in place as ops are matched/added/widened, and pruned in place
 //! when a requirement is retracted through [`ConsolidationState::retract`].
-//! It is fully rebuilt only after out-of-band mutation of the unified design
-//! (optimizer commit, rollback), which callers signal via
+//! An optimizer commit hands over the facts its commit check derived of the
+//! committed (canonical) flow, and the index is built beside them
+//! ([`ConsolidationState::adopt`]): nothing is re-canonicalized or
+//! re-derived. It is fully rebuilt only after other out-of-band mutation of
+//! the unified design (a rollback), which callers signal via
 //! [`ConsolidationState::invalidate`].
 //! The flow's per-operation schemas, cardinalities, cost parts and ranks
 //! live and die with the index ([`quarry_etl::facts::FlowFacts`], the same
@@ -107,14 +110,16 @@ struct EtlState {
 /// mutate the unified flow in place under a maintained index; MD steps run
 /// the (map-based, delta-scored) integrator and count pairing traffic. Any
 /// out-of-band mutation of the unified design must be followed by
-/// [`ConsolidationState::invalidate`].
+/// [`ConsolidationState::adopt`] (an optimizer commit that handed its facts
+/// over) or [`ConsolidationState::invalidate`].
 #[derive(Debug, Clone, Default)]
 pub struct ConsolidationState {
     etl: Option<EtlState>,
     stats: ConsolidationStats,
     metrics: Option<BoundMetrics>,
-    /// Monotonic unified-flow epoch: bumped on every successful ETL step and
-    /// on every [`ConsolidationState::invalidate`]. The engine-side result
+    /// Monotonic unified-flow epoch: bumped on every successful ETL step,
+    /// retraction, [`ConsolidationState::adopt`] and
+    /// [`ConsolidationState::invalidate`]. The engine-side result
     /// cache folds this into its fingerprints, so any consolidation commit
     /// or out-of-band mutation re-keys (and thereby invalidates) every
     /// cached subflow.
@@ -158,12 +163,32 @@ impl ConsolidationState {
     }
 
     /// Drops the maintained ETL index. Call after any mutation of the
-    /// unified flow that did not go through [`ConsolidationState::etl_step`]
-    /// or [`ConsolidationState::retract`] (optimizer commit, snapshot
-    /// rollback); the next step rebuilds canonical form and index from
-    /// scratch, which is exactly the one-shot integrator's per-step behavior.
+    /// unified flow that did not go through [`ConsolidationState::etl_step`],
+    /// [`ConsolidationState::retract`] or [`ConsolidationState::adopt`]
+    /// (a snapshot rollback, an optimizer commit that handed no facts over);
+    /// the next step rebuilds canonical form and index from scratch, which is
+    /// exactly the one-shot integrator's per-step behavior.
     pub fn invalidate(&mut self) {
         self.etl = None;
+        self.flow_epoch += 1;
+    }
+
+    /// Takes over `unified` as an optimizer commit left it, with `facts`,
+    /// the derivation
+    /// [`optimize_flow`](crate::optimize::optimize_flow) returns beside a
+    /// commit of a flow canonical to a fixpoint under rule alignment. Builds
+    /// the index over `unified` beside those facts, so the next step neither
+    /// re-canonicalizes the flow nor re-derives a fact. The flow epoch
+    /// advances as under [`invalidate`](Self::invalidate). The next step
+    /// still rebuilds under the other alignment flavor or when the flow
+    /// changed since, and facts derived under another model or statistics
+    /// are re-derived on their next refresh.
+    pub fn adopt(&mut self, unified: &Flow, facts: FlowFacts) {
+        self.etl = Some(EtlState {
+            index: EtlIndex::with_facts(unified, facts),
+            aligned: true,
+            fingerprint: (unified.op_count(), unified.edge_count()),
+        });
         self.flow_epoch += 1;
     }
 
@@ -225,8 +250,8 @@ impl ConsolidationState {
     /// shape guard as [`etl_step`](Self::etl_step)): their refresh re-derives
     /// nothing when nothing moved, and everything after the statistics
     /// changed, which the next step would do anyway. Without a kept index —
-    /// before the first step, after an optimizer commit or a rollback — the
-    /// whole flow is priced from scratch.
+    /// before the first step, after a rollback — the whole flow is priced
+    /// from scratch.
     pub fn etl_cost(&mut self, unified: &Flow, cost: &dyn EtlCostModel, stats: &SourceStats) -> Result<f64, FlowError> {
         let fingerprint = (unified.op_count(), unified.edge_count());
         let Some(state) = self.etl.as_mut().filter(|s| s.fingerprint == fingerprint) else {

@@ -19,8 +19,14 @@
 //! the seed path retracts the flow and re-derives on the next step. After
 //! every retraction the kept facts and index must equal a rebuild, and the
 //! reported cost the whole-flow cost, bit for bit. A seeded share of the
-//! retractions first drops the index, as an optimizer commit does, so the
+//! retractions first drops the index, as a rollback does, so the
 //! retraction that derives the whole flow afresh is held to the same bits.
+//!
+//! The walks also run the optimizer now and then. A commit hands the state
+//! the facts the optimizer derived of the committed flow
+//! ([`ConsolidationState::adopt`]); the index built beside them must equal a
+//! rebuild, and every later step must match the seed path, which
+//! re-canonicalizes and re-derives the committed flow from scratch.
 //!
 //! A second check pits the delta scorer against whole-schema costing: every
 //! MD step is replayed under an opaque wrapper of the same cost model (no
@@ -30,8 +36,10 @@
 use quarry_etl::cost::{EstimatedTime, EtlCostModel, SourceStats};
 use quarry_etl::{parse_expr, rules, AggSpec, ColType, Column, Flow, JoinKind, OpKind, Schema};
 use quarry_formats::{xlm, xmd};
+use quarry_integrator::anneal::AnnealOptions;
 use quarry_integrator::etl::{integrate_etl, EtlIntegrationOptions};
 use quarry_integrator::md::integrate_md;
+use quarry_integrator::optimize::optimize_flow;
 use quarry_integrator::state::{ConsolidationState, ConsolidationStats};
 use quarry_integrator::IntegrateError;
 use quarry_md::{CostModel, DimLink, Dimension, Fact, Level, MdDataType, MdSchema, Measure, StructuralComplexity};
@@ -230,31 +238,54 @@ fn assert_facts_exact(state: &ConsolidationState, flow: &Flow, model: &Estimated
 }
 
 /// Drives one randomized requirement lifecycle down both paths, asserting
-/// bit-identical state after every operation.
-fn run_equivalence(seed: u64, ops: usize, options: EtlIntegrationOptions) {
-    run_equivalence_over(gen_etl, seed, ops, 70, INVALIDATE_EVERY, options);
+/// bit-identical state after every operation. Returns how many optimizer
+/// commits it made.
+fn run_equivalence(seed: u64, ops: usize, options: EtlIntegrationOptions) -> usize {
+    let walk = Walk { invalidate_every: INVALIDATE_EVERY, optimize_every: OPTIMIZE_EVERY, options };
+    run_equivalence_over(gen_etl, seed, ops, 70, walk).1
 }
 
 /// The walks that may rebuild their index precede every third retraction
 /// with [`ConsolidationState::invalidate`].
 const INVALIDATE_EVERY: usize = 3;
 
-/// Returns the incremental path's counters. `add_pct` percent of the steps
-/// add (every step does while nothing is active); the rest split evenly
-/// between removals and changes. Every `invalidate_every`-th retraction
-/// (none when zero), counted from one the seed picks, finds no index.
+/// The walks that optimize run the optimizer before every fifth step.
+const OPTIMIZE_EVERY: usize = 5;
+
+/// What a walk does besides adding, removing and changing requirements.
+#[derive(Clone, Copy)]
+struct Walk {
+    /// Every `invalidate_every`-th retraction (none when zero), counted from
+    /// one the seed picks, finds no index.
+    invalidate_every: usize,
+    /// Every `optimize_every`-th step (none when zero), counted from one the
+    /// seed picks, first runs a small seeded optimizer search over the
+    /// unified flow.
+    optimize_every: usize,
+    options: EtlIntegrationOptions,
+}
+
+/// A search short enough for a test, ended by its step count, not the
+/// clock.
+fn small_search(seed: u64) -> AnnealOptions {
+    AnnealOptions { chains: 2, steps: 64, budget_ms: 60_000, seed, ..AnnealOptions::default() }
+}
+
+/// Returns the incremental path's counters and how many optimizer commits
+/// the walk made. `add_pct` percent of the steps add (every step does while
+/// nothing is active); the rest split evenly between removals and changes.
 fn run_equivalence_over(
     gen: fn(&mut Rng, &str) -> Flow,
     seed: u64,
     ops: usize,
     add_pct: usize,
-    invalidate_every: usize,
-    options: EtlIntegrationOptions,
-) -> ConsolidationStats {
+    walk: Walk,
+) -> (ConsolidationStats, usize) {
+    let Walk { invalidate_every, optimize_every, options } = walk;
     let mut rng = Rng::new(seed);
     let cost = StructuralComplexity::new();
     let etl_cost = EstimatedTime::new();
-    let stats = stats();
+    let mut stats = stats();
 
     // Seed path: re-derive with the one-shot integrators every step.
     let mut seed_md = MdSchema::new("unified");
@@ -269,8 +300,38 @@ fn run_equivalence_over(
     let mut adds = 0usize;
     let mut retractions = seed as usize;
     let mut invalidated = 0usize;
+    let mut commits = 0usize;
 
     for step in 0..ops {
+        if optimize_every > 0 && (step + seed as usize).is_multiple_of(optimize_every) {
+            let epoch = state.flow_epoch();
+            let (report, facts) =
+                optimize_flow(&mut inc_etl, &mut stats, &small_search(seed)).expect("the search runs");
+            if report.applied {
+                let at = format!("seed {seed} step {step}: optimizer commit");
+                commits += 1;
+                match facts {
+                    Some(facts) => state.adopt(&inc_etl, facts),
+                    None => state.invalidate(),
+                }
+                assert_eq!(state.flow_epoch(), epoch + 1, "{at}: one epoch per commit");
+                assert_eq!(
+                    report.after_cost.to_bits(),
+                    etl_cost.cost(&inc_etl, &stats).unwrap().to_bits(),
+                    "{at}: committed cost bits"
+                );
+                if state.etl_index_ready() {
+                    assert_facts_exact(&state, &inc_etl, &etl_cost, &stats, &at);
+                    state.audit_etl_index(&inc_etl).unwrap_or_else(|e| panic!("{at}: handed index diverged: {e}"));
+                }
+                // The seed path starts its next step from the committed flow
+                // and re-derives it from scratch.
+                seed_etl = inc_etl.clone();
+            } else {
+                assert!(facts.is_none(), "seed {seed} step {step}: no commit, no facts");
+                assert_eq!(state.flow_epoch(), epoch);
+            }
+        }
         let roll = rng.below(100);
         let retract_pct = add_pct + (100 - add_pct) / 2;
         if active.is_empty() || roll < add_pct {
@@ -365,7 +426,7 @@ fn run_equivalence_over(
     );
     seed_etl.validate().expect("final unified flow is well-formed");
     assert!(!seed_md.validate().iter().any(|v| v.kind.is_error()), "final unified schema is sound");
-    s
+    (s, commits)
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -409,9 +470,9 @@ fn add_both(
 
 #[test]
 fn randomized_lifecycles_are_bit_identical_across_paths() {
-    for seed in [3, 7, 1984] {
-        run_equivalence(seed, 30, EtlIntegrationOptions::default());
-    }
+    let commits: usize =
+        [3, 7, 1984].into_iter().map(|seed| run_equivalence(seed, 30, EtlIntegrationOptions::default())).sum();
+    assert!(commits > 0, "some walk must commit an optimized flow");
 }
 
 #[test]
@@ -422,11 +483,18 @@ fn equivalence_holds_without_rule_alignment() {
 
 #[test]
 fn widened_sources_feeding_joins_stay_bit_identical() {
+    let walk = Walk {
+        invalidate_every: INVALIDATE_EVERY,
+        optimize_every: OPTIMIZE_EVERY,
+        options: EtlIntegrationOptions::default(),
+    };
+    let mut commits = 0;
     for seed in [5, 11, 2024] {
-        run_equivalence_over(gen_mixed_etl, seed, 30, 70, INVALIDATE_EVERY, EtlIntegrationOptions::default());
+        commits += run_equivalence_over(gen_mixed_etl, seed, 30, 70, walk).1;
     }
+    assert!(commits > 0, "some walk must commit an optimized flow");
     let options = EtlIntegrationOptions { align_with_rules: false };
-    run_equivalence_over(gen_mixed_etl, 17, 30, 70, INVALIDATE_EVERY, options);
+    run_equivalence_over(gen_mixed_etl, 17, 30, 70, Walk { options, ..walk });
 }
 
 #[test]
@@ -597,11 +665,13 @@ fn long_add_only_sequence_keeps_a_single_index_build() {
 fn change_heavy_sequences_keep_a_single_index_build() {
     // No operation of these generators is left with a sole consumer that a
     // canonical rule rewrites, so every retraction keeps the index.
+    let walk = Walk { invalidate_every: 0, optimize_every: 0, options: EtlIntegrationOptions::default() };
     for (seed, gen) in [(31, gen_etl as fn(&mut Rng, &str) -> Flow), (37, gen_mixed_etl), (41, gen_mixed_etl)] {
-        let s = run_equivalence_over(gen, seed, 40, 30, 0, EtlIntegrationOptions::default());
+        let (s, _) = run_equivalence_over(gen, seed, 40, 30, walk);
         assert_eq!(s.etl_index_rebuilds, 1, "seed {seed}: retractions keep the index");
     }
-    let s = run_equivalence_over(gen_mixed_etl, 43, 40, 30, 0, EtlIntegrationOptions { align_with_rules: false });
+    let options = EtlIntegrationOptions { align_with_rules: false };
+    let (s, _) = run_equivalence_over(gen_mixed_etl, 43, 40, 30, Walk { options, ..walk });
     assert_eq!(s.etl_index_rebuilds, 1, "without rule alignment no retraction can unblock a rule");
 }
 
