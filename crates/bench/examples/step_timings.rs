@@ -22,16 +22,19 @@
 //! `cost` that derivation replaces, and retraction plus re-add `etl_step`
 //! once with the index kept through `ConsolidationState::retract` and once
 //! after `invalidate()`, which rebuilds canonical form, index and facts.
-//! Last, the design is optimized as the lifecycle's `optimize` does, and the
+//! Then the design is optimized as the lifecycle's `optimize` does, and the
 //! change is timed on the committed flow twice: with the index built beside
 //! the facts the commit handed over (`ConsolidationState::adopt`), and after
-//! `invalidate()` instead, which rebuilds.
+//! `invalidate()` instead, which rebuilds. Last, `Quarry::change_requirement`
+//! itself is timed on a durable instance in a temp dir, optimized, with
+//! whether the unified xLM version each change logs is stored whole (a
+//! re-anchor) or as a delta.
 
-use quarry::Quarry;
+use quarry::{Quarry, QuarryConfig};
 use quarry_deployer::pdi;
 use quarry_etl::cost::SourceStats;
 use quarry_etl::Flow;
-use quarry_formats::{xlm, xmd};
+use quarry_formats::{xlm, xmd, Requirement};
 use quarry_integrator::optimize::optimize_flow;
 use quarry_integrator::state::ConsolidationState;
 use quarry_md::MdSchema;
@@ -182,10 +185,10 @@ fn main() {
     if n < 6 {
         return;
     }
-    let mut changed = family[n - 6].clone();
-    changed.dimensions.reverse();
-    changed.slicers.clear();
-    let (id, changed) = (&changed.id, q.interpret(&changed).expect("the changed requirement is MD-compliant"));
+    let mut changed_req = family[n - 6].clone();
+    changed_req.dimensions.reverse();
+    changed_req.slicers.clear();
+    let (id, changed) = (&changed_req.id, q.interpret(&changed_req).expect("the changed requirement is MD-compliant"));
     let mut retracted = etl.clone();
     let mut kept = state.clone();
     kept.retract(&mut retracted, id, cfg.etl_cost.as_ref(), &cfg.stats).expect("the retraction validates");
@@ -229,6 +232,7 @@ fn main() {
         optimize_flow(&mut optimized, &mut stats, &cfg.optimizer.anneal_options()).expect("the search runs");
     let Some(facts) = facts else {
         println!("optimize: {} (nothing handed over)", if opt.applied { "committed" } else { "no commit" });
+        durable_change(&family, &changed_req);
         return;
     };
     let mut committed = state.clone();
@@ -250,5 +254,56 @@ fn main() {
         "change (commit, invalidated)",
         fastest(dropped, |input| change_under(&stats, input)),
         "invalidate + retract + etl_step",
+    );
+    durable_change(&family, &changed_req);
+}
+
+/// How many versions of the unified xLM are stored as deltas.
+fn unified_xlm_deltas(q: &Quarry) -> usize {
+    let storage = q.repository().with_store(|s| s.artifact_storage()).expect("the store materializes");
+    storage.iter().find(|a| a.kind == ArtifactKind::EtlFlow && a.key == "unified").map_or(0, |a| a.deltas)
+}
+
+/// The lifecycle's own change on a durable instance (a fresh directory under
+/// the system temp dir) holding the whole family, after `optimize`: retract,
+/// re-add and one logged persist of the unified design. The first change is
+/// the benchmark's; the repetitions alternate back and forth between the
+/// changed and the original requirement, so the unified chains grow as in a
+/// long session.
+fn durable_change(family: &[Requirement], changed: &Requirement) {
+    let dir = std::env::temp_dir().join(format!("quarry-step-timings-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let domain = quarry_ontology::tpch::domain();
+    let mut cfg = QuarryConfig::tpch(0.01);
+    cfg.repository_dir = Some(dir.clone());
+    let mut q = Quarry::try_with_config(domain.ontology, domain.sources, cfg).expect("a fresh directory opens");
+    for r in family {
+        q.add_requirement(r.clone()).expect("the family is MD-compliant");
+    }
+    q.optimize().expect("the search runs");
+    let original = family.iter().find(|r| r.id == changed.id).expect("the changed requirement is in the family");
+    let first_version = q.repository().latest(ArtifactKind::EtlFlow, "unified").expect("persisted").version + 1;
+    // Per change: its time, and whether its unified xLM version is whole.
+    let mut changes = Vec::with_capacity(REPS);
+    for rep in 0..REPS {
+        let deltas = unified_xlm_deltas(&q);
+        let next = if rep % 2 == 0 { changed } else { original };
+        let t = Instant::now();
+        q.change_requirement(next.clone()).expect("the change integrates");
+        let time = t.elapsed();
+        changes.push((time, unified_xlm_deltas(&q) == deltas));
+    }
+    drop(q);
+    let _ = std::fs::remove_dir_all(&dir);
+    let (first, first_whole) = changes[0];
+    let whole = changes.iter().filter(|(_, whole)| *whole).count();
+    line(
+        "change (durable lifecycle)",
+        changes.iter().map(|(time, _)| *time).min().unwrap_or_default(),
+        &format!(
+            "first {:.1} µs, its unified xLM v{first_version} stored {}; {whole} of {REPS} stored whole",
+            first.as_secs_f64() * 1e6,
+            if first_whole { "whole" } else { "as a delta" },
+        ),
     );
 }

@@ -84,8 +84,8 @@ const LOW_N64: [u64; 6] = [
     0xb78d_05de_91ee_78a2,
 ];
 /// In [`change_session_hashes`] order: unified xMD, unified xLM, epochs and
-/// versions.
-const LOW_N64_CHANGES: [u64; 3] = [0x3cb5_e6ec_551e_ab16, 0x2369_ec3e_6312_1bce, 0xd09e_4b13_6f03_86e8];
+/// versions. A change writes one version of each unified document.
+const LOW_N64_CHANGES: [u64; 3] = [0x3cb5_e6ec_551e_ab16, 0x2369_ec3e_6312_1bce, 0xdfaf_1823_f310_cdc4];
 const TPCH_OWLX: u64 = 0x6f28_fc78_5678_0683;
 
 /// The benchmark's session pattern: after every 8th add, an earlier

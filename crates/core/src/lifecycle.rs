@@ -169,13 +169,22 @@ pub struct DesignUpdate {
 }
 
 /// Pre-step state captured so a rejected lifecycle step can be rolled back:
-/// live design, requirement set, and the requirement's traceability links.
+/// live design, the requirement's entry, and its traceability links.
 struct DesignSnapshot {
     md: MdSchema,
     etl: Flow,
-    requirements: BTreeMap<String, Requirement>,
+    /// The stepped requirement as it was: a removal or a change writes no
+    /// other entry of the requirement set.
+    requirement: Requirement,
     /// `(kind, key)` pairs from [`Repository::links_for`].
     links: Vec<(String, String)>,
+}
+
+/// The traceability links of a requirement integrated through the
+/// lifecycle, in the order a step writes them: its partial xMD and xLM.
+fn partial_links(id: &str) -> Vec<(String, String)> {
+    let key = format!("partial-{id}");
+    [ArtifactKind::MdSchema, ArtifactKind::EtlFlow].iter().map(|k| (k.as_str().to_string(), key.clone())).collect()
 }
 
 /// The Quarry system: one instance manages one DW design lifecycle over one
@@ -560,9 +569,16 @@ impl Quarry {
         if self.requirements.contains_key(&req.id) {
             return Err(QuarryError::DuplicateRequirement(req.id.clone()));
         }
+        self.add_requirement_step(req, true)
+    }
+
+    /// [`add_requirement`](Self::add_requirement) in its span; with `link`
+    /// off the requirement's traceability links are left as they are, for a
+    /// change whose links already name the partials this step writes.
+    fn add_requirement_step(&mut self, req: Requirement, link: bool) -> Result<DesignUpdate, QuarryError> {
         let step = self.obs.span("add_requirement");
         step.attr("requirement", req.id.as_str());
-        let result = self.add_requirement_phases(req);
+        let result = self.add_requirement_phases(req, link);
         if let Ok(update) = &result {
             step.attr("md_cost", update.md_cost);
             step.attr("etl_cost", update.etl_cost);
@@ -571,7 +587,7 @@ impl Quarry {
         result
     }
 
-    fn add_requirement_phases(&mut self, req: Requirement) -> Result<DesignUpdate, QuarryError> {
+    fn add_requirement_phases(&mut self, req: Requirement, link: bool) -> Result<DesignUpdate, QuarryError> {
         self.repository.record_marker(&format!("step:add_requirement:{}", req.id))?;
         let partial = {
             let phase = self.obs.span("interpret");
@@ -582,14 +598,20 @@ impl Quarry {
         };
 
         self.repository.put_artifact(ArtifactKind::Requirement, &req.id, &req.to_string_pretty())?;
-        self.integrate_partial(req, &partial.md, &partial.etl)
+        self.integrate_partial(req, &partial.md, &partial.etl, link)
     }
 
     /// The consolidation half of every add, whoever produced the partial
     /// design: integrate MD and ETL through the maintained consolidation
-    /// state → commit the unified design under `req` → persist and link the
-    /// partials → validate.
-    fn integrate_partial(&mut self, req: Requirement, md: &MdSchema, etl: &Flow) -> Result<DesignUpdate, QuarryError> {
+    /// state → commit the unified design under `req` → persist the partials
+    /// and, with `link`, link them → validate.
+    fn integrate_partial(
+        &mut self,
+        req: Requirement,
+        md: &MdSchema,
+        etl: &Flow,
+        link: bool,
+    ) -> Result<DesignUpdate, QuarryError> {
         // Integrate through the maintained consolidation state, recording the
         // quality-factor deltas (structural design complexity and estimated
         // ETL execution time) on the phase spans. The MD result is applied
@@ -645,8 +667,10 @@ impl Quarry {
         let key = format!("partial-{id}");
         self.repository.put_artifact(ArtifactKind::MdSchema, &key, &quarry_formats::xmd::to_string(md))?;
         self.repository.put_artifact(ArtifactKind::EtlFlow, &key, &quarry_formats::xlm::to_string(etl))?;
-        self.repository.link_requirement(&id, ArtifactKind::MdSchema, &key)?;
-        self.repository.link_requirement(&id, ArtifactKind::EtlFlow, &key)?;
+        if link {
+            self.repository.link_requirement(&id, ArtifactKind::MdSchema, &key)?;
+            self.repository.link_requirement(&id, ArtifactKind::EtlFlow, &key)?;
+        }
 
         let warnings = {
             let phase = self.obs.span("validate");
@@ -705,7 +729,7 @@ impl Quarry {
         self.repository.record_marker(&format!("step:add_partial_design:{requirement_id}"))?;
         // A marker requirement, so lifecycle bookkeeping (removal, listing)
         // treats the external design like any other.
-        self.integrate_partial(Requirement::new(requirement_id), &md, &etl)
+        self.integrate_partial(Requirement::new(requirement_id), &md, &etl, true)
     }
 
     /// Removes a requirement: every design element serving only it is
@@ -713,20 +737,26 @@ impl Quarry {
     /// step is transactional: if the pruned design fails validation, the
     /// previous unified design (including traceability links) is restored.
     pub fn remove_requirement(&mut self, id: &str) -> Result<DesignUpdate, QuarryError> {
-        self.remove_requirement_step(id, true)
-    }
-
-    /// [`remove_requirement`](Self::remove_requirement); with
-    /// `own_rollback` off a rejected removal returns its error without
-    /// restoring anything, for a caller that holds the snapshot of a larger
-    /// step and restores through it.
-    fn remove_requirement_step(&mut self, id: &str, own_rollback: bool) -> Result<DesignUpdate, QuarryError> {
         if !self.requirements.contains_key(id) {
             return Err(QuarryError::UnknownRequirement(id.to_string()));
         }
+        self.removal_step(id, |q| q.remove_requirement_phases(id))
+    }
+
+    /// Runs `phases` in the `remove_requirement` span of `id`, after the
+    /// step's marker.
+    fn removal_step<T>(
+        &mut self,
+        id: &str,
+        phases: impl FnOnce(&mut Self) -> Result<T, QuarryError>,
+    ) -> Result<T, QuarryError> {
         let step = self.obs.span("remove_requirement");
         step.attr("requirement", id);
-        let result = self.remove_requirement_phases(id, own_rollback);
+        let result = self
+            .repository
+            .record_marker(&format!("step:remove_requirement:{id}"))
+            .map_err(QuarryError::from)
+            .and_then(|()| phases(self));
         if result.is_err() {
             step.attr("rolled_back", 1i64);
         }
@@ -734,23 +764,33 @@ impl Quarry {
         result
     }
 
-    fn remove_requirement_phases(&mut self, id: &str, own_rollback: bool) -> Result<DesignUpdate, QuarryError> {
-        self.repository.record_marker(&format!("step:remove_requirement:{id}"))?;
-        let snapshot = own_rollback.then(|| self.snapshot(id));
-        let result = self.retract_and_persist(id);
+    /// The removal after its marker: snapshot, retract, then the writes
+    /// (unlink, persist), restoring the snapshot on any error.
+    fn remove_requirement_phases(&mut self, id: &str) -> Result<DesignUpdate, QuarryError> {
+        let snapshot = self.snapshot(id);
+        let result = self.retract(id).and_then(|(etl_cost, warnings)| {
+            self.repository.unlink_requirement(id)?;
+            self.persist_unified()?;
+            Ok(DesignUpdate {
+                requirement_id: id.to_string(),
+                md_cost: self.config.md_cost.cost(&self.unified_md),
+                etl_cost,
+                warnings,
+                ..DesignUpdate::default()
+            })
+        });
         if result.is_err() {
-            if let Some(snapshot) = snapshot {
-                // A rollback that itself fails outranks the original error.
-                self.restore(snapshot, id)?;
-            }
+            // A rollback that itself fails outranks the original error.
+            self.restore(snapshot, id)?;
         }
         result
     }
 
-    /// The removal after its snapshot: retract, validate, then the writes
-    /// (unlink, persist). Every error leaves the design retracted in memory
+    /// Retracts `id` from the live design and validates what is left,
+    /// returning the pruned flow's cost and the MD warnings. Writes nothing
+    /// to the repository; every error leaves the design retracted in memory
     /// for the caller to restore.
-    fn retract_and_persist(&mut self, id: &str) -> Result<DesignUpdate, QuarryError> {
+    fn retract(&mut self, id: &str) -> Result<(f64, Vec<MdViolation>), QuarryError> {
         self.requirements.remove(id);
         let etl_cost = {
             let _phase = self.obs.span("retract");
@@ -768,23 +808,16 @@ impl Quarry {
             let reasons = violations.iter().map(ToString::to_string).collect();
             return Err(QuarryError::Integrate(IntegrateError::InvalidResult(reasons)));
         }
-        let etl_cost = etl_cost?;
-        self.repository.unlink_requirement(id)?;
-        self.persist_unified()?;
-        Ok(DesignUpdate {
-            requirement_id: id.to_string(),
-            md_cost: self.config.md_cost.cost(&self.unified_md),
-            etl_cost,
-            warnings: violations,
-            ..DesignUpdate::default()
-        })
+        Ok((etl_cost?, violations))
     }
 
     /// Changes a requirement: retract the old version, integrate the new one
-    /// (same id). Transactional: if the replacement is rejected at any phase
-    /// (interpretation, integration, validation), the pre-change design —
-    /// unified MD schema, unified ETL flow, requirement set, and traceability
-    /// links — is restored, so a failed change leaves no partial state.
+    /// (same id), as one step with one persist of the unified design — the
+    /// retracted design in between is never written. Transactional: if the
+    /// replacement is rejected at any phase (interpretation, integration,
+    /// validation), the pre-change design — unified MD schema, unified ETL
+    /// flow, requirement set, and traceability links — is restored, so a
+    /// failed change leaves no partial state.
     pub fn change_requirement(&mut self, req: Requirement) -> Result<DesignUpdate, QuarryError> {
         if !self.requirements.contains_key(&req.id) {
             return Err(QuarryError::UnknownRequirement(req.id.clone()));
@@ -792,10 +825,19 @@ impl Quarry {
         let id = req.id.clone();
         let step = self.obs.span("change_requirement");
         step.attr("requirement", id.as_str());
-        // The one snapshot of the change: the removal inside rolls back
-        // through it too.
         let snapshot = self.snapshot(&id);
-        let mut result = self.remove_requirement_step(&id, false).and_then(|_| self.add_requirement(req));
+        // The re-add links the same partial keys again: links that already
+        // name them stay, any others are replaced as a removal would.
+        let relink = snapshot.links != partial_links(&id);
+        let mut result = self
+            .removal_step(&id, |q| {
+                q.retract(&id)?;
+                if relink {
+                    q.repository.unlink_requirement(&id)?;
+                }
+                Ok(())
+            })
+            .and_then(|()| self.add_requirement_step(req, relink));
         if let Err(e) = result {
             step.attr("rolled_back", 1i64);
             // A rollback that itself fails (durable-log I/O) outranks the
@@ -807,14 +849,15 @@ impl Quarry {
     }
 
     /// Captures everything a failed lifecycle step must roll back: the live
-    /// design state plus the requirement's traceability links. Repository
-    /// artifact *versions* are deliberately not rolled back — the store is
-    /// append-only history, and a rejected attempt is part of that history.
+    /// design state plus the requirement and its traceability links.
+    /// Repository artifact *versions* are deliberately not rolled back — the
+    /// store is append-only history, and a rejected attempt is part of that
+    /// history.
     fn snapshot(&self, id: &str) -> DesignSnapshot {
         DesignSnapshot {
             md: self.unified_md.clone(),
             etl: self.unified_etl.clone(),
-            requirements: self.requirements.clone(),
+            requirement: self.requirements[id].clone(),
             links: self.repository.links_for(id),
         }
     }
@@ -826,7 +869,7 @@ impl Quarry {
         self.consolidation.invalidate();
         self.unified_md = snapshot.md;
         self.unified_etl = snapshot.etl;
-        self.requirements = snapshot.requirements;
+        self.requirements.insert(id.to_string(), snapshot.requirement);
         self.repository.record_marker(&format!("rollback:{id}"))?;
         self.repository.unlink_requirement(id)?;
         for (kind, key) in &snapshot.links {
@@ -1203,6 +1246,7 @@ mod tests {
     fn change_requirement_replaces_in_place() {
         let mut q = Quarry::tpch();
         q.add_requirement(figure4_requirement()).unwrap();
+        let links = q.repository().links_for("IR1");
         let mut v2 = figure4_requirement();
         v2.slicers.clear(); // drop the Spain filter
         q.change_requirement(v2).unwrap();
@@ -1212,6 +1256,12 @@ mod tests {
             "slicer selection must disappear after the change"
         );
         assert_eq!(q.requirement_ids(), ["IR1"]);
+        // One step, one version of each unified document, the links kept.
+        for kind in [ArtifactKind::MdSchema, ArtifactKind::EtlFlow] {
+            assert_eq!(q.repository().history(kind, "unified").unwrap().len(), 2, "{kind:?}");
+        }
+        assert_eq!(q.repository().links_for("IR1"), links);
+        assert_eq!(q.repository().with_store(|s| s.count("links")), 2);
     }
 
     #[test]

@@ -112,19 +112,34 @@ impl fmt::Display for Json {
     }
 }
 
+/// Writes `s` as a JSON string literal. Every byte that needs an escape is
+/// ASCII, so the runs between them are copied whole and always end on a
+/// char boundary.
 pub(crate) fn write_string(s: &str, out: &mut String) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    out.reserve(s.len() + 2);
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+    let mut run = 0;
+    for (i, &b) in s.as_bytes().iter().enumerate() {
+        if b >= 0x20 && b != b'"' && b != b'\\' {
+            continue;
         }
+        out.push_str(&s[run..i]);
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
+                out.push_str("\\u00");
+                out.push(char::from(HEX[usize::from(b >> 4)]));
+                out.push(char::from(HEX[usize::from(b & 0xf)]));
+            }
+        }
+        run = i + 1;
     }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 
@@ -441,6 +456,35 @@ mod tests {
             let v = Json::String(s.into());
             let text = v.to_compact_string();
             assert_eq!(Json::parse(&text).unwrap(), v, "{text}");
+        }
+    }
+
+    /// Escaping by runs writes what escaping char by char writes: every
+    /// ASCII byte, alone and between multi-byte chars, at both ends.
+    #[test]
+    fn string_escapes_match_the_per_char_writer() {
+        let per_char = |s: &str| {
+            let mut out = String::from('"');
+            for c in s.chars() {
+                match c {
+                    '"' => out.push_str("\\\""),
+                    '\\' => out.push_str("\\\\"),
+                    '\n' => out.push_str("\\n"),
+                    '\r' => out.push_str("\\r"),
+                    '\t' => out.push_str("\\t"),
+                    c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+                    c => out.push(c),
+                }
+            }
+            out + "\""
+        };
+        for b in 0u8..0x80 {
+            let c = char::from(b);
+            for s in [c.to_string(), format!("é{c}😀{c}{c}x"), format!("{c}€")] {
+                let mut out = String::new();
+                write_string(&s, &mut out);
+                assert_eq!(out, per_char(&s), "{b:#04x}");
+            }
         }
     }
 
