@@ -22,8 +22,9 @@
 //! `cost` that derivation replaces, and retraction plus re-add `etl_step`
 //! once with the index kept through `ConsolidationState::retract` and once
 //! after `invalidate()`, which rebuilds canonical form, index and facts.
-//! Then the design is optimized as the lifecycle's `optimize` does, and the
-//! change is timed on the committed flow twice: with the index built beside
+//! Then the design is optimized as the lifecycle's `optimize` does (an
+//! `optimize` line: moves proposed and accepted, the committed flow's size,
+//! its modeled gain and the search's wall time), and the change is timed on the committed flow twice: with the index built beside
 //! the facts the commit handed over (`ConsolidationState::adopt`), and after
 //! `invalidate()` instead, which rebuilds. Last, `Quarry::change_requirement`
 //! itself is timed on a durable instance in a temp dir, optimized, with
@@ -228,21 +229,23 @@ fn main() {
 
     // The lifecycle's optimize step on the finished design.
     let (mut optimized, mut stats) = (etl.clone(), cfg.stats.clone());
-    let (opt, facts) =
-        optimize_flow(&mut optimized, &mut stats, &cfg.optimizer.anneal_options()).expect("the search runs");
+    let (opt, facts) = optimize_flow(&mut optimized, &mut stats, cfg.optimizer.budget_ms).expect("the search runs");
+    println!(
+        "optimize: {} proposed, {} accepted, {} {} ops at {:.1} % less modeled cost in {:.1} ms",
+        opt.proposed,
+        opt.accepted,
+        if opt.applied { "committed" } else { "no commit," },
+        optimized.op_count(),
+        opt.improvement() * 100.0,
+        opt.wall_ms
+    );
     let Some(facts) = facts else {
-        println!("optimize: {} (nothing handed over)", if opt.applied { "committed" } else { "no commit" });
+        println!("optimize: nothing handed over");
         durable_change(&family, &changed_req);
         return;
     };
     let mut committed = state.clone();
     committed.adopt(&optimized, facts);
-    println!(
-        "optimize: committed {} ops at {:.1} % less modeled cost in {:.1} ms",
-        optimized.op_count(),
-        opt.improvement() * 100.0,
-        opt.wall_ms
-    );
     let handed = fastest(|| (committed.clone(), optimized.clone()), |input| change_under(&stats, input));
     line("change (after commit)", handed, "retract + etl_step on the handed-over index");
     let dropped = || {

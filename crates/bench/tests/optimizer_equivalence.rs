@@ -1,6 +1,6 @@
 //! Optimizer equivalence suite.
 //!
-//! Every rewrite the annealer may commit is individually proven
+//! Every rewrite the optimizer may commit is individually proven
 //! output-preserving in `quarry_etl::rewrite`, so the composition must be
 //! too: an optimized unified flow has to produce a warehouse bit-identical
 //! to the greedy-integrated flow it replaced at 1, 4, and 8 threads, for
@@ -10,8 +10,12 @@
 use quarry::Quarry;
 use quarry_bench::{at_width, high_overlap_family, requirement_family};
 use quarry_engine::{tpch, Catalog, Engine};
+use quarry_etl::cost::SourceStats;
 use quarry_etl::Flow;
 use quarry_formats::Requirement;
+
+#[path = "../../etl/tests/common/mod.rs"]
+mod random_flows;
 
 /// Small enough to keep debug-mode runs quick, large enough that lineitem
 /// spans several morsels.
@@ -113,22 +117,19 @@ fn optimize_between_incremental_steps_keeps_the_lifecycle_sound() {
     assert_optimized_equivalent(&catalog, plain.unified().1, opt.unified().1);
 }
 
-/// What one seeded search did, pinned at the commit before `RewriteState`
-/// stopped cloning and diffing the flow per proposal: the step counts, the
-/// winning chain, the committed cost bit for bit and the committed flow's
-/// xLM bytes. A change to the search's bookkeeping must leave all of it
-/// untouched; a change to the move set, the candidate order, the RNG streams
-/// or a legality check is what moves these numbers.
+/// What one search did: its proposal and accept counts, the committed cost
+/// bit for bit and the committed flow's xLM bytes. A change to the search's
+/// bookkeeping must leave all of it untouched; a change to the move set, the
+/// candidate order, the descent or escape rules or a legality check is what
+/// moves these numbers.
 struct SearchPin {
     proposed: u64,
     accepted: u64,
-    best_chain: usize,
     after_cost_bits: u64,
     xlm_fnv: u64,
 }
 
 fn assert_search_pinned(label: &str, family: Vec<Requirement>, pin: SearchPin) {
-    use quarry_integrator::anneal::{anneal, AnnealOptions};
     use quarry_integrator::optimize::optimize_flow;
 
     let mut q = Quarry::tpch();
@@ -137,18 +138,13 @@ fn assert_search_pinned(label: &str, family: Vec<Requirement>, pin: SearchPin) {
     }
     let mut flow = q.unified().1.clone();
     let mut stats = q.config().stats.clone();
-    // A budget long enough that the step count, not the clock, ends the search.
-    let opts = AnnealOptions { budget_ms: 10_000, ..AnnealOptions::default() };
-    let searched = anneal(&flow, &stats, &opts).expect("anneal");
-    let (report, facts) = optimize_flow(&mut flow, &mut stats, &opts).expect("optimize");
+    // A budget long enough that the local optimum, not the clock, ends the
+    // search.
+    let (report, facts) = optimize_flow(&mut flow, &mut stats, 10_000).expect("optimize");
     let xlm = quarry_formats::xlm::to_string(&flow);
     let fnv = xlm.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3));
     assert!(report.applied, "{label}: the pinned search commits");
-    assert_eq!(
-        (report.proposed, report.accepted, searched.best_chain),
-        (pin.proposed, pin.accepted, pin.best_chain),
-        "{label}: proposed / accepted / best chain"
-    );
+    assert_eq!((report.proposed, report.accepted), (pin.proposed, pin.accepted), "{label}: proposed / accepted");
     assert_eq!(report.after_cost.to_bits(), pin.after_cost_bits, "{label}: committed cost {}", report.after_cost);
     assert_eq!(fnv, pin.xlm_fnv, "{label}: committed flow bytes");
     let facts = facts.unwrap_or_else(|| panic!("{label}: a canonical commit hands its facts over"));
@@ -157,25 +153,140 @@ fn assert_search_pinned(label: &str, family: Vec<Requirement>, pin: SearchPin) {
 
 #[test]
 fn seeded_searches_commit_the_pinned_flows() {
-    let pin = |proposed, accepted, best_chain, after_cost_bits, xlm_fnv| SearchPin {
-        proposed,
-        accepted,
-        best_chain,
-        after_cost_bits,
-        xlm_fnv,
-    };
+    let pin = |proposed, accepted, after_cost_bits, xlm_fnv| SearchPin { proposed, accepted, after_cost_bits, xlm_fnv };
+    // Every committed cost is at or below the annealer's pin: high N = 2
+    // equal, N = 4 143 185.644 → 143 184.404, N = 8 191 074.004 →
+    // 191 016.404, low N = 6 1 328 373.412 → 1 326 236.224, N = 8
+    // 1 467 748.744 → 1 465 451.424.
     for (n, p) in [
-        (2, pin(1536, 492, 1, 0x40fb_a46c_dd2f_1a9f, 0xcf83_132b_3525_8183)),
-        (4, pin(1536, 517, 1, 0x4101_7a8d_26e9_78d5, 0xf72d_1304_c1d6_058c)),
-        (8, pin(1536, 566, 1, 0x4107_5310_0831_26ec, 0xcb82_1100_ac7d_9af4)),
+        (2, pin(111, 9, 0x40fb_a46c_dd2f_1a9f, 0x7648_bd72_e465_9b0b)),
+        (4, pin(144, 14, 0x4101_7a83_3b64_5a1e, 0xb509_ccfc_fbb6_6e01)),
+        (8, pin(167, 19, 0x4107_5143_3b64_5a20, 0x901e_3578_76fe_a354)),
     ] {
         assert_search_pinned(&format!("high_overlap_family({n})"), high_overlap_family(n), p);
     }
     for (n, p) in [
-        (6, pin(1536, 500, 0, 0x4134_44f5_6978_d4fd, 0x3612_934e_6643_1908)),
-        (8, pin(1536, 510, 3, 0x4136_6564_be76_c8b4, 0xc440_d86e_56b5_3759)),
+        (6, pin(492, 31, 0x4134_3c9c_3958_1062, 0xb0ec_ed6b_b354_7131)),
+        (8, pin(510, 36, 0x4136_5c6b_6c8b_4394, 0x64b0_d221_0286_5b21)),
     ] {
         assert_search_pinned(&format!("requirement_family({n})"), requirement_family(n), p);
+    }
+}
+
+/// The unified flow of `family`, integrated greedily, with the statistics
+/// the lifecycle optimizes it under.
+fn unified(family: Vec<Requirement>) -> (Flow, SourceStats) {
+    let mut q = Quarry::tpch();
+    for r in family {
+        q.add_requirement(r).expect("integrates");
+    }
+    (q.unified().1.clone(), q.config().stats.clone())
+}
+
+/// The flows the search properties run over: the seeded random flows of
+/// `quarry-etl`'s `cost_consistency.rs`, canonicalized as the lifecycle
+/// keeps every unified flow, and the high/low-overlap unified designs at
+/// N = 8 and the low-overlap one at N = 64.
+fn search_inputs() -> Vec<(String, Flow, SourceStats)> {
+    let mut out: Vec<_> = (0..24u64)
+        .filter_map(|seed| {
+            let (mut flow, stats) = random_flows::random_flow(seed);
+            while quarry_etl::rules::canonicalize(&mut flow, true).ok()? > 0 {}
+            flow.schemas().ok()?;
+            Some((format!("random flow {seed}"), flow, stats))
+        })
+        .collect();
+    for (label, family) in [
+        ("high-overlap N = 8", high_overlap_family(8)),
+        ("low-overlap N = 8", requirement_family(8)),
+        ("low-overlap N = 64", requirement_family(64)),
+    ] {
+        let (flow, stats) = unified(family);
+        out.push((label.to_string(), flow, stats));
+    }
+    out
+}
+
+/// The search `optimize_flow` commits from ends at a local optimum: every
+/// candidate move is illegal or does not pay, and no escape pair pays — a
+/// first move legal there, then any move anchored at an operation it touched
+/// that was not legal before it, or a duplicate merge. (The committed flow
+/// itself is that end state re-canonicalized; canonical form pushes
+/// selections back down, so a hoist can pay on it, but no commit keeps one.)
+#[test]
+fn searches_end_at_a_local_optimum() {
+    use quarry_etl::rewrite::{Move, RewriteState};
+    use quarry_integrator::anneal::search;
+    use quarry_integrator::optimize::optimize_flow;
+    use std::collections::HashSet;
+
+    let mut improved = 0;
+    for (label, flow, stats) in search_inputs() {
+        let out = search(&flow, &stats, 60_000).expect("the search runs");
+        let (report, _) = optimize_flow(&mut flow.clone(), &mut stats.clone(), 60_000).expect("optimize");
+        assert_eq!((report.proposed, report.accepted), (out.proposed, out.accepted), "{label}: the same search");
+        improved += usize::from(out.accepted > 0);
+        let mut st = RewriteState::new(out.flow, out.stats).expect("the search ends on a valid flow");
+        // The search's margin: a win is a drop of more than 1e-9 of the cost.
+        let pays = |delta: f64, st: &RewriteState| delta < -1e-9 * st.cost().abs().max(1.0);
+        let mut legal = Vec::new();
+        for mv in st.candidate_moves() {
+            let describe = st.describe(&mv);
+            let Ok(applied) = st.apply(&mv) else { continue };
+            assert!(!pays(applied.delta, &st), "{label}: {describe} pays {}", applied.delta);
+            st.undo(applied);
+            legal.push(mv);
+        }
+        let before: HashSet<Move> = legal.iter().copied().collect();
+        for first in legal.iter().filter(|mv| **mv != Move::MergeDuplicates) {
+            let describe = st.describe(first);
+            let applied = st.apply(first).expect("legal at the optimum");
+            let touched = applied.touched();
+            let seconds: Vec<Move> = st
+                .candidate_moves()
+                .into_iter()
+                .filter(|mv| {
+                    *mv == Move::MergeDuplicates
+                        || (!before.contains(mv) && mv.anchors().any(|id| touched.contains(&id)))
+                })
+                .collect();
+            for second in seconds {
+                let then = st.describe(&second);
+                let Ok(next) = st.apply(&second) else { continue };
+                assert!(
+                    !pays(applied.delta + next.delta, &st),
+                    "{label}: {describe} then {then} pays {}",
+                    applied.delta + next.delta
+                );
+                st.undo(next);
+            }
+            st.undo(applied);
+        }
+    }
+    assert!(improved >= 3, "the searches must move somewhere to check: {improved}");
+}
+
+/// The search does not use the worker pool: at widths 1, 2 and 8 the same
+/// `(flow, stats)` commits the same flow at the same cost after the same
+/// number of proposals and accepts.
+#[test]
+fn the_search_is_the_same_at_every_pool_width() {
+    use quarry_integrator::optimize::optimize_flow;
+
+    for (label, family) in [("high-overlap", high_overlap_family(8)), ("low-overlap", requirement_family(8))] {
+        let (flow, stats) = unified(family);
+        let searched = [1usize, 2, 8].map(|width| {
+            let (mut flow, mut stats) = (flow.clone(), stats.clone());
+            let (report, _) = at_width(width, || optimize_flow(&mut flow, &mut stats, 60_000)).expect("optimize");
+            (width, quarry_formats::xlm::to_string(&flow), report)
+        });
+        let (_, xlm, first) = &searched[0];
+        assert!(first.applied, "{label}: the search commits");
+        for (width, other_xlm, other) in &searched[1..] {
+            assert_eq!(other_xlm, xlm, "{label}: committed flow at width {width}");
+            assert_eq!(other.after_cost.to_bits(), first.after_cost.to_bits(), "{label}: cost at width {width}");
+            assert_eq!((other.proposed, other.accepted), (first.proposed, first.accepted), "{label}: width {width}");
+        }
     }
 }
 

@@ -35,8 +35,8 @@ commands:
   diff                     structural changes of the last lifecycle step
   run <scale-factor>       execute the unified flow on generated TPC-H data
                            (measured cardinalities feed the optimizer)
-  optimize [--explain]     anneal the unified flow over equivalent rewrites;
-                           --explain prints the per-move search log
+  optimize [--explain]     search the unified flow's equivalent rewrites for
+                           a cheaper one; --explain prints the search log
   explain [--analyze]      print the unified flow's plan, compiled with the
                            cost model's estimated cardinalities under the
                            live statistics, each aggregation fused into a
@@ -129,14 +129,13 @@ fn dispatch(
             return Some(match quarry.optimize() {
                 Ok(report) => {
                     let mut out = format!(
-                        "{}: modeled cost {:.0} -> {:.0} ({:.1}% better); {} proposed, {} accepted over {} chain(s) in {:.1} ms\n",
+                        "{}: modeled cost {:.0} -> {:.0} ({:.1}% better); {} proposed, {} accepted in {:.1} ms\n",
                         if report.applied { "optimized" } else { "no improvement found" },
                         report.before_cost,
                         report.after_cost,
                         report.improvement() * 100.0,
                         report.proposed,
                         report.accepted,
-                        report.chains,
                         report.wall_ms,
                     );
                     if explain {
@@ -151,8 +150,7 @@ fn dispatch(
                         out.push_str("search log (capped):\n");
                         for r in &report.log {
                             out.push_str(&format!(
-                                "  chain {} step {:>4}  {:<40} {}  {}\n",
-                                r.chain,
+                                "  step {:>4}  {:<40} {}  {}\n",
                                 r.step,
                                 r.describe,
                                 match r.delta {
@@ -557,10 +555,10 @@ mod tests {
         // The optimizer: plain and --explain flavors, then its counters.
         let optimized = run(&mut quarry, &mut json, "optimize");
         assert!(optimized.contains("modeled cost"), "{optimized}");
-        assert!(optimized.contains("chain(s)"), "{optimized}");
+        assert!(optimized.contains("proposed") && optimized.contains("accepted in"), "{optimized}");
         let explained = run(&mut quarry, &mut json, "optimize --explain");
         assert!(explained.contains("before:") && explained.contains("after:"), "{explained}");
-        assert!(explained.contains("search log"), "{explained}");
+        assert!(explained.contains("search log") && explained.contains("  step    0  "), "{explained}");
         assert!(run(&mut quarry, &mut json, "optimize --verbose").contains("unknown argument"));
         // The result cache accumulated entries during the runs above. (Each
         // CLI `run` regenerates source data, so those runs are always cold —

@@ -3,7 +3,6 @@
 //! options.
 
 use quarry_etl::cost::{EstimatedTime, EtlCostModel, SourceStats};
-use quarry_integrator::anneal::AnnealOptions;
 use quarry_integrator::etl::EtlIntegrationOptions;
 use quarry_md::{CostModel, StructuralComplexity};
 use quarry_repository::FsyncPolicy;
@@ -46,7 +45,7 @@ pub struct QuarryConfig {
 }
 
 /// The `optimizer.*` configuration keys: the cost-based flow optimizer that
-/// anneals the unified ETL flow over semantically-equivalent rewrites. It
+/// searches semantically-equivalent rewrites of the unified ETL flow. It
 /// runs when [`crate::Quarry::optimize`] is called, never inside a step.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OptimizerConfig {
@@ -56,16 +55,7 @@ pub struct OptimizerConfig {
 
 impl Default for OptimizerConfig {
     fn default() -> Self {
-        OptimizerConfig { budget_ms: AnnealOptions::default().budget_ms }
-    }
-}
-
-impl OptimizerConfig {
-    /// The annealer options these keys select (the chain count and the
-    /// search schedule knobs keep their defaults, so results stay
-    /// deterministic per seed).
-    pub fn anneal_options(&self) -> AnnealOptions {
-        AnnealOptions { budget_ms: self.budget_ms.max(1), ..AnnealOptions::default() }
+        OptimizerConfig { budget_ms: 250 }
     }
 }
 
@@ -176,9 +166,6 @@ mod tests {
     #[test]
     fn optimizer_defaults_are_off_but_budgeted() {
         let cfg = QuarryConfig::default();
-        assert!(cfg.optimizer.budget_ms > 0);
-        let opts = cfg.optimizer.anneal_options();
-        assert_eq!(opts.chains, AnnealOptions::default().chains);
-        assert_eq!(opts.budget_ms, cfg.optimizer.budget_ms);
+        assert_eq!(cfg.optimizer.budget_ms, 250);
     }
 }

@@ -882,7 +882,7 @@ impl Quarry {
     }
 
     /// Runs the cost-based flow optimizer over the unified ETL flow: a
-    /// simulated-annealing search across semantically-equivalent rewrites
+    /// deterministic descent across semantically-equivalent rewrites
     /// (selection placement, join-spine order, projection pruning, duplicate
     /// merging), scored by the engine-aware execution-time model rescaled
     /// with any cardinalities observed by prior runs (see
@@ -908,9 +908,9 @@ impl Quarry {
 
     fn optimize_phases(&mut self) -> Result<OptimizeReport, QuarryError> {
         self.repository.record_marker("step:optimize")?;
-        let opts = self.config.optimizer.anneal_options();
         let started = Instant::now();
-        let (report, facts) = optimize_flow(&mut self.unified_etl, &mut self.config.stats, &opts)?;
+        let (report, facts) =
+            optimize_flow(&mut self.unified_etl, &mut self.config.stats, self.config.optimizer.budget_ms)?;
         self.metrics.optimize_seconds.observe(started.elapsed().as_secs_f64());
         self.metrics.optimizer_runs.inc();
         self.metrics.optimizer_moves_proposed.add(report.proposed);
@@ -2079,7 +2079,7 @@ mod tests {
         assert!(ExecutionProfile::from_json(&json).is_some());
     }
 
-    /// The annealing tests' three-table join spine, plus real data that
+    /// The search tests' three-table join spine, plus real data that
     /// contradicts stale statistics: the supplier table is claimed enormous
     /// but actually tiny, with a Spain filter keeping almost nothing.
     fn skewed_spine_flow() -> Flow {
@@ -2231,7 +2231,7 @@ mod tests {
         let line = rendered.lines().find(|l| l.contains("DS_supplier [")).expect("DS_supplier rendered");
         assert!(line.contains("misestimated"), "render marks the misestimate: {line}");
 
-        // Feed the correction back: the annealer re-searches with observed
+        // Feed the correction back: the optimizer re-searches with observed
         // cardinalities and commits to a different plan.
         q.observe_run(&last_report.unwrap());
         q.optimize().unwrap();

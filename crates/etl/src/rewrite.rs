@@ -6,8 +6,8 @@
 //! edits the flow under an edit journal, repairs the facts over exactly the
 //! operations the journal says the move touched (propagation stops as soon as
 //! values settle), and returns the cost delta plus an undo record — so a
-//! simulated-annealing chain evaluates a move in O(touched ops) however large
-//! the flow is, and rejecting a move replays the journal backwards.
+//! search evaluates a move in O(touched ops) however large the flow is, and
+//! rejecting a move replays the journal backwards.
 //!
 //! Every move preserves *bit-identical execution output*, not just relational
 //! equivalence: the engine's operators are order-deterministic, and
@@ -49,14 +49,14 @@ use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 
 /// One candidate rewrite of a flow.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Move {
     /// Move a selection one step toward the sources (crossing an
     /// order-preserving unary op, routing into a join branch, or replicating
     /// into both union branches).
     PushSelection { sel: OpId },
     /// Move a selection one step toward the sinks (the inverse of a push;
-    /// lets a chain escape the canonical all-the-way-down placement).
+    /// lets the search escape the canonical all-the-way-down placement).
     HoistSelection { sel: OpId },
     /// Swap the build sides of a stacked inner-join spine:
     /// `(A ⋈ B) ⋈ C → (A ⋈ C) ⋈ B`, exchanging the two joins' key pairs.
@@ -79,6 +79,23 @@ pub enum Move {
     /// Merge duplicate `(merge_key, inputs)` operations (one full dedupe
     /// pass; the re-cost treats the whole flow as touched).
     MergeDuplicates,
+}
+
+impl Move {
+    /// The operations the move names: the selection, join, projection or
+    /// edge ends it is anchored at ([`Move::MergeDuplicates`] names none).
+    pub fn anchors(&self) -> impl Iterator<Item = OpId> {
+        let (first, second) = match *self {
+            Move::PushSelection { sel } | Move::HoistSelection { sel } => (Some(sel), None),
+            Move::SwapJoins { upper } | Move::AssocJoins { upper } | Move::UnassocJoins { upper } => {
+                (Some(upper), None)
+            }
+            Move::PruneColumns { from, to } => (Some(from), Some(to)),
+            Move::RemoveProjection { proj } => (Some(proj), None),
+            Move::MergeDuplicates => (None, None),
+        };
+        first.into_iter().chain(second)
+    }
 }
 
 /// Why a move could not be applied.
@@ -127,6 +144,29 @@ pub struct Applied {
     obs_added: Vec<String>,
     facts: FactsUndo,
     live: Displaced<BTreeSet<String>>,
+}
+
+impl Applied {
+    /// The operations the move edited: both ends of every edge it inserted,
+    /// removed or rewired, every operation whose kind it replaced, and every
+    /// operation it added or removed (removed ones are no longer in the
+    /// flow).
+    pub fn touched(&self) -> BTreeSet<OpId> {
+        let mut out = BTreeSet::new();
+        for edit in &self.journal.0 {
+            match edit {
+                Edit::OpAdded { id } | Edit::Kind { id, .. } | Edit::Op { old: Operation { id, .. } } => {
+                    out.insert(*id);
+                }
+                Edit::OpRemoved { op, .. } => {
+                    out.insert(op.id);
+                }
+                Edit::EdgeInserted { edge, .. } | Edit::EdgeRemoved { edge, .. } => out.extend([edge.0, edge.1]),
+                Edit::EdgeSet { old, new, .. } => out.extend([old.0, old.1, new.0, new.1]),
+            }
+        }
+        out
+    }
 }
 
 /// A flow under optimization, with everything a move's legality and cost
@@ -221,8 +261,8 @@ impl RewriteState {
     }
 
     /// Enumerates structurally-plausible moves in deterministic order. Deep
-    /// legality runs at [`apply`](Self::apply) time; an annealing chain
-    /// samples from this list and treats `Illegal` as a skipped proposal.
+    /// legality runs at [`apply`](Self::apply) time; the search walks this
+    /// list and treats `Illegal` as a skipped proposal.
     pub fn candidate_moves(&self) -> Vec<Move> {
         let is_inner_join = |id: OpId| matches!(self.flow.op(id).kind, OpKind::Join { kind: JoinKind::Inner, .. });
         let mut out = Vec::new();

@@ -19,9 +19,9 @@
 //! proportional to the partial design instead of the whole unified one —
 //! with bit-identical results.
 //!
-//! [`optimize`] (with [`anneal`] underneath) is the cost-based flow
-//! optimizer: a simulated-annealing search over semantically-equivalent
-//! rewrites of the unified flow ([`quarry_etl::rewrite`]), scored by the
+//! [`optimize`] (with the search in [`anneal`]) is the cost-based flow
+//! optimizer: a deterministic descent over semantically-equivalent rewrites
+//! of the unified flow ([`quarry_etl::rewrite`]), scored by the
 //! estimated-execution-time model rescaled with observed run cardinalities,
 //! committing only canonical, validated, strictly-cheaper alternatives.
 //!

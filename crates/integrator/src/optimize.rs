@@ -1,9 +1,10 @@
-//! The cost-based flow optimizer: annealing search + safe commit.
+//! The cost-based flow optimizer: descent search + safe commit.
 //!
-//! [`optimize_flow`] wraps the annealing search ([`crate::anneal`]) with the
+//! [`optimize_flow`] wraps the search ([`crate::anneal`]: deterministic
+//! first-improvement descent with a local two-move escape) with the
 //! discipline the lifecycle needs before it may swap the unified flow:
 //!
-//! 1. the annealer's best flow is **re-canonicalized** to a fixpoint
+//! 1. the search's flow is **re-canonicalized** to a fixpoint
 //!    ([`quarry_etl::rules::canonicalize`]) — the consolidation index
 //!    requires canonical form, so only wins that survive normalization
 //!    (join-spine order, column pruning, sharing) are kept;
@@ -27,7 +28,7 @@
 //! ([`ConsolidationState::adopt`](crate::state::ConsolidationState::adopt)),
 //! so the next design step neither re-canonicalizes nor re-derives.
 
-use crate::anneal::{anneal_from, AnnealOptions, MoveRecord};
+use crate::anneal::{search_from, MoveRecord};
 use crate::IntegrateError;
 use quarry_etl::cost::{EstimatedTime, SourceStats};
 use quarry_etl::facts::FlowFacts;
@@ -51,16 +52,14 @@ pub struct OptimizeReport {
     pub after_cost: f64,
     /// Whether the returned flow differs from the input.
     pub applied: bool,
-    /// Moves proposed across all chains.
+    /// Moves proposed.
     pub proposed: u64,
-    /// Moves accepted across all chains.
+    /// Moves accepted.
     pub accepted: u64,
-    /// Chains run.
-    pub chains: usize,
     /// Wall time of the whole optimization (search + canonicalize +
     /// re-validate), milliseconds.
     pub wall_ms: f64,
-    /// Capped per-chain move logs (for `optimize --explain`).
+    /// The search's capped move log (for `optimize --explain`).
     pub log: Vec<MoveRecord>,
 }
 
@@ -112,16 +111,19 @@ fn sink_interfaces(flow: &Flow, schemas: &HashMap<OpId, Schema>) -> BTreeMap<(St
 /// [`ConsolidationState::adopt`](crate::state::ConsolidationState::adopt).
 /// `None` when nothing was applied or the pass cap was reached first.
 ///
-/// `stats` is mutable because a commit also commits the winning chain's view
-/// of the statistics: absolute observations recorded for operations the
-/// winning moves restructured are dropped — a reshaped join's old measured
+/// `stats` is mutable because a commit also commits the search's view of
+/// the statistics: absolute observations recorded for operations the kept
+/// moves restructured are dropped — a reshaped join's old measured
 /// cardinality no longer describes it, and keeping it would pin the new
 /// design's estimates to the old design's reality. The next observed run
 /// re-pins them. When nothing is applied, `stats` is untouched.
+///
+/// `budget_ms` bounds the search's wall time (the `optimizer.budget_ms`
+/// key); a search it cuts short commits what it kept so far.
 pub fn optimize_flow(
     flow: &mut Flow,
     stats: &mut SourceStats,
-    opts: &AnnealOptions,
+    budget_ms: u64,
 ) -> Result<(OptimizeReport, Option<FlowFacts>), IntegrateError> {
     let started = Instant::now();
     let invalid = |e: quarry_etl::FlowError| IntegrateError::InvalidResult(vec![e.to_string()]);
@@ -132,19 +134,18 @@ pub fn optimize_flow(
     let sinks_before = sink_interfaces(flow, base.schemas());
     let before_cost = base.cost();
 
-    let outcome = anneal_from(&base, opts);
+    let outcome = search_from(base, budget_ms);
     let mut report = OptimizeReport {
         before_cost,
         after_cost: before_cost,
         applied: false,
         proposed: outcome.proposed,
         accepted: outcome.accepted,
-        chains: outcome.chains,
         wall_ms: 0.0,
         log: outcome.log,
     };
 
-    // Re-canonicalize the winner to a fixpoint: the lifecycle keeps the
+    // Re-canonicalize the search's flow to a fixpoint: the lifecycle keeps the
     // unified flow permanently canonical, so a win must survive this or it
     // was only an artifact of non-canonical selection placement.
     let mut candidate = outcome.flow;
@@ -158,8 +159,8 @@ pub fn optimize_flow(
     // Re-validate and re-cost in one derivation (schema-correct, acyclic, no
     // dangling output) and compare the loader contract, which must be
     // bit-identical: same target tables, same sink schemas, column for
-    // column. The derivation uses the winning chain's statistics:
-    // observations it invalidated by restructuring an operation must not pin
+    // column. The derivation uses the search's statistics: observations it
+    // invalidated by restructuring an operation must not pin
     // the candidate's estimates.
     let facts = FlowFacts::of(&candidate, &EstimatedTime, &outcome.stats).map_err(invalid)?;
     candidate.check_outputs_consumed().map_err(invalid)?;
@@ -187,6 +188,9 @@ mod tests {
     use super::*;
     use quarry_etl::cost::EtlCostModel;
     use quarry_etl::{parse_expr, ColType, Column, JoinKind, OpKind, Schema};
+
+    /// A budget no test search comes near.
+    const BUDGET_MS: u64 = 60_000;
 
     fn spine() -> (Flow, SourceStats) {
         let mut f = Flow::new("spine");
@@ -279,7 +283,7 @@ mod tests {
     fn optimize_commits_a_canonical_improvement() {
         let (mut flow, mut stats) = spine();
         let original = flow.clone();
-        let (report, facts) = optimize_flow(&mut flow, &mut stats, &AnnealOptions::default()).unwrap();
+        let (report, facts) = optimize_flow(&mut flow, &mut stats, BUDGET_MS).unwrap();
         assert!(report.applied, "the spine swap must survive canonicalization");
         // The handed-over facts describe the committed flow under the
         // committed statistics, and price it at the reported cost.
@@ -304,9 +308,9 @@ mod tests {
     fn optimize_leaves_an_already_optimal_flow_alone() {
         let (mut flow, mut stats) = spine();
         // First run finds the win; the second starts from the optimum.
-        optimize_flow(&mut flow, &mut stats, &AnnealOptions::default()).unwrap();
+        optimize_flow(&mut flow, &mut stats, BUDGET_MS).unwrap();
         let settled = flow.clone();
-        let (report, facts) = optimize_flow(&mut flow, &mut stats, &AnnealOptions::default()).unwrap();
+        let (report, facts) = optimize_flow(&mut flow, &mut stats, BUDGET_MS).unwrap();
         assert!(!report.applied, "no second win to find");
         assert!(facts.is_none(), "nothing committed, nothing handed over");
         assert_eq!(report.after_cost.to_bits(), report.before_cost.to_bits());
@@ -317,7 +321,7 @@ mod tests {
     fn optimize_handles_an_empty_flow() {
         let mut flow = Flow::new("empty");
         let mut stats = SourceStats::new();
-        let (report, _) = optimize_flow(&mut flow, &mut stats, &AnnealOptions::default()).unwrap();
+        let (report, _) = optimize_flow(&mut flow, &mut stats, BUDGET_MS).unwrap();
         assert!(!report.applied);
         assert_eq!(report.before_cost, 0.0);
     }
@@ -344,26 +348,26 @@ mod tests {
         // 95 of 100 suppliers qualify. The swap's modeled win shrinks but
         // the optimizer must keep using the observed ratio consistently.
         stats.observe_op_io("SEL_spain", 100.0, 95.0);
-        let (report, _) = optimize_flow(&mut flow, &mut stats, &AnnealOptions::default()).unwrap();
+        let (report, _) = optimize_flow(&mut flow, &mut stats, BUDGET_MS).unwrap();
         let (mut flow2, mut stats2) = spine();
-        let (report2, _) = optimize_flow(&mut flow2, &mut stats2, &AnnealOptions::default()).unwrap();
+        let (report2, _) = optimize_flow(&mut flow2, &mut stats2, BUDGET_MS).unwrap();
         // With the default 10% selectivity guess the win is much larger than
         // with the observed 95%.
         assert!(report2.improvement() > report.improvement());
     }
 
-    /// Recorded before the search stopped cloning the flow per proposal, and
-    /// unchanged by it (see `optimizer_equivalence.rs` for the families).
+    /// The descent's commit on the spine (see `optimizer_equivalence.rs` for
+    /// the families).
     #[test]
     fn seeded_optimization_of_the_spine_is_pinned() {
         let (mut flow, mut stats) = spine();
-        let opts = AnnealOptions { budget_ms: 10_000, ..AnnealOptions::default() };
-        let (report, _) = optimize_flow(&mut flow, &mut stats, &opts).unwrap();
+        let (report, _) = optimize_flow(&mut flow, &mut stats, 10_000).unwrap();
         assert!(report.applied);
-        assert_eq!((report.proposed, report.accepted), (1536, 54));
+        assert_eq!((report.proposed, report.accepted), (32, 3));
+        // The annealer's pinned cost: the descent commits the same optimum.
         assert_eq!(report.after_cost.to_bits(), 0x40d0_122e_978d_4fdf);
         let xlm = quarry_formats::xlm::to_string(&flow);
         let fnv = xlm.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3));
-        assert_eq!(fnv, 0xcd53_7f75_9e7f_c0cd);
+        assert_eq!(fnv, 0x0a2f_5ab4_578a_6639);
     }
 }

@@ -36,7 +36,6 @@
 use quarry_etl::cost::{EstimatedTime, EtlCostModel, SourceStats};
 use quarry_etl::{parse_expr, rules, AggSpec, ColType, Column, Flow, JoinKind, OpKind, Schema};
 use quarry_formats::{xlm, xmd};
-use quarry_integrator::anneal::AnnealOptions;
 use quarry_integrator::etl::{integrate_etl, EtlIntegrationOptions};
 use quarry_integrator::md::integrate_md;
 use quarry_integrator::optimize::optimize_flow;
@@ -259,17 +258,14 @@ struct Walk {
     /// one the seed picks, finds no index.
     invalidate_every: usize,
     /// Every `optimize_every`-th step (none when zero), counted from one the
-    /// seed picks, first runs a small seeded optimizer search over the
-    /// unified flow.
+    /// seed picks, first runs the optimizer over the unified flow.
     optimize_every: usize,
     options: EtlIntegrationOptions,
 }
 
-/// A search short enough for a test, ended by its step count, not the
-/// clock.
-fn small_search(seed: u64) -> AnnealOptions {
-    AnnealOptions { chains: 2, steps: 64, budget_ms: 60_000, seed, ..AnnealOptions::default() }
-}
+/// A budget the search never reaches on these flows: it ends at its local
+/// optimum, not on the clock.
+const BUDGET_MS: u64 = 60_000;
 
 /// Returns the incremental path's counters and how many optimizer commits
 /// the walk made. `add_pct` percent of the steps add (every step does while
@@ -305,8 +301,7 @@ fn run_equivalence_over(
     for step in 0..ops {
         if optimize_every > 0 && (step + seed as usize).is_multiple_of(optimize_every) {
             let epoch = state.flow_epoch();
-            let (report, facts) =
-                optimize_flow(&mut inc_etl, &mut stats, &small_search(seed)).expect("the search runs");
+            let (report, facts) = optimize_flow(&mut inc_etl, &mut stats, BUDGET_MS).expect("the search runs");
             if report.applied {
                 let at = format!("seed {seed} step {step}: optimizer commit");
                 commits += 1;

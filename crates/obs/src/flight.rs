@@ -55,7 +55,8 @@ pub enum EventKind {
     QueueDepth,
     /// A WAL fsync batch hit the platter (`a` = latency µs, `b` = fsyncs so far).
     WalFsync,
-    /// The annealer accepted a move (`a` = chain, `b` = signed cost delta ‰).
+    /// The optimizer's search kept a move (`a` = its proposal number, `b` =
+    /// its signed cost delta in thousandths of the search's starting cost).
     OptimizerMove,
     /// A vectorized kernel fell back to the scalar path (`a` = fallbacks so far).
     KernelFallback,
