@@ -155,14 +155,13 @@ const STEP_REPS: u64 = 256;
 /// each kind is timed on its legal candidate with the *fewest operations
 /// downstream*: that holds the touched region roughly constant across the
 /// three flows and leaves flow size as the variable. A local move (swap /
-/// assoc / hoist / push / prune) should then cost the same at N = 64 as at
+/// assoc / hoist / prune) should then cost the same at N = 64 as at
 /// N = 8; `merge-duplicates` is one hashing pass over the flow and is timed
 /// on its common outcome, "no duplicates".
 fn bench_optimizer_step(c: &mut Criterion) {
     /// A move's kind and the operation whose downstream cone it can reach.
     fn kind_and_anchor(mv: &Move) -> (&'static str, Option<OpId>) {
         match *mv {
-            Move::PushSelection { sel } => ("push", Some(sel)),
             Move::HoistSelection { sel } => ("hoist", Some(sel)),
             Move::SwapJoins { upper } => ("swap", Some(upper)),
             Move::AssocJoins { upper } => ("assoc", Some(upper)),
@@ -187,10 +186,10 @@ fn bench_optimizer_step(c: &mut Criterion) {
         let mut st = RewriteState::new(q.unified().1.clone(), q.config().stats.clone()).expect("valid flow");
         let ops = st.flow().op_count();
         // Each kind's move is kept applied after it is timed, which is what
-        // makes its inverse (unassoc after assoc, push after hoist,
-        // remove-projection after prune) legal in turn.
+        // makes its inverse (unassoc after assoc, remove-projection after
+        // prune) legal in turn.
         // (`merge-duplicates` goes first: the canonical flow has none.)
-        for kind in ["merge-duplicates", "swap", "assoc", "unassoc", "hoist", "push", "prune", "remove-projection"] {
+        for kind in ["merge-duplicates", "swap", "assoc", "unassoc", "hoist", "prune", "remove-projection"] {
             let mut of_kind = st.candidate_moves();
             of_kind.retain(|mv| kind_and_anchor(mv).0 == kind);
             of_kind.retain(|mv| kind == "merge-duplicates" || st.apply(mv).map(|undo| st.undo(undo)).is_ok());

@@ -159,15 +159,15 @@ fn seeded_searches_commit_the_pinned_flows() {
     // 191 016.404, low N = 6 1 328 373.412 → 1 326 236.224, N = 8
     // 1 467 748.744 → 1 465 451.424.
     for (n, p) in [
-        (2, pin(111, 9, 0x40fb_a46c_dd2f_1a9f, 0x7648_bd72_e465_9b0b)),
-        (4, pin(144, 14, 0x4101_7a83_3b64_5a1e, 0xb509_ccfc_fbb6_6e01)),
-        (8, pin(167, 19, 0x4107_5143_3b64_5a20, 0x901e_3578_76fe_a354)),
+        (2, pin(107, 9, 0x40fb_a46c_dd2f_1a9f, 0x7648_bd72_e465_9b0b)),
+        (4, pin(139, 14, 0x4101_7a83_3b64_5a1e, 0xb509_ccfc_fbb6_6e01)),
+        (8, pin(162, 19, 0x4107_5143_3b64_5a20, 0x901e_3578_76fe_a354)),
     ] {
         assert_search_pinned(&format!("high_overlap_family({n})"), high_overlap_family(n), p);
     }
     for (n, p) in [
-        (6, pin(492, 31, 0x4134_3c9c_3958_1062, 0xb0ec_ed6b_b354_7131)),
-        (8, pin(510, 36, 0x4136_5c6b_6c8b_4394, 0x64b0_d221_0286_5b21)),
+        (6, pin(479, 31, 0x4134_3c9c_3958_1062, 0xb0ec_ed6b_b354_7131)),
+        (8, pin(497, 36, 0x4136_5c6b_6c8b_4394, 0x64b0_d221_0286_5b21)),
     ] {
         assert_search_pinned(&format!("requirement_family({n})"), requirement_family(n), p);
     }

@@ -883,9 +883,10 @@ impl Quarry {
 
     /// Runs the cost-based flow optimizer over the unified ETL flow: a
     /// deterministic descent across semantically-equivalent rewrites
-    /// (selection placement, join-spine order, projection pruning, duplicate
-    /// merging), scored by the engine-aware execution-time model rescaled
-    /// with any cardinalities observed by prior runs (see
+    /// (selection hoisting, join-spine order, projection pruning, duplicate
+    /// merging; canonical form pushes selections down), scored by the
+    /// engine-aware execution-time model rescaled with any cardinalities
+    /// observed by prior runs (see
     /// [`Quarry::observe_run`]). The swap is transactional: either a
     /// canonical, validated, strictly-cheaper flow replaces the unified one
     /// — with the consolidation index rebuilt over it beside the facts the

@@ -316,19 +316,6 @@ impl Column {
         }
     }
 
-    /// The string at slot `i` for dictionary or plain-string columns.
-    pub fn str_at(&self, i: usize) -> Option<&str> {
-        if self.is_null(i) {
-            return None;
-        }
-        match &self.data {
-            ColumnData::Dict { codes, pool } => Some(pool.get(codes[i])),
-            ColumnData::Str(v) => Some(v[i].as_str()),
-            ColumnData::Mixed(v) => v[i].as_str(),
-            _ => None,
-        }
-    }
-
     /// Streams the display form of slot `i` into `w`, byte-identical to
     /// `Value::to_string` — the surrogate-key hash reads columns through
     /// this without materializing any value.

@@ -55,11 +55,6 @@ pub fn set_event_hook(hook: impl Fn(EngineEvent<'_>) + Send + Sync + 'static) ->
     HOOK.set(Box::new(hook)).is_ok()
 }
 
-/// True once a hook is installed (diagnostics/tests).
-pub fn event_hook_installed() -> bool {
-    HOOK.get().is_some()
-}
-
 /// Forwards one event to the installed hook, if any.
 pub(crate) fn emit(event: EngineEvent<'_>) {
     if let Some(hook) = HOOK.get() {

@@ -223,13 +223,6 @@ pub fn selectivity(predicate: &Expr) -> f64 {
     s.clamp(0.0, 1.0)
 }
 
-/// The selectivity used for a named selection: an observed ratio from a real
-/// run when [`SourceStats::observe_op_io`] recorded one, else the static
-/// estimate from [`selectivity`].
-pub fn op_selectivity(stats: &SourceStats, op_name: &str, predicate: &Expr) -> f64 {
-    stats.observed_selectivity(op_name).unwrap_or_else(|| selectivity(predicate))
-}
-
 /// One step of cardinality propagation: `(rows, retained)` of an operation
 /// from its kind, name and input states. This is *the* transfer function —
 /// [`cardinality_state`] folds it over a topological order and the

@@ -14,9 +14,11 @@
 //! downstream consumers (float aggregation folds, loaders) are sensitive to
 //! row order, so each move's legality analysis proves row-order preservation:
 //!
-//! - [`Move::PushSelection`] / [`Move::HoistSelection`]: filters commute with
-//!   order-preserving unary operators; pushing below a union replicates the
-//!   filter into both branches (σ(A ∪ B) = σ(A) ∪ σ(B)).
+//! - [`Move::HoistSelection`]: filters commute with order-preserving unary
+//!   operators. There is no push-down move: the commit's canonical form
+//!   ([`rules::canonicalize`]) pushes every selection as far down as it goes,
+//!   replicating it into both branches of a union (σ(A ∪ B) = σ(A) ∪ σ(B)),
+//!   so the search only ever needs to lift one.
 //! - [`Move::SwapJoins`]: reorders a stacked inner-join spine
 //!   `(A ⋈ B) ⋈ C  →  (A ⋈ C) ⋈ B`. Output row order is preserved when at
 //!   least one build side is unique on its join keys (no interleaving to
@@ -51,12 +53,9 @@ use std::fmt;
 /// One candidate rewrite of a flow.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Move {
-    /// Move a selection one step toward the sources (crossing an
-    /// order-preserving unary op, routing into a join branch, or replicating
-    /// into both union branches).
-    PushSelection { sel: OpId },
-    /// Move a selection one step toward the sinks (the inverse of a push;
-    /// lets the search escape the canonical all-the-way-down placement).
+    /// Move a selection one step toward the sinks, across its sole consumer
+    /// when that is an order-preserving unary op (lets the search escape the
+    /// canonical all-the-way-down placement).
     HoistSelection { sel: OpId },
     /// Swap the build sides of a stacked inner-join spine:
     /// `(A ⋈ B) ⋈ C → (A ⋈ C) ⋈ B`, exchanging the two joins' key pairs.
@@ -86,7 +85,7 @@ impl Move {
     /// edge ends it is anchored at ([`Move::MergeDuplicates`] names none).
     pub fn anchors(&self) -> impl Iterator<Item = OpId> {
         let (first, second) = match *self {
-            Move::PushSelection { sel } | Move::HoistSelection { sel } => (Some(sel), None),
+            Move::HoistSelection { sel } => (Some(sel), None),
             Move::SwapJoins { upper } | Move::AssocJoins { upper } | Move::UnassocJoins { upper } => {
                 (Some(upper), None)
             }
@@ -129,10 +128,10 @@ type ObsRecord = (Option<f64>, Option<(f64, f64)>);
 /// Everything needed to take back one successful [`RewriteState::apply`]: the
 /// flow's edit journal (edges rewired, kinds replaced, operations inserted
 /// and removed — replayed backwards it restores the exact prior flow, op
-/// order, edge order and ids included), the observations the move dropped or
-/// planted, and the entries it displaced in the facts and the live-column
-/// map. Nothing in it is proportional to the flow; it is as large as what
-/// the move touched.
+/// order, edge order and ids included), the observations the move dropped,
+/// and the entries it displaced in the facts and the live-column map.
+/// Nothing in it is proportional to the flow; it is as large as what the
+/// move touched.
 #[derive(Default)]
 pub struct Applied {
     /// Cost change of the move (negative = improvement). Bitwise-consistent
@@ -141,7 +140,6 @@ pub struct Applied {
     journal: Journal,
     cost: f64,
     obs_restore: Vec<(String, ObsRecord)>,
-    obs_added: Vec<String>,
     facts: FactsUndo,
     live: Displaced<BTreeSet<String>>,
 }
@@ -249,7 +247,6 @@ impl RewriteState {
     pub fn describe(&self, mv: &Move) -> String {
         let name = |id: OpId| if self.flow.contains(id) { self.flow.op(id).name.as_str() } else { "?" };
         match mv {
-            Move::PushSelection { sel } => format!("push-selection({})", name(*sel)),
             Move::HoistSelection { sel } => format!("hoist-selection({})", name(*sel)),
             Move::SwapJoins { upper } => format!("swap-joins({})", name(*upper)),
             Move::AssocJoins { upper } => format!("assoc-joins({})", name(*upper)),
@@ -268,10 +265,7 @@ impl RewriteState {
         let mut out = Vec::new();
         for op in self.flow.ops() {
             match &op.kind {
-                OpKind::Selection { .. } => {
-                    out.push(Move::PushSelection { sel: op.id });
-                    out.push(Move::HoistSelection { sel: op.id });
-                }
+                OpKind::Selection { .. } => out.push(Move::HoistSelection { sel: op.id }),
                 OpKind::Join { kind: JoinKind::Inner, .. } => {
                     if let [left, right] = *self.flow.inputs_of(op.id) {
                         if is_inner_join(left) {
@@ -303,8 +297,8 @@ impl RewriteState {
     /// Cost per proposal: the structural edit (a handful of edge-list edits,
     /// each one scan of the flat edge array for the edge's position), then
     /// one transfer-function call per operation whose inputs, schema or
-    /// cardinality actually changed. Swaps, re-associations, hoists and
-    /// pushes touch the 2–4 operations around the rewired edges and whatever
+    /// cardinality actually changed. Swaps, re-associations and hoists
+    /// touch the 2–4 operations around the rewired edges and whatever
     /// their changed schema reaches before a projection or aggregation
     /// absorbs it; a prune or projection removal the same from one edge;
     /// [`Move::MergeDuplicates`] is one hashing pass over the flow and, when
@@ -345,11 +339,12 @@ impl RewriteState {
         let mut dirty: BTreeSet<OpId> = BTreeSet::new();
         let mut fed: Vec<OpId> = Vec::new();
         let mut rekinded: Vec<OpId> = Vec::new();
-        let mut added: Vec<OpId> = Vec::new();
         let mut removed: Vec<OpId> = Vec::new();
         for edit in &undo.journal.0 {
             match edit {
-                Edit::OpAdded { id } => added.push(*id),
+                Edit::OpAdded { id } => {
+                    dirty.insert(*id);
+                }
                 Edit::OpRemoved { op, .. } => removed.push(op.id),
                 Edit::Kind { id, .. } | Edit::Op { old: Operation { id, .. } } => rekinded.push(*id),
                 Edit::EdgeInserted { edge, .. } | Edit::EdgeRemoved { edge, .. } => {
@@ -367,7 +362,6 @@ impl RewriteState {
         fed.extend(rekinded.iter().flat_map(|id| self.flow.inputs_of(*id)));
         fed.retain(|id| self.flow.contains(*id));
         dirty.extend(rekinded);
-        dirty.extend(added.iter().copied());
         if matches!(mv, Move::MergeDuplicates) {
             // A dedupe pass re-costs the whole flow as touched.
             dirty.extend(self.flow.ops().map(|o| o.id));
@@ -384,27 +378,6 @@ impl RewriteState {
                 let rec = self.stats.take_observation(&op.name);
                 if rec != (None, None) {
                     undo.obs_restore.push((op.name.clone(), rec));
-                }
-            }
-        }
-        // A selection replicated into union branches inherits the original's
-        // observed ratio (per-branch selectivity under independence).
-        if let Move::PushSelection { sel } = mv {
-            let replaced = undo.journal.0.iter().find_map(|e| match e {
-                Edit::OpRemoved { op, .. } if op.id == *sel => Some(op),
-                _ => None,
-            });
-            if let Some(orig) = replaced {
-                if let (OpKind::Selection { predicate }, Some(ratio)) =
-                    (&orig.kind, self.stats.observed_selectivity(&orig.name))
-                {
-                    for &id in &added {
-                        let copy = self.flow.op(id);
-                        if matches!(&copy.kind, OpKind::Selection { predicate: p } if p == predicate) {
-                            self.stats.put_observation(&copy.name, (None, Some((1.0, ratio))));
-                            undo.obs_added.push(copy.name.clone());
-                        }
-                    }
                 }
             }
         }
@@ -446,9 +419,6 @@ impl RewriteState {
         for (name, rec) in undo.obs_restore {
             self.stats.put_observation(&name, rec);
         }
-        for name in undo.obs_added {
-            let _ = self.stats.take_observation(&name);
-        }
         self.facts.undo(undo.facts);
         restore(&mut self.live, undo.live);
     }
@@ -458,7 +428,7 @@ impl RewriteState {
     fn precheck(&self, mv: &Move) -> Result<(), RewriteError> {
         let want = |id: OpId| if self.flow.contains(id) { Ok(()) } else { Err(RewriteError::Illegal("unknown op")) };
         match mv {
-            Move::PushSelection { sel } | Move::HoistSelection { sel } => {
+            Move::HoistSelection { sel } => {
                 want(*sel)?;
                 if !matches!(self.flow.op(*sel).kind, OpKind::Selection { .. }) {
                     return Err(RewriteError::Illegal("not a selection"));
@@ -487,13 +457,6 @@ impl RewriteState {
     /// `Err` the caller reverts the journal.
     fn apply_structural(&mut self, mv: &Move) -> Result<(), RewriteError> {
         match mv {
-            Move::PushSelection { sel } => {
-                if rules::push_selection_with(&mut self.flow, *sel, Some(self.facts.schemas()))? {
-                    Ok(())
-                } else {
-                    Err(RewriteError::Illegal("selection cannot move down"))
-                }
-            }
             Move::HoistSelection { sel } => self.hoist_selection(*sel),
             Move::SwapJoins { upper } => self.swap_joins(*upper),
             Move::AssocJoins { upper } => self.assoc_joins(*upper),
@@ -1179,7 +1142,7 @@ mod tests {
     }
 
     #[test]
-    fn hoist_then_push_roundtrips() {
+    fn hoist_then_undo_roundtrips() {
         let mut f = Flow::new("hp");
         let l = f
             .add_op("DS", ds("lineitem", &[("l_orderkey", ColType::Integer), ("l_discount", ColType::Decimal)]))
@@ -1197,10 +1160,12 @@ mod tests {
         assert!((st.cost() - st.full_recost().unwrap()).abs() < 1e-9 * st.cost().abs().max(1.0));
         st.undo(applied);
         assert_eq!(st.flow(), &reference);
-        // Pushing from the hoisted position returns to the original shape.
+        // Canonical form's push-down takes a hoisted selection back to the
+        // original shape, which is why the search has no push move.
         st.apply(&Move::HoistSelection { sel }).unwrap();
-        st.apply(&Move::PushSelection { sel }).unwrap();
-        assert_eq!(st.flow(), &reference);
+        let mut hoisted = st.flow().clone();
+        assert!(rules::push_selection_once(&mut hoisted, sel).unwrap());
+        assert_eq!(&hoisted, &reference);
     }
 
     #[test]
@@ -1318,23 +1283,28 @@ mod tests {
     }
 
     #[test]
-    fn push_selection_keeps_observed_ratio_valid_across_positions() {
+    fn hoist_selection_keeps_observed_ratio_valid_across_positions() {
         let mut f = Flow::new("obs");
         let l = f
             .add_op("DS", ds("lineitem", &[("l_orderkey", ColType::Integer), ("l_discount", ColType::Decimal)]))
             .unwrap();
-        let srt = f.append(l, "SORT", OpKind::Sort { columns: vec!["l_orderkey".into()] }).unwrap();
         let sel =
-            f.append(srt, "SEL", OpKind::Selection { predicate: parse_expr("l_discount > 0.05").unwrap() }).unwrap();
-        f.append(sel, "LOAD", OpKind::Loader { table: "t".into(), key: vec![] }).unwrap();
+            f.append(l, "SEL", OpKind::Selection { predicate: parse_expr("l_discount > 0.05").unwrap() }).unwrap();
+        let srt = f.append(sel, "SORT", OpKind::Sort { columns: vec!["l_orderkey".into()] }).unwrap();
+        f.append(srt, "LOAD", OpKind::Loader { table: "t".into(), key: vec![] }).unwrap();
         let mut stats = SourceStats::new().with_table("lineitem", 1000.0);
         stats.observe_op_io("SEL", 1000.0, 120.0);
+        stats.observe_op_io("SORT", 120.0, 120.0);
         let mut st = state(f, stats);
-        st.apply(&Move::PushSelection { sel }).unwrap();
-        // The ratio survived the move (selection observations are kept), so
-        // the estimate still reflects the measured 12% selectivity.
+        st.apply(&Move::HoistSelection { sel }).unwrap();
+        // The sort's observation described its old, filtered input and is
+        // dropped; the selection's is kept, since its ratio does not depend
+        // on position. So the sort now reads all 1000 rows, and the estimate
+        // still reflects the measured 12% selectivity.
+        assert_eq!(st.stats().observed_op("SORT"), None);
         assert!((st.cost() - st.full_recost().unwrap()).abs() < 1e-9 * st.cost().abs().max(1.0));
         let cards = cardinality_state(st.flow(), st.stats()).unwrap();
+        assert_eq!(cards[&srt].0, 1000.0);
         assert_eq!(cards[&sel].0, 120.0);
     }
 

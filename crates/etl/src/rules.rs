@@ -216,18 +216,7 @@ pub(crate) fn selection_moves_above(above: &OpKind, pred_cols: &[String]) -> boo
 /// consumer (otherwise the rewrite would change what the other consumers
 /// see).
 pub fn push_selection_once(flow: &mut Flow, sel: OpId) -> Result<bool, FlowError> {
-    push_selection_with(flow, sel, None)
-}
-
-/// [`push_selection_once`] for a caller that already maintains the flow's
-/// output schemas (routing a filter into a join branch needs the branches'
-/// schemas; without `known` they are propagated from scratch).
-pub(crate) fn push_selection_with(
-    flow: &mut Flow,
-    sel: OpId,
-    known: Option<&HashMap<OpId, Schema>>,
-) -> Result<bool, FlowError> {
-    let Some((input, to)) = plan_selection_move(flow, sel, known)? else { return Ok(false) };
+    let Some((input, to)) = plan_selection_move(flow, sel, None)? else { return Ok(false) };
     match to {
         SelectionMove::IntoUnion => {
             // σ(A ∪ B) = σ(A) ∪ σ(B): the filter is *replicated* into both
@@ -255,7 +244,7 @@ pub(crate) fn push_selection_with(
     Ok(true)
 }
 
-/// Where [`push_selection_with`] moves a selection that reads a union or
+/// Where [`push_selection_once`] moves a selection that reads a union or
 /// another operation.
 enum SelectionMove {
     /// A copy into each branch of the union.
@@ -264,8 +253,9 @@ enum SelectionMove {
     Onto(OpId),
 }
 
-/// The move [`push_selection_with`] makes, if any, and the operation the
-/// selection reads before it.
+/// The move [`push_selection_once`] makes, if any, and the operation the
+/// selection reads before it. Routing into a join branch needs the branches'
+/// schemas: `known` when the caller maintains them, else propagated here.
 fn plan_selection_move(
     flow: &Flow,
     sel: OpId,

@@ -91,27 +91,26 @@ proptest! {
     }
 }
 
-/// The eight [`Move`] kinds, in declaration order.
-const KINDS: [&str; 8] = ["push", "hoist", "swap", "assoc", "unassoc", "prune", "remove-projection", "merge"];
+/// The seven [`Move`] kinds, in declaration order.
+const KINDS: [&str; 7] = ["hoist", "swap", "assoc", "unassoc", "prune", "remove-projection", "merge"];
 
 fn kind(mv: &Move) -> usize {
     match mv {
-        Move::PushSelection { .. } => 0,
-        Move::HoistSelection { .. } => 1,
-        Move::SwapJoins { .. } => 2,
-        Move::AssocJoins { .. } => 3,
-        Move::UnassocJoins { .. } => 4,
-        Move::PruneColumns { .. } => 5,
-        Move::RemoveProjection { .. } => 6,
-        Move::MergeDuplicates => 7,
+        Move::HoistSelection { .. } => 0,
+        Move::SwapJoins { .. } => 1,
+        Move::AssocJoins { .. } => 2,
+        Move::UnassocJoins { .. } => 3,
+        Move::PruneColumns { .. } => 4,
+        Move::RemoveProjection { .. } => 5,
+        Move::MergeDuplicates => 6,
     }
 }
 
 /// How often each move kind was applied and undone, by [`kind`].
 #[derive(Default)]
 struct Coverage {
-    applied: [usize; 8],
-    undone: [usize; 8],
+    applied: [usize; KINDS.len()],
+    undone: [usize; KINDS.len()],
 }
 
 impl Coverage {

@@ -11,13 +11,11 @@
 //! operations tolerate by construction).
 
 use crate::IntegrateError;
-use quarry_engine::pool;
 use quarry_etl::cost::{EstimatedTime, EtlCostModel, SourceStats};
 use quarry_etl::facts::FlowFacts;
 use quarry_etl::rules;
 use quarry_etl::{Flow, FlowError, OpId, Operation};
 use std::collections::{BTreeMap, HashMap, HashSet};
-use std::sync::Mutex;
 
 /// Options controlling the consolidation.
 #[derive(Debug, Clone, Copy)]
@@ -252,16 +250,11 @@ pub(crate) fn consolidate_into(
     })
 }
 
-/// Aligns both flows into canonical form, in parallel on the engine pool
-/// (the unified side dominates; the partial normalizes alongside it).
+/// Aligns both flows into canonical form: the unified flow first, then the
+/// partial.
 pub(crate) fn canonicalize_pair(out: &mut Flow, part: &mut Flow, align_with_rules: bool) -> Result<(), IntegrateError> {
-    let flows = [Mutex::new(out), Mutex::new(part)];
-    let results: Vec<Result<usize, FlowError>> = pool::run_indexed(2, |i| {
-        let mut flow = flows[i].lock().expect("canonicalize pair lock");
-        rules::canonicalize(&mut flow, align_with_rules)
-    });
-    for r in results {
-        r.map_err(|e| IntegrateError::MalformedPartial(e.to_string()))?;
+    for flow in [out, part] {
+        rules::canonicalize(flow, align_with_rules).map_err(|e| IntegrateError::MalformedPartial(e.to_string()))?;
     }
     Ok(())
 }

@@ -9,7 +9,6 @@
 //! fall back to whole-schema costing; both paths choose identical designs.
 
 use crate::IntegrateError;
-use quarry_engine::pool;
 use quarry_md::{AdditiveCostModel, CostModel, Dimension, Fact, MdSchema, StructuralComplexity};
 use std::collections::{BTreeMap, HashMap};
 
@@ -68,7 +67,7 @@ struct Pairings {
 /// element per key, reproducing first-match scan semantics. Pairings landing
 /// on the same unified element are then reduced to the best-scoring one so
 /// two partial elements can never silently double-merge.
-fn discover_pairings(unified: &MdSchema, partial: &MdSchema, cost: &(dyn CostModel + Sync)) -> Pairings {
+fn discover_pairings(unified: &MdSchema, partial: &MdSchema, cost: &dyn CostModel) -> Pairings {
     let mut fact_by_name: HashMap<&str, usize> = HashMap::new();
     let mut fact_by_concept: HashMap<&str, usize> = HashMap::new();
     for (ui, uf) in unified.facts.iter().enumerate() {
@@ -139,7 +138,7 @@ fn resolve_collisions(
     make_match: impl Fn(usize, usize) -> MdMatch,
     unified: &MdSchema,
     partial: &MdSchema,
-    cost: &(dyn CostModel + Sync),
+    cost: &dyn CostModel,
 ) {
     let mut by_target: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
     for (pos, &(_, ui)) in pairs.iter().enumerate() {
@@ -181,7 +180,7 @@ fn resolve_collisions(
 pub fn integrate_md(
     unified: &MdSchema,
     partial: &MdSchema,
-    cost: &(dyn CostModel + Sync),
+    cost: &dyn CostModel,
 ) -> Result<MdIntegration, IntegrateError> {
     // Stages 1–2: pairing discovery over lookup maps.
     let pairings = discover_pairings(unified, partial, cost);
@@ -227,17 +226,10 @@ pub fn integrate_md(
     };
 
     if k <= 6 {
-        let total = 1usize << k;
-        // Alternative evaluations are independent; larger spaces fan out on
-        // the engine pool and reduce sequentially in mask order, preserving
-        // the lowest-mask tie-break.
-        let scores: Vec<Option<f64>> = if total >= 16 {
-            pool::run_indexed(total, |mask| scorer.eval(&choices_of(mask, k)))
-        } else {
-            (0..total).map(|mask| scorer.eval(&choices_of(mask, k))).collect()
-        };
-        for (mask, score) in scores.into_iter().enumerate() {
-            tally(&choices_of(mask, k), score, &mut best);
+        // In mask order, so the lowest mask wins a tie.
+        for mask in 0..1usize << k {
+            let choices = choices_of(mask, k);
+            tally(&choices, scorer.eval(&choices), &mut best);
         }
     } else {
         // Greedy: start all-merge, flip each pair if it improves.
@@ -317,7 +309,7 @@ fn choices_of(mask: usize, k: usize) -> Vec<Choice> {
 /// constraints, `Some(cost)` otherwise.
 enum Evaluator<'a> {
     /// Construct the full candidate schema, validate it, cost it.
-    Full { unified: &'a MdSchema, partial: &'a MdSchema, pairs: &'a [MdMatch], cost: &'a (dyn CostModel + Sync) },
+    Full { unified: &'a MdSchema, partial: &'a MdSchema, pairs: &'a [MdMatch], cost: &'a dyn CostModel },
     /// Score by element deltas against the unified schema. Boxed: the scorer
     /// carries all its precomputed per-element tables.
     Incremental(Box<IncrementalScorer<'a>>),
@@ -947,6 +939,41 @@ mod tests {
         }
         let separate = integrate_md(&a, &b, &Antimodel).unwrap();
         assert_eq!(separate.schema.facts.len(), 2, "the cost model drives the decision");
+    }
+
+    #[test]
+    fn five_pairings_score_every_alternative_in_mask_order() {
+        // One fact and four dimensions pair up: 2^5 alternatives, all valid,
+        // scored on the calling thread. Structural complexity merges all
+        // five; whole-schema costing (a model without a decomposition)
+        // considers and chooses the same.
+        let dims: [(&str, &str, &[&str]); 4] = [
+            ("Part", "Part", &["p_name"]),
+            ("Supplier", "Supplier", &["s_name"]),
+            ("Customer", "Customer", &["c_name"]),
+            ("Orders", "Orders", &["o_status"]),
+        ];
+        let unified = schema("IR1", "fact_sales", "Lineitem", "revenue", &dims);
+        let partial = schema("IR2", "fact_quantity", "Lineitem", "quantity", &dims);
+        let merged = integrate_md_default(&unified, &partial).unwrap();
+        assert_eq!(merged.report.pairings_discovered, 5);
+        assert_eq!(merged.report.alternatives_considered, 1 << 5);
+        let mut expected = vec![MdMatch::Fact { partial: "fact_quantity".into(), unified: "fact_sales".into() }];
+        expected.extend(dims.iter().map(|(d, _, _)| MdMatch::Dimension { partial: (*d).into(), unified: (*d).into() }));
+        assert_eq!(merged.report.matches, expected);
+        assert_eq!((merged.schema.facts.len(), merged.schema.dimensions.len()), (1, 4));
+
+        struct Whole;
+        impl CostModel for Whole {
+            fn name(&self) -> &str {
+                "whole"
+            }
+            fn cost(&self, s: &MdSchema) -> f64 {
+                StructuralComplexity::new().cost(s)
+            }
+        }
+        let whole = integrate_md(&unified, &partial, &Whole).unwrap();
+        assert_eq!(whole.report, merged.report);
     }
 
     #[test]

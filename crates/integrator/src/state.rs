@@ -376,7 +376,7 @@ impl ConsolidationState {
         &mut self,
         unified: &MdSchema,
         partial: &MdSchema,
-        cost: &(dyn CostModel + Sync),
+        cost: &dyn CostModel,
     ) -> Result<MdIntegration, IntegrateError> {
         let result = integrate_md(unified, partial, cost)?;
         let elements = (partial.facts.len() + partial.dimensions.len()) as u64;

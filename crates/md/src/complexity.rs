@@ -36,7 +36,7 @@ pub trait CostModel {
 /// element costs against whole-schema costs across code paths), and element
 /// costs must not depend on element *names* — the integrator may cost a
 /// kept-separate element before its disambiguating rename.
-pub trait AdditiveCostModel: Sync {
+pub trait AdditiveCostModel {
     fn fact_cost(&self, fact: &Fact) -> f64;
     fn dimension_cost(&self, dim: &Dimension) -> f64;
     /// The schema-wide term over the maximum hierarchy depth.
